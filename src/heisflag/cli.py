@@ -13,7 +13,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from . import linalg, sampling
 from .curvature import curvature_report

@@ -2,12 +2,21 @@
 
 Continuous random sampling almost surely misses the degenerate signatures,
 which are exactly the interesting orbit types, so the survey enumerates
-flags built from small integer vectors instead: the big part is spanned by
-{-1, 0, 1} vectors with at most two nonzero entries, the line by {-1, 0, 1}
-coefficient combinations of its basis.  Subspaces are deduplicated by an
-integer reduced row echelon form, and all per-flag invariants are computed
-in fraction-free integer arithmetic, so the full survey stays fast even in
-six ambient dimensions.
+flags built from small integer vectors instead.  It walks the dual family:
+each codimension-two big part is V = ker[a; b] for two vectors a, b of the
+small-vector pool ({-1, 0, 1} entries, at most two nonzero), visited once
+per plane span(a, b), which its primitive Plucker coordinates identify
+without any elimination.  The line runs over {-1, 0, 1} coefficient
+combinations of an exact kernel basis of V.
+
+Most of the flag data is read off the pair.  Write x+ and x- for the first
+p and the last q entries of x, and U+, U- for the coordinate subspaces.
+- V is the I_pq-orthogonal complement of I_pq span(a, b), a plane with the
+  Gram matrix of span(a, b); if that plane has signature (s, t, u), then V
+  has signature (p - s - u, q - t - u, u).
+- dim(V cap U+) = p - rank[a+; b+] and dim(V cap U-) = q - rank[a-; b-].
+- A line v of V lies in (V cap U+) + (V cap U-) exactly when v+ is
+  orthogonal to a+ and to b+.
 
 The survey yields the observed set of orbit invariants, the observed set of
 seven-count coordinate data, and a few sample flags per orbit.
@@ -21,105 +30,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from . import linalg
 from .forms import Flag, FlagInvariants, Signature, Subspace
-from .linalg import Vector
+from .sampling import small_vector_pool
 
 IntRow = tuple[int, ...]
 
 SAMPLES_PER_ORBIT = 3
-
-
-def _primitive(row: list[int]) -> IntRow:
-    g = 0
-    for x in row:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return tuple(row)
-    lead = next(x for x in row if x != 0)
-    if lead < 0:
-        g = -g
-    return tuple(x // g for x in row)
-
-
-def int_rref(rows: list[IntRow]) -> tuple[IntRow, ...]:
-    """Canonical fraction-free reduced echelon form with primitive rows.
-
-    Two generating sets span the same subspace iff they produce identical
-    output, so the result doubles as a dictionary key.
-    """
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        for i in range(nr):
-            if i != r and m[i][c]:
-                f1, f2 = m[r][c], m[i][c]
-                m[i] = [f1 * x - f2 * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == nr:
-            break
-    return tuple(_primitive(m[i]) for i in range(r))
-
-
-def int_rank(rows: list[IntRow]) -> int:
-    return len(int_rref(rows))
-
-
-def int_signature(s: list[list[int]]) -> tuple[int, int, int]:
-    """Sign counts of a symmetric integer matrix by fraction-free congruence."""
-    a = [row[:] for row in s]
-    n = len(a)
-    pos = neg = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            j = next((j for j in range(k + 1, n) if a[k][j]), None)
-            if j is None:
-                continue
-            if a[j][j] != 0:
-                for row in a:
-                    row[k], row[j] = row[j], row[k]
-                a[k], a[j] = a[j], a[k]
-            else:
-                for i in range(n):
-                    aik, aij = a[i][k], a[i][j]
-                    a[i][k], a[i][j] = aik + aij, aik - aij
-                for c in range(n):
-                    akc, ajc = a[k][c], a[j][c]
-                    a[k][c], a[j][c] = akc + ajc, akc - ajc
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            if a[k][i]:
-                f = a[k][i]
-                for r in range(n):
-                    a[r][i] = pivot * a[r][i] - f * a[r][k]
-                for c in range(n):
-                    a[i][c] = pivot * a[i][c] - f * a[k][c]
-        if pivot > 0:
-            pos += 1
-        elif pivot < 0:
-            neg += 1
-    return pos, neg, n - pos - neg
-
-
-def small_int_pool(n: int) -> list[IntRow]:
-    """{-1, 0, 1} vectors with at most two nonzero entries, first nonzero +1."""
-    out = []
-    for i in range(n):
-        v = [0] * n
-        v[i] = 1
-        out.append(tuple(v))
-        for j in range(i + 1, n):
-            for sign in (1, -1):
-                w = [0] * n
-                w[i] = 1
-                w[j] = sign
-                out.append(tuple(w))
-    return out
 
 
 def _coefficient_lines(k: int) -> list[IntRow]:
@@ -137,6 +54,23 @@ def _to_flag(basis: tuple[IntRow, ...], coeffs: IntRow, n: int) -> Flag:
     line = tuple(Fraction(sum(c * row[i] for c, row in zip(coeffs, basis)))
                  for i in range(n))
     return Flag(Subspace.spanned_by([line], n), Subspace(n, big_vecs))
+
+
+def _standard_gram(sign: list[int], vectors) -> list[list[int]]:
+    """Gram matrix of integer vectors under the diagonal form `sign`."""
+    return [[sum(s * x * y for s, x, y in zip(sign, u, v)) for v in vectors]
+            for u in vectors]
+
+
+def _pair_rank(a: IntRow, b: IntRow) -> int:
+    """Rank of the two-row matrix [a; b]: 2 iff one of its 2x2 minors is nonzero."""
+    if any(a[i] * b[j] != a[j] * b[i] for i, j in itertools.combinations(range(len(a)), 2)):
+        return 2
+    return 1 if any(a) or any(b) else 0
+
+
+def _dot(u, v) -> int:
+    return sum(x * y for x, y in zip(u, v))
 
 
 @dataclass
@@ -168,46 +102,45 @@ def survey_flags(p: int, q: int) -> FlagSurvey:
 def _survey_cached(p: int, q: int) -> FlagSurvey:
     n = p + q
     k = n - 2
-    pool = small_int_pool(n)
+    pool = [tuple(int(x) for x in v) for v in small_vector_pool(n)]
+    index_pairs = list(itertools.combinations(range(n), 2))
     lines = _coefficient_lines(k)
     survey = FlagSurvey(p, q)
-    seen: set[tuple[IntRow, ...]] = set()
+    seen: set[IntRow] = set()
     sign = [1] * p + [-1] * q
 
-    for combo in itertools.combinations(pool, k):
-        rref = int_rref(list(combo))
-        if len(rref) != k or rref in seen:
+    for a, b in itertools.combinations(pool, 2):
+        # distinct pool vectors are never parallel: some coordinate is nonzero
+        plucker = [a[i] * b[j] - a[j] * b[i] for i, j in index_pairs]
+        g = gcd(*plucker)
+        if next(x for x in plucker if x) < 0:
+            g = -g
+        key = tuple(x // g for x in plucker)
+        if key in seen:
             continue
-        seen.add(rref)
+        seen.add(key)
         survey.subspace_count += 1
-        basis = rref
 
-        # restricted Gram, signature, and coordinate intersections of the big part
-        gram = [[sum(s * x * y for s, x, y in zip(sign, u, v)) for v in basis]
-                for u in basis]
-        sig_big = Signature(*int_signature(gram))
-        c_plus = k - int_rank([row[p:] for row in basis])
-        c_minus = k - int_rank([row[:p] for row in basis])
+        s, t, u = linalg.congruence_diagonalize(
+            linalg.mat(_standard_gram(sign, (a, b)))).sign_counts()
+        sig_big = Signature(p - s - u, q - t - u, u)
+        c_plus = p - _pair_rank(a[:p], b[:p])
+        c_minus = q - _pair_rank(a[p:], b[p:])
         c_zero = k - c_plus - c_minus
 
-        # coefficient-space kernels: radical of the big part and the two
-        # coordinate intersections, all expressed in basis coordinates
-        plus_coeffs = _left_kernel([row[p:] for row in basis])
-        minus_coeffs = _left_kernel([row[:p] for row in basis])
-        pm_span = int_rref(plus_coeffs + minus_coeffs) if plus_coeffs or minus_coeffs else ()
-        pm_rank = len(pm_span)
+        basis = tuple(tuple(int(x) for x in v) for v in linalg.kernel(linalg.mat([a, b])))
+        gram = _standard_gram(sign, basis)
 
         for coeffs in lines:
             survey.flag_count += 1
-            norm = sum(ci * sum(g * cj for g, cj in zip(row, coeffs))
-                       for ci, row in zip(coeffs, gram))
-            in_radical = all(sum(g * c for g, c in zip(row, coeffs)) == 0 for row in gram)
+            gram_coeffs = [_dot(row, coeffs) for row in gram]
+            norm = _dot(coeffs, gram_coeffs)
             if norm > 0:
                 sig_small, cap = Signature(1, 0, 0), 0
             elif norm < 0:
                 sig_small, cap = Signature(0, 1, 0), 0
             else:
-                sig_small, cap = Signature(0, 0, 1), (1 if in_radical else 0)
+                sig_small, cap = Signature(0, 0, 1), (0 if any(gram_coeffs) else 1)
             inv = FlagInvariants(sig_big, sig_small, cap)
 
             samples = survey.invariants.setdefault(inv, [])
@@ -215,31 +148,9 @@ def _survey_cached(p: int, q: int) -> FlagSurvey:
                 samples.append(_to_flag(basis, coeffs, n))
 
             vec = [sum(c * row[i] for c, row in zip(coeffs, basis)) for i in range(n)]
-            d_plus = 1 if all(x == 0 for x in vec[p:]) else 0
-            d_minus = 1 if all(x == 0 for x in vec[:p]) else 0
-            d_pm = 1 if pm_rank and len(int_rref(list(pm_span) + [tuple(coeffs)])) == pm_rank else 0
+            d_plus = 0 if any(vec[p:]) else 1
+            d_minus = 0 if any(vec[:p]) else 1
+            d_pm = 0 if _dot(a[:p], vec) or _dot(b[:p], vec) else 1
             survey.matsuki.add((c_plus, c_minus, c_zero,
                                 d_plus, d_minus, 1 - d_plus - d_minus, d_pm))
     return survey
-
-
-def _left_kernel(rows: list[list[int]]) -> list[IntRow]:
-    """Primitive integer basis of {c : c . rows = 0} (kernel of the transpose)."""
-    k = len(rows)
-    if k == 0:
-        return []
-    cols = len(rows[0])
-    if cols == 0:
-        return [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
-    # solve via fraction-free elimination on [rows^T | I] columns: use rational
-    # kernel on the small transpose instead; sizes here are tiny
-    from . import linalg
-
-    transposed = [[Fraction(rows[i][c]) for i in range(k)] for c in range(cols)]
-    out = []
-    for v in linalg.kernel(transposed):
-        denom = 1
-        for x in v:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        out.append(_primitive([int(x * denom) for x in v]))
-    return out

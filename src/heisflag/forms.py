@@ -164,9 +164,6 @@ class Subspace:
             raise PreconditionError("vector does not lie in the subspace")
         return coeffs
 
-    def canonical_key(self) -> tuple:
-        return tuple(linalg.row_space(list(self.basis)))
-
 
 @dataclass(frozen=True)
 class Flag:

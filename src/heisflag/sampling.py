@@ -22,15 +22,29 @@ def standard_form_matrix(p: int, q: int) -> Matrix:
     return linalg.diag([1] * p + [-1] * q)
 
 
-def cayley_opq(p: int, q: int, rng: random.Random) -> Matrix:
-    """Exact element of O(p, q) via the Cayley transform.
+def _cayley(p: int, q: int, k: Matrix) -> Matrix | None:
+    """(I - S)(I + S)^{-1} for S = I_{p,q} K (K with its last q rows negated),
+    or None when I + S is singular.
 
-    S = I_{p,q} K with K skew-symmetric satisfies S^T I_{p,q} + I_{p,q} S = 0,
-    and then (I - S)(I + S)^{-1} preserves the form exactly.  Draws are
-    rejected until I + S is invertible.
+    For skew-symmetric K, S satisfies S^T I_{p,q} + I_{p,q} S = 0, and then
+    the transform preserves the standard form exactly.  It is computed as
+    2 (I + S)^{-1} - I, which is the same matrix because I - S = 2I - (I + S).
+    """
+    i_plus_s = [[(x if i < p else -x) + (1 if i == j else 0) for j, x in enumerate(row)]
+                for i, row in enumerate(k)]
+    try:
+        inverse = linalg.invert(i_plus_s)
+    except linalg.SingularMatrixError:
+        return None
+    return [[2 * x - (1 if i == j else 0) for j, x in enumerate(row)]
+            for i, row in enumerate(inverse)]
+
+
+def cayley_opq(p: int, q: int, rng: random.Random) -> Matrix:
+    """Exact element of O(p, q) via the Cayley transform of a random
+    skew-symmetric K.  Draws are rejected until I + S is invertible.
     """
     n = p + q
-    ipq = standard_form_matrix(p, q)
     while True:
         k = linalg.zeros(n, n)
         for i in range(n):
@@ -38,14 +52,9 @@ def cayley_opq(p: int, q: int, rng: random.Random) -> Matrix:
                 x = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
                 k[i][j] = x
                 k[j][i] = -x
-        s = linalg.mat_mul(ipq, k)
-        i_plus_s = [[s[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
-        try:
-            inverse = linalg.invert(i_plus_s)
-        except linalg.SingularMatrixError:
-            continue
-        i_minus_s = [[-s[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
-        return linalg.mat_mul(i_minus_s, inverse)
+        g = _cayley(p, q, k)
+        if g is not None:
+            return g
 
 
 def signed_permutation_opq(p: int, q: int, rng: random.Random) -> Matrix:
@@ -74,23 +83,21 @@ def plane_cayley_opq(p: int, q: int, rng: random.Random) -> Matrix:
     Entries stay bounded independently of the dimension, which keeps
     downstream floating-point work well conditioned; useful wherever group
     images feed the numerical witness rather than exact invariant checks.
+    Draws are rejected until I + S is invertible.
     """
     n = p + q
-    i = rng.randrange(n)
-    j = rng.randrange(n)
-    while j == i:
+    while True:
+        i = rng.randrange(n)
         j = rng.randrange(n)
-    k = linalg.zeros(n, n)
-    x = Fraction(rng.randint(1, 2), rng.randint(1, 3))
-    k[i][j] = x
-    k[j][i] = -x
-    ipq = standard_form_matrix(p, q)
-    s = linalg.mat_mul(ipq, k)
-    i_plus = [[s[a][b] + (1 if a == b else 0) for b in range(n)] for a in range(n)]
-    if linalg.det(i_plus) == 0:
-        return plane_cayley_opq(p, q, rng)
-    i_minus = [[-s[a][b] + (1 if a == b else 0) for b in range(n)] for a in range(n)]
-    return linalg.mat_mul(i_minus, linalg.invert(i_plus))
+        while j == i:
+            j = rng.randrange(n)
+        k = linalg.zeros(n, n)
+        x = Fraction(rng.randint(1, 2), rng.randint(1, 3))
+        k[i][j] = x
+        k[j][i] = -x
+        g = _cayley(p, q, k)
+        if g is not None:
+            return g
 
 
 def mild_opq(p: int, q: int, rng: random.Random) -> Matrix:

@@ -212,18 +212,12 @@ def isometry_witness(p: int, q: int, f1: Flag, f2: Flag,
                         acc += hp(c1[i][k] * c2_inv[k][j]) * scale[k]
                 g[i, j] = float(acc)
 
-    ipq = np.diag([1.0] * p + [-1.0] * q)
-    residual = float(np.max(np.abs(g.T @ ipq @ g - ipq)))
-    if residual > tol:
-        raise WitnessFailureError(f"form residual {residual:.3e} exceeds {tol:.1e}")
-
-    g_small = (g @ np.array([[float(x) for x in v] for v in f2.small.basis]).T).T
-    g_big = (g @ np.array([[float(x) for x in v] for v in f2.big.basis]).T).T
-    d_small = subspace_distance(g_small, [[float(x) for x in v] for v in f1.small.basis])
-    d_big = subspace_distance(g_big, [[float(x) for x in v] for v in f1.big.basis])
-    if max(d_small, d_big) > tol:
-        raise WitnessFailureError(
-            f"flag mapping distance {max(d_small, d_big):.3e} exceeds {tol:.1e}")
+    res = witness_residuals(p, q, g, f1, f2)
+    if res["form"] > tol:
+        raise WitnessFailureError(f"form residual {res['form']:.3e} exceeds {tol:.1e}")
+    distance = max(res["small"], res["big"])
+    if distance > tol:
+        raise WitnessFailureError(f"flag mapping distance {distance:.3e} exceeds {tol:.1e}")
     return g
 
 

@@ -1,12 +1,26 @@
-"""Independent brute-force curvature oracle.
+"""Independent brute-force oracles.
 
-Deliberately separate from the package: index-based Christoffel/Riemann/Ricci
-formulas over structure constants, with its own tiny matrix inverse.  Used to
-pin expected values before trusting the main engine.
+Deliberately separate from the package's fast paths:
+- curvature: index-based Christoffel/Riemann/Ricci formulas over structure
+  constants, with its own tiny matrix inverse;
+- enumeration: the primal flag survey, which walks every (n-2)-subset of the
+  small integer pool, deduplicates subspaces by a fraction-free integer RREF
+  and computes every flag invariant in integer arithmetic.
+Used to pin expected values before trusting the main engine.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from math import gcd
+
+from heisflag import linalg
+from heisflag.enumeration import (
+    SAMPLES_PER_ORBIT,
+    FlagSurvey,
+    _coefficient_lines,
+    _to_flag,
+)
+from heisflag.forms import FlagInvariants, Signature
 
 
 def structure_constants(n):
@@ -105,3 +119,175 @@ def ricci_tensor(n, g):
     ginv = cofactor_inverse(g)
     scalar = sum(ginv[k][j] * ric[j][k] for j in range(n) for k in range(n))
     return ric, scalar
+
+
+def _primitive(row):
+    g = 0
+    for x in row:
+        g = gcd(g, abs(x))
+    if g == 0:
+        return tuple(row)
+    lead = next(x for x in row if x != 0)
+    if lead < 0:
+        g = -g
+    return tuple(x // g for x in row)
+
+
+def int_rref(rows):
+    """Canonical fraction-free reduced echelon form with primitive rows.
+
+    Two generating sets span the same subspace iff they produce identical
+    output, so the result doubles as a dictionary key.
+    """
+    m = [list(r) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        for i in range(nr):
+            if i != r and m[i][c]:
+                f1, f2 = m[r][c], m[i][c]
+                m[i] = [f1 * x - f2 * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == nr:
+            break
+    return tuple(_primitive(m[i]) for i in range(r))
+
+
+def int_rank(rows):
+    return len(int_rref(rows))
+
+
+def int_signature(s):
+    """Sign counts of a symmetric integer matrix by fraction-free congruence."""
+    a = [row[:] for row in s]
+    n = len(a)
+    pos = neg = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if a[k][j]), None)
+            if j is None:
+                continue
+            if a[j][j] != 0:
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+                a[k], a[j] = a[j], a[k]
+            else:
+                for i in range(n):
+                    aik, aij = a[i][k], a[i][j]
+                    a[i][k], a[i][j] = aik + aij, aik - aij
+                for c in range(n):
+                    akc, ajc = a[k][c], a[j][c]
+                    a[k][c], a[j][c] = akc + ajc, akc - ajc
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            if a[k][i]:
+                f = a[k][i]
+                for r in range(n):
+                    a[r][i] = pivot * a[r][i] - f * a[r][k]
+                for c in range(n):
+                    a[i][c] = pivot * a[i][c] - f * a[k][c]
+        if pivot > 0:
+            pos += 1
+        elif pivot < 0:
+            neg += 1
+    return pos, neg, n - pos - neg
+
+
+def small_int_pool(n):
+    """{-1, 0, 1} vectors with at most two nonzero entries, first nonzero +1."""
+    out = []
+    for i in range(n):
+        v = [0] * n
+        v[i] = 1
+        out.append(tuple(v))
+        for j in range(i + 1, n):
+            for sign in (1, -1):
+                w = [0] * n
+                w[i] = 1
+                w[j] = sign
+                out.append(tuple(w))
+    return out
+
+
+def primal_survey(p, q):
+    """The survey over every (n-2)-subset of the pool, deduplicated by `int_rref`."""
+    n = p + q
+    k = n - 2
+    pool = small_int_pool(n)
+    lines = _coefficient_lines(k)
+    survey = FlagSurvey(p, q)
+    seen = set()
+    sign = [1] * p + [-1] * q
+
+    for combo in combinations(pool, k):
+        rref = int_rref(list(combo))
+        if len(rref) != k or rref in seen:
+            continue
+        seen.add(rref)
+        survey.subspace_count += 1
+        basis = rref
+
+        # restricted Gram, signature, and coordinate intersections of the big part
+        gram = [[sum(s * x * y for s, x, y in zip(sign, u, v)) for v in basis]
+                for u in basis]
+        sig_big = Signature(*int_signature(gram))
+        c_plus = k - int_rank([row[p:] for row in basis])
+        c_minus = k - int_rank([row[:p] for row in basis])
+        c_zero = k - c_plus - c_minus
+
+        # coefficient-space kernels: radical of the big part and the two
+        # coordinate intersections, all expressed in basis coordinates
+        plus_coeffs = _left_kernel([row[p:] for row in basis])
+        minus_coeffs = _left_kernel([row[:p] for row in basis])
+        pm_span = int_rref(plus_coeffs + minus_coeffs) if plus_coeffs or minus_coeffs else ()
+        pm_rank = len(pm_span)
+
+        for coeffs in lines:
+            survey.flag_count += 1
+            norm = sum(ci * sum(g * cj for g, cj in zip(row, coeffs))
+                       for ci, row in zip(coeffs, gram))
+            in_radical = all(sum(g * c for g, c in zip(row, coeffs)) == 0 for row in gram)
+            if norm > 0:
+                sig_small, cap = Signature(1, 0, 0), 0
+            elif norm < 0:
+                sig_small, cap = Signature(0, 1, 0), 0
+            else:
+                sig_small, cap = Signature(0, 0, 1), (1 if in_radical else 0)
+            inv = FlagInvariants(sig_big, sig_small, cap)
+
+            samples = survey.invariants.setdefault(inv, [])
+            if len(samples) < SAMPLES_PER_ORBIT:
+                samples.append(_to_flag(basis, coeffs, n))
+
+            vec = [sum(c * row[i] for c, row in zip(coeffs, basis)) for i in range(n)]
+            d_plus = 1 if all(x == 0 for x in vec[p:]) else 0
+            d_minus = 1 if all(x == 0 for x in vec[:p]) else 0
+            d_pm = 1 if pm_rank and len(int_rref(list(pm_span) + [tuple(coeffs)])) == pm_rank else 0
+            survey.matsuki.add((c_plus, c_minus, c_zero,
+                                d_plus, d_minus, 1 - d_plus - d_minus, d_pm))
+    return survey
+
+
+def _left_kernel(rows):
+    """Primitive integer basis of {c : c . rows = 0} (kernel of the transpose)."""
+    k = len(rows)
+    if k == 0:
+        return []
+    cols = len(rows[0])
+    if cols == 0:
+        return [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
+    # solve via fraction-free elimination on [rows^T | I] columns: use rational
+    # kernel on the small transpose instead; sizes here are tiny
+    transposed = [[Fraction(rows[i][c]) for i in range(k)] for c in range(cols)]
+    out = []
+    for v in linalg.kernel(transposed):
+        denom = 1
+        for x in v:
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        out.append(_primitive([int(x * denom) for x in v]))
+    return out

@@ -1,8 +1,7 @@
 """Structured flag survey: completeness, consistency, duality counts."""
 
-from fractions import Fraction as F
-
-from heisflag.enumeration import int_rank, int_rref, int_signature, survey_flags
+import oracles
+from heisflag.enumeration import survey_flags
 from heisflag.forms import (
     FlagInvariants,
     LineSignature,
@@ -31,10 +30,10 @@ def expected_invariants(p, q):
 
 
 def test_int_rref_canonical():
-    assert int_rref([(1, 0, 1), (0, 1, 1)]) == int_rref([(1, 1, 2), (1, -1, 0)])
-    assert int_rref([(2, 4)]) == ((1, 2),)
-    assert int_rref([(0, 0), (0, 0)]) == ()
-    assert int_rank([(1, 1), (1, -1), (2, 0)]) == 2
+    assert oracles.int_rref([(1, 0, 1), (0, 1, 1)]) == oracles.int_rref([(1, 1, 2), (1, -1, 0)])
+    assert oracles.int_rref([(2, 4)]) == ((1, 2),)
+    assert oracles.int_rref([(0, 0), (0, 0)]) == ()
+    assert oracles.int_rank([(1, 1), (1, -1), (2, 0)]) == 2
 
 
 def test_int_signature_agrees_with_exact_congruence():
@@ -51,7 +50,7 @@ def test_int_signature_agrees_with_exact_congruence():
                 s[i][j] = x
                 s[j][i] = x
         exact = linalg.congruence_diagonalize(linalg.mat(s)).sign_counts()
-        assert int_signature(s) == exact
+        assert oracles.int_signature(s) == exact
 
 
 def test_survey_counts_small():
@@ -66,6 +65,23 @@ def test_survey_counts_small():
 def test_survey_matches_derived_admissible_sets():
     for p, q in [(2, 2), (3, 1), (3, 2)]:
         assert survey_flags(p, q).observed_invariants == expected_invariants(p, q)
+
+
+def test_survey_agrees_with_primal_oracle():
+    # the dual survey (pairs of pool vectors) against the primal one
+    # ((n-2)-subsets of the pool): the same orbit types and the same
+    # seven-count tuples, not just the same numbers of them
+    for p, q in [(2, 2), (3, 1), (1, 3), (3, 2), (2, 3), (4, 1)]:
+        dual, primal = survey_flags(p, q), oracles.primal_survey(p, q)
+        assert dual.observed_invariants == primal.observed_invariants, (p, q)
+        assert dual.matsuki == primal.matsuki, (p, q)
+
+
+def test_survey_complete_at_n7():
+    for (p, q), orbits in [((4, 3), 21), ((5, 2), 15), ((6, 1), 6)]:
+        survey = survey_flags(p, q)
+        assert survey.observed_invariants == expected_invariants(p, q), (p, q)
+        assert len(survey.matsuki) == orbits, (p, q)
 
 
 def test_survey_samples_have_claimed_invariants():
