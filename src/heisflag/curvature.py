@@ -1,18 +1,34 @@
-"""Exact curvature of left-invariant metrics from structure constants.
+"""Exact curvature of left-invariant metrics on h3 + R^(n-3).
 
-For a left-invariant metric, every geometric quantity reduces to rational
-arithmetic on the Lie algebra: the Levi-Civita connection comes from the
-Koszul formula
+For a left-invariant metric every geometric quantity is rational arithmetic
+on the Lie algebra.  This algebra has one structure constant: with
+a, b = n-2, n-1, [e_i, e_j] = eps_ij e_0, where eps_ab = 1, eps_ba = -1 and
+eps is zero elsewhere.  The Koszul formula
 
-    2 <nabla_x y, z> = <[x,y], z> - <[y,z], x> + <[z,x], y>,
+    2 <nabla_i e_j, e_k> = <[e_i,e_j], e_k> - <[e_j,e_k], e_i> + <[e_k,e_i], e_j>
+                         = eps_ij g_0k - eps_jk g_0i + eps_ki g_0j
 
-the curvature tensor from R(x,y)z = nabla_x nabla_y z - nabla_y nabla_x z
-- nabla_[x,y] z, and the Ricci tensor by tracing.  Flatness is exact
-vanishing of every Riemann entry; there is no tolerance anywhere.
+then solves in closed form.  Since G^{-1} maps the first column of G to e_0,
 
-A metric is an algebraic Ricci soliton when its Ricci operator equals
-c * Id + D with D a derivation of the algebra; this is decided by an exact
-linear solve, and an Einstein metric is the special case D = 0.
+    nabla_i e_j = g_0i w_j + g_0j w_i + (eps_ij / 2) e_0,
+
+with w_a = -G^{-1} e_b / 2, w_b = G^{-1} e_a / 2 and w_i = 0 otherwise.  So
+nabla_i e_j vanishes unless i or j is a or b: 4n - 4 of the n^2 pairs.  The
+curvature tensor R(x,y)z = nabla_x nabla_y z - nabla_y nabla_x z
+- nabla_[x,y] z inherits that sparsity and is antisymmetric in x, y; the
+Ricci tensor is its trace.  Flatness is exact vanishing of every Riemann
+entry; there is no tolerance anywhere.
+
+A metric is an algebraic Ricci soliton when its Ricci operator
+R = G^{-1} Ric equals c Id + D with D a derivation.  D is a derivation iff
+
+    D[r][0] = 0 for r >= 1,   D[a][i] = D[b][i] = 0 for 1 <= i <= n-3,
+    D[0][0] = D[a][a] + D[b][b],
+
+so R - c Id is one iff R meets the first two conditions and
+c = R[a][a] + R[b][b] - R[0][0].  That c is unique because Id is not a
+derivation, so the test needs no linear solve.  An Einstein metric is the
+case D = 0.
 """
 
 from __future__ import annotations
@@ -51,17 +67,11 @@ class ConnectionTable:
         return tuple(out)
 
     def is_metric_compatible(self, gram: Matrix) -> bool:
+        """<nabla_i e_j, e_k> + <e_j, nabla_i e_k> = 0 for every i, j, k."""
         n = self.n
-        for i in range(n):
-            for j in range(n):
-                for k in range(j, n):
-                    lhs = sum(x * y for x, y in zip(linalg.mat_vec(gram, self.gamma[i][j]),
-                                                    _unit(n, k)))
-                    rhs = sum(x * y for x, y in zip(linalg.mat_vec(gram, self.gamma[i][k]),
-                                                    _unit(n, j)))
-                    if lhs + rhs != 0:
-                        return False
-        return True
+        low = [[linalg.mat_vec(gram, v) for v in row] for row in self.gamma]
+        return all(low[i][j][k] + low[i][k][j] == 0
+                   for i in range(n) for j in range(n) for k in range(j, n))
 
     def is_torsion_free(self, alg: HeisenbergAlgebra) -> bool:
         n = self.n
@@ -73,70 +83,84 @@ class ConnectionTable:
         return True
 
 
-def _unit(n: int, i: int) -> Vector:
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-
-
-def levi_civita(alg: HeisenbergAlgebra, gram: Matrix) -> ConnectionTable:
-    """The unique metric-compatible torsion-free connection, via the Koszul formula."""
-    n = alg.n
+def _checked_inverse(n: int, gram: Matrix) -> Matrix:
     if len(gram) != n or not linalg.is_symmetric(gram):
         raise PreconditionError(f"Gram matrix must be symmetric {n}x{n}")
     try:
-        g_inv = linalg.invert(gram)
+        return linalg.invert(gram)
     except linalg.SingularMatrixError:
         raise PreconditionError("Levi-Civita connection requires a nondegenerate Gram matrix")
 
-    def pairing(x: Vector, y: Vector) -> Fraction:
-        return sum(a * b for a, b in zip(linalg.mat_vec(gram, x), y))
 
-    table = []
+def _connection(n: int, gram: Matrix, g_inv: Matrix) -> ConnectionTable:
+    a, b = n - 2, n - 1
+    h = gram[0]
+    # rows of the symmetric G^{-1} are its columns G^{-1} e_k
+    w = {a: tuple(-x / 2 for x in g_inv[b]), b: tuple(x / 2 for x in g_inv[a])}
+    half_eps = {(a, b): Fraction(1, 2), (b, a): Fraction(-1, 2)}
+    zero = (Fraction(0),) * n
+    table = [[zero] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        e_i = _unit(n, i)
         for j in range(n):
-            e_j = _unit(n, j)
-            br_ij = alg.bracket_basis(i, j)
-            rhs = []
-            for k in range(n):
-                e_k = _unit(n, k)
-                val = (pairing(br_ij, e_k)
-                       - pairing(alg.bracket_basis(j, k), e_i)
-                       + pairing(alg.bracket_basis(k, i), e_j))
-                rhs.append(val / 2)
-            row.append(linalg.mat_vec(g_inv, tuple(rhs)))
-        table.append(tuple(row))
-    return ConnectionTable(tuple(table))
+            if i not in w and j not in w:
+                continue
+            v = [Fraction(0)] * n
+            if j in w:
+                v = [x + h[i] * y for x, y in zip(v, w[j])]
+            if i in w:
+                v = [x + h[j] * y for x, y in zip(v, w[i])]
+            v[0] += half_eps.get((i, j), 0)
+            table[i][j] = tuple(v)
+    return ConnectionTable(tuple(tuple(row) for row in table))
+
+
+def levi_civita(alg: HeisenbergAlgebra, gram: Matrix) -> ConnectionTable:
+    """The unique metric-compatible torsion-free connection, in closed form."""
+    return _connection(alg.n, gram, _checked_inverse(alg.n, gram))
+
+
+def _combination(terms: list[tuple[Fraction, Vector]], n: int) -> Vector:
+    """Sum of c * v over the terms, skipping zero entries of v."""
+    out = [Fraction(0)] * n
+    for c, v in terms:
+        for r, x in enumerate(v):
+            if x != 0:
+                out[r] += c * x
+    return tuple(out)
 
 
 def riemann(conn: ConnectionTable, alg: HeisenbergAlgebra) -> RiemannTable:
     """Curvature tensor: entry [i][j][k] is R(e_i, e_j) e_k in basis coordinates."""
     n = conn.n
-    out = []
+    gamma = conn.gamma
+    nonzero = [[(m, g) for m, g in enumerate(row) if any(g)] for row in gamma]
+    flat_plane = ((Fraction(0),) * n,) * n
+    out = [[flat_plane] * n for _ in range(n)]
     for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            br = alg.bracket_basis(i, j)
+        for j in range(i + 1, n):
+            eps = alg.bracket_basis(i, j)[0]  # every bracket is a multiple of e_0
+            plane = []
             for k in range(n):
-                val = linalg.vec_sub(conn.derivative_of(i, conn.gamma[j][k]),
-                                     conn.derivative_of(j, conn.gamma[i][k]))
-                for m, c in enumerate(br):
-                    if c != 0:
-                        val = linalg.vec_sub(val, linalg.vec_scale(c, conn.gamma[m][k]))
-                row.append(val)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
+                # nabla_i (nabla_j e_k) - nabla_j (nabla_i e_k) - eps nabla_0 e_k
+                terms = ([(gamma[j][k][m], g) for m, g in nonzero[i] if gamma[j][k][m] != 0]
+                         + [(-gamma[i][k][m], g) for m, g in nonzero[j] if gamma[i][k][m] != 0])
+                if eps != 0:
+                    terms.append((-eps, gamma[0][k]))
+                plane.append(_combination(terms, n))
+            out[i][j] = tuple(plane)
+            out[j][i] = tuple(tuple(-x for x in v) for v in plane)
+    return tuple(tuple(plane) for plane in out)
+
+
+def _ricci_tensor(riem: RiemannTable) -> Matrix:
+    n = len(riem)
+    return [[sum(riem[i][j][k][i] for i in range(n)) for k in range(n)] for j in range(n)]
 
 
 def ricci(riem: RiemannTable, gram: Matrix) -> tuple[Matrix, Fraction]:
     """Ricci tensor Ric(y, z) = trace(x -> R(x, y) z) and scalar curvature."""
     n = len(riem)
-    ric = linalg.zeros(n, n)
-    for j in range(n):
-        for k in range(n):
-            ric[j][k] = sum(riem[i][j][k][i] for i in range(n))
+    ric = _ricci_tensor(riem)
     g_inv = linalg.invert(gram)
     scalar = sum(g_inv[k][j] * ric[j][k] for j in range(n) for k in range(n))
     return ric, scalar
@@ -147,53 +171,54 @@ def is_flat(riem: RiemannTable) -> bool:
     return all(x == 0 for plane in riem for row in plane for v in row for x in v)
 
 
+def _pinned_entries(n: int) -> set[tuple[int, int]]:
+    """Entries (r, c) that are zero in every derivation."""
+    a, b = n - 2, n - 1
+    return ({(r, 0) for r in range(1, n)}
+            | {(r, c) for r in (a, b) for c in range(1, n - 2)})
+
+
 def derivation_space(alg: HeisenbergAlgebra) -> list[Vector]:
-    """Basis of Der(g) = {D : D[x,y] = [Dx,y] + [x,Dy]}, as flattened n*n vectors."""
+    """Basis of Der(g) = {D : D[x,y] = [Dx,y] + [x,Dy]}, as flattened n*n vectors.
+
+    One vector per entry other than D[0][0] and the entries every derivation
+    pins to zero, in row-major order: the unit matrix at that entry, plus a 1
+    at D[0][0] for D[a][a] and D[b][b] (a, b = n-2, n-1), which the condition
+    D[0][0] = D[a][a] + D[b][b] ties to it.  Dimension n^2 - 3n + 6.
+    """
     n = alg.n
-    units = [_unit(n, i) for i in range(n)]
-
-    def constraint_rows(d: Matrix) -> list[Fraction]:
-        cols = [tuple(d[r][c] for r in range(n)) for c in range(n)]
-        rows = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                lhs = linalg.mat_vec(d, alg.bracket_basis(i, j))
-                rhs = linalg.vec_add(alg.bracket(cols[i], units[j]),
-                                     alg.bracket(units[i], cols[j]))
-                rows.extend(linalg.vec_sub(lhs, rhs))
-        return rows
-
-    columns = []
+    a, b = n - 2, n - 1
+    pinned = _pinned_entries(n)
+    basis = []
     for r in range(n):
         for c in range(n):
-            elem = linalg.zeros(n, n)
-            elem[r][c] = Fraction(1)
-            columns.append(constraint_rows(elem))
-    constraint_matrix = [list(row) for row in zip(*columns)]
-    return linalg.kernel(constraint_matrix)
+            if (r, c) == (0, 0) or (r, c) in pinned:
+                continue
+            v = [Fraction(0)] * (n * n)
+            v[r * n + c] = Fraction(1)
+            if (r, c) in ((a, a), (b, b)):
+                v[0] = Fraction(1)
+            basis.append(tuple(v))
+    return basis
+
+
+def _soliton(n: int, ric_op: Matrix) -> tuple[Fraction, Matrix] | None:
+    if any(ric_op[r][c] != 0 for r, c in _pinned_entries(n)):
+        return None
+    a, b = n - 2, n - 1
+    c = ric_op[a][a] + ric_op[b][b] - ric_op[0][0]
+    d = [[ric_op[i][j] - (c if i == j else 0) for j in range(n)] for i in range(n)]
+    return c, d
 
 
 def soliton_check(alg: HeisenbergAlgebra, gram: Matrix,
                   ric: Matrix) -> tuple[Fraction, Matrix] | None:
-    """Solve Ric_op = c * Id + D with D a derivation, exactly.
+    """Decide Ric_op = c * Id + D with D a derivation, exactly.
 
-    Returns (c, D) if the linear system is consistent, None otherwise.  The
-    Einstein case is the solution with D = 0.
+    Returns (c, D) if such a pair exists (c is then unique), None otherwise.
+    The Einstein case is the solution with D = 0.
     """
-    n = alg.n
-    g_inv = linalg.invert(gram)
-    ric_op = linalg.mat_mul(g_inv, ric)
-    der_basis = derivation_space(alg)
-    target = tuple(x for row in ric_op for x in row)
-    id_vec = tuple(x for row in linalg.identity(n) for x in row)
-    cols = [list(b) for b in der_basis] + [list(id_vec)]
-    system = [[cols[c][r] for c in range(len(cols))] for r in range(n * n)]
-    sol = linalg.solve(system, target)
-    if sol is None:
-        return None
-    c = sol[-1]
-    d = [[ric_op[i][j] - (c if i == j else 0) for j in range(n)] for i in range(n)]
-    return c, d
+    return _soliton(alg.n, linalg.mat_mul(linalg.invert(gram), ric))
 
 
 @dataclass(frozen=True)
@@ -214,22 +239,25 @@ class CurvatureReport:
         return all(x == 0 for row in d for x in row)
 
 
+
 def curvature_report(alg: HeisenbergAlgebra, gram: Matrix,
                      check_soliton: bool = True) -> CurvatureReport:
     """Full exact curvature summary for one Gram matrix."""
-    conn = levi_civita(alg, gram)
-    riem = riemann(conn, alg)
-    ric, scalar = ricci(riem, gram)
+    n = alg.n
+    g_inv = _checked_inverse(n, gram)
+    riem = riemann(_connection(n, gram, g_inv), alg)
+    ric = _ricci_tensor(riem)
+    ric_op = linalg.mat_mul(g_inv, ric)
     soliton = None
     if check_soliton:
-        res = soliton_check(alg, gram, ric)
+        res = _soliton(n, ric_op)
         if res is not None:
             c, d = res
             soliton = (c, tuple(tuple(row) for row in d))
     return CurvatureReport(
         riemann=riem,
         ricci=tuple(tuple(row) for row in ric),
-        scalar_curv=scalar,
+        scalar_curv=sum(ric_op[k][k] for k in range(n)),
         is_flat=is_flat(riem),
         soliton=soliton,
     )

@@ -57,24 +57,41 @@ def cayley_opq(p: int, q: int, rng: random.Random) -> Matrix:
             return g
 
 
-def signed_permutation_opq(p: int, q: int, rng: random.Random) -> Matrix:
-    """Signed permutation preserving the standard form: permutes the first p
-    axes among themselves, the last q among themselves, with arbitrary signs."""
+def _draw_signed_permutation(p: int, q: int, rng: random.Random) -> list[tuple[int, int]]:
+    """(perm[j], sign_j) for each column j: the first p axes are permuted among
+    themselves, the last q among themselves, with arbitrary signs."""
     n = p + q
     perm = list(range(p))
     rng.shuffle(perm)
     tail = list(range(p, n))
     rng.shuffle(tail)
     perm += tail
+    return [(i, rng.choice((1, -1))) for i in perm]
+
+
+def signed_permutation_opq(p: int, q: int, rng: random.Random) -> Matrix:
+    """Signed permutation preserving the standard form: permutes the first p
+    axes among themselves, the last q among themselves, with arbitrary signs."""
+    n = p + q
     m = linalg.zeros(n, n)
-    for j, i in enumerate(perm):
-        m[i][j] = Fraction(rng.choice((1, -1)))
+    for j, (i, sign) in enumerate(_draw_signed_permutation(p, q, rng)):
+        m[i][j] = Fraction(sign)
     return m
+
+
+def _permute_rows(perm: list[tuple[int, int]], g: Matrix) -> Matrix:
+    """P g for the signed permutation P drawn as `perm`, by moving and
+    negating rows: row perm[j] of P g is sign_j times row j of g."""
+    out: Matrix = [[]] * len(g)
+    for j, (i, sign) in enumerate(perm):
+        out[i] = list(g[j]) if sign == 1 else [-x for x in g[j]]
+    return out
 
 
 def random_opq(p: int, q: int, rng: random.Random) -> Matrix:
     """Signed permutation composed with a Cayley element: exact, beyond the identity component."""
-    return linalg.mat_mul(signed_permutation_opq(p, q, rng), cayley_opq(p, q, rng))
+    perm = _draw_signed_permutation(p, q, rng)  # drawn first: seeded callers rely on the order
+    return _permute_rows(perm, cayley_opq(p, q, rng))
 
 
 def plane_cayley_opq(p: int, q: int, rng: random.Random) -> Matrix:
@@ -103,7 +120,7 @@ def plane_cayley_opq(p: int, q: int, rng: random.Random) -> Matrix:
 def mild_opq(p: int, q: int, rng: random.Random) -> Matrix:
     """Signed permutation times two plane Cayley rotations: exact, well conditioned."""
     g = linalg.mat_mul(plane_cayley_opq(p, q, rng), plane_cayley_opq(p, q, rng))
-    return linalg.mat_mul(signed_permutation_opq(p, q, rng), g)
+    return _permute_rows(_draw_signed_permutation(p, q, rng), g)
 
 
 def apply_to_flag(g: Matrix, f: Flag) -> Flag:

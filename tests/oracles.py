@@ -3,6 +3,11 @@
 Deliberately separate from the package's fast paths:
 - curvature: index-based Christoffel/Riemann/Ricci formulas over structure
   constants, with its own tiny matrix inverse;
+- the Koszul curvature engine: the general-bracket Levi-Civita connection,
+  the dense Riemann tensor and the kernel/solve soliton check that the
+  single-bracket closed forms in `heisflag.curvature` replaced;
+- samplers: the dense-product forms of the exact O(p, q) samplers and the
+  flag sampler, which pin the draw order of `heisflag.sampling`;
 - enumeration: the primal flag survey, which walks every (n-2)-subset of the
   small integer pool, deduplicates subspaces by a fraction-free integer RREF
   and computes every flag invariant in integer arithmetic.
@@ -10,17 +15,20 @@ Used to pin expected values before trusting the main engine.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd
 
 from heisflag import linalg
+from heisflag.curvature import ConnectionTable, CurvatureReport, is_flat
 from heisflag.enumeration import (
     SAMPLES_PER_ORBIT,
     FlagSurvey,
     _coefficient_lines,
     _to_flag,
 )
-from heisflag.forms import FlagInvariants, Signature
+from heisflag.forms import Flag, FlagInvariants, Signature, Subspace
+from heisflag.sampling import small_vector_pool
 
 
 def structure_constants(n):
@@ -120,6 +128,212 @@ def ricci_tensor(n, g):
     scalar = sum(ginv[k][j] * ric[j][k] for j in range(n) for k in range(n))
     return ric, scalar
 
+
+
+def _unit(n, i):
+    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
+
+
+def koszul_levi_civita(alg, gram):
+    """Levi-Civita connection from the Koszul formula over every bracket triple."""
+    n = alg.n
+    g_inv = linalg.invert(gram)
+
+    def pairing(x, y):
+        return sum(a * b for a, b in zip(linalg.mat_vec(gram, x), y))
+
+    table = []
+    for i in range(n):
+        row = []
+        e_i = _unit(n, i)
+        for j in range(n):
+            e_j = _unit(n, j)
+            br_ij = alg.bracket_basis(i, j)
+            rhs = []
+            for k in range(n):
+                e_k = _unit(n, k)
+                val = (pairing(br_ij, e_k)
+                       - pairing(alg.bracket_basis(j, k), e_i)
+                       + pairing(alg.bracket_basis(k, i), e_j))
+                rhs.append(val / 2)
+            row.append(linalg.mat_vec(g_inv, tuple(rhs)))
+        table.append(tuple(row))
+    return ConnectionTable(tuple(table))
+
+
+def dense_riemann(conn, alg):
+    """R(e_i, e_j) e_k for every (i, j, k), each computed from scratch."""
+    n = conn.n
+    out = []
+    for i in range(n):
+        plane = []
+        for j in range(n):
+            row = []
+            br = alg.bracket_basis(i, j)
+            for k in range(n):
+                val = linalg.vec_sub(conn.derivative_of(i, conn.gamma[j][k]),
+                                     conn.derivative_of(j, conn.gamma[i][k]))
+                for m, c in enumerate(br):
+                    if c != 0:
+                        val = linalg.vec_sub(val, linalg.vec_scale(c, conn.gamma[m][k]))
+                row.append(val)
+            plane.append(tuple(row))
+        out.append(tuple(plane))
+    return tuple(out)
+
+
+def dense_ricci(riem, gram):
+    n = len(riem)
+    ric = linalg.zeros(n, n)
+    for j in range(n):
+        for k in range(n):
+            ric[j][k] = sum(riem[i][j][k][i] for i in range(n))
+    g_inv = linalg.invert(gram)
+    scalar = sum(g_inv[k][j] * ric[j][k] for j in range(n) for k in range(n))
+    return ric, scalar
+
+
+@lru_cache(maxsize=None)
+def kernel_derivation_space(alg):
+    """Der(g) as the kernel of the derivation identity over every basis pair.
+
+    Cached per algebra: differential tests call it once per report.
+    """
+    n = alg.n
+    units = [_unit(n, i) for i in range(n)]
+
+    def constraint_rows(d):
+        cols = [tuple(d[r][c] for r in range(n)) for c in range(n)]
+        rows = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                lhs = linalg.mat_vec(d, alg.bracket_basis(i, j))
+                rhs = linalg.vec_add(alg.bracket(cols[i], units[j]),
+                                     alg.bracket(units[i], cols[j]))
+                rows.extend(linalg.vec_sub(lhs, rhs))
+        return rows
+
+    columns = []
+    for r in range(n):
+        for c in range(n):
+            elem = linalg.zeros(n, n)
+            elem[r][c] = Fraction(1)
+            columns.append(constraint_rows(elem))
+    constraint_matrix = [list(row) for row in zip(*columns)]
+    return tuple(linalg.kernel(constraint_matrix))
+
+
+def solve_soliton_check(alg, gram, ric):
+    """Ric_op = c * Id + D with D in the kernel basis of Der(g), by a linear solve."""
+    n = alg.n
+    ric_op = linalg.mat_mul(linalg.invert(gram), ric)
+    der_basis = kernel_derivation_space(alg)
+    target = tuple(x for row in ric_op for x in row)
+    id_vec = tuple(x for row in linalg.identity(n) for x in row)
+    cols = [list(b) for b in der_basis] + [list(id_vec)]
+    system = [[cols[c][r] for c in range(len(cols))] for r in range(n * n)]
+    sol = linalg.solve(system, target)
+    if sol is None:
+        return None
+    c = sol[-1]
+    d = [[ric_op[i][j] - (c if i == j else 0) for j in range(n)] for i in range(n)]
+    return c, d
+
+
+def koszul_curvature_report(alg, gram):
+    """`CurvatureReport` assembled from the Koszul engine above."""
+    riem = dense_riemann(koszul_levi_civita(alg, gram), alg)
+    ric, scalar = dense_ricci(riem, gram)
+    res = solve_soliton_check(alg, gram, ric)
+    soliton = None if res is None else (res[0], tuple(tuple(row) for row in res[1]))
+    return CurvatureReport(riemann=riem, ricci=tuple(tuple(row) for row in ric),
+                           scalar_curv=scalar, is_flat=is_flat(riem), soliton=soliton)
+
+
+def signed_permutation_opq(p, q, rng):
+    """Dense signed permutation matrix preserving the standard form."""
+    n = p + q
+    perm = list(range(p))
+    rng.shuffle(perm)
+    tail = list(range(p, n))
+    rng.shuffle(tail)
+    perm += tail
+    m = linalg.zeros(n, n)
+    for j, i in enumerate(perm):
+        m[i][j] = Fraction(rng.choice((1, -1)))
+    return m
+
+
+def _cayley_product(p, q, k):
+    """(I - S)(I + S)^{-1} for S = I_{p,q} K, or None when I + S is singular."""
+    n = p + q
+    s = [[x if i < p else -x for x in row] for i, row in enumerate(k)]
+    ident = linalg.identity(n)
+    i_plus_s = [[x + y for x, y in zip(r, t)] for r, t in zip(ident, s)]
+    i_minus_s = [[x - y for x, y in zip(r, t)] for r, t in zip(ident, s)]
+    if linalg.det(i_plus_s) == 0:
+        return None
+    return linalg.mat_mul(i_minus_s, linalg.invert(i_plus_s))
+
+
+def cayley_opq(p, q, rng):
+    n = p + q
+    while True:
+        k = linalg.zeros(n, n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                x = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                k[i][j] = x
+                k[j][i] = -x
+        g = _cayley_product(p, q, k)
+        if g is not None:
+            return g
+
+
+def plane_cayley_opq(p, q, rng):
+    n = p + q
+    while True:
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        while j == i:
+            j = rng.randrange(n)
+        k = linalg.zeros(n, n)
+        x = Fraction(rng.randint(1, 2), rng.randint(1, 3))
+        k[i][j] = x
+        k[j][i] = -x
+        g = _cayley_product(p, q, k)
+        if g is not None:
+            return g
+
+
+def random_opq(p, q, rng):
+    return linalg.mat_mul(signed_permutation_opq(p, q, rng), cayley_opq(p, q, rng))
+
+
+def mild_opq(p, q, rng):
+    g = linalg.mat_mul(plane_cayley_opq(p, q, rng), plane_cayley_opq(p, q, rng))
+    return linalg.mat_mul(signed_permutation_opq(p, q, rng), g)
+
+
+def random_flag(p, q, rng):
+    """A line inside a codimension-two subspace, both spanned from the small pool."""
+    n = p + q
+    k1, k2 = 1, n - 2
+    pool = small_vector_pool(n)
+    while True:
+        picks = []
+        while len(picks) < k2:
+            cand = rng.choice(pool)
+            if linalg.rank([list(v) for v in picks] + [list(cand)]) == len(picks) + 1:
+                picks.append(cand)
+        big = Subspace(n, tuple(picks))
+        for _ in range(20):
+            rows = [[Fraction(rng.choice([-1, 0, 1])) for _ in range(k2)] for _ in range(k1)]
+            if linalg.rank(rows) != k1:
+                continue
+            small_vecs = [tuple(sum(c * bv[i] for c, bv in zip(row, big.basis))
+                                for i in range(n)) for row in rows]
+            return Flag(Subspace(n, tuple(small_vecs)), big)
 
 def _primitive(row):
     g = 0

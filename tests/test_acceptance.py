@@ -1,13 +1,17 @@
 """Acceptance gate.
 
 Each test is one criterion, run at its stated tolerance, printing one
-pass/fail line (visible with `pytest -s`).  Everything exact unless a
-floating tolerance is stated; timing budgets are asserted where given.
+pass/fail line (visible with `pytest -s`) and appending one JSON line
+(`criterion`, `name`, `seconds`, `budget`) to `.bench_out/acceptance.jsonl`
+at the repository root.  Everything exact unless a floating tolerance is
+stated; timing budgets are asserted where given.
 """
 
+import json
 import random
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -59,10 +63,17 @@ SMALL_OF = {
 }
 
 
+TIMINGS = Path(__file__).resolve().parent.parent / ".bench_out" / "acceptance.jsonl"
+
+
 def report(num, name, started, budget=None):
     elapsed = time.time() - started
     suffix = f" ({elapsed:.2f}s, budget {budget:.0f}s)" if budget else f" ({elapsed:.2f}s)"
     print(f"ACCEPTANCE {num:02d} {name}: PASS{suffix}")
+    TIMINGS.parent.mkdir(exist_ok=True)
+    with TIMINGS.open("a") as out:
+        out.write(json.dumps({"criterion": num, "name": name, "seconds": round(elapsed, 3),
+                              "budget": budget}) + "\n")
     if budget is not None:
         assert elapsed < budget, f"criterion {num} exceeded its {budget}s budget"
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from heisflag import linalg
@@ -19,6 +20,8 @@ from heisflag.curvature import (
 from heisflag.forms import PreconditionError
 from heisflag.heisenberg import HeisenbergAlgebra, admissible_classes, parabolic_sample, \
     act_on_metric, representative
+
+FLAT_IDS = (13, 17, 20, 21)
 
 
 def random_nondegenerate_gram(rng, n):
@@ -212,3 +215,103 @@ def test_lorentzian_soliton_pattern():
             assert any(x != 0 for r in d for x in r)
             assert not report.is_einstein
     assert flats == 1
+
+
+def is_derivation(alg, d):
+    """D[e_i, e_j] == [D e_i, e_j] + [e_i, D e_j] for every basis pair."""
+    n = alg.n
+    units = [tuple(F(1) if k == i else F(0) for k in range(n)) for i in range(n)]
+    cols = [tuple(d[r][c] for r in range(n)) for c in range(n)]
+    return all(linalg.mat_vec(d, alg.bracket_basis(i, j))
+               == linalg.vec_add(alg.bracket(cols[i], units[j]), alg.bracket(units[i], cols[j]))
+               for i in range(n) for j in range(i + 1, n))
+
+
+GRAM_KINDS = ("g00 zero", "center row zero", "moved flat row", "random")
+
+
+@st.composite
+def grams_of_kind(draw, n, kind):
+    """Nondegenerate Gram matrices; all kinds but "random" are degenerate
+    cases: g_00 = 0, the center part of e_0's row zero, or a flat row's
+    representative moved by the parabolic group."""
+    if kind == "moved flat row":
+        p = draw(st.integers(1, n - 1))
+        ids = [row.id for row in admissible_classes(p, n - p).classes if row.id in FLAT_IDS]
+        assume(ids)
+        row_id = draw(st.sampled_from(ids))
+        rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+        return act_on_metric([list(r) for r in parabolic_sample(n, rng).matrix],
+                             representative(row_id, p, n - p))
+    entries = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    gram = linalg.zeros(n, n)
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(entries)
+    if kind == "g00 zero":
+        gram[0][0] = F(0)
+    elif kind == "center row zero":
+        for i in range(n - 2):
+            gram[0][i] = gram[i][0] = F(0)
+    assume(linalg.det(gram) != 0)
+    return gram
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+@pytest.mark.parametrize("n", range(4, 9))
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_report_matches_koszul_oracle(n, kind, data):
+    alg = HeisenbergAlgebra(n)
+    gram = data.draw(grams_of_kind(n, kind))
+    got = curvature_report(alg, gram)
+    want = oracles.koszul_curvature_report(alg, gram)
+    assert got.riemann == want.riemann
+    assert got.ricci == want.ricci
+    assert got.scalar_curv == want.scalar_curv
+    assert got.is_flat == want.is_flat
+    assert got.soliton == want.soliton
+    # a Ricci tensor moved off the soliton locus by one symmetric entry: both
+    # engines must agree, on None as on (c, D)
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1))
+    delta = data.draw(st.builds(F, st.integers(-2, 2).filter(bool), st.integers(1, 3)))
+    moved = [list(row) for row in got.ricci]
+    moved[i][j] += delta
+    if i != j:
+        moved[j][i] += delta
+    assert soliton_check(alg, gram, moved) == oracles.solve_soliton_check(alg, gram, moved)
+
+
+def test_soliton_check_none_off_the_soliton_locus():
+    # Ric e_0 not proportional to G e_0: no c, D with Ric_op = c Id + D
+    alg = HeisenbergAlgebra(4)
+    ric = linalg.zeros(4, 4)
+    ric[0][1] = ric[1][0] = F(1)
+    assert soliton_check(alg, linalg.identity(4), ric) is None
+    assert oracles.solve_soliton_check(alg, linalg.identity(4), ric) is None
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_derivation_space_spans_kernel_oracle(n):
+    alg = HeisenbergAlgebra(n)
+    basis = derivation_space(alg)
+    assert len(basis) == n * n - 3 * n + 6
+    assert linalg.row_space(basis) == linalg.row_space(oracles.kernel_derivation_space(alg))
+
+
+def test_curvature_report_at_n16():
+    p, q = 10, 6
+    alg = HeisenbergAlgebra(p + q)
+    ids = set(admissible_classes(p, q).ids)
+    assert set(FLAT_IDS) <= ids
+    for class_id in FLAT_IDS + (1, 6, 11, 16):
+        gram = representative(class_id, p, q)
+        report = curvature_report(alg, gram)
+        flat = all(x == 0 for plane in report.riemann for row in plane for v in row for x in v)
+        assert report.is_flat == flat == (class_id in FLAT_IDS), class_id
+        assert report.soliton is not None, class_id
+        c, d = report.soliton
+        op = [[d[i][j] + (c if i == j else 0) for j in range(p + q)] for i in range(p + q)]
+        assert linalg.mat_mul(gram, op) == [list(row) for row in report.ricci], class_id
+        assert is_derivation(alg, d), class_id
