@@ -26,12 +26,12 @@ from .forms import (
     Signature,
     Subspace,
     flag_invariants,
+    matsuki_data,
 )
 from .heisenberg import (
     HeisenbergAlgebra,
     admissible_classes,
     classify_metric,
-    metric_class,
     parabolic_sample,
     act_on_metric,
     representative,
@@ -40,7 +40,6 @@ from .matrixio import MatrixFormatError, parse_rational, read_matrix
 from .witness import (
     InequivalentFlagsError,
     WitnessFailureError,
-    describe_inequivalence,
     isometry_witness,
     witness_residuals,
 )
@@ -73,10 +72,6 @@ def _parse_flag_spec(spec: str, small_count: int) -> Flag:
     return Flag(small, big)
 
 
-def _signature_str(sig: Signature) -> str:
-    return str(sig)
-
-
 def cmd_classify(args) -> int:
     try:
         gram = read_matrix(args.path)
@@ -99,7 +94,7 @@ def cmd_classify(args) -> int:
     print(f"q: {result.q}")
     print(f"swapped: {'true' if result.swapped else 'false'}")
     print(f"class_id: {result.class_id}")
-    print(f"center_signature: {_signature_str(result.center_signature)}")
+    print(f"center_signature: {result.center_signature}")
     print(f"derived_refined: {result.refined}")
     record = {
         "command": "classify", "p": result.p, "q": result.q,
@@ -130,7 +125,7 @@ def cmd_table(args) -> int:
     for row in table.classes:
         concrete = row.center_signature(table.p, table.q)
         print(f"class {row.id}: pattern {row.pattern_str()} = "
-              f"{_signature_str(concrete)}, refined {row.refined}")
+              f"{concrete}, refined {row.refined}")
     print(f"count: {table.count}")
     _print_record(args, {
         "command": "table", "p": table.p, "q": table.q,
@@ -257,22 +252,17 @@ def cmd_witness(args) -> int:
         return EXIT_MALFORMED
     print(f"p: {p}")
     print(f"q: {q}")
-    space = QuadraticSpace.standard(p, q)
     try:
-        inv1 = flag_invariants(space, f1)
-        inv2 = flag_invariants(space, f2)
+        g = isometry_witness(p, q, f1, f2)
+    except InequivalentFlagsError as ex:
+        print("equivalent: false")
+        print(f"inequivalent: {ex.reason}")
+        _print_record(args, {"command": "witness", "p": p, "q": q,
+                             "equivalent": False, "reason": ex.reason})
+        return EXIT_OK
     except PreconditionError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_PRECONDITION
-    diff = describe_inequivalence(inv1, inv2)
-    if diff is not None:
-        print("equivalent: false")
-        print(f"inequivalent: {diff}")
-        _print_record(args, {"command": "witness", "p": p, "q": q,
-                             "equivalent": False, "reason": diff})
-        return EXIT_OK
-    try:
-        g = isometry_witness(p, q, f1, f2)
     except WitnessFailureError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -337,7 +327,6 @@ def cmd_matsuki(args) -> int:
         return EXIT_MALFORMED
     p, q = args.p, args.q
     try:
-        from .forms import matsuki_data
         data = matsuki_data(f, p, q)
     except (PreconditionError, linalg.ShapeError) as ex:
         print(f"error: {ex}", file=sys.stderr)

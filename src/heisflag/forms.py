@@ -286,13 +286,22 @@ def radical(space: QuadraticSpace, w: Subspace | None = None) -> Subspace:
     """The subspace {v in W : <v, x> = 0 for all x in W}, in ambient coordinates."""
     if w is None:
         w = Subspace.full(space.dim)
-    if w.dim == 0:
-        return Subspace(space.dim, ())
-    coeff_kernel = linalg.kernel(restrict(space, w))
-    ambient = [tuple(sum(c * bv[i] for c, bv in zip(coeffs, w.basis))
-                     for i in range(space.dim))
-               for coeffs in coeff_kernel]
-    return Subspace(space.dim, tuple(linalg.row_space(ambient)))
+    return Subspace(space.dim, tuple(linalg.row_space(_signature_and_radical(space, w)[1])))
+
+
+def _signature_and_radical(space: QuadraticSpace, w: Subspace) -> tuple[Signature, list[Vector]]:
+    """Signature of the form on W and a basis of rad(W), from one congruence.
+
+    With P^T G_W P = diag(d) and P invertible, G_W P e_j = 0 exactly when
+    d_j = 0, and the zero d_j number the nullity of G_W; so the columns of P
+    with d_j = 0 are a basis of the kernel.  It is returned in ambient
+    coordinates.
+    """
+    res = linalg.congruence_diagonalize(restrict(space, w))
+    rad = [tuple(sum(row[j] * bv[i] for row, bv in zip(res.transform, w.basis))
+                 for i in range(space.dim))
+           for j, d in enumerate(res.diagonal) if d == 0]
+    return Signature(*res.sign_counts()), rad
 
 
 def refined_line_signature(space: QuadraticSpace, v_sub: Subspace, line: Subspace) -> LineSignature:
@@ -328,12 +337,11 @@ def flag_invariants(space: QuadraticSpace, f: Flag) -> FlagInvariants:
         raise linalg.ShapeError("flag ambient dimension mismatch")
     if not space.is_nondegenerate():
         raise PreconditionError("flag invariants require a nondegenerate ambient form")
-    rad_big = radical(space, f.big)
-    cap = linalg.intersect(list(f.small.basis), list(rad_big.basis)) if rad_big.dim else []
+    sig_big, rad_big = _signature_and_radical(space, f.big)
     return FlagInvariants(
-        sig_big=signature(space, f.big),
+        sig_big=sig_big,
         sig_small=signature(space, f.small),
-        dim_small_cap_rad=len(cap),
+        dim_small_cap_rad=len(linalg.intersect(list(f.small.basis), rad_big)) if rad_big else 0,
     )
 
 
@@ -346,6 +354,8 @@ def flags_equivalent(space: QuadraticSpace, f1: Flag, f2: Flag) -> bool:
 
 def matsuki_data(f: Flag, p: int, q: int) -> MatsukiData:
     """The seven coordinate-splitting counts of a flag of type (1, p+q-2)."""
+    if p < 0 or q < 0:
+        raise PreconditionError(f"signature ({p}, {q}) needs p, q >= 0")
     n = p + q
     if f.big.ambient_dim != n:
         raise linalg.ShapeError("flag ambient dimension is not p + q")
@@ -550,18 +560,8 @@ def extend_basis(space: QuadraticSpace, w: Subspace, w_system: ScaledSystem) -> 
     z_split, z_rad = zs[: u - k], zs[u - k:]
 
     # complement U of the ambient radical containing the non-radical part
-    seed = xs + ys + z_split
-    target = n - rad_v.dim
-    pool = [vec(row) for row in linalg.identity(n)]
-    u_basis = []
-    for cand in seed + pool:
-        trial = u_basis + [cand] + list(rad_v.basis)
-        if linalg.rank([list(x) for x in trial]) == len(u_basis) + 1 + rad_v.dim:
-            u_basis.append(cand)
-        if len(u_basis) == target:
-            break
-    if len(u_basis) != target:
-        raise PreconditionError("could not complement the ambient radical")
+    pool = xs + ys + z_split + [vec(row) for row in linalg.identity(n)]
+    u_basis = linalg.extend_to_independent(list(rad_v.basis), pool, n)[rad_v.dim:]
     u_sub = Subspace(n, tuple(u_basis))
 
     arena = _perp_within(space, u_sub, xs + ys)

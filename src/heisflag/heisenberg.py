@@ -21,22 +21,18 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from . import linalg
 from .forms import (
     Flag,
     LineSignature,
     PreconditionError,
-    QuadraticSpace,
     Signature,
     Subspace,
     possible_codim2_signatures,
     possible_line_signatures,
-    refined_line_signature,
-    signature,
 )
-from .linalg import Matrix, Vector, frac
+from .linalg import Matrix, Vector
 
 
 class UnsupportedSignatureError(PreconditionError):
@@ -409,8 +405,8 @@ def is_scaled_automorphism(g: Matrix, n: int) -> bool:
 def parabolic_sample(n: int, seed: int | random.Random) -> ScaledAutomorphism:
     """A random exact rational element of the scaling-and-automorphism group.
 
-    Entries are drawn from a small pool of fractions; singular draws are
-    rejected and resampled.
+    Entries are drawn from a small pool of fractions; singular draws, which
+    `ScaledAutomorphism.from_matrix` rejects, are resampled.
     """
     if n < 4:
         raise PreconditionError("need n >= 4")
@@ -430,8 +426,10 @@ def parabolic_sample(n: int, seed: int | random.Random) -> ScaledAutomorphism:
         for i in (n - 2, n - 1):
             for j in (n - 2, n - 1):
                 m[i][j] = draw()
-        if linalg.det(m) != 0:
+        try:
             return ScaledAutomorphism.from_matrix(m)
+        except PreconditionError:
+            continue
 
 
 def act_on_metric(g: Matrix, gram: Matrix) -> Matrix:

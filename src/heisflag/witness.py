@@ -4,10 +4,12 @@ Equality of orbit invariants is decided exactly; this module produces the
 constructive half: a matrix g in O(p, q) mapping one flag onto another.
 The construction builds, for each flag, an adapted basis of the whole space
 in which both flag parts occupy a fixed coefficient pattern depending only
-on the invariants.  Everything is exact rational until a final per-column
-normalization by square roots of the diagonal norms; null directions are
-handled by hyperbolic pairs of exact norm +-1, so the patterns survive the
-normalization unchanged.
+on the invariants.  Null directions are handled by hyperbolic pairs of
+exact norm +-1, so the patterns survive the per-column normalization by
+square roots of the norm ratios.  Everything is exact until one rounding
+per entry: each square root is an integer square root at 256 fraction bits,
+each entry of g is summed exactly from those, and only the finished entry is
+rounded to binary64.
 
 Residuals are always checked: a witness outside tolerance raises instead of
 being returned silently.
@@ -16,9 +18,9 @@ being returned silently.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
-from mpmath import mp, mpf
 
 from . import linalg
 from .forms import (
@@ -34,13 +36,18 @@ from .forms import (
     scaled_system,
     extend_basis,
 )
-from .linalg import Matrix, Vector
+from .linalg import Vector
 
 RESIDUAL_TOL = 1e-9
+SQRT_BITS = 256  # fraction bits of the fixed-point square roots
 
 
 class InequivalentFlagsError(PreconditionError):
-    """The flags lie in different orbits; the message names the differing invariant."""
+    """The flags lie in different orbits; `reason` names the differing invariant."""
+
+    def __init__(self, reason: str):
+        super().__init__(f"inequivalent flags: {reason}")
+        self.reason = reason
 
 
 class WitnessFailureError(RuntimeError):
@@ -165,12 +172,38 @@ def subspace_distance(vectors1, vectors2) -> float:
     return float(np.max(np.abs(qa @ qa.T - qb @ qb.T)))
 
 
-def isometry_witness(p: int, q: int, f1: Flag, f2: Flag,
-                     tol: float = RESIDUAL_TOL) -> np.ndarray:
+def _assemble(frame1: tuple[list[Vector], list[Fraction]],
+              frame2: tuple[list[Vector], list[Fraction]]) -> np.ndarray:
+    """g = C1 . diag(sqrt(m2_j / m1_j)) . C2^{-1} from two adapted frames.
+
+    The ratios are exact and positive; each square root is truncated to
+    SQRT_BITS fraction bits by an integer square root, each entry is summed
+    exactly and rounded to binary64 once, so cancellation between large
+    frame entries cannot contaminate the returned matrix.
+    """
+    (cols1, norms1), (cols2, norms2) = frame1, frame2
+    n = len(cols1)
+    c2_inv = linalg.invert([[cols2[j][i] for j in range(n)] for i in range(n)])
+    scale = []
+    for m1, m2 in zip(norms1, norms2):
+        r = m2 / m1
+        if r <= 0:
+            raise WitnessFailureError("adapted frames disagree on norm signs")
+        scale.append(isqrt((r.numerator << 2 * SQRT_BITS) // r.denominator))
+    g = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            acc = sum(cols1[k][i] * c2_inv[k][j] * scale[k]
+                      for k in range(n) if cols1[k][i] and c2_inv[k][j])
+            g[i, j] = float(Fraction(acc, 1 << SQRT_BITS))
+    return g
+
+
+def isometry_witness(p: int, q: int, f1: Flag, f2: Flag) -> np.ndarray:
     """A matrix g in O(p, q) with g . f2 = f1, verified numerically.
 
     Raises InequivalentFlagsError when the orbit invariants differ and
-    WitnessFailureError when the residuals exceed `tol`.
+    WitnessFailureError when the residuals exceed RESIDUAL_TOL.
     """
     if f1.shape != f2.shape:
         raise linalg.ShapeError(f"flag shapes differ: {f1.shape} vs {f2.shape}")
@@ -179,45 +212,16 @@ def isometry_witness(p: int, q: int, f1: Flag, f2: Flag,
     inv2 = flag_invariants(space, f2)
     diff = describe_inequivalence(inv1, inv2)
     if diff is not None:
-        raise InequivalentFlagsError(f"inequivalent flags: {diff}")
+        raise InequivalentFlagsError(diff)
 
-    cols1, norms1 = _adapted_frame(space, f1)
-    cols2, norms2 = _adapted_frame(space, f2)
-    n = space.dim
-    c1 = [[cols1[j][i] for j in range(n)] for i in range(n)]
-    c2 = [[cols2[j][i] for j in range(n)] for i in range(n)]
-    c2_inv = linalg.invert(c2)
-
-    # g = C1 . diag(sqrt(m2_j / m1_j)) . C2^{-1}; ratios are positive exactly
-    ratios = []
-    for m1, m2 in zip(norms1, norms2):
-        r = m2 / m1
-        if r <= 0:
-            raise WitnessFailureError("adapted frames disagree on norm signs")
-        ratios.append(r)
-    # everything up to the square roots is exact; assemble in high precision
-    # and round once, so cancellation between large frame entries cannot
-    # contaminate the returned binary64 matrix
-    with mp.workprec(256):
-        def hp(x: Fraction):
-            return mpf(x.numerator) / mpf(x.denominator)
-
-        scale = [mp.sqrt(hp(r)) for r in ratios]
-        g = np.empty((n, n), dtype=float)
-        for i in range(n):
-            for j in range(n):
-                acc = mpf(0)
-                for k in range(n):
-                    if c1[i][k] and c2_inv[k][j]:
-                        acc += hp(c1[i][k] * c2_inv[k][j]) * scale[k]
-                g[i, j] = float(acc)
-
+    g = _assemble(_adapted_frame(space, f1), _adapted_frame(space, f2))
     res = witness_residuals(p, q, g, f1, f2)
-    if res["form"] > tol:
-        raise WitnessFailureError(f"form residual {res['form']:.3e} exceeds {tol:.1e}")
+    if res["form"] > RESIDUAL_TOL:
+        raise WitnessFailureError(f"form residual {res['form']:.3e} exceeds {RESIDUAL_TOL:.1e}")
     distance = max(res["small"], res["big"])
-    if distance > tol:
-        raise WitnessFailureError(f"flag mapping distance {distance:.3e} exceeds {tol:.1e}")
+    if distance > RESIDUAL_TOL:
+        raise WitnessFailureError(
+            f"flag mapping distance {distance:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return g
 
 

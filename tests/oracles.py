@@ -10,7 +10,11 @@ Deliberately separate from the package's fast paths:
   flag sampler, which pin the draw order of `heisflag.sampling`;
 - enumeration: the primal flag survey, which walks every (n-2)-subset of the
   small integer pool, deduplicates subspaces by a fraction-free integer RREF
-  and computes every flag invariant in integer arithmetic.
+  and computes every flag invariant in integer arithmetic;
+- radical: the kernel of the restricted Gram matrix, which `forms.radical`
+  and `forms.flag_invariants` now read off one congruence instead;
+- witness assembly: the 256-bit mpmath assembly of g from two adapted frames
+  that the integer square-root assembly in `heisflag.witness` replaced.
 Used to pin expected values before trusting the main engine.
 """
 
@@ -18,6 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd
+
+import numpy as np
 
 from heisflag import linalg
 from heisflag.curvature import ConnectionTable, CurvatureReport, is_flat
@@ -27,7 +33,7 @@ from heisflag.enumeration import (
     _coefficient_lines,
     _to_flag,
 )
-from heisflag.forms import Flag, FlagInvariants, Signature, Subspace
+from heisflag.forms import Flag, FlagInvariants, Signature, Subspace, restrict
 from heisflag.sampling import small_vector_pool
 
 
@@ -505,3 +511,42 @@ def _left_kernel(rows):
             denom = denom * x.denominator // gcd(denom, x.denominator)
         out.append(_primitive([int(x * denom) for x in v]))
     return out
+
+
+def kernel_radical(space, w):
+    """rad(W) as the kernel of the restricted Gram matrix, in ambient coordinates."""
+    if w.dim == 0:
+        return Subspace(space.dim, ())
+    ambient = [tuple(sum(c * bv[i] for c, bv in zip(coeffs, w.basis)) for i in range(space.dim))
+               for coeffs in linalg.kernel(restrict(space, w))]
+    return Subspace(space.dim, tuple(linalg.row_space(ambient)))
+
+
+def mpmath_assemble(frame1, frame2):
+    """g = C1 . diag(sqrt(m2_j / m1_j)) . C2^{-1} in 256-bit mpmath arithmetic.
+
+    Every rational is rounded to 256 bits on entry, the square roots and the
+    running sums in mpmath, and each finished entry once more to binary64.
+    mpmath is imported here, not at module level: the package no longer
+    depends on it.
+    """
+    from mpmath import mp, mpf
+
+    (cols1, norms1), (cols2, norms2) = frame1, frame2
+    n = len(cols1)
+    c1 = [[cols1[j][i] for j in range(n)] for i in range(n)]
+    c2_inv = linalg.invert([[cols2[j][i] for j in range(n)] for i in range(n)])
+    with mp.workprec(256):
+        def hp(x):
+            return mpf(x.numerator) / mpf(x.denominator)
+
+        scale = [mp.sqrt(hp(m2 / m1)) for m1, m2 in zip(norms1, norms2)]
+        g = np.empty((n, n), dtype=float)
+        for i in range(n):
+            for j in range(n):
+                acc = mpf(0)
+                for k in range(n):
+                    if c1[i][k] and c2_inv[k][j]:
+                        acc += hp(c1[i][k] * c2_inv[k][j]) * scale[k]
+                g[i, j] = float(acc)
+    return g

@@ -18,7 +18,6 @@ import pytest
 import oracles
 from heisflag import linalg, sampling
 from heisflag.curvature import (
-    curvature_report,
     is_flat,
     levi_civita,
     ricci,

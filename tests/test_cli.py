@@ -139,6 +139,13 @@ def test_witness_parse_error(capsys):
                    "1,0,0,0;0,1,0,0;0,0,1,0")[0] == 1
 
 
+def test_witness_rejects_negative_signature(capsys):
+    code, _, err = run_cli(capsys, "witness", "--", "-1", "5",
+                           "1,0,0,0;0,1,0,0", "0,1,0,0;1,0,0,0")
+    assert code == 2
+    assert "p, q >= 0" in err
+
+
 def test_witness_rational_entries(capsys):
     # second flag is the image of the first under the exact boost
     # [[5/3, 4/3], [4/3, 5/3]] acting on the (e1, e3) plane
@@ -154,6 +161,13 @@ def test_matsuki_output(capsys):
     code, out, _ = run_cli(capsys, "matsuki", "2", "2", "1,0,1,0;0,1,0,1")
     assert code == 0
     assert "c_zero: 2" in out and "d_zero: 1" in out and "d_pm: 0" in out
+
+
+def test_matsuki_rejects_negative_signature(capsys):
+    for p, q in [("5", "-1"), ("-1", "5")]:
+        code, _, err = run_cli(capsys, "matsuki", "--", p, q, "1,0,1,0;0,1,0,1")
+        assert code == 2
+        assert f"signature ({p}, {q})" in err
 
 
 # -- curvature --------------------------------------------------------------

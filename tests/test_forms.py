@@ -4,7 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from heisflag import linalg, sampling
 from heisflag.forms import (
     Flag,
@@ -65,6 +67,44 @@ def test_radical_examples():
     w = Subspace(4, (unit(0), linalg.vec_add(unit(1), unit(3))))
     r = radical(SP22, w)
     assert r.dim == 1 and r.contains(linalg.vec_add(unit(1), unit(3)))
+
+
+@st.composite
+def degenerate_spaces_and_flags(draw):
+    """A Gram matrix sum_r s_r x_r x_r^T and a flag, both with mostly zero entries.
+
+    Half the spaces are diagonal +-1 (nondegenerate), the rest of random,
+    often deficient rank; the line lies in rad(big) whenever it can.
+    """
+    n = draw(st.integers(2, 6))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, F(1, 2)])
+    if draw(st.booleans()):
+        factor = linalg.identity(n)
+    else:
+        factor = [[draw(entries) for _ in range(n)] for _ in range(draw(st.integers(0, n)))]
+    signs = [draw(st.sampled_from([1, -1])) for _ in factor]
+    gram = [[sum(s * r[i] * r[j] for s, r in zip(signs, factor)) for j in range(n)]
+            for i in range(n)]
+    space = QuadraticSpace.from_matrix(gram)
+    vectors = [linalg.vec(draw(entries) for _ in range(n)) for _ in range(draw(st.integers(2, n)))]
+    big = Subspace.spanned_by(vectors, n)
+    if big.dim < 2:
+        big = Subspace.full(n)
+    line = (oracles.kernel_radical(space, big).basis + big.basis)[0]
+    return space, Flag(Subspace(n, (line,)), big)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=degenerate_spaces_and_flags())
+def test_radical_agrees_with_kernel_oracle(data):
+    space, f = data
+    for w in (f.small, f.big, None):
+        assert radical(space, w) == oracles.kernel_radical(space, w or Subspace.full(space.dim))
+    if space.is_nondegenerate():
+        rad_big = oracles.kernel_radical(space, f.big)
+        assert flag_invariants(space, f) == FlagInvariants(
+            signature(space, f.big), signature(space, f.small),
+            len(linalg.intersect(list(f.small.basis), list(rad_big.basis))))
 
 
 def test_refined_line_signature_examples():

@@ -1,0 +1,47 @@
+"""Every name a package module imports is used in that module.
+
+Stdlib only: each module of `src/heisflag` except `__init__.py` (which
+imports to re-export) is parsed with `ast`, and each imported name must
+occur as a name in the module body, or inside a string annotation.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "heisflag"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda x: x[1])
+            if name not in used]
+
+
+def test_checker_flags_an_unused_import():
+    source = "from typing import Sequence\nimport json\n\ndef f(x: 'Sequence'):\n    return x\n"
+    assert unused_imports(source) == ["line 2: json"]
+
+
+def test_no_unused_imports_in_package_modules():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    found = {p.name: unused_imports(p.read_text()) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -1,12 +1,18 @@
 """Isometry witnesses: residuals, flag mapping, inequivalence rejection."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from heisflag import linalg, sampling
+import heisflag
+import oracles
+from heisflag import linalg, sampling, witness
 from heisflag.forms import Flag, QuadraticSpace, Subspace, flag_invariants, flags_equivalent
 from heisflag.heisenberg import admissible_classes, representative_flag
 from heisflag.witness import (
@@ -133,3 +139,44 @@ def test_subspace_distance_sanity():
     assert subspace_distance(a, b) <= 1e-12
     c = [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
     assert subspace_distance(a, c) > 0.5
+
+
+def test_exact_assembly_matches_mpmath_oracle():
+    # same exact frames, two assemblies: integer square roots with one
+    # rounding per entry against 256-bit mpmath; they may differ only where
+    # the exact entry is zero and mpmath leaves a rounding residue
+    pytest.importorskip("mpmath")
+    rng = random.Random(53)
+    for p, q in [(3, 3), (4, 4), (5, 3)]:
+        space = QuadraticSpace.standard(p, q)
+        for i in range(6):
+            f1 = sampling.random_flag(p, q, rng)
+            opq = sampling.mild_opq if i % 2 else sampling.random_opq
+            f2 = sampling.apply_to_flag(opq(p, q, rng), f1)
+            frames = (witness._adapted_frame(space, f1), witness._adapted_frame(space, f2))
+            exact = witness._assemble(*frames)
+            reference = oracles.mpmath_assemble(*frames)
+            for a, b in zip(exact.ravel(), reference.ravel()):
+                assert a == b or (abs(a) < 1e-60 and abs(b) < 1e-60), (p, q, i, a, b)
+
+
+def test_witness_runs_without_mpmath():
+    script = """
+import sys
+sys.modules["mpmath"] = None
+from heisflag import Flag, Subspace, isometry_witness, linalg
+e = [linalg.vec(int(i == j) for j in range(4)) for i in range(4)]
+f1 = Flag(Subspace(4, (e[0],)), Subspace(4, (e[0], e[1])))
+f2 = Flag(Subspace(4, (e[1],)), Subspace(4, (e[0], e[1])))
+g = isometry_witness(2, 2, f1, f2)
+assert g[0, 1] == g[1, 0] == 1.0, g
+try:
+    import mpmath
+except ImportError:
+    print("ok")
+"""
+    src = str(Path(heisflag.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
