@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -50,9 +49,8 @@ def _coefficient_lines(k: int) -> list[IntRow]:
 
 
 def _to_flag(basis: tuple[IntRow, ...], coeffs: IntRow, n: int) -> Flag:
-    big_vecs = tuple(tuple(Fraction(x) for x in row) for row in basis)
-    line = tuple(Fraction(sum(c * row[i] for c, row in zip(coeffs, basis)))
-                 for i in range(n))
+    big_vecs = tuple(linalg.vec(row) for row in basis)
+    line = linalg.vec(linalg.combine(coeffs, basis))
     return Flag(Subspace.spanned_by([line], n), Subspace(n, big_vecs))
 
 
@@ -147,7 +145,7 @@ def _survey_cached(p: int, q: int) -> FlagSurvey:
             if len(samples) < SAMPLES_PER_ORBIT:
                 samples.append(_to_flag(basis, coeffs, n))
 
-            vec = [sum(c * row[i] for c, row in zip(coeffs, basis)) for i in range(n)]
+            vec = linalg.combine(coeffs, basis)
             d_plus = 0 if any(vec[p:]) else 1
             d_minus = 0 if any(vec[:p]) else 1
             d_pm = 0 if _dot(a[:p], vec) or _dot(b[:p], vec) else 1

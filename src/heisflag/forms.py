@@ -8,6 +8,8 @@ group, the seven intersection counts dual to them, and the constructive
 orthogonal-system machinery (scaled systems, light-like splitting, null
 system extension, basis extension) that powers isometry construction.
 
+The form is evaluated in one place, `QuadraticSpace.pairing`, and every
+change from subspace coordinates to ambient ones is one `linalg.combine`.
 Everything here is exact.  Floating-point isometry witnesses live in
 `heisflag.witness`.
 """
@@ -96,11 +98,25 @@ class QuadraticSpace:
     def gram_matrix(self) -> Matrix:
         return [list(row) for row in self.gram]
 
-    def inner(self, x: Vector, y: Vector) -> Fraction:
-        if len(x) != self.dim or len(y) != self.dim:
+    def pairing(self, xs: Sequence[Vector], ys: Sequence[Vector]) -> Matrix:
+        """The matrix of <x, y> for x in xs (rows) and y in ys (columns).
+
+        G y is formed once per y; zero Gram entries and zero coordinates are
+        skipped, so a sparse form on sparse vectors costs few products.
+        """
+        if any(len(v) != self.dim for v in (*xs, *ys)):
             raise linalg.ShapeError("vector length does not match ambient dimension")
-        return sum(xi * sum(g * yj for g, yj in zip(row, y))
-                   for xi, row in zip(x, self.gram))
+        zero = Fraction(0)
+        gys = []
+        for y in ys:
+            support = [(j, yj) for j, yj in enumerate(y) if yj]
+            # an empty sum leaves an int 0 in G y; the pass below skips it
+            gys.append([sum(row[j] * yj for j, yj in support if row[j]) for row in self.gram])
+        return [[sum((xi * gyi for xi, gyi in zip(x, gy) if xi and gyi), zero) for gy in gys]
+                for x in xs]
+
+    def inner(self, x: Vector, y: Vector) -> Fraction:
+        return self.pairing([x], [y])[0][0]
 
     def is_nondegenerate(self) -> bool:
         return linalg.det(self.gram_matrix) != 0
@@ -154,7 +170,9 @@ class Subspace:
         return linalg.in_span(v, self.basis)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        if other.ambient_dim != self.ambient_dim:
+            raise linalg.ShapeError("subspaces live in different ambient spaces")
+        return linalg.rank([list(v) for v in self.basis + other.basis]) == self.dim
 
     def coordinates_of(self, v: Vector) -> Vector:
         """Coefficients of v in this basis; raises if v lies outside."""
@@ -251,11 +269,12 @@ class ScaledSystem:
 
     def check(self, space: QuadraticSpace) -> None:
         """Verify orthogonality and the stored norms against a space, exactly."""
-        for i, v in enumerate(self.vectors):
-            if space.inner(v, v) != self.norms[i]:
+        gram = space.pairing(self.vectors, self.vectors)
+        for i, row in enumerate(gram):
+            if row[i] != self.norms[i]:
                 raise PreconditionError(f"vector {i} has wrong norm")
-            for j in range(i + 1, len(self.vectors)):
-                if space.inner(v, self.vectors[j]) != 0:
+            for j in range(i + 1, len(row)):
+                if row[j] != 0:
                     raise PreconditionError(f"vectors {i}, {j} are not orthogonal")
 
 
@@ -267,11 +286,7 @@ def restrict(space: QuadraticSpace, w: Subspace) -> Matrix:
     """Gram matrix of the form restricted to W, in the given basis of W."""
     if w.ambient_dim != space.dim:
         raise linalg.ShapeError("subspace ambient dimension mismatch")
-    if w.dim == 0:
-        return []
-    rows = [list(v) for v in w.basis]
-    paired = linalg.mat_mul(rows, space.gram_matrix)
-    return linalg.mat_mul(paired, linalg.transpose(rows))
+    return space.pairing(w.basis, w.basis)
 
 
 def signature(space: QuadraticSpace, w: Subspace | None = None) -> Signature:
@@ -298,8 +313,7 @@ def _signature_and_radical(space: QuadraticSpace, w: Subspace) -> tuple[Signatur
     coordinates.
     """
     res = linalg.congruence_diagonalize(restrict(space, w))
-    rad = [tuple(sum(row[j] * bv[i] for row, bv in zip(res.transform, w.basis))
-                 for i in range(space.dim))
+    rad = [linalg.combine([row[j] for row in res.transform], w.basis)
            for j, d in enumerate(res.diagonal) if d == 0]
     return Signature(*res.sign_counts()), rad
 
@@ -318,7 +332,7 @@ def refined_line_signature(space: QuadraticSpace, v_sub: Subspace, line: Subspac
         return LineSignature.SPACELIKE
     if norm < 0:
         return LineSignature.TIMELIKE
-    if all(space.inner(v, b) == 0 for b in v_sub.basis):
+    if not any(space.pairing([v], v_sub.basis)[0]):
         return LineSignature.RADICAL
     return LineSignature.LIGHTLIKE
 
@@ -428,9 +442,7 @@ def scaled_system(space: QuadraticSpace, w: Subspace) -> ScaledSystem:
     cols = []
     for j in range(k):
         coeffs = [res.transform[i][j] for i in range(k)]
-        ambient = tuple(sum(c * bv[i] for c, bv in zip(coeffs, basis))
-                        for i in range(space.dim))
-        reduced = linalg.primitive_vector(ambient)
+        reduced = linalg.primitive_vector(linalg.combine(coeffs, basis))
         cols.append((reduced, space.inner(reduced, reduced)))
     ordered = sorted(
         cols,
@@ -474,11 +486,8 @@ def _perp_within(space: QuadraticSpace, ambient_sub: Subspace, vectors: Sequence
     """{u in ambient_sub : <u, v> = 0 for all given v}, in ambient coordinates."""
     if not vectors:
         return ambient_sub
-    pairing = [[space.inner(v, b) for b in ambient_sub.basis] for v in vectors]
-    coeff_kernel = linalg.kernel(pairing)
-    ambient = [tuple(sum(c * bv[i] for c, bv in zip(coeffs, ambient_sub.basis))
-                     for i in range(space.dim))
-               for coeffs in coeff_kernel]
+    ambient = [linalg.combine(coeffs, ambient_sub.basis)
+               for coeffs in linalg.kernel(space.pairing(vectors, ambient_sub.basis))]
     return Subspace(space.dim, tuple(linalg.lll_reduce(linalg.row_space(ambient))))
 
 
@@ -513,10 +522,8 @@ def extend_nullsystem(space: QuadraticSpace, nulls: Sequence[Vector]) -> ScaledS
     if nulls:
         if linalg.rank([list(v) for v in nulls]) != len(nulls):
             raise PreconditionError("null vectors must be independent")
-        for i, a in enumerate(nulls):
-            for b in nulls[i:]:
-                if space.inner(a, b) != 0:
-                    raise PreconditionError("null vectors must be pairwise orthogonal and null")
+        if any(x for row in space.pairing(nulls, nulls) for x in row):
+            raise PreconditionError("null vectors must be pairwise orthogonal and null")
     pairs, remainder = _split_nulls_within(space, Subspace.full(space.dim), nulls)
     fill = scaled_system(space, remainder) if remainder.dim else ScaledSystem((), ())
     if fill.signature.nul:

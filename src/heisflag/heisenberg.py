@@ -238,6 +238,14 @@ def classify_metric(alg: HeisenbergAlgebra, gram: Matrix) -> Classification:
         f"no taxonomy row matches center signature {center_sig}, {refined}")
 
 
+def _admissible_row(class_id: int, p: int, q: int) -> MetricClass:
+    """The taxonomy row `class_id` of the admissible table for (p, q)."""
+    row = next((r for r in admissible_classes(p, q).classes if r.id == class_id), None)
+    if row is None:
+        raise PreconditionError(f"class {class_id} is not admissible for signature ({p}, {q})")
+    return row
+
+
 def representative(class_id: int, p: int, q: int) -> Matrix:
     """A canonical signature-(p, q) Gram matrix classifying to the given row.
 
@@ -249,11 +257,7 @@ def representative(class_id: int, p: int, q: int) -> Matrix:
     """
     want_swap = p < q
     pp, qq = max(p, q), min(p, q)
-    table = admissible_classes(pp, qq)
-    row = next((r for r in table.classes if r.id == class_id), None)
-    if row is None:
-        raise PreconditionError(
-            f"class {class_id} is not admissible for signature ({pp}, {qq})")
+    row = _admissible_row(class_id, pp, qq)
     n = pp + qq
     s, t, u = row.center_signature(pp, qq).as_tuple()
     g = linalg.zeros(n, n)
@@ -312,11 +316,7 @@ def representative(class_id: int, p: int, q: int) -> Matrix:
 def representative_flag(class_id: int, p: int, q: int) -> Flag:
     """A flag in the standard (p, q) space realizing the row's orbit invariants."""
     p, q = max(p, q), min(p, q)
-    table = admissible_classes(p, q)
-    row = next((r for r in table.classes if r.id == class_id), None)
-    if row is None:
-        raise PreconditionError(
-            f"class {class_id} is not admissible for signature ({p}, {q})")
+    row = _admissible_row(class_id, p, q)
     n = p + q
     s, t, u = row.center_signature(p, q).as_tuple()
     pos = [i for i in range(p)]

@@ -105,6 +105,21 @@ def vec_scale(c, v: Vector) -> Vector:
     return tuple(c * x for x in v)
 
 
+def combine(coeffs: Sequence, vectors: Sequence[Sequence]) -> tuple:
+    """The combination sum_k c_k v_k, skipping zero coefficients.
+
+    Entries keep the number type of the input: integer coefficients on
+    integer vectors give integers, and any Fraction gives Fractions.
+    """
+    if len(coeffs) != len(vectors):
+        raise ShapeError(f"{len(coeffs)} coefficients for {len(vectors)} vectors")
+    acc = [0 * x for x in vectors[0]] if vectors else []
+    for c, v in zip(coeffs, vectors):
+        if c:
+            acc = [a + c * x for a, x in zip(acc, v)]
+    return tuple(acc)
+
+
 def is_zero_vector(v: Vector) -> bool:
     return all(x == 0 for x in v)
 
@@ -269,22 +284,14 @@ def det(m: Matrix) -> Fraction:
 
 
 def invert(m: Matrix) -> Matrix:
+    """Inverse read off the reduced echelon form of [M | I]."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ShapeError("inverse requires a square matrix")
-    a = [row[:] + ident_row[:] for row, ident_row in zip(copy(m), identity(n))]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pr is None:
-            raise SingularMatrixError("matrix is singular")
-        a[c], a[pr] = a[pr], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [row[n:] for row in a]
+    ech, pivots = _echelon([list(row) + e for row, e in zip(m, identity(n))])
+    if pivots and pivots[-1] >= n:
+        raise SingularMatrixError("matrix is singular")
+    return [row[n:] for row in ech]
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
@@ -324,13 +331,8 @@ def intersect(span_a: Sequence[Vector], span_b: Sequence[Vector]) -> list[Vector
     b = list(span_b)
     # columns of [A | -B]; kernel elements give x with A x = B y
     stacked = [[av[i] for av in a] + [-bv[i] for bv in b] for i in range(dims.pop())]
-    result = []
-    for k in kernel(stacked):
-        coeffs = k[: len(a)]
-        v = tuple(sum(c * av[i] for c, av in zip(coeffs, a)) for i in range(len(a[0])))
-        if not is_zero_vector(v):
-            result.append(v)
-    return row_space(result)
+    result = [combine(k[: len(a)], a) for k in kernel(stacked)]
+    return row_space([v for v in result if not is_zero_vector(v)])
 
 
 def in_span(v: Vector, vectors: Sequence[Vector]) -> bool:
@@ -378,8 +380,11 @@ def lll_reduce(vectors: Sequence[Vector], delta: Fraction = Fraction(3, 4)) -> l
         for j in range(k - 1, -1, -1):
             q = round(mu[k][j])
             if q != 0:
+                # b_k -= q b_j leaves every b*_i alone and shifts row k of mu
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                mu, norms = gram_schmidt()
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
         if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
@@ -391,15 +396,14 @@ def lll_reduce(vectors: Sequence[Vector], delta: Fraction = Fraction(3, 4)) -> l
 
 def extend_to_independent(base: Sequence[Vector], pool: Sequence[Vector],
                           target_rank: int) -> list[Vector]:
-    """Grow `base` by vectors from `pool` until the span has the target rank."""
-    chosen = list(base)
-    r = rank([list(v) for v in chosen]) if chosen else 0
-    for cand in pool:
-        if r == target_rank:
-            break
-        if rank([list(v) for v in chosen] + [list(cand)]) > r:
-            chosen.append(cand)
-            r += 1
-    if r != target_rank:
+    """Grow `base` by vectors from `pool` until the span has the target rank.
+
+    Takes the first pool pivots of one echelon of the columns [base | pool]:
+    each pool vector outside the span of all the columns before it, in order.
+    """
+    pivots = _echelon(transpose(list(base) + list(pool)))[1]
+    from_pool = [c - len(base) for c in pivots if c >= len(base)]
+    need = target_rank - (len(pivots) - len(from_pool))
+    if need < 0 or need > len(from_pool):
         raise ShapeError("pool does not span enough directions")
-    return chosen
+    return list(base) + [pool[c] for c in from_pool[:need]]

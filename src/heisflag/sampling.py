@@ -166,8 +166,7 @@ def random_flag(p: int, q: int, rng: random.Random,
             rows = [[Fraction(rng.choice(coeffs_pool)) for _ in range(k2)] for _ in range(k1)]
             if linalg.rank(rows) != k1:
                 continue
-            small_vecs = [tuple(sum(c * bv[i] for c, bv in zip(row, big.basis))
-                                for i in range(n)) for row in rows]
+            small_vecs = [linalg.combine(row, big.basis) for row in rows]
             return Flag(Subspace(n, tuple(small_vecs)), big)
 
 

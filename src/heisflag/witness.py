@@ -66,16 +66,6 @@ def describe_inequivalence(inv1: FlagInvariants, inv2: FlagInvariants) -> str | 
     return None
 
 
-def _to_subspace_coords(sub: Subspace, vectors) -> list[Vector]:
-    return [sub.coordinates_of(v) for v in vectors]
-
-
-def _from_subspace_coords(sub: Subspace, vectors) -> list[Vector]:
-    return [tuple(sum(c * bv[i] for c, bv in zip(coeffs, sub.basis))
-                  for i in range(sub.ambient_dim))
-            for coeffs in vectors]
-
-
 def _rescale_frame(vectors: list[Vector], norms: list[Fraction],
                    pair_slots: list[tuple[int, int]]) -> tuple[list[Vector], list[Fraction]]:
     """Rescale frame columns to primitive integer vectors, norms adjusted.
@@ -141,10 +131,10 @@ def _adapted_frame(space: QuadraticSpace, f: Flag) -> tuple[list[Vector], list[F
 
     # extend to a system of the big part, working in big coordinates
     space_big = QuadraticSpace.from_matrix(restrict(space, big))
-    small_in_big = Subspace(big.dim, tuple(_to_subspace_coords(big, sys_small.vectors)))
+    small_in_big = Subspace(big.dim, tuple(big.coordinates_of(v) for v in sys_small.vectors))
     sys_small_b = ScaledSystem(small_in_big.basis, sys_small.norms)
     sys_big_b = extend_basis(space_big, small_in_big, sys_small_b)
-    sys_big = ScaledSystem(tuple(_from_subspace_coords(big, sys_big_b.vectors)),
+    sys_big = ScaledSystem(tuple(linalg.combine(c, big.basis) for c in sys_big_b.vectors),
                            sys_big_b.norms)
 
     # extend to the whole (nondegenerate) space: every null of big splits

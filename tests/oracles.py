@@ -14,7 +14,12 @@ Deliberately separate from the package's fast paths:
 - radical: the kernel of the restricted Gram matrix, which `forms.radical`
   and `forms.flag_invariants` now read off one congruence instead;
 - witness assembly: the 256-bit mpmath assembly of g from two adapted frames
-  that the integer square-root assembly in `heisflag.witness` replaced.
+  that the integer square-root assembly in `heisflag.witness` replaced;
+- exact kernels: the dense double-loop inner product and the two-product
+  `restrict` that `QuadraticSpace.pairing` replaced, the Gauss-Jordan
+  inverse, the one-rank-per-candidate basis extension, the per-vector
+  subspace containment and the LLL reduction that recomputes Gram-Schmidt
+  after every step.
 Used to pin expected values before trusting the main engine.
 """
 
@@ -33,7 +38,7 @@ from heisflag.enumeration import (
     _coefficient_lines,
     _to_flag,
 )
-from heisflag.forms import Flag, FlagInvariants, Signature, Subspace, restrict
+from heisflag.forms import Flag, FlagInvariants, Signature, Subspace
 from heisflag.sampling import small_vector_pool
 
 
@@ -518,7 +523,7 @@ def kernel_radical(space, w):
     if w.dim == 0:
         return Subspace(space.dim, ())
     ambient = [tuple(sum(c * bv[i] for c, bv in zip(coeffs, w.basis)) for i in range(space.dim))
-               for coeffs in linalg.kernel(restrict(space, w))]
+               for coeffs in linalg.kernel(dense_restrict(space, w))]
     return Subspace(space.dim, tuple(linalg.row_space(ambient)))
 
 
@@ -550,3 +555,102 @@ def mpmath_assemble(frame1, frame2):
                         acc += hp(c1[i][k] * c2_inv[k][j]) * scale[k]
                 g[i, j] = float(acc)
     return g
+
+
+def dense_inner(space, x, y):
+    """<x, y> as the full double sum over every Gram entry."""
+    if len(x) != space.dim or len(y) != space.dim:
+        raise linalg.ShapeError("vector length does not match ambient dimension")
+    return sum(xi * sum(g * yj for g, yj in zip(row, y))
+               for xi, row in zip(x, space.gram))
+
+
+def dense_restrict(space, w):
+    """B G B^T for the basis rows B of W, as two dense matrix products."""
+    if w.ambient_dim != space.dim:
+        raise linalg.ShapeError("subspace ambient dimension mismatch")
+    if w.dim == 0:
+        return []
+    rows = [list(v) for v in w.basis]
+    paired = linalg.mat_mul(rows, space.gram_matrix)
+    return linalg.mat_mul(paired, linalg.transpose(rows))
+
+
+def gauss_jordan_invert(m):
+    """Inverse by Gauss-Jordan elimination on [M | I], failing at the first missing pivot."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise linalg.ShapeError("inverse requires a square matrix")
+    a = [list(row) + ident_row for row, ident_row in zip(m, linalg.identity(n))]
+    for c in range(n):
+        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pr is None:
+            raise linalg.SingularMatrixError("matrix is singular")
+        a[c], a[pr] = a[pr], a[c]
+        inv = 1 / a[c][c]
+        a[c] = [x * inv for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return [row[n:] for row in a]
+
+
+def rank_loop_extend_to_independent(base, pool, target_rank):
+    """Grow `base` from `pool`, one rank computation per candidate."""
+    chosen = list(base)
+    r = linalg.rank([list(v) for v in chosen]) if chosen else 0
+    for cand in pool:
+        if r == target_rank:
+            break
+        if linalg.rank([list(v) for v in chosen] + [list(cand)]) > r:
+            chosen.append(cand)
+            r += 1
+    if r != target_rank:
+        raise linalg.ShapeError("pool does not span enough directions")
+    return chosen
+
+
+def per_vector_contains_subspace(big, small):
+    """Containment by one linear solve per basis vector of `small`."""
+    return all(linalg.in_span(v, big.basis) for v in small.basis)
+
+
+def recomputing_lll_reduce(vectors, delta=Fraction(3, 4)):
+    """LLL reduction that recomputes the whole Gram-Schmidt basis after every step."""
+    b = [list(linalg.primitive_vector(v)) for v in vectors]
+    n = len(b)
+    if n <= 1:
+        return [tuple(row) for row in b]
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def gram_schmidt():
+        star = []
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        norms = []
+        for i in range(n):
+            w = list(b[i])
+            for j in range(i):
+                mu[i][j] = dot(b[i], star[j]) / norms[j]
+                w = [x - mu[i][j] * y for x, y in zip(w, star[j])]
+            star.append(w)
+            norms.append(dot(w, w))
+        return mu, norms
+
+    mu, norms = gram_schmidt()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q != 0:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                mu, norms = gram_schmidt()
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            mu, norms = gram_schmidt()
+            k = max(k - 1, 1)
+    return [linalg.primitive_vector(tuple(row)) for row in b]

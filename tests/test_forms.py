@@ -215,3 +215,89 @@ def test_opq_invariance():
             assert linalg.mat_mul(linalg.transpose(g), linalg.mat_mul(ipq, g)) == ipq
             f = sampling.random_flag(p, q, rng)
             assert flag_invariants(sp, sampling.apply_to_flag(g, f)) == flag_invariants(sp, f)
+
+
+# ---------------------------------------------------------------------------
+# one pairing: differential tests against the dense oracles
+
+ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, F(1, 2), F(-3, 4)])
+
+
+@st.composite
+def degenerate_gram_and_vectors(draw):
+    """A Gram matrix with zero rows, zero entries or low rank, and vectors that
+    are zero, repeated or dependent."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["diagonal", "low_rank", "entries"]))
+    if kind == "diagonal":
+        gram = linalg.diag([draw(st.sampled_from([1, -1, 0])) for _ in range(n)])
+    elif kind == "low_rank":
+        factor = [[draw(ENTRIES) for _ in range(n)] for _ in range(draw(st.integers(0, 2)))]
+        signs = [draw(st.sampled_from([1, -1])) for _ in factor]
+        gram = [[sum(s * r[i] * r[j] for s, r in zip(signs, factor)) for j in range(n)]
+                for i in range(n)]
+    else:
+        gram = linalg.zeros(n, n)
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = linalg.frac(draw(ENTRIES))
+    vectors = []
+    for _ in range(draw(st.integers(0, n + 2))):
+        pick = draw(st.sampled_from(["zero", "copy", "sum", "new", "new"]))
+        if pick == "zero":
+            vectors.append(linalg.vec([0] * n))
+        elif pick == "copy" and vectors:
+            vectors.append(draw(st.sampled_from(vectors)))
+        elif pick == "sum" and len(vectors) >= 2:
+            vectors.append(linalg.vec_add(vectors[-1], vectors[-2]))
+        else:
+            vectors.append(linalg.vec(draw(ENTRIES) for _ in range(n)))
+    return QuadraticSpace.from_matrix(gram), vectors
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=degenerate_gram_and_vectors())
+def test_pairing_restrict_inner_agree_with_dense_oracles(data):
+    space, vectors = data
+    xs, ys = vectors[: len(vectors) // 2 + 1], vectors[len(vectors) // 2:]
+    assert space.pairing(xs, ys) == [[oracles.dense_inner(space, x, y) for y in ys] for x in xs]
+    for x in vectors:
+        assert space.inner(x, x) == oracles.dense_inner(space, x, x)
+    w = Subspace.spanned_by(vectors, space.dim)
+    assert restrict(space, w) == oracles.dense_restrict(space, w)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=degenerate_gram_and_vectors(), cut=st.integers(0, 8))
+def test_contains_subspace_agrees_with_per_vector_oracle(data, cut):
+    space, vectors = data
+    n = space.dim
+    big = Subspace.spanned_by(vectors, n)
+    small = Subspace.spanned_by(vectors[:cut], n)
+    for a, b in [(big, small), (small, big), (big, big), (small, Subspace(n, ()))]:
+        assert a.contains_subspace(b) == oracles.per_vector_contains_subspace(a, b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=degenerate_gram_and_vectors())
+def test_exact_kernels_return_fractions_on_fraction_input(data):
+    space, vectors = data
+    entries = [x for row in space.pairing(vectors, vectors) for x in row]
+    entries += [x for row in restrict(space, Subspace.spanned_by(vectors, space.dim)) for x in row]
+    entries += linalg.combine([(1, 0, F(1, 2))[i % 3] for i in range(len(vectors))], vectors)
+    entries += linalg.combine([0] * len(vectors), vectors)
+    try:
+        entries += [x for row in linalg.invert(space.gram_matrix) for x in row]
+    except linalg.SingularMatrixError:
+        pass
+    assert all(type(x) is F for x in entries)
+
+
+def test_pairing_rejects_wrong_lengths_and_takes_empty_lists():
+    assert SP22.pairing([], [unit(0)]) == []
+    assert SP22.pairing([unit(0)], []) == [[]]
+    assert restrict(SP22, Subspace(4, ())) == []
+    with pytest.raises(linalg.ShapeError):
+        SP22.pairing([unit(0, 3)], [unit(0)])
+    with pytest.raises(linalg.ShapeError):
+        SP22.inner(unit(0), unit(0, 5))

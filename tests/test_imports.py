@@ -1,14 +1,16 @@
 """Every name a package module imports is used in that module.
 
 Stdlib only: each module of `src/heisflag` except `__init__.py` (which
-imports to re-export) is parsed with `ast`, and each imported name must
-occur as a name in the module body, or inside a string annotation.
+imports to re-export), and the test oracles in `tests/oracles.py`, is parsed
+with `ast`, and each imported name must occur as a name in the module body,
+or inside a string annotation.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "heisflag"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "heisflag"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,5 +45,6 @@ def test_checker_flags_an_unused_import():
 def test_no_unused_imports_in_package_modules():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
+    modules.append(TESTS / "oracles.py")
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}

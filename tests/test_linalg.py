@@ -4,7 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from heisflag import linalg
 from heisflag.linalg import (
     ShapeError,
@@ -146,3 +148,85 @@ def test_solve_consistent_and_inconsistent():
     a = mat([[1, 2], [2, 4]])
     assert linalg.solve(a, vec([1, 2])) is not None
     assert linalg.solve(a, vec([1, 3])) is None
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the replaced routines in `oracles`
+
+ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3)])
+
+
+@st.composite
+def degenerate_vectors(draw, n, count):
+    """`count` vectors of length n: zero, repeated, dependent or drawn entry by entry."""
+    out = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(["zero", "copy", "mix", "new", "new"]))
+        if kind == "zero":
+            out.append(vec([0] * n))
+        elif kind == "copy" and out:
+            out.append(draw(st.sampled_from(out)))
+        elif kind == "mix" and len(out) >= 2:
+            a, b = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            out.append(linalg.combine([draw(ENTRIES), draw(ENTRIES)], [a, b]))
+        else:
+            out.append(vec(draw(ENTRIES) for _ in range(n)))
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_invert_agrees_with_gauss_jordan_oracle(data):
+    n = data.draw(st.integers(0, 5))
+    m = [list(v) for v in data.draw(degenerate_vectors(n, n))]
+    try:
+        want = oracles.gauss_jordan_invert(m)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            invert(m)
+        return
+    assert invert(m) == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_extend_to_independent_agrees_with_rank_loop_oracle(data):
+    n = data.draw(st.integers(1, 5))
+    base = data.draw(degenerate_vectors(n, data.draw(st.integers(0, n))))
+    pool = data.draw(degenerate_vectors(n, data.draw(st.integers(0, 2 * n))))
+    target = data.draw(st.integers(0, n + 1))
+    try:
+        want = oracles.rank_loop_extend_to_independent(base, pool, target)
+    except ShapeError:
+        with pytest.raises(ShapeError):
+            linalg.extend_to_independent(base, pool, target)
+        return
+    assert linalg.extend_to_independent(base, pool, target) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_lll_reduce_agrees_with_recomputing_oracle(data):
+    n = data.draw(st.integers(1, 6))
+    wide = st.one_of(ENTRIES, st.integers(-40, 40))
+    drawn = [vec(data.draw(wide) for _ in range(n)) for _ in range(data.draw(st.integers(0, n)))]
+    independent = []
+    for v in drawn:
+        if rank([list(u) for u in independent + [v]]) == len(independent) + 1:
+            independent.append(v)
+    assert linalg.lll_reduce(independent) == oracles.recomputing_lll_reduce(independent)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_combine_agrees_with_the_written_out_sum(data):
+    n = data.draw(st.integers(1, 5))
+    vectors = data.draw(degenerate_vectors(n, data.draw(st.integers(1, 4))))
+    coeffs = [data.draw(ENTRIES) for _ in vectors]
+    assert linalg.combine(coeffs, vectors) == tuple(
+        sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(n))
+    ints = [tuple(int(x) for x in v) for v in vectors]
+    int_coeffs = [int(c) for c in coeffs]
+    assert all(type(x) is int for x in linalg.combine(int_coeffs, ints))
+    with pytest.raises(ShapeError):
+        linalg.combine(coeffs + [1], vectors)
