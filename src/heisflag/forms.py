@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import linalg
@@ -118,8 +119,13 @@ class QuadraticSpace:
     def inner(self, x: Vector, y: Vector) -> Fraction:
         return self.pairing([x], [y])[0][0]
 
+    @cached_property
+    def _nondegenerate(self) -> bool:
+        # the Gram matrix never changes, so one congruence answers every call
+        return linalg.congruence_diagonalize(self.gram_matrix).sign_counts()[2] == 0
+
     def is_nondegenerate(self) -> bool:
-        return linalg.det(self.gram_matrix) != 0
+        return self._nondegenerate
 
     def ambient_radical(self) -> "Subspace":
         return Subspace(self.dim, tuple(linalg.kernel(self.gram_matrix)))

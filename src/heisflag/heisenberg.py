@@ -27,6 +27,7 @@ from .forms import (
     Flag,
     LineSignature,
     PreconditionError,
+    QuadraticSpace,
     Signature,
     Subspace,
     possible_codim2_signatures,
@@ -69,10 +70,6 @@ class HeisenbergAlgebra:
     @property
     def center(self) -> Subspace:
         return Subspace.coordinate(self.n, range(self.n - 2))
-
-    @property
-    def derived_ideal(self) -> Subspace:
-        return Subspace.coordinate(self.n, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -199,35 +196,37 @@ class Classification:
 def classify_metric(alg: HeisenbergAlgebra, gram: Matrix) -> Classification:
     """Map a nondegenerate signature-(p, q) Gram matrix to its taxonomy row.
 
-    Inputs with p < q are first negated (the signature-swap correspondence);
-    the result records the swap and reports in the p >= q convention.
+    Inputs with p < q are classified as their negation (the signature-swap
+    correspondence); the result records the swap and reports in the p >= q
+    convention.  One congruence gives both signatures: the center is the
+    leading coordinate block, so its signature is the leading block's, and
+    negation just exchanges positive and negative counts.
     """
     n = alg.n
     if len(gram) != n or any(len(row) != n for row in gram):
         raise PreconditionError(f"Gram matrix must be {n}x{n}")
     if not linalg.is_symmetric(gram):
         raise PreconditionError("Gram matrix must be symmetric")
-    sig = Signature(*linalg.congruence_diagonalize(gram).sign_counts())
+    res = linalg.congruence_diagonalize(gram, leading=n - 2)
+    sig = Signature(*res.sign_counts())
     if sig.nul:
         raise PreconditionError(f"Gram matrix is degenerate: signature {sig}")
     if sig.pos == 0 or sig.neg == 0:
         raise UnsupportedSignatureError(
             "definite (Riemannian) inner products are out of scope here")
     swapped = sig.pos < sig.neg
-    work = [[-x for x in row] for row in gram] if swapped else gram
     p, q = max(sig.pos, sig.neg), min(sig.pos, sig.neg)
+    pos, neg, nul = res.leading_counts
+    center_sig = Signature(neg, pos, nul) if swapped else Signature(pos, neg, nul)
 
-    # the center is a coordinate subspace, so its restricted Gram is the
-    # leading block and the derived line reads off the first row directly;
-    # this equals signature()/refined_line_signature() on those subspaces
-    center_block = [row[: n - 2] for row in work[: n - 2]]
-    center_sig = Signature(*linalg.congruence_diagonalize(center_block).sign_counts())
-    norm = work[0][0]
+    # the derived line e_0 reads off the first row directly; this equals
+    # refined_line_signature() of e_0 inside the center
+    norm = -gram[0][0] if swapped else gram[0][0]
     if norm > 0:
         refined = LineSignature.SPACELIKE
     elif norm < 0:
         refined = LineSignature.TIMELIKE
-    elif all(work[0][j] == 0 for j in range(n - 2)):
+    elif all(gram[0][j] == 0 for j in range(n - 2)):
         refined = LineSignature.RADICAL
     else:
         refined = LineSignature.LIGHTLIKE
@@ -436,5 +435,6 @@ def act_on_metric(g: Matrix, gram: Matrix) -> Matrix:
     """The pullback action on Gram matrices: g . A = g^{-T} A g^{-1}, exactly."""
     if len(g) != len(gram):
         raise linalg.ShapeError("matrix sizes do not match")
-    g_inv = linalg.invert(g)
-    return linalg.mat_mul(linalg.transpose(g_inv), linalg.mat_mul(gram, g_inv))
+    # g^{-T} A g^{-1} is the Gram matrix of the columns of g^{-1} under A
+    cols = [tuple(col) for col in zip(*linalg.invert(g))]
+    return QuadraticSpace.from_matrix(gram).pairing(cols, cols)

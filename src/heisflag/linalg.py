@@ -3,14 +3,19 @@
 Matrices are lists of row lists and vectors are tuples, with every entry a
 `fractions.Fraction`.  All routines are pure and exact: no floating point,
 no tolerances.  Signatures of symmetric matrices are obtained by congruence
-(never from eigenvalues), using a symmetric Gaussian elimination that stays
-inside Q by trading zero pivots for hyperbolic-pair congruences.
+(never from eigenvalues), using one symmetric elimination: each pivot
+updates the remaining block once by its Schur complement, over the nonzero
+entries of its row, and zero pivots are traded for swaps or hyperbolic-pair
+congruences so that everything stays inside Q.  The congruence records its
+moves and builds the transform P only when a caller reads it; callers that
+count signs never pay for P.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -138,76 +143,127 @@ def primitive_vector(v: Vector) -> Vector:
     return tuple(Fraction(x // g) for x in ints)
 
 
+def _sign_counts(values: Iterable[Fraction]) -> tuple[int, int, int]:
+    values = list(values)
+    pos = sum(1 for d in values if d > 0)
+    neg = sum(1 for d in values if d < 0)
+    return pos, neg, len(values) - pos - neg
+
+
 @dataclass(frozen=True)
 class CongruenceResult:
-    """Invertible P and diagonal D with P^T S P = diag(D), exactly."""
+    """Diagonal D of a rational congruence P^T S P = diag(D), exactly.
 
-    transform: Matrix
+    `moves` records the basis changes in order: ("swap", k, j) exchanges
+    b_k and b_j, ("pair", k, j) replaces them by b_k + b_j and b_k - b_j,
+    and ("clear", k, ((i, f), ...)) adds f * b_k to each b_i.  The
+    invertible P is replayed from them on first read of `transform`, so
+    callers that only count signs never build it.  `leading_counts` are the
+    sign counts of the leading block named by `leading`; without one, the
+    whole matrix's.
+    """
+
     diagonal: tuple[Fraction, ...]
+    leading_counts: tuple[int, int, int]
+    moves: tuple[tuple, ...] = field(repr=False, compare=False)
 
     def sign_counts(self) -> tuple[int, int, int]:
-        pos = sum(1 for d in self.diagonal if d > 0)
-        neg = sum(1 for d in self.diagonal if d < 0)
-        return pos, neg, len(self.diagonal) - pos - neg
+        return _sign_counts(self.diagonal)
+
+    @cached_property
+    def transform(self) -> Matrix:
+        cols = identity(len(self.diagonal))  # cols[j] is column j of P
+        for kind, k, arg in self.moves:
+            if kind == "swap":
+                cols[k], cols[arg] = cols[arg], cols[k]
+            elif kind == "pair":
+                ck, cj = cols[k], cols[arg]
+                cols[k] = [x + y for x, y in zip(ck, cj)]
+                cols[arg] = [x - y for x, y in zip(ck, cj)]
+            else:
+                support = [(r, y) for r, y in enumerate(cols[k]) if y]
+                for i, f in arg:
+                    ci = cols[i]
+                    for r, y in support:
+                        ci[r] += f * y
+        return transpose(cols)
 
 
-def congruence_diagonalize(s: Matrix) -> CongruenceResult:
+def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceResult:
     """Diagonalize a symmetric matrix by a rational congruence.
 
-    Zero pivots never force square roots: if basis vectors i, j are both
-    null but pair nontrivially, the congruence (e_i, e_j) -> (e_i+e_j,
-    e_i-e_j) manufactures pivots +-2*s_ij.  Diagonal entries are left
-    unnormalized; only their signs carry the signature.
+    Each nonzero pivot a_kk updates the not yet eliminated block once, by
+    the symmetric Schur complement a_ij -= a_ik * a_kj / a_kk over the
+    nonzero entries of row k only.  Zero pivots never force square roots:
+    if a zero a_kk pairs with a later j, b_k and b_j swap when a_jj is
+    nonzero, and otherwise (b_k, b_j) -> (b_k+b_j, b_k-b_j) manufactures
+    pivots +-2*a_kj; a direction orthogonal to all later ones stays null.
+    Diagonal entries are left unnormalized; only their signs carry the
+    signature.
+
+    With `leading` = m, the first m directions look for zero-pivot partners
+    among themselves only, so the first m diagonal entries then diagonalize
+    the leading m x m block and give `leading_counts`.  A leading direction
+    left null there is finished afterwards against the trailing ones.  The
+    full diagonal gives the whole matrix's signature either way.
     """
     n = len(s)
     if any(len(row) != n for row in s):
         raise ShapeError("congruence_diagonalize requires a square matrix")
     if not is_symmetric(s):
         raise ShapeError("congruence_diagonalize requires a symmetric matrix")
+    m = n if leading is None else leading
+    if not 0 <= m <= n:
+        raise ShapeError(f"leading block size {m} outside 0..{n}")
 
     a = copy(s)
-    p = identity(n)
+    moves: list[tuple] = []
 
-    def add_col(dst: int, src: int, factor: Fraction) -> None:
-        # basis change b_dst += factor * b_src, applied congruently to a
-        for i in range(n):
-            a[i][dst] += factor * a[i][src]
-        for j in range(n):
-            a[dst][j] += factor * a[src][j]
-        for i in range(n):
-            p[i][dst] += factor * p[i][src]
-
-    def swap(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        a[i], a[j] = a[j], a[i]
-        for row in p:
-            row[i], row[j] = row[j], row[i]
-
-    for k in range(n):
-        if a[k][k] == 0:
-            j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+    def eliminate(k: int, partners: Sequence[int], rest: Sequence[int]) -> bool:
+        """Pivot on direction k against the `rest` still to come; False if k stays null."""
+        row = a[k]
+        if row[k] == 0:
+            j = next((j for j in partners if row[j] != 0), None)
             if j is None:
-                continue  # orthogonal to the whole trailing block: null direction
+                return False
             if a[j][j] != 0:
-                swap(k, j)
+                a[k], a[j] = a[j], a[k]
+                for r in a:
+                    r[k], r[j] = r[j], r[k]
+                moves.append(("swap", k, j))
             else:
-                # hyperbolic pair: (e_k, e_j) -> (e_k+e_j, e_k-e_j)
-                for i in range(n):
-                    aik, aij = a[i][k], a[i][j]
-                    a[i][k], a[i][j] = aik + aij, aik - aij
-                for c in range(n):
-                    akc, ajc = a[k][c], a[j][c]
-                    a[k][c], a[j][c] = akc + ajc, akc - ajc
-                for i in range(n):
-                    pik, pij = p[i][k], p[i][j]
-                    p[i][k], p[i][j] = pik + pij, pik - pij
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            if a[k][i] != 0:
-                add_col(i, k, -a[k][i] / pivot)
+                akj = row[j]
+                rj = a[j]
+                for i in rest:
+                    if i != j:
+                        x, y = row[i], rj[i]
+                        a[i][k] = row[i] = x + y
+                        a[i][j] = rj[i] = x - y
+                row[k], rj[j] = 2 * akj, -2 * akj
+                row[j] = rj[k] = Fraction(0)
+                moves.append(("pair", k, j))
+            row = a[k]
+        pivot = row[k]
+        nonzero = [(i, row[i]) for i in rest if row[i]]
+        factors = tuple((i, -aki / pivot) for i, aki in nonzero)
+        for t, (i, f) in enumerate(factors):
+            ai = a[i]
+            for j, akj in nonzero[t:]:
+                a[j][i] = ai[j] = ai[j] + f * akj
+        if factors:
+            moves.append(("clear", k, factors))
+        return True
 
-    return CongruenceResult(p, tuple(a[i][i] for i in range(n)))
+    deferred = []
+    for k in range(m):
+        if not eliminate(k, range(k + 1, m), range(k + 1, n)):
+            deferred.append(k)
+    leading_counts = _sign_counts(a[k][k] for k in range(m))
+    tail = deferred + list(range(m, n))
+    for t, k in enumerate(tail):
+        rest = tail[t + 1:]
+        eliminate(k, rest, rest)
+    return CongruenceResult(tuple(a[k][k] for k in range(n)), leading_counts, tuple(moves))
 
 
 def _echelon(m: Matrix) -> tuple[Matrix, list[int]]:

@@ -19,7 +19,12 @@ Deliberately separate from the package's fast paths:
   `restrict` that `QuadraticSpace.pairing` replaced, the Gauss-Jordan
   inverse, the one-rank-per-candidate basis extension, the per-vector
   subspace containment and the LLL reduction that recomputes Gram-Schmidt
-  after every step.
+  after every step;
+- congruence and classification: the row-and-column symmetric
+  elimination, which builds P on every multiplier and which the
+  Schur-update `linalg.congruence_diagonalize` replaced; the classification
+  from two such eliminations (whole matrix, then the negated center block);
+  and `act_on_metric` as two dense products, which one pairing replaced.
 Used to pin expected values before trusting the main engine.
 """
 
@@ -38,7 +43,15 @@ from heisflag.enumeration import (
     _coefficient_lines,
     _to_flag,
 )
-from heisflag.forms import Flag, FlagInvariants, Signature, Subspace
+from heisflag.forms import (
+    Flag,
+    FlagInvariants,
+    LineSignature,
+    PreconditionError,
+    Signature,
+    Subspace,
+)
+from heisflag.heisenberg import Classification, UnsupportedSignatureError, admissible_classes
 from heisflag.sampling import small_vector_pool
 
 
@@ -654,3 +667,103 @@ def recomputing_lll_reduce(vectors, delta=Fraction(3, 4)):
             mu, norms = gram_schmidt()
             k = max(k - 1, 1)
     return [linalg.primitive_vector(tuple(row)) for row in b]
+
+
+def row_column_congruence(s):
+    """(P, D) with P^T S P = diag(D): a column pass, a row pass and a P pass per multiplier.
+
+    The full-matrix symmetric elimination that `linalg.congruence_diagonalize`
+    replaced, with the same zero-pivot moves: swap with a later direction of
+    nonzero norm, else the hyperbolic pair (e_k+e_j, e_k-e_j), else null.
+    """
+    n = len(s)
+    if any(len(row) != n for row in s):
+        raise linalg.ShapeError("congruence requires a square matrix")
+    if not linalg.is_symmetric(s):
+        raise linalg.ShapeError("congruence requires a symmetric matrix")
+    a = linalg.copy(s)
+    p = linalg.identity(n)
+
+    def add_col(dst, src, factor):
+        for i in range(n):
+            a[i][dst] += factor * a[i][src]
+        for j in range(n):
+            a[dst][j] += factor * a[src][j]
+        for i in range(n):
+            p[i][dst] += factor * p[i][src]
+
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+            if j is None:
+                continue
+            if a[j][j] != 0:
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+                a[k], a[j] = a[j], a[k]
+                for row in p:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                for i in range(n):
+                    aik, aij = a[i][k], a[i][j]
+                    a[i][k], a[i][j] = aik + aij, aik - aij
+                for c in range(n):
+                    akc, ajc = a[k][c], a[j][c]
+                    a[k][c], a[j][c] = akc + ajc, akc - ajc
+                for i in range(n):
+                    pik, pij = p[i][k], p[i][j]
+                    p[i][k], p[i][j] = pik + pij, pik - pij
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            if a[k][i] != 0:
+                add_col(i, k, -a[k][i] / pivot)
+    return p, tuple(a[i][i] for i in range(n))
+
+
+def oracle_sign_counts(s):
+    """(positive, negative, zero) counts of the oracle congruence's diagonal."""
+    d = row_column_congruence(s)[1]
+    pos = sum(1 for x in d if x > 0)
+    neg = sum(1 for x in d if x < 0)
+    return pos, neg, len(d) - pos - neg
+
+
+def mat_mul_act_on_metric(g, gram):
+    """g . A = g^{-T} A g^{-1} as two dense matrix products."""
+    g_inv = linalg.invert(g)
+    return linalg.mat_mul(linalg.transpose(g_inv), linalg.mat_mul(gram, g_inv))
+
+
+def two_call_classify(alg, gram):
+    """`classify_metric` from two congruences: the whole Gram matrix, then the center block.
+
+    Inputs with p < q are negated before the center block is read.
+    """
+    n = alg.n
+    if len(gram) != n or any(len(row) != n for row in gram):
+        raise PreconditionError(f"Gram matrix must be {n}x{n}")
+    if not linalg.is_symmetric(gram):
+        raise PreconditionError("Gram matrix must be symmetric")
+    sig = Signature(*oracle_sign_counts(gram))
+    if sig.nul:
+        raise PreconditionError(f"Gram matrix is degenerate: signature {sig}")
+    if sig.pos == 0 or sig.neg == 0:
+        raise UnsupportedSignatureError(
+            "definite (Riemannian) inner products are out of scope here")
+    swapped = sig.pos < sig.neg
+    work = [[-x for x in row] for row in gram] if swapped else gram
+    p, q = max(sig.pos, sig.neg), min(sig.pos, sig.neg)
+    center_sig = Signature(*oracle_sign_counts([row[: n - 2] for row in work[: n - 2]]))
+    norm = work[0][0]
+    if norm > 0:
+        refined = LineSignature.SPACELIKE
+    elif norm < 0:
+        refined = LineSignature.TIMELIKE
+    elif all(work[0][j] == 0 for j in range(n - 2)):
+        refined = LineSignature.RADICAL
+    else:
+        refined = LineSignature.LIGHTLIKE
+    for row in admissible_classes(p, q).classes:
+        if row.center_signature(p, q) == center_sig and row.refined == refined:
+            return Classification(p, q, swapped, row, center_sig, refined)
+    raise AssertionError(f"no taxonomy row matches center signature {center_sig}, {refined}")

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from heisflag import linalg, sampling
 from heisflag.forms import LineSignature, PreconditionError, Signature
 from heisflag.heisenberg import (
@@ -164,17 +165,53 @@ def test_act_on_metric_examples():
     assert act_on_metric(swap01, gram) == linalg.diag([-1, 1, 1, -1])
 
 
-def test_parabolic_orbit_invariance():
-    rng = random.Random(8)
-    for k in range(160):
-        p, q = [(2, 2), (3, 1), (3, 2), (3, 3)][k % 4]
-        n = p + q
-        alg = HeisenbergAlgebra(n)
-        table = admissible_classes(p, q)
-        row = table.classes[rng.randrange(table.count)]
-        base = representative(row.id, p, q)
-        acted = act_on_metric([list(r) for r in parabolic_sample(n, rng).matrix], base)
-        assert classify_metric(alg, acted).class_id == row.id
+def _moved(n, gram, rng, check_oracle=False):
+    g = [list(r) for r in parabolic_sample(n, rng).matrix]
+    acted = act_on_metric(g, gram)
+    if check_oracle:
+        assert acted == oracles.mat_mul_act_on_metric(g, gram)
+    return acted
+
+
+def _raised(classify, alg, gram):
+    with pytest.raises(PreconditionError) as info:
+        classify(alg, gram)
+    return info.type, str(info.value)
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_parabolic_orbit_invariance(n):
+    """Moved rows keep their class and match the two-congruence classification.
+
+    Rows with a radical center are moved twice and also classified by the
+    oracle, in both the p > q and the p < q order; up to n = 8 every other
+    row is moved once.  Degenerate and definite matrices, moved, raise the
+    oracle's error.
+    """
+    rng = random.Random(8 + n)
+    alg = HeisenbergAlgebra(n)
+    big = n // 2 + 1
+    for p, q in [(big, n - big), (n - big, big)]:
+        for row in admissible_classes(p, q).classes:
+            radical = row.pattern[2] > 0
+            if not radical and n > 8:
+                continue
+            acted = _moved(n, representative(row.id, p, q), rng, check_oracle=n <= 8)
+            if radical:
+                acted = _moved(n, acted, rng)
+            got = classify_metric(alg, acted)
+            assert got.class_id == row.id and got.swapped == (p < q)
+            if radical:
+                assert got == oracles.two_call_classify(alg, acted)
+    rep = representative(admissible_classes(big, n - big).classes[-1].id, big, n - big)
+    # definite, then degenerate: a representative with its last row and column zeroed
+    for gram in (linalg.identity(n), linalg.diag([-1] * n),
+                 [[x if n - 1 not in (i, j) else F(0) for j, x in enumerate(r)]
+                  for i, r in enumerate(rep)],
+                 [[F(0)] * n for _ in range(n)]):
+        moved = _moved(n, gram, rng)
+        assert (_raised(classify_metric, alg, moved)
+                == _raised(oracles.two_call_classify, alg, moved))
 
 
 def test_class_coverage_over_small_gram_congruences():

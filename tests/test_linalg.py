@@ -174,6 +174,55 @@ def degenerate_vectors(draw, n, count):
     return out
 
 
+@st.composite
+def degenerate_symmetric(draw, max_n=8):
+    """A symmetric n x n matrix, n <= max_n, biased toward degenerate input.
+
+    A base block, drawn entry by entry, with a null diagonal that forces
+    hyperbolic pairs, or of rank <= 2, is spread over the n slots; slots may
+    repeat a base index (repeated rows) or hold none (zero rows).
+    """
+    n = draw(st.integers(0, max_n))
+    k = draw(st.integers(min(n, 1), n))
+    kind = draw(st.sampled_from(["entries", "null-diagonal", "rank-two"]))
+    if kind == "rank-two":
+        u, v = (vec(draw(ENTRIES) for _ in range(k)) for _ in range(2))
+        c = draw(ENTRIES)
+        base = [[u[i] * v[j] + v[i] * u[j] + c * u[i] * u[j] for j in range(k)]
+                for i in range(k)]
+    else:
+        base = zeros(k, k)
+        for i in range(k):
+            for j in range(i, k):
+                x = 0 if kind == "null-diagonal" and i == j else draw(ENTRIES)
+                base[i][j] = base[j][i] = F(x)
+    extra = st.one_of(st.none(), st.integers(0, k - 1)) if k else st.none()
+    slots = draw(st.permutations(list(range(k)) + draw(st.lists(extra, min_size=n - k,
+                                                                 max_size=n - k))))
+    return [[base[a][b] if a is not None and b is not None else F(0) for b in slots]
+            for a in slots]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(s=degenerate_symmetric())
+def test_congruence_agrees_with_row_column_oracle(s):
+    n = len(s)
+    want_transform, want_diagonal = oracles.row_column_congruence(s)
+    res = congruence_diagonalize(s)
+    assert res.diagonal == want_diagonal
+    assert res.transform == want_transform
+    full = oracles.oracle_sign_counts(s)
+    for m in range(n + 1):
+        res = congruence_diagonalize(s, leading=m)
+        assert res.leading_counts == oracles.oracle_sign_counts([row[:m] for row in s[:m]])
+        assert res.sign_counts() == full
+        p = res.transform
+        assert mat_mul(transpose(p), mat_mul(s, p)) == diag(res.diagonal)
+        assert det(p) != 0
+    with pytest.raises(ShapeError):
+        congruence_diagonalize(s, leading=n + 1)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_invert_agrees_with_gauss_jordan_oracle(data):
