@@ -78,13 +78,8 @@ def cmd_classify(args) -> int:
     except (OSError, MatrixFormatError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_MALFORMED
-    n = len(gram)
-    if n < 4:
-        print(f"error: n = {n} is out of scope (classification needs n >= 4)",
-              file=sys.stderr)
-        return EXIT_PRECONDITION
     try:
-        alg = HeisenbergAlgebra(n)
+        alg = HeisenbergAlgebra(len(gram))
         result = classify_metric(alg, gram)
     except PreconditionError as ex:
         print(f"error: {ex}", file=sys.stderr)
@@ -288,8 +283,8 @@ def cmd_curvature(args) -> int:
         return EXIT_PRECONDITION
     p, q = table.p, table.q
     alg = HeisenbergAlgebra(p + q)
-    ids = [args.class_id] if args.class_id else list(table.ids)
-    if args.class_id and args.class_id not in table.ids:
+    ids = list(table.ids) if args.class_id is None else [args.class_id]
+    if args.class_id is not None and args.class_id not in table.ids:
         print(f"error: class {args.class_id} is not admissible for ({p}, {q})",
               file=sys.stderr)
         return EXIT_PRECONDITION

@@ -10,8 +10,10 @@ system extension, basis extension) that powers isometry construction.
 
 The form is evaluated in one place, `QuadraticSpace.pairing`, and every
 change from subspace coordinates to ambient ones is one `linalg.combine`.
-Everything here is exact.  Floating-point isometry witnesses live in
-`heisflag.witness`.
+Every intersection dimension is read off one rank: dim(small cap rad big)
+is dim(small) - rank <small, big>, and the seven counts come from ranks of
+the big basis cut to one coordinate block.  Everything here is exact.
+Floating-point isometry witnesses live in `heisflag.witness`.
 """
 
 from __future__ import annotations
@@ -120,15 +122,15 @@ class QuadraticSpace:
         return self.pairing([x], [y])[0][0]
 
     @cached_property
-    def _nondegenerate(self) -> bool:
-        # the Gram matrix never changes, so one congruence answers every call
-        return linalg.congruence_diagonalize(self.gram_matrix).sign_counts()[2] == 0
+    def _radical(self) -> "Subspace":
+        # the Gram matrix never changes, so one kernel answers every call
+        return Subspace(self.dim, tuple(linalg.kernel(self.gram_matrix)))
 
     def is_nondegenerate(self) -> bool:
-        return self._nondegenerate
+        return self._radical.dim == 0
 
     def ambient_radical(self) -> "Subspace":
-        return Subspace(self.dim, tuple(linalg.kernel(self.gram_matrix)))
+        return self._radical
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,9 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Vector) -> bool:
-        return linalg.in_span(v, self.basis)
+        if len(v) != self.ambient_dim:
+            raise linalg.ShapeError("vector length does not match ambient dimension")
+        return linalg.rank([list(u) for u in self.basis] + [list(v)]) == self.dim
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -304,24 +308,18 @@ def signature(space: QuadraticSpace, w: Subspace | None = None) -> Signature:
 
 
 def radical(space: QuadraticSpace, w: Subspace | None = None) -> Subspace:
-    """The subspace {v in W : <v, x> = 0 for all x in W}, in ambient coordinates."""
+    """The subspace {v in W : <v, x> = 0 for all x in W}, in ambient coordinates.
+
+    Read off one congruence: with P^T G_W P = diag(d) and P invertible,
+    G_W P e_j = 0 exactly when d_j = 0, and the zero d_j number the nullity
+    of G_W; so the columns of P with d_j = 0 are a basis of the kernel.
+    """
     if w is None:
         w = Subspace.full(space.dim)
-    return Subspace(space.dim, tuple(linalg.row_space(_signature_and_radical(space, w)[1])))
-
-
-def _signature_and_radical(space: QuadraticSpace, w: Subspace) -> tuple[Signature, list[Vector]]:
-    """Signature of the form on W and a basis of rad(W), from one congruence.
-
-    With P^T G_W P = diag(d) and P invertible, G_W P e_j = 0 exactly when
-    d_j = 0, and the zero d_j number the nullity of G_W; so the columns of P
-    with d_j = 0 are a basis of the kernel.  It is returned in ambient
-    coordinates.
-    """
     res = linalg.congruence_diagonalize(restrict(space, w))
     rad = [linalg.combine([row[j] for row in res.transform], w.basis)
            for j, d in enumerate(res.diagonal) if d == 0]
-    return Signature(*res.sign_counts()), rad
+    return Subspace(space.dim, tuple(linalg.row_space(rad)))
 
 
 def refined_line_signature(space: QuadraticSpace, v_sub: Subspace, line: Subspace) -> LineSignature:
@@ -351,18 +349,18 @@ def flag_invariants(space: QuadraticSpace, f: Flag) -> FlagInvariants:
     """The complete orbit invariants of a flag under the isometry group.
 
     Requires a nondegenerate ambient form; returns the signatures of both
-    flag parts plus dim(small cap rad(big)).
+    flag parts plus dim(small cap rad(big)) = dim(small) - rank <small, big>,
+    since sum c_i s_i lies in rad(big) iff c^T <small, big> = 0.  The rank is
+    taken only when big is degenerate.
     """
     if f.big.ambient_dim != space.dim:
         raise linalg.ShapeError("flag ambient dimension mismatch")
     if not space.is_nondegenerate():
         raise PreconditionError("flag invariants require a nondegenerate ambient form")
-    sig_big, rad_big = _signature_and_radical(space, f.big)
-    return FlagInvariants(
-        sig_big=sig_big,
-        sig_small=signature(space, f.small),
-        dim_small_cap_rad=len(linalg.intersect(list(f.small.basis), rad_big)) if rad_big else 0,
-    )
+    sig_big = signature(space, f.big)
+    cap = f.small.dim - linalg.rank(space.pairing(f.small.basis, f.big.basis)) if sig_big.nul else 0
+    return FlagInvariants(sig_big=sig_big, sig_small=signature(space, f.small),
+                          dim_small_cap_rad=cap)
 
 
 def flags_equivalent(space: QuadraticSpace, f1: Flag, f2: Flag) -> bool:
@@ -373,7 +371,13 @@ def flags_equivalent(space: QuadraticSpace, f1: Flag, f2: Flag) -> bool:
 
 
 def matsuki_data(f: Flag, p: int, q: int) -> MatsukiData:
-    """The seven coordinate-splitting counts of a flag of type (1, p+q-2)."""
+    """The seven coordinate-splitting counts of a flag of type (1, p+q-2).
+
+    big cap U+ is the kernel of the big basis cut to the - block, so
+    c+ = dim big - rank of that cut, and c- likewise.  The line v lies in
+    U+ or U- when one block of v is zero, and in (big cap U+) + (big cap U-)
+    exactly when its + part (v+, 0) lies in big, since v - (v+, 0) = (0, v-).
+    """
     if p < 0 or q < 0:
         raise PreconditionError(f"signature ({p}, {q}) needs p, q >= 0")
     n = p + q
@@ -381,16 +385,12 @@ def matsuki_data(f: Flag, p: int, q: int) -> MatsukiData:
         raise linalg.ShapeError("flag ambient dimension is not p + q")
     if f.shape != (1, n - 2):
         raise linalg.ShapeError("seven-count data is defined for flags of type (1, n-2)")
-    u_plus = Subspace.coordinate(n, range(p))
-    u_minus = Subspace.coordinate(n, range(p, n))
-    big, small = list(f.big.basis), list(f.small.basis)
-    big_plus = linalg.intersect(big, list(u_plus.basis))
-    big_minus = linalg.intersect(big, list(u_minus.basis))
-    c_plus, c_minus = len(big_plus), len(big_minus)
-    d_plus = len(linalg.intersect(small, list(u_plus.basis)))
-    d_minus = len(linalg.intersect(small, list(u_minus.basis)))
-    direct_sum = big_plus + big_minus
-    d_pm = len(linalg.intersect(small, direct_sum)) if direct_sum else 0
+    c_plus = n - 2 - linalg.rank([list(b[p:]) for b in f.big.basis])
+    c_minus = n - 2 - linalg.rank([list(b[:p]) for b in f.big.basis])
+    v = f.small.basis[0]
+    d_plus = int(not any(v[p:]))
+    d_minus = int(not any(v[:p]))
+    d_pm = int(f.big.contains(v[:p] + (Fraction(0),) * q))
     return MatsukiData(c_plus, c_minus, n - 2 - c_plus - c_minus,
                        d_plus, d_minus, 1 - d_plus - d_minus, d_pm)
 
@@ -497,30 +497,13 @@ def _perp_within(space: QuadraticSpace, ambient_sub: Subspace, vectors: Sequence
     return Subspace(space.dim, tuple(linalg.lll_reduce(linalg.row_space(ambient))))
 
 
-def _split_nulls_within(space: QuadraticSpace, start: Subspace,
-                        nulls: Sequence[Vector]) -> tuple[list[tuple[Vector, Vector]], Subspace]:
-    """Split each null vector into a +1/-1 pair inside `start`, peeling off planes.
-
-    Returns the list of (plus, minus) pairs with nulls[i] = plus + minus and
-    the orthogonal complement of all the planes within `start`.
-    """
-    current = start
-    pairs = []
-    for i, w in enumerate(nulls):
-        rest = list(nulls[i + 1:])
-        arena = _perp_within(space, current, rest)
-        plus, minus = lightlike_split(space, arena, w)
-        pairs.append((plus, minus))
-        current = _perp_within(space, current, [plus, minus])
-    return pairs, current
-
-
 def extend_nullsystem(space: QuadraticSpace, nulls: Sequence[Vector]) -> ScaledSystem:
     """Extend pairwise-orthogonal independent null vectors to a full scaled basis.
 
     The ambient form must be nondegenerate.  The result lists positives
     x_1..x_p then negatives y_1..y_q, with nulls[i] = x_i + y_i exactly and
-    <x_i, x_i> = -<y_i, y_i> > 0 for the split pairs.
+    <x_i, x_i> = -<y_i, y_i> > 0 for the split pairs: `extend_basis` of the
+    all-null system of span(nulls).
     """
     nulls = [vec(v) for v in nulls]
     if not space.is_nondegenerate():
@@ -530,15 +513,8 @@ def extend_nullsystem(space: QuadraticSpace, nulls: Sequence[Vector]) -> ScaledS
             raise PreconditionError("null vectors must be independent")
         if any(x for row in space.pairing(nulls, nulls) for x in row):
             raise PreconditionError("null vectors must be pairwise orthogonal and null")
-    pairs, remainder = _split_nulls_within(space, Subspace.full(space.dim), nulls)
-    fill = scaled_system(space, remainder) if remainder.dim else ScaledSystem((), ())
-    if fill.signature.nul:
-        raise PreconditionError("ambient form must be nondegenerate")
-    xs = [p for p, _ in pairs] + fill.positives()
-    ys = [m for _, m in pairs] + fill.negatives()
-    pos_norms = [space.inner(p, p) for p, _ in pairs] + [m for m in fill.norms if m > 0]
-    neg_norms = [space.inner(m, m) for _, m in pairs] + [m for m in fill.norms if m < 0]
-    return ScaledSystem(tuple(xs + ys), tuple(pos_norms + neg_norms))
+    return extend_basis(space, Subspace(space.dim, tuple(nulls)),
+                        ScaledSystem(tuple(nulls), (Fraction(0),) * len(nulls)))
 
 
 def extend_basis(space: QuadraticSpace, w: Subspace, w_system: ScaledSystem) -> ScaledSystem:
@@ -557,7 +533,8 @@ def extend_basis(space: QuadraticSpace, w: Subspace, w_system: ScaledSystem) -> 
     if w.ambient_dim != n:
         raise linalg.ShapeError("subspace ambient dimension mismatch")
     w_system.check(space)
-    if len(w_system.vectors) != w.dim or not all(w.contains(v) for v in w_system.vectors):
+    if (len(w_system.vectors) != w.dim
+            or linalg.rank([list(v) for v in w.basis + w_system.vectors]) != w.dim):
         raise PreconditionError("system is not a basis of the subspace")
 
     xs = w_system.positives()
@@ -577,9 +554,13 @@ def extend_basis(space: QuadraticSpace, w: Subspace, w_system: ScaledSystem) -> 
     u_basis = linalg.extend_to_independent(list(rad_v.basis), pool, n)[rad_v.dim:]
     u_sub = Subspace(n, tuple(u_basis))
 
+    # split each null into a +1/-1 pair, peeling its plane off the arena
     arena = _perp_within(space, u_sub, xs + ys)
-    pairs, remainder = _split_nulls_within(space, arena, z_split)
-    fill = scaled_system(space, remainder) if remainder.dim else ScaledSystem((), ())
+    pairs = []
+    for i, z in enumerate(z_split):
+        pairs.append(lightlike_split(space, _perp_within(space, arena, z_split[i + 1:]), z))
+        arena = _perp_within(space, arena, pairs[-1])
+    fill = scaled_system(space, arena) if arena.dim else ScaledSystem((), ())
     if fill.signature.nul:
         raise PreconditionError("complement of the radical is unexpectedly degenerate")
 
@@ -601,15 +582,16 @@ def subspaces_equivalent(space: QuadraticSpace, u_sub: Subspace, w_sub: Subspace
     """True iff some linear isometry of the space maps one subspace onto the other.
 
     Works for degenerate ambient forms: the criterion is equal signatures
-    plus equal intersection dimension with the ambient radical.
+    plus equal intersection dimension with the ambient radical.  That
+    dimension is dim U - rank <U, V> for the whole space V, and equal
+    signatures give equal dimensions, so the ranks are compared.
     """
     if u_sub.ambient_dim != space.dim or w_sub.ambient_dim != space.dim:
         raise linalg.ShapeError("subspace ambient dimension mismatch")
     if signature(space, u_sub) != signature(space, w_sub):
         return False
-    rad_v = space.ambient_radical()
-    if not rad_v.dim:
+    if space.is_nondegenerate():
         return True
-    cap_u = len(linalg.intersect(list(u_sub.basis), list(rad_v.basis)))
-    cap_w = len(linalg.intersect(list(w_sub.basis), list(rad_v.basis)))
-    return cap_u == cap_w
+    units = Subspace.full(space.dim).basis
+    return (linalg.rank(space.pairing(u_sub.basis, units))
+            == linalg.rank(space.pairing(w_sub.basis, units)))

@@ -49,7 +49,7 @@ class HeisenbergAlgebra:
     def __post_init__(self):
         if self.n < 4:
             raise UnsupportedSignatureError(
-                "the n = 3 Heisenberg algebra is out of scope; need n >= 4")
+                f"n = {self.n} is out of scope: the algebra h3 + R^(n-3) needs n >= 4")
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         """[e_i, e_j] as a coefficient vector."""

@@ -22,6 +22,8 @@ from typing import Iterable, Sequence
 Vector = tuple[Fraction, ...]
 Matrix = list[list[Fraction]]
 
+LLL_DELTA = Fraction(3, 4)  # Lovasz condition constant of `lll_reduce`
+
 
 class ShapeError(ValueError):
     """Malformed input: wrong dimensions or missing symmetry."""
@@ -376,38 +378,14 @@ def row_space(vectors: Sequence[Vector]) -> list[Vector]:
     return [primitive_vector(tuple(ech[r])) for r in range(len(pivots))]
 
 
-def intersect(span_a: Sequence[Vector], span_b: Sequence[Vector]) -> list[Vector]:
-    """Basis of span(A) cap span(B), independent of the bases chosen."""
-    if not span_a or not span_b:
-        return []
-    dims = {len(v) for v in span_a} | {len(v) for v in span_b}
-    if len(dims) != 1:
-        raise ShapeError("intersect requires vectors of a common ambient dimension")
-    a = list(span_a)
-    b = list(span_b)
-    # columns of [A | -B]; kernel elements give x with A x = B y
-    stacked = [[av[i] for av in a] + [-bv[i] for bv in b] for i in range(dims.pop())]
-    result = [combine(k[: len(a)], a) for k in kernel(stacked)]
-    return row_space([v for v in result if not is_zero_vector(v)])
-
-
-def in_span(v: Vector, vectors: Sequence[Vector]) -> bool:
-    if is_zero_vector(v):
-        return True
-    if not vectors:
-        return False
-    basis = list(vectors)
-    cols = [[bv[i] for bv in basis] for i in range(len(v))]
-    return solve(cols, v) is not None
-
-
-def lll_reduce(vectors: Sequence[Vector], delta: Fraction = Fraction(3, 4)) -> list[Vector]:
+def lll_reduce(vectors: Sequence[Vector]) -> list[Vector]:
     """Lattice-reduced integer basis with the same rational span.
 
-    Classic Lenstra-Lenstra-Lovasz reduction in exact arithmetic, applied to
-    the primitive integer forms of the input vectors.  Used to keep entries
-    small before expensive exact constructions; any basis of the span is as
-    good as any other for the callers.
+    Classic Lenstra-Lenstra-Lovasz reduction in exact arithmetic, with
+    Lovasz constant LLL_DELTA, applied to the primitive integer forms of the
+    input vectors.  Used to keep entries small before expensive exact
+    constructions; any basis of the span is as good as any other for the
+    callers.
     """
     b = [list(primitive_vector(v)) for v in vectors]
     n = len(b)
@@ -441,7 +419,7 @@ def lll_reduce(vectors: Sequence[Vector], delta: Fraction = Fraction(3, 4)) -> l
                 for i in range(j):
                     mu[k][i] -= q * mu[j][i]
                 mu[k][j] -= q
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+        if norms[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from . import linalg
-from .forms import Flag, Subspace
+from .forms import Flag, QuadraticSpace, Subspace
 from .linalg import Matrix, Vector
 
 
@@ -171,16 +171,14 @@ def random_flag(p: int, q: int, rng: random.Random,
 
 
 def random_gram(p: int, q: int, rng: random.Random) -> Matrix:
-    """Random Gram matrix of signature (p, q): pullback of the standard form
-    by an invertible matrix with columns from the small-vector pool."""
+    """Random Gram matrix h^T I_{p,q} h of signature (p, q), for an invertible h with
+    columns from the small-vector pool: one standard-form pairing of those columns."""
     n = p + q
     pool = small_vector_pool(n)
     while True:
         cols = [rng.choice(pool) for _ in range(n)]
-        h = [[cols[j][i] for j in range(n)] for i in range(n)]
-        if linalg.det(h) != 0:
-            ipq = standard_form_matrix(p, q)
-            return linalg.mat_mul(linalg.transpose(h), linalg.mat_mul(ipq, h))
+        if linalg.det([[cols[j][i] for j in range(n)] for i in range(n)]) != 0:
+            return QuadraticSpace.standard(p, q).pairing(cols, cols)
 
 
 def random_symmetric(n: int, rng: random.Random,

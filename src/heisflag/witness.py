@@ -4,7 +4,9 @@ Equality of orbit invariants is decided exactly; this module produces the
 constructive half: a matrix g in O(p, q) mapping one flag onto another.
 The construction builds, for each flag, an adapted basis of the whole space
 in which both flag parts occupy a fixed coefficient pattern depending only
-on the invariants.  Null directions are handled by hyperbolic pairs of
+on the invariants.  The part of the small radical inside rad(big) is read
+off one kernel of the pairing <big, nulls>, and both extensions, small to
+big and big to the whole space, are `forms.extend_basis`.  Null directions are handled by hyperbolic pairs of
 exact norm +-1, so the patterns survive the per-column normalization by
 square roots of the norm ratios.  Everything is exact until one rounding
 per entry: each square root is an integer square root at 256 fraction bits,
@@ -31,7 +33,6 @@ from .forms import (
     ScaledSystem,
     Subspace,
     flag_invariants,
-    radical,
     restrict,
     scaled_system,
     extend_basis,
@@ -101,6 +102,12 @@ def _rescale_frame(vectors: list[Vector], norms: list[Fraction],
     return vecs, ms
 
 
+def _nulls_in_radical(space: QuadraticSpace, big: Subspace, nulls: list[Vector]) -> list[Vector]:
+    """span(nulls) cap rad(big): the sums c_i z_i with c in the kernel of <big, nulls>."""
+    return linalg.row_space([linalg.combine(c, nulls)
+                             for c in linalg.kernel(space.pairing(big.basis, nulls))])
+
+
 def _adapted_frame(space: QuadraticSpace, f: Flag) -> tuple[list[Vector], list[Fraction]]:
     """Exact scaled basis of the whole space adapted to the flag.
 
@@ -108,19 +115,18 @@ def _adapted_frame(space: QuadraticSpace, f: Flag) -> tuple[list[Vector], list[F
     Both flag parts are spanned by fixed coefficient patterns in this basis,
     determined by the flag invariants alone.
     """
-    # lattice-reduced bases keep the exact construction well conditioned
-    small = Subspace(f.small.ambient_dim,
-                     tuple(linalg.lll_reduce(linalg.row_space(list(f.small.basis)))))
+    # a lattice-reduced big basis keeps the exact construction well
+    # conditioned; scaled_system reduces the small basis itself
     big = Subspace(f.big.ambient_dim,
                    tuple(linalg.lll_reduce(linalg.row_space(list(f.big.basis)))))
 
     # system of the small part, its null block reordered so that the
     # rad(big) members come last
+    small = Subspace(space.dim, tuple(linalg.row_space(list(f.small.basis))))
     sys_small = scaled_system(space, small)
-    rad_big = radical(space, big)
     nulls = sys_small.nulls()
-    if nulls:
-        cap = linalg.intersect(nulls, list(rad_big.basis)) if rad_big.dim else []
+    cap = _nulls_in_radical(space, big, nulls) if nulls else []
+    if cap:
         reordered = linalg.extend_to_independent(cap, nulls, len(nulls))
         nulls = reordered[len(cap):] + reordered[: len(cap)]
     sys_small = ScaledSystem(
@@ -144,7 +150,7 @@ def _adapted_frame(space: QuadraticSpace, f: Flag) -> tuple[list[Vector], list[F
 
     # hyperbolic-pair slots carry the sum patterns of both flag parts
     s_sm, t_sm = len(sys_small.positives()), len(sys_small.negatives())
-    u_sm, k_cap = len(sys_small.nulls()), len(cap) if nulls else 0
+    u_sm, k_cap = len(sys_small.nulls()), len(cap)
     s_bg, t_bg = len(sys_big.positives()), len(sys_big.negatives())
     u_bg = len(sys_big.nulls())
     p_full = len(full.positives())

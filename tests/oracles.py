@@ -24,7 +24,14 @@ Deliberately separate from the package's fast paths:
   elimination, which builds P on every multiplier and which the
   Schur-update `linalg.congruence_diagonalize` replaced; the classification
   from two such eliminations (whole matrix, then the negated center block);
-  and `act_on_metric` as two dense products, which one pairing replaced.
+  and `act_on_metric` as two dense products, which one pairing replaced;
+- intersections: `intersect` (a kernel of the stacked bases, a combination
+  and a row space) and the one-solve `in_span`, with the flag invariants,
+  seven counts, subspace equivalence and witness frame cap computed from
+  them, which `heisflag.forms` and `heisflag.witness` now read off one rank
+  or one kernel; and `extend_nullsystem` with its own null-splitting loop,
+  which is now one `forms.extend_basis` call;
+- `random_gram` as two dense products h^T I h, which one pairing replaced.
 Used to pin expected values before trusting the main engine.
 """
 
@@ -47,12 +54,19 @@ from heisflag.forms import (
     Flag,
     FlagInvariants,
     LineSignature,
+    MatsukiData,
     PreconditionError,
+    ScaledSystem,
     Signature,
     Subspace,
+    _perp_within,
+    lightlike_split,
+    radical,
+    scaled_system,
+    signature,
 )
 from heisflag.heisenberg import Classification, UnsupportedSignatureError, admissible_classes
-from heisflag.sampling import small_vector_pool
+from heisflag.sampling import small_vector_pool, standard_form_matrix
 
 
 def structure_constants(n):
@@ -337,6 +351,18 @@ def random_opq(p, q, rng):
 def mild_opq(p, q, rng):
     g = linalg.mat_mul(plane_cayley_opq(p, q, rng), plane_cayley_opq(p, q, rng))
     return linalg.mat_mul(signed_permutation_opq(p, q, rng), g)
+
+
+def random_gram(p, q, rng):
+    """h^T I_{p,q} h for an invertible h with columns from the small pool, as two products."""
+    n = p + q
+    pool = small_vector_pool(n)
+    while True:
+        cols = [rng.choice(pool) for _ in range(n)]
+        h = [[cols[j][i] for j in range(n)] for i in range(n)]
+        if linalg.det(h) != 0:
+            ipq = standard_form_matrix(p, q)
+            return linalg.mat_mul(linalg.transpose(h), linalg.mat_mul(ipq, h))
 
 
 def random_flag(p, q, rng):
@@ -626,7 +652,7 @@ def rank_loop_extend_to_independent(base, pool, target_rank):
 
 def per_vector_contains_subspace(big, small):
     """Containment by one linear solve per basis vector of `small`."""
-    return all(linalg.in_span(v, big.basis) for v in small.basis)
+    return all(in_span(v, big.basis) for v in small.basis)
 
 
 def recomputing_lll_reduce(vectors, delta=Fraction(3, 4)):
@@ -767,3 +793,104 @@ def two_call_classify(alg, gram):
         if row.center_signature(p, q) == center_sig and row.refined == refined:
             return Classification(p, q, swapped, row, center_sig, refined)
     raise AssertionError(f"no taxonomy row matches center signature {center_sig}, {refined}")
+
+
+def intersect(span_a, span_b):
+    """Basis of span(A) cap span(B): the kernel of [A | -B], combined, as a row space."""
+    if not span_a or not span_b:
+        return []
+    dims = {len(v) for v in span_a} | {len(v) for v in span_b}
+    if len(dims) != 1:
+        raise linalg.ShapeError("intersect requires vectors of a common ambient dimension")
+    a = list(span_a)
+    b = list(span_b)
+    # columns of [A | -B]; kernel elements give x with A x = B y
+    stacked = [[av[i] for av in a] + [-bv[i] for bv in b] for i in range(dims.pop())]
+    result = [linalg.combine(k[: len(a)], a) for k in linalg.kernel(stacked)]
+    return linalg.row_space([v for v in result if not linalg.is_zero_vector(v)])
+
+
+def in_span(v, vectors):
+    """Membership by one linear solve against the given vectors."""
+    if linalg.is_zero_vector(v):
+        return True
+    if not vectors:
+        return False
+    basis = list(vectors)
+    cols = [[bv[i] for bv in basis] for i in range(len(v))]
+    return linalg.solve(cols, v) is not None
+
+
+def intersect_flag_invariants(space, f):
+    """Flag invariants with dim(small cap rad big) from `intersect` and the radical of big."""
+    if f.big.ambient_dim != space.dim:
+        raise linalg.ShapeError("flag ambient dimension mismatch")
+    if not space.is_nondegenerate():
+        raise PreconditionError("flag invariants require a nondegenerate ambient form")
+    rad_big = radical(space, f.big)
+    return FlagInvariants(signature(space, f.big), signature(space, f.small),
+                          len(intersect(list(f.small.basis), list(rad_big.basis))))
+
+
+def intersect_matsuki_data(f, p, q):
+    """The seven counts from intersections with the coordinate subspaces U+ and U-."""
+    n = p + q
+    if f.shape != (1, n - 2):
+        raise linalg.ShapeError("seven-count data is defined for flags of type (1, n-2)")
+    u_plus = Subspace.coordinate(n, range(p))
+    u_minus = Subspace.coordinate(n, range(p, n))
+    big, small = list(f.big.basis), list(f.small.basis)
+    big_plus = intersect(big, list(u_plus.basis))
+    big_minus = intersect(big, list(u_minus.basis))
+    c_plus, c_minus = len(big_plus), len(big_minus)
+    d_plus = len(intersect(small, list(u_plus.basis)))
+    d_minus = len(intersect(small, list(u_minus.basis)))
+    direct_sum = big_plus + big_minus
+    d_pm = len(intersect(small, direct_sum)) if direct_sum else 0
+    return MatsukiData(c_plus, c_minus, n - 2 - c_plus - c_minus,
+                       d_plus, d_minus, 1 - d_plus - d_minus, d_pm)
+
+
+def intersect_subspaces_equivalent(space, u_sub, w_sub):
+    """Equal signatures and equal intersection dimensions with the ambient radical."""
+    if signature(space, u_sub) != signature(space, w_sub):
+        return False
+    rad_v = space.ambient_radical()
+    if not rad_v.dim:
+        return True
+    cap_u = len(intersect(list(u_sub.basis), list(rad_v.basis)))
+    cap_w = len(intersect(list(w_sub.basis), list(rad_v.basis)))
+    return cap_u == cap_w
+
+
+def intersect_frame_cap(space, big, nulls):
+    """span(nulls) cap rad(big) as `intersect` of the nulls with the radical of big."""
+    rad_big = radical(space, big)
+    return intersect(nulls, list(rad_big.basis)) if rad_big.dim else []
+
+
+def split_loop_extend_nullsystem(space, nulls):
+    """Extend orthogonal null vectors by splitting each inside the full space, one by one."""
+    nulls = [linalg.vec(v) for v in nulls]
+    if not space.is_nondegenerate():
+        raise PreconditionError("ambient form must be nondegenerate")
+    if nulls:
+        if linalg.rank([list(v) for v in nulls]) != len(nulls):
+            raise PreconditionError("null vectors must be independent")
+        if any(x for row in space.pairing(nulls, nulls) for x in row):
+            raise PreconditionError("null vectors must be pairwise orthogonal and null")
+    current = Subspace.full(space.dim)
+    pairs = []
+    for i, w in enumerate(nulls):
+        arena = _perp_within(space, current, nulls[i + 1:])
+        plus, minus = lightlike_split(space, arena, w)
+        pairs.append((plus, minus))
+        current = _perp_within(space, current, [plus, minus])
+    fill = scaled_system(space, current) if current.dim else ScaledSystem((), ())
+    if fill.signature.nul:
+        raise PreconditionError("ambient form must be nondegenerate")
+    xs = [p for p, _ in pairs] + fill.positives()
+    ys = [m for _, m in pairs] + fill.negatives()
+    pos_norms = [space.inner(p, p) for p, _ in pairs] + [m for m in fill.norms if m > 0]
+    neg_norms = [space.inner(m, m) for _, m in pairs] + [m for m in fill.norms if m < 0]
+    return ScaledSystem(tuple(xs + ys), tuple(pos_norms + neg_norms))

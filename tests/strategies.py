@@ -1,0 +1,176 @@
+"""Hypothesis strategies for flags and null systems, biased toward degenerate cases.
+
+Generic random inputs almost never have a degenerate big part, a line in its
+radical or a part supported on one coordinate block, yet those are the cases
+where intersection counts are nonzero.  These strategies build them on
+purpose in the standard space of signature (p, q).
+"""
+
+import random
+from fractions import Fraction as F
+
+from hypothesis import strategies as st
+
+from heisflag import linalg, sampling
+from heisflag.forms import Flag, QuadraticSpace, Subspace
+
+COEFFS = st.sampled_from([0, 0, 1, -1, 2])
+
+
+def unit(n, i):
+    return tuple(F(1) if j == i else F(0) for j in range(n))
+
+
+def _grow(draw, base, candidates, fallback, target):
+    """Add drawn candidates that raise the rank, then complete from `fallback`."""
+    chosen = list(base)
+    for _ in range(2 * target):
+        if len(chosen) == target:
+            break
+        cand = draw(candidates)
+        if linalg.rank([list(v) for v in chosen] + [list(cand)]) > len(chosen):
+            chosen.append(cand)
+    if len(chosen) < target:
+        chosen = linalg.extend_to_independent(chosen, fallback, target)
+    return chosen
+
+
+@st.composite
+def degenerate_flags(draw, codim_two=False):
+    """(p, q, flag) with n = p + q in 4..7.
+
+    The big part is built inside the orthogonal complement of zero, one or
+    two disjoint null vectors e_i +- e_{p+j}, which then lie in its radical.
+    Its other vectors are unit vectors (supported on one block) or small
+    combinations of a basis of that complement.  The small part is drawn
+    from radical lines, big basis vectors and combinations of them.  With
+    `codim_two` the shape is (1, n-2); otherwise any shape (k1, k2) with
+    1 <= k1 < k2.  Some flags are then moved by an exact isometry.
+    """
+    n = draw(st.integers(4, 7))
+    p = draw(st.sampled_from([0, n] + 3 * list(range(1, n))))
+    q = n - p
+    space = QuadraticSpace.standard(p, q)
+    rad_dim = min(draw(st.sampled_from([0, 1, 1, 2, 2])), p, q)
+    plus = draw(st.permutations(range(p)))[:rad_dim]
+    minus = draw(st.permutations(range(p, n)))[:rad_dim]
+    rs = [linalg.vec_add(unit(n, i), linalg.vec_scale(draw(st.sampled_from([1, -1])), unit(n, j)))
+          for i, j in zip(plus, minus)]
+    units = [unit(n, i) for i in range(n)]
+    perp = linalg.kernel(space.pairing(rs, units)) if rs else units
+    if codim_two:
+        k2 = n - 2
+    else:
+        k2 = draw(st.integers(max(2, rad_dim), n - rad_dim))
+    outside = [u for i, u in enumerate(units) if i not in plus and i not in minus]
+    combos = st.lists(COEFFS, min_size=len(perp), max_size=len(perp)).map(
+        lambda c: linalg.combine(c, perp))
+    big_basis = _grow(draw, rs, st.sampled_from(outside) | combos if outside else combos, perp, k2)
+    big = Subspace(n, tuple(big_basis))
+
+    k1 = 1 if codim_two else draw(st.integers(1, k2 - 1))
+    line_choices = [st.sampled_from(big_basis),
+                    st.lists(COEFFS, min_size=k2, max_size=k2).map(
+                        lambda c: linalg.combine(c, big_basis))]
+    if rs:
+        line_choices.append(st.lists(COEFFS, min_size=len(rs), max_size=len(rs)).map(
+            lambda c: linalg.combine(c, rs)))
+    small_basis = _grow(draw, [], st.one_of(line_choices), big_basis, k1)
+    f = Flag(Subspace(n, tuple(small_basis)), big)
+    if p and q and draw(st.integers(0, 3)) == 0:
+        g = sampling.mild_opq(p, q, random.Random(draw(st.integers(0, 99))))
+        f = sampling.apply_to_flag(g, f)
+    return p, q, f
+
+
+@st.composite
+def null_systems(draw):
+    """(space, nulls): pairwise orthogonal null vectors, and some invalid inputs.
+
+    The space is the standard one or its pullback by an invertible integer
+    matrix h, whose nulls are h^-1 of standard ones.  A fraction of draws is
+    made invalid on purpose: a repeated null, two nulls that pair, a non-null
+    vector, or a degenerate ambient form.
+    """
+    p = draw(st.integers(1, 4))
+    q = draw(st.integers(1, 4))
+    n = p + q
+    k = min(p, q, draw(st.sampled_from([0, 1, 2, 2, 3, 4])))
+    plus = draw(st.permutations(range(p)))[:k]
+    minus = draw(st.permutations(range(p, n)))[:k]
+    signs = [draw(st.sampled_from([1, -1])) for _ in range(k)]
+    nulls = [linalg.vec_scale(draw(st.sampled_from([1, 2, -3])),
+                              linalg.vec_add(unit(n, i), linalg.vec_scale(s, unit(n, j))))
+             for i, j, s in zip(plus, minus, signs)]
+    fault = draw(st.sampled_from([None, None, None, "repeat", "pairing", "non-null", "degenerate"]))
+    if fault == "repeat" and nulls:
+        nulls.append(nulls[0])
+    elif fault == "pairing" and nulls:
+        # the other null of the hyperbolic plane pairs to 2 with the first
+        partner = linalg.vec_scale(signs[0], unit(n, minus[0]))
+        nulls.append(linalg.vec_sub(unit(n, plus[0]), partner))
+    elif fault == "non-null":
+        nulls.append(unit(n, 0))
+    space = QuadraticSpace.standard(p, q)
+    kind = draw(st.sampled_from(["standard", "moved", "pulled back"]))
+    if kind == "moved":
+        g = sampling.mild_opq(p, q, random.Random(draw(st.integers(0, 99))))
+        nulls = [linalg.mat_vec(g, v) for v in nulls]
+    elif kind == "pulled back":
+        rng = random.Random(draw(st.integers(0, 99)))
+        pool = sampling.small_vector_pool(n)
+        while True:
+            cols = [rng.choice(pool) for _ in range(n)]
+            h = [[cols[j][i] for j in range(n)] for i in range(n)]
+            if linalg.det(h) != 0:
+                break
+        nulls = [linalg.solve(h, v) for v in nulls]
+        space = QuadraticSpace.from_matrix(space.pairing(cols, cols))
+    if fault == "degenerate":
+        gram = space.gram_matrix
+        gram[0] = [F(0)] * n
+        for row in gram:
+            row[0] = F(0)
+        space = QuadraticSpace.from_matrix(gram)
+    return space, nulls
+
+
+@st.composite
+def degenerate_spaces_and_subspaces(draw):
+    """(space, subspaces) for a Gram matrix diag(+1 x a, -1 x b, 0 x z), z = 0..2,
+    possibly pulled back by an invertible integer matrix h.
+
+    The subspaces are spanned by unit vectors, radical units and lightlike
+    vectors e_i +- e_{a+j}; a radical line and a lightlike one, which share a
+    signature but not their radical intersection, are always among them
+    when the form has both.
+    """
+    a = draw(st.integers(0, 3))
+    b = draw(st.integers(0, 3))
+    z = draw(st.sampled_from([0, 1, 1, 2, 2]))
+    n = a + b + z
+    if n == 0:
+        a = 1
+        n = 1
+    gram = linalg.diag([1] * a + [-1] * b + [0] * (n - a - b))
+    candidates = [unit(n, i) for i in range(n)]
+    candidates += [linalg.vec_add(unit(n, i), linalg.vec_scale(s, unit(n, j)))
+                   for i in range(a) for j in range(a, a + b) for s in (1, -1)]
+    candidates += [linalg.vec_add(u, unit(n, k)) for u in candidates[n:] for k in range(a + b, n)]
+    vector_lists = st.lists(st.sampled_from(candidates), min_size=1, max_size=min(n, 3))
+    spans = [draw(vector_lists) for _ in range(draw(st.integers(2, 5)))]
+    if a and b and n > a + b:
+        # same signature, radical intersections 1 and 0
+        rad, light = unit(n, n - 1), linalg.vec_add(unit(n, 0), unit(n, a))
+        spans += [[rad], [light]] + ([[rad, unit(n, 1)], [light, unit(n, 1)]] if a > 1 else [])
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 99)))
+        pool = sampling.small_vector_pool(n)
+        while True:
+            cols = [rng.choice(pool) for _ in range(n)]
+            h = [[cols[j][i] for j in range(n)] for i in range(n)]
+            if linalg.det(h) != 0:
+                break
+        gram = QuadraticSpace.from_matrix(gram).pairing(cols, cols)
+        spans = [[linalg.solve(h, v) for v in span] for span in spans]
+    return QuadraticSpace.from_matrix(gram), [Subspace.spanned_by(span, n) for span in spans]

@@ -68,8 +68,9 @@ def test_classify_rejections():
         classify_metric(alg, linalg.diag([1, 1, 0, -1]))
     with pytest.raises(PreconditionError):
         classify_metric(alg, linalg.diag([1, 1, -1]))
-    with pytest.raises(UnsupportedSignatureError):
-        HeisenbergAlgebra(3)
+    for n in (3, 2):
+        with pytest.raises(UnsupportedSignatureError, match=f"n = {n} is out of scope"):
+            HeisenbergAlgebra(n)
 
 
 def test_admissible_tables_match_fixture():

@@ -184,6 +184,8 @@ def test_curvature_single_class(capsys):
     assert code == 0
     assert "class 21:" in out and "flat: true" in out
     assert run_cli(capsys, "curvature", "2", "2", "--class-id", "1")[0] == 2
+    code, out, err = run_cli(capsys, "curvature", "2", "2", "--class-id", "0")
+    assert code == 2 and "class 0 " in err and "class " not in out
 
 
 # -- verify -----------------------------------------------------------------

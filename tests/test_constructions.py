@@ -4,7 +4,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
+import oracles
+import strategies
 from heisflag import linalg
 from heisflag.forms import (
     PreconditionError,
@@ -162,6 +165,21 @@ def test_extend_nullsystem_random():
         done += 1
 
 
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except (PreconditionError, linalg.ShapeError) as ex:
+        return type(ex), str(ex)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=strategies.null_systems())
+def test_extend_nullsystem_agrees_with_split_loop_oracle(data):
+    space, nulls = data
+    assert (outcome(extend_nullsystem, space, nulls)
+            == outcome(oracles.split_loop_extend_nullsystem, space, nulls))
+
+
 def test_extend_basis_example():
     w = Subspace(4, (unit(0), linalg.vec_add(unit(1), unit(3))))
     w_sys = ScaledSystem((unit(0), linalg.vec_add(unit(1), unit(3))), (F(1), F(0)))
@@ -171,6 +189,8 @@ def test_extend_basis_example():
     alphas, betas = full.positives(), full.negatives()
     assert alphas[0] == unit(0)
     assert linalg.vec_add(alphas[1], betas[0]) == linalg.vec_add(unit(1), unit(3))
+    with pytest.raises(PreconditionError, match="not a basis"):
+        extend_basis(SP22, Subspace(4, (unit(0), unit(2))), w_sys)
 
 
 def test_extend_basis_trivial_cases():

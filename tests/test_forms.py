@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import strategies
 from heisflag import linalg, sampling
 from heisflag.forms import (
     Flag,
@@ -25,6 +26,7 @@ from heisflag.forms import (
     refined_line_signature,
     restrict,
     signature,
+    subspaces_equivalent,
 )
 
 SP22 = QuadraticSpace.standard(2, 2)
@@ -104,7 +106,7 @@ def test_radical_agrees_with_kernel_oracle(data):
         rad_big = oracles.kernel_radical(space, f.big)
         assert flag_invariants(space, f) == FlagInvariants(
             signature(space, f.big), signature(space, f.small),
-            len(linalg.intersect(list(f.small.basis), list(rad_big.basis))))
+            len(oracles.intersect(list(f.small.basis), list(rad_big.basis))))
 
 
 def test_refined_line_signature_examples():
@@ -301,3 +303,43 @@ def test_pairing_rejects_wrong_lengths_and_takes_empty_lists():
         SP22.pairing([unit(0, 3)], [unit(0)])
     with pytest.raises(linalg.ShapeError):
         SP22.inner(unit(0), unit(0, 5))
+
+
+# ---------------------------------------------------------------------------
+# intersections read off one rank: differential tests against the intersect oracles
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=strategies.degenerate_flags())
+def test_flag_invariants_agree_with_intersect_oracle(data):
+    p, q, f = data
+    space = QuadraticSpace.standard(p, q)
+    assert flag_invariants(space, f) == oracles.intersect_flag_invariants(space, f)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=strategies.degenerate_flags(codim_two=True))
+def test_matsuki_data_agrees_with_intersect_oracle(data):
+    p, q, f = data
+    assert matsuki_data(f, p, q) == oracles.intersect_matsuki_data(f, p, q)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=strategies.degenerate_spaces_and_subspaces())
+def test_subspaces_equivalent_agrees_with_intersect_oracle(data):
+    space, parts = data
+    for u in parts:
+        for w in parts:
+            assert subspaces_equivalent(space, u, w) == oracles.intersect_subspaces_equivalent(
+                space, u, w)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=degenerate_gram_and_vectors())
+def test_contains_agrees_with_in_span_oracle(data):
+    space, vectors = data
+    w = Subspace.spanned_by(vectors[: len(vectors) // 2], space.dim)
+    for v in vectors + [linalg.vec([0] * space.dim)]:
+        assert w.contains(v) == oracles.in_span(v, w.basis)
+    with pytest.raises(linalg.ShapeError):
+        w.contains(linalg.vec([0] * (space.dim + 1)))

@@ -7,7 +7,8 @@ import pytest
 import oracles
 from heisflag import sampling
 
-SAMPLERS = ("cayley_opq", "plane_cayley_opq", "mild_opq", "random_opq", "random_flag")
+SAMPLERS = ("cayley_opq", "plane_cayley_opq", "mild_opq", "random_opq", "random_flag",
+            "random_gram")
 
 
 @pytest.mark.parametrize("name", SAMPLERS)

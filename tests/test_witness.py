@@ -9,11 +9,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import heisflag
 import oracles
+import strategies
 from heisflag import linalg, sampling, witness
-from heisflag.forms import Flag, QuadraticSpace, Subspace, flag_invariants, flags_equivalent
+from heisflag.forms import (
+    Flag,
+    QuadraticSpace,
+    Subspace,
+    flag_invariants,
+    flags_equivalent,
+    scaled_system,
+)
 from heisflag.heisenberg import admissible_classes, representative_flag
 from heisflag.witness import (
     InequivalentFlagsError,
@@ -180,3 +189,17 @@ except ImportError:
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=strategies.degenerate_flags())
+def test_frame_cap_agrees_with_intersect_oracle(data):
+    p, q, f = data
+    space = QuadraticSpace.standard(p, q)
+    n = p + q
+    big = Subspace(n, tuple(linalg.lll_reduce(linalg.row_space(list(f.big.basis)))))
+    for part in (f.small, big):
+        nulls = scaled_system(space, part).nulls()
+        if nulls:
+            assert (witness._nulls_in_radical(space, big, nulls)
+                    == oracles.intersect_frame_cap(space, big, nulls))
