@@ -68,7 +68,13 @@ def _parse_flag_spec(spec: str, small_count: int) -> Flag:
         raise MatrixFormatError("flag spec needs more vectors than the small part")
     n = len(vectors[0])
     small = Subspace.spanned_by(vectors[:small_count], n)
+    if small.dim < small_count:
+        raise MatrixFormatError(f"the {small_count} small-part vectors of the flag spec are "
+                                f"linearly dependent (rank {small.dim})")
     big = Subspace.spanned_by(vectors, n)
+    if big.dim < len(vectors):
+        raise MatrixFormatError(f"the {len(vectors)} flag spec vectors are linearly dependent "
+                                f"(rank {big.dim})")
     return Flag(small, big)
 
 
@@ -139,6 +145,9 @@ def _expected_count(p: int, q: int) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
+        return EXIT_MALFORMED
     try:
         table = admissible_classes(args.p, args.q)
     except PreconditionError as ex:

@@ -437,19 +437,17 @@ def _first_nonzero_index(v: Vector) -> int:
 def scaled_system(space: QuadraticSpace, w: Subspace) -> ScaledSystem:
     """Orthogonal basis of W with norms ordered positive, negative, zero.
 
-    The zero-norm vectors automatically span the radical of W.  Within each
+    W's basis is diagonalized as given, by one congruence of its Gram
+    matrix; callers that want small entries hand in a reduced basis.  The
+    zero-norm vectors automatically span the radical of W.  Within each
     sign group, vectors are ordered by the position of their first nonzero
     coordinate, which makes the output deterministic.
     """
-    basis = linalg.lll_reduce(list(w.basis)) if w.dim else []
-    res = linalg.congruence_diagonalize(
-        restrict(space, Subspace(space.dim, tuple(basis))) if basis else [])
-    k = w.dim
+    res = linalg.congruence_diagonalize(restrict(space, w))
     cols = []
-    for j in range(k):
-        coeffs = [res.transform[i][j] for i in range(k)]
-        reduced = linalg.primitive_vector(linalg.combine(coeffs, basis))
-        cols.append((reduced, space.inner(reduced, reduced)))
+    for coeffs in linalg.transpose(res.transform):
+        v = linalg.primitive_vector(linalg.combine(coeffs, w.basis))
+        cols.append((v, space.inner(v, v)))
     ordered = sorted(
         cols,
         key=lambda vm: (0 if vm[1] > 0 else (1 if vm[1] < 0 else 2),
@@ -560,7 +558,7 @@ def extend_basis(space: QuadraticSpace, w: Subspace, w_system: ScaledSystem) -> 
     for i, z in enumerate(z_split):
         pairs.append(lightlike_split(space, _perp_within(space, arena, z_split[i + 1:]), z))
         arena = _perp_within(space, arena, pairs[-1])
-    fill = scaled_system(space, arena) if arena.dim else ScaledSystem((), ())
+    fill = scaled_system(space, arena)
     if fill.signature.nul:
         raise PreconditionError("complement of the radical is unexpectedly degenerate")
 

@@ -67,10 +67,6 @@ class HeisenbergAlgebra:
         out[0] = coef
         return tuple(out)
 
-    @property
-    def center(self) -> Subspace:
-        return Subspace.coordinate(self.n, range(self.n - 2))
-
 
 # ---------------------------------------------------------------------------
 # the 21-row taxonomy

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -268,34 +268,53 @@ def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceR
     return CongruenceResult(tuple(a[k][k] for k in range(n)), leading_counts, tuple(moves))
 
 
-def _echelon(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    a = copy(m)
+def _forward(m: Matrix) -> tuple[Matrix, list[int], int]:
+    """One forward elimination: row echelon rows, pivot columns, swap parity.
+
+    Pivot rows stay unnormalized and only rows below a pivot are cleared, so
+    a square matrix's determinant is its pivots' product times the parity.
+    """
+    a = [list(row) for row in m]  # rows may come in as tuples
     rows, cols = shape(a)
     pivots: list[int] = []
-    r = 0
+    parity = 1
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
         if pr is None:
             continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        if pr != r:
+            a[r], a[pr] = a[pr], a[r]
+            parity = -parity
+        prow = a[r]
+        pivot = prow[c]
+        for i in range(r + 1, rows):
+            if a[i][c] != 0:
+                f = a[i][c] / pivot
+                # entries left of column c are zero in both rows
+                a[i][c:] = [x - f * y for x, y in zip(a[i][c:], prow[c:])]
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    return a, pivots, parity
+
+
+def _echelon(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and pivot columns: `_forward`, then back substitution."""
+    a, pivots, _ = _forward(m)
+    for r, c in reversed(list(enumerate(pivots))):
+        inv = 1 / a[r][c]
+        prow = a[r] = [x * inv for x in a[r]]
+        for i in range(r):
+            f = a[i][c]
+            if f != 0:
+                a[i][c:] = [x - f * y for x, y in zip(a[i][c:], prow[c:])]
     return a, pivots
 
 
 def rank(m: Matrix) -> int:
-    if not m:
-        return 0
-    return len(_echelon(m)[1])
+    """Number of pivots of one forward elimination."""
+    return len(_forward(m)[1])
 
 
 def kernel(m: Matrix) -> list[Vector]:
@@ -304,9 +323,7 @@ def kernel(m: Matrix) -> list[Vector]:
     Empty iff M has full column rank.  Basis vectors are normalized to
     coprime integer entries with positive leading entry.
     """
-    rows, cols = shape(m)
-    if rows == 0 or cols == 0:
-        return [vec(e) for e in identity(cols)] if cols else []
+    cols = shape(m)[1]
     ech, pivots = _echelon(m)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
@@ -320,25 +337,14 @@ def kernel(m: Matrix) -> list[Vector]:
 
 
 def det(m: Matrix) -> Fraction:
+    """Product of the pivots of one forward elimination, times its swap parity."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ShapeError("determinant requires a square matrix")
-    a = copy(m)
-    result = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            result = -result
-        result *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return result
+    ech, pivots, parity = _forward(m)
+    if len(pivots) < n:
+        return Fraction(0)
+    return prod((ech[r][c] for r, c in enumerate(pivots)), start=Fraction(parity))
 
 
 def invert(m: Matrix) -> Matrix:
@@ -359,9 +365,6 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
         raise ShapeError("right-hand side length does not match row count")
     aug = [row[:] + [bv] for row, bv in zip(a, b)]
     ech, pivots = _echelon(aug)
-    for r in range(len(pivots), rows):
-        if ech[r][cols] != 0:
-            return None
     if pivots and pivots[-1] == cols:
         return None
     x = [Fraction(0)] * cols
@@ -372,8 +375,6 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
 
 def row_space(vectors: Sequence[Vector]) -> list[Vector]:
     """Canonical basis of the span: RREF rows rescaled to coprime integers."""
-    if not vectors:
-        return []
     ech, pivots = _echelon([list(v) for v in vectors])
     return [primitive_vector(tuple(ech[r])) for r in range(len(pivots))]
 
@@ -385,12 +386,10 @@ def lll_reduce(vectors: Sequence[Vector]) -> list[Vector]:
     Lovasz constant LLL_DELTA, applied to the primitive integer forms of the
     input vectors.  Used to keep entries small before expensive exact
     constructions; any basis of the span is as good as any other for the
-    callers.
+    callers.  Raises ShapeError when the vectors are linearly dependent.
     """
     b = [list(primitive_vector(v)) for v in vectors]
     n = len(b)
-    if n <= 1:
-        return [tuple(row) for row in b]
 
     def dot(u, v):
         return sum(x * y for x, y in zip(u, v))
@@ -404,8 +403,11 @@ def lll_reduce(vectors: Sequence[Vector]) -> list[Vector]:
             for j in range(i):
                 mu[i][j] = dot(b[i], star[j]) / norms[j]
                 w = [x - mu[i][j] * y for x, y in zip(w, star[j])]
+            norm = dot(w, w)
+            if norm == 0:
+                raise ShapeError("lll_reduce: the vectors must be linearly independent")
             star.append(w)
-            norms.append(dot(w, w))
+            norms.append(norm)
         return mu, norms
 
     mu, norms = gram_schmidt()
@@ -432,10 +434,10 @@ def extend_to_independent(base: Sequence[Vector], pool: Sequence[Vector],
                           target_rank: int) -> list[Vector]:
     """Grow `base` by vectors from `pool` until the span has the target rank.
 
-    Takes the first pool pivots of one echelon of the columns [base | pool]:
-    each pool vector outside the span of all the columns before it, in order.
+    Takes the first pool pivots of one forward elimination of the columns
+    [base | pool]: each pool vector outside the span of the columns before it.
     """
-    pivots = _echelon(transpose(list(base) + list(pool)))[1]
+    pivots = _forward(transpose(list(base) + list(pool)))[1]
     from_pool = [c - len(base) for c in pivots if c >= len(base)]
     need = target_rank - (len(pivots) - len(from_pool))
     if need < 0 or need > len(from_pool):

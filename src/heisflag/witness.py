@@ -6,12 +6,15 @@ The construction builds, for each flag, an adapted basis of the whole space
 in which both flag parts occupy a fixed coefficient pattern depending only
 on the invariants.  The part of the small radical inside rad(big) is read
 off one kernel of the pairing <big, nulls>, and both extensions, small to
-big and big to the whole space, are `forms.extend_basis`.  Null directions are handled by hyperbolic pairs of
-exact norm +-1, so the patterns survive the per-column normalization by
-square roots of the norm ratios.  Everything is exact until one rounding
-per entry: each square root is an integer square root at 256 fraction bits,
-each entry of g is summed exactly from those, and only the finished entry is
-rounded to binary64.
+big and big to the whole space, are `forms.extend_basis`.  Null directions
+are handled by hyperbolic pairs of opposite norms, so the patterns survive
+the per-column scaling by square roots of the norm ratios.  Frames are
+oriented, never rescaled: g = C1 . diag(sqrt(m2 / m1)) . C2^{-1} does not
+change when a column of either frame is scaled by a positive factor,
+because its norm, and so its square root, absorbs that factor.  Everything
+is exact until one rounding per entry: each square root is an integer
+square root at 256 fraction bits, each entry of g is summed exactly from
+those, and only the finished entry is rounded to binary64.
 
 Residuals are always checked: a witness outside tolerance raises instead of
 being returned silently.
@@ -67,39 +70,20 @@ def describe_inequivalence(inv1: FlagInvariants, inv2: FlagInvariants) -> str | 
     return None
 
 
-def _rescale_frame(vectors: list[Vector], norms: list[Fraction],
-                   pair_slots: list[tuple[int, int]]) -> tuple[list[Vector], list[Fraction]]:
-    """Rescale frame columns to primitive integer vectors, norms adjusted.
+def _orient_frame(vectors: list[Vector], pair_slots: list[tuple[int, int]]) -> list[Vector]:
+    """Frame columns with positive leading entries; their norms are unchanged.
 
-    Hyperbolic-pair slots are rescaled by a common factor so that the fixed
-    sum patterns spanning the flag parts survive; this keeps the later float
-    arithmetic well conditioned without touching any span.
+    A column whose leading entry is negative is negated.  A hyperbolic pair
+    is negated jointly, going by its first member, so that the sum patterns
+    spanning the flag parts survive.  No column is rescaled: scaling one by
+    a > 0 scales its norm by a^2, and the square root of the norm ratio in g
+    absorbs the factor a.
     """
-    vecs = list(vectors)
-    ms = list(norms)
-    paired: set[int] = set()
-
-    def factor(old: Vector, new: Vector) -> Fraction:
-        idx = next(i for i, x in enumerate(old) if x != 0)
-        return old[idx] / new[idx]
-
+    decider = list(range(len(vectors)))  # the column whose leading sign each follows
     for ia, ib in pair_slots:
-        joint = vecs[ia] + vecs[ib]
-        prim = linalg.primitive_vector(joint)
-        rho = factor(joint, prim)
-        n = len(vecs[ia])
-        vecs[ia], vecs[ib] = prim[:n], prim[n:]
-        ms[ia] = ms[ia] / rho ** 2
-        ms[ib] = ms[ib] / rho ** 2
-        paired.update((ia, ib))
-    for i, v in enumerate(vecs):
-        if i in paired:
-            continue
-        prim = linalg.primitive_vector(v)
-        rho = factor(v, prim)
-        vecs[i] = prim
-        ms[i] = ms[i] / rho ** 2
-    return vecs, ms
+        decider[ib] = ia
+    return [v if next(x for x in vectors[d] if x) > 0 else linalg.vec_scale(-1, v)
+            for v, d in zip(vectors, decider)]
 
 
 def _nulls_in_radical(space: QuadraticSpace, big: Subspace, nulls: list[Vector]) -> list[Vector]:
@@ -116,7 +100,7 @@ def _adapted_frame(space: QuadraticSpace, f: Flag) -> tuple[list[Vector], list[F
     determined by the flag invariants alone.
     """
     # a lattice-reduced big basis keeps the exact construction well
-    # conditioned; scaled_system reduces the small basis itself
+    # conditioned; the small part is diagonalized from its row space
     big = Subspace(f.big.ambient_dim,
                    tuple(linalg.lll_reduce(linalg.row_space(list(f.big.basis)))))
 
@@ -129,11 +113,8 @@ def _adapted_frame(space: QuadraticSpace, f: Flag) -> tuple[list[Vector], list[F
     if cap:
         reordered = linalg.extend_to_independent(cap, nulls, len(nulls))
         nulls = reordered[len(cap):] + reordered[: len(cap)]
-    sys_small = ScaledSystem(
-        tuple(sys_small.positives() + sys_small.negatives() + nulls),
-        tuple([m for m in sys_small.norms if m > 0]
-              + [m for m in sys_small.norms if m < 0]
-              + [Fraction(0)] * len(nulls)))
+    sys_small = ScaledSystem(tuple(sys_small.positives() + sys_small.negatives() + nulls),
+                             sys_small.norms)
 
     # extend to a system of the big part, working in big coordinates
     space_big = QuadraticSpace.from_matrix(restrict(space, big))
@@ -149,14 +130,12 @@ def _adapted_frame(space: QuadraticSpace, f: Flag) -> tuple[list[Vector], list[F
         raise PreconditionError("ambient form must be nondegenerate")
 
     # hyperbolic-pair slots carry the sum patterns of both flag parts
-    s_sm, t_sm = len(sys_small.positives()), len(sys_small.negatives())
-    u_sm, k_cap = len(sys_small.nulls()), len(cap)
-    s_bg, t_bg = len(sys_big.positives()), len(sys_big.negatives())
-    u_bg = len(sys_big.nulls())
-    p_full = len(full.positives())
-    pair_slots = ([(s_sm + i, p_full + t_sm + i) for i in range(u_sm - k_cap)]
+    s_sm, t_sm, u_sm = sys_small.signature.as_tuple()
+    s_bg, t_bg, u_bg = sys_big.signature.as_tuple()
+    p_full = full.signature.pos
+    pair_slots = ([(s_sm + i, p_full + t_sm + i) for i in range(u_sm - len(cap))]
                   + [(s_bg + i, p_full + t_bg + i) for i in range(u_bg)])
-    return _rescale_frame(list(full.vectors), list(full.norms), pair_slots)
+    return _orient_frame(list(full.vectors), pair_slots), list(full.norms)
 
 
 def subspace_distance(vectors1, vectors2) -> float:

@@ -31,7 +31,13 @@ Deliberately separate from the package's fast paths:
   them, which `heisflag.forms` and `heisflag.witness` now read off one rank
   or one kernel; and `extend_nullsystem` with its own null-splitting loop,
   which is now one `forms.extend_basis` call;
-- `random_gram` as two dense products h^T I h, which one pairing replaced.
+- `random_gram` as two dense products h^T I h, which one pairing replaced;
+- elimination: the Gauss-Jordan echelon form and the rank read off it, and
+  the determinant's own forward loop, which one forward elimination
+  (`linalg._forward`, plus back substitution for the echelon form) replaced;
+- bases: the `scaled_system` that LLL-reduced W's basis before
+  diagonalizing it, and the witness frame rescaling to primitive integer
+  columns with adjusted norms, which orientation alone replaced.
 Used to pin expected values before trusting the main engine.
 """
 
@@ -59,9 +65,11 @@ from heisflag.forms import (
     ScaledSystem,
     Signature,
     Subspace,
+    _first_nonzero_index,
     _perp_within,
     lightlike_split,
     radical,
+    restrict,
     scaled_system,
     signature,
 )
@@ -894,3 +902,112 @@ def split_loop_extend_nullsystem(space, nulls):
     pos_norms = [space.inner(p, p) for p, _ in pairs] + [m for m in fill.norms if m > 0]
     neg_norms = [space.inner(m, m) for _, m in pairs] + [m for m in fill.norms if m < 0]
     return ScaledSystem(tuple(xs + ys), tuple(pos_norms + neg_norms))
+
+
+def gauss_jordan_echelon(m):
+    """Reduced row echelon form and pivot columns by Gauss-Jordan elimination.
+
+    Each pivot row is normalized and clears its column above and below at once.
+    """
+    a = linalg.copy(m)
+    rows, cols = linalg.shape(a)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+def gauss_jordan_rank(m):
+    """The pivot count of the full Gauss-Jordan echelon form."""
+    if not m:
+        return 0
+    return len(gauss_jordan_echelon(m)[1])
+
+
+def forward_det(m):
+    """Determinant by its own forward elimination, stopping at the first missing pivot."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise linalg.ShapeError("determinant requires a square matrix")
+    a = linalg.copy(m)
+    result = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            a[c], a[pr] = a[pr], a[c]
+            result = -result
+        result *= a[c][c]
+        inv = 1 / a[c][c]
+        for i in range(c + 1, n):
+            if a[i][c] != 0:
+                f = a[i][c] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return result
+
+
+def lll_scaled_system(space, w):
+    """`scaled_system` that LLL-reduces W's basis before diagonalizing it."""
+    basis = linalg.lll_reduce(list(w.basis)) if w.dim else []
+    res = linalg.congruence_diagonalize(
+        restrict(space, Subspace(space.dim, tuple(basis))) if basis else [])
+    k = w.dim
+    cols = []
+    for j in range(k):
+        coeffs = [res.transform[i][j] for i in range(k)]
+        reduced = linalg.primitive_vector(linalg.combine(coeffs, basis))
+        cols.append((reduced, space.inner(reduced, reduced)))
+    ordered = sorted(
+        cols,
+        key=lambda vm: (0 if vm[1] > 0 else (1 if vm[1] < 0 else 2),
+                        _first_nonzero_index(vm[0])),
+    )
+    return ScaledSystem(tuple(v for v, _ in ordered), tuple(m for _, m in ordered))
+
+
+def rescale_frame(vectors, norms, pair_slots):
+    """Rescale frame columns to primitive integer vectors, norms adjusted.
+
+    Hyperbolic-pair slots are rescaled by a common factor so that the fixed
+    sum patterns spanning the flag parts survive.
+    """
+    vecs = list(vectors)
+    ms = list(norms)
+    paired = set()
+
+    def factor(old, new):
+        idx = next(i for i, x in enumerate(old) if x != 0)
+        return old[idx] / new[idx]
+
+    for ia, ib in pair_slots:
+        joint = vecs[ia] + vecs[ib]
+        prim = linalg.primitive_vector(joint)
+        rho = factor(joint, prim)
+        n = len(vecs[ia])
+        vecs[ia], vecs[ib] = prim[:n], prim[n:]
+        ms[ia] = ms[ia] / rho ** 2
+        ms[ib] = ms[ib] / rho ** 2
+        paired.update((ia, ib))
+    for i, v in enumerate(vecs):
+        if i in paired:
+            continue
+        prim = linalg.primitive_vector(v)
+        rho = factor(v, prim)
+        vecs[i] = prim
+        ms[i] = ms[i] / rho ** 2
+    return vecs, ms

@@ -139,6 +139,19 @@ def test_witness_parse_error(capsys):
                    "1,0,0,0;0,1,0,0;0,0,1,0")[0] == 1
 
 
+def test_witness_rejects_dependent_flag_vectors(capsys):
+    code, out, err = run_cli(capsys, "witness", "2", "2", "1,0,0,0;2,0,0,0;0,1,0,0",
+                             "0,1,0,0;0,2,0,0;1,0,0,0", "--small", "2")
+    assert code == 1 and "equivalent" not in out
+    assert "the 2 small-part vectors of the flag spec are linearly dependent (rank 1)" in err
+    code, _, err = run_cli(capsys, "witness", "2", "2", "0,0,0,0;0,1,0,0", "1,0,0,0;0,1,0,0")
+    assert code == 1 and "small-part vectors" in err and "(rank 0)" in err
+    code, _, err = run_cli(capsys, "witness", "2", "2", "1,0,0,0;0,1,0,0;1,1,0,0",
+                           "1,0,0,0;0,1,0,0;0,0,1,0", "--small", "2")
+    assert code == 1
+    assert "the 3 flag spec vectors are linearly dependent (rank 2)" in err
+
+
 def test_witness_rejects_negative_signature(capsys):
     code, _, err = run_cli(capsys, "witness", "--", "-1", "5",
                            "1,0,0,0;0,1,0,0", "0,1,0,0;1,0,0,0")
@@ -161,6 +174,12 @@ def test_matsuki_output(capsys):
     code, out, _ = run_cli(capsys, "matsuki", "2", "2", "1,0,1,0;0,1,0,1")
     assert code == 0
     assert "c_zero: 2" in out and "d_zero: 1" in out and "d_pm: 0" in out
+
+
+def test_matsuki_rejects_dependent_flag_vectors(capsys):
+    code, out, err = run_cli(capsys, "matsuki", "2", "2", "1,0,1,0;0,1,0,1;1,1,1,1")
+    assert code == 1 and "c_zero" not in out
+    assert "the 3 flag spec vectors are linearly dependent (rank 2)" in err
 
 
 def test_matsuki_rejects_negative_signature(capsys):
@@ -206,3 +225,11 @@ def test_verify_passes_and_is_deterministic(capsys):
 
 def test_verify_rejects_out_of_scope(capsys):
     assert run_cli(capsys, "verify", "1", "2")[0] == 2
+
+
+def test_verify_rejects_trials_below_one(capsys):
+    for trials in ("0", "-3"):
+        code, out, err = run_cli(capsys, "verify", "2", "2", "--trials", trials)
+        assert code == 1
+        assert f"--trials must be at least 1, got {trials}" in err
+        assert "result:" not in out

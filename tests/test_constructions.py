@@ -172,6 +172,23 @@ def outcome(call, *args):
         return type(ex), str(ex)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=strategies.degenerate_spaces_and_subspaces())
+def test_scaled_system_agrees_with_lll_oracle(data):
+    space, parts = data
+    for w in parts:
+        reduced = linalg.lll_reduce(list(w.basis))
+        # the oracle reduces once more; lll_reduce's final rescaling to
+        # primitive vectors can leave a basis that a second pass changes
+        if linalg.lll_reduce(reduced) == reduced:
+            reduced_w = Subspace(space.dim, tuple(reduced))
+            assert scaled_system(space, reduced_w) == oracles.lll_scaled_system(space, reduced_w)
+        got = scaled_system(space, w)
+        got.check(space)
+        assert Subspace(space.dim, got.vectors).contains_subspace(w)
+        assert got.signature == oracles.lll_scaled_system(space, w).signature
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=strategies.null_systems())
 def test_extend_nullsystem_agrees_with_split_loop_oracle(data):

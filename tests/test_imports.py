@@ -7,7 +7,9 @@ with `ast`, and each imported name must occur as a name in the module body,
 or inside a string annotation.  Each top-level function and class of
 `src/heisflag/*.py` must be named, outside its own definition, somewhere in
 `src/`, `tests/`, `demos/` or `bench/`: as an identifier, an attribute, an
-imported name or a string that is exactly the name.
+imported name or a string that is exactly the name.  Each method and
+property of a class there, other than dunders, must be referred to as an
+attribute (`x.name`) in those directories, outside its own definition.
 """
 
 import ast
@@ -102,3 +104,52 @@ def test_every_package_definition_is_referenced():
     assert defining
     sources = [p.read_text() for d in SCANNED for p in sorted((ROOT / d).rglob("*.py"))]
     assert unreferenced(defining, sources) == []
+
+
+def class_members(source: str) -> list[str]:
+    """`Class.member` for each method and property of each class, dunders left out."""
+    return [f"{cls.name}.{node.name}" for cls in ast.walk(ast.parse(source))
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def referenced_attributes(source: str) -> set[str]:
+    """Attribute names a module refers to, leaving out each member's own name inside it."""
+    names = set()
+
+    def visit(node, own):
+        if isinstance(node, ast.Attribute) and node.attr != own:
+            names.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            member = (isinstance(node, ast.ClassDef)
+                      and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+            visit(child, child.name if member else own)
+
+    visit(ast.parse(source), None)
+    return names
+
+
+def unreferenced_members(defining: dict[str, str], sources: list[str]) -> list[str]:
+    """Class members of the `defining` modules that no source uses as an attribute."""
+    referenced = set().union(*map(referenced_attributes, sources))
+    return [f"{module}: {member}" for module, source in defining.items()
+            for member in class_members(source) if member.rpartition(".")[2] not in referenced]
+
+
+def test_checker_flags_an_unreferenced_member():
+    lib = ("class Lib:\n    def __init__(self):\n        self.n = 0\n\n"
+           "    def used(self):\n        return self.recursive()\n\n"
+           "    def recursive(self):\n        return self.recursive()\n\n"
+           "    @property\n    def size(self):\n        return self.n\n\n"
+           "    def named(self):\n        return 0\n")
+    user = "from lib import Lib\nLib().used()\nLib().size\nused = getattr(Lib(), 'named')\n"
+    assert unreferenced_members({"lib.py": lib}, [lib, user]) == ["lib.py: Lib.named"]
+    assert unreferenced_members({"lib.py": lib}, [lib]) == [
+        "lib.py: Lib.used", "lib.py: Lib.size", "lib.py: Lib.named"]
+
+
+def test_every_class_member_is_referenced():
+    defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    sources = [p.read_text() for d in SCANNED for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unreferenced_members(defining, sources) == []

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,6 +144,12 @@ def test_intersect_basis_independent():
         assert linalg.row_space(oracles.intersect(mixed_a, span_b)) == expected
 
 
+def test_lll_reduce_names_dependent_input():
+    for vectors in ([(1, 0), (2, 0)], [(0, 0), (1, 1)], [(0, 0)]):
+        with pytest.raises(ShapeError, match="linearly independent"):
+            linalg.lll_reduce([vec(v) for v in vectors])
+
+
 def test_solve_consistent_and_inconsistent():
     a = mat([[1, 2], [2, 4]])
     assert linalg.solve(a, vec([1, 2])) is not None
@@ -220,6 +227,49 @@ def test_congruence_agrees_with_row_column_oracle(s):
         assert det(p) != 0
     with pytest.raises(ShapeError):
         congruence_diagonalize(s, leading=n + 1)
+
+
+@st.composite
+def degenerate_matrices(draw, square=False):
+    """A matrix with 0..5 rows, mostly zero, repeated or dependent ones; square on request."""
+    rows = draw(st.sampled_from([0, 1, 1, 2, 3, 4, 5]))
+    cols = rows if square else draw(st.integers(0, 6))
+    return [list(v) for v in draw(degenerate_vectors(cols, rows))]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(m=degenerate_matrices(), data=st.data())
+def test_forward_elimination_agrees_with_gauss_jordan_oracle(m, data):
+    assert linalg._echelon(m) == oracles.gauss_jordan_echelon(m)
+    assert rank(m) == oracles.gauss_jordan_rank(m)
+    cols = len(m[0]) if m else 0
+    b = data.draw(st.one_of(
+        st.lists(ENTRIES, min_size=len(m), max_size=len(m)).map(vec),
+        st.lists(ENTRIES, min_size=cols, max_size=cols).map(
+            lambda x: tuple(sum((a * y for a, y in zip(row, x)), F(0)) for row in m))))
+    rows = [tuple(row) for row in m]
+    got = (kernel(m), linalg.row_space(rows), linalg.solve(m, b))
+    with patch.object(linalg, "_echelon", oracles.gauss_jordan_echelon):
+        assert got == (kernel(m), linalg.row_space(rows), linalg.solve(m, b))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(m=degenerate_matrices(square=True))
+def test_det_and_invert_agree_with_the_replaced_eliminations(m):
+    assert det(m) == oracles.forward_det(m)
+    rows = tuple(tuple(row) for row in m)
+    assert (det(rows), rank(rows), linalg._echelon(rows)) == (det(m), rank(m), linalg._echelon(m))
+    try:
+        got = invert(m)
+    except SingularMatrixError:
+        got = None
+    with patch.object(linalg, "_echelon", oracles.gauss_jordan_echelon):
+        if got is None:
+            with pytest.raises(SingularMatrixError):
+                invert(m)
+        else:
+            assert invert(m) == got
+    assert (got is None) == (det(m) == 0)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

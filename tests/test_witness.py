@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -150,23 +151,54 @@ def test_subspace_distance_sanity():
     assert subspace_distance(a, c) > 0.5
 
 
-def test_exact_assembly_matches_mpmath_oracle():
-    # same exact frames, two assemblies: integer square roots with one
-    # rounding per entry against 256-bit mpmath; they may differ only where
-    # the exact entry is zero and mpmath leaves a rounding residue
-    pytest.importorskip("mpmath")
+def assembly_flag_pairs():
+    """(space, f1, f2, label): equivalent pairs at (3,3), (4,4) and (5,3)."""
     rng = random.Random(53)
     for p, q in [(3, 3), (4, 4), (5, 3)]:
         space = QuadraticSpace.standard(p, q)
         for i in range(6):
             f1 = sampling.random_flag(p, q, rng)
             opq = sampling.mild_opq if i % 2 else sampling.random_opq
-            f2 = sampling.apply_to_flag(opq(p, q, rng), f1)
-            frames = (witness._adapted_frame(space, f1), witness._adapted_frame(space, f2))
-            exact = witness._assemble(*frames)
-            reference = oracles.mpmath_assemble(*frames)
-            for a, b in zip(exact.ravel(), reference.ravel()):
-                assert a == b or (abs(a) < 1e-60 and abs(b) < 1e-60), (p, q, i, a, b)
+            yield space, f1, sampling.apply_to_flag(opq(p, q, rng), f1), (p, q, i)
+
+
+def test_exact_assembly_matches_mpmath_oracle():
+    # same exact frames, two assemblies: integer square roots with one
+    # rounding per entry against 256-bit mpmath; they may differ only where
+    # the exact entry is zero and mpmath leaves a rounding residue
+    pytest.importorskip("mpmath")
+    for space, f1, f2, label in assembly_flag_pairs():
+        frames = (witness._adapted_frame(space, f1), witness._adapted_frame(space, f2))
+        exact = witness._assemble(*frames)
+        reference = oracles.mpmath_assemble(*frames)
+        for a, b in zip(exact.ravel(), reference.ravel()):
+            assert a == b or (abs(a) < 1e-60 and abs(b) < 1e-60), (label, a, b)
+
+
+def test_oriented_frames_assemble_as_rescaled_frames():
+    # positive column scales cancel in g; only the truncated square roots
+    # differ, by far less than binary64 resolves except near zero entries
+    for space, f1, f2, label in assembly_flag_pairs():
+        raw = []
+        orient = witness._orient_frame
+
+        def spy(vectors, pair_slots):
+            raw.append((vectors, pair_slots))
+            return orient(vectors, pair_slots)
+
+        with patch.object(witness, "_orient_frame", spy):
+            oriented = (witness._adapted_frame(space, f1), witness._adapted_frame(space, f2))
+        rescaled = [oracles.rescale_frame(vectors, norms, slots)
+                    for (vectors, slots), (_, norms) in zip(raw, oriented)]
+        for (vectors, slots), (cols, _) in zip(raw, oriented):
+            signs = [1 if w == v else -1 for v, w in zip(vectors, cols)]
+            assert cols == [linalg.vec_scale(c, v) for c, v in zip(signs, vectors)]
+            assert all(signs[ia] == signs[ib] for ia, ib in slots)
+            seconds = {ib for _, ib in slots}
+            assert all(next(x for x in w if x) > 0
+                       for i, w in enumerate(cols) if i not in seconds)
+        diff = witness._assemble(*oriented) - witness._assemble(*rescaled)
+        assert np.max(np.abs(diff)) <= 1e-70, label
 
 
 def test_witness_runs_without_mpmath():
