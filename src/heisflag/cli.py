@@ -5,6 +5,10 @@ is line-oriented "key: value" text; `--record` appends one machine-readable
 JSON line.  Exit codes: 0 success, 1 malformed input, 2 precondition
 violation (out-of-scope signature, degenerate matrix, bad shape), 3 failed
 verification check or witness residual above tolerance.
+
+Subcommands raise; `main` alone turns an error into `error: <message>` on
+stderr and an exit code, by the error's type.  An error of any other type
+is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -50,8 +54,12 @@ EXIT_PRECONDITION = 2
 EXIT_CHECK_FAILED = 3
 
 
+class UsageError(ValueError):
+    """Command-line arguments that do not fit together (exit 1)."""
+
+
 def _print_record(args, record: dict) -> None:
-    if getattr(args, "record", False):
+    if args.record:
         print("record: " + json.dumps(record, sort_keys=True))
 
 
@@ -64,8 +72,11 @@ def _parse_flag_spec(spec: str, small_count: int) -> Flag:
         vectors.append(tuple(parse_rational(tok.strip()) for tok in chunk.split(",")))
     if len({len(v) for v in vectors}) != 1:
         raise MatrixFormatError("flag spec vectors must share one length")
+    if len(vectors) < 2:
+        raise MatrixFormatError("a flag needs at least two vectors, the flag spec has 1")
     if not 1 <= small_count < len(vectors):
-        raise MatrixFormatError("flag spec needs more vectors than the small part")
+        raise MatrixFormatError(f"the small part must take 1 to {len(vectors) - 1} of the "
+                                f"{len(vectors)} flag spec vectors, got {small_count}")
     n = len(vectors[0])
     small = Subspace.spanned_by(vectors[:small_count], n)
     if small.dim < small_count:
@@ -79,17 +90,9 @@ def _parse_flag_spec(spec: str, small_count: int) -> Flag:
 
 
 def cmd_classify(args) -> int:
-    try:
-        gram = read_matrix(args.path)
-    except (OSError, MatrixFormatError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_MALFORMED
-    try:
-        alg = HeisenbergAlgebra(len(gram))
-        result = classify_metric(alg, gram)
-    except PreconditionError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    gram = read_matrix(args.path)
+    alg = HeisenbergAlgebra(len(gram))
+    result = classify_metric(alg, gram)
     row = result.metric_class
     print(f"p: {result.p}")
     print(f"q: {result.q}")
@@ -116,11 +119,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    try:
-        table = admissible_classes(args.p, args.q)
-    except PreconditionError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    table = admissible_classes(args.p, args.q)
     print(f"p: {table.p}")
     print(f"q: {table.q}")
     for row in table.classes:
@@ -146,13 +145,8 @@ def _expected_count(p: int, q: int) -> int:
 
 def cmd_verify(args) -> int:
     if args.trials < 1:
-        print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
-        return EXIT_MALFORMED
-    try:
-        table = admissible_classes(args.p, args.q)
-    except PreconditionError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    table = admissible_classes(args.p, args.q)
     p, q = table.p, table.q
     n = p + q
     alg = HeisenbergAlgebra(n)
@@ -241,19 +235,13 @@ def _small_signature(refined: LineSignature) -> Signature:
 
 
 def cmd_witness(args) -> int:
-    try:
-        f1 = _parse_flag_spec(args.flag1, args.small)
-        f2 = _parse_flag_spec(args.flag2, args.small)
-    except (MatrixFormatError, PreconditionError, linalg.ShapeError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_MALFORMED
+    f1 = _parse_flag_spec(args.flag1, args.small)
+    f2 = _parse_flag_spec(args.flag2, args.small)
     p, q = args.p, args.q
     if f1.big.ambient_dim != p + q or f2.big.ambient_dim != p + q:
-        print("error: flag vectors must have length p + q", file=sys.stderr)
-        return EXIT_MALFORMED
+        raise UsageError("flag vectors must have length p + q")
     if f1.shape != f2.shape:
-        print(f"error: flag shapes differ: {f1.shape} vs {f2.shape}", file=sys.stderr)
-        return EXIT_MALFORMED
+        raise UsageError(f"flag shapes differ: {f1.shape} vs {f2.shape}")
     print(f"p: {p}")
     print(f"q: {q}")
     try:
@@ -264,12 +252,6 @@ def cmd_witness(args) -> int:
         _print_record(args, {"command": "witness", "p": p, "q": q,
                              "equivalent": False, "reason": ex.reason})
         return EXIT_OK
-    except PreconditionError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except WitnessFailureError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
     res = witness_residuals(p, q, g, f1, f2)
     print("equivalent: true")
     print("witness:")
@@ -285,18 +267,12 @@ def cmd_witness(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    try:
-        table = admissible_classes(args.p, args.q)
-    except PreconditionError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    table = admissible_classes(args.p, args.q)
     p, q = table.p, table.q
     alg = HeisenbergAlgebra(p + q)
     ids = list(table.ids) if args.class_id is None else [args.class_id]
     if args.class_id is not None and args.class_id not in table.ids:
-        print(f"error: class {args.class_id} is not admissible for ({p}, {q})",
-              file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise PreconditionError(f"class {args.class_id} is not admissible for ({p}, {q})")
     print(f"p: {p}")
     print(f"q: {q}")
     rows = []
@@ -324,17 +300,9 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_matsuki(args) -> int:
-    try:
-        f = _parse_flag_spec(args.flag, 1)
-    except (MatrixFormatError, PreconditionError, linalg.ShapeError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_MALFORMED
+    f = _parse_flag_spec(args.flag, 1)
     p, q = args.p, args.q
-    try:
-        data = matsuki_data(f, p, q)
-    except (PreconditionError, linalg.ShapeError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    data = matsuki_data(f, p, q)
     print(f"p: {p}")
     print(f"q: {q}")
     for name, val in zip(("c_plus", "c_minus", "c_zero", "d_plus", "d_minus",
@@ -351,57 +319,60 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact classification of left-invariant pseudo-Riemannian "
                     "metrics on the Heisenberg group times a Euclidean factor.")
     sub = parser.add_subparsers(dest="command", required=True)
+    record = argparse.ArgumentParser(add_help=False)
+    record.add_argument("--record", action="store_true")
+    signature = argparse.ArgumentParser(add_help=False, parents=[record])
+    signature.add_argument("p", type=int)
+    signature.add_argument("q", type=int)
 
-    p_classify = sub.add_parser("classify", help="classify a Gram matrix file")
+    p_classify = sub.add_parser("classify", parents=[record],
+                                help="classify a Gram matrix file")
     p_classify.add_argument("path", help="matrix file: header n, then n rows of rationals")
     p_classify.add_argument("--curvature", action="store_true",
                             help="also report flatness and scalar curvature")
-    p_classify.add_argument("--record", action="store_true")
     p_classify.set_defaults(func=cmd_classify)
 
-    p_table = sub.add_parser("table", help="print the admissible class table")
-    p_table.add_argument("p", type=int)
-    p_table.add_argument("q", type=int)
-    p_table.add_argument("--record", action="store_true")
+    p_table = sub.add_parser("table", parents=[signature],
+                             help="print the admissible class table")
     p_table.set_defaults(func=cmd_table)
 
-    p_verify = sub.add_parser("verify", help="run the verification checks")
-    p_verify.add_argument("p", type=int)
-    p_verify.add_argument("q", type=int)
+    p_verify = sub.add_parser("verify", parents=[signature], help="run the verification checks")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=200)
-    p_verify.add_argument("--record", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_witness = sub.add_parser("witness", help="isometry witness between two flags")
-    p_witness.add_argument("p", type=int)
-    p_witness.add_argument("q", type=int)
+    p_witness = sub.add_parser("witness", parents=[signature],
+                               help="isometry witness between two flags")
     p_witness.add_argument("flag1", help="semicolon-separated vectors of comma-separated rationals")
     p_witness.add_argument("flag2")
     p_witness.add_argument("--small", type=int, default=1,
                            help="how many leading vectors span the small part")
-    p_witness.add_argument("--record", action="store_true")
     p_witness.set_defaults(func=cmd_witness)
 
-    p_curv = sub.add_parser("curvature", help="per-class curvature report")
-    p_curv.add_argument("p", type=int)
-    p_curv.add_argument("q", type=int)
+    p_curv = sub.add_parser("curvature", parents=[signature], help="per-class curvature report")
     p_curv.add_argument("--class-id", type=int, default=None)
-    p_curv.add_argument("--record", action="store_true")
     p_curv.set_defaults(func=cmd_curvature)
 
-    p_matsuki = sub.add_parser("matsuki", help="seven coordinate counts of a flag")
-    p_matsuki.add_argument("p", type=int)
-    p_matsuki.add_argument("q", type=int)
+    p_matsuki = sub.add_parser("matsuki", parents=[signature],
+                               help="seven coordinate counts of a flag")
     p_matsuki.add_argument("flag", help="flag spec; first vector spans the line")
-    p_matsuki.add_argument("--record", action="store_true")
     p_matsuki.set_defaults(func=cmd_matsuki)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place an error becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, MatrixFormatError, UsageError) as ex:
+        error, code = ex, EXIT_MALFORMED
+    except (PreconditionError, linalg.ShapeError) as ex:
+        error, code = ex, EXIT_PRECONDITION
+    except WitnessFailureError as ex:
+        error, code = ex, EXIT_CHECK_FAILED
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

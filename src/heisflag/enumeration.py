@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import linalg
-from .forms import Flag, FlagInvariants, Signature, Subspace
+from .forms import Flag, FlagInvariants, PreconditionError, Signature, Subspace
 from .sampling import small_vector_pool
 
 IntRow = tuple[int, ...]
@@ -90,9 +90,11 @@ class FlagSurvey:
 def survey_flags(p: int, q: int) -> FlagSurvey:
     """Enumerate all type-(1, n-2) flags over the small-vector pool.
 
-    Requires a pool rich enough to span: p + q >= 4 in practice.  Results are
+    Needs p, q >= 0 and p + q >= 4 (else `PreconditionError`).  Results are
     cached per signature; see `_survey_cached`.
     """
+    if p < 0 or q < 0 or p + q < 4:
+        raise PreconditionError(f"survey of signature ({p}, {q}) needs p, q >= 0 and p + q >= 4")
     return _survey_cached(p, q)
 
 

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from . import linalg
-from .forms import Flag, QuadraticSpace, Subspace
+from .forms import Flag, PreconditionError, QuadraticSpace, Subspace
 from .linalg import Matrix, Vector
 
 
@@ -153,6 +153,8 @@ def random_flag(p: int, q: int, rng: random.Random,
     """Random flag spanned by small integer vectors; degenerate types occur often."""
     n = p + q
     k1, k2 = shape if shape is not None else (1, n - 2)
+    if not 0 <= k1 < k2 <= n:
+        raise PreconditionError(f"flag shape ({k1}, {k2}) needs 0 <= k1 < k2 <= n = {n}")
     pool = small_vector_pool(n)
     while True:
         picks: list[Vector] = []

@@ -88,6 +88,10 @@ def test_classify_rejects_degenerate_and_definite(tmp_path, capsys):
     assert run_cli(capsys, "classify", path)[0] == 2
     path = write_matrix(tmp_path, linalg.identity(4))
     assert run_cli(capsys, "classify", path)[0] == 2
+    path = write_matrix(tmp_path, linalg.mat([[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0],
+                                              [0, 0, 0, -1]]))
+    code, _, err = run_cli(capsys, "classify", path)
+    assert code == 2 and "error: Gram matrix must be symmetric" in err
 
 
 def test_classify_malformed_file(tmp_path, capsys):
@@ -137,6 +141,13 @@ def test_witness_parse_error(capsys):
                    "1,0,0,0;0,1,0,0")[0] == 1
     assert run_cli(capsys, "witness", "2", "2", "1,0,0,0;0,1,0,0",
                    "1,0,0,0;0,1,0,0;0,0,1,0")[0] == 1
+    code, out, err = run_cli(capsys, "witness", "2", "2", "1,0,0;0,1,0", "0,1,0;1,0,0")
+    assert code == 1 and out == ""
+    assert "error: flag vectors must have length p + q" in err
+    code, _, err = run_cli(capsys, "witness", "2", "2", "1,0,0,0;0,1,0,0", "0,1,0,0;1,0,0,0",
+                           "--small", "5")
+    assert code == 1
+    assert "the small part must take 1 to 1 of the 2 flag spec vectors, got 5" in err
 
 
 def test_witness_rejects_dependent_flag_vectors(capsys):
@@ -180,6 +191,10 @@ def test_matsuki_rejects_dependent_flag_vectors(capsys):
     code, out, err = run_cli(capsys, "matsuki", "2", "2", "1,0,1,0;0,1,0,1;1,1,1,1")
     assert code == 1 and "c_zero" not in out
     assert "the 3 flag spec vectors are linearly dependent (rank 2)" in err
+    code, _, err = run_cli(capsys, "matsuki", "2", "2", "1,0,1,0")
+    assert code == 1
+    assert "a flag needs at least two vectors, the flag spec has 1" in err
+    assert "--small" not in err
 
 
 def test_matsuki_rejects_negative_signature(capsys):
@@ -187,6 +202,8 @@ def test_matsuki_rejects_negative_signature(capsys):
         code, _, err = run_cli(capsys, "matsuki", "--", p, q, "1,0,1,0;0,1,0,1")
         assert code == 2
         assert f"signature ({p}, {q})" in err
+    code, _, err = run_cli(capsys, "matsuki", "2", "2", "1,0,1;0,1,0")
+    assert code == 2 and "error: flag ambient dimension is not p + q" in err
 
 
 # -- curvature --------------------------------------------------------------
@@ -205,6 +222,9 @@ def test_curvature_single_class(capsys):
     assert run_cli(capsys, "curvature", "2", "2", "--class-id", "1")[0] == 2
     code, out, err = run_cli(capsys, "curvature", "2", "2", "--class-id", "0")
     assert code == 2 and "class 0 " in err and "class " not in out
+    code, out, err = run_cli(capsys, "curvature", "3", "0")
+    assert code == 2 and out == ""
+    assert "error: need p, q >= 1 (definite metrics are out of scope)" in err
 
 
 # -- verify -----------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Structured flag survey: completeness, consistency, duality counts."""
 
+import pytest
+
 import oracles
 from heisflag.enumeration import survey_flags
 from heisflag.forms import (
     FlagInvariants,
     LineSignature,
+    PreconditionError,
     QuadraticSpace,
     Signature,
     flag_invariants,
@@ -60,6 +63,9 @@ def test_survey_counts_small():
     s = survey_flags(3, 1)
     assert len(s.observed_invariants) == 6
     assert len(s.matsuki) == 6
+    for p, q in [(3, 0), (2, 1), (1, 1), (-1, 5)]:
+        with pytest.raises(PreconditionError, match=rf"signature \({p}, {q}\)"):
+            survey_flags(p, q)
 
 
 def test_survey_matches_derived_admissible_sets():

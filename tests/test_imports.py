@@ -10,6 +10,10 @@ or inside a string annotation.  Each top-level function and class of
 imported name or a string that is exactly the name.  Each method and
 property of a class there, other than dunders, must be referred to as an
 attribute (`x.name`) in those directories, outside its own definition.
+
+The command line has one exit-code map: in `cli.py` only `main` has an
+`except` clause or refers to `sys.stderr`, apart from the clause of
+`cmd_witness` that turns `InequivalentFlagsError` into an answer.
 """
 
 import ast
@@ -153,3 +157,39 @@ def test_every_class_member_is_referenced():
     defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     sources = [p.read_text() for d in SCANNED for p in sorted((ROOT / d).rglob("*.py"))]
     assert unreferenced_members(defining, sources) == []
+
+
+def misplaced_error_handling(source: str) -> list[str]:
+    """`function line n: what` for each `except` clause or `sys.stderr` outside `main`."""
+    found = []
+    for stmt in ast.parse(source).body:
+        owner = getattr(stmt, "name", "<module>")
+        if owner == "main":
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.ExceptHandler):
+                answer = (owner == "cmd_witness" and isinstance(node.type, ast.Name)
+                          and node.type.id == "InequivalentFlagsError")
+                if not answer:
+                    found.append(f"{owner} line {node.lineno}: except")
+            elif (isinstance(node, ast.Attribute) and node.attr == "stderr"
+                  and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+                found.append(f"{owner} line {node.lineno}: sys.stderr")
+    return found
+
+
+def test_checker_flags_error_handling_outside_main():
+    source = ("import sys\n\ndef cmd_a(args):\n    try:\n        run()\n"
+              "    except ValueError as ex:\n        print(ex, file=sys.stderr)\n\n\n"
+              "def cmd_witness(args):\n    try:\n        run()\n"
+              "    except InequivalentFlagsError:\n        pass\n"
+              "    except ValueError:\n        sys.stderr.write('x')\n\n\n"
+              "def main():\n    try:\n        run()\n"
+              "    except ValueError as ex:\n        print(ex, file=sys.stderr)\n")
+    assert misplaced_error_handling(source) == [
+        "cmd_a line 6: except", "cmd_a line 7: sys.stderr",
+        "cmd_witness line 15: except", "cmd_witness line 16: sys.stderr"]
+
+
+def test_only_main_maps_errors_to_exit_codes():
+    assert misplaced_error_handling((SRC / "cli.py").read_text()) == []
