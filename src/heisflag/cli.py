@@ -23,11 +23,8 @@ from .curvature import curvature_report
 from .enumeration import survey_flags
 from .forms import (
     Flag,
-    FlagInvariants,
-    LineSignature,
     PreconditionError,
     QuadraticSpace,
-    Signature,
     Subspace,
     flag_invariants,
     matsuki_data,
@@ -168,11 +165,7 @@ def cmd_verify(args) -> int:
            f"derived {table.count}, expected {expected}")
 
     survey = survey_flags(p, q)
-    expected_inv = {
-        FlagInvariants(row.center_signature(p, q), _small_signature(row.refined),
-                       1 if row.refined is LineSignature.RADICAL else 0)
-        for row in table.classes
-    }
+    expected_inv = {row.flag_invariants(p, q) for row in table.classes}
     observed = survey.observed_invariants
     report("enumeration_completeness", observed == expected_inv,
            f"observed {len(observed)} orbit types, "
@@ -223,15 +216,6 @@ def cmd_verify(args) -> int:
         "orbit_types": len(observed), "matsuki_tuples": len(survey.matsuki),
     })
     return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def _small_signature(refined: LineSignature) -> Signature:
-    return {
-        LineSignature.SPACELIKE: Signature(1, 0, 0),
-        LineSignature.TIMELIKE: Signature(0, 1, 0),
-        LineSignature.LIGHTLIKE: Signature(0, 0, 1),
-        LineSignature.RADICAL: Signature(0, 0, 1),
-    }[refined]
 
 
 def cmd_witness(args) -> int:
@@ -287,9 +271,8 @@ def cmd_curvature(args) -> int:
         if sol is None:
             print("  soliton: none")
         else:
-            c, d = sol
-            einstein = all(x == 0 for r in d for x in r)
-            print(f"  soliton: c = {c}, derivation {'zero' if einstein else 'nonzero'}")
+            einstein = report.is_einstein
+            print(f"  soliton: c = {sol[0]}, derivation {'zero' if einstein else 'nonzero'}")
             print(f"  einstein: {'true' if einstein else 'false'}")
         rows.append({"class_id": cid, "flat": report.is_flat,
                      "scalar": str(report.scalar_curv),

@@ -59,12 +59,7 @@ class ConnectionTable:
 
     def derivative_of(self, i: int, v: Vector) -> Vector:
         """nabla_{e_i} applied to a constant coefficient vector."""
-        out = [Fraction(0)] * self.n
-        for m, c in enumerate(v):
-            if c != 0:
-                for r, x in enumerate(self.gamma[i][m]):
-                    out[r] += c * x
-        return tuple(out)
+        return linalg.combine(v, self.gamma[i])
 
     def is_metric_compatible(self, gram: Matrix) -> bool:
         """<nabla_i e_j, e_k> + <e_j, nabla_i e_k> = 0 for every i, j, k."""
@@ -84,12 +79,14 @@ class ConnectionTable:
 
 
 def _checked_inverse(n: int, gram: Matrix) -> Matrix:
+    """G^{-1} of a symmetric n x n Gram matrix; PreconditionError names what is wrong."""
     if len(gram) != n or not linalg.is_symmetric(gram):
         raise PreconditionError(f"Gram matrix must be symmetric {n}x{n}")
     try:
         return linalg.invert(gram)
     except linalg.SingularMatrixError:
-        raise PreconditionError("Levi-Civita connection requires a nondegenerate Gram matrix")
+        raise PreconditionError("curvature requires a nondegenerate Gram matrix, "
+                                "this one is singular")
 
 
 def _connection(n: int, gram: Matrix, g_inv: Matrix) -> ConnectionTable:
@@ -161,7 +158,7 @@ def ricci(riem: RiemannTable, gram: Matrix) -> tuple[Matrix, Fraction]:
     """Ricci tensor Ric(y, z) = trace(x -> R(x, y) z) and scalar curvature."""
     n = len(riem)
     ric = _ricci_tensor(riem)
-    g_inv = linalg.invert(gram)
+    g_inv = _checked_inverse(n, gram)
     scalar = sum(g_inv[k][j] * ric[j][k] for j in range(n) for k in range(n))
     return ric, scalar
 
@@ -218,7 +215,7 @@ def soliton_check(alg: HeisenbergAlgebra, gram: Matrix,
     Returns (c, D) if such a pair exists (c is then unique), None otherwise.
     The Einstein case is the solution with D = 0.
     """
-    return _soliton(alg.n, linalg.mat_mul(linalg.invert(gram), ric))
+    return _soliton(alg.n, linalg.mat_mul(_checked_inverse(alg.n, gram), ric))
 
 
 @dataclass(frozen=True)

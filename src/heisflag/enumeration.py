@@ -121,14 +121,13 @@ def _survey_cached(p: int, q: int) -> FlagSurvey:
         seen.add(key)
         survey.subspace_count += 1
 
-        s, t, u = linalg.congruence_diagonalize(
-            linalg.mat(_standard_gram(sign, (a, b)))).sign_counts()
+        s, t, u = linalg.congruence_diagonalize(_standard_gram(sign, (a, b))).sign_counts()
         sig_big = Signature(p - s - u, q - t - u, u)
         c_plus = p - _pair_rank(a[:p], b[:p])
         c_minus = q - _pair_rank(a[p:], b[p:])
         c_zero = k - c_plus - c_minus
 
-        basis = tuple(tuple(int(x) for x in v) for v in linalg.kernel(linalg.mat([a, b])))
+        basis = tuple(tuple(int(x) for x in v) for v in linalg.kernel([a, b]))
         gram = _standard_gram(sign, basis)
 
         for coeffs in lines:

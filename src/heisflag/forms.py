@@ -148,14 +148,9 @@ class Subspace:
             raise PreconditionError("basis vectors must be linearly independent")
 
     @classmethod
-    def spanned_by(cls, vectors: Sequence[Sequence], ambient_dim: int | None = None) -> "Subspace":
+    def spanned_by(cls, vectors: Sequence[Sequence], ambient_dim: int) -> "Subspace":
         """Span of arbitrary vectors; dependent ones are dropped."""
-        vecs = [vec(v) for v in vectors]
-        if ambient_dim is None:
-            if not vecs:
-                raise linalg.ShapeError("ambient dimension needed for an empty span")
-            ambient_dim = len(vecs[0])
-        return cls(ambient_dim, tuple(linalg.row_space(vecs)))
+        return cls(ambient_dim, tuple(linalg.row_space([vec(v) for v in vectors])))
 
     @classmethod
     def coordinate(cls, ambient_dim: int, indices: Sequence[int]) -> "Subspace":
@@ -399,15 +394,20 @@ def matsuki_data(f: Flag, p: int, q: int) -> MatsukiData:
 # possible signature sets
 
 
+# Signatures of codimension-two subspaces of a (p, q) space, as (dp, dq, u)
+# for (p + dp, q + dq, u).  `heisenberg` numbers its taxonomy rows in this order.
+CODIM2_PATTERNS: tuple[tuple[int, int, int], ...] = (
+    (-2, 0, 0), (-1, -1, 0), (0, -2, 0),
+    (-2, -1, 1), (-1, -2, 1), (-2, -2, 2),
+)
+
+
 def possible_codim2_signatures(p: int, q: int) -> set[Signature]:
     """All signatures realized by codimension-two subspaces of the standard (p, q) space."""
     if p + q < 2:
         raise PreconditionError("need p + q >= 2")
-    candidates = [
-        (p - 2, q, 0), (p - 1, q - 1, 0), (p, q - 2, 0),
-        (p - 2, q - 1, 1), (p - 1, q - 2, 1), (p - 2, q - 2, 2),
-    ]
-    return {Signature(*c) for c in candidates if min(c) >= 0}
+    return {Signature(p + dp, q + dq, u) for dp, dq, u in CODIM2_PATTERNS
+            if p + dp >= 0 and q + dq >= 0}
 
 
 def possible_line_signatures(s: int, t: int, u: int) -> set[LineSignature]:

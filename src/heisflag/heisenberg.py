@@ -24,13 +24,14 @@ from functools import lru_cache
 
 from . import linalg
 from .forms import (
+    CODIM2_PATTERNS,
     Flag,
+    FlagInvariants,
     LineSignature,
     PreconditionError,
     QuadraticSpace,
     Signature,
     Subspace,
-    possible_codim2_signatures,
     possible_line_signatures,
 )
 from .linalg import Matrix, Vector
@@ -71,16 +72,6 @@ class HeisenbergAlgebra:
 # ---------------------------------------------------------------------------
 # the 21-row taxonomy
 
-# center signature patterns relative to (p, q), in fixed row-group order
-_PATTERNS: list[tuple[int, int, int]] = [
-    (-2, 0, 0),   # (p-2, q,   0)
-    (-1, -1, 0),  # (p-1, q-1, 0)
-    (0, -2, 0),   # (p,   q-2, 0)
-    (-2, -1, 1),  # (p-2, q-1, 1)
-    (-1, -2, 1),  # (p-1, q-2, 1)
-    (-2, -2, 2),  # (p-2, q-2, 2)
-]
-
 _REFINED_ORDER = [LineSignature.SPACELIKE, LineSignature.TIMELIKE,
                   LineSignature.LIGHTLIKE, LineSignature.RADICAL]
 
@@ -97,6 +88,14 @@ class MetricClass:
         dp, dq, u = self.pattern
         return Signature(p + dp, q + dq, u)
 
+    def flag_invariants(self, p: int, q: int) -> FlagInvariants:
+        """The orbit invariants of the flag (derived line, center) this row names."""
+        # a null line, lightlike or radical, has signature (0, 0, 1)
+        line = {LineSignature.SPACELIKE: Signature(1, 0, 0),
+                LineSignature.TIMELIKE: Signature(0, 1, 0)}.get(self.refined, Signature(0, 0, 1))
+        return FlagInvariants(self.center_signature(p, q), line,
+                              int(self.refined is LineSignature.RADICAL))
+
     def pattern_str(self) -> str:
         dp, dq, u = self.pattern
         ps = "p" if dp == 0 else f"p{dp:+d}"
@@ -107,7 +106,7 @@ class MetricClass:
 def _build_rows() -> tuple[MetricClass, ...]:
     rows = []
     next_id = 1
-    for pattern in _PATTERNS:
+    for pattern in CODIM2_PATTERNS:
         refined_choices = _REFINED_ORDER if pattern[2] >= 1 else _REFINED_ORDER[:3]
         for refined in refined_choices:
             rows.append(MetricClass(next_id, pattern, refined))
@@ -147,23 +146,21 @@ def admissible_classes(p: int, q: int) -> ClassTable:
     """Derive the admissible taxonomy rows for signature (p, q).
 
     Canonicalizes to p >= q (the two orders have identical tables).  A row is
-    admissible iff its concrete center signature is a possible codimension-two
-    signature and its refined line type can occur inside that signature.
+    admissible iff its concrete center signature has no negative entry (the
+    rows follow `CODIM2_PATTERNS`, so it is then a possible codimension-two
+    signature) and its refined line type can occur inside that signature.
     """
     if p < 1 or q < 1:
         raise UnsupportedSignatureError("need p, q >= 1 (definite metrics are out of scope)")
     if p + q < 4:
         raise UnsupportedSignatureError("need p + q >= 4; lower dimensions are out of scope")
     p, q = max(p, q), min(p, q)
-    possible = possible_codim2_signatures(p, q)
     rows = []
     for row in CLASS_ROWS:
         dp, dq, u = row.pattern
         if p + dp < 0 or q + dq < 0:
             continue
         sig = row.center_signature(p, q)
-        if sig not in possible:
-            continue
         if row.refined not in possible_line_signatures(sig.pos, sig.neg, sig.nul):
             continue
         rows.append(row)
@@ -360,6 +357,7 @@ class ScaledAutomorphism:
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "ScaledAutomorphism":
+        m = linalg.mat(m)  # int entries would divide to floats below
         n = len(m)
         if not is_scaled_automorphism(m, n):
             raise PreconditionError("matrix is not invertible block upper triangular (1, n-3, 2)")

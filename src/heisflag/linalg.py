@@ -1,11 +1,13 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices are lists of row lists and vectors are tuples, with every entry a
-`fractions.Fraction`.  All routines are pure and exact: no floating point,
-no tolerances.  Signatures of symmetric matrices are obtained by congruence
-(never from eigenvalues), using one symmetric elimination: each pivot
-updates the remaining block once by its Schur complement, over the nonzero
-entries of its row, and zero pivots are traded for swaps or hyperbolic-pair
+Matrices are lists of row lists and vectors are tuples.  Input entries may
+be `int` or `fractions.Fraction`: every elimination works on an exact copy
+built with `mat`, so an `int` never meets `/`, and results are `Fraction`.
+All routines are pure and exact: no floating point, no tolerances.
+Signatures of symmetric matrices are obtained by congruence (never from
+eigenvalues), using one symmetric elimination: each pivot updates the
+remaining block once by its Schur complement, over the nonzero entries of
+its row, and zero pivots are traded for swaps or hyperbolic-pair
 congruences so that everything stays inside Q.  The congruence records its
 moves and builds the transform P only when a caller reads it; callers that
 count signs never pay for P.
@@ -42,7 +44,8 @@ def vec(entries: Iterable) -> Vector:
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
-    return [[frac(x) for x in row] for row in rows]
+    # `frac` inlined: every elimination copies its input through here
+    return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
 
 
 def zeros(r: int, c: int) -> Matrix:
@@ -218,7 +221,7 @@ def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceR
     if not 0 <= m <= n:
         raise ShapeError(f"leading block size {m} outside 0..{n}")
 
-    a = copy(s)
+    a = mat(s)
     moves: list[tuple] = []
 
     def eliminate(k: int, partners: Sequence[int], rest: Sequence[int]) -> bool:
@@ -274,7 +277,7 @@ def _forward(m: Matrix) -> tuple[Matrix, list[int], int]:
     Pivot rows stay unnormalized and only rows below a pivot are cleared, so
     a square matrix's determinant is its pivots' product times the parity.
     """
-    a = [list(row) for row in m]  # rows may come in as tuples
+    a = mat(m)  # rows may come in as tuples, entries as ints
     rows, cols = shape(a)
     pivots: list[int] = []
     parity = 1
@@ -363,7 +366,7 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     rows, cols = shape(a)
     if len(b) != rows:
         raise ShapeError("right-hand side length does not match row count")
-    aug = [row[:] + [bv] for row, bv in zip(a, b)]
+    aug = [list(row) + [bv] for row, bv in zip(a, b)]
     ech, pivots = _echelon(aug)
     if pivots and pivots[-1] == cols:
         return None

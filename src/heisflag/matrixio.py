@@ -26,10 +26,6 @@ def parse_rational(token: str) -> Fraction:
     return Fraction(token)
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def parse_matrix(text: str) -> Matrix:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
@@ -55,7 +51,7 @@ def format_matrix(m: Matrix) -> str:
     n = len(m)
     lines = [str(n)]
     for row in m:
-        lines.append(" ".join(format_rational(x) for x in row))
+        lines.append(" ".join(str(x) for x in row))
     return "\n".join(lines) + "\n"
 
 

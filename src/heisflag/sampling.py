@@ -18,10 +18,6 @@ from .forms import Flag, PreconditionError, QuadraticSpace, Subspace
 from .linalg import Matrix, Vector
 
 
-def standard_form_matrix(p: int, q: int) -> Matrix:
-    return linalg.diag([1] * p + [-1] * q)
-
-
 def _cayley(p: int, q: int, k: Matrix) -> Matrix | None:
     """(I - S)(I + S)^{-1} for S = I_{p,q} K (K with its last q rows negated),
     or None when I + S is singular.
@@ -72,11 +68,7 @@ def _draw_signed_permutation(p: int, q: int, rng: random.Random) -> list[tuple[i
 def signed_permutation_opq(p: int, q: int, rng: random.Random) -> Matrix:
     """Signed permutation preserving the standard form: permutes the first p
     axes among themselves, the last q among themselves, with arbitrary signs."""
-    n = p + q
-    m = linalg.zeros(n, n)
-    for j, (i, sign) in enumerate(_draw_signed_permutation(p, q, rng)):
-        m[i][j] = Fraction(sign)
-    return m
+    return _permute_rows(_draw_signed_permutation(p, q, rng), linalg.identity(p + q))
 
 
 def _permute_rows(perm: list[tuple[int, int]], g: Matrix) -> Matrix:

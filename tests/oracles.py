@@ -74,7 +74,7 @@ from heisflag.forms import (
     signature,
 )
 from heisflag.heisenberg import Classification, UnsupportedSignatureError, admissible_classes
-from heisflag.sampling import small_vector_pool, standard_form_matrix
+from heisflag.sampling import small_vector_pool
 
 
 def structure_constants(n):
@@ -369,7 +369,7 @@ def random_gram(p, q, rng):
         cols = [rng.choice(pool) for _ in range(n)]
         h = [[cols[j][i] for j in range(n)] for i in range(n)]
         if linalg.det(h) != 0:
-            ipq = standard_form_matrix(p, q)
+            ipq = linalg.diag([1] * p + [-1] * q)
             return linalg.mat_mul(linalg.transpose(h), linalg.mat_mul(ipq, h))
 
 

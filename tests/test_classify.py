@@ -7,7 +7,8 @@ import pytest
 
 import oracles
 from heisflag import linalg, sampling
-from heisflag.forms import LineSignature, PreconditionError, Signature
+from heisflag.forms import LineSignature, PreconditionError, QuadraticSpace, Signature, \
+    flag_invariants
 from heisflag.heisenberg import (
     CLASS_ROWS,
     HeisenbergAlgebra,
@@ -20,6 +21,7 @@ from heisflag.heisenberg import (
     metric_class,
     parabolic_sample,
     representative,
+    representative_flag,
 )
 
 TWO_PLANES = linalg.mat([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
@@ -56,6 +58,16 @@ def test_classify_swap_convention():
     # negating realizes the signature swap: same class, no swap flag
     direct = classify_metric(alg, linalg.diag([-1, 1, 1, 1]))
     assert not direct.swapped and direct.class_id == 2
+
+
+def test_classify_integer_gram_exactly():
+    # representative 12 at (3, 2) moved by an integral parabolic element; ints
+    # that reach `/` turn into floats, and rounding then gives class 6
+    gram = [[0, 1, 5, 11, 58], [1, 10, 51, 116, 632], [5, 51, 260, 591, 3219],
+            [11, 116, 591, 1343, 7312], [58, 632, 3219, 7312, 39789]]
+    got = classify_metric(HeisenbergAlgebra(5), gram)
+    assert got.class_id == 12 and (got.p, got.q) == (3, 2)
+    assert got.class_id == classify_metric(HeisenbergAlgebra(5), linalg.mat(gram)).class_id
 
 
 def test_classify_rejections():
@@ -133,6 +145,24 @@ def test_parabolic_sample_examples():
     sa = ScaledAutomorphism.from_matrix(linalg.diag([-1, 1, 1, 1]))
     assert sa.scale == -1
     assert sa.preserves_bracket(HeisenbergAlgebra(4))
+
+
+def test_scaled_automorphism_from_integer_matrix_is_exact():
+    sa = ScaledAutomorphism.from_matrix([[3, 1, 2, 5], [0, 1, 4, 7], [0, 0, 2, 1], [0, 0, 1, 1]])
+    assert sa.scale == F(1, 3) and type(sa.scale) is F
+    assert all(type(x) is F for rows in (sa.matrix, sa.automorphism) for row in rows for x in row)
+    assert sa.automorphism[0] == (9, 3, 6, 15)
+    assert sa.preserves_bracket(HeisenbergAlgebra(4))
+
+
+def test_representative_flag_realizes_its_row():
+    for n in range(4, 9):
+        for q in range(1, n // 2 + 1):
+            p = n - q
+            space = QuadraticSpace.standard(p, q)
+            for row in admissible_classes(p, q).classes:
+                got = flag_invariants(space, representative_flag(row.id, p, q))
+                assert got == row.flag_invariants(p, q), (p, q, row.id)
 
 
 def test_parabolic_sample_properties():

@@ -51,6 +51,21 @@ def test_levi_civita_rejects_degenerate():
         levi_civita(alg, linalg.diag([1, 0, 1, -1]))
 
 
+def test_ricci_and_soliton_check_validate_the_gram():
+    alg = HeisenbergAlgebra(4)
+    gram = linalg.identity(4)
+    riem = riemann(levi_civita(alg, gram), alg)
+    ric, _ = ricci(riem, gram)
+    lopsided = linalg.identity(4)
+    lopsided[0][1] = F(1)
+    singular = linalg.diag([1, 0, 1, -1])
+    for bad, cause in ((lopsided, "symmetric"), (singular, "singular")):
+        with pytest.raises(PreconditionError, match=cause):
+            ricci(riem, bad)
+        with pytest.raises(PreconditionError, match=cause):
+            soliton_check(alg, bad, ric)
+
+
 def test_abelian_directions_are_flat():
     # no brackets -> zero connection; model by restricting attention to a gram
     # supported away from the bracket pair is not possible here, so check the

@@ -156,6 +156,24 @@ def test_solve_consistent_and_inconsistent():
     assert linalg.solve(a, vec([1, 3])) is None
 
 
+def fraction_entries(x) -> bool:
+    """True iff every leaf of nested lists and tuples is a `Fraction`."""
+    if isinstance(x, (list, tuple)):
+        return all(fraction_entries(y) for y in x)
+    return type(x) is F
+
+
+def test_int_input_stays_exact():
+    singular = [[3, 1, 4], [1, 3, 4], [4, 4, 8]]
+    assert rank(singular) == 2
+    assert det(singular) == 0 and type(det(singular)) is F
+    res = congruence_diagonalize(singular)
+    assert res.diagonal == (F(3), F(8, 3), F(0)) and res.sign_counts() == (2, 0, 1)
+    assert fraction_entries(res.transform)
+    assert kernel([[1, 2], [2, 4]]) == [(F(2), F(-1))]
+    assert fraction_entries(kernel([[1, 2], [2, 4]]))
+
+
 # ---------------------------------------------------------------------------
 # differential tests against the replaced routines in `oracles`
 
@@ -237,6 +255,60 @@ def degenerate_matrices(draw, square=False):
     return [list(v) for v in draw(degenerate_vectors(cols, rows))]
 
 
+@st.composite
+def singular_int_rows(draw, n, count):
+    """`count` integer rows of length n: zero, repeated, a sum of two earlier rows, or new."""
+    out = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(["zero", "copy", "sum", "new", "new"]))
+        if kind == "zero":
+            out.append([0] * n)
+        elif kind == "copy" and out:
+            out.append(list(draw(st.sampled_from(out))))
+        elif kind == "sum" and len(out) >= 2:
+            a, b = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            out.append([x + y for x, y in zip(a, b)])
+        else:
+            out.append([draw(st.integers(-9, 9)) for _ in range(n)])
+    return out
+
+
+def as_fractions(m):
+    return [[F(x) for x in row] for row in m]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_int_input_gives_the_fraction_results(data):
+    rows = data.draw(st.integers(0, 5))
+    square = data.draw(st.booleans())
+    cols = rows if square else data.draw(st.integers(1, 6))
+    m = data.draw(singular_int_rows(cols, rows))
+    fm = as_fractions(m)
+    b = data.draw(st.lists(st.integers(-9, 9), min_size=rows, max_size=rows))
+    got = (kernel(m), linalg.row_space(m), linalg.solve(m, tuple(b)))
+    assert got == (kernel(fm), linalg.row_space(fm), linalg.solve(fm, vec(b)))
+    assert rank(m) == rank(fm) and fraction_entries([x for x in got if x is not None])
+    if square:
+        assert det(m) == det(fm) and type(det(m)) is F
+        try:
+            inverse = invert(m)
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError):
+                invert(fm)
+        else:
+            assert inverse == invert(fm) and fraction_entries(inverse)
+        # a symmetric B^T diag(d) B is singular whenever B is
+        d = [data.draw(st.integers(-1, 1)) for _ in range(cols)]
+        s = [[sum(d[k] * m[k][i] * m[k][j] for k in range(cols)) for j in range(cols)]
+             for i in range(cols)]
+        leading = data.draw(st.integers(0, cols))
+        res, want = congruence_diagonalize(s, leading), congruence_diagonalize(as_fractions(s), leading)
+        assert (res.diagonal, res.leading_counts) == (want.diagonal, want.leading_counts)
+        assert res.transform == want.transform
+        assert fraction_entries((res.diagonal, res.transform))
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(m=degenerate_matrices(), data=st.data())
 def test_forward_elimination_agrees_with_gauss_jordan_oracle(m, data):
@@ -249,6 +321,7 @@ def test_forward_elimination_agrees_with_gauss_jordan_oracle(m, data):
             lambda x: tuple(sum((a * y for a, y in zip(row, x)), F(0)) for row in m))))
     rows = [tuple(row) for row in m]
     got = (kernel(m), linalg.row_space(rows), linalg.solve(m, b))
+    assert linalg.solve(rows, b) == got[2]
     with patch.object(linalg, "_echelon", oracles.gauss_jordan_echelon):
         assert got == (kernel(m), linalg.row_space(rows), linalg.solve(m, b))
 
