@@ -18,6 +18,22 @@ p and the last q entries of x, and U+, U- for the coordinate subspaces.
 - A line v of V lies in (V cap U+) + (V cap U-) exactly when v+ is
   orthogonal to a+ and to b+.
 
+The signed block permutations B_p x B_q (permutations and sign flips of the
+first p coordinates, and of the last q) fix I_pq, U+ and U-, so they fix
+every flag invariant and every seven-count tuple, and they map the pool onto
+itself up to sign.  So the survey visits only a few planes of each class
+(`_canonical`): those whose support is an initial segment of each block and
+whose key is the least among their images under sign flips of the support
+coordinates.  The two halves of this reduction rest on different grounds.
+- Sign flips are exact.  For a diagonal +-1 matrix D, the reduced echelon
+  kernel basis of [aD; bD] is D times that of [a; b], up to the sign of each
+  vector, so the flipped plane's {-1, 0, 1} line family is D times the
+  original one, with the same invariants and tuples.
+- Block permutations are checked, not proved.  A permutation changes the
+  pivot columns, hence the kernel basis and its line family.  That the
+  reduced survey still observes the sets of the walk over every plane is
+  verified by the tests only.
+
 The survey yields the observed set of orbit invariants, the observed set of
 seven-count coordinate data, and a few sample flags per orbit.
 """
@@ -25,9 +41,11 @@ seven-count coordinate data, and a few sample flags per orbit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
 from . import linalg
 from .forms import Flag, FlagInvariants, PreconditionError, Signature, Subspace
@@ -71,24 +89,69 @@ def _dot(u, v) -> int:
     return sum(x * y for x, y in zip(u, v))
 
 
-@dataclass
+def _plucker_key(a: IntRow, b: IntRow, index_pairs: list[tuple[int, int]]) -> IntRow:
+    """Primitive Plucker coordinates of span(a, b), first nonzero positive.
+
+    a and b must be independent; distinct pool vectors always are.
+    """
+    plucker = [a[i] * b[j] - a[j] * b[i] for i, j in index_pairs]
+    g = gcd(*plucker)
+    if next(x for x in plucker if x) < 0:
+        g = -g
+    return tuple(x // g for x in plucker)
+
+
+def _canonical(a: IntRow, b: IntRow, key: IntRow, p: int,
+               index_pairs: list[tuple[int, int]]) -> bool:
+    """Whether span(a, b), with key `key`, is the plane the survey keeps of its class.
+
+    Its support must be an initial segment of the + block and of the - block,
+    and its key the least among its images under sign flips of the support
+    coordinates.  Flipping all of them fixes the plane, so the first stays.
+    """
+    support = [i for i, (x, y) in enumerate(zip(a, b)) if x or y]
+    plus = sum(1 for i in support if i < p)
+    if support != [*range(plus), *range(p, p + len(support) - plus)]:
+        return False
+    for flips in itertools.product((1, -1), repeat=len(support) - 1):
+        d = [1] * len(a)
+        for i, s in zip(support[1:], flips):
+            d[i] = s
+        flipped = _plucker_key(tuple(s * x for s, x in zip(d, a)),
+                               tuple(s * x for s, x in zip(d, b)), index_pairs)
+        if flipped < key:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
 class FlagSurvey:
-    """Everything observed while enumerating flags of type (1, n-2)."""
+    """Everything observed while enumerating flags of type (1, n-2).
+
+    Immutable, because `survey_flags` hands one cached survey to every
+    caller: `invariants` becomes a read-only mapping to tuples of sample
+    flags and `matsuki` a frozenset.  `subspace_count` counts the planes
+    visited, one or a few per signed-permutation class.
+    """
 
     p: int
     q: int
-    subspace_count: int = 0
-    flag_count: int = 0
-    invariants: dict[FlagInvariants, list[Flag]] = field(default_factory=dict)
-    matsuki: set[tuple[int, ...]] = field(default_factory=set)
+    subspace_count: int
+    invariants: Mapping[FlagInvariants, tuple[Flag, ...]]
+    matsuki: frozenset[tuple[int, ...]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "invariants", MappingProxyType(
+            {inv: tuple(flags) for inv, flags in self.invariants.items()}))
+        object.__setattr__(self, "matsuki", frozenset(self.matsuki))
 
     @property
-    def observed_invariants(self) -> set[FlagInvariants]:
-        return set(self.invariants)
+    def observed_invariants(self) -> frozenset[FlagInvariants]:
+        return frozenset(self.invariants)
 
 
 def survey_flags(p: int, q: int) -> FlagSurvey:
-    """Enumerate all type-(1, n-2) flags over the small-vector pool.
+    """Enumerate type-(1, n-2) flags over the small-vector pool, one plane per class.
 
     Needs p, q >= 0 and p + q >= 4 (else `PreconditionError`).  Results are
     cached per signature; see `_survey_cached`.
@@ -105,21 +168,16 @@ def _survey_cached(p: int, q: int) -> FlagSurvey:
     pool = [tuple(int(x) for x in v) for v in small_vector_pool(n)]
     index_pairs = list(itertools.combinations(range(n), 2))
     lines = _coefficient_lines(k)
-    survey = FlagSurvey(p, q)
+    invariants: dict[FlagInvariants, list[Flag]] = {}
+    matsuki: set[tuple[int, ...]] = set()
     seen: set[IntRow] = set()
     sign = [1] * p + [-1] * q
 
     for a, b in itertools.combinations(pool, 2):
-        # distinct pool vectors are never parallel: some coordinate is nonzero
-        plucker = [a[i] * b[j] - a[j] * b[i] for i, j in index_pairs]
-        g = gcd(*plucker)
-        if next(x for x in plucker if x) < 0:
-            g = -g
-        key = tuple(x // g for x in plucker)
-        if key in seen:
+        key = _plucker_key(a, b, index_pairs)
+        if key in seen or not _canonical(a, b, key, p, index_pairs):
             continue
         seen.add(key)
-        survey.subspace_count += 1
 
         s, t, u = linalg.congruence_diagonalize(_standard_gram(sign, (a, b))).sign_counts()
         sig_big = Signature(p - s - u, q - t - u, u)
@@ -131,7 +189,6 @@ def _survey_cached(p: int, q: int) -> FlagSurvey:
         gram = _standard_gram(sign, basis)
 
         for coeffs in lines:
-            survey.flag_count += 1
             gram_coeffs = [_dot(row, coeffs) for row in gram]
             norm = _dot(coeffs, gram_coeffs)
             if norm > 0:
@@ -142,7 +199,7 @@ def _survey_cached(p: int, q: int) -> FlagSurvey:
                 sig_small, cap = Signature(0, 0, 1), (0 if any(gram_coeffs) else 1)
             inv = FlagInvariants(sig_big, sig_small, cap)
 
-            samples = survey.invariants.setdefault(inv, [])
+            samples = invariants.setdefault(inv, [])
             if len(samples) < SAMPLES_PER_ORBIT:
                 samples.append(_to_flag(basis, coeffs, n))
 
@@ -150,6 +207,6 @@ def _survey_cached(p: int, q: int) -> FlagSurvey:
             d_plus = 0 if any(vec[p:]) else 1
             d_minus = 0 if any(vec[:p]) else 1
             d_pm = 0 if _dot(a[:p], vec) or _dot(b[:p], vec) else 1
-            survey.matsuki.add((c_plus, c_minus, c_zero,
-                                d_plus, d_minus, 1 - d_plus - d_minus, d_pm))
-    return survey
+            matsuki.add((c_plus, c_minus, c_zero,
+                          d_plus, d_minus, 1 - d_plus - d_minus, d_pm))
+    return FlagSurvey(p, q, len(seen), invariants, matsuki)

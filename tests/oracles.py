@@ -10,7 +10,9 @@ Deliberately separate from the package's fast paths:
   flag sampler, which pin the draw order of `heisflag.sampling`;
 - enumeration: the primal flag survey, which walks every (n-2)-subset of the
   small integer pool, deduplicates subspaces by a fraction-free integer RREF
-  and computes every flag invariant in integer arithmetic;
+  and computes every flag invariant in integer arithmetic; and the dual
+  survey over every plane of two pool vectors, which the survey of one plane
+  per signed-permutation class replaced;
 - radical: the kernel of the restricted Gram matrix, which `forms.radical`
   and `forms.flag_invariants` now read off one congruence instead;
 - witness assembly: the 256-bit mpmath assembly of g from two adapted frames
@@ -54,6 +56,9 @@ from heisflag.enumeration import (
     SAMPLES_PER_ORBIT,
     FlagSurvey,
     _coefficient_lines,
+    _dot,
+    _pair_rank,
+    _standard_gram,
     _to_flag,
 )
 from heisflag.forms import (
@@ -492,7 +497,7 @@ def primal_survey(p, q):
     k = n - 2
     pool = small_int_pool(n)
     lines = _coefficient_lines(k)
-    survey = FlagSurvey(p, q)
+    invariants, matsuki = {}, set()
     seen = set()
     sign = [1] * p + [-1] * q
 
@@ -501,7 +506,6 @@ def primal_survey(p, q):
         if len(rref) != k or rref in seen:
             continue
         seen.add(rref)
-        survey.subspace_count += 1
         basis = rref
 
         # restricted Gram, signature, and coordinate intersections of the big part
@@ -520,7 +524,6 @@ def primal_survey(p, q):
         pm_rank = len(pm_span)
 
         for coeffs in lines:
-            survey.flag_count += 1
             norm = sum(ci * sum(g * cj for g, cj in zip(row, coeffs))
                        for ci, row in zip(coeffs, gram))
             in_radical = all(sum(g * c for g, c in zip(row, coeffs)) == 0 for row in gram)
@@ -532,7 +535,7 @@ def primal_survey(p, q):
                 sig_small, cap = Signature(0, 0, 1), (1 if in_radical else 0)
             inv = FlagInvariants(sig_big, sig_small, cap)
 
-            samples = survey.invariants.setdefault(inv, [])
+            samples = invariants.setdefault(inv, [])
             if len(samples) < SAMPLES_PER_ORBIT:
                 samples.append(_to_flag(basis, coeffs, n))
 
@@ -540,9 +543,63 @@ def primal_survey(p, q):
             d_plus = 1 if all(x == 0 for x in vec[p:]) else 0
             d_minus = 1 if all(x == 0 for x in vec[:p]) else 0
             d_pm = 1 if pm_rank and len(int_rref(list(pm_span) + [tuple(coeffs)])) == pm_rank else 0
-            survey.matsuki.add((c_plus, c_minus, c_zero,
-                                d_plus, d_minus, 1 - d_plus - d_minus, d_pm))
-    return survey
+            matsuki.add((c_plus, c_minus, c_zero,
+                         d_plus, d_minus, 1 - d_plus - d_minus, d_pm))
+    return FlagSurvey(p, q, len(seen), invariants, matsuki)
+
+
+def pair_walk_survey(p, q):
+    """The dual survey over every plane span(a, b) of two pool vectors, each once."""
+    n = p + q
+    k = n - 2
+    pool = small_int_pool(n)
+    index_pairs = list(combinations(range(n), 2))
+    lines = _coefficient_lines(k)
+    invariants, matsuki = {}, set()
+    seen = set()
+    sign = [1] * p + [-1] * q
+
+    for a, b in combinations(pool, 2):
+        plucker = [a[i] * b[j] - a[j] * b[i] for i, j in index_pairs]
+        g = gcd(*plucker)
+        if next(x for x in plucker if x) < 0:
+            g = -g
+        key = tuple(x // g for x in plucker)
+        if key in seen:
+            continue
+        seen.add(key)
+
+        s, t, u = linalg.congruence_diagonalize(_standard_gram(sign, (a, b))).sign_counts()
+        sig_big = Signature(p - s - u, q - t - u, u)
+        c_plus = p - _pair_rank(a[:p], b[:p])
+        c_minus = q - _pair_rank(a[p:], b[p:])
+        c_zero = k - c_plus - c_minus
+
+        basis = tuple(tuple(int(x) for x in v) for v in linalg.kernel([a, b]))
+        gram = _standard_gram(sign, basis)
+
+        for coeffs in lines:
+            gram_coeffs = [_dot(row, coeffs) for row in gram]
+            norm = _dot(coeffs, gram_coeffs)
+            if norm > 0:
+                sig_small, cap = Signature(1, 0, 0), 0
+            elif norm < 0:
+                sig_small, cap = Signature(0, 1, 0), 0
+            else:
+                sig_small, cap = Signature(0, 0, 1), (0 if any(gram_coeffs) else 1)
+            inv = FlagInvariants(sig_big, sig_small, cap)
+
+            samples = invariants.setdefault(inv, [])
+            if len(samples) < SAMPLES_PER_ORBIT:
+                samples.append(_to_flag(basis, coeffs, n))
+
+            vec = linalg.combine(coeffs, basis)
+            d_plus = 0 if any(vec[p:]) else 1
+            d_minus = 0 if any(vec[:p]) else 1
+            d_pm = 0 if _dot(a[:p], vec) or _dot(b[:p], vec) else 1
+            matsuki.add((c_plus, c_minus, c_zero,
+                         d_plus, d_minus, 1 - d_plus - d_minus, d_pm))
+    return FlagSurvey(p, q, len(seen), invariants, matsuki)
 
 
 def _left_kernel(rows):

@@ -24,7 +24,7 @@ from heisflag.curvature import (
     riemann,
     soliton_check,
 )
-from heisflag.enumeration import survey_flags
+from heisflag.enumeration import _survey_cached, survey_flags
 from heisflag.forms import (
     FlagInvariants,
     LineSignature,
@@ -288,3 +288,16 @@ def test_criterion_11_structural_identities():
                     for l in range(n):
                         assert low[i][j][k2][l] == low[k2][l][i][j]
     report(11, "structural-identities", started)
+
+
+def test_criterion_12_survey_past_n7():
+    # every call is cold, so the budget times the survey, not its cache
+    _survey_cached.cache_clear()
+    started = time.time()
+    for p, q in [(4, 3), (4, 4), (5, 3), (5, 5)]:
+        survey = survey_flags(p, q)
+        expected = expected_invariant_set(p, q)
+        observed = survey.observed_invariants
+        assert observed == expected, (p, q, observed ^ expected)
+        assert len(survey.matsuki) == 21, (p, q, len(survey.matsuki))
+    report(12, "survey-completeness-and-duality-past-n7", started, budget=30.0)

@@ -1,9 +1,13 @@
 """Structured flag survey: completeness, consistency, duality counts."""
 
+import dataclasses
+import itertools
+
 import pytest
 
 import oracles
-from heisflag.enumeration import survey_flags
+from heisflag import enumeration
+from heisflag.enumeration import FlagSurvey, survey_flags
 from heisflag.forms import (
     FlagInvariants,
     LineSignature,
@@ -81,6 +85,93 @@ def test_survey_agrees_with_primal_oracle():
         dual, primal = survey_flags(p, q), oracles.primal_survey(p, q)
         assert dual.observed_invariants == primal.observed_invariants, (p, q)
         assert dual.matsuki == primal.matsuki, (p, q)
+
+
+def test_survey_agrees_with_pair_walk_oracle():
+    # one plane per signed-permutation class against every plane of the pool:
+    # the block-permutation half of the reduction is checked here, not proved
+    signatures = [(p, n - p) for n in (4, 5, 6) for p in range(n + 1)] + [(4, 3), (3, 4)]
+    for p, q in signatures:
+        reduced, full = survey_flags(p, q), oracles.pair_walk_survey(p, q)
+        assert reduced.observed_invariants == full.observed_invariants, (p, q)
+        assert reduced.matsuki == full.matsuki, (p, q)
+        assert reduced.subspace_count < full.subspace_count, (p, q)
+
+
+def _signed_block_permutations(p, q):
+    """Every element of B_p x B_q as (target index, sign) per coordinate."""
+    def block(start, size):
+        for perm in itertools.permutations(range(start, start + size)):
+            for signs in itertools.product((1, -1), repeat=size):
+                yield list(zip(perm, signs))
+
+    for plus, minus in itertools.product(block(0, p), block(p, q)):
+        yield plus + minus
+
+
+def _act(g, x):
+    out = [0] * len(x)
+    for xi, (target, sign) in zip(x, g):
+        out[target] = sign * xi
+    return tuple(out)
+
+
+def test_every_plane_class_keeps_a_plane():
+    for p, q in [(2, 2), (3, 1), (3, 2), (2, 3)]:
+        n = p + q
+        index_pairs = list(itertools.combinations(range(n), 2))
+        group = list(_signed_block_permutations(p, q))
+        planes, kept = {}, set()
+        for a, b in itertools.combinations(oracles.small_int_pool(n), 2):
+            key = enumeration._plucker_key(a, b, index_pairs)
+            planes.setdefault(key, (a, b))
+            if enumeration._canonical(a, b, key, p, index_pairs):
+                kept.add(key)
+        assert len(kept) == survey_flags(p, q).subspace_count
+
+        # every orbit of pool planes under B_p x B_q contains a kept plane
+        unvisited = set(planes)
+        while unvisited:
+            a, b = planes[unvisited.pop()]
+            orbit = {enumeration._plucker_key(_act(g, a), _act(g, b), index_pairs)
+                     for g in group}
+            assert orbit <= set(planes), (p, q)
+            assert orbit & kept, (p, q, a, b)
+            unvisited -= orbit
+
+        # no two kept planes differ by a coordinate sign flip
+        for key in kept:
+            a, b = planes[key]
+            for signs in itertools.product((1, -1), repeat=n):
+                flip = list(zip(range(n), signs))
+                image = enumeration._plucker_key(_act(flip, a), _act(flip, b), index_pairs)
+                assert image == key or image not in kept, (p, q, key, image)
+
+
+def test_cached_survey_cannot_be_changed_by_a_caller():
+    survey = survey_flags(2, 2)
+    with pytest.raises(AttributeError):
+        survey.matsuki.add((9,) * 7)
+    with pytest.raises(AttributeError):
+        survey.invariants.clear()
+    with pytest.raises(TypeError):
+        survey.invariants[next(iter(survey.invariants))] = []
+    with pytest.raises(AttributeError):
+        next(iter(survey.invariants.values())).append(None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        survey.matsuki = set()
+    again = survey_flags(2, 2)
+    assert again is survey
+    assert len(again.matsuki) == 10
+    assert len(again.observed_invariants) == 10
+
+    # the survey keeps its own copies of what it was built from
+    invariants, matsuki = dict(survey.invariants), set(survey.matsuki)
+    built = FlagSurvey(2, 2, survey.subspace_count, invariants, matsuki)
+    invariants.clear()
+    matsuki.clear()
+    assert built.observed_invariants == survey.observed_invariants
+    assert built.matsuki == survey.matsuki
 
 
 def test_survey_complete_at_n7():
