@@ -6,33 +6,37 @@ flags built from small integer vectors instead.  It walks the dual family:
 each codimension-two big part is V = ker[a; b] for two vectors a, b of the
 small-vector pool ({-1, 0, 1} entries, at most two nonzero), visited once
 per plane span(a, b), which its primitive Plucker coordinates identify
-without any elimination.  The line runs over {-1, 0, 1} coefficient
-combinations of an exact kernel basis of V.
+without any elimination.  The lines of V are the pool vectors that lie in
+V, so the line family depends on V alone, not on a basis of V.
 
-Most of the flag data is read off the pair.  Write x+ and x- for the first
-p and the last q entries of x, and U+, U- for the coordinate subspaces.
+The flag data is read off the pair and the line.  Write x+ and x- for the
+first p and the last q entries of x, and U+, U- for the coordinate
+subspaces.
 - V is the I_pq-orthogonal complement of I_pq span(a, b), a plane with the
   Gram matrix of span(a, b); if that plane has signature (s, t, u), then V
   has signature (p - s - u, q - t - u, u).
 - dim(V cap U+) = p - rank[a+; b+] and dim(V cap U-) = q - rank[a-; b-].
 - A line v of V lies in (V cap U+) + (V cap U-) exactly when v+ is
   orthogonal to a+ and to b+.
+- A null line v lies in the radical of V exactly when I_pq v is orthogonal
+  to each vector of the exact kernel basis of [a; b], which is also the big
+  part of every sample flag.
 
 The signed block permutations B_p x B_q (permutations and sign flips of the
 first p coordinates, and of the last q) fix I_pq, U+ and U-, so they fix
-every flag invariant and every seven-count tuple, and they map the pool onto
-itself up to sign.  So the survey visits only a few planes of each class
-(`_canonical`): those whose support is an initial segment of each block and
-whose key is the least among their images under sign flips of the support
-coordinates.  The two halves of this reduction rest on different grounds.
-- Sign flips are exact.  For a diagonal +-1 matrix D, the reduced echelon
-  kernel basis of [aD; bD] is D times that of [a; b], up to the sign of each
-  vector, so the flipped plane's {-1, 0, 1} line family is D times the
-  original one, with the same invariants and tuples.
-- Block permutations are checked, not proved.  A permutation changes the
-  pivot columns, hence the kernel basis and its line family.  That the
-  reduced survey still observes the sets of the walk over every plane is
-  verified by the tests only.
+every flag invariant and every seven-count tuple.  So the survey visits only
+a few planes of each class (`_canonical`): those whose support is an initial
+segment of each block and whose key is the least among their images under
+sign flips of the support coordinates.  It observes the same sets as a
+visit to every plane would:
+- Every class keeps a plane.  A pool plane lies on at most four
+  coordinates, which a block permutation moves to the front of each block;
+  of that plane's sign-flip images, the one with the least key is kept.
+- All planes of a class give the same (invariants, seven counts) pairs.
+  Each g in B_p x B_q maps the pool onto itself up to sign, and it is
+  Euclidean-orthogonal, so g ker[a; b] = ker[ga; gb].  So g maps the pool
+  lines of V one to one onto those of gV, and the flag (v, V) to (gv, gV),
+  which has the same invariants and seven counts.
 
 The survey yields the observed set of orbit invariants, the observed set of
 seven-count coordinate data, and a few sample flags per orbit.
@@ -54,22 +58,6 @@ from .sampling import small_vector_pool
 IntRow = tuple[int, ...]
 
 SAMPLES_PER_ORBIT = 3
-
-
-def _coefficient_lines(k: int) -> list[IntRow]:
-    """Nonzero {-1, 0, 1} coefficient vectors up to sign (first nonzero +1)."""
-    out = []
-    for combo in itertools.product((0, 1, -1), repeat=k):
-        lead = next((x for x in combo if x != 0), 0)
-        if lead == 1:
-            out.append(combo)
-    return out
-
-
-def _to_flag(basis: tuple[IntRow, ...], coeffs: IntRow, n: int) -> Flag:
-    big_vecs = tuple(linalg.vec(row) for row in basis)
-    line = linalg.vec(linalg.combine(coeffs, basis))
-    return Flag(Subspace.spanned_by([line], n), Subspace(n, big_vecs))
 
 
 def _standard_gram(sign: list[int], vectors) -> list[list[int]]:
@@ -161,52 +149,55 @@ def survey_flags(p: int, q: int) -> FlagSurvey:
     return _survey_cached(p, q)
 
 
+def _plane_lines(a: IntRow, b: IntRow, p: int, q: int, pool: list[IntRow]):
+    """Integer kernel basis of V = ker[a; b], and (v, invariants, seven counts) per pool line v."""
+    sign = [1] * p + [-1] * q
+    s, t, u = linalg.congruence_diagonalize(_standard_gram(sign, (a, b))).sign_counts()
+    sig_big = Signature(p - s - u, q - t - u, u)
+    c_plus = p - _pair_rank(a[:p], b[:p])
+    c_minus = q - _pair_rank(a[p:], b[p:])
+    c_zero = p + q - 2 - c_plus - c_minus
+    basis = [tuple(int(x) for x in w) for w in linalg.kernel([a, b])]
+
+    lines = []
+    for v in pool:
+        if _dot(a, v) or _dot(b, v):
+            continue
+        signed = [e * x for e, x in zip(sign, v)]
+        norm = _dot(v, signed)
+        if norm > 0:
+            sig_small, cap = Signature(1, 0, 0), 0
+        elif norm < 0:
+            sig_small, cap = Signature(0, 1, 0), 0
+        else:
+            sig_small, cap = Signature(0, 0, 1), (0 if any(_dot(w, signed) for w in basis) else 1)
+        d_plus = 0 if any(v[p:]) else 1
+        d_minus = 0 if any(v[:p]) else 1
+        d_pm = 0 if _dot(a[:p], v) or _dot(b[:p], v) else 1
+        lines.append((v, FlagInvariants(sig_big, sig_small, cap),
+                      (c_plus, c_minus, c_zero, d_plus, d_minus, 1 - d_plus - d_minus, d_pm)))
+    return basis, lines
+
+
 @lru_cache(maxsize=None)
 def _survey_cached(p: int, q: int) -> FlagSurvey:
     n = p + q
-    k = n - 2
     pool = [tuple(int(x) for x in v) for v in small_vector_pool(n)]
     index_pairs = list(itertools.combinations(range(n), 2))
-    lines = _coefficient_lines(k)
     invariants: dict[FlagInvariants, list[Flag]] = {}
     matsuki: set[tuple[int, ...]] = set()
     seen: set[IntRow] = set()
-    sign = [1] * p + [-1] * q
 
     for a, b in itertools.combinations(pool, 2):
         key = _plucker_key(a, b, index_pairs)
         if key in seen or not _canonical(a, b, key, p, index_pairs):
             continue
         seen.add(key)
-
-        s, t, u = linalg.congruence_diagonalize(_standard_gram(sign, (a, b))).sign_counts()
-        sig_big = Signature(p - s - u, q - t - u, u)
-        c_plus = p - _pair_rank(a[:p], b[:p])
-        c_minus = q - _pair_rank(a[p:], b[p:])
-        c_zero = k - c_plus - c_minus
-
-        basis = tuple(tuple(int(x) for x in v) for v in linalg.kernel([a, b]))
-        gram = _standard_gram(sign, basis)
-
-        for coeffs in lines:
-            gram_coeffs = [_dot(row, coeffs) for row in gram]
-            norm = _dot(coeffs, gram_coeffs)
-            if norm > 0:
-                sig_small, cap = Signature(1, 0, 0), 0
-            elif norm < 0:
-                sig_small, cap = Signature(0, 1, 0), 0
-            else:
-                sig_small, cap = Signature(0, 0, 1), (0 if any(gram_coeffs) else 1)
-            inv = FlagInvariants(sig_big, sig_small, cap)
-
+        basis, lines = _plane_lines(a, b, p, q, pool)
+        big = tuple(map(linalg.vec, basis))
+        for v, inv, counts in lines:
             samples = invariants.setdefault(inv, [])
             if len(samples) < SAMPLES_PER_ORBIT:
-                samples.append(_to_flag(basis, coeffs, n))
-
-            vec = linalg.combine(coeffs, basis)
-            d_plus = 0 if any(vec[p:]) else 1
-            d_minus = 0 if any(vec[:p]) else 1
-            d_pm = 0 if _dot(a[:p], vec) or _dot(b[:p], vec) else 1
-            matsuki.add((c_plus, c_minus, c_zero,
-                          d_plus, d_minus, 1 - d_plus - d_minus, d_pm))
+                samples.append(Flag(Subspace(n, (linalg.vec(v),)), Subspace(n, big)))
+            matsuki.add(counts)
     return FlagSurvey(p, q, len(seen), invariants, matsuki)

@@ -383,13 +383,17 @@ def row_space(vectors: Sequence[Vector]) -> list[Vector]:
 
 
 def lll_reduce(vectors: Sequence[Vector]) -> list[Vector]:
-    """Lattice-reduced integer basis with the same rational span.
+    """Integer basis with the same rational span, made of short vectors.
 
     Classic Lenstra-Lenstra-Lovasz reduction in exact arithmetic, with
-    Lovasz constant LLL_DELTA, applied to the primitive integer forms of the
-    input vectors.  Used to keep entries small before expensive exact
-    constructions; any basis of the span is as good as any other for the
-    callers.  Raises ShapeError when the vectors are linearly dependent.
+    Lovasz constant LLL_DELTA, of the lattice that the primitive integer
+    forms of the input vectors generate.  Each reduced vector is then
+    rescaled to a primitive one, which can undo the size reduction, so the
+    result is not always LLL-reduced: on (2,0,-2,0,1,3,-1), (0,2,0,0,-1,-3,1)
+    it returns (1,1,-1,0,0,0,0), (0,2,0,0,-1,-3,1), whose mu is 2/3.  Used
+    to keep entries small before expensive exact constructions; any basis of
+    the span is as good as any other for the callers.  Raises ShapeError
+    when the vectors are linearly dependent.
     """
     b = [list(primitive_vector(v)) for v in vectors]
     n = len(b)

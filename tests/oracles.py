@@ -12,7 +12,9 @@ Deliberately separate from the package's fast paths:
   small integer pool, deduplicates subspaces by a fraction-free integer RREF
   and computes every flag invariant in integer arithmetic; and the dual
   survey over every plane of two pool vectors, which the survey of one plane
-  per signed-permutation class replaced;
+  per signed-permutation class replaced.  Both take as lines the {-1, 0, 1}
+  combinations of a basis of the big part (`_coefficient_lines`), where the
+  survey takes the pool vectors that lie in it;
 - radical: the kernel of the restricted Gram matrix, which `forms.radical`
   and `forms.flag_invariants` now read off one congruence instead;
 - witness assembly: the 256-bit mpmath assembly of g from two adapted frames
@@ -45,22 +47,14 @@ Used to pin expected values before trusting the main engine.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd
 
 import numpy as np
 
 from heisflag import linalg
 from heisflag.curvature import ConnectionTable, CurvatureReport, is_flat
-from heisflag.enumeration import (
-    SAMPLES_PER_ORBIT,
-    FlagSurvey,
-    _coefficient_lines,
-    _dot,
-    _pair_rank,
-    _standard_gram,
-    _to_flag,
-)
+from heisflag.enumeration import SAMPLES_PER_ORBIT, FlagSurvey, _dot, _pair_rank, _standard_gram
 from heisflag.forms import (
     Flag,
     FlagInvariants,
@@ -489,6 +483,22 @@ def small_int_pool(n):
                 w[j] = sign
                 out.append(tuple(w))
     return out
+
+
+def _coefficient_lines(k):
+    """Nonzero {-1, 0, 1} coefficient vectors up to sign (first nonzero +1)."""
+    out = []
+    for combo in product((0, 1, -1), repeat=k):
+        lead = next((x for x in combo if x != 0), 0)
+        if lead == 1:
+            out.append(combo)
+    return out
+
+
+def _to_flag(basis, coeffs, n):
+    big_vecs = tuple(linalg.vec(row) for row in basis)
+    line = linalg.vec(linalg.combine(coeffs, basis))
+    return Flag(Subspace.spanned_by([line], n), Subspace(n, big_vecs))
 
 
 def primal_survey(p, q):

@@ -2,18 +2,21 @@
 
 import dataclasses
 import itertools
+from collections import Counter
 
 import pytest
 
 import oracles
-from heisflag import enumeration
+from heisflag import enumeration, linalg
 from heisflag.enumeration import FlagSurvey, survey_flags
 from heisflag.forms import (
+    Flag,
     FlagInvariants,
     LineSignature,
     PreconditionError,
     QuadraticSpace,
     Signature,
+    Subspace,
     flag_invariants,
     matsuki_data,
     possible_codim2_signatures,
@@ -23,6 +26,13 @@ from heisflag.heisenberg import admissible_classes
 
 
 def expected_invariants(p, q):
+    """The taxonomy's flag orbits; for p < q those of (q, p) under the negated form."""
+    if p < q:
+        def negated(sig):
+            return Signature(sig.neg, sig.pos, sig.nul)
+
+        return {FlagInvariants(negated(inv.sig_big), negated(inv.sig_small), inv.dim_small_cap_rad)
+                for inv in expected_invariants(q, p)}
     small = {
         LineSignature.SPACELIKE: (Signature(1, 0, 0), 0),
         LineSignature.TIMELIKE: (Signature(0, 1, 0), 0),
@@ -32,7 +42,7 @@ def expected_invariants(p, q):
     out = set()
     for row in admissible_classes(p, q).classes:
         sig, cap = small[row.refined]
-        out.add(FlagInvariants(row.center_signature(max(p, q), min(p, q)), sig, cap))
+        out.add(FlagInvariants(row.center_signature(p, q), sig, cap))
     return out
 
 
@@ -88,8 +98,10 @@ def test_survey_agrees_with_primal_oracle():
 
 
 def test_survey_agrees_with_pair_walk_oracle():
-    # one plane per signed-permutation class against every plane of the pool:
-    # the block-permutation half of the reduction is checked here, not proved
+    # one plane per signed-permutation class, with the pool vectors in its big
+    # part as lines, against every plane of the pool, with {-1, 0, 1}
+    # combinations of a kernel basis as lines: the reduction is proved (see
+    # `enumeration`), and that the pool lines reach every orbit is checked here
     signatures = [(p, n - p) for n in (4, 5, 6) for p in range(n + 1)] + [(4, 3), (3, 4)]
     for p, q in signatures:
         reduced, full = survey_flags(p, q), oracles.pair_walk_survey(p, q)
@@ -148,6 +160,40 @@ def test_every_plane_class_keeps_a_plane():
                 assert image == key or image not in kept, (p, q, key, image)
 
 
+def test_every_plane_of_a_class_reads_the_same_pairs():
+    # the lemma behind the reduction: on every pool plane, the (invariants,
+    # seven counts) pairs read off its pool lines are those computed from
+    # scratch, and every B_p x B_q image of the plane reads the same pairs
+    for p, q in [(2, 2), (3, 1), (3, 2), (2, 3)]:
+        n = p + q
+        space = QuadraticSpace.standard(p, q)
+        pool = oracles.small_int_pool(n)
+        index_pairs = list(itertools.combinations(range(n), 2))
+        planes, pairs = {}, {}
+        for a, b in itertools.combinations(pool, 2):
+            key = enumeration._plucker_key(a, b, index_pairs)
+            if key in planes:
+                continue
+            planes[key] = (a, b)
+            basis, lines = enumeration._plane_lines(a, b, p, q, pool)
+            big = Subspace(n, tuple(map(linalg.vec, basis)))
+            for v, inv, counts in lines:
+                flag = Flag(Subspace(n, (linalg.vec(v),)), big)
+                assert inv == flag_invariants(space, flag), (p, q, a, b, v)
+                assert counts == matsuki_data(flag, p, q).as_tuple(), (p, q, a, b, v)
+            pairs[key] = Counter((inv, counts) for _, inv, counts in lines)
+
+        group = list(_signed_block_permutations(p, q))
+        unvisited = set(planes)
+        while unvisited:
+            key = unvisited.pop()
+            a, b = planes[key]
+            orbit = {enumeration._plucker_key(_act(g, a), _act(g, b), index_pairs)
+                     for g in group}
+            assert all(pairs[image] == pairs[key] for image in orbit), (p, q, a, b)
+            unvisited -= orbit
+
+
 def test_cached_survey_cannot_be_changed_by_a_caller():
     survey = survey_flags(2, 2)
     with pytest.raises(AttributeError):
@@ -175,10 +221,13 @@ def test_cached_survey_cannot_be_changed_by_a_caller():
 
 
 def test_survey_complete_at_n7():
-    for (p, q), orbits in [((4, 3), 21), ((5, 2), 15), ((6, 1), 6)]:
+    # every signature with 7 <= n <= 10 and p, q >= 1: each orbit is
+    # observed, and there are as many seven-count tuples as orbits
+    for p, q in [(p, n - p) for n in range(7, 11) for p in range(1, n)]:
         survey = survey_flags(p, q)
-        assert survey.observed_invariants == expected_invariants(p, q), (p, q)
-        assert len(survey.matsuki) == orbits, (p, q)
+        expected = expected_invariants(p, q)
+        assert survey.observed_invariants == expected, (p, q)
+        assert len(survey.matsuki) == len(expected), (p, q)
 
 
 def test_survey_samples_have_claimed_invariants():

@@ -9,7 +9,10 @@ or inside a string annotation.  Each top-level function and class of
 `src/`, `tests/`, `demos/` or `bench/`: as an identifier, an attribute, an
 imported name or a string that is exactly the name.  Each method and
 property of a class there, other than dunders, must be referred to as an
-attribute (`x.name`) in those directories, outside its own definition.
+attribute (`x.name`) in those directories, outside its own definition.  A
+private (`_name`) top-level function or class must be named in `src/`
+itself: a helper that only the tests use is a test oracle and lives in
+`tests/oracles.py`.
 
 The command line has one exit-code map: in `cli.py` only `main` has an
 `except` clause or refers to `sys.stderr`, apart from the clause of
@@ -108,6 +111,27 @@ def test_every_package_definition_is_referenced():
     assert defining
     sources = [p.read_text() for d in SCANNED for p in sorted((ROOT / d).rglob("*.py"))]
     assert unreferenced(defining, sources) == []
+
+
+def unreferenced_private(defining: dict[str, str], sources: list[str]) -> list[str]:
+    """Private top-level definitions of the `defining` modules that no source names."""
+    return [entry for entry in unreferenced(defining, sources)
+            if entry.rpartition(": ")[2].startswith("_")]
+
+
+def test_checker_flags_a_private_definition_only_tests_use():
+    lib = ("def _oracle():\n    pass\n\n\ndef _helper():\n    pass\n\n\n"
+           "def public():\n    return _helper()\n\n\ndef _recursive(n):\n    return _recursive(n)\n")
+    test = "from lib import _oracle, public\n"
+    assert unreferenced_private({"lib.py": lib}, [lib]) == ["lib.py: _oracle", "lib.py: _recursive"]
+    # a test naming `_oracle` hides it, so the check scans src/ alone
+    assert unreferenced_private({"lib.py": lib}, [lib, test]) == ["lib.py: _recursive"]
+
+
+def test_every_private_definition_is_used_in_src():
+    defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    sources = [p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))]
+    assert unreferenced_private(defining, sources) == []
 
 
 def class_members(source: str) -> list[str]:
