@@ -192,9 +192,8 @@ def cmd_verify(args) -> int:
     bad = 0
     for _ in range(trials):
         row = table.classes[rng.randrange(table.count)]
-        base = act_on_metric([list(r) for r in parabolic_sample(n, rng).matrix],
-                             representative(row.id, p, q))
-        acted = act_on_metric([list(r) for r in parabolic_sample(n, rng).matrix], base)
+        base = act_on_metric(parabolic_sample(n, rng).matrix, representative(row.id, p, q))
+        acted = act_on_metric(parabolic_sample(n, rng).matrix, base)
         if classify_metric(alg, acted).class_id != row.id:
             bad += 1
     report("parabolic_invariance", bad == 0, f"{trials - bad}/{trials} trials")

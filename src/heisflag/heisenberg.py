@@ -13,6 +13,13 @@ hardcoded.
 The scaling-and-automorphism group acts through the invertible block upper
 triangular matrices of block sizes (1, n-3, 2); `parabolic_sample` draws
 exact rational elements and splits them into scale times automorphism.
+
+Each row has one cell layout of the center, `_center_cells`: +1, -1 and
+radical cells and hyperbolic pairs in basis order, e_0 in the first.
+`representative` writes it as a Gram matrix and `representative_flag` as a
+flag of the standard space.  These and `MetricClass.center_signature` and
+`flag_invariants` answer for the (p, q) given (p < q negates the form);
+`classify_metric`, `admissible_classes` and `Classification` report in (max, min).
 """
 
 from __future__ import annotations
@@ -85,14 +92,19 @@ class MetricClass:
     refined: LineSignature
 
     def center_signature(self, p: int, q: int) -> Signature:
+        """The center's signature in the (p, q) space; p < q swaps pos and neg."""
         dp, dq, u = self.pattern
+        if p < q:
+            dp, dq = dq, dp
         return Signature(p + dp, q + dq, u)
 
     def flag_invariants(self, p: int, q: int) -> FlagInvariants:
-        """The orbit invariants of the flag (derived line, center) this row names."""
-        # a null line, lightlike or radical, has signature (0, 0, 1)
-        line = {LineSignature.SPACELIKE: Signature(1, 0, 0),
-                LineSignature.TIMELIKE: Signature(0, 1, 0)}.get(self.refined, Signature(0, 0, 1))
+        """The orbit invariants of the flag (derived line, center) this row names in (p, q)."""
+        # a null line, lightlike or radical, has signature (0, 0, 1); p < q swaps pos and neg
+        signs = (Signature(1, 0, 0), Signature(0, 1, 0))
+        spacelike, timelike = signs if p >= q else signs[::-1]
+        line = {LineSignature.SPACELIKE: spacelike,
+                LineSignature.TIMELIKE: timelike}.get(self.refined, Signature(0, 0, 1))
         return FlagInvariants(self.center_signature(p, q), line,
                               int(self.refined is LineSignature.RADICAL))
 
@@ -238,103 +250,77 @@ def _admissible_row(class_id: int, p: int, q: int) -> MetricClass:
     return row
 
 
+def _center_cells(row: MetricClass, p: int, q: int) -> tuple[LineSignature, ...]:
+    """The center's cells in basis order, for p >= q.
+
+    A cell is a +1 (SPACELIKE), -1 (TIMELIKE) or radical (RADICAL) direction or
+    a hyperbolic pair (LIGHTLIKE); e_0 lies in the first, of the refined type.
+    """
+    s, t, u = row.center_signature(p, q).as_tuple()
+    s -= row.refined in (LineSignature.SPACELIKE, LineSignature.LIGHTLIKE)
+    t -= row.refined in (LineSignature.TIMELIKE, LineSignature.LIGHTLIKE)
+    u -= row.refined is LineSignature.RADICAL
+    return ((row.refined,) + (LineSignature.SPACELIKE,) * s
+            + (LineSignature.TIMELIKE,) * t + (LineSignature.RADICAL,) * u)
+
+
 def representative(class_id: int, p: int, q: int) -> Matrix:
     """A canonical signature-(p, q) Gram matrix classifying to the given row.
 
-    Entries are 0 and +-1 only: the center gets a diagonal block realizing
-    the pattern (with the derived direction placed per the refined type, a
-    light-like derived direction pairing hyperbolically inside the center),
-    and each center-radical direction pairs hyperbolically with one of the
-    last two basis vectors.
+    Entries are 0 and +-1: the cells put +-1 on the diagonal and a pair's 1
+    off it, the free trailing slots get +1 then -1, and each radical cell
+    pairs with the next trailing slot.
     """
-    want_swap = p < q
     pp, qq = max(p, q), min(p, q)
     row = _admissible_row(class_id, pp, qq)
     n = pp + qq
     s, t, u = row.center_signature(pp, qq).as_tuple()
     g = linalg.zeros(n, n)
-
-    center = list(range(n - 2))
     radical_dirs: list[int] = []
-    cursor = 0
-
-    def take() -> int:
-        nonlocal cursor
-        idx = center[cursor]
-        cursor += 1
-        return idx
-
-    used_s = used_t = used_u = 0
-    if row.refined is LineSignature.SPACELIKE:
-        g[take()][0] = Fraction(1)
-        used_s = 1
-    elif row.refined is LineSignature.TIMELIKE:
-        g[take()][0] = Fraction(-1)
-        used_t = 1
-    elif row.refined is LineSignature.LIGHTLIKE:
-        i, j = take(), take()
-        g[i][j] = g[j][i] = Fraction(1)
-        used_s = used_t = 1
-    else:  # RADICAL: pair the derived direction out of the center later
-        radical_dirs.append(take())
-        used_u = 1
-
-    for _ in range(s - used_s):
-        i = take()
-        g[i][i] = Fraction(1)
-    for _ in range(t - used_t):
-        i = take()
-        g[i][i] = Fraction(-1)
-    for _ in range(u - used_u):
-        radical_dirs.append(take())
-
-    # center-radical directions pair with the last non-center slots
-    noncenter = [n - 2, n - 1]
-    for k, i in enumerate(radical_dirs):
-        j = noncenter[2 - u + k]
-        g[i][j] = g[j][i] = Fraction(1)
-    free = noncenter[: 2 - u]
+    i = 0
+    for cell in _center_cells(row, pp, qq):
+        if cell is LineSignature.LIGHTLIKE:
+            g[i][i + 1] = g[i + 1][i] = Fraction(1)
+            i += 1
+        elif cell is LineSignature.RADICAL:
+            radical_dirs.append(i)
+        else:
+            g[i][i] = Fraction(1 if cell is LineSignature.SPACELIKE else -1)
+        i += 1
     fill = [Fraction(1)] * (pp - s - u) + [Fraction(-1)] * (qq - t - u)
-    if len(fill) != len(free):
-        raise AssertionError("representative budget mismatch")
-    for i, val in zip(free, fill):
-        g[i][i] = val
-
-    if want_swap:
+    for j, val in enumerate(fill, n - 2):
+        g[j][j] = val
+    for j, k in enumerate(radical_dirs, n - 2 + len(fill)):
+        g[k][j] = g[j][k] = Fraction(1)
+    if p < q:
         g = [[-x for x in row_] for row_ in g]
     return g
 
 
 def representative_flag(class_id: int, p: int, q: int) -> Flag:
-    """A flag in the standard (p, q) space realizing the row's orbit invariants."""
-    p, q = max(p, q), min(p, q)
-    row = _admissible_row(class_id, p, q)
-    n = p + q
-    s, t, u = row.center_signature(p, q).as_tuple()
-    pos = [i for i in range(p)]
-    neg = [i for i in range(p, n)]
+    """A flag in the standard (p, q) space realizing `row.flag_invariants(p, q)`.
+
+    +-1 cells take the leading axes of their block (a pair one of each), and
+    radical cells e+ + e- on the next axes.  p < q moves the first max(p, q)
+    axes to the back, which negates the form.
+    """
+    pp, qq = max(p, q), min(p, q)
+    row = _admissible_row(class_id, pp, qq)
+    n = pp + qq
+    s, t, _ = row.center_signature(pp, qq).as_tuple()
+    axes = [r[pp:] + r[:pp] if p < q else r for r in map(tuple, linalg.identity(n))]
+    plus, minus = iter(axes[:s]), iter(axes[pp:pp + t])
+    null_axes = zip(axes[s:pp], axes[pp + t:])
     big: list[Vector] = []
-
-    def unit(i: int) -> Vector:
-        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-
-    for _ in range(s):
-        big.append(unit(pos.pop(0)))
-    for _ in range(t):
-        big.append(unit(neg.pop(0)))
-    nulls = []
-    for _ in range(u):
-        v = linalg.vec_add(unit(pos.pop(0)), unit(neg.pop(0)))
-        nulls.append(v)
-        big.append(v)
-    if row.refined is LineSignature.SPACELIKE:
-        small = big[0]
-    elif row.refined is LineSignature.TIMELIKE:
-        small = big[s]
-    elif row.refined is LineSignature.LIGHTLIKE:
-        small = linalg.vec_add(big[0], big[s])
-    else:
-        small = nulls[0]
+    for cell in _center_cells(row, pp, qq):
+        if cell is LineSignature.RADICAL:
+            big.append(linalg.vec_add(*next(null_axes)))
+            continue
+        if cell is not LineSignature.TIMELIKE:
+            big.append(next(plus))
+        if cell is not LineSignature.SPACELIKE:
+            big.append(next(minus))
+    small = linalg.vec_add(big[0], big[1]) if row.refined is LineSignature.LIGHTLIKE else big[0]
     return Flag(Subspace.spanned_by([small], n), Subspace(n, tuple(big)))
 
 
@@ -370,7 +356,7 @@ class ScaledAutomorphism:
     def preserves_bracket(self, alg: HeisenbergAlgebra) -> bool:
         """Check phi([e_i, e_j]) = [phi e_i, phi e_j] on all basis pairs."""
         n = alg.n
-        phi = [list(row) for row in self.automorphism]
+        phi = self.automorphism
         cols = [tuple(phi[i][j] for i in range(n)) for j in range(n)]
         for i in range(n):
             for j in range(n):

@@ -42,6 +42,10 @@ Deliberately separate from the package's fast paths:
 - bases: the `scaled_system` that LLL-reduced W's basis before
   diagonalizing it, and the witness frame rescaling to primitive integer
   columns with adjusted norms, which orientation alone replaced.
+- representatives: the cursor-and-closure Gram builder and the flag
+  builder that pops axes block by block, which one walk over
+  `heisenberg._center_cells` replaced; the flag builder answers p < q with a
+  flag of the (max, min) space.
 Used to pin expected values before trusting the main engine.
 """
 
@@ -72,7 +76,12 @@ from heisflag.forms import (
     scaled_system,
     signature,
 )
-from heisflag.heisenberg import Classification, UnsupportedSignatureError, admissible_classes
+from heisflag.heisenberg import (
+    Classification,
+    UnsupportedSignatureError,
+    _admissible_row,
+    admissible_classes,
+)
 from heisflag.sampling import small_vector_pool
 
 
@@ -1078,3 +1087,106 @@ def rescale_frame(vectors, norms, pair_slots):
         vecs[i] = prim
         ms[i] = ms[i] / rho ** 2
     return vecs, ms
+
+
+def cursor_representative(class_id, p, q):
+    """`representative` as a cursor over the center with a `take` closure.
+
+    Entries are 0 and +-1 only: the center gets a diagonal block realizing
+    the pattern (with the derived direction placed per the refined type, a
+    light-like derived direction pairing hyperbolically inside the center),
+    and each center-radical direction pairs hyperbolically with one of the
+    last two basis vectors.
+    """
+    want_swap = p < q
+    pp, qq = max(p, q), min(p, q)
+    row = _admissible_row(class_id, pp, qq)
+    n = pp + qq
+    s, t, u = row.center_signature(pp, qq).as_tuple()
+    g = linalg.zeros(n, n)
+
+    center = list(range(n - 2))
+    radical_dirs: list[int] = []
+    cursor = 0
+
+    def take() -> int:
+        nonlocal cursor
+        idx = center[cursor]
+        cursor += 1
+        return idx
+
+    used_s = used_t = used_u = 0
+    if row.refined is LineSignature.SPACELIKE:
+        g[take()][0] = Fraction(1)
+        used_s = 1
+    elif row.refined is LineSignature.TIMELIKE:
+        g[take()][0] = Fraction(-1)
+        used_t = 1
+    elif row.refined is LineSignature.LIGHTLIKE:
+        i, j = take(), take()
+        g[i][j] = g[j][i] = Fraction(1)
+        used_s = used_t = 1
+    else:  # RADICAL: pair the derived direction out of the center later
+        radical_dirs.append(take())
+        used_u = 1
+
+    for _ in range(s - used_s):
+        i = take()
+        g[i][i] = Fraction(1)
+    for _ in range(t - used_t):
+        i = take()
+        g[i][i] = Fraction(-1)
+    for _ in range(u - used_u):
+        radical_dirs.append(take())
+
+    # center-radical directions pair with the last non-center slots
+    noncenter = [n - 2, n - 1]
+    for k, i in enumerate(radical_dirs):
+        j = noncenter[2 - u + k]
+        g[i][j] = g[j][i] = Fraction(1)
+    free = noncenter[: 2 - u]
+    fill = [Fraction(1)] * (pp - s - u) + [Fraction(-1)] * (qq - t - u)
+    if len(fill) != len(free):
+        raise AssertionError("representative budget mismatch")
+    for i, val in zip(free, fill):
+        g[i][i] = val
+
+    if want_swap:
+        g = [[-x for x in row_] for row_ in g]
+    return g
+
+
+def axis_pop_representative_flag(class_id, p, q):
+    """`representative_flag` popping axes block by block, for p >= q only.
+
+    It builds the flag of the (max, min) space at either order.
+    """
+    p, q = max(p, q), min(p, q)
+    row = _admissible_row(class_id, p, q)
+    n = p + q
+    s, t, u = row.center_signature(p, q).as_tuple()
+    pos = [i for i in range(p)]
+    neg = [i for i in range(p, n)]
+    big = []
+
+    def unit(i):
+        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
+
+    for _ in range(s):
+        big.append(unit(pos.pop(0)))
+    for _ in range(t):
+        big.append(unit(neg.pop(0)))
+    nulls = []
+    for _ in range(u):
+        v = linalg.vec_add(unit(pos.pop(0)), unit(neg.pop(0)))
+        nulls.append(v)
+        big.append(v)
+    if row.refined is LineSignature.SPACELIKE:
+        small = big[0]
+    elif row.refined is LineSignature.TIMELIKE:
+        small = big[s]
+    elif row.refined is LineSignature.LIGHTLIKE:
+        small = linalg.vec_add(big[0], big[s])
+    else:
+        small = nulls[0]
+    return Flag(Subspace.spanned_by([small], n), Subspace(n, tuple(big)))

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from heisflag import linalg, sampling
+from heisflag.enumeration import survey_flags
 from heisflag.forms import LineSignature, PreconditionError, QuadraticSpace, Signature, \
     flag_invariants
 from heisflag.heisenberg import (
@@ -157,12 +158,34 @@ def test_scaled_automorphism_from_integer_matrix_is_exact():
 
 def test_representative_flag_realizes_its_row():
     for n in range(4, 9):
-        for q in range(1, n // 2 + 1):
+        for q in range(1, n):
             p = n - q
             space = QuadraticSpace.standard(p, q)
             for row in admissible_classes(p, q).classes:
                 got = flag_invariants(space, representative_flag(row.id, p, q))
                 assert got == row.flag_invariants(p, q), (p, q, row.id)
+    # the survey reads the orbits of the (p, q) space itself, also at p < q
+    for p, q in [(1, 3), (2, 3), (3, 4)]:
+        rows = admissible_classes(p, q).classes
+        assert {row.flag_invariants(p, q) for row in rows} == survey_flags(p, q).observed_invariants
+
+
+def test_representatives_agree_with_the_old_builders():
+    """The cell walks give the old Gram matrices exactly and, at p >= q, the old flag spans."""
+    for n in range(4, 17):
+        for q in range(1, n):
+            p = n - q
+            for row in admissible_classes(p, q).classes:
+                got = representative(row.id, p, q)
+                assert got == oracles.cursor_representative(row.id, p, q), (p, q, row.id)
+                assert all(type(x) is F for r in got for x in r)
+                if p < q or n > 12:
+                    continue
+                flag = representative_flag(row.id, p, q)
+                old = oracles.axis_pop_representative_flag(row.id, p, q)
+                for part, old_part in ((flag.small, old.small), (flag.big, old.big)):
+                    assert linalg.row_space(part.basis) == linalg.row_space(old_part.basis), \
+                        (p, q, row.id)
 
 
 def test_parabolic_sample_properties():
@@ -194,6 +217,9 @@ def test_act_on_metric_examples():
     assert doubled == [[x / 4 for x in row] for row in gram]
     swap01 = linalg.mat([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert act_on_metric(swap01, gram) == linalg.diag([-1, 1, 1, -1])
+    sa = parabolic_sample(5, 3)
+    gram = linalg.diag([1, 1, -1, 1, -1])
+    assert act_on_metric(sa.matrix, gram) == act_on_metric([list(r) for r in sa.matrix], gram)
 
 
 def _moved(n, gram, rng, check_oracle=False):

@@ -14,6 +14,11 @@ private (`_name`) top-level function or class must be named in `src/`
 itself: a helper that only the tests use is a test oracle and lives in
 `tests/oracles.py`.
 
+Each top-level function and class of `tests/oracles.py` must be reachable
+from a test module: named there as `oracles.name`, imported from `oracles` or
+given as a string (for `getattr(oracles, name)`), or named inside an oracle
+that is.
+
 The command line has one exit-code map: in `cli.py` only `main` has an
 `except` clause or refers to `sys.stderr`, apart from the clause of
 `cmd_witness` that turns `InequivalentFlagsError` into an answer.
@@ -132,6 +137,44 @@ def test_every_private_definition_is_used_in_src():
     defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     sources = [p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))]
     assert unreferenced_private(defining, sources) == []
+
+
+def unreachable_oracles(oracles: str, tests: list[str]) -> list[str]:
+    """Top-level definitions of the `oracles` source that no test reaches, directly or not."""
+    defs = {node.name: node for node in ast.parse(oracles).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    todo = []
+    for node in (n for source in tests for n in ast.walk(ast.parse(source))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "oracles"):
+            todo.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "oracles":
+            todo.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            todo.append(node.value)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached.add(name)
+            todo.extend(n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name))
+    return [name for name in defs if name not in reached]
+
+
+def test_checker_flags_an_unreachable_oracle():
+    lib = ("def direct():\n    return helper()\n\n\ndef helper():\n    pass\n\n\n"
+           "def imported():\n    pass\n\n\ndef named():\n    pass\n\n\n"
+           "def orphan():\n    return orphan() + helper()\n\n\nclass Unused:\n    pass\n")
+    test = ("import oracles\nfrom oracles import imported\n\ndef test_a():\n"
+            "    oracles.direct()\n    getattr(oracles, 'named')\n    helper = 1\n")
+    assert unreachable_oracles(lib, [test]) == ["orphan", "Unused"]
+    assert unreachable_oracles(lib, []) == ["direct", "helper", "imported", "named", "orphan",
+                                            "Unused"]
+
+
+def test_every_oracle_is_reachable_from_a_test():
+    tests = [p.read_text() for p in sorted(TESTS.glob("test_*.py"))]
+    assert unreachable_oracles((TESTS / "oracles.py").read_text(), tests) == []
 
 
 def class_members(source: str) -> list[str]:
