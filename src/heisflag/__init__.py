@@ -49,7 +49,6 @@ from .curvature import (
     ConnectionTable,
     CurvatureReport,
     curvature_report,
-    derivation_space,
     is_flat,
     levi_civita,
     ricci,

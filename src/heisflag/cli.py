@@ -60,7 +60,7 @@ def _print_record(args, record: dict) -> None:
         print("record: " + json.dumps(record, sort_keys=True))
 
 
-def _parse_flag_spec(spec: str, small_count: int) -> Flag:
+def _parse_flag_spec(spec: str, small_count: int, n: int) -> Flag:
     vectors = []
     for chunk in spec.split(";"):
         chunk = chunk.strip()
@@ -69,12 +69,13 @@ def _parse_flag_spec(spec: str, small_count: int) -> Flag:
         vectors.append(tuple(parse_rational(tok.strip()) for tok in chunk.split(",")))
     if len({len(v) for v in vectors}) != 1:
         raise MatrixFormatError("flag spec vectors must share one length")
+    if len(vectors[0]) != n:
+        raise UsageError("flag vectors must have length p + q")
     if len(vectors) < 2:
         raise MatrixFormatError("a flag needs at least two vectors, the flag spec has 1")
     if not 1 <= small_count < len(vectors):
         raise MatrixFormatError(f"the small part must take 1 to {len(vectors) - 1} of the "
                                 f"{len(vectors)} flag spec vectors, got {small_count}")
-    n = len(vectors[0])
     small = Subspace.spanned_by(vectors[:small_count], n)
     if small.dim < small_count:
         raise MatrixFormatError(f"the {small_count} small-part vectors of the flag spec are "
@@ -218,11 +219,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    f1 = _parse_flag_spec(args.flag1, args.small)
-    f2 = _parse_flag_spec(args.flag2, args.small)
     p, q = args.p, args.q
-    if f1.big.ambient_dim != p + q or f2.big.ambient_dim != p + q:
-        raise UsageError("flag vectors must have length p + q")
+    f1 = _parse_flag_spec(args.flag1, args.small, p + q)
+    f2 = _parse_flag_spec(args.flag2, args.small, p + q)
     if f1.shape != f2.shape:
         raise UsageError(f"flag shapes differ: {f1.shape} vs {f2.shape}")
     print(f"p: {p}")
@@ -260,30 +259,25 @@ def cmd_curvature(args) -> int:
     print(f"q: {q}")
     rows = []
     for cid in ids:
-        rep = representative(cid, p, q)
-        report = curvature_report(alg, rep)
-        sol = report.soliton
+        report = curvature_report(alg, representative(cid, p, q))
+        c, _ = report.soliton  # every nondegenerate metric is a soliton
+        einstein = report.is_einstein
         print(f"class {cid}:")
         print(f"  flat: {'true' if report.is_flat else 'false'}")
         print(f"  scalar_curvature: {report.scalar_curv}")
         print(f"  ricci_diagonal: {' '.join(str(report.ricci[i][i]) for i in range(p + q))}")
-        if sol is None:
-            print("  soliton: none")
-        else:
-            einstein = report.is_einstein
-            print(f"  soliton: c = {sol[0]}, derivation {'zero' if einstein else 'nonzero'}")
-            print(f"  einstein: {'true' if einstein else 'false'}")
+        print(f"  soliton: c = {c}, derivation {'zero' if einstein else 'nonzero'}")
+        print(f"  einstein: {'true' if einstein else 'false'}")
         rows.append({"class_id": cid, "flat": report.is_flat,
-                     "scalar": str(report.scalar_curv),
-                     "soliton_c": None if sol is None else str(sol[0]),
-                     "einstein": report.is_einstein})
+                     "scalar": str(report.scalar_curv), "soliton_c": str(c),
+                     "einstein": einstein})
     _print_record(args, {"command": "curvature", "p": p, "q": q, "classes": rows})
     return EXIT_OK
 
 
 def cmd_matsuki(args) -> int:
-    f = _parse_flag_spec(args.flag, 1)
     p, q = args.p, args.q
+    f = _parse_flag_spec(args.flag, 1, p + q)
     data = matsuki_data(f, p, q)
     print(f"p: {p}")
     print(f"q: {q}")

@@ -6,7 +6,8 @@ of subspaces (signature, radical, refined line signature), the complete
 orbit invariants of nested subspace pairs under the indefinite orthogonal
 group, the seven intersection counts dual to them, and the constructive
 orthogonal-system machinery (scaled systems, light-like splitting, null
-system extension, basis extension) that powers isometry construction.
+system extension, basis extension) that powers isometry construction.  A
+scaled system stands for its span: `extend_basis` takes no subspace.
 
 The form is evaluated in one place, `QuadraticSpace.pairing`, and every
 change from subspace coordinates to ambient ones is one `linalg.combine`.
@@ -43,10 +44,6 @@ class Signature:
     def __post_init__(self):
         if self.pos < 0 or self.neg < 0 or self.nul < 0:
             raise ValueError("signature components must be nonnegative")
-
-    @property
-    def dim(self) -> int:
-        return self.pos + self.neg + self.nul
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.pos, self.neg, self.nul)
@@ -511,15 +508,14 @@ def extend_nullsystem(space: QuadraticSpace, nulls: Sequence[Vector]) -> ScaledS
             raise PreconditionError("null vectors must be independent")
         if any(x for row in space.pairing(nulls, nulls) for x in row):
             raise PreconditionError("null vectors must be pairwise orthogonal and null")
-    return extend_basis(space, Subspace(space.dim, tuple(nulls)),
-                        ScaledSystem(tuple(nulls), (Fraction(0),) * len(nulls)))
+    return extend_basis(space, ScaledSystem(tuple(nulls), (Fraction(0),) * len(nulls)))
 
 
-def extend_basis(space: QuadraticSpace, w: Subspace, w_system: ScaledSystem) -> ScaledSystem:
-    """Extend a scaled system of W to one of the whole space.
+def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
+    """Extend a scaled system of independent vectors, spanning W, to the whole space.
 
-    The input must realize the signature of W, with its null vectors ordered
-    so the ones lying in the ambient radical come last.  Writing the input as
+    Its null vectors must be ordered so the ones lying in the ambient
+    radical come last.  Writing the input as
     x_1..x_s, y_1..y_t, z_1..z_u (k of the z's ambient-radical), the output
     alpha_1..alpha_p, beta_1..beta_q, gamma_1..gamma_r satisfies
 
@@ -528,12 +524,9 @@ def extend_basis(space: QuadraticSpace, w: Subspace, w_system: ScaledSystem) -> 
         z_{u-k+i} = gamma_i              (i <= k).
     """
     n = space.dim
-    if w.ambient_dim != n:
-        raise linalg.ShapeError("subspace ambient dimension mismatch")
     w_system.check(space)
-    if (len(w_system.vectors) != w.dim
-            or linalg.rank([list(v) for v in w.basis + w_system.vectors]) != w.dim):
-        raise PreconditionError("system is not a basis of the subspace")
+    if linalg.rank([list(v) for v in w_system.vectors]) != len(w_system.vectors):
+        raise PreconditionError("system vectors must be linearly independent")
 
     xs = w_system.positives()
     ys = w_system.negatives()

@@ -67,10 +67,6 @@ def diag(values: Iterable) -> Matrix:
     return m
 
 
-def copy(m: Matrix) -> Matrix:
-    return [row[:] for row in m]
-
-
 def shape(m: Matrix) -> tuple[int, int]:
     return len(m), len(m[0]) if m else 0
 

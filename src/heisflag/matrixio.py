@@ -58,8 +58,3 @@ def format_matrix(m: Matrix) -> str:
 def read_matrix(path: str) -> Matrix:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_matrix(fh.read())
-
-
-def write_matrix(path: str, m: Matrix) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_matrix(m))

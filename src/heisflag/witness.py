@@ -118,14 +118,14 @@ def _adapted_frame(space: QuadraticSpace, f: Flag) -> tuple[list[Vector], list[F
 
     # extend to a system of the big part, working in big coordinates
     space_big = QuadraticSpace.from_matrix(restrict(space, big))
-    small_in_big = Subspace(big.dim, tuple(big.coordinates_of(v) for v in sys_small.vectors))
-    sys_small_b = ScaledSystem(small_in_big.basis, sys_small.norms)
-    sys_big_b = extend_basis(space_big, small_in_big, sys_small_b)
+    sys_small_b = ScaledSystem(tuple(big.coordinates_of(v) for v in sys_small.vectors),
+                               sys_small.norms)
+    sys_big_b = extend_basis(space_big, sys_small_b)
     sys_big = ScaledSystem(tuple(linalg.combine(c, big.basis) for c in sys_big_b.vectors),
                            sys_big_b.norms)
 
     # extend to the whole (nondegenerate) space: every null of big splits
-    full = extend_basis(space, big, sys_big)
+    full = extend_basis(space, sys_big)
     if full.signature.nul:
         raise PreconditionError("ambient form must be nondegenerate")
 

@@ -225,8 +225,8 @@ def dense_riemann(conn, alg):
             row = []
             br = alg.bracket_basis(i, j)
             for k in range(n):
-                val = linalg.vec_sub(conn.derivative_of(i, conn.gamma[j][k]),
-                                     conn.derivative_of(j, conn.gamma[i][k]))
+                val = linalg.vec_sub(linalg.combine(conn.gamma[j][k], conn.gamma[i]),
+                                     linalg.combine(conn.gamma[i][k], conn.gamma[j]))
                 for m, c in enumerate(br):
                     if c != 0:
                         val = linalg.vec_sub(val, linalg.vec_scale(c, conn.gamma[m][k]))
@@ -791,7 +791,7 @@ def row_column_congruence(s):
         raise linalg.ShapeError("congruence requires a square matrix")
     if not linalg.is_symmetric(s):
         raise linalg.ShapeError("congruence requires a symmetric matrix")
-    a = linalg.copy(s)
+    a = [list(row) for row in s]
     p = linalg.identity(n)
 
     def add_col(dst, src, factor):
@@ -985,7 +985,7 @@ def gauss_jordan_echelon(m):
 
     Each pivot row is normalized and clears its column above and below at once.
     """
-    a = linalg.copy(m)
+    a = [list(row) for row in m]
     rows, cols = linalg.shape(a)
     pivots = []
     r = 0
@@ -1019,7 +1019,7 @@ def forward_det(m):
     n = len(m)
     if any(len(row) != n for row in m):
         raise linalg.ShapeError("determinant requires a square matrix")
-    a = linalg.copy(m)
+    a = [list(row) for row in m]
     result = Fraction(1)
     for c in range(n):
         pr = next((i for i in range(c, n) if a[i][c] != 0), None)

@@ -203,7 +203,7 @@ def test_matsuki_rejects_negative_signature(capsys):
         assert code == 2
         assert f"signature ({p}, {q})" in err
     code, _, err = run_cli(capsys, "matsuki", "2", "2", "1,0,1;0,1,0")
-    assert code == 2 and "error: flag ambient dimension is not p + q" in err
+    assert code == 1 and "error: flag vectors must have length p + q" in err
 
 
 # -- curvature --------------------------------------------------------------

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 import oracles
 from heisflag import linalg
 from heisflag.curvature import (
+    _pinned_entries,
     curvature_report,
-    derivation_space,
     is_flat,
     levi_civita,
     ricci,
@@ -39,8 +39,8 @@ def random_nondegenerate_gram(rng, n):
 def test_levi_civita_oracle_values():
     alg = HeisenbergAlgebra(4)
     conn = levi_civita(alg, linalg.identity(4))
-    assert conn.nabla(2, 3) == (F(1, 2), F(0), F(0), F(0))
-    assert conn.nabla(2, 0) == (F(0), F(0), F(0), F(-1, 2))
+    assert conn.gamma[2][3] == (F(1, 2), F(0), F(0), F(0))
+    assert conn.gamma[2][0] == (F(0), F(0), F(0), F(-1, 2))
     assert conn.is_metric_compatible(linalg.identity(4))
     assert conn.is_torsion_free(alg)
 
@@ -74,7 +74,7 @@ def test_abelian_directions_are_flat():
     conn = levi_civita(alg, linalg.identity(5))
     for i in range(1, 3):
         for j in range(1, 3):
-            assert all(x == 0 for x in conn.nabla(i, j))
+            assert all(x == 0 for x in conn.gamma[i][j])
 
 
 def test_riemann_oracle_component():
@@ -175,24 +175,31 @@ def test_flatness_is_orbit_invariant():
             assert is_flat(riemann(levi_civita(alg, acted), alg)) == base_flat
 
 
-def test_derivation_space_structure():
-    # dimensions: columns 2..n-2 free in the first n-2 rows, last two columns
-    # free everywhere, first column pinned to the trace constraint
-    alg = HeisenbergAlgebra(4)
-    basis = derivation_space(alg)
-    n = 4
-    expected_dim = (n - 3) * (n - 2) + 2 * n
-    assert len(basis) == expected_dim
-    units = [tuple(F(1) if k == i else F(0) for k in range(n)) for i in range(n)]
+def assert_soliton_conditions_cut_out_der(n):
+    """Der(g) is exactly the matrices `_soliton` accepts as D.
+
+    Every element of the kernel oracle is zero on `_pinned_entries(n)` and
+    meets D_00 = D_aa + D_bb, and the kernel has the dimension those
+    n - 1 + 2(n - 3) + 1 conditions leave, n^2 - 3n + 6.
+    """
+    alg = HeisenbergAlgebra(n)
+    a, b = n - 2, n - 1
+    pinned = _pinned_entries(n)
+    basis = oracles.kernel_derivation_space(alg)
+    assert len(basis) == n * n - len(pinned) - 1 == n * n - 3 * n + 6
     for flat in basis:
         d = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
-        cols = [tuple(d[r][c] for r in range(n)) for c in range(n)]
-        for i in range(n):
-            for j in range(n):
-                lhs = linalg.mat_vec(d, alg.bracket_basis(i, j))
-                rhs = linalg.vec_add(alg.bracket(cols[i], units[j]),
-                                     alg.bracket(units[i], cols[j]))
-                assert lhs == rhs
+        assert all(d[r][c] == 0 for r, c in pinned)
+        assert d[0][0] == d[a][a] + d[b][b]
+        assert is_derivation(alg, d)
+
+
+def test_derivation_space_structure():
+    # the pinned entries: the first column below D_00, and rows a, b in
+    # columns 1..n-3; columns 1..n-3 stay free in the first n-2 rows, the
+    # last two columns free everywhere
+    assert len(_pinned_entries(4)) == 3 + 2
+    assert_soliton_conditions_cut_out_der(4)
 
 
 def test_soliton_flat_case():
@@ -242,6 +249,43 @@ def is_derivation(alg, d):
                for i in range(n) for j in range(i + 1, n))
 
 
+def assert_closed_forms(alg, gram, report):
+    """The report's Ric, scal and soliton constant are the module docstring's closed forms.
+
+    delta = g^aa g^bb - (g^ab)^2, h = G e_0 and Q is zero but for Q_aa = g^bb,
+    Q_ab = Q_ba = -g^ab, Q_bb = g^aa: Ric = -g_00 Q / 2 + delta h h^T / 2,
+    scal = -g_00 delta / 2, and the Ricci operator vanishes on the pinned
+    entries, so the metric is a soliton with c = -3 g_00 delta / 2.
+    """
+    n = alg.n
+    a, b = n - 2, n - 1
+    g_inv = linalg.invert(gram)
+    delta = g_inv[a][a] * g_inv[b][b] - g_inv[a][b] ** 2
+    g00, h = F(gram[0][0]), gram[0]
+    q = linalg.zeros(n, n)
+    q[a][a], q[b][b] = g_inv[b][b], g_inv[a][a]
+    q[a][b] = q[b][a] = -g_inv[a][b]
+    ric = [[-g00 * q[i][j] / 2 + delta * h[i] * h[j] / 2 for j in range(n)] for i in range(n)]
+    assert report.ricci == tuple(tuple(row) for row in ric)
+    assert report.scalar_curv == -g00 * delta / 2
+    ric_op = linalg.mat_mul(g_inv, ric)
+    assert all(ric_op[r][c] == 0 for r, c in _pinned_entries(n))
+    assert report.soliton[0] == -3 * g00 * delta / 2
+
+
+@pytest.mark.parametrize("n", range(4, 7))
+def test_every_row_is_a_soliton_in_closed_form(n):
+    # both orders of each signature, raw and moved by the parabolic group
+    rng = random.Random(n)
+    alg = HeisenbergAlgebra(n)
+    for p in range(1, n):
+        for row in admissible_classes(p, n - p).classes:
+            raw = representative(row.id, p, n - p)
+            moved = act_on_metric([list(r) for r in parabolic_sample(n, rng).matrix], raw)
+            for gram in (raw, moved):
+                assert_closed_forms(alg, gram, curvature_report(alg, gram))
+
+
 GRAM_KINDS = ("g00 zero", "center row zero", "moved flat row", "random")
 
 
@@ -286,6 +330,7 @@ def test_report_matches_koszul_oracle(n, kind, data):
     assert got.scalar_curv == want.scalar_curv
     assert got.is_flat == want.is_flat
     assert got.soliton == want.soliton
+    assert_closed_forms(alg, gram, got)
     # a Ricci tensor moved off the soliton locus by one symmetric entry: both
     # engines must agree, on None as on (c, D)
     i = data.draw(st.integers(0, n - 1))
@@ -309,10 +354,7 @@ def test_soliton_check_none_off_the_soliton_locus():
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_derivation_space_spans_kernel_oracle(n):
-    alg = HeisenbergAlgebra(n)
-    basis = derivation_space(alg)
-    assert len(basis) == n * n - 3 * n + 6
-    assert linalg.row_space(basis) == linalg.row_space(oracles.kernel_derivation_space(alg))
+    assert_soliton_conditions_cut_out_der(n)
 
 
 def test_curvature_report_at_n16():

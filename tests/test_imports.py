@@ -7,9 +7,15 @@ with `ast`, and each imported name must occur as a name in the module body,
 or inside a string annotation.  Each top-level function and class of
 `src/heisflag/*.py` must be named, outside its own definition, somewhere in
 `src/`, `tests/`, `demos/` or `bench/`: as an identifier, an attribute, an
-imported name or a string that is exactly the name.  Each method and
+imported name or a string that is exactly the name.  A module outside
+`src/heisflag` that defines a top-level function or class of the same name
+N refers to its own N, so its mentions of N do not count.  Each method and
 property of a class there, other than dunders, must be referred to as an
-attribute (`x.name`) in those directories, outside its own definition.  A
+attribute (`x.name`) in those directories, outside its own definition.
+Members cannot be told apart without types, so a member name that several
+classes share counts as referred to for all of them once one of them is
+used; deleting a member therefore needs a runtime check as well, such as
+the test suite run with that member patched to raise.  A
 private (`_name`) top-level function or class must be named in `src/`
 itself: a helper that only the tests use is a test oracle and lives in
 `tests/oracles.py`.
@@ -96,8 +102,18 @@ def referenced_names(source: str) -> set[str]:
 
 
 def unreferenced(defining: dict[str, str], sources: list[str]) -> list[str]:
-    """Top-level definitions of the `defining` modules (name to source) that no source names."""
-    referenced = set().union(*map(referenced_names, sources))
+    """Top-level definitions of the `defining` modules (name to source) that no source names.
+
+    A source that is not one of the defining modules does not name N by
+    referring to a top-level definition N of its own.
+    """
+    library = set(defining.values())
+    referenced = set()
+    for source in sources:
+        names = referenced_names(source)
+        if source not in library:
+            names -= set(top_level_definitions(source))
+        referenced |= names
     return [f"{module}: {name}" for module, source in defining.items()
             for name in top_level_definitions(source) if name not in referenced]
 
@@ -109,6 +125,15 @@ def test_checker_flags_an_unreferenced_definition():
     assert unreferenced({"lib.py": lib}, [lib, user]) == ["lib.py: recursive"]
     assert unreferenced({"lib.py": lib}, [lib]) == ["lib.py: used", "lib.py: recursive",
                                                     "lib.py: Named"]
+
+
+def test_checker_ignores_a_same_named_definition_outside_the_library():
+    lib = "def helper():\n    pass\n\n\ndef used():\n    pass\n"
+    test = ("from lib import used\n\n\ndef helper():\n    return used()\n\n\n"
+            "def test_a():\n    helper()\n")
+    assert unreferenced({"lib.py": lib}, [lib, test]) == ["lib.py: helper"]
+    # inside the library, a module's own mentions of its definitions count
+    assert unreferenced({"lib.py": lib, "other.py": test}, [lib, test]) == ["other.py: test_a"]
 
 
 def test_every_package_definition_is_referenced():

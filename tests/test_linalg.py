@@ -25,16 +25,7 @@ from heisflag.linalg import (
     vec,
     zeros,
 )
-
-
-def random_symmetric(rng, n, num=9, den=9):
-    m = zeros(n, n)
-    for i in range(n):
-        for j in range(i, n):
-            x = F(rng.randint(-num, num), rng.randint(1, den))
-            m[i][j] = x
-            m[j][i] = x
-    return m
+from heisflag.sampling import random_symmetric
 
 
 def random_invertible(rng, n):
@@ -75,7 +66,7 @@ def test_congruence_random_exact():
     rng = random.Random(42)
     for _ in range(500):
         n = rng.randint(1, 8)
-        s = random_symmetric(rng, n)
+        s = random_symmetric(n, rng)
         res = congruence_diagonalize(s)
         assert det(res.transform) != 0
         product = mat_mul(transpose(res.transform), mat_mul(s, res.transform))
@@ -87,7 +78,7 @@ def test_sylvester_sign_stability():
     rng = random.Random(7)
     for _ in range(200):
         n = rng.randint(1, 6)
-        s = random_symmetric(rng, n, num=5, den=4)
+        s = random_symmetric(n, rng, (-5, 5), (1, 4))
         q = random_invertible(rng, n)
         transported = mat_mul(transpose(q), mat_mul(s, q))
         assert congruence_diagonalize(transported).sign_counts() == \
