@@ -31,8 +31,7 @@ print("\nflat classes per signature (expected: 13, 17, 20, 21 where admissible):
 for p, q in [(3, 1), (2, 2), (3, 2), (3, 3)]:
     algn = HeisenbergAlgebra(p + q)
     flat = [row.id for row in admissible_classes(p, q).classes
-            if curvature_report(algn, representative(row.id, p, q),
-                                check_soliton=False).is_flat]
+            if curvature_report(algn, representative(row.id, p, q)).is_flat]
     print(f"  ({p},{q}): flat classes {flat}")
 
 print("\nthe Lorentzian column (3, 1) in detail:")

@@ -51,9 +51,7 @@ from .curvature import (
     curvature_report,
     is_flat,
     levi_civita,
-    ricci,
     riemann,
-    soliton_check,
 )
 from .enumeration import FlagSurvey, survey_flags
 from .witness import (

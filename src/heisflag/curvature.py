@@ -4,15 +4,31 @@ For a left-invariant metric every geometric quantity is rational arithmetic
 on the Lie algebra.  Its one bracket is [x, y] = omega(x, y) e_0, with
 omega(e_a, e_b) = -omega(e_b, e_a) = 1 for a, b = n-2, n-1 and zero
 otherwise.  With K e_a = G^{-1} e_b, K e_b = -G^{-1} e_a and K = 0 on the
-other basis vectors, <Kx, z> = omega(x, z), and the Koszul formula gives
+other basis vectors, <Kx, z> = omega(x, z).  Write h = G e_0, so
+h(x) = <x, e_0>.  The Koszul formula gives
 
-    nabla_x y = (omega(x, y) e_0 - <y, e_0> Kx - <x, e_0> Ky) / 2,
+    nabla_x y = (omega(x, y) e_0 - h(y) Kx - h(x) Ky) / 2,
 
 so nabla_i e_j vanishes unless i or j is a or b: 4n - 4 of the n^2 pairs.
+
 The curvature tensor R(x,y)z = nabla_x nabla_y z - nabla_y nabla_x z
-- nabla_[x,y] z inherits that sparsity and is antisymmetric in x, y; the
-Ricci tensor is its trace.  Flatness is exact vanishing of every Riemann
-entry; there is no tolerance anywhere.
+- nabla_[x,y] z follows in closed form.  K e_0 = 0 and h(Ky) =
+omega(y, e_0) = 0 give
+
+    nabla_x e_0 = -g_00 Kx / 2,   nabla_x Ky = (<Kx, Ky> e_0 - h(x) K^2 y) / 2,
+
+and nabla_[x,y] z = omega(x, y) nabla_0 z = -g_00 omega(x, y) Kz / 2.  In
+the difference of the two second derivatives the h(z) <Kx, Ky> e_0 terms
+cancel because <Kx, Ky> is symmetric, and so do the h(x) h(y) K^2 z terms:
+
+    R(x,y)z = g_00 (omega(x,z) Ky - omega(y,z) Kx + 2 omega(x,y) Kz) / 4
+              + h(z) (h(x) K^2 y - h(y) K^2 x) / 4
+              - (h(y) <Kx, Kz> - h(x) <Ky, Kz>) e_0 / 4,
+
+where <K e_i, K e_m> = omega(e_i, K e_m).  So R(e_i, e_j) vanishes unless
+i or j is a or b, and the g_00 term lives on the plane (a, b) alone, where
+it is 3 g_00 K e_k / 4 for k = a, b.  Flatness is exact vanishing of every
+Riemann entry; there is no tolerance anywhere.
 
 A metric is an algebraic Ricci soliton when its Ricci operator
 R = G^{-1} Ric equals c Id + D with D a derivation.  D is a derivation iff
@@ -20,22 +36,23 @@ R = G^{-1} Ric equals c Id + D with D a derivation.  D is a derivation iff
     D[r][0] = 0 for r >= 1,   D[a][i] = D[b][i] = 0 for 1 <= i <= n-3,
     D[0][0] = D[a][a] + D[b][b],
 
-so R - c Id is one iff R meets the first two conditions and
-c = R[a][a] + R[b][b] - R[0][0].  That c is unique because Id is not a
-derivation, so the test needs no linear solve.  An Einstein metric is the
+and c is unique because Id is not a derivation.  An Einstein metric is the
 case D = 0.
 
 Every nondegenerate metric is a soliton, at every signature and n >= 4.
 The trace gives Ric(y, z) = -g_00 <Ky, Kz> / 2 - tr(K^2) <y, e_0><z, e_0> / 4
-with tr(K^2) = -2 delta, delta = g^aa g^bb - (g^ab)^2.  With h = G e_0 and
-Q the matrix of <Ky, Kz> (Q_aa = g^bb, Q_ab = Q_ba = -g^ab, Q_bb = g^aa),
+with tr(K^2) = -2 delta, delta = g^aa g^bb - (g^ab)^2.  With Q the matrix
+of <Ky, Kz> (Q_aa = g^bb, Q_ab = Q_ba = -g^ab, Q_bb = g^aa), which is
+-G K^2,
 
     Ric = -g_00 Q / 2 + delta h h^T / 2,   scal = -g_00 delta / 2,
-    R = -g_00 G^{-1} Q / 2 + delta e_0 h^T / 2,
+    R = g_00 K^2 / 2 + delta e_0 h^T / 2,
 
-which is zero outside columns a, b and row 0.  So R meets both conditions,
-and c = -3 g_00 delta / 2 (cf. J. Lauret, Math. Ann. 319 (2001); K. Onda,
-Acta Math. Hungar. 2014).  Tests check `curvature_report` against them.
+which is zero outside columns a, b and row 0.  So R meets the first two
+conditions, and c = R[a][a] + R[b][b] - R[0][0] = -3 g_00 delta / 2 (cf.
+J. Lauret, Math. Ann. 319 (2001); K. Onda, Acta Math. Hungar. 2014).
+`curvature_report` evaluates these forms; tests check them against the
+general Koszul engine in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -116,82 +133,52 @@ def levi_civita(alg: HeisenbergAlgebra, gram: Matrix) -> ConnectionTable:
     return _connection(alg.n, gram, _checked_inverse(alg.n, gram))
 
 
-def _combination(terms: list[tuple[Fraction, Vector]], n: int) -> Vector:
-    """Sum of c * v over the terms, skipping zero entries of v."""
-    out = [Fraction(0)] * n
-    for c, v in terms:
-        for r, x in enumerate(v):
-            if x != 0:
-                out[r] += c * x
-    return tuple(out)
+def _k_terms(g_inv: Matrix) -> tuple[dict, dict, dict]:
+    """The nonzero K e_m, K^2 e_m and <K e_i, K e_m> = omega(e_i, K e_m): i, m in {a, b}."""
+    a, b = len(g_inv) - 2, len(g_inv) - 1
+    k = {a: tuple(g_inv[b]), b: tuple(-x for x in g_inv[a])}
+    k2 = {m: linalg.combine((v[a], v[b]), (k[a], k[b])) for m, v in k.items()}
+    kk = {(i, m): k[m][b] if i == a else -k[m][a] for i in k for m in k}
+    return k, k2, kk
 
 
-def riemann(conn: ConnectionTable, alg: HeisenbergAlgebra) -> RiemannTable:
-    """Curvature tensor: entry [i][j][k] is R(e_i, e_j) e_k in basis coordinates."""
-    n = conn.n
-    gamma = conn.gamma
-    nonzero = [[(m, g) for m, g in enumerate(row) if any(g)] for row in gamma]
-    flat_plane = ((Fraction(0),) * n,) * n
-    out = [[flat_plane] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            eps = alg.bracket_basis(i, j)[0]  # every bracket is a multiple of e_0
+def _riemann(gram: Matrix, k: dict, k2: dict, kk: dict) -> RiemannTable:
+    """The closed form of R(e_i, e_j) e_m, summing only nonzero terms."""
+    n = len(gram)
+    a = n - 2
+    g00, h = gram[0][0], gram[0]
+    zero = (Fraction(0),) * n
+    out = [[(zero,) * n] * n for _ in range(n)]
+    for j in k:
+        for i in range(j):
+            # (h(e_i) K^2 e_j - h(e_j) K^2 e_i) / 4, carried by every e_m with h(e_m) != 0;
+            # K^2 e_i is zero unless i = a, j = b
+            u = linalg.combine((h[i] / 4, -h[j] / 4 if i in k else 0), (k2[j], k2[a]))
+            hu = h if any(u) else zero
             plane = []
-            for k in range(n):
-                # nabla_i (nabla_j e_k) - nabla_j (nabla_i e_k) - eps nabla_0 e_k
-                terms = ([(gamma[j][k][m], g) for m, g in nonzero[i] if gamma[j][k][m] != 0]
-                         + [(-gamma[i][k][m], g) for m, g in nonzero[j] if gamma[i][k][m] != 0])
-                if eps != 0:
-                    terms.append((-eps, gamma[0][k]))
-                plane.append(_combination(terms, n))
+            for m in range(n):
+                v = linalg.vec_scale(hu[m], u) if hu[m] != 0 else zero
+                if m in k:
+                    if i in k and g00 != 0:  # the plane (a, b)
+                        v = linalg.combine((1, 3 * g00 / 4), (v, k[m]))
+                    c0 = (h[i] * kk[j, m] - h[j] * kk.get((i, m), 0)) / 4
+                    if c0 != 0:
+                        v = (v[0] + c0,) + v[1:]
+                plane.append(v)
             out[i][j] = tuple(plane)
-            out[j][i] = tuple(tuple(-x for x in v) for v in plane)
+            out[j][i] = tuple(v if v is zero else tuple(-x for x in v) for v in plane)
     return tuple(tuple(plane) for plane in out)
 
 
-def _ricci_tensor(riem: RiemannTable) -> Matrix:
-    n = len(riem)
-    return [[sum(riem[i][j][k][i] for i in range(n)) for k in range(n)] for j in range(n)]
-
-
-def ricci(riem: RiemannTable, gram: Matrix) -> tuple[Matrix, Fraction]:
-    """Ricci tensor Ric(y, z) = trace(x -> R(x, y) z) and scalar curvature."""
-    n = len(riem)
-    ric = _ricci_tensor(riem)
-    g_inv = _checked_inverse(n, gram)
-    scalar = sum(g_inv[k][j] * ric[j][k] for j in range(n) for k in range(n))
-    return ric, scalar
+def riemann(alg: HeisenbergAlgebra, gram: Matrix) -> RiemannTable:
+    """Curvature tensor: entry [i][j][k] is R(e_i, e_j) e_k in basis coordinates."""
+    gram = linalg.mat(gram)
+    return _riemann(gram, *_k_terms(_checked_inverse(alg.n, gram)))
 
 
 def is_flat(riem: RiemannTable) -> bool:
     """True iff every curvature entry is exactly zero."""
     return all(x == 0 for plane in riem for row in plane for v in row for x in v)
-
-
-def _pinned_entries(n: int) -> set[tuple[int, int]]:
-    """Entries (r, c) that are zero in every derivation."""
-    a, b = n - 2, n - 1
-    return ({(r, 0) for r in range(1, n)}
-            | {(r, c) for r in (a, b) for c in range(1, n - 2)})
-
-
-def _soliton(n: int, ric_op: Matrix) -> tuple[Fraction, Matrix] | None:
-    if any(ric_op[r][c] != 0 for r, c in _pinned_entries(n)):
-        return None
-    a, b = n - 2, n - 1
-    c = ric_op[a][a] + ric_op[b][b] - ric_op[0][0]
-    d = [[ric_op[i][j] - (c if i == j else 0) for j in range(n)] for i in range(n)]
-    return c, d
-
-
-def soliton_check(alg: HeisenbergAlgebra, gram: Matrix,
-                  ric: Matrix) -> tuple[Fraction, Matrix] | None:
-    """Decide Ric_op = c * Id + D with D a derivation, exactly.
-
-    Returns (c, D) if such a pair exists (c is then unique), None otherwise.
-    The Einstein case is the solution with D = 0.
-    """
-    return _soliton(alg.n, linalg.mat_mul(_checked_inverse(alg.n, gram), ric))
 
 
 @dataclass(frozen=True)
@@ -212,25 +199,35 @@ class CurvatureReport:
         return all(x == 0 for row in d for x in row)
 
 
-
 def curvature_report(alg: HeisenbergAlgebra, gram: Matrix,
                      check_soliton: bool = True) -> CurvatureReport:
-    """Full exact curvature summary for one Gram matrix."""
+    """Full exact curvature summary for one Gram matrix, from the closed forms."""
     n = alg.n
+    a, b = n - 2, n - 1
+    gram = linalg.mat(gram)
     g_inv = _checked_inverse(n, gram)
-    riem = riemann(_connection(n, gram, g_inv), alg)
-    ric = _ricci_tensor(riem)
-    ric_op = linalg.mat_mul(g_inv, ric)
+    k, k2, kk = _k_terms(g_inv)
+    riem = _riemann(gram, k, k2, kk)
+    g00, h = gram[0][0], gram[0]
+    delta = g_inv[a][a] * g_inv[b][b] - g_inv[a][b] ** 2
+    # Ric = -g_00 Q / 2 + delta h h^T / 2, Q zero outside the {a, b} block
+    ric = [[delta * x * y / 2 for y in h] for x in h]
+    for (i, m), q in kk.items():
+        ric[i][m] -= g00 * q / 2
     soliton = None
     if check_soliton:
-        res = _soliton(n, ric_op)
-        if res is not None:
-            c, d = res
-            soliton = (c, tuple(tuple(row) for row in d))
+        c = -3 * g00 * delta / 2
+        # D = g_00 K^2 / 2 + delta e_0 h^T / 2 - c Id
+        d = [[delta * x / 2 for x in h]] + [[Fraction(0)] * n for _ in range(n - 1)]
+        for r in range(n):
+            d[r][r] -= c
+            for m in k:
+                d[r][m] += g00 * k2[m][r] / 2
+        soliton = (c, tuple(tuple(row) for row in d))
     return CurvatureReport(
         riemann=riem,
         ricci=tuple(tuple(row) for row in ric),
-        scalar_curv=sum(ric_op[k][k] for k in range(n)),
+        scalar_curv=-g00 * delta / 2,
         is_flat=is_flat(riem),
         soliton=soliton,
     )

@@ -194,6 +194,8 @@ def koszul_levi_civita(alg, gram):
     g_inv = linalg.invert(gram)
 
     def pairing(x, y):
+        if not any(x):  # most brackets of basis vectors vanish
+            return Fraction(0)
         return sum(a * b for a, b in zip(linalg.mat_vec(gram, x), y))
 
     table = []

@@ -17,13 +17,7 @@ import pytest
 
 import oracles
 from heisflag import linalg, sampling
-from heisflag.curvature import (
-    is_flat,
-    levi_civita,
-    ricci,
-    riemann,
-    soliton_check,
-)
+from heisflag.curvature import curvature_report, is_flat, levi_civita, riemann
 from heisflag.enumeration import _survey_cached, survey_flags
 from heisflag.forms import (
     FlagInvariants,
@@ -167,13 +161,12 @@ def test_criterion_07_flatness():
         for p in range(1, total):
             q = total - p
             for row in admissible_classes(p, q).classes:
-                riem = riemann(levi_civita(alg, representative(row.id, p, q)), alg)
+                riem = riemann(alg, representative(row.id, p, q))
                 assert is_flat(riem) == (row.id in flat_ids), (p, q, row.id)
     # the Lorentzian column has exactly one flat class among its six
     alg = HeisenbergAlgebra(4)
     lorentz_flat = [row.id for row in admissible_classes(3, 1).classes
-                    if is_flat(riemann(levi_civita(
-                        alg, representative(row.id, 3, 1)), alg))]
+                    if is_flat(riemann(alg, representative(row.id, 3, 1)))]
     assert lorentz_flat == [13]
     report(7, "flat-classes", started)
 
@@ -182,7 +175,8 @@ def test_criterion_08_curvature_oracle():
     started = time.time()
     alg = HeisenbergAlgebra(4)
     gram = linalg.identity(4)
-    ric, scalar = ricci(riemann(levi_civita(alg, gram), alg), gram)
+    curv = curvature_report(alg, gram)
+    ric, scalar = [list(row) for row in curv.ricci], curv.scalar_curv
     assert ric == linalg.diag([F(1, 2), 0, F(-1, 2), F(-1, 2)])
     oracle_ric, oracle_scalar = oracles.ricci_tensor(4, gram)
     assert ric == oracle_ric
@@ -196,9 +190,9 @@ def test_criterion_09_soliton_solvability():
     flat_seen = 0
     for row in admissible_classes(3, 1).classes:
         gram = representative(row.id, 3, 1)
-        riem = riemann(levi_civita(alg, gram), alg)
-        ric, _ = ricci(riem, gram)
-        solution = soliton_check(alg, gram, ric)
+        curv = curvature_report(alg, gram)
+        riem = curv.riemann
+        solution = curv.soliton
         assert solution is not None, row.id
         c, d = solution
         if is_flat(riem):
@@ -271,7 +265,7 @@ def test_criterion_11_structural_identities():
         conn = levi_civita(alg, gram)
         assert conn.is_metric_compatible(gram)
         assert conn.is_torsion_free(alg)
-        riem = riemann(conn, alg)
+        riem = riemann(alg, gram)
         for i in range(n):
             for j in range(n):
                 for m in range(n):

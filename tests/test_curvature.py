@@ -8,15 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from heisflag import linalg
-from heisflag.curvature import (
-    _pinned_entries,
-    curvature_report,
-    is_flat,
-    levi_civita,
-    ricci,
-    riemann,
-    soliton_check,
-)
+from heisflag.curvature import curvature_report, is_flat, levi_civita, riemann
 from heisflag.forms import PreconditionError
 from heisflag.heisenberg import HeisenbergAlgebra, admissible_classes, parabolic_sample, \
     act_on_metric, representative
@@ -51,19 +43,16 @@ def test_levi_civita_rejects_degenerate():
         levi_civita(alg, linalg.diag([1, 0, 1, -1]))
 
 
-def test_ricci_and_soliton_check_validate_the_gram():
+def test_riemann_and_report_validate_the_gram():
     alg = HeisenbergAlgebra(4)
-    gram = linalg.identity(4)
-    riem = riemann(levi_civita(alg, gram), alg)
-    ric, _ = ricci(riem, gram)
     lopsided = linalg.identity(4)
     lopsided[0][1] = F(1)
     singular = linalg.diag([1, 0, 1, -1])
     for bad, cause in ((lopsided, "symmetric"), (singular, "singular")):
         with pytest.raises(PreconditionError, match=cause):
-            ricci(riem, bad)
+            riemann(alg, bad)
         with pytest.raises(PreconditionError, match=cause):
-            soliton_check(alg, bad, ric)
+            curvature_report(alg, bad)
 
 
 def test_abelian_directions_are_flat():
@@ -79,17 +68,15 @@ def test_abelian_directions_are_flat():
 
 def test_riemann_oracle_component():
     alg = HeisenbergAlgebra(4)
-    conn = levi_civita(alg, linalg.identity(4))
-    riem = riemann(conn, alg)
+    riem = riemann(alg, linalg.identity(4))
     assert riem[2][3][3][2] == F(-3, 4)
     assert not is_flat(riem)
 
 
 def test_ricci_matches_independent_oracle():
     alg = HeisenbergAlgebra(4)
-    conn = levi_civita(alg, linalg.identity(4))
-    riem = riemann(conn, alg)
-    ric, scalar = ricci(riem, linalg.identity(4))
+    report = curvature_report(alg, linalg.identity(4))
+    ric, scalar = [list(row) for row in report.ricci], report.scalar_curv
     assert ric == linalg.diag([F(1, 2), 0, F(-1, 2), F(-1, 2)])
     assert scalar == F(-1, 2)
     oracle_ric, oracle_scalar = oracles.ricci_tensor(4, linalg.identity(4))
@@ -102,14 +89,14 @@ def test_engine_matches_oracle_on_random_grams():
     alg = HeisenbergAlgebra(4)
     for _ in range(12):
         gram = random_nondegenerate_gram(rng, 4)
-        conn = levi_civita(alg, gram)
-        riem = riemann(conn, alg)
+        riem = riemann(alg, gram)
         oracle_riem = oracles.riemann_tensor(4, gram)
         for i in range(4):
             for j in range(4):
                 for k in range(4):
                     assert list(riem[i][j][k]) == oracle_riem[i][j][k]
-        ric, scalar = ricci(riem, gram)
+        report = curvature_report(alg, gram)
+        ric, scalar = [list(row) for row in report.ricci], report.scalar_curv
         oracle_ric, oracle_scalar = oracles.ricci_tensor(4, gram)
         assert ric == oracle_ric and scalar == oracle_scalar
 
@@ -131,7 +118,7 @@ def test_riemann_identities_random():
         n = 4 + k % 2
         alg = HeisenbergAlgebra(n)
         gram = random_nondegenerate_gram(rng, n)
-        riem = riemann(levi_civita(alg, gram), alg)
+        riem = riemann(alg, gram)
         for i in range(n):
             for j in range(n):
                 for m in range(n):
@@ -160,7 +147,7 @@ def test_flat_classes_representatives():
             q = total - p
             alg = HeisenbergAlgebra(total)
             for row in admissible_classes(p, q).classes:
-                riem = riemann(levi_civita(alg, representative(row.id, p, q)), alg)
+                riem = riemann(alg, representative(row.id, p, q))
                 assert is_flat(riem) == (row.id in flat_ids)
 
 
@@ -169,22 +156,29 @@ def test_flatness_is_orbit_invariant():
     alg = HeisenbergAlgebra(4)
     for row in admissible_classes(2, 2).classes:
         base = representative(row.id, 2, 2)
-        base_flat = is_flat(riemann(levi_civita(alg, base), alg))
+        base_flat = is_flat(riemann(alg, base))
         for _ in range(200):
             acted = act_on_metric([list(r) for r in parabolic_sample(4, rng).matrix], base)
-            assert is_flat(riemann(levi_civita(alg, acted), alg)) == base_flat
+            assert is_flat(riemann(alg, acted)) == base_flat
+
+
+def pinned_entries(n):
+    """Entries (r, c) that are zero in every derivation."""
+    a, b = n - 2, n - 1
+    return ({(r, 0) for r in range(1, n)}
+            | {(r, c) for r in (a, b) for c in range(1, n - 2)})
 
 
 def assert_soliton_conditions_cut_out_der(n):
-    """Der(g) is exactly the matrices `_soliton` accepts as D.
+    """Der(g) is exactly the matrices of the `curvature` module docstring's conditions.
 
-    Every element of the kernel oracle is zero on `_pinned_entries(n)` and
+    Every element of the kernel oracle is zero on `pinned_entries(n)` and
     meets D_00 = D_aa + D_bb, and the kernel has the dimension those
     n - 1 + 2(n - 3) + 1 conditions leave, n^2 - 3n + 6.
     """
     alg = HeisenbergAlgebra(n)
     a, b = n - 2, n - 1
-    pinned = _pinned_entries(n)
+    pinned = pinned_entries(n)
     basis = oracles.kernel_derivation_space(alg)
     assert len(basis) == n * n - len(pinned) - 1 == n * n - 3 * n + 6
     for flat in basis:
@@ -198,7 +192,7 @@ def test_derivation_space_structure():
     # the pinned entries: the first column below D_00, and rows a, b in
     # columns 1..n-3; columns 1..n-3 stay free in the first n-2 rows, the
     # last two columns free everywhere
-    assert len(_pinned_entries(4)) == 3 + 2
+    assert len(pinned_entries(4)) == 3 + 2
     assert_soliton_conditions_cut_out_der(4)
 
 
@@ -214,9 +208,7 @@ def test_soliton_flat_case():
 
 def test_soliton_identity_gram():
     alg = HeisenbergAlgebra(4)
-    conn = levi_civita(alg, linalg.identity(4))
-    ric, _ = ricci(riemann(conn, alg), linalg.identity(4))
-    res = soliton_check(alg, linalg.identity(4), ric)
+    res = curvature_report(alg, linalg.identity(4)).soliton
     assert res is not None
     c, d = res
     assert c == F(-3, 2)
@@ -250,27 +242,25 @@ def is_derivation(alg, d):
 
 
 def assert_closed_forms(alg, gram, report):
-    """The report's Ric, scal and soliton constant are the module docstring's closed forms.
+    """The report, read off the module docstring's closed forms, equals the Koszul engine's.
 
-    delta = g^aa g^bb - (g^ab)^2, h = G e_0 and Q is zero but for Q_aa = g^bb,
-    Q_ab = Q_ba = -g^ab, Q_bb = g^aa: Ric = -g_00 Q / 2 + delta h h^T / 2,
-    scal = -g_00 delta / 2, and the Ricci operator vanishes on the pinned
-    entries, so the metric is a soliton with c = -3 g_00 delta / 2.
+    `oracles.koszul_curvature_report` builds the connection from the Koszul
+    formula over every bracket triple, takes the dense Riemann tensor and
+    its trace, and finds (c, D) by a linear solve over a kernel basis of
+    Der(g).  The soliton pair must also give G (c Id + D) = Ric with D a
+    derivation.
     """
+    want = oracles.koszul_curvature_report(alg, gram)
+    assert report.riemann == want.riemann
+    assert report.ricci == want.ricci
+    assert report.scalar_curv == want.scalar_curv
+    assert report.is_flat == want.is_flat
+    assert report.soliton == want.soliton
     n = alg.n
-    a, b = n - 2, n - 1
-    g_inv = linalg.invert(gram)
-    delta = g_inv[a][a] * g_inv[b][b] - g_inv[a][b] ** 2
-    g00, h = F(gram[0][0]), gram[0]
-    q = linalg.zeros(n, n)
-    q[a][a], q[b][b] = g_inv[b][b], g_inv[a][a]
-    q[a][b] = q[b][a] = -g_inv[a][b]
-    ric = [[-g00 * q[i][j] / 2 + delta * h[i] * h[j] / 2 for j in range(n)] for i in range(n)]
-    assert report.ricci == tuple(tuple(row) for row in ric)
-    assert report.scalar_curv == -g00 * delta / 2
-    ric_op = linalg.mat_mul(g_inv, ric)
-    assert all(ric_op[r][c] == 0 for r, c in _pinned_entries(n))
-    assert report.soliton[0] == -3 * g00 * delta / 2
+    c, d = report.soliton
+    op = [[d[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+    assert linalg.mat_mul(gram, op) == [list(row) for row in report.ricci]
+    assert is_derivation(alg, d)
 
 
 @pytest.mark.parametrize("n", range(4, 7))
@@ -286,14 +276,15 @@ def test_every_row_is_a_soliton_in_closed_form(n):
                 assert_closed_forms(alg, gram, curvature_report(alg, gram))
 
 
-GRAM_KINDS = ("g00 zero", "center row zero", "moved flat row", "random")
+GRAM_KINDS = ("g00 zero", "center row zero", "moved flat row", "random", "integer")
 
 
 @st.composite
 def grams_of_kind(draw, n, kind):
-    """Nondegenerate Gram matrices; all kinds but "random" are degenerate
-    cases: g_00 = 0, the center part of e_0's row zero, or a flat row's
-    representative moved by the parabolic group."""
+    """Nondegenerate Gram matrices; all kinds but "random" and "integer" are
+    degenerate cases: g_00 = 0, the center part of e_0's row zero, or a flat
+    row's representative moved by the parabolic group.  "integer" has `int`
+    entries, not `Fraction`s."""
     if kind == "moved flat row":
         p = draw(st.integers(1, n - 1))
         ids = [row.id for row in admissible_classes(p, n - p).classes if row.id in FLAT_IDS]
@@ -302,7 +293,8 @@ def grams_of_kind(draw, n, kind):
         rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
         return act_on_metric([list(r) for r in parabolic_sample(n, rng).matrix],
                              representative(row_id, p, n - p))
-    entries = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    entries = (st.integers(-3, 3) if kind == "integer"
+               else st.builds(F, st.integers(-3, 3), st.integers(1, 3)))
     gram = linalg.zeros(n, n)
     for i in range(n):
         for j in range(i, n):
@@ -323,33 +315,12 @@ def grams_of_kind(draw, n, kind):
 def test_report_matches_koszul_oracle(n, kind, data):
     alg = HeisenbergAlgebra(n)
     gram = data.draw(grams_of_kind(n, kind))
-    got = curvature_report(alg, gram)
-    want = oracles.koszul_curvature_report(alg, gram)
-    assert got.riemann == want.riemann
-    assert got.ricci == want.ricci
-    assert got.scalar_curv == want.scalar_curv
-    assert got.is_flat == want.is_flat
-    assert got.soliton == want.soliton
-    assert_closed_forms(alg, gram, got)
-    # a Ricci tensor moved off the soliton locus by one symmetric entry: both
-    # engines must agree, on None as on (c, D)
-    i = data.draw(st.integers(0, n - 1))
-    j = data.draw(st.integers(0, n - 1))
-    delta = data.draw(st.builds(F, st.integers(-2, 2).filter(bool), st.integers(1, 3)))
-    moved = [list(row) for row in got.ricci]
-    moved[i][j] += delta
-    if i != j:
-        moved[j][i] += delta
-    assert soliton_check(alg, gram, moved) == oracles.solve_soliton_check(alg, gram, moved)
-
-
-def test_soliton_check_none_off_the_soliton_locus():
-    # Ric e_0 not proportional to G e_0: no c, D with Ric_op = c Id + D
-    alg = HeisenbergAlgebra(4)
-    ric = linalg.zeros(4, 4)
-    ric[0][1] = ric[1][0] = F(1)
-    assert soliton_check(alg, linalg.identity(4), ric) is None
-    assert oracles.solve_soliton_check(alg, linalg.identity(4), ric) is None
+    report = curvature_report(alg, gram)
+    assert_closed_forms(alg, gram, report)
+    c, d = report.soliton
+    entries = ([x for plane in report.riemann for row in plane for v in row for x in v]
+               + [x for row in report.ricci + d for x in row] + [report.scalar_curv, c])
+    assert all(type(x) is F for x in entries)
 
 
 @pytest.mark.parametrize("n", range(4, 9))

@@ -7,17 +7,19 @@ with `ast`, and each imported name must occur as a name in the module body,
 or inside a string annotation.  Each top-level function and class of
 `src/heisflag/*.py` must be named, outside its own definition, somewhere in
 `src/`, `tests/`, `demos/` or `bench/`: as an identifier, an attribute, an
-imported name or a string that is exactly the name.  A module outside
-`src/heisflag` that defines a top-level function or class of the same name
-N refers to its own N, so its mentions of N do not count.  Each method and
-property of a class there, other than dunders, must be referred to as an
-attribute (`x.name`) in those directories, outside its own definition.
-Members cannot be told apart without types, so a member name that several
-classes share counts as referred to for all of them once one of them is
-used; deleting a member therefore needs a runtime check as well, such as
-the test suite run with that member patched to raise.  A
-private (`_name`) top-level function or class must be named in `src/`
-itself: a helper that only the tests use is a test oracle and lives in
+imported name or a string that is exactly the name.  A relative import, such
+as a re-export in `__init__.py`, is not a reference: every other relative
+import is used in its module, which the unused-import check ensures.  A
+module outside `src/heisflag` that defines a top-level function or class of
+the same name N refers to its own N, so its mentions of N do not count.
+Each method and property of a class there, other than dunders, must be
+referred to as an attribute (`x.name`) in those directories, outside its own
+definition.  Members cannot be told apart without types, so a member name
+that several classes share counts as referred to for all of them once one of
+them is used; deleting a member therefore needs a runtime check as well,
+such as the test suite run with that member patched to raise.  A private
+(`_name`) top-level function or class must be named in `src/` itself: a
+helper that only the tests use is a test oracle and lives in
 `tests/oracles.py`.
 
 Each top-level function and class of `tests/oracles.py` must be reachable
@@ -91,8 +93,9 @@ def referenced_names(source: str) -> set[str]:
                 found.add(node.id)
             elif isinstance(node, ast.Attribute):
                 found.add(node.attr)
-            elif isinstance(node, ast.alias):
-                found.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                  and node.level == 0):
+                found.update(alias.name.rpartition(".")[2] for alias in node.names)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 found.add(node.value)
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -123,6 +126,9 @@ def test_checker_flags_an_unreferenced_definition():
            "class Named:\n    pass\n")
     user = "from lib import used\nx = getattr(lib, 'Named')\n"
     assert unreferenced({"lib.py": lib}, [lib, user]) == ["lib.py: recursive"]
+    # a package re-export names `recursive` for no caller
+    init = "from .lib import recursive, used\n"
+    assert unreferenced({"lib.py": lib}, [lib, user, init]) == ["lib.py: recursive"]
     assert unreferenced({"lib.py": lib}, [lib]) == ["lib.py: used", "lib.py: recursive",
                                                     "lib.py: Named"]
 
