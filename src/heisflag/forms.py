@@ -75,8 +75,7 @@ class QuadraticSpace:
     gram: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        g = [list(row) for row in self.gram]
-        if not linalg.is_symmetric(g):
+        if not linalg.is_symmetric(self.gram):
             raise PreconditionError("Gram matrix must be square and symmetric")
 
     @classmethod
@@ -121,7 +120,7 @@ class QuadraticSpace:
     @cached_property
     def _radical(self) -> "Subspace":
         # the Gram matrix never changes, so one kernel answers every call
-        return Subspace(self.dim, tuple(linalg.kernel(self.gram_matrix)))
+        return Subspace(self.dim, tuple(linalg.kernel(self.gram)))
 
     def is_nondegenerate(self) -> bool:
         return self._radical.dim == 0
@@ -141,7 +140,7 @@ class Subspace:
         for v in self.basis:
             if len(v) != self.ambient_dim:
                 raise linalg.ShapeError("basis vector has wrong length")
-        if self.basis and linalg.rank([list(v) for v in self.basis]) != len(self.basis):
+        if self.basis and linalg.rank(self.basis) != len(self.basis):
             raise PreconditionError("basis vectors must be linearly independent")
 
     @classmethod
@@ -169,12 +168,12 @@ class Subspace:
     def contains(self, v: Vector) -> bool:
         if len(v) != self.ambient_dim:
             raise linalg.ShapeError("vector length does not match ambient dimension")
-        return linalg.rank([list(u) for u in self.basis] + [list(v)]) == self.dim
+        return linalg.rank([*self.basis, v]) == self.dim
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise linalg.ShapeError("subspaces live in different ambient spaces")
-        return linalg.rank([list(v) for v in self.basis + other.basis]) == self.dim
+        return linalg.rank([*self.basis, *other.basis]) == self.dim
 
     def coordinates_of(self, v: Vector) -> Vector:
         """Coefficients of v in this basis; raises if v lies outside."""
@@ -377,8 +376,8 @@ def matsuki_data(f: Flag, p: int, q: int) -> MatsukiData:
         raise linalg.ShapeError("flag ambient dimension is not p + q")
     if f.shape != (1, n - 2):
         raise linalg.ShapeError("seven-count data is defined for flags of type (1, n-2)")
-    c_plus = n - 2 - linalg.rank([list(b[p:]) for b in f.big.basis])
-    c_minus = n - 2 - linalg.rank([list(b[:p]) for b in f.big.basis])
+    c_plus = n - 2 - linalg.rank([b[p:] for b in f.big.basis])
+    c_minus = n - 2 - linalg.rank([b[:p] for b in f.big.basis])
     v = f.small.basis[0]
     d_plus = int(not any(v[p:]))
     d_minus = int(not any(v[:p]))
@@ -504,7 +503,7 @@ def extend_nullsystem(space: QuadraticSpace, nulls: Sequence[Vector]) -> ScaledS
     if not space.is_nondegenerate():
         raise PreconditionError("ambient form must be nondegenerate")
     if nulls:
-        if linalg.rank([list(v) for v in nulls]) != len(nulls):
+        if linalg.rank(nulls) != len(nulls):
             raise PreconditionError("null vectors must be independent")
         if any(x for row in space.pairing(nulls, nulls) for x in row):
             raise PreconditionError("null vectors must be pairwise orthogonal and null")
@@ -525,7 +524,7 @@ def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
     """
     n = space.dim
     w_system.check(space)
-    if linalg.rank([list(v) for v in w_system.vectors]) != len(w_system.vectors):
+    if linalg.rank(w_system.vectors) != len(w_system.vectors):
         raise PreconditionError("system vectors must be linearly independent")
 
     xs = w_system.positives()

@@ -83,19 +83,20 @@ def is_symmetric(m: Matrix) -> bool:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """AB: row i is the combination sum_k a_ik b_k of the rows of B, by `combine`."""
     ra, ca = shape(a)
     rb, cb = shape(b)
     if ca != rb:
         raise ShapeError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [list(combine(row, b)) for row in a]
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
+    """Mv: the combination sum_k v_k m_k of the columns of M, by `combine` (r x 0: zeros)."""
     r, c = shape(m)
     if c != len(v):
         raise ShapeError(f"cannot apply {r}x{c} to vector of length {len(v)}")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return combine(v, transpose(m)) if c else (0,) * r
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -374,7 +375,7 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
 
 def row_space(vectors: Sequence[Vector]) -> list[Vector]:
     """Canonical basis of the span: RREF rows rescaled to coprime integers."""
-    ech, pivots = _echelon([list(v) for v in vectors])
+    ech, pivots = _echelon(vectors)
     return [primitive_vector(tuple(ech[r])) for r in range(len(pivots))]
 
 

@@ -152,7 +152,7 @@ def random_flag(p: int, q: int, rng: random.Random,
         picks: list[Vector] = []
         while len(picks) < k2:
             cand = rng.choice(pool)
-            if linalg.rank([list(v) for v in picks] + [list(cand)]) == len(picks) + 1:
+            if linalg.rank(picks + [cand]) == len(picks) + 1:
                 picks.append(cand)
         big = Subspace(n, tuple(picks))
         coeffs_pool = [-1, 0, 1]

@@ -11,10 +11,12 @@ are handled by hyperbolic pairs of opposite norms, so the patterns survive
 the per-column scaling by square roots of the norm ratios.  Frames are
 oriented, never rescaled: g = C1 . diag(sqrt(m2 / m1)) . C2^{-1} does not
 change when a column of either frame is scaled by a positive factor,
-because its norm, and so its square root, absorbs that factor.  Everything
-is exact until one rounding per entry: each square root is an integer
-square root at 256 fraction bits, each entry of g is summed exactly from
-those, and only the finished entry is rounded to binary64.
+because its norm, and so its square root, absorbs that factor.  A frame is
+orthogonal with known norms, C2^T I_pq C2 = diag(m2), so C2^{-1} =
+diag(m2)^{-1} C2^T I_pq and nothing is eliminated after the frames are
+built.  Everything is exact until one rounding per entry: each square root
+is an integer square root at 256 fraction bits, each entry of g is summed
+exactly from those, and only the finished entry is rounded to binary64.
 
 Residuals are always checked: a witness outside tolerance raises instead of
 being returned silently.
@@ -102,11 +104,11 @@ def _adapted_frame(space: QuadraticSpace, f: Flag) -> tuple[list[Vector], list[F
     # a lattice-reduced big basis keeps the exact construction well
     # conditioned; the small part is diagonalized from its row space
     big = Subspace(f.big.ambient_dim,
-                   tuple(linalg.lll_reduce(linalg.row_space(list(f.big.basis)))))
+                   tuple(linalg.lll_reduce(linalg.row_space(f.big.basis))))
 
     # system of the small part, its null block reordered so that the
     # rad(big) members come last
-    small = Subspace(space.dim, tuple(linalg.row_space(list(f.small.basis))))
+    small = Subspace(space.dim, tuple(linalg.row_space(f.small.basis)))
     sys_small = scaled_system(space, small)
     nulls = sys_small.nulls()
     cap = _nulls_in_radical(space, big, nulls) if nulls else []
@@ -147,31 +149,28 @@ def subspace_distance(vectors1, vectors2) -> float:
     return float(np.max(np.abs(qa @ qa.T - qb @ qb.T)))
 
 
-def _assemble(frame1: tuple[list[Vector], list[Fraction]],
+def _assemble(p: int, frame1: tuple[list[Vector], list[Fraction]],
               frame2: tuple[list[Vector], list[Fraction]]) -> np.ndarray:
-    """g = C1 . diag(sqrt(m2_j / m1_j)) . C2^{-1} from two adapted frames.
+    """g = C1 . diag(sqrt(m2_k / m1_k)) . C2^{-1} from two adapted frames.
 
-    The ratios are exact and positive; each square root is truncated to
-    SQRT_BITS fraction bits by an integer square root, each entry is summed
-    exactly and rounded to binary64 once, so cancellation between large
-    frame entries cannot contaminate the returned matrix.
+    In the standard (p, q) space C2^T I_pq C2 = diag(m2), so C2^{-1} =
+    diag(m2)^{-1} C2^T I_pq: row k is (I_pq c2_k)^T / m2_k, read off the
+    frame with no elimination.  Column j of g is then one combination of the
+    columns c1_k.  The ratios are exact and positive; each square root is
+    truncated to SQRT_BITS fraction bits by an integer square root, each
+    entry is summed exactly and rounded to binary64 once, so cancellation
+    between large frame entries cannot contaminate the returned matrix.
     """
     (cols1, norms1), (cols2, norms2) = frame1, frame2
-    n = len(cols1)
-    c2_inv = linalg.invert([[cols2[j][i] for j in range(n)] for i in range(n)])
-    scale = []
-    for m1, m2 in zip(norms1, norms2):
+    rows = []  # row k of diag(sqrt(m2 / m1)) C2^{-1}, times 2^SQRT_BITS
+    for c2, m1, m2 in zip(cols2, norms1, norms2):
         r = m2 / m1
         if r <= 0:
             raise WitnessFailureError("adapted frames disagree on norm signs")
-        scale.append(isqrt((r.numerator << 2 * SQRT_BITS) // r.denominator))
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            acc = sum(cols1[k][i] * c2_inv[k][j] * scale[k]
-                      for k in range(n) if cols1[k][i] and c2_inv[k][j])
-            g[i, j] = float(Fraction(acc, 1 << SQRT_BITS))
-    return g
+        s = isqrt((r.numerator << 2 * SQRT_BITS) // r.denominator) / m2
+        rows.append([s * x if j < p else -s * x for j, x in enumerate(c2)])
+    g_cols = [linalg.combine(coeffs, cols1) for coeffs in zip(*rows)]
+    return np.array([[float(x / (1 << SQRT_BITS)) for x in row] for row in zip(*g_cols)])
 
 
 def isometry_witness(p: int, q: int, f1: Flag, f2: Flag) -> np.ndarray:
@@ -189,7 +188,7 @@ def isometry_witness(p: int, q: int, f1: Flag, f2: Flag) -> np.ndarray:
     if diff is not None:
         raise InequivalentFlagsError(diff)
 
-    g = _assemble(_adapted_frame(space, f1), _adapted_frame(space, f2))
+    g = _assemble(p, _adapted_frame(space, f1), _adapted_frame(space, f2))
     res = witness_residuals(p, q, g, f1, f2)
     if res["form"] > RESIDUAL_TOL:
         raise WitnessFailureError(f"form residual {res['form']:.3e} exceeds {RESIDUAL_TOL:.1e}")

@@ -18,7 +18,12 @@ Deliberately separate from the package's fast paths:
 - radical: the kernel of the restricted Gram matrix, which `forms.radical`
   and `forms.flag_invariants` now read off one congruence instead;
 - witness assembly: the 256-bit mpmath assembly of g from two adapted frames
-  that the integer square-root assembly in `heisflag.witness` replaced;
+  that the integer square-root assembly in `heisflag.witness` replaced, and
+  that assembly with C2^{-1} from a Gauss-Jordan inverse, which reading it
+  off the frame's norms replaced;
+- products: the dense `mat_mul` and `mat_vec` loops, which sum every
+  product, zeros included, and which one `linalg.combine` per row or
+  vector replaced;
 - exact kernels: the dense double-loop inner product and the two-product
   `restrict` that `QuadraticSpace.pairing` replaced, the Gauss-Jordan
   inverse, the one-rank-per-candidate basis extension, the per-vector
@@ -52,7 +57,7 @@ Used to pin expected values before trusting the main engine.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -83,6 +88,7 @@ from heisflag.heisenberg import (
     admissible_classes,
 )
 from heisflag.sampling import small_vector_pool
+from heisflag.witness import SQRT_BITS, WitnessFailureError
 
 
 def structure_constants(n):
@@ -680,6 +686,49 @@ def mpmath_assemble(frame1, frame2):
                         acc += hp(c1[i][k] * c2_inv[k][j]) * scale[k]
                 g[i, j] = float(acc)
     return g
+
+
+def invert_assemble(frame1, frame2):
+    """g = C1 . diag(sqrt(m2_j / m1_j)) . C2^{-1}, with C2^{-1} from a Gauss-Jordan inverse.
+
+    The same integer square roots at SQRT_BITS fraction bits and the same
+    one rounding per entry as `witness._assemble`, which reads C2^{-1} off
+    the frame's norms instead.
+    """
+    (cols1, norms1), (cols2, norms2) = frame1, frame2
+    n = len(cols1)
+    c2_inv = linalg.invert([[cols2[j][i] for j in range(n)] for i in range(n)])
+    scale = []
+    for m1, m2 in zip(norms1, norms2):
+        r = m2 / m1
+        if r <= 0:
+            raise WitnessFailureError("adapted frames disagree on norm signs")
+        scale.append(isqrt((r.numerator << 2 * SQRT_BITS) // r.denominator))
+    g = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            acc = sum(cols1[k][i] * c2_inv[k][j] * scale[k]
+                      for k in range(n) if cols1[k][i] and c2_inv[k][j])
+            g[i, j] = float(Fraction(acc, 1 << SQRT_BITS))
+    return g
+
+
+def dense_mat_mul(a, b):
+    """AB with every product summed, zeros included."""
+    ra, ca = linalg.shape(a)
+    rb, cb = linalg.shape(b)
+    if ca != rb:
+        raise linalg.ShapeError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
+    bt = linalg.transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def dense_mat_vec(m, v):
+    """Mv with every product summed, zeros included."""
+    r, c = linalg.shape(m)
+    if c != len(v):
+        raise linalg.ShapeError(f"cannot apply {r}x{c} to vector of length {len(v)}")
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
 def dense_inner(space, x, y):

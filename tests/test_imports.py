@@ -27,6 +27,11 @@ from a test module: named there as `oracles.name`, imported from `oracles` or
 given as a string (for `getattr(oracles, name)`), or named inside an oracle
 that is.
 
+`linalg` owns the copy that each elimination works on: no call in
+`src/heisflag` to `rank`, `kernel`, `row_space`, `det`, `solve` or `invert`
+copies rows with `list(...)` in its arguments.  A transpose built in place,
+as a comprehension over the rows, is a new matrix and stays allowed.
+
 The command line has one exit-code map: in `cli.py` only `main` has an
 `except` clause or refers to `sys.stderr`, apart from the clause of
 `cmd_witness` that turns `InequivalentFlagsError` into an answer.
@@ -291,3 +296,38 @@ def test_checker_flags_error_handling_outside_main():
 
 def test_only_main_maps_errors_to_exit_codes():
     assert misplaced_error_handling((SRC / "cli.py").read_text()) == []
+
+
+ELIMINATIONS = ("rank", "kernel", "row_space", "det", "solve", "invert")
+
+
+def row_copying_calls(source: str) -> list[str]:
+    """`line n: name` for each elimination call whose arguments copy rows with `list(...)`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name not in ELIMINATIONS:
+            continue
+        if any(isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name)
+               and inner.func.id == "list"
+               for arg in node.args for inner in ast.walk(arg)):
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_checker_flags_a_row_copy_handed_to_an_elimination():
+    source = ("r = linalg.rank([list(v) for v in basis] + [list(w)])\n"
+              "s = linalg.row_space(list(f.big.basis))\n"
+              "x = linalg.solve([[b[i] for b in basis] for i in range(n)], v)\n"
+              "k = linalg.kernel(space.gram)\n"
+              "c = linalg.combine(list(coeffs), vectors)\n"
+              "d = det(list(m))\n")
+    assert row_copying_calls(source) == ["line 1: rank", "line 2: row_space", "line 6: det"]
+
+
+def test_no_row_copies_handed_to_eliminations():
+    found = {p.name: row_copying_calls(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}

@@ -10,7 +10,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import heisflag
 import oracles
@@ -169,7 +169,7 @@ def test_exact_assembly_matches_mpmath_oracle():
     pytest.importorskip("mpmath")
     for space, f1, f2, label in assembly_flag_pairs():
         frames = (witness._adapted_frame(space, f1), witness._adapted_frame(space, f2))
-        exact = witness._assemble(*frames)
+        exact = witness._assemble(label[0], *frames)
         reference = oracles.mpmath_assemble(*frames)
         for a, b in zip(exact.ravel(), reference.ravel()):
             assert a == b or (abs(a) < 1e-60 and abs(b) < 1e-60), (label, a, b)
@@ -197,8 +197,23 @@ def test_oriented_frames_assemble_as_rescaled_frames():
             seconds = {ib for _, ib in slots}
             assert all(next(x for x in w if x) > 0
                        for i, w in enumerate(cols) if i not in seconds)
-        diff = witness._assemble(*oriented) - witness._assemble(*rescaled)
+        p = label[0]
+        diff = witness._assemble(p, *oriented) - witness._assemble(p, *rescaled)
         assert np.max(np.abs(diff)) <= 1e-70, label
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=strategies.degenerate_flags(codim_two=True) | strategies.degenerate_flags(),
+       mild=st.booleans(), seed=st.integers(0, 99))
+def test_assembly_agrees_with_invert_oracle(data, mild, seed):
+    # C2^{-1} read off the frame's norms gives the witness of a Gauss-Jordan
+    # C2^{-1} byte for byte, radical and lightlike flags included
+    p, q, f1 = data
+    space = QuadraticSpace.standard(p, q)
+    opq = sampling.mild_opq if mild else sampling.random_opq
+    f2 = sampling.apply_to_flag(opq(p, q, random.Random(seed)), f1)
+    frames = (witness._adapted_frame(space, f1), witness._adapted_frame(space, f2))
+    assert witness._assemble(p, *frames).tobytes() == oracles.invert_assemble(*frames).tobytes()
 
 
 def test_witness_runs_without_mpmath():
