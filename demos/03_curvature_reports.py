@@ -2,11 +2,13 @@
 
 The curvature of a left-invariant metric is rational arithmetic on structure
 constants, so flatness is an exact yes/no: the Riemann tensor either
-vanishes identically or it does not.  Four taxonomy rows -- 13, 17, 20, 21,
-the ones whose derived line is degenerate in the right way -- are flat
-wherever they occur; everything else is curved.  In the Lorentzian column
-all six classes are algebraic Ricci solitons and only the flat one is
-Einstein.
+vanishes identically or it does not.  The `heisflag.curvature` docstring
+proves when it does: g_00 = 0, and either e_0's row of the Gram matrix
+vanishes on the center or the {a, b} block of its inverse is zero.  So four
+taxonomy rows -- 13, 17, 20, 21 -- are flat wherever they occur, and
+everything else is curved; `curvature_report` reads the verdict off that
+theorem without building the tensor.  In the Lorentzian column all six
+classes are algebraic Ricci solitons and only the flat one is Einstein.
 """
 
 from heisflag import (

@@ -27,8 +27,9 @@ cancel because <Kx, Ky> is symmetric, and so do the h(x) h(y) K^2 z terms:
 
 where <K e_i, K e_m> = omega(e_i, K e_m).  So R(e_i, e_j) vanishes unless
 i or j is a or b, and the g_00 term lives on the plane (a, b) alone, where
-it is 3 g_00 K e_k / 4 for k = a, b.  Flatness is exact vanishing of every
-Riemann entry; there is no tolerance anywhere.
+it is 3 g_00 K e_k / 4 for k = a, b.  `riemann` builds this tensor, and
+`is_flat` asks for exact vanishing of every entry; there is no tolerance
+anywhere.
 
 A metric is an algebraic Ricci soliton when its Ricci operator
 R = G^{-1} Ric equals c Id + D with D a derivation.  D is a derivation iff
@@ -51,8 +52,43 @@ of <Ky, Kz> (Q_aa = g^bb, Q_ab = Q_ba = -g^ab, Q_bb = g^aa), which is
 which is zero outside columns a, b and row 0.  So R meets the first two
 conditions, and c = R[a][a] + R[b][b] - R[0][0] = -3 g_00 delta / 2 (cf.
 J. Lauret, Math. Ann. 319 (2001); K. Onda, Acta Math. Hungar. 2014).
-`curvature_report` evaluates these forms; tests check them against the
-general Koszul engine in `tests/oracles.py`.
+
+Flatness is a theorem.  Let B be the {a, b} block of G^{-1}; Q is zero
+outside that block and has the entries of B there, so Q = 0 iff B = 0.  For
+every n >= 4 and every signature,
+
+    R = 0  iff  g_00 = 0 and (h_i = 0 for every i <= n-3, or B = 0).
+
+The first branch puts e_0 in the radical of the center (h_0 = g_00).  In
+the second, the 2-dimensional center-perp, whose Gram matrix in the basis
+G^{-1} e_a, G^{-1} e_b is B, is totally null and so is the radical of the
+center.  In the taxonomy these are rows 13, 17 and 21 (e_0 radical in the
+center) and row 20 (e_0 lightlike, a 2-dimensional radical) (cf.
+K. Nomizu, Osaka J. Math. 16 (1979); A. Aubert and A. Medina, Tohoku
+Math. J. 55 (2003)).
+
+Proof.  Let g_00 != 0 and R = 0.  Then Ric = 0; its (0, 0) entry is
+delta g_00^2 / 2, so delta = 0, and then Q = 0 and K^2 = -G^{-1} Q = 0.
+Only the g_00 term of R is left, and R(e_a, e_b) e_a = 3 g_00 K e_a / 4
+!= 0, a contradiction.  So let g_00 = 0.  Lowering the closed form with
+<K^2 y, w> = -Q(y, w) gives
+
+    4 <R(x,y)z, w> = h(w) A(x,y,z) - h(z) A(x,y,w),
+    A(x,y,z) = h(x) Q(y,z) - h(y) Q(x,z),
+
+so R = 0 iff A(x, y, .) is a multiple of h for every x, y.  If B = 0, then
+Q = 0 and A = 0.  If h vanishes on the center, it lives on {a, b}, and
+G^{-1} h = e_0 puts (h_a, h_b) != 0 in the kernel of B.  So Q kills
+(-h_b, h_a), Q = lambda h h^T, and A = 0.  Conversely let R = 0, and fix
+w with h(w) = 1.  A(w, y, z) = h(z) A(w, y, w) says Q = h s^T + c h^T
+with s = Q(w, .) and c = A(w, ., w).  If h_i != 0 for some i <= n-3,
+row i of Q is zero (i is neither a nor b): h_i s + c_i h = 0, so s is a
+multiple of h and Q = u h^T for some u.  Column i of Q gives h_i u = 0,
+so Q = 0.
+
+`curvature_report` evaluates these forms, and reads flatness off the
+theorem without building R; tests check the report against the general
+Koszul engine in `tests/oracles.py`, and the theorem against `riemann`.
 """
 
 from __future__ import annotations
@@ -142,10 +178,15 @@ def _k_terms(g_inv: Matrix) -> tuple[dict, dict, dict]:
     return k, k2, kk
 
 
-def _riemann(gram: Matrix, k: dict, k2: dict, kk: dict) -> RiemannTable:
-    """The closed form of R(e_i, e_j) e_m, summing only nonzero terms."""
-    n = len(gram)
+def riemann(alg: HeisenbergAlgebra, gram: Matrix) -> RiemannTable:
+    """Curvature tensor: entry [i][j][k] is R(e_i, e_j) e_k in basis coordinates.
+
+    The closed form of R(e_i, e_j) e_m, summing only nonzero terms.
+    """
+    n = alg.n
     a = n - 2
+    gram = linalg.mat(gram)
+    k, k2, kk = _k_terms(_checked_inverse(n, gram))
     g00, h = gram[0][0], gram[0]
     zero = (Fraction(0),) * n
     out = [[(zero,) * n] * n for _ in range(n)]
@@ -170,12 +211,6 @@ def _riemann(gram: Matrix, k: dict, k2: dict, kk: dict) -> RiemannTable:
     return tuple(tuple(plane) for plane in out)
 
 
-def riemann(alg: HeisenbergAlgebra, gram: Matrix) -> RiemannTable:
-    """Curvature tensor: entry [i][j][k] is R(e_i, e_j) e_k in basis coordinates."""
-    gram = linalg.mat(gram)
-    return _riemann(gram, *_k_terms(_checked_inverse(alg.n, gram)))
-
-
 def is_flat(riem: RiemannTable) -> bool:
     """True iff every curvature entry is exactly zero."""
     return all(x == 0 for plane in riem for row in plane for v in row for x in v)
@@ -185,7 +220,6 @@ def is_flat(riem: RiemannTable) -> bool:
 class CurvatureReport:
     """Exact curvature data of one metric, with flatness and soliton verdicts."""
 
-    riemann: RiemannTable
     ricci: tuple[tuple[Fraction, ...], ...]
     scalar_curv: Fraction
     is_flat: bool
@@ -207,7 +241,6 @@ def curvature_report(alg: HeisenbergAlgebra, gram: Matrix,
     gram = linalg.mat(gram)
     g_inv = _checked_inverse(n, gram)
     k, k2, kk = _k_terms(g_inv)
-    riem = _riemann(gram, k, k2, kk)
     g00, h = gram[0][0], gram[0]
     delta = g_inv[a][a] * g_inv[b][b] - g_inv[a][b] ** 2
     # Ric = -g_00 Q / 2 + delta h h^T / 2, Q zero outside the {a, b} block
@@ -225,9 +258,9 @@ def curvature_report(alg: HeisenbergAlgebra, gram: Matrix,
                 d[r][m] += g00 * k2[m][r] / 2
         soliton = (c, tuple(tuple(row) for row in d))
     return CurvatureReport(
-        riemann=riem,
         ricci=tuple(tuple(row) for row in ric),
         scalar_curv=-g00 * delta / 2,
-        is_flat=is_flat(riem),
+        # the module docstring's flatness theorem: h zero on the center, or g_00 = 0 and B = 0
+        is_flat=not any(h[:a]) or g00 == 0 and not (g_inv[a][a] or g_inv[a][b] or g_inv[b][b]),
         soliton=soliton,
     )

@@ -93,10 +93,6 @@ class QuadraticSpace:
     def dim(self) -> int:
         return len(self.gram)
 
-    @property
-    def gram_matrix(self) -> Matrix:
-        return [list(row) for row in self.gram]
-
     def pairing(self, xs: Sequence[Vector], ys: Sequence[Vector]) -> Matrix:
         """The matrix of <x, y> for x in xs (rows) and y in ys (columns).
 

@@ -303,13 +303,14 @@ def solve_soliton_check(alg, gram, ric):
 
 
 def koszul_curvature_report(alg, gram):
-    """`CurvatureReport` assembled from the Koszul engine above."""
+    """`CurvatureReport` assembled from the Koszul engine above, and its dense Riemann tensor."""
     riem = dense_riemann(koszul_levi_civita(alg, gram), alg)
     ric, scalar = dense_ricci(riem, gram)
     res = solve_soliton_check(alg, gram, ric)
     soliton = None if res is None else (res[0], tuple(tuple(row) for row in res[1]))
-    return CurvatureReport(riemann=riem, ricci=tuple(tuple(row) for row in ric),
-                           scalar_curv=scalar, is_flat=is_flat(riem), soliton=soliton)
+    report = CurvatureReport(ricci=tuple(tuple(row) for row in ric), scalar_curv=scalar,
+                             is_flat=is_flat(riem), soliton=soliton)
+    return report, riem
 
 
 def signed_permutation_opq(p, q, rng):
@@ -746,7 +747,7 @@ def dense_restrict(space, w):
     if w.dim == 0:
         return []
     rows = [list(v) for v in w.basis]
-    paired = linalg.mat_mul(rows, space.gram_matrix)
+    paired = linalg.mat_mul(rows, linalg.mat(space.gram))
     return linalg.mat_mul(paired, linalg.transpose(rows))
 
 

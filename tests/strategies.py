@@ -42,18 +42,26 @@ def degenerate_flags(draw, codim_two=False):
     The big part is built inside the orthogonal complement of zero, one or
     two disjoint null vectors e_i +- e_{p+j}, which then lie in its radical.
     Its other vectors are unit vectors (supported on one block) or small
-    combinations of a basis of that complement.  The small part is drawn
-    from radical lines, big basis vectors and combinations of them.  With
-    `codim_two` the shape is (1, n-2); otherwise any shape (k1, k2) with
-    1 <= k1 < k2.  Some flags are then moved by an exact isometry.
+    combinations of a basis of that complement.  In an indefinite space one
+    draw in three also puts a hyperbolic plane of unit vectors e_i, e_{p+j}
+    in the big part, with at most n - 4 radical null vectors to leave room
+    for it; the small part then starts with a lightlike line, e_i +- e_{p+j}
+    plus a radical vector.  The small part's other vectors are radical
+    lines, big basis vectors and combinations of them.  With `codim_two`
+    the shape is (1, n-2); otherwise any shape (k1, k2) with 1 <= k1 < k2.
+    Some flags are then moved by an exact isometry.
     """
     n = draw(st.integers(4, 7))
     p = draw(st.sampled_from([0, n] + 3 * list(range(1, n))))
     q = n - p
     space = QuadraticSpace.standard(p, q)
+    # a hyperbolic plane e_i, e_{p+j} in the big part, outside its radical
+    hyperbolic = 0 < p < n and draw(st.integers(0, 2)) == 0
     rad_dim = min(draw(st.sampled_from([0, 1, 1, 2, 2])), p, q)
-    plus = draw(st.permutations(range(p)))[:rad_dim]
-    minus = draw(st.permutations(range(p, n)))[:rad_dim]
+    if hyperbolic:
+        rad_dim = min(rad_dim, p - 1, q - 1, n - 4)
+    order_plus, order_minus = draw(st.permutations(range(p))), draw(st.permutations(range(p, n)))
+    plus, minus = order_plus[:rad_dim], order_minus[:rad_dim]
     rs = [linalg.vec_add(unit(n, i), linalg.vec_scale(draw(st.sampled_from([1, -1])), unit(n, j)))
           for i, j in zip(plus, minus)]
     units = [unit(n, i) for i in range(n)]
@@ -61,11 +69,13 @@ def degenerate_flags(draw, codim_two=False):
     if codim_two:
         k2 = n - 2
     else:
-        k2 = draw(st.integers(max(2, rad_dim), n - rad_dim))
+        k2 = draw(st.integers(max(2, rad_dim + 2 * hyperbolic), n - rad_dim))
     outside = [u for i, u in enumerate(units) if i not in plus and i not in minus]
     combos = st.lists(COEFFS, min_size=len(perp), max_size=len(perp)).map(
         lambda c: linalg.combine(c, perp))
-    big_basis = _grow(draw, rs, st.sampled_from(outside) | combos if outside else combos, perp, k2)
+    plane = [unit(n, order_plus[rad_dim]), unit(n, order_minus[rad_dim])] if hyperbolic else []
+    big_basis = _grow(draw, rs + plane, st.sampled_from(outside) | combos if outside else combos,
+                      perp, k2)
     big = Subspace(n, tuple(big_basis))
 
     k1 = 1 if codim_two else draw(st.integers(1, k2 - 1))
@@ -75,7 +85,12 @@ def degenerate_flags(draw, codim_two=False):
     if rs:
         line_choices.append(st.lists(COEFFS, min_size=len(rs), max_size=len(rs)).map(
             lambda c: linalg.combine(c, rs)))
-    small_basis = _grow(draw, [], st.one_of(line_choices), big_basis, k1)
+    first = []
+    if plane:
+        # null, and pairs with the plane: a lightlike line of the big part
+        coeffs = draw(st.lists(COEFFS, min_size=len(rs), max_size=len(rs)))
+        first = [linalg.combine([1, draw(st.sampled_from([1, -1]))] + coeffs, plane + rs)]
+    small_basis = _grow(draw, first, st.one_of(line_choices), big_basis, k1)
     f = Flag(Subspace(n, tuple(small_basis)), big)
     if p and q and draw(st.integers(0, 3)) == 0:
         g = sampling.mild_opq(p, q, random.Random(draw(st.integers(0, 99))))
@@ -127,7 +142,7 @@ def null_systems(draw):
         nulls = [linalg.solve(h, v) for v in nulls]
         space = QuadraticSpace.from_matrix(space.pairing(cols, cols))
     if fault == "degenerate":
-        gram = space.gram_matrix
+        gram = linalg.mat(space.gram)
         gram[0] = [F(0)] * n
         for row in gram:
             row[0] = F(0)

@@ -191,7 +191,7 @@ def test_criterion_09_soliton_solvability():
     for row in admissible_classes(3, 1).classes:
         gram = representative(row.id, 3, 1)
         curv = curvature_report(alg, gram)
-        riem = curv.riemann
+        riem = riemann(alg, gram)
         solution = curv.soliton
         assert solution is not None, row.id
         c, d = solution

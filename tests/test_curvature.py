@@ -247,11 +247,11 @@ def assert_closed_forms(alg, gram, report):
     `oracles.koszul_curvature_report` builds the connection from the Koszul
     formula over every bracket triple, takes the dense Riemann tensor and
     its trace, and finds (c, D) by a linear solve over a kernel basis of
-    Der(g).  The soliton pair must also give G (c Id + D) = Ric with D a
-    derivation.
+    Der(g).  `riemann` must equal that dense tensor.  The soliton pair must
+    also give G (c Id + D) = Ric with D a derivation.
     """
-    want = oracles.koszul_curvature_report(alg, gram)
-    assert report.riemann == want.riemann
+    want, want_riemann = oracles.koszul_curvature_report(alg, gram)
+    assert riemann(alg, gram) == want_riemann
     assert report.ricci == want.ricci
     assert report.scalar_curv == want.scalar_curv
     assert report.is_flat == want.is_flat
@@ -276,15 +276,23 @@ def test_every_row_is_a_soliton_in_closed_form(n):
                 assert_closed_forms(alg, gram, curvature_report(alg, gram))
 
 
-GRAM_KINDS = ("g00 zero", "center row zero", "moved flat row", "random", "integer")
+GRAM_KINDS = ("g00 zero", "center row zero", "moved flat row", "random", "integer",
+              "g00 and B zero")
 
 
 @st.composite
 def grams_of_kind(draw, n, kind):
     """Nondegenerate Gram matrices; all kinds but "random" and "integer" are
-    degenerate cases: g_00 = 0, the center part of e_0's row zero, or a flat
-    row's representative moved by the parabolic group.  "integer" has `int`
-    entries, not `Fraction`s."""
+    degenerate cases: g_00 = 0, the center part of e_0's row zero, a flat
+    row's representative moved by the parabolic group, or g_00 = 0 with a
+    zero {a, b} block B of G^-1.  "integer" has `int` entries, not
+    `Fraction`s.
+
+    "g00 and B zero" is the second branch of the flatness theorem in the
+    `curvature` docstring: the center's radical is two coordinate axes,
+    moved by a unipotent change of the center basis that fixes e_0.  From
+    n = 6 on, e_0's row is nonzero on the center; below, a rank-(n - 4)
+    center form with e_0 null puts e_0 in its radical, the first branch."""
     if kind == "moved flat row":
         p = draw(st.integers(1, n - 1))
         ids = [row.id for row in admissible_classes(p, n - p).classes if row.id in FLAT_IDS]
@@ -304,6 +312,19 @@ def grams_of_kind(draw, n, kind):
     elif kind == "center row zero":
         for i in range(n - 2):
             gram[0][i] = gram[i][0] = F(0)
+    elif kind == "g00 and B zero":
+        radical = (n - 4, n - 3) if n >= 6 else (0, n - 3)
+        for i in radical:
+            for j in range(n - 2):
+                gram[i][j] = gram[j][i] = F(0)
+        gram[0][0] = F(0)
+        if n >= 6:
+            gram[0][1] = gram[1][0] = F(draw(st.sampled_from([1, -1, 2])))
+        t = linalg.identity(n)
+        for i in range(1, n - 2):
+            for j in range(i):
+                t[j][i] = F(draw(st.integers(-1, 1)))
+        gram = linalg.mat_mul(linalg.transpose(t), linalg.mat_mul(gram, t))
     assume(linalg.det(gram) != 0)
     return gram
 
@@ -318,9 +339,46 @@ def test_report_matches_koszul_oracle(n, kind, data):
     report = curvature_report(alg, gram)
     assert_closed_forms(alg, gram, report)
     c, d = report.soliton
-    entries = ([x for plane in report.riemann for row in plane for v in row for x in v]
+    entries = ([x for plane in riemann(alg, gram) for row in plane for v in row for x in v]
                + [x for row in report.ricci + d for x in row] + [report.scalar_curv, c])
     assert all(type(x) is F for x in entries)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_second_branch_kind_is_flat(n, data):
+    gram = data.draw(grams_of_kind(n, "g00 and B zero"))
+    a, b = n - 2, n - 1
+    g_inv = linalg.invert(gram)
+    assert gram[0][0] == g_inv[a][a] == g_inv[a][b] == g_inv[b][b] == 0
+    assert any(gram[0][:n - 2]) == (n >= 6)
+    assert curvature_report(HeisenbergAlgebra(n), gram).is_flat
+    assert is_flat(riemann(HeisenbergAlgebra(n), gram))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_flatness_theorem_agrees_with_the_tensor(n):
+    # every admissible row in both orders, raw and moved once by the parabolic group
+    rng = random.Random(n)
+    alg = HeisenbergAlgebra(n)
+    for p in range(1, n):
+        for row in admissible_classes(p, n - p).classes:
+            raw = representative(row.id, p, n - p)
+            moved = act_on_metric([list(r) for r in parabolic_sample(n, rng).matrix], raw)
+            for gram in (raw, moved):
+                report = curvature_report(alg, gram)
+                assert (report.is_flat == is_flat(riemann(alg, gram))
+                        == (row.id in FLAT_IDS)), (p, row.id)
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_flatness_theorem_on_rows_past_n8(n):
+    alg = HeisenbergAlgebra(n)
+    for p in range(1, n):
+        for row in admissible_classes(p, n - p).classes:
+            report = curvature_report(alg, representative(row.id, p, n - p))
+            assert report.is_flat == (row.id in FLAT_IDS), (p, row.id)
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -336,7 +394,7 @@ def test_curvature_report_at_n16():
     for class_id in FLAT_IDS + (1, 6, 11, 16):
         gram = representative(class_id, p, q)
         report = curvature_report(alg, gram)
-        flat = all(x == 0 for plane in report.riemann for row in plane for v in row for x in v)
+        flat = all(x == 0 for plane in riemann(alg, gram) for row in plane for v in row for x in v)
         assert report.is_flat == flat == (class_id in FLAT_IDS), class_id
         assert report.soliton is not None, class_id
         c, d = report.soliton

@@ -289,7 +289,7 @@ def test_exact_kernels_return_fractions_on_fraction_input(data):
     entries += linalg.combine([(1, 0, F(1, 2))[i % 3] for i in range(len(vectors))], vectors)
     entries += linalg.combine([0] * len(vectors), vectors)
     try:
-        entries += [x for row in linalg.invert(space.gram_matrix) for x in row]
+        entries += [x for row in linalg.invert(linalg.mat(space.gram)) for x in row]
     except linalg.SingularMatrixError:
         pass
     assert all(type(x) is F for x in entries)

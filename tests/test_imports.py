@@ -32,6 +32,10 @@ that is.
 copies rows with `list(...)` in its arguments.  A transpose built in place,
 as a comprehension over the rows, is a new matrix and stays allowed.
 
+`curvature_report` reads flatness off the theorem in the `curvature`
+docstring: its body names none of `riemann`, `_riemann` and `is_flat`, so it
+builds and scans no Riemann table.
+
 The command line has one exit-code map: in `cli.py` only `main` has an
 `except` clause or refers to `sys.stderr`, apart from the clause of
 `cmd_witness` that turns `InequivalentFlagsError` into an answer.
@@ -331,3 +335,37 @@ def test_checker_flags_a_row_copy_handed_to_an_elimination():
 def test_no_row_copies_handed_to_eliminations():
     found = {p.name: row_copying_calls(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+TENSOR_NAMES = ("riemann", "_riemann", "is_flat")
+
+
+def tensor_names_in_report(source: str) -> list[str]:
+    """`line n: name` for each name or attribute in `curvature_report` that builds or scans R."""
+    report = next((node for node in ast.parse(source).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "curvature_report"), None)
+    if report is None:
+        return ["curvature_report is missing"]
+    found = []
+    for node in ast.walk(report):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in TENSOR_NAMES:
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_checker_flags_a_riemann_table_in_the_report():
+    source = (SRC / "curvature.py").read_text()
+    anchor = "    k, k2, kk = _k_terms(g_inv)\n"
+    assert source.count(anchor) == 1
+    mutated = source.replace(anchor, anchor + "    flat = is_flat(riemann(alg, gram))\n")
+    line = source[:source.index(anchor)].count("\n") + 2
+    assert tensor_names_in_report(mutated) == [f"line {line}: is_flat", f"line {line}: riemann"]
+    attribute = "def curvature_report(alg, gram):\n    return curvature._riemann(gram)\n"
+    assert tensor_names_in_report(attribute) == ["line 2: _riemann"]
+    assert tensor_names_in_report("def report():\n    pass\n") == [
+        "curvature_report is missing"]
+
+
+def test_curvature_report_builds_no_riemann_table():
+    assert tensor_names_in_report((SRC / "curvature.py").read_text()) == []
