@@ -253,13 +253,11 @@ def cmd_curvature(args) -> int:
     p, q = table.p, table.q
     alg = HeisenbergAlgebra(p + q)
     ids = list(table.ids) if args.class_id is None else [args.class_id]
-    if args.class_id is not None and args.class_id not in table.ids:
-        raise PreconditionError(f"class {args.class_id} is not admissible for ({p}, {q})")
+    reports = [curvature_report(alg, representative(cid, p, q)) for cid in ids]
     print(f"p: {p}")
     print(f"q: {q}")
     rows = []
-    for cid in ids:
-        report = curvature_report(alg, representative(cid, p, q))
+    for cid, report in zip(ids, reports):
         c, _ = report.soliton  # every nondegenerate metric is a soliton
         einstein = report.is_einstein
         print(f"class {cid}:")

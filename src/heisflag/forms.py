@@ -7,7 +7,11 @@ orbit invariants of nested subspace pairs under the indefinite orthogonal
 group, the seven intersection counts dual to them, and the constructive
 orthogonal-system machinery (scaled systems, light-like splitting, null
 system extension, basis extension) that powers isometry construction.  A
-scaled system stands for its span: `extend_basis` takes no subspace.
+scaled system stands for its span: `extend_basis` takes no subspace.  The
+module that decides `extend_basis`'s layout also owns its pair slots:
+`adapted_frame` builds the flag-adapted frame that isometry witnesses
+assemble.  There is one radical routine, `radical`, a kernel of W's Gram
+matrix; `QuadraticSpace` caches it for the whole space.
 
 The form is evaluated in one place, `QuadraticSpace.pairing`, and every
 change from subspace coordinates to ambient ones is one `linalg.combine`.
@@ -116,7 +120,7 @@ class QuadraticSpace:
     @cached_property
     def _radical(self) -> "Subspace":
         # the Gram matrix never changes, so one kernel answers every call
-        return Subspace(self.dim, tuple(linalg.kernel(self.gram)))
+        return radical(self)
 
     def is_nondegenerate(self) -> bool:
         return self._radical.dim == 0
@@ -297,16 +301,14 @@ def signature(space: QuadraticSpace, w: Subspace | None = None) -> Signature:
 def radical(space: QuadraticSpace, w: Subspace | None = None) -> Subspace:
     """The subspace {v in W : <v, x> = 0 for all x in W}, in ambient coordinates.
 
-    Read off one congruence: with P^T G_W P = diag(d) and P invertible,
-    G_W P e_j = 0 exactly when d_j = 0, and the zero d_j number the nullity
-    of G_W; so the columns of P with d_j = 0 are a basis of the kernel.
+    The kernel of W's Gram matrix, mapped through W's basis: sum c_i w_i
+    pairs to zero with all of W exactly when G_W c = 0.  Independent kernel
+    vectors map to independent vectors, so the result is a basis as it is.
     """
     if w is None:
         w = Subspace.full(space.dim)
-    res = linalg.congruence_diagonalize(restrict(space, w))
-    rad = [linalg.combine([row[j] for row in res.transform], w.basis)
-           for j, d in enumerate(res.diagonal) if d == 0]
-    return Subspace(space.dim, tuple(linalg.row_space(rad)))
+    return Subspace(space.dim, tuple(linalg.combine(c, w.basis)
+                                     for c in linalg.kernel(restrict(space, w))))
 
 
 def refined_line_signature(space: QuadraticSpace, v_sub: Subspace, line: Subspace) -> LineSignature:
@@ -562,6 +564,78 @@ def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
                  + [m for m in fill.norms if m < 0])
     return ScaledSystem(tuple(alphas + betas + gammas),
                         tuple(pos_norms + neg_norms + [Fraction(0)] * len(gammas)))
+
+
+def _nulls_in_radical(space: QuadraticSpace, big: Subspace, nulls: list[Vector]) -> list[Vector]:
+    """span(nulls) cap rad(big): the sums c_i z_i with c in the kernel of <big, nulls>."""
+    return linalg.row_space([linalg.combine(c, nulls)
+                             for c in linalg.kernel(space.pairing(big.basis, nulls))])
+
+
+def _orient_frame(vectors: Sequence[Vector], pair_slots: list[tuple[int, int]]) -> list[Vector]:
+    """Frame columns with positive leading entries; their norms are unchanged.
+
+    A column whose leading entry is negative is negated.  A hyperbolic pair
+    is negated jointly, going by its first member, so that the sum patterns
+    spanning the flag parts survive.  No column is rescaled: scaling one by
+    a > 0 scales its norm by a^2, and the square root of the norm ratio in
+    an isometry witness absorbs the factor a.
+    """
+    decider = list(range(len(vectors)))  # the column whose leading sign each follows
+    for ia, ib in pair_slots:
+        decider[ib] = ia
+    return [v if next(x for x in vectors[d] if x) > 0 else linalg.vec_scale(-1, v)
+            for v, d in zip(vectors, decider)]
+
+
+def adapted_frame(space: QuadraticSpace, f: Flag) -> ScaledSystem:
+    """Scaled basis of the whole space adapted to the flag.
+
+    The ambient form must be nondegenerate (PreconditionError otherwise).
+    The system is laid out as `extend_basis` lays out its output: the
+    positive-norm vectors, then the negative-norm ones.  Both flag parts
+    are spanned by fixed coefficient patterns in it, which the flag
+    invariants alone determine.  Each null vector that an extension splits
+    is the sum x + y of a pair with <x, x> = -<y, y>, and each such pair is
+    oriented as one.
+    """
+    # a lattice-reduced big basis keeps the exact construction well
+    # conditioned; the small part is diagonalized from its row space
+    big = Subspace(f.big.ambient_dim,
+                   tuple(linalg.lll_reduce(linalg.row_space(f.big.basis))))
+
+    # system of the small part, its null block reordered so that the
+    # rad(big) members come last
+    small = Subspace(space.dim, tuple(linalg.row_space(f.small.basis)))
+    sys_small = scaled_system(space, small)
+    nulls = sys_small.nulls()
+    cap = _nulls_in_radical(space, big, nulls) if nulls else []
+    if cap:
+        reordered = linalg.extend_to_independent(cap, nulls, len(nulls))
+        nulls = reordered[len(cap):] + reordered[: len(cap)]
+    sys_small = ScaledSystem(tuple(sys_small.positives() + sys_small.negatives() + nulls),
+                             sys_small.norms)
+
+    # extend to a system of the big part, working in big coordinates
+    space_big = QuadraticSpace.from_matrix(restrict(space, big))
+    sys_small_b = ScaledSystem(tuple(big.coordinates_of(v) for v in sys_small.vectors),
+                               sys_small.norms)
+    sys_big_b = extend_basis(space_big, sys_small_b)
+    sys_big = ScaledSystem(tuple(linalg.combine(c, big.basis) for c in sys_big_b.vectors),
+                           sys_big_b.norms)
+
+    # extend to the whole (nondegenerate) space: every null of big splits
+    full = extend_basis(space, sys_big)
+    if full.signature.nul:
+        raise PreconditionError("ambient form must be nondegenerate")
+
+    # hyperbolic-pair slots carry the sum patterns of both flag parts
+    s_sm, t_sm, u_sm = sys_small.signature.as_tuple()
+    s_bg, t_bg, u_bg = sys_big.signature.as_tuple()
+    p_full = full.signature.pos
+    pair_slots = ([(s_sm + i, p_full + t_sm + i) for i in range(u_sm - len(cap))]
+                  + [(s_bg + i, p_full + t_bg + i) for i in range(u_bg)])
+    return ScaledSystem(tuple(_orient_frame(full.vectors, pair_slots)), full.norms)
 
 
 def subspaces_equivalent(space: QuadraticSpace, u_sub: Subspace, w_sub: Subspace) -> bool:

@@ -2,21 +2,18 @@
 
 Equality of orbit invariants is decided exactly; this module produces the
 constructive half: a matrix g in O(p, q) mapping one flag onto another.
-The construction builds, for each flag, an adapted basis of the whole space
-in which both flag parts occupy a fixed coefficient pattern depending only
-on the invariants.  The part of the small radical inside rad(big) is read
-off one kernel of the pairing <big, nulls>, and both extensions, small to
-big and big to the whole space, are `forms.extend_basis`.  Null directions
-are handled by hyperbolic pairs of opposite norms, so the patterns survive
-the per-column scaling by square roots of the norm ratios.  Frames are
-oriented, never rescaled: g = C1 . diag(sqrt(m2 / m1)) . C2^{-1} does not
-change when a column of either frame is scaled by a positive factor,
-because its norm, and so its square root, absorbs that factor.  A frame is
-orthogonal with known norms, C2^T I_pq C2 = diag(m2), so C2^{-1} =
-diag(m2)^{-1} C2^T I_pq and nothing is eliminated after the frames are
-built.  Everything is exact until one rounding per entry: each square root
-is an integer square root at 256 fraction bits, each entry of g is summed
-exactly from those, and only the finished entry is rounded to binary64.
+For each flag, `forms.adapted_frame` builds an exact scaled basis of the
+whole space in which both flag parts occupy a fixed coefficient pattern
+depending only on the invariants; this module only assembles g from two
+such frames and checks it.  Frames are oriented, never rescaled:
+g = C1 . diag(sqrt(m2 / m1)) . C2^{-1} does not change when a column of
+either frame is scaled by a positive factor, because its norm, and so its
+square root, absorbs that factor.  A frame is orthogonal with known norms,
+C2^T I_pq C2 = diag(m2), so C2^{-1} = diag(m2)^{-1} C2^T I_pq and nothing
+is eliminated after the frames are built.  Everything is exact until one
+rounding per entry: each square root is an integer square root at 256
+fraction bits, each entry of g is summed exactly from those, and only the
+finished entry is rounded to binary64.
 
 Residuals are always checked: a witness outside tolerance raises instead of
 being returned silently.
@@ -24,7 +21,6 @@ being returned silently.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -35,14 +31,9 @@ from .forms import (
     FlagInvariants,
     PreconditionError,
     QuadraticSpace,
-    ScaledSystem,
-    Subspace,
+    adapted_frame,
     flag_invariants,
-    restrict,
-    scaled_system,
-    extend_basis,
 )
-from .linalg import Vector
 
 RESIDUAL_TOL = 1e-9
 SQRT_BITS = 256  # fraction bits of the fixed-point square roots
@@ -72,74 +63,6 @@ def describe_inequivalence(inv1: FlagInvariants, inv2: FlagInvariants) -> str | 
     return None
 
 
-def _orient_frame(vectors: list[Vector], pair_slots: list[tuple[int, int]]) -> list[Vector]:
-    """Frame columns with positive leading entries; their norms are unchanged.
-
-    A column whose leading entry is negative is negated.  A hyperbolic pair
-    is negated jointly, going by its first member, so that the sum patterns
-    spanning the flag parts survive.  No column is rescaled: scaling one by
-    a > 0 scales its norm by a^2, and the square root of the norm ratio in g
-    absorbs the factor a.
-    """
-    decider = list(range(len(vectors)))  # the column whose leading sign each follows
-    for ia, ib in pair_slots:
-        decider[ib] = ia
-    return [v if next(x for x in vectors[d] if x) > 0 else linalg.vec_scale(-1, v)
-            for v, d in zip(vectors, decider)]
-
-
-def _nulls_in_radical(space: QuadraticSpace, big: Subspace, nulls: list[Vector]) -> list[Vector]:
-    """span(nulls) cap rad(big): the sums c_i z_i with c in the kernel of <big, nulls>."""
-    return linalg.row_space([linalg.combine(c, nulls)
-                             for c in linalg.kernel(space.pairing(big.basis, nulls))])
-
-
-def _adapted_frame(space: QuadraticSpace, f: Flag) -> tuple[list[Vector], list[Fraction]]:
-    """Exact scaled basis of the whole space adapted to the flag.
-
-    The output lists the positive-norm vectors then the negative-norm ones.
-    Both flag parts are spanned by fixed coefficient patterns in this basis,
-    determined by the flag invariants alone.
-    """
-    # a lattice-reduced big basis keeps the exact construction well
-    # conditioned; the small part is diagonalized from its row space
-    big = Subspace(f.big.ambient_dim,
-                   tuple(linalg.lll_reduce(linalg.row_space(f.big.basis))))
-
-    # system of the small part, its null block reordered so that the
-    # rad(big) members come last
-    small = Subspace(space.dim, tuple(linalg.row_space(f.small.basis)))
-    sys_small = scaled_system(space, small)
-    nulls = sys_small.nulls()
-    cap = _nulls_in_radical(space, big, nulls) if nulls else []
-    if cap:
-        reordered = linalg.extend_to_independent(cap, nulls, len(nulls))
-        nulls = reordered[len(cap):] + reordered[: len(cap)]
-    sys_small = ScaledSystem(tuple(sys_small.positives() + sys_small.negatives() + nulls),
-                             sys_small.norms)
-
-    # extend to a system of the big part, working in big coordinates
-    space_big = QuadraticSpace.from_matrix(restrict(space, big))
-    sys_small_b = ScaledSystem(tuple(big.coordinates_of(v) for v in sys_small.vectors),
-                               sys_small.norms)
-    sys_big_b = extend_basis(space_big, sys_small_b)
-    sys_big = ScaledSystem(tuple(linalg.combine(c, big.basis) for c in sys_big_b.vectors),
-                           sys_big_b.norms)
-
-    # extend to the whole (nondegenerate) space: every null of big splits
-    full = extend_basis(space, sys_big)
-    if full.signature.nul:
-        raise PreconditionError("ambient form must be nondegenerate")
-
-    # hyperbolic-pair slots carry the sum patterns of both flag parts
-    s_sm, t_sm, u_sm = sys_small.signature.as_tuple()
-    s_bg, t_bg, u_bg = sys_big.signature.as_tuple()
-    p_full = full.signature.pos
-    pair_slots = ([(s_sm + i, p_full + t_sm + i) for i in range(u_sm - len(cap))]
-                  + [(s_bg + i, p_full + t_bg + i) for i in range(u_bg)])
-    return _orient_frame(list(full.vectors), pair_slots), list(full.norms)
-
-
 def subspace_distance(vectors1, vectors2) -> float:
     """Max-norm difference of orthogonal projectors onto the two spans."""
     a = np.array([[float(x) for x in v] for v in vectors1], dtype=float).T
@@ -149,27 +72,26 @@ def subspace_distance(vectors1, vectors2) -> float:
     return float(np.max(np.abs(qa @ qa.T - qb @ qb.T)))
 
 
-def _assemble(p: int, frame1: tuple[list[Vector], list[Fraction]],
-              frame2: tuple[list[Vector], list[Fraction]]) -> np.ndarray:
+def _assemble(p: int, frame1, frame2) -> np.ndarray:
     """g = C1 . diag(sqrt(m2_k / m1_k)) . C2^{-1} from two adapted frames.
 
-    In the standard (p, q) space C2^T I_pq C2 = diag(m2), so C2^{-1} =
-    diag(m2)^{-1} C2^T I_pq: row k is (I_pq c2_k)^T / m2_k, read off the
-    frame with no elimination.  Column j of g is then one combination of the
-    columns c1_k.  The ratios are exact and positive; each square root is
+    The columns of C1 and C2 are the frames' `.vectors`, m1 and m2 their
+    `.norms`.  In the standard (p, q) space C2^T I_pq C2 = diag(m2), so
+    C2^{-1} = diag(m2)^{-1} C2^T I_pq: row k is (I_pq c2_k)^T / m2_k, read
+    off the frame with no elimination.  Column j of g is then one
+    combination of the columns c1_k.  The ratios are exact and positive; each square root is
     truncated to SQRT_BITS fraction bits by an integer square root, each
     entry is summed exactly and rounded to binary64 once, so cancellation
     between large frame entries cannot contaminate the returned matrix.
     """
-    (cols1, norms1), (cols2, norms2) = frame1, frame2
     rows = []  # row k of diag(sqrt(m2 / m1)) C2^{-1}, times 2^SQRT_BITS
-    for c2, m1, m2 in zip(cols2, norms1, norms2):
+    for c2, m1, m2 in zip(frame2.vectors, frame1.norms, frame2.norms):
         r = m2 / m1
         if r <= 0:
             raise WitnessFailureError("adapted frames disagree on norm signs")
         s = isqrt((r.numerator << 2 * SQRT_BITS) // r.denominator) / m2
         rows.append([s * x if j < p else -s * x for j, x in enumerate(c2)])
-    g_cols = [linalg.combine(coeffs, cols1) for coeffs in zip(*rows)]
+    g_cols = [linalg.combine(coeffs, frame1.vectors) for coeffs in zip(*rows)]
     return np.array([[float(x / (1 << SQRT_BITS)) for x in row] for row in zip(*g_cols)])
 
 
@@ -188,7 +110,7 @@ def isometry_witness(p: int, q: int, f1: Flag, f2: Flag) -> np.ndarray:
     if diff is not None:
         raise InequivalentFlagsError(diff)
 
-    g = _assemble(p, _adapted_frame(space, f1), _adapted_frame(space, f2))
+    g = _assemble(p, adapted_frame(space, f1), adapted_frame(space, f2))
     res = witness_residuals(p, q, g, f1, f2)
     if res["form"] > RESIDUAL_TOL:
         raise WitnessFailureError(f"form residual {res['form']:.3e} exceeds {RESIDUAL_TOL:.1e}")

@@ -15,8 +15,9 @@ Deliberately separate from the package's fast paths:
   per signed-permutation class replaced.  Both take as lines the {-1, 0, 1}
   combinations of a basis of the big part (`_coefficient_lines`), where the
   survey takes the pool vectors that lie in it;
-- radical: the kernel of the restricted Gram matrix, which `forms.radical`
-  and `forms.flag_invariants` now read off one congruence instead;
+- radical: the columns of one congruence's transform with zero diagonal
+  entries, made a canonical row space, which `forms.radical` replaced by
+  the kernel of W's Gram matrix mapped through W's basis;
 - witness assembly: the 256-bit mpmath assembly of g from two adapted frames
   that the integer square-root assembly in `heisflag.witness` replaced, and
   that assembly with C2^{-1} from a Gauss-Jordan inverse, which reading it
@@ -76,7 +77,6 @@ from heisflag.forms import (
     _first_nonzero_index,
     _perp_within,
     lightlike_split,
-    radical,
     restrict,
     scaled_system,
     signature,
@@ -650,13 +650,20 @@ def _left_kernel(rows):
     return out
 
 
-def kernel_radical(space, w):
-    """rad(W) as the kernel of the restricted Gram matrix, in ambient coordinates."""
-    if w.dim == 0:
-        return Subspace(space.dim, ())
-    ambient = [tuple(sum(c * bv[i] for c, bv in zip(coeffs, w.basis)) for i in range(space.dim))
-               for coeffs in linalg.kernel(dense_restrict(space, w))]
-    return Subspace(space.dim, tuple(linalg.row_space(ambient)))
+def congruence_radical(space, w=None):
+    """rad(W) read off one congruence, in ambient coordinates.
+
+    With P^T G_W P = diag(d) and P invertible, G_W P e_j = 0 exactly when
+    d_j = 0, and the zero d_j number the nullity of G_W; so the columns of
+    P with d_j = 0 are a basis of the kernel.  The basis is the canonical
+    row space of the span.
+    """
+    if w is None:
+        w = Subspace.full(space.dim)
+    res = linalg.congruence_diagonalize(restrict(space, w))
+    rad = [linalg.combine([row[j] for row in res.transform], w.basis)
+           for j, d in enumerate(res.diagonal) if d == 0]
+    return Subspace(space.dim, tuple(linalg.row_space(rad)))
 
 
 def mpmath_assemble(frame1, frame2):
@@ -669,7 +676,7 @@ def mpmath_assemble(frame1, frame2):
     """
     from mpmath import mp, mpf
 
-    (cols1, norms1), (cols2, norms2) = frame1, frame2
+    cols1, norms1, cols2, norms2 = frame1.vectors, frame1.norms, frame2.vectors, frame2.norms
     n = len(cols1)
     c1 = [[cols1[j][i] for j in range(n)] for i in range(n)]
     c2_inv = linalg.invert([[cols2[j][i] for j in range(n)] for i in range(n)])
@@ -696,7 +703,7 @@ def invert_assemble(frame1, frame2):
     one rounding per entry as `witness._assemble`, which reads C2^{-1} off
     the frame's norms instead.
     """
-    (cols1, norms1), (cols2, norms2) = frame1, frame2
+    cols1, norms1, cols2, norms2 = frame1.vectors, frame1.norms, frame2.vectors, frame2.norms
     n = len(cols1)
     c2_inv = linalg.invert([[cols2[j][i] for j in range(n)] for i in range(n)])
     scale = []
@@ -963,7 +970,7 @@ def intersect_flag_invariants(space, f):
         raise linalg.ShapeError("flag ambient dimension mismatch")
     if not space.is_nondegenerate():
         raise PreconditionError("flag invariants require a nondegenerate ambient form")
-    rad_big = radical(space, f.big)
+    rad_big = congruence_radical(space, f.big)
     return FlagInvariants(signature(space, f.big), signature(space, f.small),
                           len(intersect(list(f.small.basis), list(rad_big.basis))))
 
@@ -1001,7 +1008,7 @@ def intersect_subspaces_equivalent(space, u_sub, w_sub):
 
 def intersect_frame_cap(space, big, nulls):
     """span(nulls) cap rad(big) as `intersect` of the nulls with the radical of big."""
-    rad_big = radical(space, big)
+    rad_big = congruence_radical(space, big)
     return intersect(nulls, list(rad_big.basis)) if rad_big.dim else []
 
 
@@ -1138,7 +1145,7 @@ def rescale_frame(vectors, norms, pair_slots):
         rho = factor(v, prim)
         vecs[i] = prim
         ms[i] = ms[i] / rho ** 2
-    return vecs, ms
+    return ScaledSystem(tuple(vecs), tuple(ms))
 
 
 def cursor_representative(class_id, p, q):

@@ -32,6 +32,11 @@ that is.
 copies rows with `list(...)` in its arguments.  A transpose built in place,
 as a comprehension over the rows, is a new matrix and stays allowed.
 
+`witness.py` keeps only float assembly: the flag-adapted frame is built in
+`forms`, so the module names none of `ScaledSystem`, `Subspace`, `restrict`,
+`scaled_system` and `extend_basis`, calls none of `kernel`, `row_space`,
+`lll_reduce` and `extend_to_independent`, and defines no frame helper.
+
 `curvature_report` reads flatness off the theorem in the `curvature`
 docstring: its body names none of `riemann`, `_riemann` and `is_flat`, so it
 builds and scans no Riemann table.
@@ -335,6 +340,56 @@ def test_checker_flags_a_row_copy_handed_to_an_elimination():
 def test_no_row_copies_handed_to_eliminations():
     found = {p.name: row_copying_calls(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+FRAME_NAMES = ("ScaledSystem", "Subspace", "restrict", "scaled_system", "extend_basis")
+FRAME_CALLS = ("kernel", "row_space", "lll_reduce", "extend_to_independent")
+FRAME_HELPERS = ("_adapted_frame", "_nulls_in_radical", "_orient_frame")
+
+
+def frame_code(source: str) -> list[str]:
+    """`line n: name` for each frame-building name, call or helper definition in a module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in FRAME_CALLS:
+                found.append((node.lineno, f"calls {name}"))
+        elif isinstance(node, ast.FunctionDef) and node.name in FRAME_HELPERS:
+            found.append((node.lineno, f"defines {node.name}"))
+        elif isinstance(node, ast.alias) and node.name in FRAME_NAMES:
+            found.append((node.lineno, f"names {node.name}"))
+        else:
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in FRAME_NAMES:
+                found.append((node.lineno, f"names {name}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_checker_flags_frame_code_in_the_witness():
+    source = (SRC / "witness.py").read_text()
+    anchor = "    g = _assemble(p, adapted_frame(space, f1), adapted_frame(space, f2))\n"
+    assert source.count(anchor) == 1 and source.count("    adapted_frame,\n") == 1
+    line = source[:source.index(anchor)].count("\n") + 1
+    built = ("    big = Subspace(3, tuple(linalg.lll_reduce(linalg.row_space(f1.big.basis))))\n"
+             "    cap = linalg.kernel(forms.restrict(space, big))\n")
+    assert frame_code(source.replace(anchor, built + anchor)) == [
+        f"line {line}: calls lll_reduce", f"line {line}: calls row_space",
+        f"line {line}: names Subspace",
+        f"line {line + 1}: calls kernel", f"line {line + 1}: names restrict"]
+    imported = source.replace("    adapted_frame,\n", "    adapted_frame,\n    extend_basis,\n")
+    line = source[:source.index("    adapted_frame,\n")].count("\n") + 2
+    assert frame_code(imported) == [f"line {line}: names extend_basis"]
+    helper = ("def _orient_frame(vectors, slots):\n"
+              "    return ScaledSystem(extend_to_independent([], vectors, 0), ())\n")
+    assert frame_code(helper) == ["line 1: defines _orient_frame",
+                                  "line 2: calls extend_to_independent", "line 2: names ScaledSystem"]
+    assert frame_code("g = scaled_system(space, w)\n") == ["line 1: names scaled_system"]
+
+
+def test_witness_keeps_only_float_assembly():
+    assert frame_code((SRC / "witness.py").read_text()) == []
 
 
 TENSOR_NAMES = ("riemann", "_riemann", "is_flat")

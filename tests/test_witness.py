@@ -1,5 +1,6 @@
 """Isometry witnesses: residuals, flag mapping, inequivalence rejection."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import heisflag
 import oracles
 import strategies
-from heisflag import linalg, sampling, witness
+from heisflag import forms, linalg, sampling, witness
 from heisflag.forms import (
     Flag,
     QuadraticSpace,
@@ -168,7 +169,7 @@ def test_exact_assembly_matches_mpmath_oracle():
     # the exact entry is zero and mpmath leaves a rounding residue
     pytest.importorskip("mpmath")
     for space, f1, f2, label in assembly_flag_pairs():
-        frames = (witness._adapted_frame(space, f1), witness._adapted_frame(space, f2))
+        frames = (forms.adapted_frame(space, f1), forms.adapted_frame(space, f2))
         exact = witness._assemble(label[0], *frames)
         reference = oracles.mpmath_assemble(*frames)
         for a, b in zip(exact.ravel(), reference.ravel()):
@@ -180,19 +181,20 @@ def test_oriented_frames_assemble_as_rescaled_frames():
     # differ, by far less than binary64 resolves except near zero entries
     for space, f1, f2, label in assembly_flag_pairs():
         raw = []
-        orient = witness._orient_frame
+        orient = forms._orient_frame
 
         def spy(vectors, pair_slots):
             raw.append((vectors, pair_slots))
             return orient(vectors, pair_slots)
 
-        with patch.object(witness, "_orient_frame", spy):
-            oriented = (witness._adapted_frame(space, f1), witness._adapted_frame(space, f2))
-        rescaled = [oracles.rescale_frame(vectors, norms, slots)
-                    for (vectors, slots), (_, norms) in zip(raw, oriented)]
-        for (vectors, slots), (cols, _) in zip(raw, oriented):
+        with patch.object(forms, "_orient_frame", spy):
+            oriented = (forms.adapted_frame(space, f1), forms.adapted_frame(space, f2))
+        rescaled = [oracles.rescale_frame(vectors, frame.norms, slots)
+                    for (vectors, slots), frame in zip(raw, oriented)]
+        for (vectors, slots), frame in zip(raw, oriented):
+            cols = frame.vectors
             signs = [1 if w == v else -1 for v, w in zip(vectors, cols)]
-            assert cols == [linalg.vec_scale(c, v) for c, v in zip(signs, vectors)]
+            assert cols == tuple(linalg.vec_scale(c, v) for c, v in zip(signs, vectors))
             assert all(signs[ia] == signs[ib] for ia, ib in slots)
             seconds = {ib for _, ib in slots}
             assert all(next(x for x in w if x) > 0
@@ -200,6 +202,80 @@ def test_oriented_frames_assemble_as_rescaled_frames():
         p = label[0]
         diff = witness._assemble(p, *oriented) - witness._assemble(p, *rescaled)
         assert np.max(np.abs(diff)) <= 1e-70, label
+
+
+def pinned_flag_pairs():
+    """(label, p, q, f1, f2): seeded `random_flag` pairs at (2,2), (3,3) and (4,4).
+
+    Each flag is paired with its image under `random_opq` or `mild_opq`, in
+    turn; then two inequivalent pairs per signature, independent draws whose
+    invariants differ.
+    """
+    rng = random.Random(2016)
+    for p, q, moved in [(2, 2, 4), (3, 3, 10), (4, 4, 6)]:
+        space = QuadraticSpace.standard(p, q)
+        for i in range(moved):
+            opq = sampling.mild_opq if i % 2 else sampling.random_opq
+            f1 = sampling.random_flag(p, q, rng)
+            yield (f"({p},{q}) {opq.__name__} {i}", p, q, f1,
+                   sampling.apply_to_flag(opq(p, q, rng), f1))
+        for i in range(2):
+            f1 = sampling.random_flag(p, q, rng)
+            f2 = sampling.random_flag(p, q, rng)
+            while flag_invariants(space, f2) == flag_invariants(space, f1):
+                f2 = sampling.random_flag(p, q, rng)
+            yield f"({p},{q}) inequivalent {i}", p, q, f1, f2
+
+
+def outcome_digest(p, q, f1, f2):
+    """("witness", digest of every entry's float.hex), or (error type, digest of its message)."""
+    try:
+        g = isometry_witness(p, q, f1, f2)
+    except (InequivalentFlagsError, WitnessFailureError) as error:
+        kind, text = type(error).__name__, str(error)
+    else:
+        kind, text = "witness", " ".join(float(x).hex() for x in g.ravel())
+    return kind, hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+PINNED_OUTCOMES = {
+    "(2,2) random_opq 0": ("witness", "c8f6dd3a575e70db"),
+    "(2,2) mild_opq 1": ("witness", "3149355537bba774"),
+    "(2,2) random_opq 2": ("witness", "b1d4cf405743cc35"),
+    "(2,2) mild_opq 3": ("witness", "8c8918b94a39a476"),
+    "(2,2) inequivalent 0": ("InequivalentFlagsError", "55f8bda066f0948b"),
+    "(2,2) inequivalent 1": ("InequivalentFlagsError", "6e0205ddacb2769a"),
+    "(3,3) random_opq 0": ("witness", "3fdd8549345c1739"),
+    "(3,3) mild_opq 1": ("witness", "9ca557bf7d649e29"),
+    "(3,3) random_opq 2": ("WitnessFailureError", "9eb12394bfa2f12e"),
+    "(3,3) mild_opq 3": ("witness", "16082023c36125ef"),
+    "(3,3) random_opq 4": ("witness", "f4ad7ae743159505"),
+    "(3,3) mild_opq 5": ("witness", "662519e055b2d4be"),
+    "(3,3) random_opq 6": ("witness", "8bfa23c0516d9e2e"),
+    "(3,3) mild_opq 7": ("witness", "fa712694a37a7185"),
+    "(3,3) random_opq 8": ("witness", "3f39d902afbdbf6a"),
+    "(3,3) mild_opq 9": ("witness", "7bd4196ae0f4e519"),
+    "(3,3) inequivalent 0": ("InequivalentFlagsError", "c9bfe0e8f3990e0b"),
+    "(3,3) inequivalent 1": ("InequivalentFlagsError", "2fba78b0e75b81e4"),
+    "(4,4) random_opq 0": ("witness", "85f6463cf6dcaa9d"),
+    "(4,4) mild_opq 1": ("witness", "10a628fc1786432c"),
+    "(4,4) random_opq 2": ("WitnessFailureError", "fa91fc6fab89dddb"),
+    "(4,4) mild_opq 3": ("witness", "99ccc316d81ffe5b"),
+    "(4,4) random_opq 4": ("witness", "dab803d5e7edc3dc"),
+    "(4,4) mild_opq 5": ("witness", "dcd5a55b1a628bbb"),
+    "(4,4) inequivalent 0": ("InequivalentFlagsError", "55f8bda066f0948b"),
+    "(4,4) inequivalent 1": ("InequivalentFlagsError", "84b75c5e94036a4d"),
+}
+
+
+def test_witness_outcomes_are_pinned():
+    # refactors of the frame path must keep every witness byte and every
+    # error message
+    got = {label: outcome_digest(p, q, f1, f2) for label, p, q, f1, f2 in pinned_flag_pairs()}
+    assert list(got) == list(PINNED_OUTCOMES)
+    changed = [(label, got[label], want) for label, want in PINNED_OUTCOMES.items()
+               if got[label] != want]
+    assert changed == []
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -212,7 +288,7 @@ def test_assembly_agrees_with_invert_oracle(data, mild, seed):
     space = QuadraticSpace.standard(p, q)
     opq = sampling.mild_opq if mild else sampling.random_opq
     f2 = sampling.apply_to_flag(opq(p, q, random.Random(seed)), f1)
-    frames = (witness._adapted_frame(space, f1), witness._adapted_frame(space, f2))
+    frames = (forms.adapted_frame(space, f1), forms.adapted_frame(space, f2))
     assert witness._assemble(p, *frames).tobytes() == oracles.invert_assemble(*frames).tobytes()
 
 
@@ -248,5 +324,5 @@ def test_frame_cap_agrees_with_intersect_oracle(data):
     for part in (f.small, big):
         nulls = scaled_system(space, part).nulls()
         if nulls:
-            assert (witness._nulls_in_radical(space, big, nulls)
+            assert (forms._nulls_in_radical(space, big, nulls)
                     == oracles.intersect_frame_cap(space, big, nulls))
