@@ -46,11 +46,9 @@ from .heisenberg import (
     representative_flag,
 )
 from .curvature import (
-    ConnectionTable,
     CurvatureReport,
     curvature_report,
     is_flat,
-    levi_civita,
     riemann,
 )
 from .enumeration import FlagSurvey, survey_flags

@@ -104,33 +104,6 @@ from .linalg import Matrix, Vector
 RiemannTable = tuple[tuple[tuple[Vector, ...], ...], ...]
 
 
-@dataclass(frozen=True)
-class ConnectionTable:
-    """Connection coefficients: entry [i][j] is nabla_{e_i} e_j in basis coordinates."""
-
-    gamma: tuple[tuple[Vector, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.gamma)
-
-    def is_metric_compatible(self, gram: Matrix) -> bool:
-        """<nabla_i e_j, e_k> + <e_j, nabla_i e_k> = 0 for every i, j, k."""
-        n = self.n
-        low = [[linalg.mat_vec(gram, v) for v in row] for row in self.gamma]
-        return all(low[i][j][k] + low[i][k][j] == 0
-                   for i in range(n) for j in range(n) for k in range(j, n))
-
-    def is_torsion_free(self, alg: HeisenbergAlgebra) -> bool:
-        n = self.n
-        for i in range(n):
-            for j in range(i + 1, n):
-                diff = linalg.vec_sub(self.gamma[i][j], self.gamma[j][i])
-                if diff != alg.bracket_basis(i, j):
-                    return False
-        return True
-
-
 def _checked_inverse(n: int, gram: Matrix) -> Matrix:
     """G^{-1} of a symmetric n x n Gram matrix; PreconditionError names what is wrong."""
     if len(gram) != n or not linalg.is_symmetric(gram):
@@ -140,33 +113,6 @@ def _checked_inverse(n: int, gram: Matrix) -> Matrix:
     except linalg.SingularMatrixError:
         raise PreconditionError("curvature requires a nondegenerate Gram matrix, "
                                 "this one is singular")
-
-
-def _connection(n: int, gram: Matrix, g_inv: Matrix) -> ConnectionTable:
-    a, b = n - 2, n - 1
-    h = gram[0]
-    # w_j = -K e_j / 2, read off the rows of the symmetric G^{-1}
-    w = {a: tuple(-x / 2 for x in g_inv[b]), b: tuple(x / 2 for x in g_inv[a])}
-    half_eps = {(a, b): Fraction(1, 2), (b, a): Fraction(-1, 2)}
-    zero = (Fraction(0),) * n
-    table = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i not in w and j not in w:
-                continue
-            v = [Fraction(0)] * n
-            if j in w:
-                v = [x + h[i] * y for x, y in zip(v, w[j])]
-            if i in w:
-                v = [x + h[j] * y for x, y in zip(v, w[i])]
-            v[0] += half_eps.get((i, j), 0)
-            table[i][j] = tuple(v)
-    return ConnectionTable(tuple(tuple(row) for row in table))
-
-
-def levi_civita(alg: HeisenbergAlgebra, gram: Matrix) -> ConnectionTable:
-    """The unique metric-compatible torsion-free connection, in closed form."""
-    return _connection(alg.n, gram, _checked_inverse(alg.n, gram))
 
 
 def _k_terms(g_inv: Matrix) -> tuple[dict, dict, dict]:

@@ -11,6 +11,7 @@ configurations, which carry the interesting orbit types, actually occur.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from fractions import Fraction
 
 from . import linalg
@@ -18,39 +19,42 @@ from .forms import Flag, PreconditionError, QuadraticSpace, Subspace
 from .linalg import Matrix, Vector
 
 
-def _cayley(p: int, q: int, k: Matrix) -> Matrix | None:
+def _cayley(p: int, q: int, draw_k: Callable[[], Matrix]) -> Matrix:
     """(I - S)(I + S)^{-1} for S = I_{p,q} K (K with its last q rows negated),
-    or None when I + S is singular.
+    with K redrawn by `draw_k` until I + S is invertible.
 
     For skew-symmetric K, S satisfies S^T I_{p,q} + I_{p,q} S = 0, and then
     the transform preserves the standard form exactly.  It is computed as
     2 (I + S)^{-1} - I, which is the same matrix because I - S = 2I - (I + S).
+    This is the one rejection loop of the Cayley samplers; each passes only
+    its own draw of K, so their draw order is the loop's.
     """
-    i_plus_s = [[(x if i < p else -x) + (1 if i == j else 0) for j, x in enumerate(row)]
-                for i, row in enumerate(k)]
-    try:
-        inverse = linalg.invert(i_plus_s)
-    except linalg.SingularMatrixError:
-        return None
-    return [[2 * x - (1 if i == j else 0) for j, x in enumerate(row)]
-            for i, row in enumerate(inverse)]
+    while True:
+        i_plus_s = [[(x if i < p else -x) + (1 if i == j else 0) for j, x in enumerate(row)]
+                    for i, row in enumerate(draw_k())]
+        try:
+            inverse = linalg.invert(i_plus_s)
+        except linalg.SingularMatrixError:
+            continue
+        return [[2 * x - (1 if i == j else 0) for j, x in enumerate(row)]
+                for i, row in enumerate(inverse)]
 
 
 def cayley_opq(p: int, q: int, rng: random.Random) -> Matrix:
     """Exact element of O(p, q) via the Cayley transform of a random
-    skew-symmetric K.  Draws are rejected until I + S is invertible.
-    """
+    skew-symmetric K."""
     n = p + q
-    while True:
+
+    def draw_k() -> Matrix:
         k = linalg.zeros(n, n)
         for i in range(n):
             for j in range(i + 1, n):
                 x = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
                 k[i][j] = x
                 k[j][i] = -x
-        g = _cayley(p, q, k)
-        if g is not None:
-            return g
+        return k
+
+    return _cayley(p, q, draw_k)
 
 
 def _draw_signed_permutation(p: int, q: int, rng: random.Random) -> list[tuple[int, int]]:
@@ -63,12 +67,6 @@ def _draw_signed_permutation(p: int, q: int, rng: random.Random) -> list[tuple[i
     rng.shuffle(tail)
     perm += tail
     return [(i, rng.choice((1, -1))) for i in perm]
-
-
-def signed_permutation_opq(p: int, q: int, rng: random.Random) -> Matrix:
-    """Signed permutation preserving the standard form: permutes the first p
-    axes among themselves, the last q among themselves, with arbitrary signs."""
-    return _permute_rows(_draw_signed_permutation(p, q, rng), linalg.identity(p + q))
 
 
 def _permute_rows(perm: list[tuple[int, int]], g: Matrix) -> Matrix:
@@ -92,10 +90,10 @@ def plane_cayley_opq(p: int, q: int, rng: random.Random) -> Matrix:
     Entries stay bounded independently of the dimension, which keeps
     downstream floating-point work well conditioned; useful wherever group
     images feed the numerical witness rather than exact invariant checks.
-    Draws are rejected until I + S is invertible.
     """
     n = p + q
-    while True:
+
+    def draw_k() -> Matrix:
         i = rng.randrange(n)
         j = rng.randrange(n)
         while j == i:
@@ -104,9 +102,9 @@ def plane_cayley_opq(p: int, q: int, rng: random.Random) -> Matrix:
         x = Fraction(rng.randint(1, 2), rng.randint(1, 3))
         k[i][j] = x
         k[j][i] = -x
-        g = _cayley(p, q, k)
-        if g is not None:
-            return g
+        return k
+
+    return _cayley(p, q, draw_k)
 
 
 def mild_opq(p: int, q: int, rng: random.Random) -> Matrix:
@@ -173,16 +171,3 @@ def random_gram(p: int, q: int, rng: random.Random) -> Matrix:
         cols = [rng.choice(pool) for _ in range(n)]
         if linalg.det([[cols[j][i] for j in range(n)] for i in range(n)]) != 0:
             return QuadraticSpace.standard(p, q).pairing(cols, cols)
-
-
-def random_symmetric(n: int, rng: random.Random,
-                     num_range: tuple[int, int] = (-9, 9),
-                     den_range: tuple[int, int] = (1, 9)) -> Matrix:
-    """Random symmetric rational matrix with bounded numerators and denominators."""
-    m = linalg.zeros(n, n)
-    for i in range(n):
-        for j in range(i, n):
-            x = Fraction(rng.randint(*num_range), rng.randint(*den_range))
-            m[i][j] = x
-            m[j][i] = x
-    return m

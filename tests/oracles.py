@@ -5,7 +5,9 @@ Deliberately separate from the package's fast paths:
   constants, with its own tiny matrix inverse;
 - the Koszul curvature engine: the general-bracket Levi-Civita connection,
   the dense Riemann tensor and the kernel/solve soliton check that the
-  single-bracket closed forms in `heisflag.curvature` replaced;
+  single-bracket closed forms in `heisflag.curvature` replaced.  It owns
+  the connection type, `ConnectionTable`, with its metric-compatibility and
+  torsion checks: the library builds no connection;
 - samplers: the dense-product forms of the exact O(p, q) samplers and the
   flag sampler, which pin the draw order of `heisflag.sampling`;
 - enumeration: the primal flag survey, which walks every (n-2)-subset of the
@@ -55,6 +57,7 @@ Deliberately separate from the package's fast paths:
 Used to pin expected values before trusting the main engine.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -63,7 +66,8 @@ from math import gcd, isqrt
 import numpy as np
 
 from heisflag import linalg
-from heisflag.curvature import ConnectionTable, CurvatureReport, is_flat
+from heisflag.linalg import Matrix, Vector
+from heisflag.curvature import CurvatureReport, is_flat
 from heisflag.enumeration import SAMPLES_PER_ORBIT, FlagSurvey, _dot, _pair_rank, _standard_gram
 from heisflag.forms import (
     Flag,
@@ -83,6 +87,7 @@ from heisflag.forms import (
 )
 from heisflag.heisenberg import (
     Classification,
+    HeisenbergAlgebra,
     UnsupportedSignatureError,
     _admissible_row,
     admissible_classes,
@@ -192,6 +197,33 @@ def ricci_tensor(n, g):
 
 def _unit(n, i):
     return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
+
+
+@dataclass(frozen=True)
+class ConnectionTable:
+    """Connection coefficients: entry [i][j] is nabla_{e_i} e_j in basis coordinates."""
+
+    gamma: tuple[tuple[Vector, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.gamma)
+
+    def is_metric_compatible(self, gram: Matrix) -> bool:
+        """<nabla_i e_j, e_k> + <e_j, nabla_i e_k> = 0 for every i, j, k."""
+        n = self.n
+        low = [[linalg.mat_vec(gram, v) for v in row] for row in self.gamma]
+        return all(low[i][j][k] + low[i][k][j] == 0
+                   for i in range(n) for j in range(n) for k in range(j, n))
+
+    def is_torsion_free(self, alg: HeisenbergAlgebra) -> bool:
+        n = self.n
+        for i in range(n):
+            for j in range(i + 1, n):
+                diff = linalg.vec_sub(self.gamma[i][j], self.gamma[j][i])
+                if diff != alg.bracket_basis(i, j):
+                    return False
+        return True
 
 
 def koszul_levi_civita(alg, gram):

@@ -3,7 +3,9 @@
 Generic random inputs almost never have a degenerate big part, a line in its
 radical or a part supported on one coordinate block, yet those are the cases
 where intersection counts are nonzero.  These strategies build them on
-purpose in the standard space of signature (p, q).
+purpose in the standard space of signature (p, q).  The seeded helpers
+`random_symmetric` and `random_nondegenerate_symmetric` draw rational
+symmetric matrices for the congruence and curvature tests.
 """
 
 import random
@@ -19,6 +21,25 @@ COEFFS = st.sampled_from([0, 0, 1, -1, 2])
 
 def unit(n, i):
     return tuple(F(1) if j == i else F(0) for j in range(n))
+
+
+def random_symmetric(n, rng, num_range=(-9, 9), den_range=(1, 9)):
+    """Random symmetric rational matrix with bounded numerators and denominators."""
+    m = linalg.zeros(n, n)
+    for i in range(n):
+        for j in range(i, n):
+            x = F(rng.randint(*num_range), rng.randint(*den_range))
+            m[i][j] = x
+            m[j][i] = x
+    return m
+
+
+def random_nondegenerate_symmetric(n, rng):
+    """`random_symmetric` with entries a/b, |a| <= 4, 1 <= b <= 3, redrawn until nonsingular."""
+    while True:
+        m = random_symmetric(n, rng, (-4, 4), (1, 3))
+        if linalg.det(m) != 0:
+            return m
 
 
 def _grow(draw, base, candidates, fallback, target):

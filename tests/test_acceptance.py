@@ -17,7 +17,7 @@ import pytest
 
 import oracles
 from heisflag import linalg, sampling
-from heisflag.curvature import curvature_report, is_flat, levi_civita, riemann
+from heisflag.curvature import curvature_report, is_flat, riemann
 from heisflag.enumeration import _survey_cached, survey_flags
 from heisflag.forms import (
     FlagInvariants,
@@ -40,6 +40,7 @@ from heisflag.witness import (
     isometry_witness,
     witness_residuals,
 )
+from strategies import random_nondegenerate_symmetric, random_symmetric
 
 TABLE2_IDS = {
     (3, 3): set(range(1, 22)),
@@ -245,7 +246,7 @@ def test_criterion_11_structural_identities():
     # Sylvester sign stability under exact congruence
     for _ in range(220):
         n = rng.randint(1, 6)
-        s = sampling.random_symmetric(n, rng)
+        s = random_symmetric(n, rng)
         while True:
             qmat = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
             if linalg.det(qmat) != 0:
@@ -258,11 +259,8 @@ def test_criterion_11_structural_identities():
     for k in range(220):
         n = 4 + k % 2
         alg = HeisenbergAlgebra(n)
-        while True:
-            gram = sampling.random_symmetric(n, rng, num_range=(-4, 4), den_range=(1, 3))
-            if linalg.det(gram) != 0:
-                break
-        conn = levi_civita(alg, gram)
+        gram = random_nondegenerate_symmetric(n, rng)
+        conn = oracles.koszul_levi_civita(alg, gram)
         assert conn.is_metric_compatible(gram)
         assert conn.is_torsion_free(alg)
         riem = riemann(alg, gram)

@@ -20,7 +20,10 @@ them is used; deleting a member therefore needs a runtime check as well,
 such as the test suite run with that member patched to raise.  A private
 (`_name`) top-level function or class must be named in `src/` itself: a
 helper that only the tests use is a test oracle and lives in
-`tests/oracles.py`.
+`tests/oracles.py`.  Test oracles live in `tests/`: scanning `src/`,
+`demos/` and `bench/` alone, the only public definitions and class members
+that nothing names are the few in `KEPT_FOR_USERS`, each kept for a stated
+reason.
 
 Each top-level function and class of `tests/oracles.py` must be reachable
 from a test module: named there as `oracles.name`, imported from `oracles` or
@@ -269,6 +272,48 @@ def test_every_class_member_is_referenced():
     defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     sources = [p.read_text() for d in SCANNED for p in sorted((ROOT / d).rglob("*.py"))]
     assert unreferenced_members(defining, sources) == []
+
+
+LIBRARY_USERS = ("src", "demos", "bench")
+
+# Public definitions that only the tests call, kept on purpose: entry to reason.
+KEPT_FOR_USERS = {
+    "forms.py: subspaces_equivalent": "Witt's test for one subspace, the flag test's first half",
+    "heisenberg.py: representative_flag": "the flag a taxonomy row names, as the README lists",
+    "matrixio.py: format_matrix": "the writing half of the matrix file format",
+    "heisenberg.py: ScaledAutomorphism.preserves_bracket": "states what from_matrix promises",
+}
+
+
+def used_only_by_tests(defining: dict[str, str], library_sources: list[str]) -> list[str]:
+    """Definitions and class members of `defining` that none of `library_sources` uses.
+
+    With the library, demos and benchmark as the only sources, a name that
+    only tests use shows up: a test oracle, which belongs in `tests/`.  A
+    string that is exactly the name still counts as a use, so a definition
+    that only `bench/tracing.py`'s `LAYERS` names (the layers it traces, by
+    string) stays hidden: a test-only `curvature.levi_civita` would pass.
+    """
+    return (unreferenced(defining, library_sources)
+            + unreferenced_members(defining, library_sources))
+
+
+def test_checker_flags_a_definition_only_tests_use():
+    lib = ("class Table:\n    def check(self):\n        return True\n\n"
+           "    def size(self):\n        return 0\n\n\n"
+           "def build():\n    return Table()\n\n\ndef sample(rng):\n    return rng\n")
+    demo = "from lib import build\nbuild().size()\n"
+    test = "from lib import build, sample\nassert build().check() and sample(1)\n"
+    assert used_only_by_tests({"lib.py": lib}, [lib, demo]) == [
+        "lib.py: sample", "lib.py: Table.check"]
+    # the tests name both, so scanning them too hides the test-only pair
+    assert used_only_by_tests({"lib.py": lib}, [lib, demo, test]) == []
+
+
+def test_no_test_only_definitions_in_the_library():
+    defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    sources = [p.read_text() for d in LIBRARY_USERS for p in sorted((ROOT / d).rglob("*.py"))]
+    assert sorted(used_only_by_tests(defining, sources)) == sorted(KEPT_FOR_USERS)
 
 
 def misplaced_error_handling(source: str) -> list[str]:

@@ -25,7 +25,7 @@ from heisflag.linalg import (
     vec,
     zeros,
 )
-from heisflag.sampling import random_symmetric
+from strategies import random_symmetric
 
 
 def random_invertible(rng, n):

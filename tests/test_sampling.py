@@ -25,14 +25,6 @@ def test_samplers_match_oracle_draw_for_draw(name, p, q):
         assert rng.getstate() == oracle_rng.getstate(), seed
 
 
-def test_signed_permutation_opq_matches_oracle():
-    for seed in range(50):
-        rng, oracle_rng = random.Random(seed), random.Random(seed)
-        assert (sampling.signed_permutation_opq(3, 2, rng)
-                == oracles.signed_permutation_opq(3, 2, oracle_rng)), seed
-        assert rng.getstate() == oracle_rng.getstate(), seed
-
-
 def test_random_flag_rejects_unfillable_shapes():
     # run in a child process, so that a regression to an endless draw loop fails on the
     # timeout instead of hanging the suite
