@@ -382,54 +382,67 @@ def row_space(vectors: Sequence[Vector]) -> list[Vector]:
 def lll_reduce(vectors: Sequence[Vector]) -> list[Vector]:
     """Integer basis with the same rational span, made of short vectors.
 
-    Classic Lenstra-Lenstra-Lovasz reduction in exact arithmetic, with
-    Lovasz constant LLL_DELTA, of the lattice that the primitive integer
-    forms of the input vectors generate.  Each reduced vector is then
-    rescaled to a primitive one, which can undo the size reduction, so the
-    result is not always LLL-reduced: on (2,0,-2,0,1,3,-1), (0,2,0,0,-1,-3,1)
-    it returns (1,1,-1,0,0,0,0), (0,2,0,0,-1,-3,1), whose mu is 2/3.  Used
-    to keep entries small before expensive exact constructions; any basis of
-    the span is as good as any other for the callers.  Raises ShapeError
-    when the vectors are linearly dependent.
+    Lenstra-Lenstra-Lovasz reduction, with Lovasz constant LLL_DELTA, of the
+    lattice that the primitive integer forms of the input vectors generate.
+    It is de Weger's integral LLL (H. Cohen, A Course in Computational
+    Algebraic Number Theory, 1993, Algorithm 2.6.7): the rows stay `int`,
+    and in place of the Gram-Schmidt basis it keeps the integers
+    d_i = det Gram(b_0..b_{i-1}) and lambda_kj = d_{j+1} mu_kj.  A swap
+    updates them in O(n) by exact integer divisions; nothing is rebuilt.
+    Its decisions are those of the textbook rational version: b_k is
+    size-reduced against b_{k-1} down to b_0 by round(mu_kj) (half to even)
+    when |mu_kj| > 1/2, then tested for the Lovasz condition.
+
+    Each reduced vector is then rescaled to a primitive one, which can undo
+    the size reduction, so the result is not always LLL-reduced: on
+    (2,0,-2,0,1,3,-1), (0,2,0,0,-1,-3,1) it returns (1,1,-1,0,0,0,0),
+    (0,2,0,0,-1,-3,1), whose mu is 2/3.  Used to keep entries small before
+    expensive exact constructions; any basis of the span is as good as any
+    other for the callers.  Raises ShapeError when the vectors are linearly
+    dependent.
     """
-    b = [list(primitive_vector(v)) for v in vectors]
+    b = [[int(x) for x in primitive_vector(v)] for v in vectors]
     n = len(b)
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    def gram_schmidt():
-        star = []
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        norms = []
-        for i in range(n):
-            w = list(b[i])
-            for j in range(i):
-                mu[i][j] = dot(b[i], star[j]) / norms[j]
-                w = [x - mu[i][j] * y for x, y in zip(w, star[j])]
-            norm = dot(w, w)
-            if norm == 0:
+    num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for l in range(j):
+                u = (d[l + 1] * u - lam[i][l] * lam[j][l]) // d[l]
+            if j < i:
+                lam[i][j] = u
+            elif u == 0:
                 raise ShapeError("lll_reduce: the vectors must be linearly independent")
-            star.append(w)
-            norms.append(norm)
-        return mu, norms
-
-    mu, norms = gram_schmidt()
+            else:
+                d[i + 1] = u
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q != 0:
-                # b_k -= q b_j leaves every b*_i alone and shifts row k of mu
+            if 2 * abs(lam[k][j]) > d[j + 1]:
+                q = round(Fraction(lam[k][j], d[j + 1]))
+                # b_k -= q b_j leaves every d_i alone and shifts row k of lambda
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 for i in range(j):
-                    mu[k][i] -= q * mu[j][i]
-                mu[k][j] -= q
-        if norms[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
+                    lam[k][i] -= q * lam[j][i]
+                lam[k][j] -= q * d[j + 1]
+        t = lam[k][k - 1]
+        # |b_k*|^2 >= (delta - mu^2) |b_{k-1}*|^2, times den d_k d_{k-1} > 0
+        if den * d[k + 1] * d[k - 1] >= num * d[k] ** 2 - den * t * t:
             k += 1
         else:
+            # swapping b_{k-1}, b_k changes d_k alone, and lambda only in
+            # rows k-1, k and columns k-1, k; every division is exact
             b[k], b[k - 1] = b[k - 1], b[k]
-            mu, norms = gram_schmidt()
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            new_dk = (d[k - 1] * d[k + 1] + t * t) // d[k]
+            for i in range(k + 1, n):
+                old = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - t * old) // d[k]
+                lam[i][k - 1] = (new_dk * old + t * lam[i][k]) // d[k + 1]
+            d[k] = new_dk
             k = max(k - 1, 1)
     return [primitive_vector(tuple(row)) for row in b]
 

@@ -25,6 +25,7 @@ from heisflag.linalg import (
     vec,
     zeros,
 )
+from heisflag.sampling import random_flag
 from strategies import random_symmetric
 
 
@@ -136,7 +137,11 @@ def test_intersect_basis_independent():
 
 
 def test_lll_reduce_names_dependent_input():
-    for vectors in ([(1, 0), (2, 0)], [(0, 0), (1, 1)], [(0, 0)]):
+    # a vector that depends on earlier ones makes d_k zero: the integral
+    # recurrence must stop there, before a later row divides by it
+    for vectors in ([(1, 0), (2, 0)], [(0, 0), (1, 1)], [(0, 0)],
+                    [(1, 0, 0), (0, 1, 0), (1, 1, 0)], [(1, 2), (3, 4), (5, 6)],
+                    [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]):
         with pytest.raises(ShapeError, match="linearly independent"):
             linalg.lll_reduce([vec(v) for v in vectors])
 
@@ -366,16 +371,73 @@ def test_extend_to_independent_agrees_with_rank_loop_oracle(data):
     assert linalg.extend_to_independent(base, pool, target) == want
 
 
+def independent_subsequence(vectors):
+    """Each vector that is independent of the ones kept before it."""
+    kept = []
+    for v in vectors:
+        if rank([list(u) for u in kept + [v]]) == len(kept) + 1:
+            kept.append(v)
+    return kept
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_lll_reduce_agrees_with_recomputing_oracle(data):
     n = data.draw(st.integers(1, 6))
     wide = st.one_of(ENTRIES, st.integers(-40, 40))
     drawn = [vec(data.draw(wide) for _ in range(n)) for _ in range(data.draw(st.integers(0, n)))]
-    independent = []
-    for v in drawn:
-        if rank([list(u) for u in independent + [v]]) == len(independent) + 1:
-            independent.append(v)
+    independent = independent_subsequence(drawn)
+    assert linalg.lll_reduce(independent) == oracles.recomputing_lll_reduce(independent)
+
+
+def test_lll_reduce_ties_and_boundaries():
+    """A half-integer mu rounds to even, and Lovasz equality keeps the order."""
+    cases = [
+        ([(1, 1), (4, 1)], [(1, 1), (2, -1)]),  # mu = 5/2 -> 2; half up gives (1, -2)
+        ([(1, 1), (1, -2)], [(1, 1), (1, -2)]),  # mu = -1/2 -> 0
+        # |b_1*|^2 = 3 = (3/4 - mu^2) |b_0|^2 with mu = 1/4: no swap
+        ([(1, 1, 1, 1), (1, 1, -1, 0)], [(1, 1, 1, 1), (1, 1, -1, 0)]),
+    ]
+    for vectors, want in cases:
+        vectors = [vec(v) for v in vectors]
+        assert linalg.lll_reduce(vectors) == [vec(v) for v in want]
+        assert oracles.recomputing_lll_reduce(vectors) == [vec(v) for v in want]
+
+
+@st.composite
+def near_parallel_bases(draw):
+    """n - 1 or n vectors of length n <= 8 with entries of up to 200 bits,
+    many of them an earlier vector plus or minus a unit vector, which
+    forces many swaps."""
+    n = draw(st.integers(2, 8))
+    bits = draw(st.sampled_from([200, 64, 8, 2]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    out = []
+    for _ in range(draw(st.sampled_from([n, n, n - 1]))):
+        if out and draw(st.booleans()):
+            v = list(draw(st.sampled_from(out)))
+            v[draw(st.integers(0, n - 1))] += draw(st.sampled_from([1, -1]))
+        else:
+            v = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(n)]
+        out.append(vec(v))
+    return out
+
+
+@st.composite
+def flag_big_bases(draw):
+    """The `row_space` basis of a `random_flag` big part, as the witness frame reduces it."""
+    p, q = draw(st.sampled_from([(3, 3), (4, 4), (5, 3)]))
+    flag = random_flag(p, q, random.Random(draw(st.integers(0, 2 ** 32))))
+    return linalg.row_space(list(flag.big.basis))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(vectors=st.one_of(near_parallel_bases(), flag_big_bases()))
+def test_lll_reduce_agrees_with_recomputing_oracle_on_hard_bases(vectors):
+    independent = independent_subsequence(vectors)
+    if len(independent) < len(vectors):
+        with pytest.raises(ShapeError, match="linearly independent"):
+            linalg.lll_reduce(vectors)
     assert linalg.lll_reduce(independent) == oracles.recomputing_lll_reduce(independent)
 
 
