@@ -102,17 +102,27 @@ class QuadraticSpace:
 
         G y is formed once per y; zero Gram entries and zero coordinates are
         skipped, so a sparse form on sparse vectors costs few products.
+        Integral Gram entries and coordinates take part as `int` and the
+        others as `Fraction`, so the sums are exact; each entry of the
+        result is made a `Fraction` once, at the end.
         """
         if any(len(v) != self.dim for v in (*xs, *ys)):
             raise linalg.ShapeError("vector length does not match ambient dimension")
-        zero = Fraction(0)
+        gram = self._int_gram
         gys = []
         for y in ys:
-            support = [(j, yj) for j, yj in enumerate(y) if yj]
-            # an empty sum leaves an int 0 in G y; the pass below skips it
-            gys.append([sum(row[j] * yj for j, yj in support if row[j]) for row in self.gram])
-        return [[sum((xi * gyi for xi, gyi in zip(x, gy) if xi and gyi), zero) for gy in gys]
+            support = [(j, yj.numerator if yj.denominator == 1 else yj)
+                       for j, yj in enumerate(y) if yj]
+            gys.append([sum(row[j] * yj for j, yj in support if row[j]) for row in gram])
+        xs = [[xi.numerator if xi.denominator == 1 else xi for xi in x] for x in xs]
+        return [[frac(sum(xi * gyi for xi, gyi in zip(x, gy) if xi and gyi)) for gy in gys]
                 for x in xs]
+
+    @cached_property
+    def _int_gram(self) -> tuple[tuple, ...]:
+        # the Gram matrix never changes: its integral entries become int once
+        return tuple(tuple(x.numerator if x.denominator == 1 else x for x in row)
+                     for row in self.gram)
 
     def inner(self, x: Vector, y: Vector) -> Fraction:
         return self.pairing([x], [y])[0][0]
@@ -137,16 +147,28 @@ class Subspace:
     basis: tuple[Vector, ...]
 
     def __post_init__(self):
+        self._check_lengths()
+        if self.basis and linalg.rank(self.basis) != len(self.basis):
+            raise PreconditionError("basis vectors must be linearly independent")
+
+    def _check_lengths(self) -> None:
         for v in self.basis:
             if len(v) != self.ambient_dim:
                 raise linalg.ShapeError("basis vector has wrong length")
-        if self.basis and linalg.rank(self.basis) != len(self.basis):
-            raise PreconditionError("basis vectors must be linearly independent")
+
+    @classmethod
+    def _independent(cls, ambient_dim: int, basis: tuple[Vector, ...]) -> "Subspace":
+        """A subspace whose basis is independent by construction: the rank check is skipped."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "ambient_dim", ambient_dim)
+        object.__setattr__(w, "basis", basis)
+        w._check_lengths()
+        return w
 
     @classmethod
     def spanned_by(cls, vectors: Sequence[Sequence], ambient_dim: int) -> "Subspace":
         """Span of arbitrary vectors; dependent ones are dropped."""
-        return cls(ambient_dim, tuple(linalg.row_space([vec(v) for v in vectors])))
+        return cls._independent(ambient_dim, tuple(linalg.row_space([vec(v) for v in vectors])))
 
     @classmethod
     def coordinate(cls, ambient_dim: int, indices: Sequence[int]) -> "Subspace":
@@ -307,8 +329,8 @@ def radical(space: QuadraticSpace, w: Subspace | None = None) -> Subspace:
     """
     if w is None:
         w = Subspace.full(space.dim)
-    return Subspace(space.dim, tuple(linalg.combine(c, w.basis)
-                                     for c in linalg.kernel(restrict(space, w))))
+    return Subspace._independent(space.dim, tuple(linalg.combine(c, w.basis)
+                                                  for c in linalg.kernel(restrict(space, w))))
 
 
 def refined_line_signature(space: QuadraticSpace, v_sub: Subspace, line: Subspace) -> LineSignature:
@@ -486,7 +508,7 @@ def _perp_within(space: QuadraticSpace, ambient_sub: Subspace, vectors: Sequence
         return ambient_sub
     ambient = [linalg.combine(coeffs, ambient_sub.basis)
                for coeffs in linalg.kernel(space.pairing(vectors, ambient_sub.basis))]
-    return Subspace(space.dim, tuple(linalg.lll_reduce(linalg.row_space(ambient))))
+    return Subspace._independent(space.dim, tuple(linalg.lll_reduce(linalg.row_space(ambient))))
 
 
 def extend_nullsystem(space: QuadraticSpace, nulls: Sequence[Vector]) -> ScaledSystem:
@@ -540,7 +562,7 @@ def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
     # complement U of the ambient radical containing the non-radical part
     pool = xs + ys + z_split + [vec(row) for row in linalg.identity(n)]
     u_basis = linalg.extend_to_independent(list(rad_v.basis), pool, n)[rad_v.dim:]
-    u_sub = Subspace(n, tuple(u_basis))
+    u_sub = Subspace._independent(n, tuple(u_basis))
 
     # split each null into a +1/-1 pair, peeling its plane off the arena
     arena = _perp_within(space, u_sub, xs + ys)
@@ -601,12 +623,12 @@ def adapted_frame(space: QuadraticSpace, f: Flag) -> ScaledSystem:
     """
     # a lattice-reduced big basis keeps the exact construction well
     # conditioned; the small part is diagonalized from its row space
-    big = Subspace(f.big.ambient_dim,
-                   tuple(linalg.lll_reduce(linalg.row_space(f.big.basis))))
+    big = Subspace._independent(f.big.ambient_dim,
+                                tuple(linalg.lll_reduce(linalg.row_space(f.big.basis))))
 
     # system of the small part, its null block reordered so that the
     # rad(big) members come last
-    small = Subspace(space.dim, tuple(linalg.row_space(f.small.basis)))
+    small = Subspace._independent(space.dim, tuple(linalg.row_space(f.small.basis)))
     sys_small = scaled_system(space, small)
     nulls = sys_small.nulls()
     cap = _nulls_in_radical(space, big, nulls) if nulls else []

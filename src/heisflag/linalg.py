@@ -3,6 +3,12 @@
 Matrices are lists of row lists and vectors are tuples.  Input entries may
 be `int` or `fractions.Fraction`: every elimination works on an exact copy
 built with `mat`, so an `int` never meets `/`, and results are `Fraction`.
+Most entries met in practice are integers stored as `Fraction` (kernels,
+row spaces and LLL bases are primitive integer vectors), so `combine`, the
+products built on it, and `primitive_vector` multiply and add every
+integral entry as its `int` numerator and make each output entry a
+`Fraction` once, at the end; non-integral entries stay `Fraction`.  The
+eliminations stay in `Fraction` throughout.
 All routines are pure and exact: no floating point, no tolerances.
 Signatures of symmetric matrices are obtained by congruence (never from
 eigenvalues), using one symmetric elimination: each pivot updates the
@@ -113,36 +119,67 @@ def vec_scale(c, v: Vector) -> Vector:
 
 
 def combine(coeffs: Sequence, vectors: Sequence[Sequence]) -> tuple:
-    """The combination sum_k c_k v_k, skipping zero coefficients.
+    """The combination sum_k c_k v_k, skipping zero coefficients and zero entries.
 
-    Entries keep the number type of the input: integer coefficients on
-    integer vectors give integers, and any Fraction gives Fractions.
+    Integral entries, coefficients as well as vector entries, take part as
+    `int` (a `Fraction` with denominator 1 as its numerator); the others
+    stay `Fraction`, so the sum is exact either way.  Each entry is made a
+    `Fraction` once, at the end, and keeps the number type of the input:
+    integer coefficients on integer vectors give integers, and an entry
+    that any Fraction reaches (the first vector's, or one of a term with a
+    nonzero coefficient) is a Fraction.
     """
     if len(coeffs) != len(vectors):
         raise ShapeError(f"{len(coeffs)} coefficients for {len(vectors)} vectors")
-    acc = [0 * x for x in vectors[0]] if vectors else []
+    if not vectors:
+        return ()
+    reached = [type(x) is Fraction for x in vectors[0]]  # entries a Fraction reaches
+    everywhere = all(reached)
+    acc = [0] * len(reached)
     for c, v in zip(coeffs, vectors):
         if c:
-            acc = [a + c * x for a, x in zip(acc, v)]
-    return tuple(acc)
+            if not everywhere:
+                if type(c) is Fraction:
+                    everywhere = True
+                else:
+                    reached = [r or type(x) is Fraction for r, x in zip(reached, v)]
+                    everywhere = all(reached)
+            if c.denominator == 1:
+                c = c.numerator
+            acc = [a + c * (x.numerator if x.denominator == 1 else x) if x else a
+                   for a, x in zip(acc, v)]
+    if everywhere:
+        return tuple(a if type(a) is Fraction else Fraction(a) for a in acc)
+    return tuple(Fraction(a) if r and type(a) is not Fraction else a
+                 for a, r in zip(acc, reached))
 
 
 def is_zero_vector(v: Vector) -> bool:
     return all(x == 0 for x in v)
 
 
-def primitive_vector(v: Vector) -> Vector:
-    """Rational rescaling of v to coprime integer entries, leading entry positive."""
-    if is_zero_vector(v):
-        return v
+def _primitive_ints(v: Sequence) -> list[int]:
+    """The coprime integer entries of v's primitive rescaling, leading entry positive."""
     denom = lcm(*(x.denominator for x in v))
-    ints = [int(x * denom) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if next(x for x in ints if x != 0) < 0:
+    ints = [x.numerator * (denom // x.denominator) for x in v]
+    g = gcd(*ints)
+    if g and next(x for x in ints if x) < 0:
         g = -g
-    return tuple(Fraction(x // g) for x in ints)
+    return [x // g for x in ints] if g else ints
+
+
+def primitive_vector(v: Vector) -> Vector:
+    """Rational rescaling of v to coprime integer entries, leading entry positive.
+
+    The rescaling is computed in `int`: each entry scaled by the common
+    denominator is an integer, read off its numerator and denominator.  The
+    entries become `Fraction` once, at the end; the zero vector is returned
+    as it is.
+    """
+    ints = _primitive_ints(v)
+    if not any(ints):
+        return v
+    return tuple(Fraction(x) for x in ints)
 
 
 def _sign_counts(values: Iterable[Fraction]) -> tuple[int, int, int]:
@@ -401,7 +438,7 @@ def lll_reduce(vectors: Sequence[Vector]) -> list[Vector]:
     other for the callers.  Raises ShapeError when the vectors are linearly
     dependent.
     """
-    b = [[int(x) for x in primitive_vector(v)] for v in vectors]
+    b = [_primitive_ints(v) for v in vectors]
     n = len(b)
     num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
     d = [1] * (n + 1)

@@ -27,6 +27,10 @@ Deliberately separate from the package's fast paths:
 - products: the dense `mat_mul` and `mat_vec` loops, which sum every
   product, zeros included, and which one `linalg.combine` per row or
   vector replaced;
+- integral entries: `combine`, `primitive_vector` and
+  `QuadraticSpace.pairing` with every product and sum taken in the
+  entries' own types (`Fraction` where the input has one), which the
+  versions that multiply integral entries as `int` replaced;
 - exact kernels: the dense double-loop inner product and the two-product
   `restrict` that `QuadraticSpace.pairing` replaced, the Gauss-Jordan
   inverse, the one-rank-per-candidate basis extension, the per-vector
@@ -61,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -788,6 +792,49 @@ def dense_restrict(space, w):
     rows = [list(v) for v in w.basis]
     paired = linalg.mat_mul(rows, linalg.mat(space.gram))
     return linalg.mat_mul(paired, linalg.transpose(rows))
+
+
+def fraction_combine(coeffs, vectors):
+    """sum_k c_k v_k with each entry in its input type, zero coefficients skipped.
+
+    An entry starts as 0 * (the first vector's entry) and is a Fraction as
+    soon as one Fraction reaches it.
+    """
+    if len(coeffs) != len(vectors):
+        raise linalg.ShapeError(f"{len(coeffs)} coefficients for {len(vectors)} vectors")
+    acc = [0 * x for x in vectors[0]] if vectors else []
+    for c, v in zip(coeffs, vectors):
+        if c:
+            acc = [a + c * x for a, x in zip(acc, v)]
+    return tuple(acc)
+
+
+def fraction_primitive_vector(v):
+    """Primitive integer rescaling of v by Fraction products, leading entry positive."""
+    if linalg.is_zero_vector(v):
+        return v
+    denom = lcm(*(x.denominator for x in v))
+    ints = [int(x * denom) for x in v]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    if next(x for x in ints if x != 0) < 0:
+        g = -g
+    return tuple(Fraction(x // g) for x in ints)
+
+
+def fraction_pairing(space, xs, ys):
+    """The matrix of <x, y> in the entries' own types: G y once per y, zeros
+    skipped, each entry summed from a Fraction 0."""
+    if any(len(v) != space.dim for v in (*xs, *ys)):
+        raise linalg.ShapeError("vector length does not match ambient dimension")
+    zero = Fraction(0)
+    gys = []
+    for y in ys:
+        support = [(j, yj) for j, yj in enumerate(y) if yj]
+        gys.append([sum(row[j] * yj for j, yj in support if row[j]) for row in space.gram])
+    return [[sum((xi * gyi for xi, gyi in zip(x, gy) if xi and gyi), zero) for gy in gys]
+            for x in xs]
 
 
 def gauss_jordan_invert(m):

@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 import strategies
-from heisflag import linalg, sampling
+from heisflag import forms, linalg, sampling
 from heisflag.forms import (
     Flag,
     FlagInvariants,
@@ -295,6 +296,93 @@ def test_exact_kernels_return_fractions_on_fraction_input(data):
     except linalg.SingularMatrixError:
         pass
     assert all(type(x) is F for x in entries)
+
+
+# entry kinds for the int arithmetic of combine, primitive_vector and pairing:
+# integral entries as int or as Fraction, half-integers, Fractions with large
+# unrelated denominators, and zeros of both types
+ENTRY_KINDS = (
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(F),
+    st.integers(-3, 2).map(lambda k: F(2 * k + 1, 2)),
+    st.builds(F, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 80)),
+    st.sampled_from([0, F(0)]),
+)
+MIXED_ENTRIES = st.one_of(*ENTRY_KINDS)
+
+
+@st.composite
+def hard_vectors(draw, n):
+    """A length-n vector of one entry kind, or of mixed kinds."""
+    entries = draw(st.sampled_from([*ENTRY_KINDS, MIXED_ENTRIES, MIXED_ENTRIES]))
+    return tuple(draw(entries) for _ in range(n))
+
+
+@st.composite
+def hard_grams(draw, n):
+    """A symmetric n x n Gram matrix of one entry kind or of mixed kinds, some rows zero."""
+    entries = draw(st.sampled_from([*ENTRY_KINDS, MIXED_ENTRIES]))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(entries)
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=n)) if n else set()
+    for i in zero_rows:
+        zero = draw(st.sampled_from([0, F(0)]))
+        for j in range(n):
+            gram[i][j] = gram[j][i] = zero
+    return tuple(tuple(row) for row in gram)
+
+
+def typed(values):
+    return [(x, type(x)) for x in values]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_int_arithmetic_agrees_with_the_fraction_oracles(data):
+    # equal values and equal per-entry types, empty and zero inputs included
+    n = data.draw(st.integers(0, 6))
+    vectors = data.draw(st.lists(hard_vectors(n), max_size=5))
+    coeff = data.draw(st.sampled_from([*ENTRY_KINDS, MIXED_ENTRIES]))
+    coeffs = [data.draw(coeff) for _ in vectors]
+    assert typed(linalg.combine(coeffs, vectors)) == typed(oracles.fraction_combine(coeffs, vectors))
+    for v in vectors:
+        assert typed(linalg.primitive_vector(v)) == typed(oracles.fraction_primitive_vector(v))
+    space = QuadraticSpace(data.draw(hard_grams(n)))
+    got = space.pairing(vectors, vectors[::-1])
+    want = oracles.fraction_pairing(space, vectors, vectors[::-1])
+    assert [typed(row) for row in got] == [typed(row) for row in want]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=strategies.degenerate_flags(codim_two=True) | strategies.degenerate_flags())
+def test_bases_independent_by_construction_pass_the_rank_check(data):
+    # the private constructor skips the rank check; made to run it, the frame
+    # builder raises nothing and builds the same frame
+    p, q, f = data
+    frame = forms.adapted_frame(QuadraticSpace.standard(p, q), f)
+    spanned = Subspace.spanned_by([*f.big.basis, *f.small.basis], p + q)
+    calls = []
+
+    def validating(cls, ambient_dim, basis):
+        calls.append(len(basis))
+        return cls(ambient_dim, basis)
+
+    with mock.patch.object(Subspace, "_independent", classmethod(validating)):
+        # a fresh space, so that its radical is built under the patch too
+        assert forms.adapted_frame(QuadraticSpace.standard(p, q), f) == frame
+        assert Subspace.spanned_by([*f.big.basis, *f.small.basis], p + q) == spanned
+    assert calls
+
+
+def test_public_subspace_constructors_check_independence():
+    with pytest.raises(PreconditionError, match="linearly independent"):
+        Subspace(4, (unit(0), unit(1), linalg.vec_add(unit(0), unit(1))))
+    with pytest.raises(PreconditionError, match="linearly independent"):
+        Subspace.coordinate(4, [2, 2])
+    with pytest.raises(linalg.ShapeError, match="wrong length"):
+        Subspace._independent(4, (unit(0), unit(0, 3)))
 
 
 def test_pairing_rejects_wrong_lengths_and_takes_empty_lists():
