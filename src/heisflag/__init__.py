@@ -40,7 +40,6 @@ from .heisenberg import (
     admissible_classes,
     classify_metric,
     is_scaled_automorphism,
-    metric_class,
     parabolic_sample,
     representative,
     representative_flag,

@@ -100,23 +100,11 @@ class QuadraticSpace:
     def pairing(self, xs: Sequence[Vector], ys: Sequence[Vector]) -> Matrix:
         """The matrix of <x, y> for x in xs (rows) and y in ys (columns).
 
-        G y is formed once per y; zero Gram entries and zero coordinates are
-        skipped, so a sparse form on sparse vectors costs few products.
-        Integral Gram entries and coordinates take part as `int` and the
-        others as `Fraction`, so the sums are exact; each entry of the
-        result is made a `Fraction` once, at the end.
+        One `linalg.bilinear` over the Gram matrix with its integral entries
+        cached as `int`: zero Gram entries and zero coordinates are skipped,
+        and every entry of the result is a `Fraction`.
         """
-        if any(len(v) != self.dim for v in (*xs, *ys)):
-            raise linalg.ShapeError("vector length does not match ambient dimension")
-        gram = self._int_gram
-        gys = []
-        for y in ys:
-            support = [(j, yj.numerator if yj.denominator == 1 else yj)
-                       for j, yj in enumerate(y) if yj]
-            gys.append([sum(row[j] * yj for j, yj in support if row[j]) for row in gram])
-        xs = [[xi.numerator if xi.denominator == 1 else xi for xi in x] for x in xs]
-        return [[frac(sum(xi * gyi for xi, gyi in zip(x, gy) if xi and gyi)) for gy in gys]
-                for x in xs]
+        return linalg.bilinear(xs, self._int_gram, ys)
 
     @cached_property
     def _int_gram(self) -> tuple[tuple, ...]:
@@ -177,7 +165,10 @@ class Subspace:
             row = [Fraction(0)] * ambient_dim
             row[i] = Fraction(1)
             rows.append(tuple(row))
-        return cls(ambient_dim, tuple(rows))
+        # unit vectors are independent exactly when they are pairwise distinct
+        if len(set(rows)) != len(rows):
+            raise PreconditionError("basis vectors must be linearly independent")
+        return cls._independent(ambient_dim, tuple(rows))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":

@@ -130,12 +130,6 @@ CLASS_ROWS: tuple[MetricClass, ...] = _build_rows()
 assert len(CLASS_ROWS) == 21
 
 
-def metric_class(class_id: int) -> MetricClass:
-    if not 1 <= class_id <= 21:
-        raise PreconditionError(f"class id must be in 1..21, got {class_id}")
-    return CLASS_ROWS[class_id - 1]
-
-
 @dataclass(frozen=True)
 class ClassTable:
     """The admissible classes for one signature, in taxonomy order."""

@@ -4,11 +4,14 @@ Matrices are lists of row lists and vectors are tuples.  Input entries may
 be `int` or `fractions.Fraction`: every elimination works on an exact copy
 built with `mat`, so an `int` never meets `/`, and results are `Fraction`.
 Most entries met in practice are integers stored as `Fraction` (kernels,
-row spaces and LLL bases are primitive integer vectors), so `combine`, the
-products built on it, and `primitive_vector` multiply and add every
-integral entry as its `int` numerator and make each output entry a
-`Fraction` once, at the end; non-integral entries stay `Fraction`.  The
-eliminations stay in `Fraction` throughout.
+row spaces and LLL bases are primitive integer vectors), so every product
+is one loop, `_accumulate`, that multiplies and adds each integral entry
+as its `int` numerator, keeps non-integral entries `Fraction` and skips
+zeros.  `combine`, the `mat_mul` and `mat_vec` built on it, and the
+bilinear form x^T M y behind `QuadraticSpace.pairing` make each output
+entry a `Fraction` once, at the end, whatever the input types;
+`primitive_vector` rescales in `int` as well.  The eliminations stay in
+`Fraction` throughout.
 All routines are pure and exact: no floating point, no tolerances.
 Signatures of symmetric matrices are obtained by congruence (never from
 eigenvalues), using one symmetric elimination: each pivot updates the
@@ -102,7 +105,7 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     r, c = shape(m)
     if c != len(v):
         raise ShapeError(f"cannot apply {r}x{c} to vector of length {len(v)}")
-    return combine(v, transpose(m)) if c else (0,) * r
+    return combine(v, transpose(m)) if c else (Fraction(0),) * r
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -118,40 +121,48 @@ def vec_scale(c, v: Vector) -> Vector:
     return tuple(c * x for x in v)
 
 
-def combine(coeffs: Sequence, vectors: Sequence[Sequence]) -> tuple:
-    """The combination sum_k c_k v_k, skipping zero coefficients and zero entries.
+def _accumulate(coeffs: Sequence, vectors: Sequence[Sequence], length: int) -> list:
+    """sum_k c_k v_k as `length` entries, skipping zero coefficients and zero entries.
 
     Integral entries, coefficients as well as vector entries, take part as
     `int` (a `Fraction` with denominator 1 as its numerator); the others
-    stay `Fraction`, so the sum is exact either way.  Each entry is made a
-    `Fraction` once, at the end, and keeps the number type of the input:
-    integer coefficients on integer vectors give integers, and an entry
-    that any Fraction reaches (the first vector's, or one of a term with a
-    nonzero coefficient) is a Fraction.
+    stay `Fraction`, so the sum is exact either way.  The entries come back
+    unwrapped, `int` or `Fraction`, so a caller can feed them to another sum.
     """
-    if len(coeffs) != len(vectors):
-        raise ShapeError(f"{len(coeffs)} coefficients for {len(vectors)} vectors")
-    if not vectors:
-        return ()
-    reached = [type(x) is Fraction for x in vectors[0]]  # entries a Fraction reaches
-    everywhere = all(reached)
-    acc = [0] * len(reached)
+    acc = [0] * length
     for c, v in zip(coeffs, vectors):
         if c:
-            if not everywhere:
-                if type(c) is Fraction:
-                    everywhere = True
-                else:
-                    reached = [r or type(x) is Fraction for r, x in zip(reached, v)]
-                    everywhere = all(reached)
             if c.denominator == 1:
                 c = c.numerator
             acc = [a + c * (x.numerator if x.denominator == 1 else x) if x else a
                    for a, x in zip(acc, v)]
-    if everywhere:
-        return tuple(a if type(a) is Fraction else Fraction(a) for a in acc)
-    return tuple(Fraction(a) if r and type(a) is not Fraction else a
-                 for a, r in zip(acc, reached))
+    return acc
+
+
+def combine(coeffs: Sequence, vectors: Sequence[Sequence]) -> Vector:
+    """The combination sum_k c_k v_k, by `_accumulate`: every entry a `Fraction`."""
+    if len(coeffs) != len(vectors):
+        raise ShapeError(f"{len(coeffs)} coefficients for {len(vectors)} vectors")
+    if not vectors:
+        return ()
+    return tuple(a if type(a) is Fraction else Fraction(a)
+                 for a in _accumulate(coeffs, vectors, len(vectors[0])))
+
+
+def bilinear(xs: Sequence[Sequence], m: Matrix, ys: Sequence[Sequence]) -> Matrix:
+    """The matrix of x^T M y for x in xs (rows) and y in ys (columns).
+
+    Row x is x^T M Y, Y with the ys as columns: `_accumulate` of M's rows
+    gives x^T M, left unwrapped for a second `_accumulate` of Y's rows, and
+    each entry becomes a `Fraction` once, at the end.  The row length is
+    len(ys) even when M is 0 x 0.
+    """
+    r, c = shape(m)
+    if any(len(x) != r for x in xs) or any(len(y) != c for y in ys):
+        raise ShapeError(f"vector length does not match the {r}x{c} matrix")
+    y_rows = list(zip(*ys))
+    return [[a if type(a) is Fraction else Fraction(a)
+             for a in _accumulate(_accumulate(x, m, c), y_rows, len(ys))] for x in xs]
 
 
 def is_zero_vector(v: Vector) -> bool:

@@ -341,12 +341,15 @@ def typed(values):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_int_arithmetic_agrees_with_the_fraction_oracles(data):
-    # equal values and equal per-entry types, empty and zero inputs included
+    # equal values; combine gives Fraction entries, primitive_vector and
+    # pairing the oracles' per-entry types; empty and zero inputs included
     n = data.draw(st.integers(0, 6))
     vectors = data.draw(st.lists(hard_vectors(n), max_size=5))
     coeff = data.draw(st.sampled_from([*ENTRY_KINDS, MIXED_ENTRIES]))
     coeffs = [data.draw(coeff) for _ in vectors]
-    assert typed(linalg.combine(coeffs, vectors)) == typed(oracles.fraction_combine(coeffs, vectors))
+    combined = linalg.combine(coeffs, vectors)
+    assert combined == oracles.fraction_combine(coeffs, vectors)
+    assert all(type(x) is F for x in combined)
     for v in vectors:
         assert typed(linalg.primitive_vector(v)) == typed(oracles.fraction_primitive_vector(v))
     space = QuadraticSpace(data.draw(hard_grams(n)))

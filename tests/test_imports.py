@@ -6,12 +6,16 @@ imports to re-export), and the test oracles in `tests/oracles.py`, is parsed
 with `ast`, and each imported name must occur as a name in the module body,
 or inside a string annotation.  Each top-level function and class of
 `src/heisflag/*.py` must be named, outside its own definition, somewhere in
-`src/`, `tests/`, `demos/` or `bench/`: as an identifier, an attribute, an
-imported name or a string that is exactly the name.  A relative import, such
-as a re-export in `__init__.py`, is not a reference: every other relative
-import is used in its module, which the unused-import check ensures.  A
-module outside `src/heisflag` that defines a top-level function or class of
-the same name N refers to its own N, so its mentions of N do not count.
+`src/`, `tests/`, `demos/` or `bench/`: as an identifier that is loaded, an
+attribute of a name that an import in the same source binds (`linalg.rank`,
+`heisflag.linalg.rank`), an imported name or a string that is exactly the
+name.  A stored name, such as a dataclass field, and an attribute of any
+other value, such as `result.metric_class`, do not count.  A relative
+import, such as a re-export in `__init__.py`, is not a reference: every
+other relative import is used in its module, which the unused-import check
+ensures.  A module outside `src/heisflag` that defines a top-level function
+or class of the same name N refers to its own N, so its mentions of N do not
+count.
 Each method and property of a class there, other than dunders, must be
 referred to as an attribute (`x.name`) in those directories, outside its own
 definition.  Members cannot be told apart without types, so a member name
@@ -100,15 +104,30 @@ def top_level_definitions(source: str) -> list[str]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
 
 
+def imported_bindings(tree: ast.AST) -> set[str]:
+    """The names that an import anywhere in the module binds."""
+    return {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+
+def attribute_root(node: ast.expr) -> str | None:
+    """The name at the root of an attribute chain such as `a.b` in `a.b.c`."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def referenced_names(source: str) -> set[str]:
     """Names a module refers to, leaving out each top-level definition's own name inside it."""
+    tree = ast.parse(source)
+    modules = imported_bindings(tree)
     names = set()
-    for stmt in ast.parse(source).body:
+    for stmt in tree.body:
         found = set()
         for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 found.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and attribute_root(node.value) in modules:
                 found.add(node.attr)
             elif isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
                                                   and node.level == 0):
@@ -157,6 +176,20 @@ def test_checker_ignores_a_same_named_definition_outside_the_library():
     assert unreferenced({"lib.py": lib}, [lib, test]) == ["lib.py: helper"]
     # inside the library, a module's own mentions of its definitions count
     assert unreferenced({"lib.py": lib, "other.py": test}, [lib, test]) == ["other.py: test_a"]
+
+
+def test_checker_counts_only_loaded_names_and_imported_attributes():
+    lib = ("from dataclasses import dataclass\n\n\n@dataclass\nclass Result:\n"
+           "    metric_class: int\n\n\ndef metric_class(class_id):\n    return Result(class_id)\n")
+    user = ("from lib import Result\n\n\ndef show(result):\n    print(result.metric_class)\n\n\n"
+            "show(Result(1))\n")
+    # a field, a stored name and an attribute of a value name no definition
+    assert unreferenced({"lib.py": lib}, [lib, user]) == ["lib.py: metric_class"]
+    assert unreferenced({"lib.py": lib}, [lib, user, "metric_class = 1\n"]) == [
+        "lib.py: metric_class"]
+    # an attribute of an imported module does, at any depth
+    assert unreferenced({"lib.py": lib}, [lib, user, "import lib\nlib.metric_class(1)\n"]) == []
+    assert unreferenced({"lib.py": lib}, [lib, user, "import pkg.lib\npkg.lib.metric_class(1)\n"]) == []
 
 
 def test_every_package_definition_is_referenced():
@@ -282,6 +315,7 @@ KEPT_FOR_USERS = {
     "heisenberg.py: representative_flag": "the flag a taxonomy row names, as the README lists",
     "matrixio.py: format_matrix": "the writing half of the matrix file format",
     "heisenberg.py: ScaledAutomorphism.preserves_bracket": "states what from_matrix promises",
+    "curvature.py: is_flat": "criterion 7's exact predicate on `riemann`'s table",
 }
 
 

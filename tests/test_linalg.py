@@ -451,7 +451,7 @@ def test_combine_agrees_with_the_written_out_sum(data):
         sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(n))
     ints = [tuple(int(x) for x in v) for v in vectors]
     int_coeffs = [int(c) for c in coeffs]
-    assert all(type(x) is int for x in linalg.combine(int_coeffs, ints))
+    assert all(type(x) is F for x in linalg.combine(int_coeffs, ints))
     with pytest.raises(ShapeError):
         linalg.combine(coeffs + [1], vectors)
 
@@ -462,17 +462,6 @@ def product_operand(draw, rows, cols, kind):
     if kind == "int":
         return draw(singular_int_rows(cols, rows))
     return [list(v) for v in draw(degenerate_vectors(cols, rows))]
-
-
-def expected_types(want, coeffs, skipping):
-    """The dense oracle's entry types; but where `skipping`, a zero
-    coefficient row skips every term and leaves `combine`'s int 0."""
-    return [[int] * len(w) if skipping and not any(c) else [type(x) for x in w]
-            for c, w in zip(coeffs, want)]
-
-
-def entry_types(rows):
-    return [[type(x) for x in row] for row in rows]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -486,18 +475,14 @@ def test_products_agree_with_the_dense_oracles(data, kinds):
     c = data.draw(st.integers(0, 4)) if k else 0
     a = data.draw(product_operand(r, k, kinds[0]))
     b = data.draw(product_operand(k, c, kinds[1]))
-    skipping = kinds == ("fraction", "int")
     product, want = mat_mul(a, b), oracles.dense_mat_mul(a, b)
     assert product == want
-    assert entry_types(product) == expected_types(want, a, skipping)
     # M v combines the columns of M with the entries of v
     m = data.draw(product_operand(r, k, kinds[1]))
     v = tuple(data.draw(product_operand(1, k, kinds[0]))[0])
     image, want = linalg.mat_vec(m, v), oracles.dense_mat_vec(m, v)
     assert image == want and len(image) == r
-    assert entry_types([image]) == expected_types([want], [v], skipping)
-    if kinds == ("fraction", "fraction") and k:
-        assert fraction_entries(product) and fraction_entries(image)
+    assert fraction_entries(product) and fraction_entries(image)
     with pytest.raises(ShapeError, match=f"cannot multiply {r}x{k} by {k + 1}x"):
         mat_mul(a, b + [[0] * c])
     with pytest.raises(ShapeError, match=f"to vector of length {k + 1}"):
