@@ -518,7 +518,7 @@ def extend_nullsystem(space: QuadraticSpace, nulls: Sequence[Vector]) -> ScaledS
             raise PreconditionError("null vectors must be independent")
         if any(x for row in space.pairing(nulls, nulls) for x in row):
             raise PreconditionError("null vectors must be pairwise orthogonal and null")
-    return extend_basis(space, ScaledSystem(tuple(nulls), (Fraction(0),) * len(nulls)))
+    return _extend_basis(space, ScaledSystem(tuple(nulls), (Fraction(0),) * len(nulls)))
 
 
 def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
@@ -533,10 +533,16 @@ def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
         z_i = alpha_{s+i} + beta_{t+i}   (i <= u - k),
         z_{u-k+i} = gamma_i              (i <= k).
     """
-    n = space.dim
-    w_system.check(space)
     if linalg.rank(w_system.vectors) != len(w_system.vectors):
         raise PreconditionError("system vectors must be linearly independent")
+    return _extend_basis(space, w_system)
+
+
+def _extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
+    """`extend_basis` of a system whose vectors are independent by construction:
+    its norms and orthogonality are checked, its rank is not."""
+    n = space.dim
+    w_system.check(space)
 
     xs = w_system.positives()
     ys = w_system.negatives()
@@ -633,12 +639,12 @@ def adapted_frame(space: QuadraticSpace, f: Flag) -> ScaledSystem:
     space_big = QuadraticSpace.from_matrix(restrict(space, big))
     sys_small_b = ScaledSystem(tuple(big.coordinates_of(v) for v in sys_small.vectors),
                                sys_small.norms)
-    sys_big_b = extend_basis(space_big, sys_small_b)
+    sys_big_b = _extend_basis(space_big, sys_small_b)
     sys_big = ScaledSystem(tuple(linalg.combine(c, big.basis) for c in sys_big_b.vectors),
                            sys_big_b.norms)
 
     # extend to the whole (nondegenerate) space: every null of big splits
-    full = extend_basis(space, sys_big)
+    full = _extend_basis(space, sys_big)
     if full.signature.nul:
         raise PreconditionError("ambient form must be nondegenerate")
 

@@ -1,8 +1,7 @@
 """Dense exact linear algebra over the rationals.
 
 Matrices are lists of row lists and vectors are tuples.  Input entries may
-be `int` or `fractions.Fraction`: every elimination works on an exact copy
-built with `mat`, so an `int` never meets `/`, and results are `Fraction`.
+be `int` or `fractions.Fraction`, and results are `Fraction`.
 Most entries met in practice are integers stored as `Fraction` (kernels,
 row spaces and LLL bases are primitive integer vectors), so every product
 is one loop, `_accumulate`, that multiplies and adds each integral entry
@@ -10,8 +9,19 @@ as its `int` numerator, keeps non-integral entries `Fraction` and skips
 zeros.  `combine`, the `mat_mul` and `mat_vec` built on it, and the
 bilinear form x^T M y behind `QuadraticSpace.pairing` make each output
 entry a `Fraction` once, at the end, whatever the input types;
-`primitive_vector` rescales in `int` as well.  The eliminations stay in
-`Fraction` throughout.
+`primitive_vector` rescales in `int` as well.
+One fraction-free elimination serves `rank`, `det`, `kernel`, `row_space`,
+`solve`, `invert` and `extend_to_independent`: `_forward` scales each row
+to integers by the lcm of its denominators and replaces a row by
+(p * row - x * pivot row) / content, and `_reduce` clears upwards the same
+way.  Dividing by the content keeps each updated row no larger than the
+rational row over a common denominator.  Bareiss's elimination instead
+divides by the previous pivot and keeps whole minors of the scaled matrix,
+which carry every row's scaling however small the rational entries are.
+Entries become `Fraction` only at the API boundary: `_echelon` (the reduced
+echelon form, read by `solve` and `invert`) divides each row by its pivot,
+`kernel` and `row_space` rescale integer rows to primitive ones, and `det`
+divides the pivots by the scalings of their rows.
 All routines are pure and exact: no floating point, no tolerances.
 Signatures of symmetric matrices are obtained by congruence (never from
 eigenvalues), using one symmetric elimination: each pivot updates the
@@ -53,7 +63,7 @@ def vec(entries: Iterable) -> Vector:
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
-    # `frac` inlined: every elimination copies its input through here
+    # `frac` inlined: the congruence copies its input through here
     return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
 
 
@@ -169,14 +179,18 @@ def is_zero_vector(v: Vector) -> bool:
     return all(x == 0 for x in v)
 
 
-def _primitive_ints(v: Sequence) -> list[int]:
-    """The coprime integer entries of v's primitive rescaling, leading entry positive."""
-    denom = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (denom // x.denominator) for x in v]
+def _content_free(ints: list[int]) -> list[int]:
+    """Integers divided by their content (their gcd), the leading nonzero one made positive."""
     g = gcd(*ints)
     if g and next(x for x in ints if x) < 0:
         g = -g
     return [x // g for x in ints] if g else ints
+
+
+def _primitive_ints(v: Sequence) -> list[int]:
+    """The coprime integer entries of v's primitive rescaling, leading entry positive."""
+    denom = lcm(*(x.denominator for x in v))
+    return _content_free([x.numerator * (denom // x.denominator) for x in v])
 
 
 def primitive_vector(v: Vector) -> Vector:
@@ -316,13 +330,34 @@ def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceR
     return CongruenceResult(tuple(a[k][k] for k in range(n)), leading_counts, tuple(moves))
 
 
-def _forward(m: Matrix) -> tuple[Matrix, list[int], int]:
-    """One forward elimination: row echelon rows, pivot columns, swap parity.
+def _forward(m: Matrix) -> tuple[list[list[int]], list[int], int, list[list[tuple[int, int]]]]:
+    """One fraction-free forward elimination: integer echelon rows, pivot columns,
+    swap parity and the scalings of each row.
 
-    Pivot rows stay unnormalized and only rows below a pivot are cleared, so
-    a square matrix's determinant is its pivots' product times the parity.
+    Each input row is multiplied by the lcm of its entries' denominators; an
+    integral entry (an `int`, or a `Fraction` with denominator 1) counts
+    as its numerator.  The pivot is the first nonzero entry at or below the
+    current row.  A row below it with entry x != 0 in the pivot column
+    becomes (p * row - x * pivot row) / g: p and x are first divided by
+    their gcd, and g is the content (the gcd of the entries) of the
+    result.  So a row stays an integer multiple of the row that the same
+    elimination over Q would hold, no larger than that row over a common
+    denominator, and pivot rows are never normalized.  `scalings[r]` lists
+    each (up, down) by which row r was multiplied by up / down, so that row
+    r over the product of its scalings is the rational row, and a square
+    matrix's determinant is the parity times the product of the pivots
+    divided by their rows' scalings.
     """
-    a = mat(m)  # rows may come in as tuples, entries as ints
+    a: list[list[int]] = []
+    scalings: list[list[tuple[int, int]]] = []
+    for row in m:
+        d = lcm(*(x.denominator for x in row))
+        if d == 1:
+            a.append([x.numerator for x in row])
+            scalings.append([])
+        else:
+            a.append([x.numerator * (d // x.denominator) for x in row])
+            scalings.append([(d, 1)])
     rows, cols = shape(a)
     pivots: list[int] = []
     parity = 1
@@ -330,34 +365,64 @@ def _forward(m: Matrix) -> tuple[Matrix, list[int], int]:
         r = len(pivots)
         if r == rows:
             break
-        pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        pr = next((i for i in range(r, rows) if a[i][c]), None)
         if pr is None:
             continue
         if pr != r:
             a[r], a[pr] = a[pr], a[r]
+            scalings[r], scalings[pr] = scalings[pr], scalings[r]
             parity = -parity
         prow = a[r]
-        pivot = prow[c]
+        p = prow[c]
+        ptail = prow[c + 1:]
         for i in range(r + 1, rows):
-            if a[i][c] != 0:
-                f = a[i][c] / pivot
-                # entries left of column c are zero in both rows
-                a[i][c:] = [x - f * y for x, y in zip(a[i][c:], prow[c:])]
+            row = a[i]
+            x = row[c]
+            if x:
+                g = gcd(p, x)
+                up, x = p // g, x // g
+                # entries left of column c are zero in both rows; column c cancels
+                tail = [up * y - x * z for y, z in zip(row[c + 1:], ptail)]
+                g = gcd(*tail)
+                row[c] = 0
+                row[c + 1:] = [y // g for y in tail] if g > 1 else tail
+                scalings[i].append((up, g or 1))
         pivots.append(c)
-    return a, pivots, parity
+    return a, pivots, parity, scalings
+
+
+def _reduce(m: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Reduced echelon rows in integers and pivot columns: `_forward`, then back substitution.
+
+    Each pivot, last to first, clears its column in the rows above it by
+    the update of `_forward`, applied to whole rows.  No row is normalized:
+    row r is an integer multiple of row r of the reduced echelon form, with
+    its pivot a_r,c_r in place of 1.
+    """
+    a, pivots, _, _ = _forward(m)
+    for r in range(len(pivots) - 1, 0, -1):
+        c = pivots[r]
+        prow = a[r]
+        p = prow[c]
+        for i in range(r):
+            row = a[i]
+            x = row[c]
+            if x:
+                g = gcd(p, x)
+                up, x = p // g, x // g
+                new = [up * y - x * z for y, z in zip(row, prow)]
+                g = gcd(*new)  # > 0: row i keeps its own pivot
+                a[i] = [y // g for y in new] if g > 1 else new
+    return a, pivots
 
 
 def _echelon(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns: `_forward`, then back substitution."""
-    a, pivots, _ = _forward(m)
-    for r, c in reversed(list(enumerate(pivots))):
-        inv = 1 / a[r][c]
-        prow = a[r] = [x * inv for x in a[r]]
-        for i in range(r):
-            f = a[i][c]
-            if f != 0:
-                a[i][c:] = [x - f * y for x, y in zip(a[i][c:], prow[c:])]
-    return a, pivots
+    """Reduced row echelon form as `Fraction`s, and pivot columns: `_reduce`,
+    each pivot row divided by its pivot."""
+    a, pivots = _reduce(m)
+    zero = Fraction(0)
+    ech = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(a, pivots)]
+    return ech + [[zero] * len(row) for row in a[len(pivots):]], pivots
 
 
 def rank(m: Matrix) -> int:
@@ -369,38 +434,50 @@ def kernel(m: Matrix) -> list[Vector]:
     """Basis of the exact null space {v : M v = 0}.
 
     Empty iff M has full column rank.  Basis vectors are normalized to
-    coprime integer entries with positive leading entry.
+    coprime integer entries with positive leading entry, read off the
+    integer rows of `_reduce`: free column f gives v_f = 1 and
+    v_c = -a_rf / a_rc at each pivot (r, c), all scaled by the lcm of those
+    pivots a_rc.
     """
     cols = shape(m)[1]
-    ech, pivots = _echelon(m)
-    free = [c for c in range(cols) if c not in pivots]
+    a, pivots = _reduce(m)
+    pivot_cols = set(pivots)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -ech[r][f]
-        basis.append(primitive_vector(tuple(v)))
+    for f in range(cols):
+        if f in pivot_cols:
+            continue
+        hits = [(row[f], row[c], c) for row, c in zip(a, pivots) if row[f]]
+        scale = lcm(*(p for _, p, _ in hits))
+        v = [0] * cols
+        v[f] = scale
+        for x, p, c in hits:
+            v[c] = -x * (scale // p)
+        basis.append(tuple(Fraction(x) for x in _content_free(v)))
     return basis
 
 
 def det(m: Matrix) -> Fraction:
-    """Product of the pivots of one forward elimination, times its swap parity."""
+    """Product of the pivots of one forward elimination, each divided by its
+    row's scalings, times its swap parity."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ShapeError("determinant requires a square matrix")
-    ech, pivots, parity = _forward(m)
+    a, pivots, parity, scalings = _forward(m)
     if len(pivots) < n:
         return Fraction(0)
-    return prod((ech[r][c] for r, c in enumerate(pivots)), start=Fraction(parity))
+    result = Fraction(parity)
+    for row, c, steps in zip(a, pivots, scalings):
+        result *= row[c] / prod((Fraction(up, down) for up, down in steps), start=Fraction(1))
+    return result
 
 
 def invert(m: Matrix) -> Matrix:
-    """Inverse read off the reduced echelon form of [M | I]."""
+    """Inverse read off the reduced echelon form of [M | I], made `Fraction` by `_echelon`."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ShapeError("inverse requires a square matrix")
-    ech, pivots = _echelon([list(row) + e for row, e in zip(m, identity(n))])
+    ech, pivots = _echelon([[*row, *(1 if j == i else 0 for j in range(n))]
+                           for i, row in enumerate(m)])
     if pivots and pivots[-1] >= n:
         raise SingularMatrixError("matrix is singular")
     return [row[n:] for row in ech]
@@ -422,9 +499,9 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
 
 
 def row_space(vectors: Sequence[Vector]) -> list[Vector]:
-    """Canonical basis of the span: RREF rows rescaled to coprime integers."""
-    ech, pivots = _echelon(vectors)
-    return [primitive_vector(tuple(ech[r])) for r in range(len(pivots))]
+    """Canonical basis of the span: the rows of `_reduce` rescaled to coprime integers."""
+    a, pivots = _reduce(vectors)
+    return [tuple(Fraction(x) for x in _content_free(a[r])) for r in range(len(pivots))]
 
 
 def lll_reduce(vectors: Sequence[Vector]) -> list[Vector]:

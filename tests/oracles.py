@@ -51,6 +51,10 @@ Deliberately separate from the package's fast paths:
 - elimination: the Gauss-Jordan echelon form and the rank read off it, and
   the determinant's own forward loop, which one forward elimination
   (`linalg._forward`, plus back substitution for the echelon form) replaced;
+  and that forward elimination and back substitution in `Fraction`
+  (`fraction_forward`, `fraction_echelon`, and `fraction_reduce`, its rows
+  scaled to integers by `integer_rows`), which the fraction-free
+  elimination on content-reduced integer rows replaced;
 - bases: the `scaled_system` that LLL-reduced W's basis before
   diagonalizing it, and the witness frame rescaling to primitive integer
   columns with adjusted norms, which orientation alone replaced.
@@ -1143,6 +1147,68 @@ def gauss_jordan_echelon(m):
         if r == rows:
             break
     return a, pivots
+
+
+def fraction_forward(m):
+    """The `Fraction` forward elimination that the integer rows of `linalg._forward` replaced.
+
+    Each row below a pivot subtracts (entry / pivot) times the pivot row,
+    with the same pivot choice and swap parity.  Rows are never rescaled,
+    so every row's list of scalings is empty.
+    """
+    a = linalg.mat(m)
+    rows, cols = linalg.shape(a)
+    pivots = []
+    parity = 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            a[r], a[pr] = a[pr], a[r]
+            parity = -parity
+        prow = a[r]
+        pivot = prow[c]
+        for i in range(r + 1, rows):
+            if a[i][c] != 0:
+                f = a[i][c] / pivot
+                a[i][c:] = [x - f * y for x, y in zip(a[i][c:], prow[c:])]
+        pivots.append(c)
+    return a, pivots, parity, [[] for _ in a]
+
+
+def fraction_echelon(m):
+    """`fraction_forward`, then `Fraction` back substitution: the reduced echelon
+    form as `linalg._echelon` computed it before its rows became integers."""
+    a, pivots, _, _ = fraction_forward(m)
+    for r, c in reversed(list(enumerate(pivots))):
+        inv = 1 / a[r][c]
+        prow = a[r] = [x * inv for x in a[r]]
+        for i in range(r):
+            f = a[i][c]
+            if f != 0:
+                a[i][c:] = [x - f * y for x, y in zip(a[i][c:], prow[c:])]
+    return a, pivots
+
+
+def integer_rows(echelon):
+    """The routine m -> `echelon(m)` with each row scaled by the lcm of its
+    denominators: integer rows in the form `linalg._reduce` returns, for the
+    routines that read them (`kernel`, `row_space`)."""
+    def reduce(m):
+        ech, pivots = echelon(m)
+        scaled = []
+        for row in ech:
+            d = lcm(*(x.denominator for x in row))
+            scaled.append([x.numerator * (d // x.denominator) for x in row])
+        return scaled, pivots
+    return reduce
+
+
+fraction_reduce = integer_rows(fraction_echelon)
 
 
 def gauss_jordan_rank(m):

@@ -388,6 +388,40 @@ def test_public_subspace_constructors_check_independence():
         Subspace._independent(4, (unit(0), unit(0, 3)))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=strategies.degenerate_flags(codim_two=True) | strategies.degenerate_flags())
+def test_frame_extensions_pass_the_rank_check(data):
+    # adapted_frame's two basis extensions skip the rank check; made to run
+    # it, the frame builder raises nothing and builds the same frame
+    p, q, f = data
+    frame = forms.adapted_frame(QuadraticSpace.standard(p, q), f)
+    unchecked = forms._extend_basis
+    ranks = []
+
+    def checking(space, w_system):
+        ranks.append((linalg.rank(w_system.vectors), len(w_system.vectors)))
+        return unchecked(space, w_system)
+
+    with mock.patch.object(forms, "_extend_basis", checking):
+        assert forms.adapted_frame(QuadraticSpace.standard(p, q), f) == frame
+    assert len(ranks) == 2 and all(r == k for r, k in ranks)
+
+
+def test_public_extensions_check_independence():
+    space = QuadraticSpace.standard(2, 2)
+    null = linalg.vec_add(unit(1), unit(3))
+    # each system passes the norm and orthogonality check but is dependent
+    for system in (forms.ScaledSystem((null, null), (F(0), F(0))),
+                   forms.ScaledSystem((unit(0), null, linalg.vec_scale(2, null)),
+                                      (F(1), F(0), F(0))),
+                   forms.ScaledSystem((unit(0), linalg.vec_scale(0, null)), (F(1), F(0)))):
+        system.check(space)
+        with pytest.raises(PreconditionError, match="linearly independent"):
+            forms.extend_basis(space, system)
+    with pytest.raises(PreconditionError, match="must be independent"):
+        forms.extend_nullsystem(space, [null, linalg.vec_scale(-3, null)])
+
+
 def test_pairing_rejects_wrong_lengths_and_takes_empty_lists():
     assert SP22.pairing([], [unit(0)]) == []
     assert SP22.pairing([unit(0)], []) == [[]]

@@ -1,7 +1,9 @@
 """Exact linear algebra: congruence diagonalization, kernels, the intersection oracle."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction as F
+from math import prod
 from unittest.mock import patch
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from heisflag import linalg
+from heisflag.heisenberg import act_on_metric, parabolic_sample, representative
 from heisflag.linalg import (
     ShapeError,
     SingularMatrixError,
@@ -318,7 +321,8 @@ def test_forward_elimination_agrees_with_gauss_jordan_oracle(m, data):
     rows = [tuple(row) for row in m]
     got = (kernel(m), linalg.row_space(rows), linalg.solve(m, b))
     assert linalg.solve(rows, b) == got[2]
-    with patch.object(linalg, "_echelon", oracles.gauss_jordan_echelon):
+    with patch.object(linalg, "_echelon", oracles.gauss_jordan_echelon), \
+            patch.object(linalg, "_reduce", oracles.integer_rows(oracles.gauss_jordan_echelon)):
         assert got == (kernel(m), linalg.row_space(rows), linalg.solve(m, b))
 
 
@@ -369,6 +373,124 @@ def test_extend_to_independent_agrees_with_rank_loop_oracle(data):
             linalg.extend_to_independent(base, pool, target)
         return
     assert linalg.extend_to_independent(base, pool, target) == want
+
+
+@st.composite
+def large_entries(draw):
+    """0, a small entry, or +-a/b with a of 100 to 600 bits and b = 1 or of 1 to
+    600 bits, drawn apart from a; integral values come as `int` or `Fraction`."""
+    kind = draw(st.sampled_from(["zero", "small", "large", "large", "large"]))
+    if kind == "zero":
+        return draw(st.sampled_from([0, F(0)]))
+    if kind == "small":
+        x = draw(ENTRIES)
+    else:
+        bits = draw(st.integers(100, 600))
+        num = draw(st.integers(2 ** (bits - 1), 2 ** bits)) * draw(st.sampled_from([1, -1]))
+        integral = draw(st.integers(0, 2)) == 0
+        den_bits = draw(st.integers(1, 600))
+        den = 1 if integral else draw(st.integers(2 ** (den_bits - 1), 2 ** den_bits)) + 1
+        x = F(num, den)
+    return int(x) if x.denominator == 1 and draw(st.booleans()) else F(x)
+
+
+@st.composite
+def elimination_inputs(draw):
+    """Rows of large entries with unrelated denominators: zero rows, multiples and
+    combinations of earlier rows, leading entries made negative, list and tuple
+    rows, and in one draw of four a square M widened to [M | I]."""
+    n = draw(st.integers(0, 6))
+    wide = n > 0 and draw(st.integers(0, 3)) == 0
+    cols = n if wide else draw(st.integers(0, 7))
+    out = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["zero", "multiple", "mix", "new", "new", "new"]))
+        if kind == "zero":
+            row = [draw(st.sampled_from([0, F(0)]))] * cols
+        elif kind == "multiple" and out:
+            c = draw(large_entries().filter(bool))
+            row = [c * x for x in draw(st.sampled_from(out))]
+        elif kind == "mix" and len(out) >= 2:
+            a, b = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            c, d = draw(large_entries()), draw(large_entries())
+            row = [c * x + d * y for x, y in zip(a, b)]
+        else:
+            row = [draw(large_entries()) for _ in range(cols)]
+        lead = next((x for x in row if x), 0)
+        if lead > 0 and draw(st.booleans()):
+            row = [-x for x in row]
+        out.append(row)
+    if wide:
+        out = [row + [draw(st.sampled_from([1, F(1)])) if j == i else 0 for j in range(n)]
+               for i, row in enumerate(out)]
+    return [tuple(row) if draw(st.booleans()) else row for row in out]
+
+
+@contextmanager
+def replaced_elimination():
+    """`linalg`'s integer elimination swapped for the `Fraction` one it replaced."""
+    with patch.object(linalg, "_forward", oracles.fraction_forward), \
+            patch.object(linalg, "_reduce", oracles.fraction_reduce), \
+            patch.object(linalg, "_echelon", oracles.fraction_echelon):
+        yield
+
+
+def elimination_results(m, b, split, target):
+    """Every public result built on the elimination, with errors as their type."""
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except (ShapeError, SingularMatrixError) as error:
+            return type(error)
+    results = [rank(m), kernel(m), linalg.row_space(m), linalg.solve(m, b),
+               outcome(linalg.extend_to_independent, m[:split], m[split:], target)]
+    if all(len(row) == len(m) for row in m):
+        results += [det(m), outcome(invert, m)]
+    return results
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(m=elimination_inputs(), data=st.data())
+def test_integer_elimination_agrees_with_the_fraction_oracle(m, data):
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    b = data.draw(st.one_of(
+        st.lists(large_entries(), min_size=rows, max_size=rows).map(tuple),
+        st.lists(large_entries(), min_size=cols, max_size=cols).map(
+            lambda x: tuple(sum((a * y for a, y in zip(row, x)), F(0)) for row in m))))
+    split = data.draw(st.integers(0, rows))
+    target = data.draw(st.integers(0, cols + 1))
+    got = elimination_results(m, b, split, target)
+    with replaced_elimination():
+        assert got == elimination_results(m, b, split, target)
+    # extend_to_independent (got[4]) returns input vectors; the rest are computed
+    assert fraction_entries([x for x in got[1:4] + got[5:] if isinstance(x, (F, list, tuple))])
+    # each integer row is the rational row times the product of its scalings
+    a, pivots, parity, scalings = linalg._forward(m)
+    want, want_pivots, want_parity, _ = oracles.fraction_forward(m)
+    assert (pivots, parity) == (want_pivots, want_parity)
+    for row, want_row, steps in zip(a, want, scalings):
+        scale = prod((F(up, down) for up, down in steps), start=F(1))
+        assert all(type(x) is int for x in row)
+        assert [x / scale for x in row] == want_row
+    assert linalg._echelon(m) == oracles.fraction_echelon(m)
+
+
+def test_large_entry_gram_agrees_with_the_fraction_oracle():
+    # a (20,12) Gram moved twice by the scaling-and-automorphism group has
+    # entries of several hundred bits over unrelated denominators
+    rng = random.Random(23)
+    g = representative(1, 20, 12)
+    for _ in range(2):
+        g = act_on_metric([list(r) for r in parabolic_sample(32, rng).matrix], g)
+    assert max(abs(x.numerator).bit_length() for row in g for x in row) > 400
+    top = g[:20]  # rank 20 with a 12-dimensional kernel
+    got = (invert(g), rank(g), det(g), kernel(g), rank(top), kernel(top))
+    assert len(got[5]) == 12 and got[3] == []
+    with replaced_elimination():
+        assert got == (invert(g), rank(g), det(g), kernel(g), rank(top), kernel(top))
+    assert got[0] == oracles.gauss_jordan_invert(g)
+    assert got[2] == oracles.forward_det(g)
 
 
 def independent_subsequence(vectors):
