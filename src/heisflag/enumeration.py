@@ -16,6 +16,9 @@ subspaces.
   Gram matrix of span(a, b); if that plane has signature (s, t, u), then V
   has signature (p - s - u, q - t - u, u).
 - dim(V cap U+) = p - rank[a+; b+] and dim(V cap U-) = q - rank[a-; b-].
+  The plane's Plucker key on two + indices holds the 2x2 minors of [a+; b+]
+  times one nonzero factor, so rank[a+; b+] is 2 iff one of them is
+  nonzero, else 1 iff a+ or b+ is; the - block likewise.
 - A line v of V lies in (V cap U+) + (V cap U-) exactly when v+ is
   orthogonal to a+ and to b+.
 - A null line v lies in the radical of V exactly when I_pq v is orthogonal
@@ -64,13 +67,6 @@ def _standard_gram(sign: list[int], vectors) -> list[list[int]]:
     """Gram matrix of integer vectors under the diagonal form `sign`."""
     return [[sum(s * x * y for s, x, y in zip(sign, u, v)) for v in vectors]
             for u in vectors]
-
-
-def _pair_rank(a: IntRow, b: IntRow) -> int:
-    """Rank of the two-row matrix [a; b]: 2 iff one of its 2x2 minors is nonzero."""
-    if any(a[i] * b[j] != a[j] * b[i] for i, j in itertools.combinations(range(len(a)), 2)):
-        return 2
-    return 1 if any(a) or any(b) else 0
 
 
 def _dot(u, v) -> int:
@@ -149,13 +145,16 @@ def survey_flags(p: int, q: int) -> FlagSurvey:
     return _survey_cached(p, q)
 
 
-def _plane_lines(a: IntRow, b: IntRow, p: int, q: int, pool: list[IntRow]):
+def _plane_lines(a: IntRow, b: IntRow, key: IntRow, p: int, q: int, pool: list[IntRow],
+                 index_pairs: list[tuple[int, int]]):
     """Integer kernel basis of V = ker[a; b], and (v, invariants, seven counts) per pool line v."""
     sign = [1] * p + [-1] * q
     s, t, u = linalg.congruence_diagonalize(_standard_gram(sign, (a, b))).sign_counts()
     sig_big = Signature(p - s - u, q - t - u, u)
-    c_plus = p - _pair_rank(a[:p], b[:p])
-    c_minus = q - _pair_rank(a[p:], b[p:])
+    plus_minor = any(x for (i, j), x in zip(index_pairs, key) if j < p)
+    minus_minor = any(x for (i, j), x in zip(index_pairs, key) if i >= p)
+    c_plus = p - (2 if plus_minor else int(any(a[:p]) or any(b[:p])))
+    c_minus = q - (2 if minus_minor else int(any(a[p:]) or any(b[p:])))
     c_zero = p + q - 2 - c_plus - c_minus
     basis = [tuple(int(x) for x in w) for w in linalg.kernel([a, b])]
 
@@ -193,7 +192,7 @@ def _survey_cached(p: int, q: int) -> FlagSurvey:
         if key in seen or not _canonical(a, b, key, p, index_pairs):
             continue
         seen.add(key)
-        basis, lines = _plane_lines(a, b, p, q, pool)
+        basis, lines = _plane_lines(a, b, key, p, q, pool, index_pairs)
         big = tuple(map(linalg.vec, basis))
         for v, inv, counts in lines:
             samples = invariants.setdefault(inv, [])

@@ -7,11 +7,13 @@ orbit invariants of nested subspace pairs under the indefinite orthogonal
 group, the seven intersection counts dual to them, and the constructive
 orthogonal-system machinery (scaled systems, light-like splitting, null
 system extension, basis extension) that powers isometry construction.  A
-scaled system stands for its span: `extend_basis` takes no subspace.  The
-module that decides `extend_basis`'s layout also owns its pair slots:
-`adapted_frame` builds the flag-adapted frame that isometry witnesses
-assemble.  There is one radical routine, `radical`, a kernel of W's Gram
-matrix; `QuadraticSpace` caches it for the whole space.
+scaled system stands for its span: `extend_basis`, the one basis extension,
+takes no subspace and ranks only the system's null block.  The module that
+decides its layout also owns its pair slots: `adapted_frame` builds the
+flag-adapted frame that isometry witnesses assemble.  One kernel of
+<xs, ws> mapped through ws, `_annihilated`, serves `radical` (which
+`QuadraticSpace` caches for the whole space), the perps that the extension
+peels and the frame's cap of rad(big).
 
 The form is evaluated in one place, `QuadraticSpace.pairing`, and every
 change from subspace coordinates to ambient ones is one `linalg.combine`.
@@ -311,17 +313,22 @@ def signature(space: QuadraticSpace, w: Subspace | None = None) -> Signature:
     return Signature(*res.sign_counts())
 
 
+def _annihilated(space: QuadraticSpace, xs: Sequence[Vector],
+                 ws: Sequence[Vector]) -> list[Vector]:
+    """The sums sum c_i w_i with c in the kernel of <xs, ws>: the vectors of span(ws)
+    orthogonal to every x, a basis of them when the ws are independent."""
+    return [linalg.combine(c, ws) for c in linalg.kernel(space.pairing(xs, ws))]
+
+
 def radical(space: QuadraticSpace, w: Subspace | None = None) -> Subspace:
     """The subspace {v in W : <v, x> = 0 for all x in W}, in ambient coordinates.
 
-    The kernel of W's Gram matrix, mapped through W's basis: sum c_i w_i
-    pairs to zero with all of W exactly when G_W c = 0.  Independent kernel
-    vectors map to independent vectors, so the result is a basis as it is.
+    The kernel of W's Gram matrix mapped through W's basis, which is
+    independent, so `_annihilated` of that basis against itself is a basis.
     """
     if w is None:
         w = Subspace.full(space.dim)
-    return Subspace._independent(space.dim, tuple(linalg.combine(c, w.basis)
-                                                  for c in linalg.kernel(restrict(space, w))))
+    return Subspace._independent(space.dim, tuple(_annihilated(space, w.basis, w.basis)))
 
 
 def refined_line_signature(space: QuadraticSpace, v_sub: Subspace, line: Subspace) -> LineSignature:
@@ -497,8 +504,7 @@ def _perp_within(space: QuadraticSpace, ambient_sub: Subspace, vectors: Sequence
     """{u in ambient_sub : <u, v> = 0 for all given v}, in ambient coordinates."""
     if not vectors:
         return ambient_sub
-    ambient = [linalg.combine(coeffs, ambient_sub.basis)
-               for coeffs in linalg.kernel(space.pairing(vectors, ambient_sub.basis))]
+    ambient = _annihilated(space, vectors, ambient_sub.basis)
     return Subspace._independent(space.dim, tuple(linalg.lll_reduce(linalg.row_space(ambient))))
 
 
@@ -518,7 +524,7 @@ def extend_nullsystem(space: QuadraticSpace, nulls: Sequence[Vector]) -> ScaledS
             raise PreconditionError("null vectors must be independent")
         if any(x for row in space.pairing(nulls, nulls) for x in row):
             raise PreconditionError("null vectors must be pairwise orthogonal and null")
-    return _extend_basis(space, ScaledSystem(tuple(nulls), (Fraction(0),) * len(nulls)))
+    return extend_basis(space, ScaledSystem(tuple(nulls), (Fraction(0),) * len(nulls)))
 
 
 def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
@@ -532,21 +538,21 @@ def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
         x_i = alpha_i,  y_i = beta_i,
         z_i = alpha_{s+i} + beta_{t+i}   (i <= u - k),
         z_{u-k+i} = gamma_i              (i <= k).
+
+    Only the null block is ranked.  Once `ScaledSystem.check` has shown that
+    the system's Gram matrix is diag(norms), pairing a dependence
+    sum a_i x_i + sum b_i y_i + sum c_i z_i = 0 with x_j leaves
+    a_j <x_j, x_j> = 0, so a_j = 0 since that norm is nonzero, and likewise
+    every b_j = 0.  So the system is independent exactly when its z's are.
     """
-    if linalg.rank(w_system.vectors) != len(w_system.vectors):
-        raise PreconditionError("system vectors must be linearly independent")
-    return _extend_basis(space, w_system)
-
-
-def _extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
-    """`extend_basis` of a system whose vectors are independent by construction:
-    its norms and orthogonality are checked, its rank is not."""
     n = space.dim
     w_system.check(space)
 
     xs = w_system.positives()
     ys = w_system.negatives()
     zs = w_system.nulls()
+    if zs and linalg.rank(zs) != len(zs):
+        raise PreconditionError("system vectors must be linearly independent")
     s, t, u = len(xs), len(ys), len(zs)
 
     rad_v = space.ambient_radical()
@@ -583,12 +589,6 @@ def _extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem
                  + [m for m in fill.norms if m < 0])
     return ScaledSystem(tuple(alphas + betas + gammas),
                         tuple(pos_norms + neg_norms + [Fraction(0)] * len(gammas)))
-
-
-def _nulls_in_radical(space: QuadraticSpace, big: Subspace, nulls: list[Vector]) -> list[Vector]:
-    """span(nulls) cap rad(big): the sums c_i z_i with c in the kernel of <big, nulls>."""
-    return linalg.row_space([linalg.combine(c, nulls)
-                             for c in linalg.kernel(space.pairing(big.basis, nulls))])
 
 
 def _orient_frame(vectors: Sequence[Vector], pair_slots: list[tuple[int, int]]) -> list[Vector]:
@@ -628,7 +628,7 @@ def adapted_frame(space: QuadraticSpace, f: Flag) -> ScaledSystem:
     small = Subspace._independent(space.dim, tuple(linalg.row_space(f.small.basis)))
     sys_small = scaled_system(space, small)
     nulls = sys_small.nulls()
-    cap = _nulls_in_radical(space, big, nulls) if nulls else []
+    cap = linalg.row_space(_annihilated(space, big.basis, nulls)) if nulls else []
     if cap:
         reordered = linalg.extend_to_independent(cap, nulls, len(nulls))
         nulls = reordered[len(cap):] + reordered[: len(cap)]
@@ -639,12 +639,12 @@ def adapted_frame(space: QuadraticSpace, f: Flag) -> ScaledSystem:
     space_big = QuadraticSpace.from_matrix(restrict(space, big))
     sys_small_b = ScaledSystem(tuple(big.coordinates_of(v) for v in sys_small.vectors),
                                sys_small.norms)
-    sys_big_b = _extend_basis(space_big, sys_small_b)
+    sys_big_b = extend_basis(space_big, sys_small_b)
     sys_big = ScaledSystem(tuple(linalg.combine(c, big.basis) for c in sys_big_b.vectors),
                            sys_big_b.norms)
 
     # extend to the whole (nondegenerate) space: every null of big splits
-    full = _extend_basis(space, sys_big)
+    full = extend_basis(space, sys_big)
     if full.signature.nul:
         raise PreconditionError("ambient form must be nondegenerate")
 

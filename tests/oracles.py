@@ -14,9 +14,11 @@ Deliberately separate from the package's fast paths:
   small integer pool, deduplicates subspaces by a fraction-free integer RREF
   and computes every flag invariant in integer arithmetic; and the dual
   survey over every plane of two pool vectors, which the survey of one plane
-  per signed-permutation class replaced.  Both take as lines the {-1, 0, 1}
-  combinations of a basis of the big part (`_coefficient_lines`), where the
-  survey takes the pool vectors that lie in it;
+  per signed-permutation class replaced; it ranks each coordinate block of
+  the pair with `linalg.rank`, where the survey reads the plane's Plücker
+  key.  Both take as lines the {-1, 0, 1} combinations of a basis of the
+  big part (`_coefficient_lines`), where the survey takes the pool vectors
+  that lie in it;
 - radical: the columns of one congruence's transform with zero diagonal
   entries, made a canonical row space, which `forms.radical` replaced by
   the kernel of W's Gram matrix mapped through W's basis;
@@ -76,7 +78,7 @@ import numpy as np
 from heisflag import linalg
 from heisflag.linalg import Matrix, Vector
 from heisflag.curvature import CurvatureReport, is_flat
-from heisflag.enumeration import SAMPLES_PER_ORBIT, FlagSurvey, _dot, _pair_rank, _standard_gram
+from heisflag.enumeration import SAMPLES_PER_ORBIT, FlagSurvey, _dot, _standard_gram
 from heisflag.forms import (
     Flag,
     FlagInvariants,
@@ -639,8 +641,8 @@ def pair_walk_survey(p, q):
 
         s, t, u = linalg.congruence_diagonalize(_standard_gram(sign, (a, b))).sign_counts()
         sig_big = Signature(p - s - u, q - t - u, u)
-        c_plus = p - _pair_rank(a[:p], b[:p])
-        c_minus = q - _pair_rank(a[p:], b[p:])
+        c_plus = p - linalg.rank([a[:p], b[:p]])
+        c_minus = q - linalg.rank([a[p:], b[p:]])
         c_zero = k - c_plus - c_minus
 
         basis = tuple(tuple(int(x) for x in v) for v in linalg.kernel([a, b]))

@@ -169,6 +169,25 @@ def test_representative_flag_realizes_its_row():
         assert {row.flag_invariants(p, q) for row in rows} == survey_flags(p, q).observed_invariants
 
 
+def test_classified_gram_names_its_flag_orbit():
+    # the paper's correspondence: a basis B whose first vector spans the line
+    # and whose first n - 2 span the big part makes the flag (derived line,
+    # center) of the Gram matrix <B, B>, so its row names the flag's orbit
+    rng = random.Random(7)
+    for n in range(4, 9):
+        alg = HeisenbergAlgebra(n)
+        for q in range(1, n):
+            p = n - q
+            space = QuadraticSpace.standard(p, q)
+            flags = [sampling.random_flag(p, q, rng) for _ in range(20)]
+            flags += [representative_flag(row.id, p, q) for row in admissible_classes(p, q).classes]
+            for f in flags:
+                pool = [*f.big.basis, *linalg.identity(n)]
+                basis = linalg.extend_to_independent(list(f.small.basis), pool, n)
+                got = classify_metric(alg, space.pairing(basis, basis)).metric_class
+                assert got.flag_invariants(p, q) == flag_invariants(space, f), (p, q, f)
+
+
 def test_representatives_agree_with_the_old_builders():
     """The cell walks give the old Gram matrices exactly and, at p >= q, the old flag spans."""
     for n in range(4, 17):

@@ -175,7 +175,7 @@ def test_every_plane_of_a_class_reads_the_same_pairs():
             if key in planes:
                 continue
             planes[key] = (a, b)
-            basis, lines = enumeration._plane_lines(a, b, p, q, pool)
+            basis, lines = enumeration._plane_lines(a, b, key, p, q, pool, index_pairs)
             big = Subspace(n, tuple(map(linalg.vec, basis)))
             for v, inv, counts in lines:
                 flag = Flag(Subspace(n, (linalg.vec(v),)), big)

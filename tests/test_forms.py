@@ -391,20 +391,43 @@ def test_public_subspace_constructors_check_independence():
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=strategies.degenerate_flags(codim_two=True) | strategies.degenerate_flags())
 def test_frame_extensions_pass_the_rank_check(data):
-    # adapted_frame's two basis extensions skip the rank check; made to run
-    # it, the frame builder raises nothing and builds the same frame
+    # adapted_frame's two basis extensions rank only their null blocks; made
+    # to rank whole systems, the frame builder raises nothing and builds the
+    # same frame
     p, q, f = data
     frame = forms.adapted_frame(QuadraticSpace.standard(p, q), f)
-    unchecked = forms._extend_basis
+    extend = forms.extend_basis
     ranks = []
 
     def checking(space, w_system):
         ranks.append((linalg.rank(w_system.vectors), len(w_system.vectors)))
-        return unchecked(space, w_system)
+        return extend(space, w_system)
 
-    with mock.patch.object(forms, "_extend_basis", checking):
+    with mock.patch.object(forms, "extend_basis", checking):
         assert forms.adapted_frame(QuadraticSpace.standard(p, q), f) == frame
     assert len(ranks) == 2 and all(r == k for r, k in ranks)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=strategies.degenerate_spaces_and_subspaces(), extra=st.sampled_from(
+    ["none", "repeat", "scale", "zero"]), pick=st.integers(0, 4))
+def test_null_block_rank_agrees_with_the_full_rank_check(data, extra, pick):
+    # extend_basis ranks only the null block of a checked system; it must
+    # refuse exactly the dependent systems that a rank of all vectors finds
+    space, parts = data
+    system = forms.scaled_system(space, parts[pick % len(parts)])
+    nulls = system.nulls()
+    if extra == "zero" or (extra != "none" and nulls):
+        null = nulls[pick % len(nulls)] if extra != "zero" else linalg.vec([0] * space.dim)
+        null = linalg.vec_scale(-2, null) if extra == "scale" else null
+        system = forms.ScaledSystem((*system.vectors, null), (*system.norms, F(0)))
+    vectors = system.vectors
+    try:
+        forms.extend_basis(space, system)
+        refused = False
+    except PreconditionError as ex:
+        refused = str(ex) == "system vectors must be linearly independent"
+    assert refused == (linalg.rank(vectors) < len(vectors))
 
 
 def test_public_extensions_check_independence():

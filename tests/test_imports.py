@@ -25,9 +25,11 @@ such as the test suite run with that member patched to raise.  A private
 (`_name`) top-level function or class must be named in `src/` itself: a
 helper that only the tests use is a test oracle and lives in
 `tests/oracles.py`.  Test oracles live in `tests/`: scanning `src/`,
-`demos/` and `bench/` alone, the only public definitions and class members
-that nothing names are the few in `KEPT_FOR_USERS`, each kept for a stated
-reason.
+`demos/` and `bench/` alone, with the strings under `bench/` blanked (its
+`LAYERS` names by string what it traces), the only public definitions and
+class members that nothing names are the few in `KEPT_FOR_USERS`, each kept
+for a stated reason.  No module of `src/heisflag` defines both a top-level
+`name` and a private twin `_name`, such as an unchecked second path.
 
 Each top-level function and class of `tests/oracles.py` must be reachable
 from a test module: named there as `oracles.name`, imported from `oracles` or
@@ -220,6 +222,25 @@ def test_every_private_definition_is_used_in_src():
     assert unreferenced_private(defining, sources) == []
 
 
+def private_twins(source: str) -> list[str]:
+    """`_name` for each top-level `_name` whose public twin `name` the module also defines."""
+    names = set(top_level_definitions(source))
+    return sorted(f"_{name}" for name in names if f"_{name}" in names)
+
+
+def test_checker_flags_a_private_twin():
+    source = ("def extend(x):\n    check(x)\n    return _extend(x)\n\n\n"
+              "def _extend(x):\n    return x\n\n\nclass Table:\n    pass\n\n\n"
+              "class _Table:\n    pass\n\n\ndef _helper():\n    pass\n")
+    assert private_twins(source) == ["_Table", "_extend"]
+    assert private_twins("def _helper():\n    pass\n\n\ndef helper_of():\n    pass\n") == []
+
+
+def test_no_private_twins_in_the_library():
+    found = {p.name: private_twins(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: twins for name, twins in found.items() if twins} == {}
+
+
 def unreachable_oracles(oracles: str, tests: list[str]) -> list[str]:
     """Top-level definitions of the `oracles` source that no test reaches, directly or not."""
     defs = {node.name: node for node in ast.parse(oracles).body
@@ -316,7 +337,17 @@ KEPT_FOR_USERS = {
     "matrixio.py: format_matrix": "the writing half of the matrix file format",
     "heisenberg.py: ScaledAutomorphism.preserves_bracket": "states what from_matrix promises",
     "curvature.py: is_flat": "criterion 7's exact predicate on `riemann`'s table",
+    "curvature.py: riemann": "criterion 7's exact Riemann tensor, which the report never builds",
 }
+
+
+def blank_strings(source: str) -> str:
+    """The source with every string constant emptied, so that no string names a definition."""
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            node.value = ""
+    return ast.unparse(tree)
 
 
 def used_only_by_tests(defining: dict[str, str], library_sources: list[str]) -> list[str]:
@@ -324,9 +355,9 @@ def used_only_by_tests(defining: dict[str, str], library_sources: list[str]) -> 
 
     With the library, demos and benchmark as the only sources, a name that
     only tests use shows up: a test oracle, which belongs in `tests/`.  A
-    string that is exactly the name still counts as a use, so a definition
-    that only `bench/tracing.py`'s `LAYERS` names (the layers it traces, by
-    string) stays hidden: a test-only `curvature.levi_civita` would pass.
+    string that is exactly the name counts as a use, so the benchmark's
+    sources go in through `blank_strings`: otherwise a test-only definition
+    that `bench/tracing.py`'s `LAYERS` names, to trace it, would hide.
     """
     return (unreferenced(defining, library_sources)
             + unreferenced_members(defining, library_sources))
@@ -344,9 +375,19 @@ def test_checker_flags_a_definition_only_tests_use():
     assert used_only_by_tests({"lib.py": lib}, [lib, demo, test]) == []
 
 
+def test_checker_flags_a_definition_a_bench_string_names():
+    lib = "def build():\n    return 0\n\n\ndef traced():\n    return 1\n"
+    bench = ("import lib\n\nLAYERS = {'lib': ('build', 'traced')}\n\n\n"
+             "def run():\n    \"\"\"Times traced.\"\"\"\n    return lib.build()\n")
+    # the layer string hides `traced`, which only the tests call
+    assert used_only_by_tests({"lib.py": lib}, [lib, bench]) == []
+    assert used_only_by_tests({"lib.py": lib}, [lib, blank_strings(bench)]) == ["lib.py: traced"]
+
+
 def test_no_test_only_definitions_in_the_library():
     defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    sources = [p.read_text() for d in LIBRARY_USERS for p in sorted((ROOT / d).rglob("*.py"))]
+    sources = [blank_strings(p.read_text()) if d == "bench" else p.read_text()
+               for d in LIBRARY_USERS for p in sorted((ROOT / d).rglob("*.py"))]
     assert sorted(used_only_by_tests(defining, sources)) == sorted(KEPT_FOR_USERS)
 
 
@@ -423,7 +464,7 @@ def test_no_row_copies_handed_to_eliminations():
 
 FRAME_NAMES = ("ScaledSystem", "Subspace", "restrict", "scaled_system", "extend_basis")
 FRAME_CALLS = ("kernel", "row_space", "lll_reduce", "extend_to_independent")
-FRAME_HELPERS = ("_adapted_frame", "_nulls_in_radical", "_orient_frame")
+FRAME_HELPERS = ("_adapted_frame", "_annihilated", "_orient_frame")
 
 
 def frame_code(source: str) -> list[str]:

@@ -324,5 +324,5 @@ def test_frame_cap_agrees_with_intersect_oracle(data):
     for part in (f.small, big):
         nulls = scaled_system(space, part).nulls()
         if nulls:
-            assert (forms._nulls_in_radical(space, big, nulls)
+            assert (linalg.row_space(forms._annihilated(space, big.basis, nulls))
                     == oracles.intersect_frame_cap(space, big, nulls))
