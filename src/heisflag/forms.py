@@ -531,7 +531,8 @@ def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
     """Extend a scaled system of independent vectors, spanning W, to the whole space.
 
     Its null vectors must be ordered so the ones lying in the ambient
-    radical come last.  Writing the input as
+    radical come last, and the others must be independent modulo that
+    radical: no combination of them may lie in it.  Writing the input as
     x_1..x_s, y_1..y_t, z_1..z_u (k of the z's ambient-radical), the output
     alpha_1..alpha_p, beta_1..beta_q, gamma_1..gamma_r satisfies
 
@@ -562,9 +563,14 @@ def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
         raise PreconditionError("ambient-radical null vectors must come last")
     z_split, z_rad = zs[: u - k], zs[u - k:]
 
-    # complement U of the ambient radical containing the non-radical part
-    pool = xs + ys + z_split + [vec(row) for row in linalg.identity(n)]
-    u_basis = linalg.extend_to_independent(list(rad_v.basis), pool, n)[rad_v.dim:]
+    # complement U of the ambient radical containing the non-radical part; it
+    # exists exactly when the elimination keeps all of that part
+    head = xs + ys + z_split
+    u_basis = linalg.extend_to_independent(
+        list(rad_v.basis), head + [vec(row) for row in linalg.identity(n)], n)[rad_v.dim:]
+    if u_basis[:len(head)] != head:
+        raise PreconditionError(
+            "null vectors outside the ambient radical must be independent modulo it")
     u_sub = Subspace._independent(n, tuple(u_basis))
 
     # split each null into a +1/-1 pair, peeling its plane off the arena

@@ -204,9 +204,10 @@ def classify_metric(alg: HeisenbergAlgebra, gram: Matrix) -> Classification:
     n = alg.n
     if len(gram) != n or any(len(row) != n for row in gram):
         raise PreconditionError(f"Gram matrix must be {n}x{n}")
-    if not linalg.is_symmetric(gram):
-        raise PreconditionError("Gram matrix must be symmetric")
-    res = linalg.congruence_diagonalize(gram, leading=n - 2)
+    try:  # the square shape and n - 2 are valid, so only asymmetry is left to refuse
+        res = linalg.congruence_diagonalize(gram, leading=n - 2)
+    except linalg.ShapeError:
+        raise PreconditionError("Gram matrix must be symmetric") from None
     sig = Signature(*res.sign_counts())
     if sig.nul:
         raise PreconditionError(f"Gram matrix is degenerate: signature {sig}")

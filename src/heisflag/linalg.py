@@ -24,12 +24,21 @@ echelon form, read by `solve` and `invert`) divides each row by its pivot,
 divides the pivots by the scalings of their rows.
 All routines are pure and exact: no floating point, no tolerances.
 Signatures of symmetric matrices are obtained by congruence (never from
-eigenvalues), using one symmetric elimination: each pivot updates the
-remaining block once by its Schur complement, over the nonzero entries of
-its row, and zero pivots are traded for swaps or hyperbolic-pair
-congruences so that everything stays inside Q.  The congruence records its
-moves and builds the transform P only when a caller reads it; callers that
-count signs never pay for P.
+eigenvalues), using one symmetric elimination on integer rows.  The input
+is scaled once by the lcm of all its denominators, and the block not yet
+eliminated is kept as integers A = c * S, where S is the block that the
+Schur elimination over Q would hold and c > 0 a rational scale.  A pivot p
+with row x replaces the rest by (p * A - x x^T) / (sign(p) * g), g its
+content, and c by c * |p| / g.  The recorded diagonal entry p / c and the
+factors -x_i / p are ratios in which c cancels, so they are that
+elimination's S_kk and -S_ik / S_kk, and the moves and the transform are
+the same.  Zero pivots are traded for swaps or hyperbolic-pair congruences,
+which act on the integers alike, so everything stays inside Q.  This is not
+a Bareiss congruence: each division by the content leaves A the primitive
+integer multiple of S, where dividing by the previous pivot keeps whole
+minors that carry every earlier scaling into every entry.  The congruence
+records its moves and builds the transform P only when a caller reads it;
+callers that count signs never pay for P.
 """
 
 from __future__ import annotations
@@ -63,7 +72,6 @@ def vec(entries: Iterable) -> Vector:
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
-    # `frac` inlined: the congruence copies its input through here
     return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
 
 
@@ -221,10 +229,13 @@ class CongruenceResult:
     `moves` records the basis changes in order: ("swap", k, j) exchanges
     b_k and b_j, ("pair", k, j) replaces them by b_k + b_j and b_k - b_j,
     and ("clear", k, ((i, f), ...)) adds f * b_k to each b_i.  The
-    invertible P is replayed from them on first read of `transform`, so
-    callers that only count signs never build it.  `leading_counts` are the
-    sign counts of the leading block named by `leading`; without one, the
-    whole matrix's.
+    elimination runs on integer rows c * S, but each diagonal entry p / c
+    and each factor f = -x_i / p is a ratio in which the scale c cancels:
+    both are the `Fraction`s of the same elimination over Q, whatever the
+    scale.  The invertible P is replayed from the moves on first read of
+    `transform`, so callers that only count signs never build it.
+    `leading_counts` are the sign counts of the leading block named by
+    `leading`; without one, the whole matrix's.
     """
 
     diagonal: tuple[Fraction, ...]
@@ -256,78 +267,119 @@ class CongruenceResult:
 def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceResult:
     """Diagonalize a symmetric matrix by a rational congruence.
 
-    Each nonzero pivot a_kk updates the not yet eliminated block once, by
-    the symmetric Schur complement a_ij -= a_ik * a_kj / a_kk over the
-    nonzero entries of row k only.  Zero pivots never force square roots:
-    if a zero a_kk pairs with a later j, b_k and b_j swap when a_jj is
-    nonzero, and otherwise (b_k, b_j) -> (b_k+b_j, b_k-b_j) manufactures
-    pivots +-2*a_kj; a direction orthogonal to all later ones stays null.
-    Diagonal entries are left unnormalized; only their signs carry the
-    signature.
+    One symmetric elimination on integer rows.  The input is scaled once by
+    the lcm of all its denominators, and symmetry is checked on that copy.
+    The block not yet eliminated is kept as integers A = c * S, where S is
+    the rational block and c > 0 a rational scale.  A nonzero pivot p with
+    row x (A's entries beside it) records the diagonal entry p / c and the
+    factors -x_i / p, which are S_kk and -S_ik / S_kk, and replaces the rest
+    of the block by (p * A - x x^T) / (sign(p) * g), g the content of
+    p * A - x x^T, so that c becomes c * |p| / g.  When |p| = 1 only the
+    entries where x is nonzero change, by A_ij -= p * x_i * x_j, and c stays.
+    Dividing by the content, not by the previous pivot as Bareiss does,
+    leaves A the primitive integer multiple of S after each division, so no
+    entry carries the scalings of earlier steps the way a whole minor does.
+    Zero pivots never force square roots: if a zero a_kk pairs with a later
+    j, b_k and b_j swap when a_jj is nonzero, and otherwise
+    (b_k, b_j) -> (b_k+b_j, b_k-b_j) manufactures pivots +-2*a_kj; a
+    direction orthogonal to all later ones stays null.  Both moves act on
+    the integers and keep c.  Diagonal entries are left unnormalized; only
+    their signs carry the signature.
 
     With `leading` = m, the first m directions look for zero-pivot partners
     among themselves only, so the first m diagonal entries then diagonalize
     the leading m x m block and give `leading_counts`.  A leading direction
-    left null there is finished afterwards against the trailing ones.  The
-    full diagonal gives the whole matrix's signature either way.
+    left null there stays in the block, with zeros against every later
+    leading direction, so each later pivot only scales its row, and it is
+    finished afterwards against the trailing ones.  The full diagonal gives
+    the whole matrix's signature either way.
     """
     n = len(s)
     if any(len(row) != n for row in s):
         raise ShapeError("congruence_diagonalize requires a square matrix")
-    if not is_symmetric(s):
+    scale = lcm(*(x.denominator for row in s for x in row))
+    if scale == 1:
+        a = [[x.numerator for x in row] for row in s]
+    else:
+        a = [[x.numerator * (scale // x.denominator) for x in row] for row in s]
+    if any(row != list(col) for row, col in zip(a, zip(*a))):
         raise ShapeError("congruence_diagonalize requires a symmetric matrix")
     m = n if leading is None else leading
     if not 0 <= m <= n:
         raise ShapeError(f"leading block size {m} outside 0..{n}")
 
-    a = mat(s)
+    # a is the block not yet eliminated, c * S; its position t holds direction order[t]
+    order = list(range(n))
+    c = Fraction(scale)
+    diagonal = [Fraction(0)] * n
     moves: list[tuple] = []
 
-    def eliminate(k: int, partners: Sequence[int], rest: Sequence[int]) -> bool:
-        """Pivot on direction k against the `rest` still to come; False if k stays null."""
-        row = a[k]
-        if row[k] == 0:
-            j = next((j for j in partners if row[j] != 0), None)
-            if j is None:
+    def eliminate(t: int, partners: range) -> bool:
+        """Pivot on block position t and drop it; False, with no change, if it stays null."""
+        nonlocal c
+        row = a[t]
+        if not row[t]:
+            u = next((u for u in partners if row[u]), None)
+            if u is None:
                 return False
-            if a[j][j] != 0:
-                a[k], a[j] = a[j], a[k]
+            if a[u][u]:
+                a[t], a[u] = a[u], a[t]
                 for r in a:
-                    r[k], r[j] = r[j], r[k]
-                moves.append(("swap", k, j))
+                    r[t], r[u] = r[u], r[t]
+                moves.append(("swap", order[t], order[u]))
             else:
-                akj = row[j]
-                rj = a[j]
-                for i in rest:
-                    if i != j:
-                        x, y = row[i], rj[i]
-                        a[i][k] = row[i] = x + y
-                        a[i][j] = rj[i] = x - y
-                row[k], rj[j] = 2 * akj, -2 * akj
-                row[j] = rj[k] = Fraction(0)
-                moves.append(("pair", k, j))
-            row = a[k]
-        pivot = row[k]
-        nonzero = [(i, row[i]) for i in rest if row[i]]
-        factors = tuple((i, -aki / pivot) for i, aki in nonzero)
-        for t, (i, f) in enumerate(factors):
-            ai = a[i]
-            for j, akj in nonzero[t:]:
-                a[j][i] = ai[j] = ai[j] + f * akj
-        if factors:
-            moves.append(("clear", k, factors))
+                akj = row[u]
+                ru = a[u]
+                for i, r in enumerate(a):
+                    if i != t and i != u:
+                        x, y = r[t], r[u]
+                        r[t] = row[i] = x + y
+                        r[u] = ru[i] = x - y
+                row[t], ru[u] = 2 * akj, -2 * akj
+                row[u] = ru[t] = 0
+                moves.append(("pair", order[t], order[u]))
+        k = order.pop(t)
+        x = a.pop(t)
+        p = x.pop(t)
+        for r in a:
+            del r[t]
+        diagonal[k] = p / c
+        nonzero = [(i, xi) for i, xi in enumerate(x) if xi]
+        if not nonzero:
+            return True
+        moves.append(("clear", k, tuple((order[i], Fraction(-xi, p)) for i, xi in nonzero)))
+        if p == 1 or p == -1:
+            for i, xi in nonzero:
+                r = a[i]
+                f = p * xi
+                for j, xj in nonzero:
+                    r[j] -= f * xj
+            return True
+        a[:] = [[p * y - xi * xj for y, xj in zip(r, x)] if xi else [p * y for y in r]
+                for r, xi in zip(a, x)]
+        g = 0
+        for i, r in enumerate(a):  # the upper triangle holds every entry once
+            g = gcd(g, *r[i:])
+            if g == 1:
+                break
+        g = g or 1
+        d = g if p > 0 else -g
+        if d != 1:
+            a[:] = [[y // d for y in r] for r in a]
+        c = Fraction(c.numerator * abs(p), c.denominator * g)
         return True
 
-    deferred = []
+    deferred = 0  # leading directions left null so far, at block positions 0..deferred-1
     for k in range(m):
-        if not eliminate(k, range(k + 1, m), range(k + 1, n)):
-            deferred.append(k)
-    leading_counts = _sign_counts(a[k][k] for k in range(m))
-    tail = deferred + list(range(m, n))
-    for t, k in enumerate(tail):
-        rest = tail[t + 1:]
-        eliminate(k, rest, rest)
-    return CongruenceResult(tuple(a[k][k] for k in range(n)), leading_counts, tuple(moves))
+        if not eliminate(deferred, range(deferred + 1, deferred + m - k)):
+            deferred += 1
+    leading_counts = _sign_counts(diagonal[:m])
+    while a:
+        if not eliminate(0, range(1, len(a))):
+            del order[0], a[0]
+            for r in a:
+                del r[0]
+    return CongruenceResult(tuple(diagonal), leading_counts, tuple(moves))
 
 
 def _forward(m: Matrix) -> tuple[list[list[int]], list[int], int, list[list[tuple[int, int]]]]:

@@ -40,7 +40,9 @@ Deliberately separate from the package's fast paths:
   after every step;
 - congruence and classification: the row-and-column symmetric
   elimination, which builds P on every multiplier and which the
-  Schur-update `linalg.congruence_diagonalize` replaced; the classification
+  Schur-update `linalg.congruence_diagonalize` replaced; that Schur update
+  on `Fraction` entries (`fraction_congruence`), which the same elimination
+  on content-reduced integer rows replaced; the classification
   from two such eliminations (whole matrix, then the negated center block);
   and `act_on_metric` as two dense products, which one pairing replaced;
 - intersections: `intersect` (a kernel of the stacked bases, a combination
@@ -972,6 +974,73 @@ def row_column_congruence(s):
             if a[k][i] != 0:
                 add_col(i, k, -a[k][i] / pivot)
     return p, tuple(a[i][i] for i in range(n))
+
+
+def fraction_congruence(s, leading=None):
+    """`linalg.congruence_diagonalize` as a Schur elimination on `Fraction` entries.
+
+    The routine that the elimination on content-reduced integer rows
+    replaced: each nonzero pivot a_kk updates the not yet eliminated block
+    by a_ij -= a_ik * a_kj / a_kk over the nonzero entries of row k, with
+    the same zero-pivot moves, `leading` handling and recorded moves.
+    """
+    n = len(s)
+    if any(len(row) != n for row in s):
+        raise linalg.ShapeError("congruence_diagonalize requires a square matrix")
+    if not linalg.is_symmetric(s):
+        raise linalg.ShapeError("congruence_diagonalize requires a symmetric matrix")
+    m = n if leading is None else leading
+    if not 0 <= m <= n:
+        raise linalg.ShapeError(f"leading block size {m} outside 0..{n}")
+
+    a = linalg.mat(s)
+    moves = []
+
+    def eliminate(k, partners, rest):
+        row = a[k]
+        if row[k] == 0:
+            j = next((j for j in partners if row[j] != 0), None)
+            if j is None:
+                return False
+            if a[j][j] != 0:
+                a[k], a[j] = a[j], a[k]
+                for r in a:
+                    r[k], r[j] = r[j], r[k]
+                moves.append(("swap", k, j))
+            else:
+                akj = row[j]
+                rj = a[j]
+                for i in rest:
+                    if i != j:
+                        x, y = row[i], rj[i]
+                        a[i][k] = row[i] = x + y
+                        a[i][j] = rj[i] = x - y
+                row[k], rj[j] = 2 * akj, -2 * akj
+                row[j] = rj[k] = Fraction(0)
+                moves.append(("pair", k, j))
+            row = a[k]
+        pivot = row[k]
+        nonzero = [(i, row[i]) for i in rest if row[i]]
+        factors = tuple((i, -aki / pivot) for i, aki in nonzero)
+        for t, (i, f) in enumerate(factors):
+            ai = a[i]
+            for j, akj in nonzero[t:]:
+                a[j][i] = ai[j] = ai[j] + f * akj
+        if factors:
+            moves.append(("clear", k, factors))
+        return True
+
+    deferred = []
+    for k in range(m):
+        if not eliminate(k, range(k + 1, m), range(k + 1, n)):
+            deferred.append(k)
+    leading_counts = linalg._sign_counts(a[k][k] for k in range(m))
+    tail = deferred + list(range(m, n))
+    for t, k in enumerate(tail):
+        rest = tail[t + 1:]
+        eliminate(k, rest, rest)
+    return linalg.CongruenceResult(tuple(a[k][k] for k in range(n)), leading_counts,
+                                   tuple(moves))
 
 
 def oracle_sign_counts(s):

@@ -445,6 +445,19 @@ def test_public_extensions_check_independence():
         forms.extend_nullsystem(space, [null, linalg.vec_scale(-3, null)])
 
 
+def test_extension_names_nulls_that_meet_the_ambient_radical():
+    # z1 and z2 are independent null vectors outside rad(V) = <e2>, but
+    # z2 - z1 = e2 lies in it, so no complement of rad(V) holds both
+    space = QuadraticSpace.from_matrix(linalg.diag([1, -1, 0]))
+    z1, z2 = linalg.vec([1, 1, 0]), linalg.vec([1, 1, 1])
+    system = forms.ScaledSystem((z1, z2), (F(0), F(0)))
+    system.check(space)
+    with pytest.raises(PreconditionError,
+                       match="null vectors outside the ambient radical must be independent "
+                             "modulo it"):
+        forms.extend_basis(space, system)
+
+
 def test_pairing_rejects_wrong_lengths_and_takes_empty_lists():
     assert SP22.pairing([], [unit(0)]) == []
     assert SP22.pairing([unit(0)], []) == [[]]

@@ -37,9 +37,10 @@ given as a string (for `getattr(oracles, name)`), or named inside an oracle
 that is.
 
 `linalg` owns the copy that each elimination works on: no call in
-`src/heisflag` to `rank`, `kernel`, `row_space`, `det`, `solve` or `invert`
-copies rows with `list(...)` in its arguments.  A transpose built in place,
-as a comprehension over the rows, is a new matrix and stays allowed.
+`src/heisflag` to `rank`, `kernel`, `row_space`, `det`, `solve`, `invert` or
+`congruence_diagonalize` copies rows with `list(...)` in its arguments.  A
+transpose built in place, as a comprehension over the rows, is a new matrix
+and stays allowed.
 
 `witness.py` keeps only float assembly: the flag-adapted frame is built in
 `forms`, so the module names none of `ScaledSystem`, `Subspace`, `restrict`,
@@ -427,7 +428,8 @@ def test_only_main_maps_errors_to_exit_codes():
     assert misplaced_error_handling((SRC / "cli.py").read_text()) == []
 
 
-ELIMINATIONS = ("rank", "kernel", "row_space", "det", "solve", "invert")
+ELIMINATIONS = ("rank", "kernel", "row_space", "det", "solve", "invert",
+                "congruence_diagonalize")
 
 
 def row_copying_calls(source: str) -> list[str]:
@@ -453,8 +455,11 @@ def test_checker_flags_a_row_copy_handed_to_an_elimination():
               "x = linalg.solve([[b[i] for b in basis] for i in range(n)], v)\n"
               "k = linalg.kernel(space.gram)\n"
               "c = linalg.combine(list(coeffs), vectors)\n"
-              "d = det(list(m))\n")
-    assert row_copying_calls(source) == ["line 1: rank", "line 2: row_space", "line 6: det"]
+              "d = det(list(m))\n"
+              "r = linalg.congruence_diagonalize([list(row) for row in gram], leading=m)\n"
+              "r = linalg.congruence_diagonalize(restrict(space, w))\n")
+    assert row_copying_calls(source) == ["line 1: rank", "line 2: row_space", "line 6: det",
+                                         "line 7: congruence_diagonalize"]
 
 
 def test_no_row_copies_handed_to_eliminations():

@@ -1,9 +1,11 @@
 """Exact linear algebra: congruence diagonalization, kernels, the intersection oracle."""
 
+import hashlib
 import random
+import re
 from contextlib import contextmanager
 from fractions import Fraction as F
-from math import prod
+from math import lcm, prod
 from unittest.mock import patch
 
 import pytest
@@ -11,7 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from heisflag import linalg
-from heisflag.heisenberg import act_on_metric, parabolic_sample, representative
+from heisflag.heisenberg import (
+    act_on_metric,
+    admissible_classes,
+    parabolic_sample,
+    representative,
+)
 from heisflag.linalg import (
     ShapeError,
     SingularMatrixError,
@@ -244,6 +251,73 @@ def test_congruence_agrees_with_row_column_oracle(s):
         assert det(p) != 0
     with pytest.raises(ShapeError):
         congruence_diagonalize(s, leading=n + 1)
+
+
+def moved_gram(p, q, class_id, rng):
+    """The row's representative moved twice by `parabolic_sample`."""
+    n = p + q
+    g = representative(class_id, p, q)
+    for _ in range(2):
+        g = act_on_metric([list(r) for r in parabolic_sample(n, rng).matrix], g)
+    return g
+
+
+@st.composite
+def moved_representatives(draw):
+    """An admissible row's representative at n <= 12, in either order, moved twice."""
+    n = draw(st.integers(4, 12))
+    q = draw(st.integers(1, n - 1))
+    rows = admissible_classes(max(n - q, q), min(n - q, q)).classes
+    row = draw(st.sampled_from(rows))
+    return moved_gram(n - q, q, row.id, random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+
+
+def scaled_to_int(s):
+    """The matrix times the lcm of its denominators, every entry an `int`."""
+    scale = lcm(*(x.denominator for row in s for x in row))
+    return [[int(x * scale) for x in row] for row in s]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(s=degenerate_symmetric() | degenerate_symmetric().map(scaled_to_int)
+       | moved_representatives())
+def test_congruence_agrees_with_fraction_oracle(s):
+    # the elimination on integer rows keeps the Schur routine's diagonal,
+    # leading counts, moves and transform for every leading block
+    for m in range(len(s) + 1):
+        got, want = congruence_diagonalize(s, m), oracles.fraction_congruence(s, m)
+        assert got.diagonal == want.diagonal
+        assert got.leading_counts == want.leading_counts
+        assert got.moves == want.moves
+        assert got.transform == want.transform
+
+
+PINNED_CONGRUENCES = {
+    "(11,5) class 1 seed 0": "466ed92b18f9a775",
+    "(5,11) class 6 seed 1": "ae65604eadd7e9cc",
+    "(11,5) class 13 seed 2": "a4fd4c87bdd5b14d",
+    "(16,8) class 1 seed 3": "dc245f07d0534adc",
+    "(8,16) class 10 seed 4": "b4016455ed22dc68",
+    "(16,8) class 21 seed 5": "74fcbd386a8fecb1",
+}
+
+
+def congruence_digest(s, leading):
+    """Digest of the diagonal and the leading counts of `leading` of one congruence."""
+    res = congruence_diagonalize(s, leading)
+    text = " ".join(map(str, res.diagonal)) + f" {res.leading_counts}"
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_congruence_outcomes_are_pinned():
+    # moved representatives beyond the oracle test's n <= 12, with entries of
+    # hundreds of bits, keep their diagonal and center counts
+    got = {}
+    for label in PINNED_CONGRUENCES:
+        p, q, class_id, seed = map(int, re.findall(r"\d+", label))
+        got[label] = congruence_digest(moved_gram(p, q, class_id, random.Random(seed)),
+                                       p + q - 2)
+    assert got == PINNED_CONGRUENCES
 
 
 @st.composite
@@ -479,10 +553,7 @@ def test_integer_elimination_agrees_with_the_fraction_oracle(m, data):
 def test_large_entry_gram_agrees_with_the_fraction_oracle():
     # a (20,12) Gram moved twice by the scaling-and-automorphism group has
     # entries of several hundred bits over unrelated denominators
-    rng = random.Random(23)
-    g = representative(1, 20, 12)
-    for _ in range(2):
-        g = act_on_metric([list(r) for r in parabolic_sample(32, rng).matrix], g)
+    g = moved_gram(20, 12, 1, random.Random(23))
     assert max(abs(x.numerator).bit_length() for row in g for x in row) > 400
     top = g[:20]  # rank 20 with a 12-dimensional kernel
     got = (invert(g), rank(g), det(g), kernel(g), rank(top), kernel(top))
