@@ -48,7 +48,7 @@ seven-count coordinate data, and a few sample flags per orbit.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -56,7 +56,7 @@ from types import MappingProxyType
 
 from . import linalg
 from .forms import Flag, FlagInvariants, PreconditionError, Signature, Subspace
-from .sampling import small_vector_pool
+from .sampling import integer_pool
 
 IntRow = tuple[int, ...]
 
@@ -145,7 +145,7 @@ def survey_flags(p: int, q: int) -> FlagSurvey:
     return _survey_cached(p, q)
 
 
-def _plane_lines(a: IntRow, b: IntRow, key: IntRow, p: int, q: int, pool: list[IntRow],
+def _plane_lines(a: IntRow, b: IntRow, key: IntRow, p: int, q: int, pool: Sequence[IntRow],
                  index_pairs: list[tuple[int, int]]):
     """Integer kernel basis of V = ker[a; b], and (v, invariants, seven counts) per pool line v."""
     sign = [1] * p + [-1] * q
@@ -181,7 +181,7 @@ def _plane_lines(a: IntRow, b: IntRow, key: IntRow, p: int, q: int, pool: list[I
 @lru_cache(maxsize=None)
 def _survey_cached(p: int, q: int) -> FlagSurvey:
     n = p + q
-    pool = [tuple(int(x) for x in v) for v in small_vector_pool(n)]
+    pool = integer_pool(n)
     index_pairs = list(itertools.combinations(range(n), 2))
     invariants: dict[FlagInvariants, list[Flag]] = {}
     matsuki: set[tuple[int, ...]] = set()

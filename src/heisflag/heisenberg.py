@@ -36,7 +36,6 @@ from .forms import (
     FlagInvariants,
     LineSignature,
     PreconditionError,
-    QuadraticSpace,
     Signature,
     Subspace,
     possible_line_signatures,
@@ -363,7 +362,12 @@ class ScaledAutomorphism:
 
 
 def is_scaled_automorphism(g: Matrix, n: int) -> bool:
-    """True iff g is invertible and block upper triangular with block sizes (1, n-3, 2)."""
+    """True iff g is invertible and block upper triangular with block sizes (1, n-3, 2).
+
+    A block triangular g has det g = a * det(middle) * det(D), with a the
+    (0, 0) entry, so it is invertible iff a and det D are nonzero and the
+    (n-3) x (n-3) middle block has full rank.
+    """
     if len(g) != n or any(len(row) != n for row in g):
         return False
     for i in range(1, n):
@@ -373,7 +377,9 @@ def is_scaled_automorphism(g: Matrix, n: int) -> bool:
         for j in range(1, n - 2):
             if g[i][j] != 0:
                 return False
-    return linalg.det(g) != 0
+    det_d = g[n - 2][n - 2] * g[n - 1][n - 1] - g[n - 2][n - 1] * g[n - 1][n - 2]
+    return (g[0][0] != 0 and det_d != 0
+            and linalg.rank([row[1:n - 2] for row in g[1:n - 2]]) == n - 3)
 
 
 def parabolic_sample(n: int, seed: int | random.Random) -> ScaledAutomorphism:
@@ -407,9 +413,35 @@ def parabolic_sample(n: int, seed: int | random.Random) -> ScaledAutomorphism:
 
 
 def act_on_metric(g: Matrix, gram: Matrix) -> Matrix:
-    """The pullback action on Gram matrices: g . A = g^{-T} A g^{-1}, exactly."""
-    if len(g) != len(gram):
+    """The pullback action on Gram matrices: g . A = g^{-T} A g^{-1}, exactly.
+
+    Computed in `int`: with g^{-1} = M / d from `linalg.integer_inverse` and
+    L A from `linalg.scaled_to_int` (L the lcm of A's denominators),
+    g . A = M^T (L A) M / (d^2 L).  The product is symmetric, so only its
+    upper triangle is summed, and each entry becomes a `Fraction` once,
+    shared with its mirror.
+    """
+    n = len(g)
+    if len(gram) != n:
         raise linalg.ShapeError("matrix sizes do not match")
-    # g^{-T} A g^{-1} is the Gram matrix of the columns of g^{-1} under A
-    cols = [tuple(col) for col in zip(*linalg.invert(g))]
-    return QuadraticSpace.from_matrix(gram).pairing(cols, cols)
+    m, d = linalg.integer_inverse(g)
+    a, scale = linalg.scaled_to_int(gram)
+    if any(len(row) != n for row in a) or any(row != list(col) for row, col in zip(a, zip(*a))):
+        raise PreconditionError("Gram matrix must be square and symmetric")
+
+    def combination(coeffs, rows, start: int) -> list[int]:
+        """sum_k c_k rows_k from column `start` on, skipping zero coefficients."""
+        acc = [0] * (n - start)
+        for x, row in zip(coeffs, rows):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, row[start:])]
+        return acc
+
+    am = [combination(row, m, 0) for row in a]  # row i of L A M
+    den = d * d * scale
+    out: Matrix = [[Fraction(0)] * n for _ in range(n)]
+    for i, col in enumerate(zip(*m)):  # row i of M^T (L A M), from column i on
+        for j, s in enumerate(combination(col, am, i), i):
+            if s:
+                out[i][j] = out[j][i] = Fraction(s, den)
+    return out

@@ -1,7 +1,8 @@
 """Dense exact linear algebra over the rationals.
 
 Matrices are lists of row lists and vectors are tuples.  Input entries may
-be `int` or `fractions.Fraction`, and results are `Fraction`.
+be `int` or `fractions.Fraction`, and results are `Fraction`, except the
+`int` matrix and denominator of `integer_inverse`.
 Most entries met in practice are integers stored as `Fraction` (kernels,
 row spaces and LLL bases are primitive integer vectors), so every product
 is one loop, `_accumulate`, that multiplies and adds each integral entry
@@ -19,13 +20,18 @@ rational row over a common denominator.  Bareiss's elimination instead
 divides by the previous pivot and keeps whole minors of the scaled matrix,
 which carry every row's scaling however small the rational entries are.
 Entries become `Fraction` only at the API boundary: `_echelon` (the reduced
-echelon form, read by `solve` and `invert`) divides each row by its pivot,
-`kernel` and `row_space` rescale integer rows to primitive ones, and `det`
-divides the pivots by the scalings of their rows.
+echelon form, read by `solve`) divides each row by its pivot, `kernel` and
+`row_space` rescale integer rows to primitive ones, and `det` divides the
+pivots by the scalings of their rows.  The inverse is read off the `int`
+rows of [M | I] once reduced: `invert` divides each row by its pivot, and
+`integer_inverse` keeps it in `int` as M / d, with d the lcm of the pivots,
+for callers that go on multiplying in `int` (the group action on Gram
+matrices and the Cayley samplers).
 All routines are pure and exact: no floating point, no tolerances.
 Signatures of symmetric matrices are obtained by congruence (never from
 eigenvalues), using one symmetric elimination on integer rows.  The input
-is scaled once by the lcm of all its denominators, and the block not yet
+is scaled once by the lcm of all its denominators (`scaled_to_int`, which
+the group action and the flag sampler use too), and the block not yet
 eliminated is kept as integers A = c * S, where S is the block that the
 Schur elimination over Q would hold and c > 0 a rational scale.  A pivot p
 with row x replaces the rest by (p * A - x x^T) / (sign(p) * g), g its
@@ -215,6 +221,14 @@ def primitive_vector(v: Vector) -> Vector:
     return tuple(Fraction(x) for x in ints)
 
 
+def scaled_to_int(m: Matrix) -> tuple[list[list[int]], int]:
+    """(L * M as `int` rows, L), L the lcm of all of M's denominators."""
+    scale = lcm(*(x.denominator for row in m for x in row))
+    if scale == 1:
+        return [[x.numerator for x in row] for row in m], 1
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in m], scale
+
+
 def _sign_counts(values: Iterable[Fraction]) -> tuple[int, int, int]:
     values = list(values)
     pos = sum(1 for d in values if d > 0)
@@ -297,11 +311,7 @@ def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceR
     n = len(s)
     if any(len(row) != n for row in s):
         raise ShapeError("congruence_diagonalize requires a square matrix")
-    scale = lcm(*(x.denominator for row in s for x in row))
-    if scale == 1:
-        a = [[x.numerator for x in row] for row in s]
-    else:
-        a = [[x.numerator * (scale // x.denominator) for x in row] for row in s]
+    a, scale = scaled_to_int(s)
     if any(row != list(col) for row, col in zip(a, zip(*a))):
         raise ShapeError("congruence_diagonalize requires a symmetric matrix")
     m = n if leading is None else leading
@@ -470,7 +480,7 @@ def _reduce(m: Matrix) -> tuple[list[list[int]], list[int]]:
 
 def _echelon(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form as `Fraction`s, and pivot columns: `_reduce`,
-    each pivot row divided by its pivot."""
+    each pivot row divided by its pivot (`solve` reads it)."""
     a, pivots = _reduce(m)
     zero = Fraction(0)
     ech = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(a, pivots)]
@@ -523,16 +533,36 @@ def det(m: Matrix) -> Fraction:
     return result
 
 
-def invert(m: Matrix) -> Matrix:
-    """Inverse read off the reduced echelon form of [M | I], made `Fraction` by `_echelon`."""
+def _inverse_rows(m: Matrix) -> list[tuple[list[int], int]]:
+    """Row r of the inverse as an `int` row and its divisor: (right half, pivot a_r)
+    of row r of the `_reduce` rows of [M | I].
+
+    When M is invertible the left half reduces to a diagonal of pivots, so
+    row r of the inverse is the right half of row r over a_r.  A singular M
+    leaves a pivot in the right half.
+    """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ShapeError("inverse requires a square matrix")
-    ech, pivots = _echelon([[*row, *(1 if j == i else 0 for j in range(n))]
-                           for i, row in enumerate(m)])
+    a, pivots = _reduce([[*row, *(1 if j == i else 0 for j in range(n))]
+                         for i, row in enumerate(m)])
     if pivots and pivots[-1] >= n:
         raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in ech]
+    return [(row[n:], row[r]) for r, row in enumerate(a)]
+
+
+def integer_inverse(m: Matrix) -> tuple[list[list[int]], int]:
+    """The inverse as M / d: M an `int` matrix and d > 0 the lcm of the pivots
+    of `_inverse_rows`, each row scaled by d over its own pivot."""
+    rows = _inverse_rows(m)
+    d = lcm(*(p for _, p in rows))
+    return [[x * (d // p) for x in row] for row, p in rows], d
+
+
+def invert(m: Matrix) -> Matrix:
+    """The inverse as `Fraction`s: each row of `_inverse_rows` over its own pivot."""
+    zero = Fraction(0)
+    return [[Fraction(x, p) if x else zero for x in row] for row, p in _inverse_rows(m)]
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:

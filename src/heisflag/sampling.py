@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .forms import Flag, PreconditionError, QuadraticSpace, Subspace
@@ -33,10 +34,10 @@ def _cayley(p: int, q: int, draw_k: Callable[[], Matrix]) -> Matrix:
         i_plus_s = [[(x if i < p else -x) + (1 if i == j else 0) for j, x in enumerate(row)]
                     for i, row in enumerate(draw_k())]
         try:
-            inverse = linalg.invert(i_plus_s)
+            inverse, d = linalg.integer_inverse(i_plus_s)  # (I + S)^{-1} = M / d
         except linalg.SingularMatrixError:
             continue
-        return [[2 * x - (1 if i == j else 0) for j, x in enumerate(row)]
+        return [[Fraction(2 * x - (d if i == j else 0), d) for j, x in enumerate(row)]
                 for i, row in enumerate(inverse)]
 
 
@@ -115,27 +116,39 @@ def mild_opq(p: int, q: int, rng: random.Random) -> Matrix:
 
 def apply_to_flag(g: Matrix, f: Flag) -> Flag:
     """The flag (g . small, g . big), with basis vectors rescaled to primitive
-    integer form (spans are unchanged; later exact arithmetic stays cheap)."""
-    small = [linalg.primitive_vector(linalg.mat_vec(g, v)) for v in f.small.basis]
-    big = [linalg.primitive_vector(linalg.mat_vec(g, v)) for v in f.big.basis]
+    integer form (spans are unchanged; later exact arithmetic stays cheap).
+
+    g is scaled once to integers by `linalg.scaled_to_int`, so each image
+    is a combination of `int` columns; the primitive rescale makes that
+    positive scale irrelevant.
+    """
+    cols = list(zip(*linalg.scaled_to_int(g)[0]))
+    small = [linalg.primitive_vector(linalg.combine(v, cols)) for v in f.small.basis]
+    big = [linalg.primitive_vector(linalg.combine(v, cols)) for v in f.big.basis]
     n = f.big.ambient_dim
     return Flag(Subspace(n, tuple(small)), Subspace(n, tuple(big)))
 
 
-def small_vector_pool(n: int) -> list[Vector]:
-    """All {-1, 0, 1} vectors with at most two nonzero entries, first nonzero +1."""
+@lru_cache(maxsize=None)
+def integer_pool(n: int) -> tuple[tuple[int, ...], ...]:
+    """All {-1, 0, 1} vectors with at most two nonzero entries, first nonzero +1, as `int`s."""
     out = []
     for i in range(n):
         v = [0] * n
         v[i] = 1
-        out.append(linalg.vec(v))
+        out.append(tuple(v))
         for j in range(i + 1, n):
             for sign in (1, -1):
                 w = [0] * n
                 w[i] = 1
                 w[j] = sign
-                out.append(linalg.vec(w))
-    return out
+                out.append(tuple(w))
+    return tuple(out)
+
+
+def small_vector_pool(n: int) -> list[Vector]:
+    """`integer_pool(n)` as `Fraction` vectors, in the same order."""
+    return [linalg.vec(v) for v in integer_pool(n)]
 
 
 def random_flag(p: int, q: int, rng: random.Random,
@@ -164,10 +177,14 @@ def random_flag(p: int, q: int, rng: random.Random,
 
 def random_gram(p: int, q: int, rng: random.Random) -> Matrix:
     """Random Gram matrix h^T I_{p,q} h of signature (p, q), for an invertible h with
-    columns from the small-vector pool: one standard-form pairing of those columns."""
+    columns from the small-vector pool: one standard-form pairing of those columns.
+
+    The columns are drawn from the cached `integer_pool`, h is invertible
+    iff they have full `linalg.rank`, and the pairing takes them as `int`s.
+    """
     n = p + q
-    pool = small_vector_pool(n)
+    pool = integer_pool(n)
     while True:
         cols = [rng.choice(pool) for _ in range(n)]
-        if linalg.det([[cols[j][i] for j in range(n)] for i in range(n)]) != 0:
+        if linalg.rank(cols) == n:
             return QuadraticSpace.standard(p, q).pairing(cols, cols)

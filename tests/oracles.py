@@ -44,14 +44,20 @@ Deliberately separate from the package's fast paths:
   on `Fraction` entries (`fraction_congruence`), which the same elimination
   on content-reduced integer rows replaced; the classification
   from two such eliminations (whole matrix, then the negated center block);
-  and `act_on_metric` as two dense products, which one pairing replaced;
+- the group action: `act_on_metric` as two `Fraction` products, which one
+  pairing and then one `int` product M^T (L A) M over an integer inverse
+  replaced; and the block test of `is_scaled_automorphism` with a full
+  n x n determinant, behind the draws of `parabolic_sample`, which the
+  product a * det(middle) * det(D) replaced;
 - intersections: `intersect` (a kernel of the stacked bases, a combination
   and a row space) and the one-solve `in_span`, with the flag invariants,
   seven counts, subspace equivalence and witness frame cap computed from
   them, which `heisflag.forms` and `heisflag.witness` now read off one rank
   or one kernel; and `extend_nullsystem` with its own null-splitting loop,
   which is now one `forms.extend_basis` call;
-- `random_gram` as two dense products h^T I h, which one pairing replaced;
+- `random_gram` as two dense products h^T I h over a `Fraction` pool with a
+  determinant per draw, which one pairing of columns from a cached `int`
+  pool, ranked, replaced;
 - elimination: the Gauss-Jordan echelon form and the rank read off it, and
   the determinant's own forward loop, which one forward elimination
   (`linalg._forward`, plus back substitution for the echelon form) replaced;
@@ -100,6 +106,7 @@ from heisflag.forms import (
 from heisflag.heisenberg import (
     Classification,
     HeisenbergAlgebra,
+    ScaledAutomorphism,
     UnsupportedSignatureError,
     _admissible_row,
     admissible_classes,
@@ -1052,9 +1059,42 @@ def oracle_sign_counts(s):
 
 
 def mat_mul_act_on_metric(g, gram):
-    """g . A = g^{-T} A g^{-1} as two dense matrix products."""
+    """g . A = g^{-T} A g^{-1} as two `Fraction` matrix products."""
     g_inv = linalg.invert(g)
     return linalg.mat_mul(linalg.transpose(g_inv), linalg.mat_mul(gram, g_inv))
+
+
+def det_is_scaled_automorphism(g, n):
+    """Block upper triangular (1, n-3, 2) with a nonzero n x n determinant."""
+    if len(g) != n or any(len(row) != n for row in g):
+        return False
+    if any(g[i][0] != 0 for i in range(1, n)):
+        return False
+    if any(g[i][j] != 0 for i in (n - 2, n - 1) for j in range(1, n - 2)):
+        return False
+    return linalg.det(g) != 0
+
+
+def parabolic_sample(n, rng):
+    """`heisenberg.parabolic_sample`'s draws, tested with a full determinant."""
+    def draw():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    while True:
+        m = linalg.zeros(n, n)
+        m[0][0] = draw()
+        for j in range(1, n):
+            m[0][j] = draw()
+        for i in range(1, n - 2):
+            for j in range(1, n):
+                m[i][j] = draw()
+        for i in (n - 2, n - 1):
+            for j in (n - 2, n - 1):
+                m[i][j] = draw()
+        if det_is_scaled_automorphism(m, n):
+            c = (m[n - 2][n - 2] * m[n - 1][n - 1] - m[n - 2][n - 1] * m[n - 1][n - 2]) / m[0][0]
+            return ScaledAutomorphism(tuple(tuple(row) for row in m), c,
+                                      tuple(tuple(x / c for x in row) for row in m))
 
 
 def two_call_classify(alg, gram):

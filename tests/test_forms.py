@@ -410,24 +410,40 @@ def test_frame_extensions_pass_the_rank_check(data):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=strategies.degenerate_spaces_and_subspaces(), extra=st.sampled_from(
-    ["none", "repeat", "scale", "zero"]), pick=st.integers(0, 4))
+    ["none", "repeat", "scale", "zero", "meet", "meet"]), pick=st.integers(0, 4))
 def test_null_block_rank_agrees_with_the_full_rank_check(data, extra, pick):
     # extend_basis ranks only the null block of a checked system; it must
-    # refuse exactly the dependent systems that a rank of all vectors finds
+    # refuse exactly the dependent systems that a rank of all vectors finds.
+    # "meet" (listed twice, to be drawn more often) puts z + r right after a
+    # null z outside the ambient radical, r in that radical: z + r is null and
+    # orthogonal to the system, and the span of z and z + r meets the radical,
+    # so an independent system must be refused by name
     space, parts = data
     system = forms.scaled_system(space, parts[pick % len(parts)])
     nulls = system.nulls()
-    if extra == "zero" or (extra != "none" and nulls):
+    rad = space.ambient_radical()
+    outside = [i for i, (v, m) in enumerate(zip(system.vectors, system.norms))
+               if m == 0 and not rad.contains(v)]
+    meets = extra == "meet" and bool(outside) and rad.dim > 0
+    if meets:
+        i = outside[pick % len(outside)]
+        null = linalg.vec_add(system.vectors[i], rad.basis[pick % rad.dim])
+        system = forms.ScaledSystem((*system.vectors[:i + 1], null, *system.vectors[i + 1:]),
+                                    (*system.norms[:i + 1], F(0), *system.norms[i + 1:]))
+    elif extra == "zero" or (extra in ("repeat", "scale") and nulls):
         null = nulls[pick % len(nulls)] if extra != "zero" else linalg.vec([0] * space.dim)
         null = linalg.vec_scale(-2, null) if extra == "scale" else null
         system = forms.ScaledSystem((*system.vectors, null), (*system.norms, F(0)))
     vectors = system.vectors
     try:
         forms.extend_basis(space, system)
-        refused = False
+        message = None
     except PreconditionError as ex:
-        refused = str(ex) == "system vectors must be linearly independent"
-    assert refused == (linalg.rank(vectors) < len(vectors))
+        message = str(ex)
+    dependent = linalg.rank(vectors) < len(vectors)
+    assert (message == "system vectors must be linearly independent") == dependent
+    if meets and not dependent:
+        assert message == "null vectors outside the ambient radical must be independent modulo it"
 
 
 def test_public_extensions_check_independence():

@@ -37,8 +37,9 @@ given as a string (for `getattr(oracles, name)`), or named inside an oracle
 that is.
 
 `linalg` owns the copy that each elimination works on: no call in
-`src/heisflag` to `rank`, `kernel`, `row_space`, `det`, `solve`, `invert` or
-`congruence_diagonalize` copies rows with `list(...)` in its arguments.  A
+`src/heisflag` to `rank`, `kernel`, `row_space`, `det`, `solve`, `invert`,
+`integer_inverse` or `congruence_diagonalize` copies rows with `list(...)`
+in its arguments.  A
 transpose built in place, as a comprehension over the rows, is a new matrix
 and stays allowed.
 
@@ -339,6 +340,7 @@ KEPT_FOR_USERS = {
     "heisenberg.py: ScaledAutomorphism.preserves_bracket": "states what from_matrix promises",
     "curvature.py: is_flat": "criterion 7's exact predicate on `riemann`'s table",
     "curvature.py: riemann": "criterion 7's exact Riemann tensor, which the report never builds",
+    "linalg.py: det": "the exact determinant; the library tests invertibility by rank or blocks",
 }
 
 
@@ -428,7 +430,7 @@ def test_only_main_maps_errors_to_exit_codes():
     assert misplaced_error_handling((SRC / "cli.py").read_text()) == []
 
 
-ELIMINATIONS = ("rank", "kernel", "row_space", "det", "solve", "invert",
+ELIMINATIONS = ("rank", "kernel", "row_space", "det", "solve", "invert", "integer_inverse",
                 "congruence_diagonalize")
 
 

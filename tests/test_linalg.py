@@ -26,6 +26,7 @@ from heisflag.linalg import (
     det,
     diag,
     identity,
+    integer_inverse,
     invert,
     kernel,
     mat,
@@ -429,8 +430,13 @@ def test_invert_agrees_with_gauss_jordan_oracle(data):
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError):
             invert(m)
+        with pytest.raises(SingularMatrixError):
+            integer_inverse(m)
         return
     assert invert(m) == want
+    inverse, d = integer_inverse(m)
+    assert d > 0 and all(type(x) is int for row in inverse for x in row)
+    assert [[F(x, d) for x in row] for row in inverse] == want
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -562,6 +568,27 @@ def test_large_entry_gram_agrees_with_the_fraction_oracle():
         assert got == (invert(g), rank(g), det(g), kernel(g), rank(top), kernel(top))
     assert got[0] == oracles.gauss_jordan_invert(g)
     assert got[2] == oracles.forward_det(g)
+
+
+@pytest.mark.parametrize("p, q", [(20, 12), (40, 24)])
+def test_integer_inverse_and_action_agree_with_oracles_on_large_entries(p, q):
+    # row 1's representative moved once at n = 32 and 64: entries of 290 and
+    # 650 bits over unrelated denominators
+    n = p + q
+    g = [list(r) for r in parabolic_sample(n, random.Random(n)).matrix]
+    gram = representative(admissible_classes(p, q).classes[0].id, p, q)
+    moved = act_on_metric(g, gram)
+    assert moved == oracles.mat_mul_act_on_metric(g, gram)
+    assert max(abs(x.numerator).bit_length() for row in moved for x in row) > 250
+    inverse, d = integer_inverse(moved)
+    assert d > 0 and all(type(x) is int for row in inverse for x in row)
+    want = oracles.gauss_jordan_invert(moved)
+    assert [[F(x, d) for x in row] for row in inverse] == want
+    assert invert(moved) == want
+    singular = moved[:-1] + [[x + y for x, y in zip(moved[0], moved[1])]]
+    for inverse_of in (integer_inverse, invert):
+        with pytest.raises(SingularMatrixError):
+            inverse_of(singular)
 
 
 def independent_subsequence(vectors):
