@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import linalg
 from .forms import Flag, PreconditionError, QuadraticSpace, Subspace
-from .linalg import Matrix, Vector
+from .linalg import Matrix
 
 
 def _cayley(p: int, q: int, draw_k: Callable[[], Matrix]) -> Matrix:
@@ -146,33 +146,35 @@ def integer_pool(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def small_vector_pool(n: int) -> list[Vector]:
-    """`integer_pool(n)` as `Fraction` vectors, in the same order."""
-    return [linalg.vec(v) for v in integer_pool(n)]
-
-
 def random_flag(p: int, q: int, rng: random.Random,
                 shape: tuple[int, int] | None = None) -> Flag:
-    """Random flag spanned by small integer vectors; degenerate types occur often."""
+    """Random flag spanned by small integer vectors; degenerate types occur often.
+
+    The big part's basis is drawn from the cached `integer_pool` and ranked
+    as `int` rows; only the chosen vectors become `Fraction`s.  Both parts
+    are independent by construction (independent picks, and a small part
+    of full-rank combinations of them), so neither is ranked again;
+    `Flag` still checks that the small part lies in the big one.
+    """
     n = p + q
     k1, k2 = shape if shape is not None else (1, n - 2)
     if not 0 <= k1 < k2 <= n:
         raise PreconditionError(f"flag shape ({k1}, {k2}) needs 0 <= k1 < k2 <= n = {n}")
-    pool = small_vector_pool(n)
+    pool = integer_pool(n)
     while True:
-        picks: list[Vector] = []
+        picks: list[tuple[int, ...]] = []
         while len(picks) < k2:
             cand = rng.choice(pool)
             if linalg.rank(picks + [cand]) == len(picks) + 1:
                 picks.append(cand)
-        big = Subspace(n, tuple(picks))
+        big = Subspace._independent(n, tuple(linalg.vec(v) for v in picks))
         coeffs_pool = [-1, 0, 1]
         for _ in range(20):
-            rows = [[Fraction(rng.choice(coeffs_pool)) for _ in range(k2)] for _ in range(k1)]
+            rows = [[rng.choice(coeffs_pool) for _ in range(k2)] for _ in range(k1)]
             if linalg.rank(rows) != k1:
                 continue
-            small_vecs = [linalg.combine(row, big.basis) for row in rows]
-            return Flag(Subspace(n, tuple(small_vecs)), big)
+            small = Subspace._independent(n, tuple(linalg.combine(row, big.basis) for row in rows))
+            return Flag(small, big)
 
 
 def random_gram(p: int, q: int, rng: random.Random) -> Matrix:

@@ -17,13 +17,19 @@ finished entry is rounded to binary64.
 
 Residuals are always checked: a witness outside tolerance raises instead of
 being returned silently.
+
+numpy is imported inside the three functions that build or measure a float
+matrix (`_assemble`, `witness_residuals`, `subspace_distance`), never at
+module level: everything else in the package is exact, so `import heisflag`
+and every command but `heisflag witness` run without loading it, and a
+witness without numpy raises `ImportError` when it is built.  The
+`np.ndarray` annotations stay strings under `from __future__ import
+annotations`.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-
-import numpy as np
 
 from . import linalg
 from .forms import (
@@ -65,6 +71,8 @@ def describe_inequivalence(inv1: FlagInvariants, inv2: FlagInvariants) -> str | 
 
 def subspace_distance(vectors1, vectors2) -> float:
     """Max-norm difference of orthogonal projectors onto the two spans."""
+    import numpy as np
+
     a = np.array([[float(x) for x in v] for v in vectors1], dtype=float).T
     b = np.array([[float(x) for x in v] for v in vectors2], dtype=float).T
     qa, _ = np.linalg.qr(a)
@@ -84,6 +92,8 @@ def _assemble(p: int, frame1, frame2) -> np.ndarray:
     entry is summed exactly and rounded to binary64 once, so cancellation
     between large frame entries cannot contaminate the returned matrix.
     """
+    import numpy as np
+
     rows = []  # row k of diag(sqrt(m2 / m1)) C2^{-1}, times 2^SQRT_BITS
     for c2, m1, m2 in zip(frame2.vectors, frame1.norms, frame2.norms):
         r = m2 / m1
@@ -123,6 +133,8 @@ def isometry_witness(p: int, q: int, f1: Flag, f2: Flag) -> np.ndarray:
 
 def witness_residuals(p: int, q: int, g: np.ndarray, f1: Flag, f2: Flag) -> dict[str, float]:
     """Residual diagnostics for a candidate witness (form error and mapping distances)."""
+    import numpy as np
+
     ipq = np.diag([1.0] * p + [-1.0] * q)
     form = float(np.max(np.abs(g.T @ ipq @ g - ipq)))
     g_small = (g @ np.array([[float(x) for x in v] for v in f2.small.basis]).T).T

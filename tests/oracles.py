@@ -9,7 +9,9 @@ Deliberately separate from the package's fast paths:
   the connection type, `ConnectionTable`, with its metric-compatibility and
   torsion checks: the library builds no connection;
 - samplers: the dense-product forms of the exact O(p, q) samplers and the
-  flag sampler, which pin the draw order of `heisflag.sampling`;
+  flag sampler, which pin the draw order of `heisflag.sampling`; they and
+  the strategies draw from `fraction_pool`, the library's `int` pool as
+  `Fraction` vectors, where the library ranks its picks as `int` rows;
 - enumeration: the primal flag survey, which walks every (n-2)-subset of the
   small integer pool, deduplicates subspaces by a fraction-free integer RREF
   and computes every flag invariant in integer arithmetic; and the dual
@@ -111,7 +113,7 @@ from heisflag.heisenberg import (
     _admissible_row,
     admissible_classes,
 )
-from heisflag.sampling import small_vector_pool
+from heisflag.sampling import integer_pool
 from heisflag.witness import SQRT_BITS, WitnessFailureError
 
 
@@ -429,10 +431,16 @@ def mild_opq(p, q, rng):
     return linalg.mat_mul(signed_permutation_opq(p, q, rng), g)
 
 
+def fraction_pool(n):
+    """`sampling.integer_pool(n)` as `Fraction` vectors, in the same order: the pool
+    that the `Fraction` samplers draw from, so that they make the library's draws."""
+    return [linalg.vec(v) for v in integer_pool(n)]
+
+
 def random_gram(p, q, rng):
     """h^T I_{p,q} h for an invertible h with columns from the small pool, as two products."""
     n = p + q
-    pool = small_vector_pool(n)
+    pool = fraction_pool(n)
     while True:
         cols = [rng.choice(pool) for _ in range(n)]
         h = [[cols[j][i] for j in range(n)] for i in range(n)]
@@ -445,7 +453,7 @@ def random_flag(p, q, rng):
     """A line inside a codimension-two subspace, both spanned from the small pool."""
     n = p + q
     k1, k2 = 1, n - 2
-    pool = small_vector_pool(n)
+    pool = fraction_pool(n)
     while True:
         picks = []
         while len(picks) < k2:

@@ -13,6 +13,7 @@ from fractions import Fraction as F
 
 from hypothesis import strategies as st
 
+import oracles
 from heisflag import linalg, sampling
 from heisflag.forms import Flag, QuadraticSpace, Subspace
 
@@ -154,7 +155,7 @@ def null_systems(draw):
         nulls = [linalg.mat_vec(g, v) for v in nulls]
     elif kind == "pulled back":
         rng = random.Random(draw(st.integers(0, 99)))
-        pool = sampling.small_vector_pool(n)
+        pool = oracles.fraction_pool(n)
         while True:
             cols = [rng.choice(pool) for _ in range(n)]
             h = [[cols[j][i] for j in range(n)] for i in range(n)]
@@ -201,7 +202,7 @@ def degenerate_spaces_and_subspaces(draw):
         spans += [[rad], [light]] + ([[rad, unit(n, 1)], [light, unit(n, 1)]] if a > 1 else [])
     if draw(st.booleans()):
         rng = random.Random(draw(st.integers(0, 99)))
-        pool = sampling.small_vector_pool(n)
+        pool = oracles.fraction_pool(n)
         while True:
             cols = [rng.choice(pool) for _ in range(n)]
             h = [[cols[j][i] for j in range(n)] for i in range(n)]

@@ -55,9 +55,21 @@ builds and scans no Riemann table.
 The command line has one exit-code map: in `cli.py` only `main` has an
 `except` clause or refers to `sys.stderr`, apart from the clause of
 `cmd_witness` that turns `InequivalentFlagsError` into an answer.
+
+numpy loads only when a witness is built: no module of `src/heisflag`
+imports it at module level (or in a class body, which also runs on
+import), and the only numpy imports are inside `witness.py`'s
+`subspace_distance`, `_assemble` and `witness_residuals`.  Two child
+processes check the same at run time: a fresh `import heisflag` leaves
+numpy out of `sys.modules`, and with numpy made unimportable the exact
+library and `heisflag table` still work while `isometry_witness` raises an
+`ImportError` that names numpy.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -551,3 +563,91 @@ def test_checker_flags_a_riemann_table_in_the_report():
 
 def test_curvature_report_builds_no_riemann_table():
     assert tensor_names_in_report((SRC / "curvature.py").read_text()) == []
+
+
+def numpy_import_owners(source: str) -> list[str]:
+    """The function that each numpy import runs in, in source order.
+
+    `<module>` marks an import that runs when the module is imported: at
+    module level, under a module-level `if` or `try`, or in a class body.
+    """
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        if any(name.split(".")[0] == "numpy" for name in names):
+            found.append(owner)
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_flags_a_module_level_numpy_import():
+    source = ("from __future__ import annotations\n\nimport numpy as np\n\n\n"
+              "def build() -> np.ndarray:\n    import numpy as np\n    return np.zeros(1)\n\n\n"
+              "class Table:\n    from numpy.linalg import qr\n\n"
+              "    def solve(self):\n        from numpy import linalg\n        return linalg\n\n\n"
+              "try:\n    import numpy.random\nexcept ImportError:\n    pass\n")
+    assert numpy_import_owners(source) == ["<module>", "build", "<module>", "solve", "<module>"]
+    assert numpy_import_owners("import numbers\nfrom . import numpy_free\n") == []
+
+
+def test_numpy_loads_only_inside_witness_functions():
+    found = {p.name: numpy_import_owners(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: owners for name, owners in found.items() if owners} == {
+        "witness.py": ["subspace_distance", "_assemble", "witness_residuals"]}
+
+
+def run_child(script: str) -> list[str]:
+    """Run `script` in a fresh interpreter on this source tree; its stdout lines."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
+def test_import_heisflag_leaves_numpy_unloaded():
+    script = "import sys\nimport heisflag\nprint(sorted(m for m in sys.modules if m.startswith('numpy')))\n"
+    assert run_child(script) == ["[]"]
+
+
+def test_library_runs_with_numpy_absent():
+    # None in sys.modules makes every later `import numpy` raise ImportError
+    script = """
+import contextlib
+import io
+import random
+import sys
+
+sys.modules["numpy"] = None
+import heisflag
+from heisflag import cli, linalg, sampling
+
+print(sorted(m for m in sys.modules if m.startswith("numpy")), sys.modules["numpy"])
+alg = heisflag.HeisenbergAlgebra(4)
+print(heisflag.classify_metric(alg, linalg.diag([1, 1, -1, -1])).class_id)
+print(heisflag.curvature_report(alg, linalg.identity(4)).is_flat)
+print(len(heisflag.survey_flags(2, 2).invariants))
+table = io.StringIO()
+with contextlib.redirect_stdout(table):
+    code = cli.main(["table", "3", "1"])
+print(code, table.getvalue().splitlines()[2])
+f = sampling.random_flag(2, 2, random.Random(0))
+try:
+    heisflag.isometry_witness(2, 2, f, f)
+except ImportError as ex:
+    print(type(ex).__name__, "numpy" in str(ex))
+"""
+    assert run_child(script) == [
+        "['numpy'] None", "7", "False", "10",
+        "0 class 1: pattern (p-2, q, 0) = (1, 1, 0), refined spacelike",
+        "ModuleNotFoundError True"]
