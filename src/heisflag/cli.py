@@ -165,6 +165,7 @@ def cmd_verify(args) -> int:
     report("class_count", table.count == expected,
            f"derived {table.count}, expected {expected}")
 
+    space = QuadraticSpace.standard(p, q)
     survey = survey_flags(p, q)
     expected_inv = {row.flag_invariants(p, q) for row in table.classes}
     observed = survey.observed_invariants
@@ -175,20 +176,18 @@ def cmd_verify(args) -> int:
     report("matsuki_duality_count", len(survey.matsuki) == len(observed),
            f"matsuki {len(survey.matsuki)}, invariants {len(observed)}")
 
+    # the Gram of a basis (line, rest of the big part, two more) names the
+    # row of its flag's orbit, so every row is hit once its orbit is observed
     seen_ids: set[int] = set()
-    admissible_ids = set(table.ids)
-    coverage_cap = max(3000, 5 * trials)
-    stray = False
-    for _ in range(coverage_cap):
-        gram = sampling.random_gram(p, q, rng)
-        seen_ids.add(classify_metric(alg, gram).class_id)
-        if not seen_ids <= admissible_ids:
-            stray = True
-            break
-        if seen_ids == admissible_ids:
-            break
-    report("metric_class_coverage", not stray and seen_ids == admissible_ids,
-           f"observed ids {sorted(seen_ids)}")
+    astray = 0
+    for inv, (f, *_) in survey.invariants.items():
+        basis = linalg.extend_to_independent(
+            f.small.basis, [*f.big.basis, *linalg.identity(n)], n)
+        row = classify_metric(alg, space.pairing(basis, basis)).metric_class
+        seen_ids.add(row.id)
+        astray += row.flag_invariants(p, q) != inv
+    report("metric_class_coverage", not astray and seen_ids == set(table.ids),
+           f"observed ids {sorted(seen_ids)}, {astray} off their orbit")
 
     bad = 0
     for _ in range(trials):
@@ -199,7 +198,6 @@ def cmd_verify(args) -> int:
             bad += 1
     report("parabolic_invariance", bad == 0, f"{trials - bad}/{trials} trials")
 
-    space = QuadraticSpace.standard(p, q)
     bad = 0
     for _ in range(trials):
         f = sampling.random_flag(p, q, rng)

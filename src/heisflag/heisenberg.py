@@ -44,7 +44,7 @@ from .linalg import Matrix, Vector
 
 
 class UnsupportedSignatureError(PreconditionError):
-    """Signature outside the scope of the classification (q = 0 or n = 3)."""
+    """Signature outside the scope of the classification (p = 0, q = 0 or n < 4)."""
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from .linalg import Matrix
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
+_DIMENSION = re.compile(r"^[0-9]+$")
 
 
 class MatrixFormatError(ValueError):
@@ -30,10 +31,9 @@ def parse_matrix(text: str) -> Matrix:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise MatrixFormatError("empty matrix file")
-    try:
-        n = int(lines[0])
-    except ValueError:
+    if not _DIMENSION.match(lines[0]):
         raise MatrixFormatError(f"header must be the dimension, got {lines[0]!r}")
+    n = int(lines[0])
     if n < 1:
         raise MatrixFormatError("dimension must be positive")
     if len(lines) != n + 1:

@@ -1,12 +1,15 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import dataclasses
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from heisflag import linalg
+from heisflag import cli, linalg
 from heisflag.cli import main
+from heisflag.heisenberg import admissible_classes
 from heisflag.matrixio import (
     MatrixFormatError,
     format_matrix,
@@ -46,8 +49,10 @@ def test_matrix_round_trip_random():
 
 
 def test_matrix_parse_errors():
+    # int() and \d also take underscores and non-ASCII digits: "1_0" reads 10, "４" reads 4
     for bad in ["", "x", "2\n1 2\n", "2\n1 2 3\n4 5 6\n", "1\n1/0\n", "1\n1/-2\n",
-                "1\n0.5\n"]:
+                "1\n0.5\n", "1_0\n" + ("0 " * 10 + "\n") * 10, "1\n４\n",
+                "1\n1/2１\n"]:
         with pytest.raises(MatrixFormatError):
             parse_matrix(bad)
     with pytest.raises(MatrixFormatError):
@@ -241,6 +246,44 @@ def test_verify_passes_and_is_deterministic(capsys):
     code3, out3, _ = run_cli(capsys, "verify", "3", "1", "--trials", "10")
     assert code3 == 0
     assert "observed ids [1, 2, 3, 4, 10, 13]" in out3
+
+
+def coverage_line(out):
+    return next(line for line in out.splitlines()
+                if line.startswith("check metric_class_coverage:"))
+
+
+def test_verify_coverage_reads_no_seed(capsys):
+    # coverage reads no RNG, so its line is the same at every seed
+    lines = set()
+    for seed in range(5):
+        code, out, _ = run_cli(capsys, "verify", "5", "3", "--seed", str(seed), "--trials", "5")
+        assert code == 0, out
+        lines.add(coverage_line(out))
+    assert lines == {"check metric_class_coverage: pass (observed ids "
+                     f"{list(range(1, 22))}, 0 off their orbit)"}
+
+
+def test_verify_passes_at_every_signature_up_to_ten(capsys):
+    for n in range(4, 11):
+        for p in range(1, n):
+            code, out, _ = run_cli(capsys, "verify", str(p), str(n - p), "--trials", "1")
+            assert code == 0, out
+
+
+def test_verify_coverage_fails_on_a_lost_orbit(capsys, monkeypatch):
+    survey = cli.survey_flags(3, 2)
+    lost, *kept = survey.invariants
+    monkeypatch.setattr(cli, "survey_flags", lambda p, q: dataclasses.replace(
+        survey, invariants={inv: survey.invariants[inv] for inv in kept}))
+    code, out, _ = run_cli(capsys, "verify", "3", "2", "--trials", "1", "--record")
+    assert code == 3
+    assert coverage_line(out).startswith("check metric_class_coverage: FAIL")
+    record = json.loads(out.split("record: ")[1])
+    assert "metric_class_coverage" in record["failures"]
+    table = admissible_classes(3, 2)
+    missing = set(table.ids) - set(record["observed_ids"])
+    assert missing == {row.id for row in table.classes if row.flag_invariants(3, 2) == lost}
 
 
 def test_verify_rejects_out_of_scope(capsys):
