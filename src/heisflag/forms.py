@@ -164,6 +164,8 @@ class Subspace:
     def coordinate(cls, ambient_dim: int, indices: Sequence[int]) -> "Subspace":
         rows = []
         for i in indices:
+            if not 0 <= i < ambient_dim:
+                raise linalg.ShapeError(f"coordinate index {i} outside 0..{ambient_dim - 1}")
             row = [Fraction(0)] * ambient_dim
             row[i] = Fraction(1)
             rows.append(tuple(row))

@@ -2,7 +2,8 @@
 
 Matrices are lists of row lists and vectors are tuples.  Input entries may
 be `int` or `fractions.Fraction`, and results are `Fraction`, except the
-`int` matrix and denominator of `integer_inverse`.
+`int` matrix and denominator of `integer_inverse`.  All routines are pure
+and exact: no floating point, no tolerances.
 Most entries met in practice are integers stored as `Fraction` (kernels,
 row spaces and LLL bases are primitive integer vectors), so every product
 is one loop, `_accumulate`, that multiplies and adds each integral entry
@@ -11,40 +12,24 @@ zeros.  `combine`, the `mat_mul` and `mat_vec` built on it, and the
 bilinear form x^T M y behind `QuadraticSpace.pairing` make each output
 entry a `Fraction` once, at the end, whatever the input types;
 `primitive_vector` rescales in `int` as well.
-One fraction-free elimination serves `rank`, `det`, `kernel`, `row_space`,
+One fraction-free elimination serves `rank`, `kernel`, `row_space`,
 `solve`, `invert` and `extend_to_independent`: `_forward` scales each row
 to integers by the lcm of its denominators and replaces a row by
 (p * row - x * pivot row) / content, and `_reduce` clears upwards the same
-way.  Dividing by the content keeps each updated row no larger than the
-rational row over a common denominator.  Bareiss's elimination instead
-divides by the previous pivot and keeps whole minors of the scaled matrix,
-which carry every row's scaling however small the rational entries are.
-Entries become `Fraction` only at the API boundary: `_echelon` (the reduced
-echelon form, read by `solve`) divides each row by its pivot, `kernel` and
-`row_space` rescale integer rows to primitive ones, and `det` divides the
-pivots by the scalings of their rows.  The inverse is read off the `int`
-rows of [M | I] once reduced: `invert` divides each row by its pivot, and
-`integer_inverse` keeps it in `int` as M / d, with d the lcm of the pivots,
-for callers that go on multiplying in `int` (the group action on Gram
-matrices and the Cayley samplers).
-All routines are pure and exact: no floating point, no tolerances.
+way.  It keeps only rows and pivot columns: nothing here needs a
+determinant.  Dividing by the content, not by the previous pivot as
+Bareiss does, keeps each row no larger than the rational row over a common
+denominator.  Entries become `Fraction` only at the API boundary: `solve`
+divides the last entry of each reduced row of [A | b] by its pivot,
+`kernel` and `row_space` rescale rows to primitive ones, and `invert`
+divides each reduced row of [M | I] by its pivot, where `integer_inverse`
+keeps it in `int` as M / d, with d the lcm of the pivots, for callers that
+go on multiplying in `int` (the group action and the Cayley samplers).
 Signatures of symmetric matrices are obtained by congruence (never from
-eigenvalues), using one symmetric elimination on integer rows.  The input
-is scaled once by the lcm of all its denominators (`scaled_to_int`, which
-the group action and the flag sampler use too), and the block not yet
-eliminated is kept as integers A = c * S, where S is the block that the
-Schur elimination over Q would hold and c > 0 a rational scale.  A pivot p
-with row x replaces the rest by (p * A - x x^T) / (sign(p) * g), g its
-content, and c by c * |p| / g.  The recorded diagonal entry p / c and the
-factors -x_i / p are ratios in which c cancels, so they are that
-elimination's S_kk and -S_ik / S_kk, and the moves and the transform are
-the same.  Zero pivots are traded for swaps or hyperbolic-pair congruences,
-which act on the integers alike, so everything stays inside Q.  This is not
-a Bareiss congruence: each division by the content leaves A the primitive
-integer multiple of S, where dividing by the previous pivot keeps whole
-minors that carry every earlier scaling into every entry.  The congruence
-records its moves and builds the transform P only when a caller reads it;
-callers that count signs never pay for P.
+eigenvalues): `congruence_diagonalize` is one symmetric elimination on
+content-reduced integer rows, whose recorded diagonal and moves are those
+of the same elimination over Q, and which builds the transform P only when
+a caller reads it.
 """
 
 from __future__ import annotations
@@ -52,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -392,9 +377,8 @@ def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceR
     return CongruenceResult(tuple(diagonal), leading_counts, tuple(moves))
 
 
-def _forward(m: Matrix) -> tuple[list[list[int]], list[int], int, list[list[tuple[int, int]]]]:
-    """One fraction-free forward elimination: integer echelon rows, pivot columns,
-    swap parity and the scalings of each row.
+def _forward(m: Matrix) -> tuple[list[list[int]], list[int]]:
+    """One fraction-free forward elimination: integer echelon rows and pivot columns.
 
     Each input row is multiplied by the lcm of its entries' denominators; an
     integral entry (an `int`, or a `Fraction` with denominator 1) counts
@@ -402,27 +386,23 @@ def _forward(m: Matrix) -> tuple[list[list[int]], list[int], int, list[list[tupl
     current row.  A row below it with entry x != 0 in the pivot column
     becomes (p * row - x * pivot row) / g: p and x are first divided by
     their gcd, and g is the content (the gcd of the entries) of the
-    result.  So a row stays an integer multiple of the row that the same
-    elimination over Q would hold, no larger than that row over a common
-    denominator, and pivot rows are never normalized.  `scalings[r]` lists
-    each (up, down) by which row r was multiplied by up / down, so that row
-    r over the product of its scalings is the rational row, and a square
-    matrix's determinant is the parity times the product of the pivots
-    divided by their rows' scalings.
+    result.  So a row stays a nonzero rational multiple of the row that the
+    same elimination over Q would hold, no larger than that row over a
+    common denominator, and pivot rows are never normalized.  Rows of
+    unequal length raise `ShapeError`.
     """
+    cols = len(m[0]) if m else 0
     a: list[list[int]] = []
-    scalings: list[list[tuple[int, int]]] = []
     for row in m:
+        if len(row) != cols:
+            raise ShapeError(f"rows of lengths {cols} and {len(row)} in one matrix")
         d = lcm(*(x.denominator for x in row))
         if d == 1:
             a.append([x.numerator for x in row])
-            scalings.append([])
         else:
             a.append([x.numerator * (d // x.denominator) for x in row])
-            scalings.append([(d, 1)])
-    rows, cols = shape(a)
+    rows = len(a)
     pivots: list[int] = []
-    parity = 1
     for c in range(cols):
         r = len(pivots)
         if r == rows:
@@ -432,8 +412,6 @@ def _forward(m: Matrix) -> tuple[list[list[int]], list[int], int, list[list[tupl
             continue
         if pr != r:
             a[r], a[pr] = a[pr], a[r]
-            scalings[r], scalings[pr] = scalings[pr], scalings[r]
-            parity = -parity
         prow = a[r]
         p = prow[c]
         ptail = prow[c + 1:]
@@ -448,9 +426,8 @@ def _forward(m: Matrix) -> tuple[list[list[int]], list[int], int, list[list[tupl
                 g = gcd(*tail)
                 row[c] = 0
                 row[c + 1:] = [y // g for y in tail] if g > 1 else tail
-                scalings[i].append((up, g or 1))
         pivots.append(c)
-    return a, pivots, parity, scalings
+    return a, pivots
 
 
 def _reduce(m: Matrix) -> tuple[list[list[int]], list[int]]:
@@ -461,7 +438,7 @@ def _reduce(m: Matrix) -> tuple[list[list[int]], list[int]]:
     row r is an integer multiple of row r of the reduced echelon form, with
     its pivot a_r,c_r in place of 1.
     """
-    a, pivots, _, _ = _forward(m)
+    a, pivots = _forward(m)
     for r in range(len(pivots) - 1, 0, -1):
         c = pivots[r]
         prow = a[r]
@@ -476,15 +453,6 @@ def _reduce(m: Matrix) -> tuple[list[list[int]], list[int]]:
                 g = gcd(*new)  # > 0: row i keeps its own pivot
                 a[i] = [y // g for y in new] if g > 1 else new
     return a, pivots
-
-
-def _echelon(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form as `Fraction`s, and pivot columns: `_reduce`,
-    each pivot row divided by its pivot (`solve` reads it)."""
-    a, pivots = _reduce(m)
-    zero = Fraction(0)
-    ech = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(a, pivots)]
-    return ech + [[zero] * len(row) for row in a[len(pivots):]], pivots
 
 
 def rank(m: Matrix) -> int:
@@ -516,21 +484,6 @@ def kernel(m: Matrix) -> list[Vector]:
             v[c] = -x * (scale // p)
         basis.append(tuple(Fraction(x) for x in _content_free(v)))
     return basis
-
-
-def det(m: Matrix) -> Fraction:
-    """Product of the pivots of one forward elimination, each divided by its
-    row's scalings, times its swap parity."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ShapeError("determinant requires a square matrix")
-    a, pivots, parity, scalings = _forward(m)
-    if len(pivots) < n:
-        return Fraction(0)
-    result = Fraction(parity)
-    for row, c, steps in zip(a, pivots, scalings):
-        result *= row[c] / prod((Fraction(up, down) for up, down in steps), start=Fraction(1))
-    return result
 
 
 def _inverse_rows(m: Matrix) -> list[tuple[list[int], int]]:
@@ -566,17 +519,21 @@ def invert(m: Matrix) -> Matrix:
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One exact solution of A x = b, or None if the system is inconsistent."""
+    """One exact solution of A x = b, or None if the system is inconsistent.
+
+    Read off the `_reduce` rows of [A | b]: the system is inconsistent iff
+    a pivot lands in the last column, and otherwise x_c is the last entry of
+    the row with pivot column c over that pivot, and every free x_c is 0.
+    """
     rows, cols = shape(a)
     if len(b) != rows:
         raise ShapeError("right-hand side length does not match row count")
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    ech, pivots = _echelon(aug)
+    reduced, pivots = _reduce([[*row, bv] for row, bv in zip(a, b)])
     if pivots and pivots[-1] == cols:
         return None
     x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = ech[r][cols]
+    for row, c in zip(reduced, pivots):
+        x[c] = Fraction(row[cols], row[c])
     return tuple(x)
 
 
@@ -660,10 +617,17 @@ def extend_to_independent(base: Sequence[Vector], pool: Sequence[Vector],
 
     Takes the first pool pivots of one forward elimination of the columns
     [base | pool]: each pool vector outside the span of the columns before it.
+    Vectors of unequal length raise `ShapeError`.
     """
-    pivots = _forward(transpose(list(base) + list(pool)))[1]
+    vectors = [*base, *pool]
+    if len({len(v) for v in vectors}) > 1:
+        raise ShapeError("base and pool vectors must have one length")
+    pivots = _forward(transpose(vectors))[1]
     from_pool = [c - len(base) for c in pivots if c >= len(base)]
-    need = target_rank - (len(pivots) - len(from_pool))
-    if need < 0 or need > len(from_pool):
+    base_rank = len(pivots) - len(from_pool)
+    if base_rank > target_rank:
+        raise ShapeError(f"base has rank {base_rank}, above the target rank {target_rank}")
+    need = target_rank - base_rank
+    if need > len(from_pool):
         raise ShapeError("pool does not span enough directions")
     return list(base) + [pool[c] for c in from_pool[:need]]

@@ -57,16 +57,17 @@ Deliberately separate from the package's fast paths:
   them, which `heisflag.forms` and `heisflag.witness` now read off one rank
   or one kernel; and `extend_nullsystem` with its own null-splitting loop,
   which is now one `forms.extend_basis` call;
-- `random_gram` as two dense products h^T I h over a `Fraction` pool with a
-  determinant per draw, which one pairing of columns from a cached `int`
-  pool, ranked, replaced;
-- elimination: the Gauss-Jordan echelon form and the rank read off it, and
-  the determinant's own forward loop, which one forward elimination
-  (`linalg._forward`, plus back substitution for the echelon form) replaced;
-  and that forward elimination and back substitution in `Fraction`
-  (`fraction_forward`, `fraction_echelon`, and `fraction_reduce`, its rows
-  scaled to integers by `integer_rows`), which the fraction-free
-  elimination on content-reduced integer rows replaced;
+- `random_gram` as two dense products h^T I h over a `Fraction` pool, which
+  one pairing of columns from a cached `int` pool replaced;
+- elimination: the Gauss-Jordan echelon form and the rank read off it,
+  which one forward elimination (`linalg._forward`, plus back substitution
+  in `linalg._reduce`) replaced; that forward elimination and back
+  substitution in `Fraction` (`fraction_forward`, `fraction_echelon`, and
+  `fraction_reduce`, its rows scaled to integers by `integer_rows`), which
+  the fraction-free elimination on content-reduced integer rows replaced;
+- determinants: the library computes none, so `forward_det`, a `Fraction`
+  forward loop, is the tests' exact determinant, and `leibniz_det` the
+  permutation sum that checks it;
 - bases: the `scaled_system` that LLL-reduced W's basis before
   diagonalizing it, and the witness frame rescaling to primitive integer
   columns with adjusted norms, which orientation alone replaced.
@@ -387,7 +388,7 @@ def _cayley_product(p, q, k):
     ident = linalg.identity(n)
     i_plus_s = [[x + y for x, y in zip(r, t)] for r, t in zip(ident, s)]
     i_minus_s = [[x - y for x, y in zip(r, t)] for r, t in zip(ident, s)]
-    if linalg.det(i_plus_s) == 0:
+    if linalg.rank(i_plus_s) < len(i_plus_s):
         return None
     return linalg.mat_mul(i_minus_s, linalg.invert(i_plus_s))
 
@@ -444,7 +445,7 @@ def random_gram(p, q, rng):
     while True:
         cols = [rng.choice(pool) for _ in range(n)]
         h = [[cols[j][i] for j in range(n)] for i in range(n)]
-        if linalg.det(h) != 0:
+        if linalg.rank(h) == len(h):
             ipq = linalg.diag([1] * p + [-1] * q)
             return linalg.mat_mul(linalg.transpose(h), linalg.mat_mul(ipq, h))
 
@@ -1080,7 +1081,7 @@ def det_is_scaled_automorphism(g, n):
         return False
     if any(g[i][j] != 0 for i in (n - 2, n - 1) for j in range(1, n - 2)):
         return False
-    return linalg.det(g) != 0
+    return forward_det(g) != 0
 
 
 def parabolic_sample(n, rng):
@@ -1245,8 +1246,9 @@ def gauss_jordan_echelon(m):
     """Reduced row echelon form and pivot columns by Gauss-Jordan elimination.
 
     Each pivot row is normalized and clears its column above and below at once.
+    Entries become `Fraction` first, so `int` input stays exact.
     """
-    a = [list(row) for row in m]
+    a = linalg.mat(m)
     rows, cols = linalg.shape(a)
     pivots = []
     r = 0
@@ -1272,13 +1274,11 @@ def fraction_forward(m):
     """The `Fraction` forward elimination that the integer rows of `linalg._forward` replaced.
 
     Each row below a pivot subtracts (entry / pivot) times the pivot row,
-    with the same pivot choice and swap parity.  Rows are never rescaled,
-    so every row's list of scalings is empty.
+    with the same pivot choice; returns the rows and the pivot columns.
     """
     a = linalg.mat(m)
     rows, cols = linalg.shape(a)
     pivots = []
-    parity = 1
     for c in range(cols):
         r = len(pivots)
         if r == rows:
@@ -1286,9 +1286,7 @@ def fraction_forward(m):
         pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
         if pr is None:
             continue
-        if pr != r:
-            a[r], a[pr] = a[pr], a[r]
-            parity = -parity
+        a[r], a[pr] = a[pr], a[r]
         prow = a[r]
         pivot = prow[c]
         for i in range(r + 1, rows):
@@ -1296,13 +1294,13 @@ def fraction_forward(m):
                 f = a[i][c] / pivot
                 a[i][c:] = [x - f * y for x, y in zip(a[i][c:], prow[c:])]
         pivots.append(c)
-    return a, pivots, parity, [[] for _ in a]
+    return a, pivots
 
 
 def fraction_echelon(m):
     """`fraction_forward`, then `Fraction` back substitution: the reduced echelon
-    form as `linalg._echelon` computed it before its rows became integers."""
-    a, pivots, _, _ = fraction_forward(m)
+    form as `linalg` computed it before its rows became integers."""
+    a, pivots = fraction_forward(m)
     for r, c in reversed(list(enumerate(pivots))):
         inv = 1 / a[r][c]
         prow = a[r] = [x * inv for x in a[r]]
@@ -1316,7 +1314,7 @@ def fraction_echelon(m):
 def integer_rows(echelon):
     """The routine m -> `echelon(m)` with each row scaled by the lcm of its
     denominators: integer rows in the form `linalg._reduce` returns, for the
-    routines that read them (`kernel`, `row_space`)."""
+    routines that read them (`kernel`, `row_space`, `solve`, `invert`)."""
     def reduce(m):
         ech, pivots = echelon(m)
         scaled = []
@@ -1338,11 +1336,12 @@ def gauss_jordan_rank(m):
 
 
 def forward_det(m):
-    """Determinant by its own forward elimination, stopping at the first missing pivot."""
+    """Determinant by its own `Fraction` forward elimination, stopping at the first
+    missing pivot: the tests' exact determinant, a `Fraction` for `int` input too."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise linalg.ShapeError("determinant requires a square matrix")
-    a = [list(row) for row in m]
+    a = linalg.mat(m)
     result = Fraction(1)
     for c in range(n):
         pr = next((i for i in range(c, n) if a[i][c] != 0), None)

@@ -39,7 +39,7 @@ def random_nondegenerate_symmetric(n, rng):
     """`random_symmetric` with entries a/b, |a| <= 4, 1 <= b <= 3, redrawn until nonsingular."""
     while True:
         m = random_symmetric(n, rng, (-4, 4), (1, 3))
-        if linalg.det(m) != 0:
+        if linalg.rank(m) == len(m):
             return m
 
 
@@ -159,7 +159,7 @@ def null_systems(draw):
         while True:
             cols = [rng.choice(pool) for _ in range(n)]
             h = [[cols[j][i] for j in range(n)] for i in range(n)]
-            if linalg.det(h) != 0:
+            if linalg.rank(h) == len(h):
                 break
         nulls = [linalg.solve(h, v) for v in nulls]
         space = QuadraticSpace.from_matrix(space.pairing(cols, cols))
@@ -206,7 +206,7 @@ def degenerate_spaces_and_subspaces(draw):
         while True:
             cols = [rng.choice(pool) for _ in range(n)]
             h = [[cols[j][i] for j in range(n)] for i in range(n)]
-            if linalg.det(h) != 0:
+            if linalg.rank(h) == len(h):
                 break
         gram = QuadraticSpace.from_matrix(gram).pairing(cols, cols)
         spans = [[linalg.solve(h, v) for v in span] for span in spans]

@@ -48,7 +48,7 @@ def random_space(rng, n, allow_degenerate=True):
                 x = F(rng.randint(-3, 3))
                 m[i][j] = x
                 m[j][i] = x
-        if allow_degenerate or linalg.det(m) != 0:
+        if allow_degenerate or linalg.rank(m) == len(m):
             return QuadraticSpace.from_matrix(m)
 
 

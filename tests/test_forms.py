@@ -199,7 +199,7 @@ def test_basis_independence():
         k = f.big.dim
         while True:
             change = [[F(rng.randint(-2, 2)) for _ in range(k)] for _ in range(k)]
-            if linalg.det(change) != 0:
+            if linalg.rank(change) == len(change):
                 break
         mixed = [tuple(sum(change[r][c] * f.big.basis[c][i] for c in range(k))
                        for i in range(p + q)) for r in range(k)]
@@ -384,6 +384,9 @@ def test_public_subspace_constructors_check_independence():
         Subspace(4, (unit(0), unit(1), linalg.vec_add(unit(0), unit(1))))
     with pytest.raises(PreconditionError, match="linearly independent"):
         Subspace.coordinate(4, [2, 2])
+    for index in (-1, 5):
+        with pytest.raises(linalg.ShapeError, match=f"index {index} outside 0..3"):
+            Subspace.coordinate(4, [index])
     with pytest.raises(linalg.ShapeError, match="wrong length"):
         Subspace._independent(4, (unit(0), unit(0, 3)))
 

@@ -37,11 +37,10 @@ given as a string (for `getattr(oracles, name)`), or named inside an oracle
 that is.
 
 `linalg` owns the copy that each elimination works on: no call in
-`src/heisflag` to `rank`, `kernel`, `row_space`, `det`, `solve`, `invert`,
+`src/heisflag` to `rank`, `kernel`, `row_space`, `solve`, `invert`,
 `integer_inverse` or `congruence_diagonalize` copies rows with `list(...)`
-in its arguments.  A
-transpose built in place, as a comprehension over the rows, is a new matrix
-and stays allowed.
+in its arguments.  A transpose built in place, as a comprehension over the
+rows, is a new matrix and stays allowed.
 
 `witness.py` keeps only float assembly: the flag-adapted frame is built in
 `forms`, so the module names none of `ScaledSystem`, `Subspace`, `restrict`,
@@ -352,7 +351,6 @@ KEPT_FOR_USERS = {
     "heisenberg.py: ScaledAutomorphism.preserves_bracket": "states what from_matrix promises",
     "curvature.py: is_flat": "criterion 7's exact predicate on `riemann`'s table",
     "curvature.py: riemann": "criterion 7's exact Riemann tensor, which the report never builds",
-    "linalg.py: det": "the exact determinant; the library tests invertibility by rank or blocks",
 }
 
 
@@ -442,7 +440,7 @@ def test_only_main_maps_errors_to_exit_codes():
     assert misplaced_error_handling((SRC / "cli.py").read_text()) == []
 
 
-ELIMINATIONS = ("rank", "kernel", "row_space", "det", "solve", "invert", "integer_inverse",
+ELIMINATIONS = ("rank", "kernel", "row_space", "solve", "invert", "integer_inverse",
                 "congruence_diagonalize")
 
 
@@ -469,10 +467,10 @@ def test_checker_flags_a_row_copy_handed_to_an_elimination():
               "x = linalg.solve([[b[i] for b in basis] for i in range(n)], v)\n"
               "k = linalg.kernel(space.gram)\n"
               "c = linalg.combine(list(coeffs), vectors)\n"
-              "d = det(list(m))\n"
+              "d = linalg.invert(list(m))\n"
               "r = linalg.congruence_diagonalize([list(row) for row in gram], leading=m)\n"
               "r = linalg.congruence_diagonalize(restrict(space, w))\n")
-    assert row_copying_calls(source) == ["line 1: rank", "line 2: row_space", "line 6: det",
+    assert row_copying_calls(source) == ["line 1: rank", "line 2: row_space", "line 6: invert",
                                          "line 7: congruence_diagonalize"]
 
 

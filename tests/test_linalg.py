@@ -5,7 +5,7 @@ import random
 import re
 from contextlib import contextmanager
 from fractions import Fraction as F
-from math import lcm, prod
+from math import lcm
 from unittest.mock import patch
 
 import pytest
@@ -23,7 +23,6 @@ from heisflag.linalg import (
     ShapeError,
     SingularMatrixError,
     congruence_diagonalize,
-    det,
     diag,
     identity,
     integer_inverse,
@@ -43,7 +42,7 @@ from strategies import random_symmetric
 def random_invertible(rng, n):
     while True:
         m = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        if det(m) != 0:
+        if rank(m) == len(m):
             return m
 
 
@@ -80,7 +79,7 @@ def test_congruence_random_exact():
         n = rng.randint(1, 8)
         s = random_symmetric(n, rng)
         res = congruence_diagonalize(s)
-        assert det(res.transform) != 0
+        assert rank(res.transform) == n
         product = mat_mul(transpose(res.transform), mat_mul(s, res.transform))
         assert product == diag(res.diagonal)
         assert len(kernel(s)) + rank(s) == n
@@ -103,9 +102,9 @@ def test_kernel_examples():
     assert kernel(zeros(2, 2)) == [(F(1), F(0)), (F(0), F(1))]
 
 
-def test_invert_det_rank_examples():
+def test_invert_rank_examples():
     assert invert(diag([2, 2, 2])) == diag([F(1, 2)] * 3)
-    assert det(mat([[0, 1], [1, 0]])) == -1
+    assert invert(mat([[0, 1], [1, 0]])) == mat([[0, 1], [1, 0]])
     two_planes = mat([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
     assert rank(two_planes) == 4
     with pytest.raises(SingularMatrixError):
@@ -157,6 +156,19 @@ def test_lll_reduce_names_dependent_input():
             linalg.lll_reduce([vec(v) for v in vectors])
 
 
+def test_ragged_input_is_rejected():
+    for ragged in ([[1, 2], [3]], [[1], [2, 3]]):
+        for f in (rank, kernel, linalg.row_space):
+            with pytest.raises(ShapeError, match="rows of lengths"):
+                f(ragged)
+        with pytest.raises(ShapeError, match="rows of lengths"):
+            linalg.solve(ragged, (1, 2))
+    with pytest.raises(ShapeError, match="one length"):
+        linalg.extend_to_independent([(1, 0)], [(0, 1, 2)], 2)
+    with pytest.raises(ShapeError, match="base has rank 2, above the target rank 1"):
+        linalg.extend_to_independent([(1, 0), (0, 1)], [], 1)
+
+
 def test_solve_consistent_and_inconsistent():
     a = mat([[1, 2], [2, 4]])
     assert linalg.solve(a, vec([1, 2])) is not None
@@ -173,7 +185,8 @@ def fraction_entries(x) -> bool:
 def test_int_input_stays_exact():
     singular = [[3, 1, 4], [1, 3, 4], [4, 4, 8]]
     assert rank(singular) == 2
-    assert det(singular) == 0 and type(det(singular)) is F
+    with pytest.raises(SingularMatrixError):
+        invert(singular)
     res = congruence_diagonalize(singular)
     assert res.diagonal == (F(3), F(8, 3), F(0)) and res.sign_counts() == (2, 0, 1)
     assert fraction_entries(res.transform)
@@ -249,7 +262,7 @@ def test_congruence_agrees_with_row_column_oracle(s):
         assert res.sign_counts() == full
         p = res.transform
         assert mat_mul(transpose(p), mat_mul(s, p)) == diag(res.diagonal)
-        assert det(p) != 0
+        assert rank(p) == n
     with pytest.raises(ShapeError):
         congruence_diagonalize(s, leading=n + 1)
 
@@ -364,7 +377,6 @@ def test_int_input_gives_the_fraction_results(data):
     assert got == (kernel(fm), linalg.row_space(fm), linalg.solve(fm, vec(b)))
     assert rank(m) == rank(fm) and fraction_entries([x for x in got if x is not None])
     if square:
-        assert det(m) == det(fm) and type(det(m)) is F
         try:
             inverse = invert(m)
         except SingularMatrixError:
@@ -383,10 +395,18 @@ def test_int_input_gives_the_fraction_results(data):
         assert fraction_entries((res.diagonal, res.transform))
 
 
+def reduced_echelon(m):
+    """The reduced row echelon form as `Fraction`s, and pivot columns: each
+    `linalg._reduce` row over its pivot, the rows past the rank zero."""
+    a, pivots = linalg._reduce(m)
+    ech = [[F(x, row[c]) for x in row] for row, c in zip(a, pivots)]
+    return ech + [[F(0)] * len(row) for row in a[len(pivots):]], pivots
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(m=degenerate_matrices(), data=st.data())
 def test_forward_elimination_agrees_with_gauss_jordan_oracle(m, data):
-    assert linalg._echelon(m) == oracles.gauss_jordan_echelon(m)
+    assert reduced_echelon(m) == oracles.gauss_jordan_echelon(m)
     assert rank(m) == oracles.gauss_jordan_rank(m)
     cols = len(m[0]) if m else 0
     b = data.draw(st.one_of(
@@ -396,28 +416,33 @@ def test_forward_elimination_agrees_with_gauss_jordan_oracle(m, data):
     rows = [tuple(row) for row in m]
     got = (kernel(m), linalg.row_space(rows), linalg.solve(m, b))
     assert linalg.solve(rows, b) == got[2]
-    with patch.object(linalg, "_echelon", oracles.gauss_jordan_echelon), \
-            patch.object(linalg, "_reduce", oracles.integer_rows(oracles.gauss_jordan_echelon)):
+    with patch.object(linalg, "_reduce", oracles.integer_rows(oracles.gauss_jordan_echelon)):
         assert got == (kernel(m), linalg.row_space(rows), linalg.solve(m, b))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(m=degenerate_matrices(square=True))
-def test_det_and_invert_agree_with_the_replaced_eliminations(m):
-    assert det(m) == oracles.forward_det(m)
+def test_invert_agrees_with_the_replaced_eliminations(m):
+    det = oracles.forward_det(m)
+    assert det == oracles.leibniz_det(m) and type(det) is F
     rows = tuple(tuple(row) for row in m)
-    assert (det(rows), rank(rows), linalg._echelon(rows)) == (det(m), rank(m), linalg._echelon(m))
+    assert (rank(rows), linalg._reduce(rows)) == (rank(m), linalg._reduce(m))
     try:
         got = invert(m)
     except SingularMatrixError:
         got = None
-    with patch.object(linalg, "_echelon", oracles.gauss_jordan_echelon):
+    with patch.object(linalg, "_reduce", oracles.integer_rows(oracles.gauss_jordan_echelon)):
         if got is None:
             with pytest.raises(SingularMatrixError):
                 invert(m)
         else:
             assert invert(m) == got
-    assert (got is None) == (det(m) == 0)
+    assert (got is None) == (det == 0)
+
+
+def test_forward_det_is_exact_on_int_input():
+    got = oracles.forward_det([[1, 2], [3, 4]])
+    assert got == -2 and type(got) is F
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -510,8 +535,7 @@ def elimination_inputs(draw):
 def replaced_elimination():
     """`linalg`'s integer elimination swapped for the `Fraction` one it replaced."""
     with patch.object(linalg, "_forward", oracles.fraction_forward), \
-            patch.object(linalg, "_reduce", oracles.fraction_reduce), \
-            patch.object(linalg, "_echelon", oracles.fraction_echelon):
+            patch.object(linalg, "_reduce", oracles.fraction_reduce):
         yield
 
 
@@ -525,7 +549,7 @@ def elimination_results(m, b, split, target):
     results = [rank(m), kernel(m), linalg.row_space(m), linalg.solve(m, b),
                outcome(linalg.extend_to_independent, m[:split], m[split:], target)]
     if all(len(row) == len(m) for row in m):
-        results += [det(m), outcome(invert, m)]
+        results.append(outcome(invert, m))
     return results
 
 
@@ -545,15 +569,17 @@ def test_integer_elimination_agrees_with_the_fraction_oracle(m, data):
         assert got == elimination_results(m, b, split, target)
     # extend_to_independent (got[4]) returns input vectors; the rest are computed
     assert fraction_entries([x for x in got[1:4] + got[5:] if isinstance(x, (F, list, tuple))])
-    # each integer row is the rational row times the product of its scalings
-    a, pivots, parity, scalings = linalg._forward(m)
-    want, want_pivots, want_parity, _ = oracles.fraction_forward(m)
-    assert (pivots, parity) == (want_pivots, want_parity)
-    for row, want_row, steps in zip(a, want, scalings):
-        scale = prod((F(up, down) for up, down in steps), start=F(1))
+    # each integer row is a nonzero rational multiple of the rational row
+    a, pivots = linalg._forward(m)
+    want, want_pivots = oracles.fraction_forward(m)
+    assert pivots == want_pivots
+    for row, want_row in zip(a, want):
         assert all(type(x) is int for x in row)
-        assert [x / scale for x in row] == want_row
-    assert linalg._echelon(m) == oracles.fraction_echelon(m)
+        k = next((k for k, y in enumerate(want_row) if y), None)
+        scale = F(0) if k is None else F(row[k]) / want_row[k]
+        assert (scale != 0) == (k is not None)
+        assert row == [scale * y for y in want_row]
+    assert reduced_echelon(m) == oracles.fraction_echelon(m)
 
 
 def test_large_entry_gram_agrees_with_the_fraction_oracle():
@@ -562,12 +588,11 @@ def test_large_entry_gram_agrees_with_the_fraction_oracle():
     g = moved_gram(20, 12, 1, random.Random(23))
     assert max(abs(x.numerator).bit_length() for row in g for x in row) > 400
     top = g[:20]  # rank 20 with a 12-dimensional kernel
-    got = (invert(g), rank(g), det(g), kernel(g), rank(top), kernel(top))
-    assert len(got[5]) == 12 and got[3] == []
+    got = (invert(g), rank(g), kernel(g), rank(top), kernel(top))
+    assert len(got[4]) == 12 and got[2] == []
     with replaced_elimination():
-        assert got == (invert(g), rank(g), det(g), kernel(g), rank(top), kernel(top))
+        assert got == (invert(g), rank(g), kernel(g), rank(top), kernel(top))
     assert got[0] == oracles.gauss_jordan_invert(g)
-    assert got[2] == oracles.forward_det(g)
 
 
 @pytest.mark.parametrize("p, q", [(20, 12), (40, 24)])
