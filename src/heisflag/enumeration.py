@@ -14,24 +14,32 @@ first p and the last q entries of x, and U+, U- for the coordinate
 subspaces.
 - V is the I_pq-orthogonal complement of I_pq span(a, b), a plane with the
   Gram matrix of span(a, b); if that plane has signature (s, t, u), then V
-  has signature (p - s - u, q - t - u, u).
+  has signature (p - s - u, q - t - u, u).  (s, t, u) is read off the 2x2
+  integer Gram in closed form (`_plane_signature`): its determinant's sign,
+  then the sign of a diagonal entry.
 - dim(V cap U+) = p - rank[a+; b+] and dim(V cap U-) = q - rank[a-; b-].
   The plane's Plucker key on two + indices holds the 2x2 minors of [a+; b+]
   times one nonzero factor, so rank[a+; b+] is 2 iff one of them is
   nonzero, else 1 iff a+ or b+ is; the - block likewise.
 - A line v of V lies in (V cap U+) + (V cap U-) exactly when v+ is
   orthogonal to a+ and to b+.
-- A null line v lies in the radical of V exactly when I_pq v is orthogonal
-  to each vector of the exact kernel basis of [a; b], which is also the big
-  part of every sample flag.
+- A null line v lies in the radical of V exactly when I_pq v lies in
+  span(a, b), the Euclidean complement of V.  I_pq v has the support of v,
+  so only a line on the plane's own coordinates needs that rank test.
+Pool vectors have at most two nonzero entries, so each product of a line
+with a or b runs over the nonzero entries of a or b alone.  The exact
+kernel basis of [a; b] is the big part of every sample flag.
 
 The signed block permutations B_p x B_q (permutations and sign flips of the
 first p coordinates, and of the last q) fix I_pq, U+ and U-, so they fix
 every flag invariant and every seven-count tuple.  So the survey visits only
 a few planes of each class (`_canonical`): those whose support is an initial
 segment of each block and whose key is the least among their images under
-sign flips of the support coordinates.  It observes the same sets as a
-visit to every plane would:
+sign flips of the support coordinates.  Flipping the sign of coordinate i
+multiplies the Plucker coordinate p_ij by d_i d_j, so each image is a
+sign-flipped copy of the key, made positive at its first nonzero entry
+again; no flipped pair is keyed.  It observes the same sets as a visit to
+every plane would:
 - Every class keeps a plane.  A pool plane lies on at most four
   coordinates, which a block permutation moves to the front of each block;
   of that plane's sign-flip images, the one with the least key is kept.
@@ -40,6 +48,15 @@ visit to every plane would:
   Euclidean-orthogonal, so g ker[a; b] = ker[ga; gb].  So g maps the pool
   lines of V one to one onto those of gV, and the flag (v, V) to (gv, gV),
   which has the same invariants and seven counts.
+
+A kept plane lies on at most four coordinates, an initial segment of each
+block, and so does each of its pool vectors.  So the survey pairs only the
+pool vectors on the first min(p, 4) + and the first min(q, 4) -
+coordinates (at most 64 vectors, 2016 pairs, at any n), in pool order, and
+drops a pair whose joint support is no initial segment before it forms the
+key.  Those pairs come in the order of all pairs of the pool, so the first
+pair of each kept plane, and with it every sample flag, is the one a walk
+over all pairs would meet first.
 
 The survey yields the observed set of orbit invariants, the observed set of
 seven-count coordinate data, and a few sample flags per orbit.
@@ -63,14 +80,19 @@ IntRow = tuple[int, ...]
 SAMPLES_PER_ORBIT = 3
 
 
-def _standard_gram(sign: list[int], vectors) -> list[list[int]]:
-    """Gram matrix of integer vectors under the diagonal form `sign`."""
-    return [[sum(s * x * y for s, x, y in zip(sign, u, v)) for v in vectors]
-            for u in vectors]
+def _mask(v: IntRow) -> int:
+    """The support of v as a bit mask: bit i is set iff v[i] != 0."""
+    return sum(1 << i for i, x in enumerate(v) if x)
 
 
-def _dot(u, v) -> int:
-    return sum(x * y for x, y in zip(u, v))
+def _initial(mask: int, p: int) -> bool:
+    """Whether the support `mask` is an initial segment of the + block and of the - block.
+
+    A block's part of the mask must be 2^k - 1 for some k, that is, add no
+    carry past its own bits when one is added.
+    """
+    plus, minus = mask & ((1 << p) - 1), mask >> p
+    return not plus & (plus + 1) and not minus & (minus + 1)
 
 
 def _plucker_key(a: IntRow, b: IntRow, index_pairs: list[tuple[int, int]]) -> IntRow:
@@ -91,19 +113,26 @@ def _canonical(a: IntRow, b: IntRow, key: IntRow, p: int,
 
     Its support must be an initial segment of the + block and of the - block,
     and its key the least among its images under sign flips of the support
-    coordinates.  Flipping all of them fixes the plane, so the first stays.
+    coordinates.  Flipping coordinate i multiplies p_ij by d_i d_j, so each
+    image is read off `key` (then made positive at its first nonzero entry
+    again), and only the key's nonzero entries, which lie on the support,
+    take part in the comparison.  Flipping all of them fixes the plane, so
+    the first stays.
     """
-    support = [i for i, (x, y) in enumerate(zip(a, b)) if x or y]
-    plus = sum(1 for i in support if i < p)
-    if support != [*range(plus), *range(p, p + len(support) - plus)]:
+    mask = _mask(a) | _mask(b)
+    if not _initial(mask, p):
         return False
-    for flips in itertools.product((1, -1), repeat=len(support) - 1):
+    flips = [i for i in range(len(a)) if mask >> i & 1][1:]
+    entries = [(x, i, j) for (i, j), x in zip(index_pairs, key) if x]
+    values = [x for x, _, _ in entries]
+    for signs in itertools.product((1, -1), repeat=len(flips)):
         d = [1] * len(a)
-        for i, s in zip(support[1:], flips):
+        for i, s in zip(flips, signs):
             d[i] = s
-        flipped = _plucker_key(tuple(s * x for s, x in zip(d, a)),
-                               tuple(s * x for s, x in zip(d, b)), index_pairs)
-        if flipped < key:
+        flipped = [x * d[i] * d[j] for x, i, j in entries]
+        if flipped[0] < 0:
+            flipped = [-x for x in flipped]
+        if flipped < values:
             return False
     return True
 
@@ -145,58 +174,109 @@ def survey_flags(p: int, q: int) -> FlagSurvey:
     return _survey_cached(p, q)
 
 
+def _plane_signature(aa: int, ab: int, bb: int) -> tuple[int, int, int]:
+    """Signature (s, t, u) of the 2x2 Gram matrix [[aa, ab], [ab, bb]].
+
+    det < 0 means one positive and one negative direction; det > 0 means a
+    definite plane, positive iff aa is; det = 0 leaves rank 1, whose sign is
+    that of the nonzero diagonal entry (aa and bb cannot have opposite
+    signs), or rank 0.
+    """
+    det = aa * bb - ab * ab
+    if det < 0:
+        return 1, 1, 0
+    if det > 0:
+        return (2, 0, 0) if aa > 0 else (0, 2, 0)
+    if aa or bb:
+        return (1, 0, 1) if aa + bb > 0 else (0, 1, 1)
+    return 0, 0, 2
+
+
 def _plane_lines(a: IntRow, b: IntRow, key: IntRow, p: int, q: int, pool: Sequence[IntRow],
                  index_pairs: list[tuple[int, int]]):
-    """Integer kernel basis of V = ker[a; b], and (v, invariants, seven counts) per pool line v."""
+    """Exact kernel basis of V = ker[a; b], and (v, invariants, seven counts) per pool line v.
+
+    Pool vectors have at most two nonzero entries, each 0 or +-1, so every
+    product with a or b runs over a's or b's nonzero entries, and <v, v> is
+    the number of nonzero entries of v+ less that of v-.
+    """
     sign = [1] * p + [-1] * q
-    s, t, u = linalg.congruence_diagonalize(_standard_gram(sign, (a, b))).sign_counts()
+    a_nz = [(i, x) for i, x in enumerate(a) if x]
+    b_nz = [(i, x) for i, x in enumerate(b) if x]
+    s, t, u = _plane_signature(sum(sign[i] * x * x for i, x in a_nz),
+                               sum(sign[i] * x * b[i] for i, x in a_nz),
+                               sum(sign[i] * x * x for i, x in b_nz))
     sig_big = Signature(p - s - u, q - t - u, u)
+    spacelike = FlagInvariants(sig_big, Signature(1, 0, 0), 0)
+    timelike = FlagInvariants(sig_big, Signature(0, 1, 0), 0)
+    null = (FlagInvariants(sig_big, Signature(0, 0, 1), 0),
+            FlagInvariants(sig_big, Signature(0, 0, 1), 1))
     plus_minor = any(x for (i, j), x in zip(index_pairs, key) if j < p)
     minus_minor = any(x for (i, j), x in zip(index_pairs, key) if i >= p)
     c_plus = p - (2 if plus_minor else int(any(a[:p]) or any(b[:p])))
     c_minus = q - (2 if minus_minor else int(any(a[p:]) or any(b[p:])))
     c_zero = p + q - 2 - c_plus - c_minus
-    basis = [tuple(int(x) for x in w) for w in linalg.kernel([a, b])]
+    basis = linalg.kernel([a, b])
+    support = {i for i, _ in a_nz} | {i for i, _ in b_nz}
+    a_plus = [(i, x) for i, x in a_nz if i < p]
+    b_plus = [(i, x) for i, x in b_nz if i < p]
 
     lines = []
     for v in pool:
-        if _dot(a, v) or _dot(b, v):
+        if sum(x * v[i] for i, x in a_nz) or sum(x * v[i] for i, x in b_nz):
             continue
-        signed = [e * x for e, x in zip(sign, v)]
-        norm = _dot(v, signed)
+        plus, minus = v[:p], v[p:]
+        norm = minus.count(0) - plus.count(0) + p - q
         if norm > 0:
-            sig_small, cap = Signature(1, 0, 0), 0
+            inv = spacelike
         elif norm < 0:
-            sig_small, cap = Signature(0, 1, 0), 0
+            inv = timelike
         else:
-            sig_small, cap = Signature(0, 0, 1), (0 if any(_dot(w, signed) for w in basis) else 1)
-        d_plus = 0 if any(v[p:]) else 1
-        d_minus = 0 if any(v[:p]) else 1
-        d_pm = 0 if _dot(a[:p], v) or _dot(b[:p], v) else 1
-        lines.append((v, FlagInvariants(sig_big, sig_small, cap),
-                      (c_plus, c_minus, c_zero, d_plus, d_minus, 1 - d_plus - d_minus, d_pm)))
+            # v lies in the radical iff I_pq v lies in V's Euclidean complement
+            # span(a, b); I_pq v has the support of v, which must then lie on
+            # the plane's
+            inside = sum(1 for i in support if v[i]) == len(v) - v.count(0)
+            inv = null[inside and linalg.rank([a, b, [e * x for e, x in zip(sign, v)]]) == 2]
+        d_plus = 0 if any(minus) else 1
+        d_minus = 0 if any(plus) else 1
+        d_pm = 0 if (sum(x * v[i] for i, x in a_plus)
+                     or sum(x * v[i] for i, x in b_plus)) else 1
+        lines.append((v, inv, (c_plus, c_minus, c_zero, d_plus, d_minus,
+                               1 - d_plus - d_minus, d_pm)))
     return basis, lines
 
 
 @lru_cache(maxsize=None)
 def _survey_cached(p: int, q: int) -> FlagSurvey:
     n = p + q
+    # a kept plane, and so each of its pool vectors, lies on the first
+    # min(p, 4) + and the first min(q, 4) - coordinates; the Plucker key of
+    # such a plane needs only the index pairs among those
+    coords = [*range(min(p, 4)), *range(p, p + min(q, 4))]
+    reach = sum(1 << i for i in coords)
+    index_pairs = list(itertools.combinations(coords, 2))
     pool = integer_pool(n)
-    index_pairs = list(itertools.combinations(range(n), 2))
+    sub_pool = [(v, m) for v, m in zip(pool, map(_mask, pool)) if not m & ~reach]
     invariants: dict[FlagInvariants, list[Flag]] = {}
     matsuki: set[tuple[int, ...]] = set()
     seen: set[IntRow] = set()
+    kept = 0
 
-    for a, b in itertools.combinations(pool, 2):
+    for (a, ma), (b, mb) in itertools.combinations(sub_pool, 2):
+        if not _initial(ma | mb, p):
+            continue
         key = _plucker_key(a, b, index_pairs)
-        if key in seen or not _canonical(a, b, key, p, index_pairs):
+        if key in seen:
             continue
         seen.add(key)
+        if not _canonical(a, b, key, p, index_pairs):
+            continue
+        kept += 1
         basis, lines = _plane_lines(a, b, key, p, q, pool, index_pairs)
-        big = tuple(map(linalg.vec, basis))
+        big = Subspace._independent(n, tuple(basis))
         for v, inv, counts in lines:
             samples = invariants.setdefault(inv, [])
             if len(samples) < SAMPLES_PER_ORBIT:
-                samples.append(Flag(Subspace(n, (linalg.vec(v),)), Subspace(n, big)))
+                samples.append(Flag(Subspace._independent(n, (linalg.vec(v),)), big))
             matsuki.add(counts)
-    return FlagSurvey(p, q, len(seen), invariants, matsuki)
+    return FlagSurvey(p, q, kept, invariants, matsuki)

@@ -380,13 +380,14 @@ def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceR
 def _forward(m: Matrix) -> tuple[list[list[int]], list[int]]:
     """One fraction-free forward elimination: integer echelon rows and pivot columns.
 
-    Each input row is multiplied by the lcm of its entries' denominators; an
-    integral entry (an `int`, or a `Fraction` with denominator 1) counts
-    as its numerator.  The pivot is the first nonzero entry at or below the
-    current row.  A row below it with entry x != 0 in the pivot column
-    becomes (p * row - x * pivot row) / g: p and x are first divided by
-    their gcd, and g is the content (the gcd of the entries) of the
-    result.  So a row stays a nonzero rational multiple of the row that the
+    A row of `int`s is taken as it is.  Any other row is multiplied by the
+    lcm of its entries' denominators; an integral entry (an `int`, or a
+    `Fraction` with denominator 1) counts as its numerator.  The pivot is
+    the first nonzero entry at or below the current row.  A row below it
+    with entry x != 0 in the pivot column becomes
+    (p * row - x * pivot row) / g: p and x are first divided by their gcd,
+    and g is the content (the gcd of the entries) of the result.  So a
+    row stays a nonzero rational multiple of the row that the
     same elimination over Q would hold, no larger than that row over a
     common denominator, and pivot rows are never normalized.  Rows of
     unequal length raise `ShapeError`.
@@ -396,6 +397,9 @@ def _forward(m: Matrix) -> tuple[list[list[int]], list[int]]:
     for row in m:
         if len(row) != cols:
             raise ShapeError(f"rows of lengths {cols} and {len(row)} in one matrix")
+        if all(type(x) is int for x in row):
+            a.append(list(row))
+            continue
         d = lcm(*(x.denominator for x in row))
         if d == 1:
             a.append([x.numerator for x in row])

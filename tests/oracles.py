@@ -20,7 +20,13 @@ Deliberately separate from the package's fast paths:
   the pair with `linalg.rank`, where the survey reads the plane's Plücker
   key.  Both take as lines the {-1, 0, 1} combinations of a basis of the
   big part (`_coefficient_lines`), where the survey takes the pool vectors
-  that lie in it;
+  that lie in it.  `every_pair_survey` is that class survey as it was
+  first written: it keys every pair of the pool, re-keys each sign-flipped
+  pair in its canonical test, diagonalizes each plane's Gram matrix and
+  tests lines with full-length dot products (`_dot`, `_standard_gram`).
+  The survey's walk over the leading-coordinate pairs, its test on the
+  key's signs and its closed-form 2x2 signature replaced it, and must
+  give the same survey, sample flags and their order included;
 - radical: the columns of one congruence's transform with zero diagonal
   entries, made a canonical row space, which `forms.radical` replaced by
   the kernel of W's Gram matrix mapped through W's basis;
@@ -89,7 +95,7 @@ import numpy as np
 from heisflag import linalg
 from heisflag.linalg import Matrix, Vector
 from heisflag.curvature import CurvatureReport, is_flat
-from heisflag.enumeration import SAMPLES_PER_ORBIT, FlagSurvey, _dot, _standard_gram
+from heisflag.enumeration import SAMPLES_PER_ORBIT, FlagSurvey
 from heisflag.forms import (
     Flag,
     FlagInvariants,
@@ -636,6 +642,25 @@ def primal_survey(p, q):
     return FlagSurvey(p, q, len(seen), invariants, matsuki)
 
 
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _standard_gram(sign, vectors):
+    """Gram matrix of integer vectors under the diagonal form `sign`."""
+    return [[sum(s * x * y for s, x, y in zip(sign, u, v)) for v in vectors]
+            for u in vectors]
+
+
+def _primitive_plucker(a, b, index_pairs):
+    """Primitive Plucker coordinates of span(a, b) on `index_pairs`, first nonzero positive."""
+    plucker = [a[i] * b[j] - a[j] * b[i] for i, j in index_pairs]
+    g = gcd(*plucker)
+    if next(x for x in plucker if x) < 0:
+        g = -g
+    return tuple(x // g for x in plucker)
+
+
 def pair_walk_survey(p, q):
     """The dual survey over every plane span(a, b) of two pool vectors, each once."""
     n = p + q
@@ -648,11 +673,7 @@ def pair_walk_survey(p, q):
     sign = [1] * p + [-1] * q
 
     for a, b in combinations(pool, 2):
-        plucker = [a[i] * b[j] - a[j] * b[i] for i, j in index_pairs]
-        g = gcd(*plucker)
-        if next(x for x in plucker if x) < 0:
-            g = -g
-        key = tuple(x // g for x in plucker)
+        key = _primitive_plucker(a, b, index_pairs)
         if key in seen:
             continue
         seen.add(key)
@@ -687,6 +708,80 @@ def pair_walk_survey(p, q):
             d_pm = 0 if _dot(a[:p], vec) or _dot(b[:p], vec) else 1
             matsuki.add((c_plus, c_minus, c_zero,
                          d_plus, d_minus, 1 - d_plus - d_minus, d_pm))
+    return FlagSurvey(p, q, len(seen), invariants, matsuki)
+
+
+def _rekeyed_canonical(a, b, key, p, index_pairs):
+    """Whether the survey keeps span(a, b): an initial-segment support, and a
+    key no larger than the re-keyed pair of any sign flip of its support."""
+    support = [i for i, (x, y) in enumerate(zip(a, b)) if x or y]
+    plus = sum(1 for i in support if i < p)
+    if support != [*range(plus), *range(p, p + len(support) - plus)]:
+        return False
+    for flips in product((1, -1), repeat=len(support) - 1):
+        d = [1] * len(a)
+        for i, s in zip(support[1:], flips):
+            d[i] = s
+        flipped = _primitive_plucker(tuple(s * x for s, x in zip(d, a)),
+                                     tuple(s * x for s, x in zip(d, b)), index_pairs)
+        if flipped < key:
+            return False
+    return True
+
+
+def _dot_plane_lines(a, b, key, p, q, pool, index_pairs):
+    """The plane's signature by congruence of its Gram matrix, and each pool
+    line tested with full-length dot products."""
+    sign = [1] * p + [-1] * q
+    s, t, u = linalg.congruence_diagonalize(_standard_gram(sign, (a, b))).sign_counts()
+    sig_big = Signature(p - s - u, q - t - u, u)
+    plus_minor = any(x for (i, j), x in zip(index_pairs, key) if j < p)
+    minus_minor = any(x for (i, j), x in zip(index_pairs, key) if i >= p)
+    c_plus = p - (2 if plus_minor else int(any(a[:p]) or any(b[:p])))
+    c_minus = q - (2 if minus_minor else int(any(a[p:]) or any(b[p:])))
+    c_zero = p + q - 2 - c_plus - c_minus
+    basis = [tuple(int(x) for x in w) for w in linalg.kernel([a, b])]
+
+    lines = []
+    for v in pool:
+        if _dot(a, v) or _dot(b, v):
+            continue
+        signed = [e * x for e, x in zip(sign, v)]
+        norm = _dot(v, signed)
+        if norm > 0:
+            sig_small, cap = Signature(1, 0, 0), 0
+        elif norm < 0:
+            sig_small, cap = Signature(0, 1, 0), 0
+        else:
+            sig_small, cap = Signature(0, 0, 1), (0 if any(_dot(w, signed) for w in basis) else 1)
+        d_plus = 0 if any(v[p:]) else 1
+        d_minus = 0 if any(v[:p]) else 1
+        d_pm = 0 if _dot(a[:p], v) or _dot(b[:p], v) else 1
+        lines.append((v, FlagInvariants(sig_big, sig_small, cap),
+                      (c_plus, c_minus, c_zero, d_plus, d_minus, 1 - d_plus - d_minus, d_pm)))
+    return basis, lines
+
+
+def every_pair_survey(p, q):
+    """The survey of one plane per signed-permutation class, keying every pair of pool vectors."""
+    n = p + q
+    pool = integer_pool(n)
+    index_pairs = list(combinations(range(n), 2))
+    invariants, matsuki = {}, set()
+    seen = set()
+
+    for a, b in combinations(pool, 2):
+        key = _primitive_plucker(a, b, index_pairs)
+        if key in seen or not _rekeyed_canonical(a, b, key, p, index_pairs):
+            continue
+        seen.add(key)
+        basis, lines = _dot_plane_lines(a, b, key, p, q, pool, index_pairs)
+        big = tuple(map(linalg.vec, basis))
+        for v, inv, counts in lines:
+            samples = invariants.setdefault(inv, [])
+            if len(samples) < SAMPLES_PER_ORBIT:
+                samples.append(Flag(Subspace(n, (linalg.vec(v),)), Subspace(n, big)))
+            matsuki.add(counts)
     return FlagSurvey(p, q, len(seen), invariants, matsuki)
 
 

@@ -110,6 +110,20 @@ def test_survey_agrees_with_pair_walk_oracle():
         assert reduced.subspace_count < full.subspace_count, (p, q)
 
 
+def test_survey_agrees_with_every_pair_oracle():
+    # the survey keys only the leading-coordinate pairs whose support is an
+    # initial segment of each block, tests a key by its sign-flipped copies
+    # and reads a plane's signature off its 2x2 Gram; the oracle keys every
+    # pair, re-keys every sign flip and diagonalizes: the same planes in the
+    # same order give the same survey, sample flags and their order included
+    signatures = [(p, n - p) for n in range(4, 10) for p in range(n + 1)]
+    for p, q in signatures + [(6, 6), (8, 4), (10, 6)]:
+        fast, slow = survey_flags(p, q), oracles.every_pair_survey(p, q)
+        assert fast.subspace_count == slow.subspace_count, (p, q)
+        assert list(fast.invariants.items()) == list(slow.invariants.items()), (p, q)
+        assert fast.matsuki == slow.matsuki, (p, q)
+
+
 def _signed_block_permutations(p, q):
     """Every element of B_p x B_q as (target index, sign) per coordinate."""
     def block(start, size):
@@ -224,6 +238,15 @@ def test_survey_complete_at_n7():
     # every signature with 7 <= n <= 10 and p, q >= 1: each orbit is
     # observed, and there are as many seven-count tuples as orbits
     for p, q in [(p, n - p) for n in range(7, 11) for p in range(1, n)]:
+        survey = survey_flags(p, q)
+        expected = expected_invariants(p, q)
+        assert survey.observed_invariants == expected, (p, q)
+        assert len(survey.matsuki) == len(expected), (p, q)
+
+
+def test_survey_complete_at_n11_and_n12():
+    # as above, at every signature with 11 <= n <= 12 and p, q >= 1
+    for p, q in [(p, n - p) for n in (11, 12) for p in range(1, n)]:
         survey = survey_flags(p, q)
         expected = expected_invariants(p, q)
         assert survey.observed_invariants == expected, (p, q)
