@@ -97,19 +97,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .forms import PreconditionError
 from .heisenberg import HeisenbergAlgebra
-from .linalg import Matrix, Vector
+from .linalg import Matrix, PreconditionError, Vector
 
 RiemannTable = tuple[tuple[tuple[Vector, ...], ...], ...]
 
 
-def _checked_inverse(n: int, gram: Matrix) -> Matrix:
-    """G^{-1} of a symmetric n x n Gram matrix; PreconditionError names what is wrong."""
-    if len(gram) != n or not linalg.is_symmetric(gram):
-        raise PreconditionError(f"Gram matrix must be symmetric {n}x{n}")
+def _checked_inverse(n: int, gram: Matrix) -> tuple[Matrix, Matrix]:
+    """G as `Fraction`s and G^{-1}, for a symmetric n x n G; PreconditionError names any fault."""
+    gram = linalg.mat(gram)
+    if len(gram) != n:
+        raise PreconditionError(f"Gram matrix must be {n}x{n}")
+    linalg.require_gram(gram)
     try:
-        return linalg.invert(gram)
+        return gram, linalg.invert(gram)
     except linalg.SingularMatrixError:
         raise PreconditionError("curvature requires a nondegenerate Gram matrix, "
                                 "this one is singular")
@@ -131,8 +132,8 @@ def riemann(alg: HeisenbergAlgebra, gram: Matrix) -> RiemannTable:
     """
     n = alg.n
     a = n - 2
-    gram = linalg.mat(gram)
-    k, k2, kk = _k_terms(_checked_inverse(n, gram))
+    gram, inverse = _checked_inverse(n, gram)
+    k, k2, kk = _k_terms(inverse)
     g00, h = gram[0][0], gram[0]
     zero = (Fraction(0),) * n
     out = [[(zero,) * n] * n for _ in range(n)]
@@ -184,8 +185,7 @@ def curvature_report(alg: HeisenbergAlgebra, gram: Matrix,
     """Full exact curvature summary for one Gram matrix, from the closed forms."""
     n = alg.n
     a, b = n - 2, n - 1
-    gram = linalg.mat(gram)
-    g_inv = _checked_inverse(n, gram)
+    gram, g_inv = _checked_inverse(n, gram)
     k, k2, kk = _k_terms(g_inv)
     g00, h = gram[0][0], gram[0]
     delta = g_inv[a][a] * g_inv[b][b] - g_inv[a][b] ** 2

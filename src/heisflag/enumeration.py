@@ -166,9 +166,9 @@ class FlagSurvey:
 def survey_flags(p: int, q: int) -> FlagSurvey:
     """Enumerate type-(1, n-2) flags over the small-vector pool, one plane per class.
 
-    Needs p, q >= 0 and p + q >= 4 (else `PreconditionError`).  Results are
-    cached per signature; see `_survey_cached`.
+    Needs `int`s p, q >= 0 with p + q >= 4 (else `PreconditionError`); cached per signature.
     """
+    linalg.require_ints(p=p, q=q)
     if p < 0 or q < 0 or p + q < 4:
         raise PreconditionError(f"survey of signature ({p}, {q}) needs p, q >= 0 and p + q >= 4")
     return _survey_cached(p, q)

@@ -32,11 +32,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import linalg
-from .linalg import Matrix, Vector, frac, vec
-
-
-class PreconditionError(ValueError):
-    """An operation was called outside its stated domain."""
+from .linalg import Matrix, PreconditionError, Vector, vec
 
 
 @dataclass(frozen=True)
@@ -48,8 +44,9 @@ class Signature:
     nul: int
 
     def __post_init__(self):
+        linalg.require_ints(pos=self.pos, neg=self.neg, nul=self.nul)
         if self.pos < 0 or self.neg < 0 or self.nul < 0:
-            raise ValueError("signature components must be nonnegative")
+            raise PreconditionError("signature components must be nonnegative")
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.pos, self.neg, self.nul)
@@ -81,16 +78,16 @@ class QuadraticSpace:
     gram: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if not linalg.is_symmetric(self.gram):
-            raise PreconditionError("Gram matrix must be square and symmetric")
+        linalg.require_gram(linalg.scaled_to_int(self.gram)[0])
 
     @classmethod
     def from_matrix(cls, gram: Sequence[Sequence]) -> "QuadraticSpace":
-        return cls(tuple(tuple(frac(x) for x in row) for row in gram))
+        return cls(tuple(map(tuple, linalg.mat(gram))))
 
     @classmethod
     def standard(cls, p: int, q: int) -> "QuadraticSpace":
         """The standard space of signature (p, q): Gram = diag(+1 x p, -1 x q)."""
+        linalg.require_ints(p=p, q=q)
         if p < 0 or q < 0 or p + q == 0:
             raise PreconditionError("standard space needs p, q >= 0 with p + q >= 1")
         return cls.from_matrix(linalg.diag([1] * p + [-1] * q))
@@ -142,6 +139,9 @@ class Subspace:
             raise PreconditionError("basis vectors must be linearly independent")
 
     def _check_lengths(self) -> None:
+        linalg.require_ints(ambient_dim=self.ambient_dim)
+        if self.ambient_dim < 0:
+            raise linalg.ShapeError(f"ambient dimension {self.ambient_dim} is negative")
         for v in self.basis:
             if len(v) != self.ambient_dim:
                 raise linalg.ShapeError("basis vector has wrong length")
@@ -162,13 +162,13 @@ class Subspace:
 
     @classmethod
     def coordinate(cls, ambient_dim: int, indices: Sequence[int]) -> "Subspace":
+        units = linalg.identity(ambient_dim)
         rows = []
         for i in indices:
+            linalg.require_ints(index=i)
             if not 0 <= i < ambient_dim:
                 raise linalg.ShapeError(f"coordinate index {i} outside 0..{ambient_dim - 1}")
-            row = [Fraction(0)] * ambient_dim
-            row[i] = Fraction(1)
-            rows.append(tuple(row))
+            rows.append(tuple(units[i]))
         # unit vectors are independent exactly when they are pairwise distinct
         if len(set(rows)) != len(rows):
             raise PreconditionError("basis vectors must be linearly independent")
@@ -176,6 +176,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
+        linalg.require_ints(ambient_dim=ambient_dim)
         return cls.coordinate(ambient_dim, range(ambient_dim))
 
     @property
@@ -272,9 +273,7 @@ class ScaledSystem:
 
     @property
     def signature(self) -> Signature:
-        pos = sum(1 for x in self.norms if x > 0)
-        neg = sum(1 for x in self.norms if x < 0)
-        return Signature(pos, neg, len(self.norms) - pos - neg)
+        return Signature(*linalg.sign_counts(self.norms))
 
     def positives(self) -> list[Vector]:
         return [v for v, m in zip(self.vectors, self.norms) if m > 0]
@@ -389,6 +388,7 @@ def matsuki_data(f: Flag, p: int, q: int) -> MatsukiData:
     U+ or U- when one block of v is zero, and in (big cap U+) + (big cap U-)
     exactly when its + part (v+, 0) lies in big, since v - (v+, 0) = (0, v-).
     """
+    linalg.require_ints(p=p, q=q)
     if p < 0 or q < 0:
         raise PreconditionError(f"signature ({p}, {q}) needs p, q >= 0")
     n = p + q
@@ -420,14 +420,16 @@ CODIM2_PATTERNS: tuple[tuple[int, int, int], ...] = (
 
 def possible_codim2_signatures(p: int, q: int) -> set[Signature]:
     """All signatures realized by codimension-two subspaces of the standard (p, q) space."""
-    if p + q < 2:
-        raise PreconditionError("need p + q >= 2")
+    linalg.require_ints(p=p, q=q)
+    if p < 0 or q < 0 or p + q < 2:
+        raise PreconditionError(f"signature ({p}, {q}) needs p, q >= 0 and p + q >= 2")
     return {Signature(p + dp, q + dq, u) for dp, dq, u in CODIM2_PATTERNS
             if p + dp >= 0 and q + dq >= 0}
 
 
 def possible_line_signatures(s: int, t: int, u: int) -> set[LineSignature]:
     """All refined line signatures occurring inside a subspace of signature (s, t, u)."""
+    linalg.require_ints(s=s, t=t, u=u)
     if s < 0 or t < 0 or u < 0 or s + t + u < 1:
         raise PreconditionError("need a valid signature with positive dimension")
     out = set()
@@ -492,14 +494,11 @@ def lightlike_split(space: QuadraticSpace, v_sub: Subspace, v: Vector) -> tuple[
         raise PreconditionError("vector lies in the radical of the subspace")
     c = space.inner(v, w)
     d = space.inner(w, w)
-    h = linalg.primitive_vector(linalg.vec_sub(linalg.vec_scale(2 * c, w),
-                                               linalg.vec_scale(d, v)))
+    h = linalg.primitive_vector(linalg.combine((2 * c, -d), (w, v)))
     if space.inner(v, h) < 0:
         h = linalg.vec_scale(-1, h)
-    half = Fraction(1, 2)
-    plus = linalg.vec_scale(half, linalg.vec_add(v, h))
-    minus = linalg.vec_scale(half, linalg.vec_sub(v, h))
-    return plus, minus
+    plus = linalg.combine((Fraction(1, 2), Fraction(1, 2)), (v, h))
+    return plus, linalg.vec_sub(v, plus)
 
 
 def _perp_within(space: QuadraticSpace, ambient_sub: Subspace, vectors: Sequence[Vector]) -> Subspace:

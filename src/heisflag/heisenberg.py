@@ -35,12 +35,11 @@ from .forms import (
     Flag,
     FlagInvariants,
     LineSignature,
-    PreconditionError,
     Signature,
     Subspace,
     possible_line_signatures,
 )
-from .linalg import Matrix, Vector
+from .linalg import Matrix, PreconditionError, Vector
 
 
 class UnsupportedSignatureError(PreconditionError):
@@ -54,6 +53,7 @@ class HeisenbergAlgebra:
     n: int
 
     def __post_init__(self):
+        linalg.require_ints(n=self.n)
         if self.n < 4:
             raise UnsupportedSignatureError(
                 f"n = {self.n} is out of scope: the algebra h3 + R^(n-3) needs n >= 4")
@@ -146,7 +146,7 @@ class ClassTable:
         return len(self.classes)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 meets the check, not the table of 3
 def admissible_classes(p: int, q: int) -> ClassTable:
     """Derive the admissible taxonomy rows for signature (p, q).
 
@@ -155,6 +155,7 @@ def admissible_classes(p: int, q: int) -> ClassTable:
     rows follow `CODIM2_PATTERNS`, so it is then a possible codimension-two
     signature) and its refined line type can occur inside that signature.
     """
+    linalg.require_ints(p=p, q=q)
     if p < 1 or q < 1:
         raise UnsupportedSignatureError("need p, q >= 1 (definite metrics are out of scope)")
     if p + q < 4:
@@ -201,12 +202,9 @@ def classify_metric(alg: HeisenbergAlgebra, gram: Matrix) -> Classification:
     negation just exchanges positive and negative counts.
     """
     n = alg.n
-    if len(gram) != n or any(len(row) != n for row in gram):
+    if len(gram) != n:
         raise PreconditionError(f"Gram matrix must be {n}x{n}")
-    try:  # the square shape and n - 2 are valid, so only asymmetry is left to refuse
-        res = linalg.congruence_diagonalize(gram, leading=n - 2)
-    except linalg.ShapeError:
-        raise PreconditionError("Gram matrix must be symmetric") from None
+    res = linalg.congruence_diagonalize(gram, leading=n - 2)
     sig = Signature(*res.sign_counts())
     if sig.nul:
         raise PreconditionError(f"Gram matrix is degenerate: signature {sig}")
@@ -238,6 +236,7 @@ def classify_metric(alg: HeisenbergAlgebra, gram: Matrix) -> Classification:
 
 def _admissible_row(class_id: int, p: int, q: int) -> MetricClass:
     """The taxonomy row `class_id` of the admissible table for (p, q)."""
+    linalg.require_ints(class_id=class_id)
     row = next((r for r in admissible_classes(p, q).classes if r.id == class_id), None)
     if row is None:
         raise PreconditionError(f"class {class_id} is not admissible for signature ({p}, {q})")
@@ -265,8 +264,8 @@ def representative(class_id: int, p: int, q: int) -> Matrix:
     off it, the free trailing slots get +1 then -1, and each radical cell
     pairs with the next trailing slot.
     """
+    row = _admissible_row(class_id, p, q)
     pp, qq = max(p, q), min(p, q)
-    row = _admissible_row(class_id, pp, qq)
     n = pp + qq
     s, t, u = row.center_signature(pp, qq).as_tuple()
     g = linalg.zeros(n, n)
@@ -279,7 +278,7 @@ def representative(class_id: int, p: int, q: int) -> Matrix:
         elif cell is LineSignature.RADICAL:
             radical_dirs.append(i)
         else:
-            g[i][i] = Fraction(1 if cell is LineSignature.SPACELIKE else -1)
+            g[i][i] = Fraction(1) if cell is LineSignature.SPACELIKE else Fraction(-1)
         i += 1
     fill = [Fraction(1)] * (pp - s - u) + [Fraction(-1)] * (qq - t - u)
     for j, val in enumerate(fill, n - 2):
@@ -298,8 +297,8 @@ def representative_flag(class_id: int, p: int, q: int) -> Flag:
     radical cells e+ + e- on the next axes.  p < q moves the first max(p, q)
     axes to the back, which negates the form.
     """
+    row = _admissible_row(class_id, p, q)
     pp, qq = max(p, q), min(p, q)
-    row = _admissible_row(class_id, pp, qq)
     n = pp + qq
     s, t, _ = row.center_signature(pp, qq).as_tuple()
     axes = [r[pp:] + r[:pp] if p < q else r for r in map(tuple, linalg.identity(n))]
@@ -368,7 +367,9 @@ def is_scaled_automorphism(g: Matrix, n: int) -> bool:
     (0, 0) entry, so it is invertible iff a and det D are nonzero and the
     (n-3) x (n-3) middle block has full rank.
     """
-    if len(g) != n or any(len(row) != n for row in g):
+    linalg.require_ints(n=n)
+    g = linalg.mat(g)
+    if len(g) != n or n < 3 or any(len(row) != n for row in g):
         return False
     for i in range(1, n):
         if g[i][0] != 0:
@@ -388,8 +389,7 @@ def parabolic_sample(n: int, seed: int | random.Random) -> ScaledAutomorphism:
     Entries are drawn from a small pool of fractions; singular draws, which
     `ScaledAutomorphism.from_matrix` rejects, are resampled.
     """
-    if n < 4:
-        raise PreconditionError("need n >= 4")
+    HeisenbergAlgebra(n)  # n must name an algebra: an int >= 4
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
 
     def draw() -> Fraction:
@@ -426,8 +426,7 @@ def act_on_metric(g: Matrix, gram: Matrix) -> Matrix:
         raise linalg.ShapeError("matrix sizes do not match")
     m, d = linalg.integer_inverse(g)
     a, scale = linalg.scaled_to_int(gram)
-    if any(len(row) != n for row in a) or any(row != list(col) for row, col in zip(a, zip(*a))):
-        raise PreconditionError("Gram matrix must be square and symmetric")
+    linalg.require_gram(a)
 
     def combination(coeffs, rows, start: int) -> list[int]:
         """sum_k c_k rows_k from column `start` on, skipping zero coefficients."""

@@ -4,17 +4,27 @@ Matrices are lists of row lists and vectors are tuples.  Input entries may
 be `int` or `fractions.Fraction`, and results are `Fraction`, except the
 `int` matrix and denominator of `integer_inverse`.  All routines are pure
 and exact: no floating point, no tolerances.
+This module is the one exact input boundary.  An entry is an `int` or a
+`Fraction`; `bool` is an `int` (True is 1) and is read as one.  Any other
+entry (a float, a str, None) raises `EntryTypeError`, a `ShapeError` that
+names its position and type, from `_int_rows` (the one reader that scales
+rows to integers, behind every elimination, `scaled_to_int`,
+`primitive_vector` and `lll_reduce`), from `_accumulate` (the one product
+loop, which reads only the entries it multiplies: it skips zeros, and the
+vector of a zero coefficient) or from `vec` and `mat` (which never parse
+strings or floats).  `require_ints` names an integer parameter that
+is not an `int`, and `require_gram` is the one square-and-symmetric check.
 Most entries met in practice are integers stored as `Fraction` (kernels,
 row spaces and LLL bases are primitive integer vectors), so every product
 is one loop, `_accumulate`, that multiplies and adds each integral entry
 as its `int` numerator, keeps non-integral entries `Fraction` and skips
-zeros.  `combine`, the `mat_mul` and `mat_vec` built on it, and the
-bilinear form x^T M y behind `QuadraticSpace.pairing` make each output
-entry a `Fraction` once, at the end, whatever the input types;
+zeros.  `combine`, the `mat_mul`, `mat_vec` and vector sums built on it,
+and the bilinear form x^T M y behind `QuadraticSpace.pairing` make each
+output entry a `Fraction` once, at the end, whatever the input types;
 `primitive_vector` rescales in `int` as well.
 One fraction-free elimination serves `rank`, `kernel`, `row_space`,
-`solve`, `invert` and `extend_to_independent`: `_forward` scales each row
-to integers by the lcm of its denominators and replaces a row by
+`solve`, `invert` and `extend_to_independent`: `_forward` takes each row
+scaled to integers by `_int_rows` and replaces a row by
 (p * row - x * pivot row) / content, and `_reduce` clears upwards the same
 way.  It keeps only rows and pivot columns: nothing here needs a
 determinant.  Dividing by the content, not by the previous pivot as
@@ -38,6 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import index
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -47,26 +58,84 @@ LLL_DELTA = Fraction(3, 4)  # Lovasz condition constant of `lll_reduce`
 
 
 class ShapeError(ValueError):
-    """Malformed input: wrong dimensions or missing symmetry."""
+    """Malformed input: wrong dimensions, missing symmetry or an entry of the wrong type."""
 
 
 class SingularMatrixError(ValueError):
     """A matrix required to be invertible is singular."""
 
 
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+class PreconditionError(ValueError):
+    """An operation was called outside its stated domain."""
 
 
-def vec(entries: Iterable) -> Vector:
-    return tuple(frac(x) for x in entries)
+class EntryTypeError(ShapeError):
+    """An entry that is neither an `int` nor a `Fraction`, named by its position and type."""
+
+
+class GramError(ShapeError, PreconditionError):
+    """A Gram matrix that is not square or not symmetric."""
+
+
+def _entry_error(m) -> ShapeError:
+    """The error for a matrix that could not be read: the first row of m that is
+    not a sequence, or else the first entry that is not an `int` or a `Fraction`."""
+    if not isinstance(m, Sequence):
+        return ShapeError(f"a matrix is a sequence of rows, not a {type(m).__name__}")
+    for i, row in enumerate(m):
+        if not isinstance(row, Sequence):
+            return ShapeError(f"row {i} is a {type(row).__name__}, not a sequence")
+    i, j, x = next((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row)
+                   if not isinstance(x, (int, Fraction)))
+    return EntryTypeError(f"entry ({i}, {j}) is a {type(x).__name__}, not an int or a Fraction")
+
+
+def require_ints(**params) -> None:
+    """Raise PreconditionError naming the first parameter that is not an `int`."""
+    for name, value in params.items():
+        if not isinstance(value, int):
+            raise PreconditionError(f"{name} must be an int, not a {type(value).__name__}")
+
+
+def require_gram(m: Sequence[Sequence]) -> None:
+    """Raise GramError unless m is square and symmetric: the one Gram check, on the
+    copy the caller holds (`int` or `Fraction` rows); the fault is named after it fails."""
+    n = len(m)
+    if all(len(row) == n for row in m) and all(tuple(row) == col for row, col in zip(m, zip(*m))):
+        return
+    lengths = sorted({len(row) for row in m})
+    fault = (f"{n} rows of lengths {lengths}" if lengths != [n] else next(
+        f"entries ({i}, {j}) and ({j}, {i}) differ"
+        for i in range(n) for j in range(i) if m[i][j] != m[j][i]))
+    raise GramError(f"Gram matrix must be symmetric and square: {fault}")
+
+
+def _same_lengths(rows: list) -> None:
+    """Raise ShapeError unless every row has the length of the first."""
+    if len(set(map(len, rows))) > 1:
+        other = next(len(row) for row in rows if len(row) != len(rows[0]))
+        raise ShapeError(f"rows of lengths {len(rows[0])} and {other} in one matrix")
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
-    return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
+    """The rows as lists of `Fraction`s; an entry must be an `int` or a `Fraction`."""
+    try:
+        out = [[x if isinstance(x, Fraction) else Fraction(index(x)) for x in row]
+               for row in rows]
+    except TypeError:
+        raise _entry_error(rows) from None
+    _same_lengths(out)
+    return out
+
+
+def vec(entries: Iterable) -> Vector:
+    return tuple(mat([entries])[0])
 
 
 def zeros(r: int, c: int) -> Matrix:
+    require_ints(rows=r, columns=c)
+    if r < 0 or c < 0:
+        raise ShapeError(f"no matrix has {r} rows and {c} columns")
     return [[Fraction(0)] * c for _ in range(r)]
 
 
@@ -78,7 +147,7 @@ def identity(n: int) -> Matrix:
 
 
 def diag(values: Iterable) -> Matrix:
-    vals = [frac(x) for x in values]
+    vals = vec(values)
     m = zeros(len(vals), len(vals))
     for i, v in enumerate(vals):
         m[i][i] = v
@@ -90,14 +159,9 @@ def shape(m: Matrix) -> tuple[int, int]:
 
 
 def transpose(m: Matrix) -> Matrix:
+    if any(len(row) != len(m[0]) for row in m):
+        raise ShapeError("cannot transpose rows of unequal length")
     return [list(col) for col in zip(*m)] if m else []
-
-
-def is_symmetric(m: Matrix) -> bool:
-    n = len(m)
-    if any(len(row) != n for row in m):
-        return False
-    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -118,16 +182,15 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(u, v))
+    return combine((1, 1), (u, v))
 
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(u, v))
+    return combine((1, -1), (u, v))
 
 
 def vec_scale(c, v: Vector) -> Vector:
-    c = frac(c)
-    return tuple(c * x for x in v)
+    return combine((c,), (v,))
 
 
 def _accumulate(coeffs: Sequence, vectors: Sequence[Sequence], length: int) -> list:
@@ -137,14 +200,23 @@ def _accumulate(coeffs: Sequence, vectors: Sequence[Sequence], length: int) -> l
     `int` (a `Fraction` with denominator 1 as its numerator); the others
     stay `Fraction`, so the sum is exact either way.  The entries come back
     unwrapped, `int` or `Fraction`, so a caller can feed them to another sum.
+    A vector whose length is not `length` raises `ShapeError`, and an
+    entry that it multiplies and that has no denominator `EntryTypeError`,
+    at position (0, k) for coefficient k and (k + 1, j) for entry j of
+    vector k.
     """
     acc = [0] * length
-    for c, v in zip(coeffs, vectors):
-        if c:
-            if c.denominator == 1:
-                c = c.numerator
-            acc = [a + c * (x.numerator if x.denominator == 1 else x) if x else a
-                   for a, x in zip(acc, v)]
+    try:
+        if any(len(v) != length for v in vectors):
+            raise ShapeError(f"a vector of length other than {length} in one combination")
+        for c, v in zip(coeffs, vectors):
+            if c:
+                if c.denominator == 1:
+                    c = c.numerator
+                acc = [a + c * (x.numerator if x.denominator == 1 else x) if x else a
+                       for a, x in zip(acc, v)]
+    except (AttributeError, TypeError):
+        raise _entry_error([coeffs, *vectors]) from None
     return acc
 
 
@@ -186,12 +258,6 @@ def _content_free(ints: list[int]) -> list[int]:
     return [x // g for x in ints] if g else ints
 
 
-def _primitive_ints(v: Sequence) -> list[int]:
-    """The coprime integer entries of v's primitive rescaling, leading entry positive."""
-    denom = lcm(*(x.denominator for x in v))
-    return _content_free([x.numerator * (denom // x.denominator) for x in v])
-
-
 def primitive_vector(v: Vector) -> Vector:
     """Rational rescaling of v to coprime integer entries, leading entry positive.
 
@@ -200,21 +266,54 @@ def primitive_vector(v: Vector) -> Vector:
     entries become `Fraction` once, at the end; the zero vector is returned
     as it is.
     """
-    ints = _primitive_ints(v)
+    ints = _content_free(_int_rows([v])[0][0])
     if not any(ints):
         return v
     return tuple(Fraction(x) for x in ints)
 
 
+def _int_rows(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """(rows, scales): row i of m times scales[i], the lcm of its denominators, in `int`s.
+
+    The one entry reader.  A row of `int`s is taken as it is; any other row
+    is read off its entries' numerators and denominators in one pass inside
+    a `try`.  An entry with no denominator fails that pass, and only then is
+    its position searched for `EntryTypeError`.  Rows of unequal length raise
+    `ShapeError`.
+    """
+    rows, scales = [], []
+    try:
+        for row in m:
+            if all(type(x) is int for x in row):
+                rows.append(list(row))
+                scales.append(1)
+                continue
+            d = lcm(*(x.denominator for x in row))
+            rows.append([x.numerator for x in row] if d == 1
+                        else [x.numerator * (d // x.denominator) for x in row])
+            scales.append(d)
+    except (AttributeError, TypeError):
+        raise _entry_error(m) from None
+    _same_lengths(rows)
+    return rows, scales
+
+
 def scaled_to_int(m: Matrix) -> tuple[list[list[int]], int]:
-    """(L * M as `int` rows, L), L the lcm of all of M's denominators."""
-    scale = lcm(*(x.denominator for row in m for x in row))
+    """(L * M as `int` rows, L), L the lcm of all of M's denominators: the rows
+    of `_int_rows`, each brought to the common scale."""
+    rows, scales = _int_rows(m)
+    scale = lcm(*scales)
     if scale == 1:
-        return [[x.numerator for x in row] for row in m], 1
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in m], scale
+        return rows, 1
+    for i, d in enumerate(scales):
+        if d != scale:
+            f = scale // d
+            rows[i] = [x * f for x in rows[i]]
+    return rows, scale
 
 
-def _sign_counts(values: Iterable[Fraction]) -> tuple[int, int, int]:
+def sign_counts(values: Iterable[Fraction]) -> tuple[int, int, int]:
+    """The numbers of positive, negative and zero values."""
     values = list(values)
     pos = sum(1 for d in values if d > 0)
     neg = sum(1 for d in values if d < 0)
@@ -242,7 +341,7 @@ class CongruenceResult:
     moves: tuple[tuple, ...] = field(repr=False, compare=False)
 
     def sign_counts(self) -> tuple[int, int, int]:
-        return _sign_counts(self.diagonal)
+        return sign_counts(self.diagonal)
 
     @cached_property
     def transform(self) -> Matrix:
@@ -267,7 +366,7 @@ def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceR
     """Diagonalize a symmetric matrix by a rational congruence.
 
     One symmetric elimination on integer rows.  The input is scaled once by
-    the lcm of all its denominators, and symmetry is checked on that copy.
+    the lcm of all its denominators, and `require_gram` checks that copy.
     The block not yet eliminated is kept as integers A = c * S, where S is
     the rational block and c > 0 a rational scale.  A nonzero pivot p with
     row x (A's entries beside it) records the diagonal entry p / c and the
@@ -293,13 +392,11 @@ def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceR
     finished afterwards against the trailing ones.  The full diagonal gives
     the whole matrix's signature either way.
     """
-    n = len(s)
-    if any(len(row) != n for row in s):
-        raise ShapeError("congruence_diagonalize requires a square matrix")
     a, scale = scaled_to_int(s)
-    if any(row != list(col) for row, col in zip(a, zip(*a))):
-        raise ShapeError("congruence_diagonalize requires a symmetric matrix")
+    require_gram(a)
+    n = len(a)
     m = n if leading is None else leading
+    require_ints(leading=m)
     if not 0 <= m <= n:
         raise ShapeError(f"leading block size {m} outside 0..{n}")
 
@@ -368,7 +465,7 @@ def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceR
     for k in range(m):
         if not eliminate(deferred, range(deferred + 1, deferred + m - k)):
             deferred += 1
-    leading_counts = _sign_counts(diagonal[:m])
+    leading_counts = sign_counts(diagonal[:m])
     while a:
         if not eliminate(0, range(1, len(a))):
             del order[0], a[0]
@@ -380,31 +477,17 @@ def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceR
 def _forward(m: Matrix) -> tuple[list[list[int]], list[int]]:
     """One fraction-free forward elimination: integer echelon rows and pivot columns.
 
-    A row of `int`s is taken as it is.  Any other row is multiplied by the
-    lcm of its entries' denominators; an integral entry (an `int`, or a
-    `Fraction` with denominator 1) counts as its numerator.  The pivot is
+    The rows are those of `_int_rows`, each scaled to integers.  The pivot is
     the first nonzero entry at or below the current row.  A row below it
     with entry x != 0 in the pivot column becomes
     (p * row - x * pivot row) / g: p and x are first divided by their gcd,
     and g is the content (the gcd of the entries) of the result.  So a
     row stays a nonzero rational multiple of the row that the
     same elimination over Q would hold, no larger than that row over a
-    common denominator, and pivot rows are never normalized.  Rows of
-    unequal length raise `ShapeError`.
+    common denominator, and pivot rows are never normalized.
     """
-    cols = len(m[0]) if m else 0
-    a: list[list[int]] = []
-    for row in m:
-        if len(row) != cols:
-            raise ShapeError(f"rows of lengths {cols} and {len(row)} in one matrix")
-        if all(type(x) is int for x in row):
-            a.append(list(row))
-            continue
-        d = lcm(*(x.denominator for x in row))
-        if d == 1:
-            a.append([x.numerator for x in row])
-        else:
-            a.append([x.numerator * (d // x.denominator) for x in row])
+    a = _int_rows(m)[0]
+    cols = len(a[0]) if a else 0
     rows = len(a)
     pivots: list[int] = []
     for c in range(cols):
@@ -569,7 +652,7 @@ def lll_reduce(vectors: Sequence[Vector]) -> list[Vector]:
     other for the callers.  Raises ShapeError when the vectors are linearly
     dependent.
     """
-    b = [_primitive_ints(v) for v in vectors]
+    b = [_content_free(row) for row in _int_rows(vectors)[0]]
     n = len(b)
     num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
     d = [1] * (n + 1)
@@ -623,6 +706,7 @@ def extend_to_independent(base: Sequence[Vector], pool: Sequence[Vector],
     [base | pool]: each pool vector outside the span of the columns before it.
     Vectors of unequal length raise `ShapeError`.
     """
+    require_ints(target_rank=target_rank)
     vectors = [*base, *pool]
     if len({len(v) for v in vectors}) > 1:
         raise ShapeError("base and pool vectors must have one length")

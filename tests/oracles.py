@@ -81,6 +81,9 @@ Deliberately separate from the package's fast paths:
   builder that pops axes block by block, which one walk over
   `heisenberg._center_cells` replaced; the flag builder answers p < q with a
   flag of the (max, min) space.
+- symmetry: `_is_symmetric`, the entry-by-entry test of the upper triangle
+  that the congruence oracles and `two_call_classify` read, where the
+  library has one check, `linalg.require_gram`.
 Used to pin expected values before trusting the main engine.
 """
 
@@ -1036,6 +1039,14 @@ def recomputing_lll_reduce(vectors, delta=Fraction(3, 4)):
     return [linalg.primitive_vector(tuple(row)) for row in b]
 
 
+def _is_symmetric(m):
+    """True iff m is square and m[i][j] == m[j][i] for every i < j."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        return False
+    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
+
+
 def row_column_congruence(s):
     """(P, D) with P^T S P = diag(D): a column pass, a row pass and a P pass per multiplier.
 
@@ -1046,7 +1057,7 @@ def row_column_congruence(s):
     n = len(s)
     if any(len(row) != n for row in s):
         raise linalg.ShapeError("congruence requires a square matrix")
-    if not linalg.is_symmetric(s):
+    if not _is_symmetric(s):
         raise linalg.ShapeError("congruence requires a symmetric matrix")
     a = [list(row) for row in s]
     p = linalg.identity(n)
@@ -1098,7 +1109,7 @@ def fraction_congruence(s, leading=None):
     n = len(s)
     if any(len(row) != n for row in s):
         raise linalg.ShapeError("congruence_diagonalize requires a square matrix")
-    if not linalg.is_symmetric(s):
+    if not _is_symmetric(s):
         raise linalg.ShapeError("congruence_diagonalize requires a symmetric matrix")
     m = n if leading is None else leading
     if not 0 <= m <= n:
@@ -1145,7 +1156,7 @@ def fraction_congruence(s, leading=None):
     for k in range(m):
         if not eliminate(k, range(k + 1, m), range(k + 1, n)):
             deferred.append(k)
-    leading_counts = linalg._sign_counts(a[k][k] for k in range(m))
+    leading_counts = linalg.sign_counts(a[k][k] for k in range(m))
     tail = deferred + list(range(m, n))
     for t, k in enumerate(tail):
         rest = tail[t + 1:]
@@ -1209,7 +1220,7 @@ def two_call_classify(alg, gram):
     n = alg.n
     if len(gram) != n or any(len(row) != n for row in gram):
         raise PreconditionError(f"Gram matrix must be {n}x{n}")
-    if not linalg.is_symmetric(gram):
+    if not _is_symmetric(gram):
         raise PreconditionError("Gram matrix must be symmetric")
     sig = Signature(*oracle_sign_counts(gram))
     if sig.nul:

@@ -245,7 +245,7 @@ def degenerate_gram_and_vectors(draw):
         gram = linalg.zeros(n, n)
         for i in range(n):
             for j in range(i, n):
-                gram[i][j] = gram[j][i] = linalg.frac(draw(ENTRIES))
+                gram[i][j] = gram[j][i] = F(draw(ENTRIES))
     vectors = []
     for _ in range(draw(st.integers(0, n + 2))):
         pick = draw(st.sampled_from(["zero", "copy", "sum", "new", "new"]))

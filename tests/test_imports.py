@@ -47,6 +47,15 @@ rows, is a new matrix and stays allowed.
 `scaled_system` and `extend_basis`, calls none of `kernel`, `row_space`,
 `lll_reduce` and `extend_to_independent`, and defines no frame helper.
 
+`linalg` is the one exact input boundary: outside `linalg.py`, no module of
+`src/heisflag` calls `is_symmetric`, compares a matrix with its transpose
+(an operand or a comprehension source built by `transpose(...)` or
+`zip(*m)`, or `m[i][j]` against `m[j][i]`), catches `ShapeError` to
+re-raise it under another name (`cli.main` maps it to an exit code), or
+calls `Fraction` on one argument that is not a number literal, which would
+parse strings and floats.  The one exception is `matrixio.parse_rational`,
+whose `Fraction(token)` reads a token that its regex has already matched.
+
 `curvature_report` reads flatness off the theorem in the `curvature`
 docstring: its body names none of `riemann`, `_riemann` and `is_flat`, so it
 builds and scans no Riemann table.
@@ -561,6 +570,111 @@ def test_checker_flags_a_riemann_table_in_the_report():
 
 def test_curvature_report_builds_no_riemann_table():
     assert tensor_names_in_report((SRC / "curvature.py").read_text()) == []
+
+
+def builds_transpose(node: ast.AST) -> bool:
+    """Whether the expression calls `transpose(...)` or `zip(*m)` anywhere inside."""
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Call):
+            func = inner.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "transpose" or (name == "zip" and any(
+                    isinstance(arg, ast.Starred) for arg in inner.args)):
+                return True
+    return False
+
+
+def mirrored(left: ast.expr, right: ast.expr) -> bool:
+    """Whether the two operands are m[i][j] and m[j][i] for one m."""
+    if not all(isinstance(x, ast.Subscript) and isinstance(x.value, ast.Subscript)
+               for x in (left, right)):
+        return False
+    return (ast.dump(left.value.value) == ast.dump(right.value.value)
+            and ast.dump(left.slice) == ast.dump(right.value.slice)
+            and ast.dump(left.value.slice) == ast.dump(right.slice))
+
+
+def is_number_literal(node: ast.expr) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+# (module, function) of each `Fraction(x)` that reads a checked token
+PARSED_FRACTIONS = {("matrixio.py", "parse_rational")}
+
+
+def boundary_copies(name: str, source: str) -> list[str]:
+    """`line n: what` for each entry or Gram decision that a module makes outside `linalg`."""
+    found = []
+    tree = ast.parse(source)
+    owners = {}
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, ast.FunctionDef):
+            for node in ast.walk(stmt):
+                owners.setdefault(id(node), stmt.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called == "is_symmetric":
+                found.append((node.lineno, "calls is_symmetric"))
+            elif (called == "Fraction" and len(node.args) == 1 and not node.keywords
+                  and not is_number_literal(node.args[0])
+                  and (name, owners.get(id(node))) not in PARSED_FRACTIONS):
+                found.append((node.lineno, "calls Fraction on one non-literal"))
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(builds_transpose(x) for x in operands) or any(
+                    mirrored(x, y) for x, y in zip(operands, operands[1:])):
+                found.append((node.lineno, "compares a matrix with its transpose"))
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            if any(builds_transpose(g.iter) for g in node.generators) and any(
+                    isinstance(inner, ast.Compare) for inner in ast.walk(node)):
+                found.append((node.lineno, "compares a matrix with its transpose"))
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None and name != "cli.py":
+            if any(getattr(inner, "attr", getattr(inner, "id", None)) == "ShapeError"
+                   for inner in ast.walk(node.type)):
+                found.append((node.lineno, "catches ShapeError"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_checker_flags_a_second_gram_or_entry_check():
+    source = (SRC / "heisenberg.py").read_text()
+    anchor = "    res = linalg.congruence_diagonalize(gram, leading=n - 2)\n"
+    assert source.count(anchor) == 1
+    line = source[:source.index(anchor)].count("\n") + 1
+    wrapped = ("    try:\n    " + anchor + "    except linalg.ShapeError:\n"
+               "        raise PreconditionError(\"Gram matrix must be symmetric\") from None\n")
+    assert boundary_copies("heisenberg.py", source.replace(anchor, wrapped)) == [
+        f"line {line + 2}: catches ShapeError"]
+    anchor = "    linalg.require_gram(a)\n"
+    assert source.count(anchor) == 1
+    line = source[:source.index(anchor)].count("\n") + 1
+    compared = ("    if any(row != list(col) for row, col in zip(a, zip(*a))):\n"
+                "        raise PreconditionError(\"Gram matrix must be square and symmetric\")\n")
+    assert boundary_copies("heisenberg.py", source.replace(anchor, compared)) == [
+        f"line {line}: compares a matrix with its transpose"]
+    mirrored_source = ("def f(m, n):\n"
+                       "    ok = linalg.is_symmetric(m) and m == linalg.transpose(m)\n"
+                       "    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i))\n")
+    assert boundary_copies("forms.py", mirrored_source) == [
+        "line 2: calls is_symmetric", "line 2: compares a matrix with its transpose",
+        "line 3: compares a matrix with its transpose"]
+    entries = ("def parse_rational(token):\n    return Fraction(token)\n\n\n"
+               "def frac(x):\n"
+               "    return Fraction(x), Fraction(-1), Fraction(1, x), Fraction(x or 0)\n")
+    assert boundary_copies("matrixio.py", entries) == [
+        "line 6: calls Fraction on one non-literal", "line 6: calls Fraction on one non-literal"]
+    assert boundary_copies("forms.py", entries) == [
+        "line 2: calls Fraction on one non-literal",
+        "line 6: calls Fraction on one non-literal", "line 6: calls Fraction on one non-literal"]
+
+
+def test_linalg_is_the_one_input_boundary():
+    found = {p.name: boundary_copies(p.name, p.read_text())
+             for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def numpy_import_owners(source: str) -> list[str]:

@@ -1,0 +1,328 @@
+"""Malformed input raises a named error: a campaign over the exact input boundary.
+
+A hypothesis campaign over the public callables that take a matrix, a
+vector or a signature: those in `heisflag.__all__` and the public routines
+of `heisflag.linalg`.  Each call gets valid base arguments with one of them
+malformed:
+- one entry made a float, a str, None, a bool, a list, a Decimal, a
+  complex number or bytes (a square matrix gets it at (i, j) and (j, i));
+- one row made ragged; a fixed-size argument given one row or entry too
+  many;
+- one integer parameter made a float, a str, None, a `Fraction`, a bool, a
+  negative int or a class id out of range.
+The call must raise `PreconditionError`, `ShapeError` or
+`SingularMatrixError` (or a subclass), or return a correct value:
+- `bool` is read as the `int` it is, so a call with a bool must equal the
+  call with that int;
+- a product reads only the entries it multiplies (it skips zeros, and the
+  vector of a zero coefficient), so a product that returns must equal the
+  product with the malformed entry replaced by 0;
+- `is_scaled_automorphism` answers False for a negative size n, which no
+  matrix has.
+Any other return fails, and so does any other exception: `AttributeError`,
+a bare `TypeError`, `IndexError`, `KeyError`, `ZeroDivisionError` or
+`AssertionError`.  No exact result may hold a float.  Empty matrices and
+vectors are valid input to most routines; `test_empty_input` checks their
+answers.
+
+Left out: rows that are not sequences (a matrix is a sequence of row
+sequences, and several shape checks take the `len` of each row before the
+entry reader sees it); the helpers `shape`, `transpose`, `is_zero_vector`
+and `sign_counts`, which move or compare entries and make no number of
+them; the checks `require_ints` and `require_gram` themselves; the
+callables that take built objects (spaces, subspaces, flags and scaled
+systems) rather than matrices, vectors or signatures; and the float side
+of the witness (`witness_residuals`, `subspace_distance`).
+"""
+
+import dataclasses
+from decimal import Decimal
+from fractions import Fraction as F
+from types import MappingProxyType
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import heisflag
+from heisflag import linalg
+from heisflag.linalg import PreconditionError, ShapeError, SingularMatrixError
+
+NAMED = (PreconditionError, ShapeError, SingularMatrixError)
+
+ALG = heisflag.HeisenbergAlgebra(4)
+GRAM = [[1, 0, 2, 0], [0, -1, 0, 0], [2, 0, 1, 0], [0, 0, 0, 1]]  # signature (2, 2)
+VEC = (1, -2, 0, 3)
+BLOCK = [[3, 1, 2, 5], [0, 1, 4, 7], [0, 0, 2, 1], [0, 0, 1, 1]]  # a scaled automorphism
+SPACE = heisflag.QuadraticSpace.standard(2, 2)
+FLAG = heisflag.representative_flag(7, 2, 2)
+NULLS = [(1, 0, 1, 0), (0, 1, 0, 1)]
+
+
+def witness(*args):
+    return heisflag.isometry_witness(*args).tolist()
+
+
+# name: (callable, base arguments, the kind of each argument, whether it is a product)
+# kinds: M a matrix, G a matrix of fixed row count, N a matrix malformed in its
+# entries only, V a vector, W a vector of fixed length, E an entry, I an
+# integer parameter, O one that may be None, C a class id, L a list of integer
+# parameters, - left as it is
+TARGETS = {
+    "linalg.mat": (linalg.mat, (GRAM,), "M", False),
+    "linalg.vec": (linalg.vec, (VEC,), "V", False),
+    "linalg.diag": (linalg.diag, (VEC,), "V", False),
+    "linalg.zeros": (linalg.zeros, (2, 3), "II", False),
+    "linalg.identity": (linalg.identity, (3,), "I", False),
+    "linalg.mat_mul": (linalg.mat_mul, (GRAM, GRAM), "MG", True),
+    "linalg.mat_vec": (linalg.mat_vec, (GRAM, VEC), "MW", True),
+    "linalg.combine": (linalg.combine, (VEC, GRAM), "WG", True),
+    "linalg.bilinear": (linalg.bilinear, ([VEC], GRAM, [VEC, VEC[::-1]]), "MGM", True),
+    "linalg.vec_add": (linalg.vec_add, (VEC, VEC[::-1]), "WW", True),
+    "linalg.vec_sub": (linalg.vec_sub, (VEC, VEC[::-1]), "WW", True),
+    "linalg.vec_scale": (linalg.vec_scale, (3, VEC), "EV", True),
+    "linalg.primitive_vector": (linalg.primitive_vector, (VEC,), "V", False),
+    "linalg.scaled_to_int": (linalg.scaled_to_int, (GRAM,), "M", False),
+    "linalg.congruence_diagonalize": (linalg.congruence_diagonalize, (GRAM, 2), "GO", False),
+    "linalg.rank": (linalg.rank, (GRAM,), "M", False),
+    "linalg.kernel": (linalg.kernel, (GRAM,), "M", False),
+    "linalg.row_space": (linalg.row_space, (GRAM,), "M", False),
+    "linalg.invert": (linalg.invert, (GRAM,), "G", False),
+    "linalg.integer_inverse": (linalg.integer_inverse, (GRAM,), "G", False),
+    "linalg.solve": (linalg.solve, (GRAM, VEC), "GW", False),
+    "linalg.lll_reduce": (linalg.lll_reduce, (GRAM,), "M", False),
+    "linalg.extend_to_independent": (
+        linalg.extend_to_independent, (GRAM[:1], GRAM[1:], 4), "MMI", False),
+    "QuadraticSpace": (heisflag.QuadraticSpace, (tuple(map(tuple, GRAM)),), "G", False),
+    "QuadraticSpace.from_matrix": (heisflag.QuadraticSpace.from_matrix, (GRAM,), "G", False),
+    "QuadraticSpace.standard": (heisflag.QuadraticSpace.standard, (2, 2), "II", False),
+    "Subspace": (heisflag.Subspace, (4, (VEC, (0, 1, 0, 0))), "IM", False),
+    "Subspace.spanned_by": (heisflag.Subspace.spanned_by, ([VEC, VEC], 4), "MI", False),
+    "Subspace.coordinate": (heisflag.Subspace.coordinate, (4, [0, 2]), "IL", False),
+    "Subspace.full": (heisflag.Subspace.full, (4,), "I", False),
+    "Signature": (heisflag.Signature, (1, 2, 0), "III", False),
+    "possible_codim2_signatures": (heisflag.possible_codim2_signatures, (3, 2), "II", False),
+    "possible_line_signatures": (heisflag.possible_line_signatures, (1, 1, 0), "III", False),
+    "matsuki_data": (heisflag.matsuki_data, (FLAG, 2, 2), "-II", False),
+    "lightlike_split": (heisflag.lightlike_split, (SPACE, FLAG.big, (1, 0, 1, 0)), "--W", False),
+    "extend_nullsystem": (heisflag.extend_nullsystem, (SPACE, NULLS), "-M", False),
+    "HeisenbergAlgebra": (heisflag.HeisenbergAlgebra, (4,), "I", False),
+    "admissible_classes": (heisflag.admissible_classes, (3, 3), "II", False),
+    "survey_flags": (heisflag.survey_flags, (3, 3), "II", False),
+    "parabolic_sample": (heisflag.parabolic_sample, (4, 1), "I-", False),
+    "representative": (heisflag.representative, (7, 2, 2), "CII", False),
+    "representative_flag": (heisflag.representative_flag, (7, 2, 2), "CII", False),
+    "classify_metric": (heisflag.classify_metric, (ALG, GRAM), "-G", False),
+    "curvature_report": (heisflag.curvature_report, (ALG, GRAM), "-G", False),
+    "riemann": (heisflag.riemann, (ALG, GRAM), "-G", False),
+    "act_on_metric": (heisflag.act_on_metric, (BLOCK, GRAM), "GG", False),
+    "is_scaled_automorphism": (heisflag.is_scaled_automorphism, (BLOCK, 4), "NI", False),
+    "ScaledAutomorphism.from_matrix": (heisflag.ScaledAutomorphism.from_matrix, (BLOCK,), "G",
+                                       False),
+    "isometry_witness": (witness, (2, 2, FLAG, FLAG), "II--", False),
+}
+
+BAD_ENTRIES = st.one_of(st.floats(), st.text(max_size=2), st.none(), st.booleans(),
+                        st.sampled_from([[], [1], (), Decimal("0.5"), Decimal(0), 1j, b"1"]))
+BAD_INTS = st.one_of(st.floats(), st.sampled_from(["3", "", None, F(3), F(1, 2)]),
+                     st.booleans(), st.integers(-5, -1))
+BAD_IDS = BAD_INTS | st.sampled_from([0, 22, 100])
+BAD_OPTIONAL_INTS = BAD_INTS.filter(lambda x: x is not None)
+# a case is (target name, argument index, how it is malformed, where, the malformed value)
+
+
+@st.composite
+def cases(draw):
+    name = draw(st.sampled_from(sorted(TARGETS)))
+    _, base, kinds, _ = TARGETS[name]
+    i = draw(st.sampled_from([i for i, kind in enumerate(kinds) if kind != "-"]))
+    kind, arg = kinds[i], base[i]
+    if kind in "IOCE":
+        values = {"I": BAD_INTS, "O": BAD_OPTIONAL_INTS, "C": BAD_IDS, "E": BAD_ENTRIES}[kind]
+        return name, i, "value", None, draw(values)
+    if kind in "LVW":
+        hows = ["entry"] + (["longer"] if kind == "W" else [])
+        how = draw(st.sampled_from(hows))
+        where = draw(st.integers(0, len(arg) - 1))
+        return name, i, how, where, draw(BAD_INTS if kind == "L" else BAD_ENTRIES)
+    how = draw(st.sampled_from(["entry"] + (["ragged"] if kind != "N" else [])
+                               + (["longer"] if kind == "G" else [])))
+    r = draw(st.integers(0, len(arg) - 1))
+    c = draw(st.integers(0, len(arg[r]) - 1))
+    return name, i, how, (r, c), draw(BAD_ENTRIES) if how == "entry" else None
+
+
+def malformed(arg, how, where, value):
+    """arg with the malformation applied, in arg's own container types."""
+    if how == "value":
+        return value
+    if how == "given":
+        return where
+    if not arg or not isinstance(arg[0], (list, tuple)):  # a vector or a list of ints
+        out = list(arg)
+        if how == "longer":
+            out.append(0)
+        else:
+            out[where] = value
+        return type(arg)(out)
+    rows = [list(row) for row in arg]
+    r, c = where
+    if how == "entry":
+        rows[r][c] = value
+        if len(rows) == len(rows[r]) and len(rows[c]) > r:  # square: keep it symmetric
+            rows[c][r] = value
+    elif how == "ragged":
+        rows[r] = rows[r][:-1] if c % 2 else rows[r] + [0]
+    else:
+        rows.append([0] * len(rows[r]))
+    return type(arg)(map(type(arg[0]), rows))
+
+
+def call(case, value):
+    name, i, how, where, _ = case
+    func, base, _, _ = TARGETS[name]
+    args = list(base)
+    args[i] = malformed(base[i], how, where, value)
+    return func(*args)
+
+
+def holds_float(x) -> bool:
+    if isinstance(x, float):
+        return True
+    if isinstance(x, (list, tuple, set, frozenset)):
+        return any(holds_float(y) for y in x)
+    if isinstance(x, (dict, MappingProxyType)):
+        return any(holds_float(k) or holds_float(v) for k, v in x.items())
+    if dataclasses.is_dataclass(x):
+        return any(holds_float(getattr(x, f.name)) for f in dataclasses.fields(x))
+    return False
+
+
+def given_case(name, i, arg):
+    """A case that hands in `arg` itself, malformed as it is."""
+    return name, i, "given", arg, None
+
+
+FLOAT_GRAM = [[0.1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+@settings(max_examples=3000, deadline=None, derandomize=True, database=None)
+@given(case=cases())
+@example(case=given_case("curvature_report", 1, FLOAT_GRAM))
+@example(case=given_case("QuadraticSpace.from_matrix", 0, FLOAT_GRAM))
+@example(case=given_case("linalg.mat", 0, [["0.1"]]))
+@example(case=given_case("classify_metric", 1, FLOAT_GRAM))
+@example(case=given_case("linalg.rank", 0, FLOAT_GRAM))
+@example(case=given_case("linalg.kernel", 0, FLOAT_GRAM))
+@example(case=given_case("linalg.invert", 0, FLOAT_GRAM))
+@example(case=given_case("act_on_metric", 1, FLOAT_GRAM))
+@example(case=given_case("linalg.mat_mul", 0, FLOAT_GRAM))
+@example(case=given_case("Subspace", 1, ((0.5, 0, 0, 0),)))
+@example(case=("HeisenbergAlgebra", 0, "value", None, 4.0))
+@example(case=("admissible_classes", 0, "value", None, 3.0))
+@example(case=("survey_flags", 0, "value", None, 3.0))
+@example(case=("QuadraticSpace.standard", 0, "value", None, 2.0))
+@example(case=("parabolic_sample", 0, "value", None, 4.0))
+@example(case=given_case("linalg.rank", 0, [[1, 2], [3]]))
+@example(case=given_case("Subspace.coordinate", 1, [-1]))
+@example(case=("classify_metric", 1, "entry", (0, 0), True))
+def test_malformed_input_raises_a_named_error(case):
+    value = case[4]
+    try:
+        result = call(case, value)
+    except NAMED:
+        return
+    name, _, how, _, _ = case
+    assert name == "isometry_witness" or not holds_float(result), result
+    if isinstance(value, bool):
+        assert result == call(case, int(value))
+    elif how in ("entry", "value") and TARGETS[name][3]:  # a product's entry or coefficient
+        assert result == call(case, 0)
+    elif name == "is_scaled_automorphism" and type(value) is int:
+        assert value < 0 and result is False
+    else:
+        pytest.fail(f"{name} returned {result!r} for malformed input")
+
+
+EMPTY_ANSWERS = [
+    (linalg.mat, ([],), []),
+    (linalg.vec, ((),), ()),
+    (linalg.diag, ((),), []),
+    (linalg.mat_mul, ([], []), []),
+    (linalg.mat_vec, ([], ()), ()),
+    (linalg.combine, ((), []), ()),
+    (linalg.bilinear, ([], [], []), []),
+    (linalg.vec_add, ((), ()), ()),
+    (linalg.vec_scale, (2, ()), ()),
+    (linalg.primitive_vector, ((),), ()),
+    (linalg.scaled_to_int, ([],), ([], 1)),
+    (lambda m: linalg.congruence_diagonalize(m).diagonal, ([],), ()),
+    (linalg.rank, ([],), 0),
+    (linalg.rank, ([[], []],), 0),
+    (linalg.kernel, ([],), []),
+    (linalg.kernel, ([[], []],), []),
+    (linalg.row_space, ([],), []),
+    (linalg.invert, ([],), []),
+    (linalg.integer_inverse, ([],), ([], 1)),
+    (linalg.solve, ([], ()), ()),
+    (linalg.lll_reduce, ([],), []),
+    (linalg.extend_to_independent, ([], [], 0), []),
+    (lambda m: heisflag.QuadraticSpace.from_matrix(m).dim, ([],), 0),
+    (lambda b: heisflag.Subspace(0, b).dim, ((),), 0),
+    (lambda b: heisflag.Subspace.spanned_by(b, 3).dim, ([],), 0),
+    (lambda n: heisflag.extend_nullsystem(SPACE, n).signature, ([],), heisflag.Signature(2, 2, 0)),
+]
+EMPTY_REFUSED = [
+    (linalg.extend_to_independent, ([], [], 1)),
+    (linalg.solve, ([], (1,))),
+    (linalg.mat_mul, (GRAM, [])),
+    (linalg.combine, (VEC, [])),
+    (heisflag.classify_metric, (ALG, [])),
+    (heisflag.curvature_report, (ALG, [])),
+    (heisflag.riemann, (ALG, [])),
+    (heisflag.act_on_metric, (BLOCK, [])),
+    (heisflag.act_on_metric, ([], GRAM)),
+    (heisflag.ScaledAutomorphism.from_matrix, ([],)),
+    (heisflag.lightlike_split, (SPACE, FLAG.big, ())),
+    (heisflag.Subspace.coordinate, (0, [0])),
+]
+
+
+@pytest.mark.parametrize("func, args, answer", EMPTY_ANSWERS)
+def test_empty_input(func, args, answer):
+    assert func(*args) == answer
+
+
+@pytest.mark.parametrize("func, args", EMPTY_REFUSED)
+def test_empty_input_refused(func, args):
+    with pytest.raises(NAMED):
+        func(*args)
+
+
+def test_typed_cache_keeps_floats_out_of_the_table():
+    heisflag.admissible_classes.cache_clear()
+    for first in (True, False):
+        if not first:
+            assert type(heisflag.admissible_classes(3, 3).p) is int
+        with pytest.raises(PreconditionError, match="p must be an int, not a float"):
+            heisflag.admissible_classes(3.0, 3)
+    assert type(heisflag.admissible_classes(3, 3).p) is int
+    with pytest.raises(PreconditionError, match="q must be an int, not a float"):
+        heisflag.survey_flags(3, 3.0)
+
+
+def test_errors_name_the_entry_and_the_parameter():
+    with pytest.raises(linalg.EntryTypeError, match=r"entry \(2, 1\) is a float"):
+        linalg.rank([[1, 2], [3, 4], [5, 0.5]])
+    with pytest.raises(linalg.EntryTypeError, match=r"entry \(0, 1\) is a str"):
+        linalg.mat([[1, "1/2"]])
+    with pytest.raises(ShapeError, match="row 1 is a NoneType, not a sequence"):
+        linalg.kernel([[1, 2], None])
+    with pytest.raises(PreconditionError, match="n must be an int, not a float"):
+        heisflag.HeisenbergAlgebra(4.0)
+    with pytest.raises(PreconditionError, match="class_id must be an int, not a str"):
+        heisflag.representative("7", 2, 2)
+    # one Gram check, which is both kinds of error
+    with pytest.raises(linalg.GramError, match="Gram matrix must be symmetric") as info:
+        heisflag.classify_metric(ALG, BLOCK)
+    assert isinstance(info.value, PreconditionError) and isinstance(info.value, ShapeError)
+    assert heisflag.PreconditionError is PreconditionError is heisflag.forms.PreconditionError
