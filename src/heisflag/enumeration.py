@@ -26,9 +26,14 @@ subspaces.
 - A null line v lies in the radical of V exactly when I_pq v lies in
   span(a, b), the Euclidean complement of V.  I_pq v has the support of v,
   so only a line on the plane's own coordinates needs that rank test.
-Pool vectors have at most two nonzero entries, so each product of a line
-with a or b runs over the nonzero entries of a or b alone.  The exact
-kernel basis of [a; b] is the big part of every sample flag.
+Each pool vector is v = e_i + e e_j with e in {0, +-1} (`_positioned_pool`,
+built once per survey), so a line is read off i, j and e alone: a.v =
+a_i + e a_j, <v, v> = sign_i + e^2 sign_j, and d+, d-, d_pm and the radical
+test's support check likewise.  The exact kernel basis of [a; b] is the big
+part of every sample flag of the plane, built when its first line becomes
+one; planes that give no sample flag build none.  A sample flag's
+containment is checked in `int` as a.v = b.v = 0, which is what lying in
+ker[a; b] means (`Flag._in_kernel`), in place of a rank on `Fraction` rows.
 
 The signed block permutations B_p x B_q (permutations and sign flips of the
 first p coordinates, and of the last q) fix I_pq, U+ and U-, so they fix
@@ -192,13 +197,26 @@ def _plane_signature(aa: int, ab: int, bb: int) -> tuple[int, int, int]:
     return 0, 0, 2
 
 
-def _plane_lines(a: IntRow, b: IntRow, key: IntRow, p: int, q: int, pool: Sequence[IntRow],
-                 index_pairs: list[tuple[int, int]]):
-    """Exact kernel basis of V = ker[a; b], and (v, invariants, seven counts) per pool line v.
+def _positioned_pool(n: int) -> list[tuple[IntRow, int, int, int]]:
+    """Each vector v of `integer_pool(n)`, in pool order, as (v, i, j, e) with
+    v = e_i + e e_j: i its first nonzero position, whose entry is +1, and j
+    its second, with entry e = +-1, or j = i and e = 0 for a unit vector."""
+    out = []
+    for v in integer_pool(n):
+        i = v.index(1)
+        j = next((k for k in range(n - 1, i, -1) if v[k]), i)
+        out.append((v, i, j, v[j] if j > i else 0))
+    return out
 
-    Pool vectors have at most two nonzero entries, each 0 or +-1, so every
-    product with a or b runs over a's or b's nonzero entries, and <v, v> is
-    the number of nonzero entries of v+ less that of v-.
+
+def _plane_lines(a: IntRow, b: IntRow, key: IntRow, p: int, q: int,
+                 pool: Sequence[tuple[IntRow, int, int, int]], index_pairs: list[tuple[int, int]]):
+    """(v, invariants, seven counts) for each pool line v of V = ker[a; b], in pool order.
+
+    `pool` is `_positioned_pool`: each line v = e_i + e e_j is read off i, j
+    and e alone.  a.v = a_i + e a_j (b.v likewise), <v, v> = sign_i +
+    e^2 sign_j, v has a + entry iff i < p and a - entry iff j >= p, and its
+    support lies on the plane's iff bits i and j of the plane's mask are set.
     """
     sign = [1] * p + [-1] * q
     a_nz = [(i, x) for i, x in enumerate(a) if x]
@@ -216,17 +234,16 @@ def _plane_lines(a: IntRow, b: IntRow, key: IntRow, p: int, q: int, pool: Sequen
     c_plus = p - (2 if plus_minor else int(any(a[:p]) or any(b[:p])))
     c_minus = q - (2 if minus_minor else int(any(a[p:]) or any(b[p:])))
     c_zero = p + q - 2 - c_plus - c_minus
-    basis = linalg.kernel([a, b])
-    support = {i for i, _ in a_nz} | {i for i, _ in b_nz}
-    a_plus = [(i, x) for i, x in a_nz if i < p]
-    b_plus = [(i, x) for i, x in b_nz if i < p]
+    mask = _mask(a) | _mask(b)
+    # a+ and b+: a and b with their - block cleared
+    a_plus = a[:p] + (0,) * q
+    b_plus = b[:p] + (0,) * q
 
     lines = []
-    for v in pool:
-        if sum(x * v[i] for i, x in a_nz) or sum(x * v[i] for i, x in b_nz):
+    for v, i, j, e in pool:
+        if a[i] + e * a[j] or b[i] + e * b[j]:
             continue
-        plus, minus = v[:p], v[p:]
-        norm = minus.count(0) - plus.count(0) + p - q
+        norm = sign[i] + e * e * sign[j]
         if norm > 0:
             inv = spacelike
         elif norm < 0:
@@ -235,15 +252,14 @@ def _plane_lines(a: IntRow, b: IntRow, key: IntRow, p: int, q: int, pool: Sequen
             # v lies in the radical iff I_pq v lies in V's Euclidean complement
             # span(a, b); I_pq v has the support of v, which must then lie on
             # the plane's
-            inside = sum(1 for i in support if v[i]) == len(v) - v.count(0)
-            inv = null[inside and linalg.rank([a, b, [e * x for e, x in zip(sign, v)]]) == 2]
-        d_plus = 0 if any(minus) else 1
-        d_minus = 0 if any(plus) else 1
-        d_pm = 0 if (sum(x * v[i] for i, x in a_plus)
-                     or sum(x * v[i] for i, x in b_plus)) else 1
+            inside = mask >> i & mask >> j & 1
+            inv = null[inside and linalg.rank([a, b, [x * y for x, y in zip(sign, v)]]) == 2]
+        d_plus = int(j < p)
+        d_minus = int(i >= p)
+        d_pm = 0 if a_plus[i] + e * a_plus[j] or b_plus[i] + e * b_plus[j] else 1
         lines.append((v, inv, (c_plus, c_minus, c_zero, d_plus, d_minus,
                                1 - d_plus - d_minus, d_pm)))
-    return basis, lines
+    return lines
 
 
 @lru_cache(maxsize=None)
@@ -255,8 +271,8 @@ def _survey_cached(p: int, q: int) -> FlagSurvey:
     coords = [*range(min(p, 4)), *range(p, p + min(q, 4))]
     reach = sum(1 << i for i in coords)
     index_pairs = list(itertools.combinations(coords, 2))
-    pool = integer_pool(n)
-    sub_pool = [(v, m) for v, m in zip(pool, map(_mask, pool)) if not m & ~reach]
+    pool = _positioned_pool(n)
+    sub_pool = [(v, m) for v, i, j, _ in pool if not (m := 1 << i | 1 << j) & ~reach]
     invariants: dict[FlagInvariants, list[Flag]] = {}
     matsuki: set[tuple[int, ...]] = set()
     seen: set[IntRow] = set()
@@ -272,11 +288,12 @@ def _survey_cached(p: int, q: int) -> FlagSurvey:
         if not _canonical(a, b, key, p, index_pairs):
             continue
         kept += 1
-        basis, lines = _plane_lines(a, b, key, p, q, pool, index_pairs)
-        big = Subspace._independent(n, tuple(basis))
-        for v, inv, counts in lines:
+        big = None  # the exact kernel basis of [a; b], built at the plane's first sample flag
+        for v, inv, counts in _plane_lines(a, b, key, p, q, pool, index_pairs):
             samples = invariants.setdefault(inv, [])
             if len(samples) < SAMPLES_PER_ORBIT:
-                samples.append(Flag(Subspace._independent(n, (linalg.vec(v),)), big))
+                if big is None:
+                    big = Subspace._independent(n, tuple(linalg.kernel([a, b])))
+                samples.append(Flag._in_kernel(v, (a, b), big))
             matsuki.add(counts)
     return FlagSurvey(p, q, kept, invariants, matsuki)

@@ -142,9 +142,8 @@ class Subspace:
         linalg.require_ints(ambient_dim=self.ambient_dim)
         if self.ambient_dim < 0:
             raise linalg.ShapeError(f"ambient dimension {self.ambient_dim} is negative")
-        for v in self.basis:
-            if len(v) != self.ambient_dim:
-                raise linalg.ShapeError("basis vector has wrong length")
+        if any(k != self.ambient_dim for k in linalg.row_lengths(self.basis)):
+            raise linalg.ShapeError("basis vector has wrong length")
 
     @classmethod
     def _independent(cls, ambient_dim: int, basis: tuple[Vector, ...]) -> "Subspace":
@@ -210,12 +209,32 @@ class Flag:
     big: Subspace
 
     def __post_init__(self):
+        self._check_dims()
+        if not self.big.contains_subspace(self.small):
+            raise PreconditionError("small subspace is not contained in the big one")
+
+    def _check_dims(self) -> None:
         if self.small.ambient_dim != self.big.ambient_dim:
             raise linalg.ShapeError("flag parts live in different ambient spaces")
         if not self.small.dim < self.big.dim <= self.big.ambient_dim:
             raise PreconditionError("flag needs dim(small) < dim(big) <= ambient")
-        if not self.big.contains_subspace(self.small):
+
+    @classmethod
+    def _in_kernel(cls, line: Sequence[int], rows: Sequence[Sequence[int]],
+                   big: Subspace) -> "Flag":
+        """The flag (span(line), big) for big = ker(rows), with `int` line and rows.
+
+        The line lies in ker(rows) exactly when every row . line is 0, so
+        containment is checked in `int` in place of the rank test; the caller
+        guarantees that `big` is that kernel.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "small", Subspace._independent(big.ambient_dim, (vec(line),)))
+        object.__setattr__(f, "big", big)
+        f._check_dims()
+        if any(sum(x * y for x, y in zip(row, line)) for row in rows):
             raise PreconditionError("small subspace is not contained in the big one")
+        return f
 
     @property
     def shape(self) -> tuple[int, int]:

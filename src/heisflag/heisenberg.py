@@ -146,7 +146,6 @@ class ClassTable:
         return len(self.classes)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 3.0 meets the check, not the table of 3
 def admissible_classes(p: int, q: int) -> ClassTable:
     """Derive the admissible taxonomy rows for signature (p, q).
 
@@ -154,8 +153,15 @@ def admissible_classes(p: int, q: int) -> ClassTable:
     admissible iff its concrete center signature has no negative entry (the
     rows follow `CODIM2_PATTERNS`, so it is then a possible codimension-two
     signature) and its refined line type can occur inside that signature.
+    Needs `int`s p, q (else `PreconditionError`, before the cache sees them);
+    cached per signature.
     """
     linalg.require_ints(p=p, q=q)
+    return _admissible_cached(p, q)
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: a bool never meets the table of its int
+def _admissible_cached(p: int, q: int) -> ClassTable:
     if p < 1 or q < 1:
         raise UnsupportedSignatureError("need p, q >= 1 (definite metrics are out of scope)")
     if p + q < 4:

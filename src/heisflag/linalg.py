@@ -12,8 +12,11 @@ rows to integers, behind every elimination, `scaled_to_int`,
 `primitive_vector` and `lll_reduce`), from `_accumulate` (the one product
 loop, which reads only the entries it multiplies: it skips zeros, and the
 vector of a zero coefficient) or from `vec` and `mat` (which never parse
-strings or floats).  `require_ints` names an integer parameter that
-is not an `int`, and `require_gram` is the one square-and-symmetric check.
+strings or floats).  A row that is not a sequence (a number, None) raises
+a `ShapeError` that names it, from the reader or from the `len` calls of
+the shape checks (`shape`, `row_lengths`), caught only after they fail.
+`require_ints` names an integer parameter that is not an `int`, and
+`require_gram` is the one square-and-symmetric check.
 Most entries met in practice are integers stored as `Fraction` (kernels,
 row spaces and LLL bases are primitive integer vectors), so every product
 is one loop, `_accumulate`, that multiplies and adds each integral entry
@@ -77,17 +80,33 @@ class GramError(ShapeError, PreconditionError):
     """A Gram matrix that is not square or not symmetric."""
 
 
+def _a(x) -> str:
+    """The name of x's type with its indefinite article: "a float", "an int"."""
+    name = type(x).__name__
+    return f"{'an' if name[0] in 'aeiouAEIOU' else 'a'} {name}"
+
+
 def _entry_error(m) -> ShapeError:
-    """The error for a matrix that could not be read: the first row of m that is
-    not a sequence, or else the first entry that is not an `int` or a `Fraction`."""
+    """The error for a matrix that could not be read: m itself or the first row of
+    m that is not a sequence, or else the first entry that is not an `int` or a
+    `Fraction`."""
     if not isinstance(m, Sequence):
-        return ShapeError(f"a matrix is a sequence of rows, not a {type(m).__name__}")
+        return ShapeError(f"a matrix is a sequence of rows, not {_a(m)}")
     for i, row in enumerate(m):
         if not isinstance(row, Sequence):
-            return ShapeError(f"row {i} is a {type(row).__name__}, not a sequence")
+            return ShapeError(f"row {i} is {_a(row)}, not a sequence")
     i, j, x = next((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row)
                    if not isinstance(x, (int, Fraction)))
-    return EntryTypeError(f"entry ({i}, {j}) is a {type(x).__name__}, not an int or a Fraction")
+    return EntryTypeError(f"entry ({i}, {j}) is {_a(x)}, not an int or a Fraction")
+
+
+def row_lengths(rows: Sequence[Sequence]) -> list[int]:
+    """The length of each row; rows, or a row, with no length raise the
+    `ShapeError` of `_entry_error`, which names it."""
+    try:
+        return [len(row) for row in rows]
+    except TypeError:
+        raise _entry_error(rows) from None
 
 
 def require_ints(**params) -> None:
@@ -155,11 +174,14 @@ def diag(values: Iterable) -> Matrix:
 
 
 def shape(m: Matrix) -> tuple[int, int]:
-    return len(m), len(m[0]) if m else 0
+    try:
+        return len(m), len(m[0]) if m else 0
+    except TypeError:
+        raise _entry_error(m) from None
 
 
 def transpose(m: Matrix) -> Matrix:
-    if any(len(row) != len(m[0]) for row in m):
+    if len(set(row_lengths(m))) > 1:
         raise ShapeError("cannot transpose rows of unequal length")
     return [list(col) for col in zip(*m)] if m else []
 
@@ -222,12 +244,16 @@ def _accumulate(coeffs: Sequence, vectors: Sequence[Sequence], length: int) -> l
 
 def combine(coeffs: Sequence, vectors: Sequence[Sequence]) -> Vector:
     """The combination sum_k c_k v_k, by `_accumulate`: every entry a `Fraction`."""
-    if len(coeffs) != len(vectors):
-        raise ShapeError(f"{len(coeffs)} coefficients for {len(vectors)} vectors")
+    try:
+        k = len(coeffs)
+    except TypeError:
+        raise ShapeError(f"the coefficients are {_a(coeffs)}, not a sequence") from None
+    if k != len(vectors):
+        raise ShapeError(f"{k} coefficients for {len(vectors)} vectors")
     if not vectors:
         return ()
     return tuple(a if type(a) is Fraction else Fraction(a)
-                 for a in _accumulate(coeffs, vectors, len(vectors[0])))
+                 for a in _accumulate(coeffs, vectors, shape(vectors)[1]))
 
 
 def bilinear(xs: Sequence[Sequence], m: Matrix, ys: Sequence[Sequence]) -> Matrix:
@@ -239,7 +265,7 @@ def bilinear(xs: Sequence[Sequence], m: Matrix, ys: Sequence[Sequence]) -> Matri
     len(ys) even when M is 0 x 0.
     """
     r, c = shape(m)
-    if any(len(x) != r for x in xs) or any(len(y) != c for y in ys):
+    if any(k != r for k in row_lengths(xs)) or any(k != c for k in row_lengths(ys)):
         raise ShapeError(f"vector length does not match the {r}x{c} matrix")
     y_rows = list(zip(*ys))
     return [[a if type(a) is Fraction else Fraction(a)
@@ -581,8 +607,9 @@ def _inverse_rows(m: Matrix) -> list[tuple[list[int], int]]:
     row r of the inverse is the right half of row r over a_r.  A singular M
     leaves a pivot in the right half.
     """
-    n = len(m)
-    if any(len(row) != n for row in m):
+    lengths = row_lengths(m)
+    n = len(lengths)
+    if any(k != n for k in lengths):
         raise ShapeError("inverse requires a square matrix")
     a, pivots = _reduce([[*row, *(1 if j == i else 0 for j in range(n))]
                          for i, row in enumerate(m)])
@@ -615,7 +642,11 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     rows, cols = shape(a)
     if len(b) != rows:
         raise ShapeError("right-hand side length does not match row count")
-    reduced, pivots = _reduce([[*row, bv] for row, bv in zip(a, b)])
+    try:
+        augmented = [[*row, bv] for row, bv in zip(a, b)]
+    except TypeError:
+        raise _entry_error(a) from None
+    reduced, pivots = _reduce(augmented)
     if pivots and pivots[-1] == cols:
         return None
     x = [Fraction(0)] * cols
@@ -708,7 +739,7 @@ def extend_to_independent(base: Sequence[Vector], pool: Sequence[Vector],
     """
     require_ints(target_rank=target_rank)
     vectors = [*base, *pool]
-    if len({len(v) for v in vectors}) > 1:
+    if len(set(row_lengths(vectors))) > 1:
         raise ShapeError("base and pool vectors must have one length")
     pivots = _forward(transpose(vectors))[1]
     from_pool = [c - len(base) for c in pivots if c >= len(base)]

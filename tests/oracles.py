@@ -26,7 +26,11 @@ Deliberately separate from the package's fast paths:
   tests lines with full-length dot products (`_dot`, `_standard_gram`).
   The survey's walk over the leading-coordinate pairs, its test on the
   key's signs and its closed-form 2x2 signature replaced it, and must
-  give the same survey, sample flags and their order included;
+  give the same survey, sample flags and their order included.
+  `sum_plane_lines` is the survey's per-plane line scan with a generator
+  sum per product, slices and zero counts per line and a kernel per plane,
+  which reading each line off its two nonzero positions, and a kernel only
+  at a plane's first sample flag, replaced;
 - radical: the columns of one congruence's transform with zero diagonal
   entries, made a canonical row space, which `forms.radical` replaced by
   the kernel of W's Gram matrix mapped through W's basis;
@@ -98,7 +102,7 @@ import numpy as np
 from heisflag import linalg
 from heisflag.linalg import Matrix, Vector
 from heisflag.curvature import CurvatureReport, is_flat
-from heisflag.enumeration import SAMPLES_PER_ORBIT, FlagSurvey
+from heisflag.enumeration import SAMPLES_PER_ORBIT, FlagSurvey, _plane_signature
 from heisflag.forms import (
     Flag,
     FlagInvariants,
@@ -762,6 +766,54 @@ def _dot_plane_lines(a, b, key, p, q, pool, index_pairs):
         d_pm = 0 if _dot(a[:p], v) or _dot(b[:p], v) else 1
         lines.append((v, FlagInvariants(sig_big, sig_small, cap),
                       (c_plus, c_minus, c_zero, d_plus, d_minus, 1 - d_plus - d_minus, d_pm)))
+    return basis, lines
+
+
+def sum_plane_lines(a, b, key, p, q, pool, index_pairs):
+    """The exact kernel basis of [a; b], built for every plane, and (v,
+    invariants, seven counts) per pool line v, each product a generator sum
+    over a's or b's nonzero entries, each <v, v> and d count read off slices
+    of v and their zero counts."""
+    sign = [1] * p + [-1] * q
+    a_nz = [(i, x) for i, x in enumerate(a) if x]
+    b_nz = [(i, x) for i, x in enumerate(b) if x]
+    s, t, u = _plane_signature(sum(sign[i] * x * x for i, x in a_nz),
+                               sum(sign[i] * x * b[i] for i, x in a_nz),
+                               sum(sign[i] * x * x for i, x in b_nz))
+    sig_big = Signature(p - s - u, q - t - u, u)
+    spacelike = FlagInvariants(sig_big, Signature(1, 0, 0), 0)
+    timelike = FlagInvariants(sig_big, Signature(0, 1, 0), 0)
+    null = (FlagInvariants(sig_big, Signature(0, 0, 1), 0),
+            FlagInvariants(sig_big, Signature(0, 0, 1), 1))
+    plus_minor = any(x for (i, j), x in zip(index_pairs, key) if j < p)
+    minus_minor = any(x for (i, j), x in zip(index_pairs, key) if i >= p)
+    c_plus = p - (2 if plus_minor else int(any(a[:p]) or any(b[:p])))
+    c_minus = q - (2 if minus_minor else int(any(a[p:]) or any(b[p:])))
+    c_zero = p + q - 2 - c_plus - c_minus
+    basis = linalg.kernel([a, b])
+    support = {i for i, _ in a_nz} | {i for i, _ in b_nz}
+    a_plus = [(i, x) for i, x in a_nz if i < p]
+    b_plus = [(i, x) for i, x in b_nz if i < p]
+
+    lines = []
+    for v in pool:
+        if sum(x * v[i] for i, x in a_nz) or sum(x * v[i] for i, x in b_nz):
+            continue
+        plus, minus = v[:p], v[p:]
+        norm = minus.count(0) - plus.count(0) + p - q
+        if norm > 0:
+            inv = spacelike
+        elif norm < 0:
+            inv = timelike
+        else:
+            inside = sum(1 for i in support if v[i]) == len(v) - v.count(0)
+            inv = null[inside and linalg.rank([a, b, [e * x for e, x in zip(sign, v)]]) == 2]
+        d_plus = 0 if any(minus) else 1
+        d_minus = 0 if any(plus) else 1
+        d_pm = 0 if (sum(x * v[i] for i, x in a_plus)
+                     or sum(x * v[i] for i, x in b_plus)) else 1
+        lines.append((v, inv, (c_plus, c_minus, c_zero, d_plus, d_minus,
+                               1 - d_plus - d_minus, d_pm)))
     return basis, lines
 
 

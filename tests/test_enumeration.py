@@ -23,6 +23,7 @@ from heisflag.forms import (
     possible_line_signatures,
 )
 from heisflag.heisenberg import admissible_classes
+from heisflag.sampling import integer_pool
 
 
 def expected_invariants(p, q):
@@ -182,6 +183,7 @@ def test_every_plane_of_a_class_reads_the_same_pairs():
         n = p + q
         space = QuadraticSpace.standard(p, q)
         pool = oracles.small_int_pool(n)
+        positioned = enumeration._positioned_pool(n)
         index_pairs = list(itertools.combinations(range(n), 2))
         planes, pairs = {}, {}
         for a, b in itertools.combinations(pool, 2):
@@ -189,8 +191,8 @@ def test_every_plane_of_a_class_reads_the_same_pairs():
             if key in planes:
                 continue
             planes[key] = (a, b)
-            basis, lines = enumeration._plane_lines(a, b, key, p, q, pool, index_pairs)
-            big = Subspace(n, tuple(map(linalg.vec, basis)))
+            lines = enumeration._plane_lines(a, b, key, p, q, positioned, index_pairs)
+            big = Subspace(n, tuple(linalg.kernel([a, b])))
             for v, inv, counts in lines:
                 flag = Flag(Subspace(n, (linalg.vec(v),)), big)
                 assert inv == flag_invariants(space, flag), (p, q, a, b, v)
@@ -206,6 +208,46 @@ def test_every_plane_of_a_class_reads_the_same_pairs():
                      for g in group}
             assert all(pairs[image] == pairs[key] for image in orbit), (p, q, a, b)
             unvisited -= orbit
+
+
+def test_plane_lines_agree_with_the_sum_oracle():
+    # each pool line read off its two nonzero positions against per-line
+    # generator sums, slices and zero counts, on every pool plane: the same
+    # lines in the same order, field by field (the oracle's eager kernel is
+    # the `linalg.kernel([a, b])` that the survey builds at a plane's first
+    # sample flag, so it is not compared)
+    for p, q in [(2, 2), (3, 1), (3, 2), (2, 3), (6, 6), (8, 4)]:
+        n = p + q
+        pool = integer_pool(n)
+        positioned = enumeration._positioned_pool(n)
+        assert [v for v, _, _, _ in positioned] == list(pool)
+        index_pairs = list(itertools.combinations(range(n), 2))
+        seen = set()
+        for a, b in itertools.combinations(pool, 2):
+            key = enumeration._plucker_key(a, b, index_pairs)
+            if key in seen:
+                continue
+            seen.add(key)
+            _, expected = oracles.sum_plane_lines(a, b, key, p, q, pool, index_pairs)
+            lines = enumeration._plane_lines(a, b, key, p, q, positioned, index_pairs)
+            assert len(lines) == len(expected), (p, q, a, b)
+            for (v, inv, counts), (w, inv_w, counts_w) in zip(lines, expected):
+                assert v == w, (p, q, a, b)
+                assert inv == inv_w, (p, q, a, b, v)
+                assert counts == counts_w, (p, q, a, b, v)
+
+
+def test_sample_flag_containment_is_checked_in_int():
+    # the survey's sample path checks a line against [a; b] in int: a pool
+    # line off the plane's kernel is refused with Flag's containment message
+    a, b = (1, 1, 0, 0), (0, 0, 1, 1)
+    big = Subspace._independent(4, tuple(linalg.kernel([a, b])))
+    flag = Flag._in_kernel((1, -1, 0, 0), (a, b), big)
+    assert flag == Flag(Subspace(4, (linalg.vec((1, -1, 0, 0)),)), big)
+    for line in [(1, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, -1)]:
+        with pytest.raises(PreconditionError,
+                           match="^small subspace is not contained in the big one$"):
+            Flag._in_kernel(line, (a, b), big)
 
 
 def test_cached_survey_cannot_be_changed_by_a_caller():

@@ -6,10 +6,11 @@ of `heisflag.linalg`.  Each call gets valid base arguments with one of them
 malformed:
 - one entry made a float, a str, None, a bool, a list, a Decimal, a
   complex number or bytes (a square matrix gets it at (i, j) and (j, i));
-- one row made ragged; a fixed-size argument given one row or entry too
-  many;
-- one integer parameter made a float, a str, None, a `Fraction`, a bool, a
-  negative int or a class id out of range.
+- one row made ragged, or made a number or None, which is no sequence; a
+  fixed-size argument given one row or entry too many;
+- one integer parameter made a float, a str, None, a `Fraction`, a list
+  (which is unhashable, so it must be named before a cache hashes it), a
+  bool, a negative int or a class id out of range.
 The call must raise `PreconditionError`, `ShapeError` or
 `SingularMatrixError` (or a subclass), or return a correct value:
 - `bool` is read as the `int` it is, so a call with a bool must equal the
@@ -25,10 +26,8 @@ a bare `TypeError`, `IndexError`, `KeyError`, `ZeroDivisionError` or
 vectors are valid input to most routines; `test_empty_input` checks their
 answers.
 
-Left out: rows that are not sequences (a matrix is a sequence of row
-sequences, and several shape checks take the `len` of each row before the
-entry reader sees it); the helpers `shape`, `transpose`, `is_zero_vector`
-and `sign_counts`, which move or compare entries and make no number of
+Left out: the helpers `shape`, `transpose`, `is_zero_vector` and
+`sign_counts`, which move or compare entries and make no number of
 them; the checks `require_ints` and `require_gram` themselves; the
 callables that take built objects (spaces, subspaces, flags and scaled
 systems) rather than matrices, vectors or signatures; and the float side
@@ -123,10 +122,11 @@ TARGETS = {
 
 BAD_ENTRIES = st.one_of(st.floats(), st.text(max_size=2), st.none(), st.booleans(),
                         st.sampled_from([[], [1], (), Decimal("0.5"), Decimal(0), 1j, b"1"]))
-BAD_INTS = st.one_of(st.floats(), st.sampled_from(["3", "", None, F(3), F(1, 2)]),
+BAD_INTS = st.one_of(st.floats(), st.sampled_from(["3", "", None, F(3), F(1, 2), []]),
                      st.booleans(), st.integers(-5, -1))
 BAD_IDS = BAD_INTS | st.sampled_from([0, 22, 100])
 BAD_OPTIONAL_INTS = BAD_INTS.filter(lambda x: x is not None)
+NOT_ROWS = st.sampled_from([0, 1, -1, None, 0.5, F(1, 2)])
 # a case is (target name, argument index, how it is malformed, where, the malformed value)
 
 
@@ -144,11 +144,12 @@ def cases(draw):
         how = draw(st.sampled_from(hows))
         where = draw(st.integers(0, len(arg) - 1))
         return name, i, how, where, draw(BAD_INTS if kind == "L" else BAD_ENTRIES)
-    how = draw(st.sampled_from(["entry"] + (["ragged"] if kind != "N" else [])
+    how = draw(st.sampled_from(["entry"] + (["ragged", "row"] if kind != "N" else [])
                                + (["longer"] if kind == "G" else [])))
     r = draw(st.integers(0, len(arg) - 1))
     c = draw(st.integers(0, len(arg[r]) - 1))
-    return name, i, how, (r, c), draw(BAD_ENTRIES) if how == "entry" else None
+    values = {"entry": BAD_ENTRIES, "row": NOT_ROWS}
+    return name, i, how, (r, c), draw(values[how]) if how in values else None
 
 
 def malformed(arg, how, where, value):
@@ -172,6 +173,9 @@ def malformed(arg, how, where, value):
             rows[c][r] = value
     elif how == "ragged":
         rows[r] = rows[r][:-1] if c % 2 else rows[r] + [0]
+    elif how == "row":
+        rows[r] = value
+        return type(arg)(row if row is value else type(arg[0])(row) for row in rows)
     else:
         rows.append([0] * len(rows[r]))
     return type(arg)(map(type(arg[0]), rows))
@@ -225,6 +229,13 @@ FLOAT_GRAM = [[0.1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 @example(case=given_case("linalg.rank", 0, [[1, 2], [3]]))
 @example(case=given_case("Subspace.coordinate", 1, [-1]))
 @example(case=("classify_metric", 1, "entry", (0, 0), True))
+@example(case=given_case("linalg.kernel", 0, [1, 2]))
+@example(case=given_case("Subspace", 1, (1,)))
+@example(case=given_case("linalg.bilinear", 0, [1]))
+@example(case=given_case("linalg.extend_to_independent", 1, [1, 2]))
+@example(case=given_case("linalg.mat_mul", 0, [[1, 0, 0, 0], 0, [0, 0, 1, 0], [0, 0, 0, 1]]))
+@example(case=("admissible_classes", 0, "value", None, []))
+@example(case=("representative", 1, "value", None, []))
 def test_malformed_input_raises_a_named_error(case):
     value = case[4]
     try:
@@ -299,7 +310,7 @@ def test_empty_input_refused(func, args):
 
 
 def test_typed_cache_keeps_floats_out_of_the_table():
-    heisflag.admissible_classes.cache_clear()
+    heisflag.heisenberg._admissible_cached.cache_clear()
     for first in (True, False):
         if not first:
             assert type(heisflag.admissible_classes(3, 3).p) is int
@@ -317,6 +328,16 @@ def test_errors_name_the_entry_and_the_parameter():
         linalg.mat([[1, "1/2"]])
     with pytest.raises(ShapeError, match="row 1 is a NoneType, not a sequence"):
         linalg.kernel([[1, 2], None])
+    with pytest.raises(ShapeError, match="row 0 is an int, not a sequence"):
+        linalg.kernel([1, 2])
+    with pytest.raises(ShapeError, match="row 0 is an int, not a sequence"):
+        linalg.shape([1, 2])
+    with pytest.raises(ShapeError, match="row 0 is an int, not a sequence"):
+        heisflag.Subspace(4, (1,))
+    with pytest.raises(PreconditionError, match="p must be an int, not a list"):
+        heisflag.admissible_classes([], 3)
+    with pytest.raises(PreconditionError, match="p must be an int, not a list"):
+        heisflag.representative(7, [], 2)
     with pytest.raises(PreconditionError, match="n must be an int, not a float"):
         heisflag.HeisenbergAlgebra(4.0)
     with pytest.raises(PreconditionError, match="class_id must be an int, not a str"):
