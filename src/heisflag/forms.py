@@ -142,7 +142,8 @@ class Subspace:
         linalg.require_ints(ambient_dim=self.ambient_dim)
         if self.ambient_dim < 0:
             raise linalg.ShapeError(f"ambient dimension {self.ambient_dim} is negative")
-        if any(k != self.ambient_dim for k in linalg.row_lengths(self.basis)):
+        rows, cols = linalg.shape(self.basis)
+        if rows and cols != self.ambient_dim:
             raise linalg.ShapeError("basis vector has wrong length")
 
     @classmethod
@@ -183,9 +184,10 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Vector) -> bool:
-        if len(v) != self.ambient_dim:
+        rows = [*self.basis, v]
+        if linalg.shape(rows)[1] != self.ambient_dim:
             raise linalg.ShapeError("vector length does not match ambient dimension")
-        return linalg.rank([*self.basis, v]) == self.dim
+        return linalg.rank(rows) == self.dim
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -502,10 +504,10 @@ def lightlike_split(space: QuadraticSpace, v_sub: Subspace, v: Vector) -> tuple[
     is the wanted pair up to orientation; h is kept as a primitive integer
     vector so entries stay small.  No square roots are needed.
     """
-    if linalg.is_zero_vector(v):
-        raise PreconditionError("cannot split the zero vector")
     if not v_sub.contains(v):
         raise PreconditionError("vector does not lie in the subspace")
+    if linalg.is_zero_vector(v):
+        raise PreconditionError("cannot split the zero vector")
     if space.inner(v, v) != 0:
         raise PreconditionError("vector is not null")
     w = next((b for b in v_sub.basis if space.inner(v, b) != 0), None)

@@ -157,17 +157,20 @@ def admissible_classes(p: int, q: int) -> ClassTable:
     cached per signature.
     """
     linalg.require_ints(p=p, q=q)
-    return _admissible_cached(p, q)
+    return _admissible_cached(p, q)[0]
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: a bool never meets the table of its int
-def _admissible_cached(p: int, q: int) -> ClassTable:
+def _admissible_cached(p: int, q: int) -> tuple[
+        ClassTable, dict[tuple[Signature, LineSignature], MetricClass]]:
+    """The table for (p, q) and its rows keyed by (center signature, refined line type)."""
     if p < 1 or q < 1:
         raise UnsupportedSignatureError("need p, q >= 1 (definite metrics are out of scope)")
     if p + q < 4:
         raise UnsupportedSignatureError("need p + q >= 4; lower dimensions are out of scope")
     p, q = max(p, q), min(p, q)
     rows = []
+    by_invariants = {}
     for row in CLASS_ROWS:
         dp, dq, u = row.pattern
         if p + dp < 0 or q + dq < 0:
@@ -176,10 +179,10 @@ def _admissible_cached(p: int, q: int) -> ClassTable:
         if row.refined not in possible_line_signatures(sig.pos, sig.neg, sig.nul):
             continue
         rows.append(row)
-    concrete = {(r.center_signature(p, q), r.refined) for r in rows}
-    if len(concrete) != len(rows):
+        by_invariants[sig, row.refined] = row
+    if len(by_invariants) != len(rows):
         raise AssertionError("admissible rows must have distinct concrete invariants")
-    return ClassTable(p, q, tuple(rows))
+    return ClassTable(p, q, tuple(rows)), by_invariants
 
 
 @dataclass(frozen=True)
@@ -233,11 +236,11 @@ def classify_metric(alg: HeisenbergAlgebra, gram: Matrix) -> Classification:
         refined = LineSignature.RADICAL
     else:
         refined = LineSignature.LIGHTLIKE
-    for row in admissible_classes(p, q).classes:
-        if row.center_signature(p, q) == center_sig and row.refined == refined:
-            return Classification(p, q, swapped, row, center_sig, refined)
-    raise AssertionError(
-        f"no taxonomy row matches center signature {center_sig}, {refined}")
+    row = _admissible_cached(p, q)[1].get((center_sig, refined))
+    if row is None:
+        raise AssertionError(
+            f"no taxonomy row matches center signature {center_sig}, {refined}")
+    return Classification(p, q, swapped, row, center_sig, refined)
 
 
 def _admissible_row(class_id: int, p: int, q: int) -> MetricClass:
@@ -375,7 +378,7 @@ def is_scaled_automorphism(g: Matrix, n: int) -> bool:
     """
     linalg.require_ints(n=n)
     g = linalg.mat(g)
-    if len(g) != n or n < 3 or any(len(row) != n for row in g):
+    if n < 3 or linalg.shape(g) != (n, n):
         return False
     for i in range(1, n):
         if g[i][0] != 0:

@@ -12,9 +12,11 @@ rows to integers, behind every elimination, `scaled_to_int`,
 `primitive_vector` and `lll_reduce`), from `_accumulate` (the one product
 loop, which reads only the entries it multiplies: it skips zeros, and the
 vector of a zero coefficient) or from `vec` and `mat` (which never parse
-strings or floats).  A row that is not a sequence (a number, None) raises
-a `ShapeError` that names it, from the reader or from the `len` calls of
-the shape checks (`shape`, `row_lengths`), caught only after they fail.
+strings or floats).  `shape` is the one reader of row lengths: every
+check of a matrix's dimensions, and of rows of one length, goes through
+it, so a row that is not a sequence (a number, None) raises a
+`ShapeError` that names it.  A vector argument's length is read once as
+well, and one that is not a sequence is named as that argument.
 `require_ints` names an integer parameter that is not an `int`, and
 `require_gram` is the one square-and-symmetric check.
 Most entries met in practice are integers stored as `Fraction` (kernels,
@@ -100,15 +102,6 @@ def _entry_error(m) -> ShapeError:
     return EntryTypeError(f"entry ({i}, {j}) is {_a(x)}, not an int or a Fraction")
 
 
-def row_lengths(rows: Sequence[Sequence]) -> list[int]:
-    """The length of each row; rows, or a row, with no length raise the
-    `ShapeError` of `_entry_error`, which names it."""
-    try:
-        return [len(row) for row in rows]
-    except TypeError:
-        raise _entry_error(rows) from None
-
-
 def require_ints(**params) -> None:
     """Raise PreconditionError naming the first parameter that is not an `int`."""
     for name, value in params.items():
@@ -119,21 +112,13 @@ def require_ints(**params) -> None:
 def require_gram(m: Sequence[Sequence]) -> None:
     """Raise GramError unless m is square and symmetric: the one Gram check, on the
     copy the caller holds (`int` or `Fraction` rows); the fault is named after it fails."""
-    n = len(m)
-    if all(len(row) == n for row in m) and all(tuple(row) == col for row, col in zip(m, zip(*m))):
+    n, c = shape(m)
+    if n == c and all(tuple(row) == col for row, col in zip(m, zip(*m))):
         return
-    lengths = sorted({len(row) for row in m})
-    fault = (f"{n} rows of lengths {lengths}" if lengths != [n] else next(
+    fault = (f"{n} rows of length {c}" if n != c else next(
         f"entries ({i}, {j}) and ({j}, {i}) differ"
         for i in range(n) for j in range(i) if m[i][j] != m[j][i]))
     raise GramError(f"Gram matrix must be symmetric and square: {fault}")
-
-
-def _same_lengths(rows: list) -> None:
-    """Raise ShapeError unless every row has the length of the first."""
-    if len(set(map(len, rows))) > 1:
-        other = next(len(row) for row in rows if len(row) != len(rows[0]))
-        raise ShapeError(f"rows of lengths {len(rows[0])} and {other} in one matrix")
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
@@ -143,7 +128,7 @@ def mat(rows: Sequence[Sequence]) -> Matrix:
                for row in rows]
     except TypeError:
         raise _entry_error(rows) from None
-    _same_lengths(out)
+    shape(out)
     return out
 
 
@@ -173,17 +158,36 @@ def diag(values: Iterable) -> Matrix:
     return m
 
 
-def shape(m: Matrix) -> tuple[int, int]:
+def shape(m: Sequence[Sequence]) -> tuple[int, int]:
+    """(rows, columns): the one reader of row lengths, 0 columns for no rows.
+
+    It takes `len` of m and of every row once, inside a `try`: a matrix or a
+    row that is not a sequence raises the `ShapeError` of `_entry_error`,
+    which names it, and rows of unequal length raise `ShapeError`.
+    """
     try:
-        return len(m), len(m[0]) if m else 0
+        rows = len(m)
+        lengths = set(map(len, m))
     except TypeError:
         raise _entry_error(m) from None
+    if len(lengths) > 1:
+        raise ShapeError(f"rows of lengths {sorted(lengths)} in one matrix: a row of the "
+                         f"wrong length, where every row must have one length")
+    return rows, lengths.pop() if lengths else 0
+
+
+def _vector_length(v: Sequence, name: str) -> int:
+    """len(v), for the vector argument `name`; one that is not a sequence raises
+    `ShapeError` naming it."""
+    try:
+        return len(v)
+    except TypeError:
+        raise ShapeError(f"{name} must be a vector, a sequence of entries, not {_a(v)}") from None
 
 
 def transpose(m: Matrix) -> Matrix:
-    if len(set(row_lengths(m))) > 1:
-        raise ShapeError("cannot transpose rows of unequal length")
-    return [list(col) for col in zip(*m)] if m else []
+    shape(m)
+    return [list(col) for col in zip(*m)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -198,8 +202,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     """Mv: the combination sum_k v_k m_k of the columns of M, by `combine` (r x 0: zeros)."""
     r, c = shape(m)
-    if c != len(v):
-        raise ShapeError(f"cannot apply {r}x{c} to vector of length {len(v)}")
+    k = _vector_length(v, "v")
+    if c != k:
+        raise ShapeError(f"cannot apply {r}x{c} to vector of length {k}")
     return combine(v, transpose(m)) if c else (Fraction(0),) * r
 
 
@@ -222,15 +227,13 @@ def _accumulate(coeffs: Sequence, vectors: Sequence[Sequence], length: int) -> l
     `int` (a `Fraction` with denominator 1 as its numerator); the others
     stay `Fraction`, so the sum is exact either way.  The entries come back
     unwrapped, `int` or `Fraction`, so a caller can feed them to another sum.
-    A vector whose length is not `length` raises `ShapeError`, and an
-    entry that it multiplies and that has no denominator `EntryTypeError`,
-    at position (0, k) for coefficient k and (k + 1, j) for entry j of
-    vector k.
+    Both callers hand in vectors that `shape` has read, each of `length`
+    entries.  An entry that it multiplies and that has no denominator raises
+    `EntryTypeError`, at position (0, k) for coefficient k and (k + 1, j) for
+    entry j of vector k.
     """
     acc = [0] * length
     try:
-        if any(len(v) != length for v in vectors):
-            raise ShapeError(f"a vector of length other than {length} in one combination")
         for c, v in zip(coeffs, vectors):
             if c:
                 if c.denominator == 1:
@@ -244,16 +247,14 @@ def _accumulate(coeffs: Sequence, vectors: Sequence[Sequence], length: int) -> l
 
 def combine(coeffs: Sequence, vectors: Sequence[Sequence]) -> Vector:
     """The combination sum_k c_k v_k, by `_accumulate`: every entry a `Fraction`."""
-    try:
-        k = len(coeffs)
-    except TypeError:
-        raise ShapeError(f"the coefficients are {_a(coeffs)}, not a sequence") from None
-    if k != len(vectors):
-        raise ShapeError(f"{k} coefficients for {len(vectors)} vectors")
-    if not vectors:
+    k = _vector_length(coeffs, "coeffs")
+    rows, cols = shape(vectors)
+    if k != rows:
+        raise ShapeError(f"{k} coefficients for {rows} vectors")
+    if not rows:
         return ()
     return tuple(a if type(a) is Fraction else Fraction(a)
-                 for a in _accumulate(coeffs, vectors, shape(vectors)[1]))
+                 for a in _accumulate(coeffs, vectors, cols))
 
 
 def bilinear(xs: Sequence[Sequence], m: Matrix, ys: Sequence[Sequence]) -> Matrix:
@@ -265,7 +266,8 @@ def bilinear(xs: Sequence[Sequence], m: Matrix, ys: Sequence[Sequence]) -> Matri
     len(ys) even when M is 0 x 0.
     """
     r, c = shape(m)
-    if any(k != r for k in row_lengths(xs)) or any(k != c for k in row_lengths(ys)):
+    (nx, cx), (ny, cy) = shape(xs), shape(ys)
+    if nx and cx != r or ny and cy != c:
         raise ShapeError(f"vector length does not match the {r}x{c} matrix")
     y_rows = list(zip(*ys))
     return [[a if type(a) is Fraction else Fraction(a)
@@ -304,8 +306,8 @@ def _int_rows(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     The one entry reader.  A row of `int`s is taken as it is; any other row
     is read off its entries' numerators and denominators in one pass inside
     a `try`.  An entry with no denominator fails that pass, and only then is
-    its position searched for `EntryTypeError`.  Rows of unequal length raise
-    `ShapeError`.
+    its position searched for `EntryTypeError`.  `shape` then reads the
+    rows' lengths.
     """
     rows, scales = [], []
     try:
@@ -320,7 +322,7 @@ def _int_rows(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
             scales.append(d)
     except (AttributeError, TypeError):
         raise _entry_error(m) from None
-    _same_lengths(rows)
+    shape(rows)
     return rows, scales
 
 
@@ -398,11 +400,11 @@ def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceR
     row x (A's entries beside it) records the diagonal entry p / c and the
     factors -x_i / p, which are S_kk and -S_ik / S_kk, and replaces the rest
     of the block by (p * A - x x^T) / (sign(p) * g), g the content of
-    p * A - x x^T, so that c becomes c * |p| / g.  When |p| = 1 only the
-    entries where x is nonzero change, by A_ij -= p * x_i * x_j, and c stays.
-    Dividing by the content, not by the previous pivot as Bareiss does,
-    leaves A the primitive integer multiple of S after each division, so no
-    entry carries the scalings of earlier steps the way a whole minor does.
+    p * A - x x^T, so that c becomes c * |p| / g; a unit pivot takes the
+    same update.  Dividing by the content, not by the previous pivot as
+    Bareiss does, leaves A the primitive integer multiple of S after each
+    division, so no entry carries the scalings of earlier steps the way a
+    whole minor does.
     Zero pivots never force square roots: if a zero a_kk pairs with a later
     j, b_k and b_j swap when a_jj is nonzero, and otherwise
     (b_k, b_j) -> (b_k+b_j, b_k-b_j) manufactures pivots +-2*a_kj; a
@@ -466,13 +468,6 @@ def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceR
         if not nonzero:
             return True
         moves.append(("clear", k, tuple((order[i], Fraction(-xi, p)) for i, xi in nonzero)))
-        if p == 1 or p == -1:
-            for i, xi in nonzero:
-                r = a[i]
-                f = p * xi
-                for j, xj in nonzero:
-                    r[j] -= f * xj
-            return True
         a[:] = [[p * y - xi * xj for y, xj in zip(r, x)] if xi else [p * y for y in r]
                 for r, xi in zip(a, x)]
         g = 0
@@ -607,9 +602,8 @@ def _inverse_rows(m: Matrix) -> list[tuple[list[int], int]]:
     row r of the inverse is the right half of row r over a_r.  A singular M
     leaves a pivot in the right half.
     """
-    lengths = row_lengths(m)
-    n = len(lengths)
-    if any(k != n for k in lengths):
+    n, c = shape(m)
+    if n != c:
         raise ShapeError("inverse requires a square matrix")
     a, pivots = _reduce([[*row, *(1 if j == i else 0 for j in range(n))]
                          for i, row in enumerate(m)])
@@ -640,13 +634,9 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     the row with pivot column c over that pivot, and every free x_c is 0.
     """
     rows, cols = shape(a)
-    if len(b) != rows:
+    if _vector_length(b, "b") != rows:
         raise ShapeError("right-hand side length does not match row count")
-    try:
-        augmented = [[*row, bv] for row, bv in zip(a, b)]
-    except TypeError:
-        raise _entry_error(a) from None
-    reduced, pivots = _reduce(augmented)
+    reduced, pivots = _reduce([[*row, bv] for row, bv in zip(a, b)])
     if pivots and pivots[-1] == cols:
         return None
     x = [Fraction(0)] * cols
@@ -739,8 +729,6 @@ def extend_to_independent(base: Sequence[Vector], pool: Sequence[Vector],
     """
     require_ints(target_rank=target_rank)
     vectors = [*base, *pool]
-    if len(set(row_lengths(vectors))) > 1:
-        raise ShapeError("base and pool vectors must have one length")
     pivots = _forward(transpose(vectors))[1]
     from_pool = [c - len(base) for c in pivots if c >= len(base)]
     base_rank = len(pivots) - len(from_pool)

@@ -146,9 +146,9 @@ def integer_pool(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def random_flag(p: int, q: int, rng: random.Random,
-                shape: tuple[int, int] | None = None) -> Flag:
-    """Random flag spanned by small integer vectors; degenerate types occur often.
+def random_flag(p: int, q: int, rng: random.Random) -> Flag:
+    """Random line in a codimension-two subspace, spanned by small integer vectors;
+    degenerate types occur often.
 
     The big part's basis is drawn from the cached `integer_pool` and ranked
     as `int` rows; only the chosen vectors become `Fraction`s.  Both parts
@@ -157,8 +157,8 @@ def random_flag(p: int, q: int, rng: random.Random,
     `Flag` still checks that the small part lies in the big one.
     """
     n = p + q
-    k1, k2 = shape if shape is not None else (1, n - 2)
-    if not 0 <= k1 < k2 <= n:
+    k1, k2 = 1, n - 2
+    if k2 <= k1:
         raise PreconditionError(f"flag shape ({k1}, {k2}) needs 0 <= k1 < k2 <= n = {n}")
     pool = integer_pool(n)
     while True:

@@ -463,10 +463,11 @@ def random_gram(p, q, rng):
             return linalg.mat_mul(linalg.transpose(h), linalg.mat_mul(ipq, h))
 
 
-def random_flag(p, q, rng):
-    """A line inside a codimension-two subspace, both spanned from the small pool."""
+def random_flag(p, q, rng, shape=None):
+    """A line inside a codimension-two subspace, both spanned from the small pool; or,
+    with `shape` = (k1, k2), a k1-dimensional subspace inside a k2-dimensional one."""
     n = p + q
-    k1, k2 = 1, n - 2
+    k1, k2 = shape or (1, n - 2)
     pool = fraction_pool(n)
     while True:
         picks = []

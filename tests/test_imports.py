@@ -56,6 +56,12 @@ calls `Fraction` on one argument that is not a number literal, which would
 parse strings and floats.  The one exception is `matrixio.parse_rational`,
 whose `Fraction(token)` reads a token that its regex has already matched.
 
+`linalg.shape` is the one reader of row lengths: in no module of
+`src/heisflag`, `linalg.py` included, does any other function call
+`map(len, ...)` or build a comprehension that calls `len` on its own loop
+target.  The one exception is `cli._parse_flag_spec`, whose vectors are
+parsed user text that must fail with `MatrixFormatError`.
+
 `curvature_report` reads flatness off the theorem in the `curvature`
 docstring: its body names none of `riemann`, `_riemann` and `is_flat`, so it
 builds and scans no Riemann table.
@@ -674,6 +680,65 @@ def test_checker_flags_a_second_gram_or_entry_check():
 def test_linalg_is_the_one_input_boundary():
     found = {p.name: boundary_copies(p.name, p.read_text())
              for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# (module, function) of each read of every row's length
+ROW_LENGTH_READERS = {("linalg.py", "shape"), ("cli.py", "_parse_flag_spec")}
+
+
+def row_length_reads(name: str, source: str) -> list[str]:
+    """`line n: function` for each `map(len, ...)`, and each comprehension that calls `len`
+    on its own loop target, outside the listed readers."""
+    tree = ast.parse(source)
+    owners = {}
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, ast.FunctionDef):
+            for node in ast.walk(stmt):
+                owners.setdefault(id(node), stmt.name)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "map":
+            reads = bool(node.args) and getattr(node.args[0], "id", None) == "len"
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            targets = {n.id for g in node.generators for n in ast.walk(g.target)
+                       if isinstance(n, ast.Name)}
+            reads = any(isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "len"
+                        and any(getattr(arg, "id", None) in targets for arg in inner.args)
+                        for inner in ast.walk(node))
+        else:
+            continue
+        owner = owners.get(id(node), "<module>")
+        if reads and (name, owner) not in ROW_LENGTH_READERS:
+            found.append(f"line {node.lineno}: {owner}")
+    return found
+
+
+def test_checker_flags_a_second_row_length_reader():
+    source = (SRC / "linalg.py").read_text()
+    anchor = "def require_ints(**params) -> None:\n"
+    assert source.count(anchor) == 1
+    line = source[:source.index(anchor)].count("\n") + 1
+    row_lengths = ("def row_lengths(rows):\n    try:\n        return [len(row) for row in rows]\n"
+                   "    except TypeError:\n        raise _entry_error(rows) from None\n\n\n")
+    assert row_length_reads("linalg.py", source.replace(anchor, row_lengths + anchor)) == [
+        f"line {line + 2}: row_lengths"]
+    source = (SRC / "heisenberg.py").read_text()
+    anchor = "    if n < 3 or linalg.shape(g) != (n, n):\n"
+    assert source.count(anchor) == 1
+    line = source[:source.index(anchor)].count("\n") + 1
+    scan = "    if len(g) != n or n < 3 or any(len(row) != n for row in g):\n"
+    assert row_length_reads("heisenberg.py", source.replace(anchor, scan)) == [
+        f"line {line}: is_scaled_automorphism"]
+    parsed = ("def _parse_flag_spec(vectors):\n    return {len(v) for v in vectors}\n\n\n"
+              "def widths(rows, a):\n    return set(map(len, rows)), [i for i in range(len(a))]\n")
+    # the exception is one function; `len(a)` of no loop target is no row reader
+    assert row_length_reads("cli.py", parsed) == ["line 6: widths"]
+    assert row_length_reads("forms.py", parsed) == ["line 2: _parse_flag_spec", "line 6: widths"]
+
+
+def test_only_shape_reads_every_row_length():
+    found = {p.name: row_length_reads(p.name, p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 

@@ -7,7 +7,8 @@ malformed:
 - one entry made a float, a str, None, a bool, a list, a Decimal, a
   complex number or bytes (a square matrix gets it at (i, j) and (j, i));
 - one row made ragged, or made a number or None, which is no sequence; a
-  fixed-size argument given one row or entry too many;
+  fixed-size argument given one row or entry too many; a whole vector
+  argument made a number or None;
 - one integer parameter made a float, a str, None, a `Fraction`, a list
   (which is unhashable, so it must be named before a cache hashes it), a
   bool, a negative int or a class id out of range.
@@ -26,7 +27,8 @@ a bare `TypeError`, `IndexError`, `KeyError`, `ZeroDivisionError` or
 vectors are valid input to most routines; `test_empty_input` checks their
 answers.
 
-Left out: the helpers `shape`, `transpose`, `is_zero_vector` and
+`shape` reads row lengths and no entry, so it gets the row malformations
+alone.  Left out: the helpers `transpose`, `is_zero_vector` and
 `sign_counts`, which move or compare entries and make no number of
 them; the checks `require_ints` and `require_gram` themselves; the
 callables that take built objects (spaces, subspaces, flags and scaled
@@ -63,11 +65,12 @@ def witness(*args):
 
 # name: (callable, base arguments, the kind of each argument, whether it is a product)
 # kinds: M a matrix, G a matrix of fixed row count, N a matrix malformed in its
-# entries only, V a vector, W a vector of fixed length, E an entry, I an
+# entries only, R a matrix malformed in its rows only, V a vector, W a vector of fixed length, E an entry, I an
 # integer parameter, O one that may be None, C a class id, L a list of integer
 # parameters, - left as it is
 TARGETS = {
     "linalg.mat": (linalg.mat, (GRAM,), "M", False),
+    "linalg.shape": (linalg.shape, (GRAM,), "R", False),
     "linalg.vec": (linalg.vec, (VEC,), "V", False),
     "linalg.diag": (linalg.diag, (VEC,), "V", False),
     "linalg.zeros": (linalg.zeros, (2, 3), "II", False),
@@ -126,7 +129,7 @@ BAD_INTS = st.one_of(st.floats(), st.sampled_from(["3", "", None, F(3), F(1, 2),
                      st.booleans(), st.integers(-5, -1))
 BAD_IDS = BAD_INTS | st.sampled_from([0, 22, 100])
 BAD_OPTIONAL_INTS = BAD_INTS.filter(lambda x: x is not None)
-NOT_ROWS = st.sampled_from([0, 1, -1, None, 0.5, F(1, 2)])
+NOT_ROWS = st.sampled_from([0, 1, -1, None, 0.5, F(1, 2)])  # nor vectors
 # a case is (target name, argument index, how it is malformed, where, the malformed value)
 
 
@@ -140,11 +143,15 @@ def cases(draw):
         values = {"I": BAD_INTS, "O": BAD_OPTIONAL_INTS, "C": BAD_IDS, "E": BAD_ENTRIES}[kind]
         return name, i, "value", None, draw(values)
     if kind in "LVW":
-        hows = ["entry"] + (["longer"] if kind == "W" else [])
+        hows = (["entry"] + (["longer"] if kind == "W" else [])
+                + (["vector"] if kind != "L" else []))
         how = draw(st.sampled_from(hows))
+        if how == "vector":
+            return name, i, how, None, draw(NOT_ROWS)
         where = draw(st.integers(0, len(arg) - 1))
         return name, i, how, where, draw(BAD_INTS if kind == "L" else BAD_ENTRIES)
-    how = draw(st.sampled_from(["entry"] + (["ragged", "row"] if kind != "N" else [])
+    how = draw(st.sampled_from((["entry"] if kind != "R" else [])
+                               + (["ragged", "row"] if kind != "N" else [])
                                + (["longer"] if kind == "G" else [])))
     r = draw(st.integers(0, len(arg) - 1))
     c = draw(st.integers(0, len(arg[r]) - 1))
@@ -154,7 +161,7 @@ def cases(draw):
 
 def malformed(arg, how, where, value):
     """arg with the malformation applied, in arg's own container types."""
-    if how == "value":
+    if how in ("value", "vector"):
         return value
     if how == "given":
         return where
@@ -236,6 +243,9 @@ FLOAT_GRAM = [[0.1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 @example(case=given_case("linalg.mat_mul", 0, [[1, 0, 0, 0], 0, [0, 0, 1, 0], [0, 0, 0, 1]]))
 @example(case=("admissible_classes", 0, "value", None, []))
 @example(case=("representative", 1, "value", None, []))
+@example(case=given_case("linalg.shape", 0, [[1, 2], [3]]))
+@example(case=given_case("linalg.mat_vec", 1, 3))
+@example(case=given_case("linalg.solve", 1, 1))
 def test_malformed_input_raises_a_named_error(case):
     value = case[4]
     try:
@@ -334,6 +344,14 @@ def test_errors_name_the_entry_and_the_parameter():
         linalg.shape([1, 2])
     with pytest.raises(ShapeError, match="row 0 is an int, not a sequence"):
         heisflag.Subspace(4, (1,))
+    with pytest.raises(ShapeError, match=r"rows of lengths \[1, 2\] in one matrix"):
+        linalg.shape([[1, 2], [3]])
+    with pytest.raises(ShapeError, match="v must be a vector, a sequence of entries, not an int"):
+        linalg.mat_vec([[1]], 3)
+    with pytest.raises(ShapeError, match="b must be a vector, a sequence of entries, not an int"):
+        linalg.solve([[1]], 1)
+    with pytest.raises(ShapeError, match="coeffs must be a vector, a sequence of entries, not a"):
+        linalg.combine(None, [[1]])
     with pytest.raises(PreconditionError, match="p must be an int, not a list"):
         heisflag.admissible_classes([], 3)
     with pytest.raises(PreconditionError, match="p must be an int, not a list"):

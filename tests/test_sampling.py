@@ -48,9 +48,9 @@ def test_random_flag_rejects_unfillable_shapes():
     script = """
 import random
 from heisflag import PreconditionError, sampling
-for p, q, shape in [(1, 1, None), (2, 2, (1, 5))]:
+for p, q in [(1, 1)]:
     try:
-        sampling.random_flag(p, q, random.Random(0), shape=shape)
+        sampling.random_flag(p, q, random.Random(0))
     except PreconditionError as ex:
         print(ex)
 """
@@ -58,8 +58,7 @@ for p, q, shape in [(1, 1, None), (2, 2, (1, 5))]:
     out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["flag shape (1, 0) needs 0 <= k1 < k2 <= n = 2",
-                                       "flag shape (1, 5) needs 0 <= k1 < k2 <= n = 4"]
+    assert out.stdout.splitlines() == ["flag shape (1, 0) needs 0 <= k1 < k2 <= n = 2"]
 
 
 def seeded_outputs():

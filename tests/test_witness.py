@@ -122,7 +122,7 @@ def test_general_flag_shapes():
     # the construction is not limited to the codimension-two case
     rng = random.Random(41)
     for _ in range(10):
-        f1 = sampling.random_flag(3, 2, rng, shape=(2, 4))
+        f1 = oracles.random_flag(3, 2, rng, shape=(2, 4))
         f2 = sampling.apply_to_flag(oracles.signed_permutation_opq(3, 2, rng), f1)
         g = isometry_witness(3, 2, f1, f2)
         res = witness_residuals(3, 2, g, f1, f2)
