@@ -19,17 +19,27 @@ subspaces.
   then the sign of a diagonal entry.
 - dim(V cap U+) = p - rank[a+; b+] and dim(V cap U-) = q - rank[a-; b-].
   The plane's Plucker key on two + indices holds the 2x2 minors of [a+; b+]
-  times one nonzero factor, so rank[a+; b+] is 2 iff one of them is
-  nonzero, else 1 iff a+ or b+ is; the - block likewise.
-- A line v of V lies in (V cap U+) + (V cap U-) exactly when v+ is
-  orthogonal to a+ and to b+.
-- A null line v lies in the radical of V exactly when I_pq v lies in
-  span(a, b), the Euclidean complement of V.  I_pq v has the support of v,
-  so only a line on the plane's own coordinates needs that rank test.
+  times one nonzero factor, so rank[a+; b+] is 2 iff a nonzero key entry
+  p_kl has l < p, else 1 iff the plane's support meets the + block; the -
+  block likewise, with k >= p.
 Each pool vector is v = e_i + e e_j with e in {0, +-1} (`_positioned_pool`,
 built once per survey), so a line is read off i, j and e alone: a.v =
-a_i + e a_j, <v, v> = sign_i + e^2 sign_j, and d+, d-, d_pm and the radical
-test's support check likewise.  The exact kernel basis of [a; b] is the big
+a_i + e a_j, <v, v> = sign_i + e^2 sign_j, d+ = [j < p], d- = [i >= p], and
+- A line v of V lies in (V cap U+) + (V cap U-) exactly when v+ is
+  orthogonal to a+ and to b+.  v+ is v itself when j < p (and a.v = b.v =
+  0), 0 when i >= p, and e_i when i < p <= j, so d_pm is 0 exactly when
+  i < p <= j and the plane's support holds i.
+- A null line v has i < p <= j and lies in the radical of V exactly when
+  I_pq v = e_i - e e_j lies in span(a, b), the Euclidean complement of V:
+  exactly when every nonzero key entry p_kl meets {i, j}.  For a
+  combination u of a and b that vanishes off {i, j} is nonzero, as a and b
+  are independent, and u.v = 0, so u is a multiple of e_i - e e_j; such a
+  u exists iff [a; b] without columns i and j has rank at most 1, that is,
+  iff every 2x2 minor off {i, j} vanishes.  The key holds every nonzero
+  minor, because a kept plane lies on the coordinates it is keyed on.
+The loop computes a kept plane's support mask and its nonzero key entries
+once and hands both to `_canonical` and `_plane_lines`, so no plane or line
+fact needs an elimination.  The exact kernel basis of [a; b] is the big
 part of every sample flag of the plane, built when its first line becomes
 one; planes that give no sample flag build none.  A sample flag's
 containment is checked in `int` as a.v = b.v = 0, which is what lying in
@@ -85,11 +95,6 @@ IntRow = tuple[int, ...]
 SAMPLES_PER_ORBIT = 3
 
 
-def _mask(v: IntRow) -> int:
-    """The support of v as a bit mask: bit i is set iff v[i] != 0."""
-    return sum(1 << i for i, x in enumerate(v) if x)
-
-
 def _initial(mask: int, p: int) -> bool:
     """Whether the support `mask` is an initial segment of the + block and of the - block.
 
@@ -112,26 +117,21 @@ def _plucker_key(a: IntRow, b: IntRow, index_pairs: list[tuple[int, int]]) -> In
     return tuple(x // g for x in plucker)
 
 
-def _canonical(a: IntRow, b: IntRow, key: IntRow, p: int,
-               index_pairs: list[tuple[int, int]]) -> bool:
-    """Whether span(a, b), with key `key`, is the plane the survey keeps of its class.
+def _canonical(mask: int, entries: list[tuple[int, int, int]], n: int) -> bool:
+    """Whether the plane with support `mask` and nonzero key entries `entries`,
+    each (p_ij, i, j), is the plane the survey keeps of its class.
 
-    Its support must be an initial segment of the + block and of the - block,
-    and its key the least among its images under sign flips of the support
-    coordinates.  Flipping coordinate i multiplies p_ij by d_i d_j, so each
-    image is read off `key` (then made positive at its first nonzero entry
-    again), and only the key's nonzero entries, which lie on the support,
-    take part in the comparison.  Flipping all of them fixes the plane, so
-    the first stays.
+    The caller has already found its support an initial segment of each
+    block.  Its key must be the least among its images under sign flips of
+    the support coordinates.  Flipping coordinate i multiplies p_ij by
+    d_i d_j, so each image is read off the entries (then made positive at
+    its first nonzero entry again), which lie on the support.  Flipping all
+    of them fixes the plane, so the first stays.
     """
-    mask = _mask(a) | _mask(b)
-    if not _initial(mask, p):
-        return False
-    flips = [i for i in range(len(a)) if mask >> i & 1][1:]
-    entries = [(x, i, j) for (i, j), x in zip(index_pairs, key) if x]
+    flips = [i for i in range(n) if mask >> i & 1][1:]
     values = [x for x, _, _ in entries]
     for signs in itertools.product((1, -1), repeat=len(flips)):
-        d = [1] * len(a)
+        d = [1] * n
         for i, s in zip(flips, signs):
             d[i] = s
         flipped = [x * d[i] * d[j] for x, i, j in entries]
@@ -209,14 +209,15 @@ def _positioned_pool(n: int) -> list[tuple[IntRow, int, int, int]]:
     return out
 
 
-def _plane_lines(a: IntRow, b: IntRow, key: IntRow, p: int, q: int,
-                 pool: Sequence[tuple[IntRow, int, int, int]], index_pairs: list[tuple[int, int]]):
+def _plane_lines(a: IntRow, b: IntRow, mask: int, entries: list[tuple[int, int, int]],
+                 p: int, q: int, pool: Sequence[tuple[IntRow, int, int, int]]):
     """(v, invariants, seven counts) for each pool line v of V = ker[a; b], in pool order.
 
-    `pool` is `_positioned_pool`: each line v = e_i + e e_j is read off i, j
-    and e alone.  a.v = a_i + e a_j (b.v likewise), <v, v> = sign_i +
-    e^2 sign_j, v has a + entry iff i < p and a - entry iff j >= p, and its
-    support lies on the plane's iff bits i and j of the plane's mask are set.
+    `mask` is the plane's support and `entries` its nonzero key entries
+    (p_kl, k, l); `pool` is `_positioned_pool`, so each line v = e_i + e e_j
+    is read off i, j, e, the mask and the entries, as the module docstring
+    derives: a null line (i < p <= j) lies in the radical iff every entry
+    meets {i, j}, and its d_pm is 0 iff bit i of the mask is set.
     """
     sign = [1] * p + [-1] * q
     a_nz = [(i, x) for i, x in enumerate(a) if x]
@@ -229,15 +230,9 @@ def _plane_lines(a: IntRow, b: IntRow, key: IntRow, p: int, q: int,
     timelike = FlagInvariants(sig_big, Signature(0, 1, 0), 0)
     null = (FlagInvariants(sig_big, Signature(0, 0, 1), 0),
             FlagInvariants(sig_big, Signature(0, 0, 1), 1))
-    plus_minor = any(x for (i, j), x in zip(index_pairs, key) if j < p)
-    minus_minor = any(x for (i, j), x in zip(index_pairs, key) if i >= p)
-    c_plus = p - (2 if plus_minor else int(any(a[:p]) or any(b[:p])))
-    c_minus = q - (2 if minus_minor else int(any(a[p:]) or any(b[p:])))
+    c_plus = p - (2 if any(l < p for _, _, l in entries) else int(mask & ((1 << p) - 1) > 0))
+    c_minus = q - (2 if any(k >= p for _, k, _ in entries) else int(mask >> p > 0))
     c_zero = p + q - 2 - c_plus - c_minus
-    mask = _mask(a) | _mask(b)
-    # a+ and b+: a and b with their - block cleared
-    a_plus = a[:p] + (0,) * q
-    b_plus = b[:p] + (0,) * q
 
     lines = []
     for v, i, j, e in pool:
@@ -249,14 +244,11 @@ def _plane_lines(a: IntRow, b: IntRow, key: IntRow, p: int, q: int,
         elif norm < 0:
             inv = timelike
         else:
-            # v lies in the radical iff I_pq v lies in V's Euclidean complement
-            # span(a, b); I_pq v has the support of v, which must then lie on
-            # the plane's
-            inside = mask >> i & mask >> j & 1
-            inv = null[inside and linalg.rank([a, b, [x * y for x, y in zip(sign, v)]]) == 2]
+            # radical iff I_pq v = e_i - e e_j lies in span(a, b)
+            inv = null[all(i in (k, l) or j in (k, l) for _, k, l in entries)]
         d_plus = int(j < p)
         d_minus = int(i >= p)
-        d_pm = 0 if a_plus[i] + e * a_plus[j] or b_plus[i] + e * b_plus[j] else 1
+        d_pm = 0 if i < p <= j and mask >> i & 1 else 1
         lines.append((v, inv, (c_plus, c_minus, c_zero, d_plus, d_minus,
                                1 - d_plus - d_minus, d_pm)))
     return lines
@@ -279,17 +271,19 @@ def _survey_cached(p: int, q: int) -> FlagSurvey:
     kept = 0
 
     for (a, ma), (b, mb) in itertools.combinations(sub_pool, 2):
-        if not _initial(ma | mb, p):
+        mask = ma | mb
+        if not _initial(mask, p):
             continue
         key = _plucker_key(a, b, index_pairs)
         if key in seen:
             continue
         seen.add(key)
-        if not _canonical(a, b, key, p, index_pairs):
+        entries = [(x, i, j) for (i, j), x in zip(index_pairs, key) if x]
+        if not _canonical(mask, entries, n):
             continue
         kept += 1
         big = None  # the exact kernel basis of [a; b], built at the plane's first sample flag
-        for v, inv, counts in _plane_lines(a, b, key, p, q, pool, index_pairs):
+        for v, inv, counts in _plane_lines(a, b, mask, entries, p, q, pool):
             samples = invariants.setdefault(inv, [])
             if len(samples) < SAMPLES_PER_ORBIT:
                 if big is None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import linalg
 from .forms import (
@@ -330,7 +330,7 @@ def representative_flag(class_id: int, p: int, q: int) -> Flag:
 # the scaling-and-automorphism group
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ScaledAutomorphism:
     """An invertible (1, n-3, 2) block upper triangular matrix, split as scale * automorphism.
 
@@ -341,7 +341,6 @@ class ScaledAutomorphism:
 
     matrix: tuple[tuple[Fraction, ...], ...]
     scale: Fraction
-    automorphism: tuple[tuple[Fraction, ...], ...]
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "ScaledAutomorphism":
@@ -351,9 +350,16 @@ class ScaledAutomorphism:
             raise PreconditionError("matrix is not invertible block upper triangular (1, n-3, 2)")
         a = m[0][0]
         det_d = m[n - 2][n - 2] * m[n - 1][n - 1] - m[n - 2][n - 1] * m[n - 1][n - 2]
-        c = det_d / a
-        phi = [[x / c for x in row] for row in m]
-        return cls(tuple(tuple(row) for row in m), c, tuple(tuple(row) for row in phi))
+        return cls(tuple(tuple(row) for row in m), det_d / a)
+
+    @cached_property
+    def automorphism(self) -> tuple[tuple[Fraction, ...], ...]:
+        """matrix / scale, divided out when first read; the group action reads the matrix."""
+        return tuple(tuple(x / self.scale for x in row) for row in self.matrix)
+
+    def __repr__(self) -> str:
+        return (f"ScaledAutomorphism(matrix={self.matrix!r}, scale={self.scale!r}, "
+                f"automorphism={self.automorphism!r})")
 
     def preserves_bracket(self, alg: HeisenbergAlgebra) -> bool:
         """Check phi([e_i, e_j]) = [phi e_i, phi e_j] on all basis pairs."""

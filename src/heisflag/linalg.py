@@ -14,9 +14,9 @@ loop, which reads only the entries it multiplies: it skips zeros, and the
 vector of a zero coefficient) or from `vec` and `mat` (which never parse
 strings or floats).  `shape` is the one reader of row lengths: every
 check of a matrix's dimensions, and of rows of one length, goes through
-it, so a row that is not a sequence (a number, None) raises a
-`ShapeError` that names it.  A vector argument's length is read once as
-well, and one that is not a sequence is named as that argument.
+it, so a row that is not a sequence (a number, None, a set or a dict)
+raises a `ShapeError` that names it.  A vector argument's length is read
+once as well, and one that is not a sequence is named as that argument.
 `require_ints` names an integer parameter that is not an `int`, and
 `require_gram` is the one square-and-symmetric check.
 Most entries met in practice are integers stored as `Fraction` (kernels,
@@ -49,17 +49,18 @@ a caller reads it.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import index
-from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = list[list[Fraction]]
 
 LLL_DELTA = Fraction(3, 4)  # Lovasz condition constant of `lll_reduce`
+_SEQUENCES = frozenset((list, tuple))  # the row and vector types read without an isinstance test
 
 
 class ShapeError(ValueError):
@@ -123,17 +124,17 @@ def require_gram(m: Sequence[Sequence]) -> None:
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
     """The rows as lists of `Fraction`s; an entry must be an `int` or a `Fraction`."""
+    shape(rows)
     try:
-        out = [[x if isinstance(x, Fraction) else Fraction(index(x)) for x in row]
-               for row in rows]
+        return [[x if isinstance(x, Fraction) else Fraction(index(x)) for x in row]
+                for row in rows]
     except TypeError:
         raise _entry_error(rows) from None
-    shape(out)
-    return out
 
 
-def vec(entries: Iterable) -> Vector:
-    return tuple(mat([entries])[0])
+def vec(entries: Sequence | Iterator) -> Vector:
+    """The entries, a sequence or an iterator read once, as a tuple of `Fraction`s."""
+    return tuple(mat([tuple(entries) if isinstance(entries, Iterator) else entries])[0])
 
 
 def zeros(r: int, c: int) -> Matrix:
@@ -150,7 +151,7 @@ def identity(n: int) -> Matrix:
     return m
 
 
-def diag(values: Iterable) -> Matrix:
+def diag(values: Sequence | Iterator) -> Matrix:
     vals = vec(values)
     m = zeros(len(vals), len(vals))
     for i, v in enumerate(vals):
@@ -161,15 +162,17 @@ def diag(values: Iterable) -> Matrix:
 def shape(m: Sequence[Sequence]) -> tuple[int, int]:
     """(rows, columns): the one reader of row lengths, 0 columns for no rows.
 
-    It takes `len` of m and of every row once, inside a `try`: a matrix or a
-    row that is not a sequence raises the `ShapeError` of `_entry_error`,
-    which names it, and rows of unequal length raise `ShapeError`.
+    It takes `len` of m, and the type and `len` of every row: a matrix or a
+    row that is not a sequence (a set or dict is none) raises the `ShapeError`
+    of `_entry_error`, which names it; rows of unequal length raise one too.
     """
     try:
         rows = len(m)
-        lengths = set(map(len, m))
     except TypeError:
         raise _entry_error(m) from None
+    if not _SEQUENCES.issuperset(map(type, m)) and not all(isinstance(row, Sequence) for row in m):
+        raise _entry_error(m)
+    lengths = set(map(len, m))
     if len(lengths) > 1:
         raise ShapeError(f"rows of lengths {sorted(lengths)} in one matrix: a row of the "
                          f"wrong length, where every row must have one length")
@@ -177,12 +180,11 @@ def shape(m: Sequence[Sequence]) -> tuple[int, int]:
 
 
 def _vector_length(v: Sequence, name: str) -> int:
-    """len(v), for the vector argument `name`; one that is not a sequence raises
-    `ShapeError` naming it."""
-    try:
+    """len(v), for the vector argument `name`; one that is not a sequence (a number,
+    None, a set or a dict) raises `ShapeError` naming it."""
+    if type(v) in _SEQUENCES or isinstance(v, Sequence):
         return len(v)
-    except TypeError:
-        raise ShapeError(f"{name} must be a vector, a sequence of entries, not {_a(v)}") from None
+    raise ShapeError(f"{name} must be a vector, a sequence of entries, not {_a(v)}")
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -303,12 +305,13 @@ def primitive_vector(v: Vector) -> Vector:
 def _int_rows(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     """(rows, scales): row i of m times scales[i], the lcm of its denominators, in `int`s.
 
-    The one entry reader.  A row of `int`s is taken as it is; any other row
-    is read off its entries' numerators and denominators in one pass inside
-    a `try`.  An entry with no denominator fails that pass, and only then is
-    its position searched for `EntryTypeError`.  `shape` then reads the
-    rows' lengths.
+    The one entry reader, after `shape` has read the rows.  A row of `int`s
+    is taken as it is; any other row is read off its entries' numerators
+    and denominators in one pass inside a `try`.  An entry with no
+    denominator fails that pass, and only then is its position searched
+    for `EntryTypeError`.
     """
+    shape(m)
     rows, scales = [], []
     try:
         for row in m:
@@ -322,7 +325,6 @@ def _int_rows(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
             scales.append(d)
     except (AttributeError, TypeError):
         raise _entry_error(m) from None
-    shape(rows)
     return rows, scales
 
 

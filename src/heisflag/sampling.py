@@ -153,28 +153,25 @@ def random_flag(p: int, q: int, rng: random.Random) -> Flag:
     The big part's basis is drawn from the cached `integer_pool` and ranked
     as `int` rows; only the chosen vectors become `Fraction`s.  Both parts
     are independent by construction (independent picks, and a small part
-    of full-rank combinations of them), so neither is ranked again;
-    `Flag` still checks that the small part lies in the big one.
+    spanned by one nonzero combination of them), so neither is ranked
+    again; `Flag` still checks that the small part lies in the big one.
     """
     n = p + q
-    k1, k2 = 1, n - 2
-    if k2 <= k1:
-        raise PreconditionError(f"flag shape ({k1}, {k2}) needs 0 <= k1 < k2 <= n = {n}")
+    if n < 4:
+        raise PreconditionError(f"flag shape (1, {n - 2}) needs 0 <= k1 < k2 <= n = {n}")
     pool = integer_pool(n)
     while True:
         picks: list[tuple[int, ...]] = []
-        while len(picks) < k2:
+        while len(picks) < n - 2:
             cand = rng.choice(pool)
             if linalg.rank(picks + [cand]) == len(picks) + 1:
                 picks.append(cand)
         big = Subspace._independent(n, tuple(linalg.vec(v) for v in picks))
         coeffs_pool = [-1, 0, 1]
         for _ in range(20):
-            rows = [[rng.choice(coeffs_pool) for _ in range(k2)] for _ in range(k1)]
-            if linalg.rank(rows) != k1:
-                continue
-            small = Subspace._independent(n, tuple(linalg.combine(row, big.basis) for row in rows))
-            return Flag(small, big)
+            coeffs = [rng.choice(coeffs_pool) for _ in range(n - 2)]
+            if any(coeffs):
+                return Flag(Subspace._independent(n, (linalg.combine(coeffs, big.basis),)), big)
 
 
 def random_gram(p: int, q: int, rng: random.Random) -> Matrix:

@@ -28,9 +28,10 @@ Deliberately separate from the package's fast paths:
   key's signs and its closed-form 2x2 signature replaced it, and must
   give the same survey, sample flags and their order included.
   `sum_plane_lines` is the survey's per-plane line scan with a generator
-  sum per product, slices and zero counts per line and a kernel per plane,
-  which reading each line off its two nonzero positions, and a kernel only
-  at a plane's first sample flag, replaced;
+  sum per product, slices and zero counts per line, a rank per radical
+  test and a kernel per plane, which reading each line off its two nonzero
+  positions and the plane's support and Plücker key, and a kernel only at
+  a plane's first sample flag, replaced;
 - radical: the columns of one congruence's transform with zero diagonal
   entries, made a canonical row space, which `forms.radical` replaced by
   the kernel of W's Gram matrix mapped through W's basis;
@@ -1261,8 +1262,7 @@ def parabolic_sample(n, rng):
                 m[i][j] = draw()
         if det_is_scaled_automorphism(m, n):
             c = (m[n - 2][n - 2] * m[n - 1][n - 1] - m[n - 2][n - 1] * m[n - 1][n - 2]) / m[0][0]
-            return ScaledAutomorphism(tuple(tuple(row) for row in m), c,
-                                      tuple(tuple(x / c for x in row) for row in m))
+            return ScaledAutomorphism(tuple(tuple(row) for row in m), c)
 
 
 def two_call_classify(alg, gram):

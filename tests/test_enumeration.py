@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 
@@ -143,6 +144,13 @@ def _act(g, x):
     return tuple(out)
 
 
+def _plane_facts(a, b, key, index_pairs):
+    """The support mask of span(a, b) and its nonzero key entries (p_ij, i, j),
+    as the survey hands them to `_canonical` and `_plane_lines`."""
+    mask = sum(1 << i for i, (x, y) in enumerate(zip(a, b)) if x or y)
+    return mask, [(x, i, j) for (i, j), x in zip(index_pairs, key) if x]
+
+
 def test_every_plane_class_keeps_a_plane():
     for p, q in [(2, 2), (3, 1), (3, 2), (2, 3)]:
         n = p + q
@@ -152,7 +160,8 @@ def test_every_plane_class_keeps_a_plane():
         for a, b in itertools.combinations(oracles.small_int_pool(n), 2):
             key = enumeration._plucker_key(a, b, index_pairs)
             planes.setdefault(key, (a, b))
-            if enumeration._canonical(a, b, key, p, index_pairs):
+            mask, entries = _plane_facts(a, b, key, index_pairs)
+            if enumeration._initial(mask, p) and enumeration._canonical(mask, entries, n):
                 kept.add(key)
         assert len(kept) == survey_flags(p, q).subspace_count
 
@@ -191,7 +200,8 @@ def test_every_plane_of_a_class_reads_the_same_pairs():
             if key in planes:
                 continue
             planes[key] = (a, b)
-            lines = enumeration._plane_lines(a, b, key, p, q, positioned, index_pairs)
+            lines = enumeration._plane_lines(a, b, *_plane_facts(a, b, key, index_pairs),
+                                             p, q, positioned)
             big = Subspace(n, tuple(linalg.kernel([a, b])))
             for v, inv, counts in lines:
                 flag = Flag(Subspace(n, (linalg.vec(v),)), big)
@@ -212,29 +222,53 @@ def test_every_plane_of_a_class_reads_the_same_pairs():
 
 def test_plane_lines_agree_with_the_sum_oracle():
     # each pool line read off its two nonzero positions against per-line
-    # generator sums, slices and zero counts, on every pool plane: the same
-    # lines in the same order, field by field (the oracle's eager kernel is
-    # the `linalg.kernel([a, b])` that the survey builds at a plane's first
-    # sample flag, so it is not compared)
-    for p, q in [(2, 2), (3, 1), (3, 2), (2, 3), (6, 6), (8, 4)]:
+    # generator sums, slices and zero counts: the same lines in the same
+    # order, field by field, on every pool plane, and at n = 4 on every plane
+    # of two {-1, 0, 1} vectors of any support, where the nonzero Plucker
+    # entries can meet a null line's two positions in part (on a pool plane,
+    # a or b is a multiple of I_pq v or both miss them); the oracle's eager
+    # kernel is the `linalg.kernel([a, b])` that the survey builds at a
+    # plane's first sample flag, so it is not compared
+    any_support = [v for v in itertools.product((-1, 0, 1), repeat=4) if any(v)]
+    cases = [(p, q, integer_pool(p + q))
+             for p, q in [(2, 2), (3, 1), (3, 2), (2, 3), (1, 3), (0, 4), (6, 6), (8, 4)]]
+    cases += [(p, 4 - p, any_support) for p in range(5)]
+    for p, q, vectors in cases:
         n = p + q
         pool = integer_pool(n)
         positioned = enumeration._positioned_pool(n)
         assert [v for v, _, _, _ in positioned] == list(pool)
         index_pairs = list(itertools.combinations(range(n), 2))
         seen = set()
-        for a, b in itertools.combinations(pool, 2):
+        for a, b in itertools.combinations(vectors, 2):
+            if linalg.rank([a, b]) < 2:
+                continue
             key = enumeration._plucker_key(a, b, index_pairs)
             if key in seen:
                 continue
             seen.add(key)
             _, expected = oracles.sum_plane_lines(a, b, key, p, q, pool, index_pairs)
-            lines = enumeration._plane_lines(a, b, key, p, q, positioned, index_pairs)
+            lines = enumeration._plane_lines(a, b, *_plane_facts(a, b, key, index_pairs),
+                                             p, q, positioned)
             assert len(lines) == len(expected), (p, q, a, b)
             for (v, inv, counts), (w, inv_w, counts_w) in zip(lines, expected):
                 assert v == w, (p, q, a, b)
                 assert inv == inv_w, (p, q, a, b, v)
                 assert counts == counts_w, (p, q, a, b, v)
+
+
+def test_survey_runs_no_rank():
+    # every plane and line fact is read off the plane's support and key: a
+    # cold survey with `linalg.rank` made to raise gives the same survey
+    def refuse(*args):
+        raise AssertionError("the survey called linalg.rank")
+
+    for p, q in [(2, 2), (3, 3), (4, 2)]:
+        enumeration._survey_cached.cache_clear()
+        with patch.object(linalg, "rank", refuse):
+            patched = survey_flags(p, q)
+        enumeration._survey_cached.cache_clear()
+        assert patched == survey_flags(p, q), (p, q)
 
 
 def test_sample_flag_containment_is_checked_in_int():

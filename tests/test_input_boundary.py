@@ -6,9 +6,10 @@ of `heisflag.linalg`.  Each call gets valid base arguments with one of them
 malformed:
 - one entry made a float, a str, None, a bool, a list, a Decimal, a
   complex number or bytes (a square matrix gets it at (i, j) and (j, i));
-- one row made ragged, or made a number or None, which is no sequence; a
-  fixed-size argument given one row or entry too many; a whole vector
-  argument made a number or None;
+- one row made ragged, or made a number or None, which is no sequence, or
+  a set or dict of the row's length, which has no order; a fixed-size
+  argument given one row or entry too many; a whole vector argument made
+  a number or None, or a set or dict of its length;
 - one integer parameter made a float, a str, None, a `Fraction`, a list
   (which is unhashable, so it must be named before a cache hashes it), a
   bool, a negative int or a class id out of range.
@@ -130,6 +131,11 @@ BAD_INTS = st.one_of(st.floats(), st.sampled_from(["3", "", None, F(3), F(1, 2),
 BAD_IDS = BAD_INTS | st.sampled_from([0, 22, 100])
 BAD_OPTIONAL_INTS = BAD_INTS.filter(lambda x: x is not None)
 NOT_ROWS = st.sampled_from([0, 1, -1, None, 0.5, F(1, 2)])  # nor vectors
+
+
+def unordered(k):
+    """A set and a dict of k ints: each has a row's length, but no order."""
+    return st.sampled_from([set(range(1, k + 1)), dict.fromkeys(range(k), 1)])
 # a case is (target name, argument index, how it is malformed, where, the malformed value)
 
 
@@ -147,7 +153,7 @@ def cases(draw):
                 + (["vector"] if kind != "L" else []))
         how = draw(st.sampled_from(hows))
         if how == "vector":
-            return name, i, how, None, draw(NOT_ROWS)
+            return name, i, how, None, draw(NOT_ROWS | unordered(len(arg)))
         where = draw(st.integers(0, len(arg) - 1))
         return name, i, how, where, draw(BAD_INTS if kind == "L" else BAD_ENTRIES)
     how = draw(st.sampled_from((["entry"] if kind != "R" else [])
@@ -155,7 +161,7 @@ def cases(draw):
                                + (["longer"] if kind == "G" else [])))
     r = draw(st.integers(0, len(arg) - 1))
     c = draw(st.integers(0, len(arg[r]) - 1))
-    values = {"entry": BAD_ENTRIES, "row": NOT_ROWS}
+    values = {"entry": BAD_ENTRIES, "row": NOT_ROWS | unordered(len(arg[r]))}
     return name, i, how, (r, c), draw(values[how]) if how in values else None
 
 
@@ -246,6 +252,10 @@ FLOAT_GRAM = [[0.1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 @example(case=given_case("linalg.shape", 0, [[1, 2], [3]]))
 @example(case=given_case("linalg.mat_vec", 1, 3))
 @example(case=given_case("linalg.solve", 1, 1))
+@example(case=given_case("linalg.mat", 0, [{3, 1}]))
+@example(case=given_case("linalg.rank", 0, [{1, 2}, [1, 2]]))
+@example(case=given_case("linalg.kernel", 0, [{5: 1, 7: 2}]))
+@example(case=given_case("linalg.mat_vec", 1, {1, 2, 3, 4}))
 def test_malformed_input_raises_a_named_error(case):
     value = case[4]
     try:
@@ -352,6 +362,15 @@ def test_errors_name_the_entry_and_the_parameter():
         linalg.solve([[1]], 1)
     with pytest.raises(ShapeError, match="coeffs must be a vector, a sequence of entries, not a"):
         linalg.combine(None, [[1]])
+    # a set or dict has a length but no order, so it is no row and no vector
+    with pytest.raises(ShapeError, match="row 0 is a set, not a sequence"):
+        linalg.mat([{3, 1}])
+    with pytest.raises(ShapeError, match="row 0 is a set, not a sequence"):
+        linalg.rank([{1, 2}, [1, 2]])
+    with pytest.raises(ShapeError, match="row 0 is a dict, not a sequence"):
+        linalg.kernel([{5: 1, 7: 2}])
+    with pytest.raises(ShapeError, match="v must be a vector, a sequence of entries, not a set"):
+        linalg.mat_vec([[1, 2]], {1, 2})
     with pytest.raises(PreconditionError, match="p must be an int, not a list"):
         heisflag.admissible_classes([], 3)
     with pytest.raises(PreconditionError, match="p must be an int, not a list"):
