@@ -283,8 +283,11 @@ def _survey_cached(p: int, q: int) -> FlagSurvey:
             continue
         kept += 1
         big = None  # the exact kernel basis of [a; b], built at the plane's first sample flag
+        lists = {}  # the sample list of each of the plane's (at most four) invariants, by id
         for v, inv, counts in _plane_lines(a, b, mask, entries, p, q, pool):
-            samples = invariants.setdefault(inv, [])
+            samples = lists.get(id(inv))
+            if samples is None:
+                samples = lists[id(inv)] = invariants.setdefault(inv, [])
             if len(samples) < SAMPLES_PER_ORBIT:
                 if big is None:
                     big = Subspace._independent(n, tuple(linalg.kernel([a, b])))

@@ -345,12 +345,10 @@ class ScaledAutomorphism:
     @classmethod
     def from_matrix(cls, m: Matrix) -> "ScaledAutomorphism":
         m = linalg.mat(m)  # int entries would divide to floats below
-        n = len(m)
-        if not is_scaled_automorphism(m, n):
+        det_d = _block_det_d(m, len(m))
+        if not det_d:
             raise PreconditionError("matrix is not invertible block upper triangular (1, n-3, 2)")
-        a = m[0][0]
-        det_d = m[n - 2][n - 2] * m[n - 1][n - 1] - m[n - 2][n - 1] * m[n - 1][n - 2]
-        return cls(tuple(tuple(row) for row in m), det_d / a)
+        return cls(tuple(tuple(row) for row in m), det_d / m[0][0])
 
     @cached_property
     def automorphism(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -383,19 +381,24 @@ def is_scaled_automorphism(g: Matrix, n: int) -> bool:
     (n-3) x (n-3) middle block has full rank.
     """
     linalg.require_ints(n=n)
-    g = linalg.mat(g)
+    return _block_det_d(linalg.mat(g), n) != 0
+
+
+def _block_det_d(g: Matrix, n: int) -> Fraction | int:
+    """det D of the read matrix g when `is_scaled_automorphism(g, n)` holds, and 0 otherwise."""
     if n < 3 or linalg.shape(g) != (n, n):
-        return False
+        return 0
     for i in range(1, n):
         if g[i][0] != 0:
-            return False
+            return 0
     for i in (n - 2, n - 1):
         for j in range(1, n - 2):
             if g[i][j] != 0:
-                return False
+                return 0
     det_d = g[n - 2][n - 2] * g[n - 1][n - 1] - g[n - 2][n - 1] * g[n - 1][n - 2]
-    return (g[0][0] != 0 and det_d != 0
-            and linalg.rank([row[1:n - 2] for row in g[1:n - 2]]) == n - 3)
+    if g[0][0] != 0 and det_d != 0 and linalg.rank([row[1:n - 2] for row in g[1:n - 2]]) == n - 3:
+        return det_d
+    return 0
 
 
 def parabolic_sample(n: int, seed: int | random.Random) -> ScaledAutomorphism:

@@ -42,15 +42,20 @@ keeps it in `int` as M / d, with d the lcm of the pivots, for callers that
 go on multiplying in `int` (the group action and the Cayley samplers).
 Signatures of symmetric matrices are obtained by congruence (never from
 eigenvalues): `congruence_diagonalize` is one symmetric elimination on
-content-reduced integer rows, whose recorded diagonal and moves are those
-of the same elimination over Q, and which builds the transform P only when
-a caller reads it.
+content-reduced integer rows, each update computed on the upper triangle
+and mirrored.  It records only `int`s: each pivot step's direction, pivot
+and content divisor, and each clear move's pivot and numerators.  A
+signature is read off the pivots' signs, so `classify_metric` and
+`forms.signature` build no rational; the diagonal and the moves, those of
+the same elimination over Q, and the transform P are built when a caller
+first reads them.  It divides by the content, not by the previous pivot as
+Bareiss does, for the reason `_forward` does.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -350,32 +355,77 @@ def sign_counts(values: Iterable[Fraction]) -> tuple[int, int, int]:
     return pos, neg, len(values) - pos - neg
 
 
-@dataclass(frozen=True)
-class CongruenceResult:
-    """Diagonal D of a rational congruence P^T S P = diag(D), exactly.
+def _pivot_counts(pivots: Sequence[tuple[int, int, int]], size: int) -> tuple[int, int, int]:
+    """Sign counts of `size` directions whose pivot steps (k, p, g) are `pivots`: the diagonal
+    entry p / c has the sign of p, as c > 0, and a direction with no step is null."""
+    pos = sum(1 for _, p, _ in pivots if p > 0)
+    return pos, len(pivots) - pos, size - len(pivots)
 
-    `moves` records the basis changes in order: ("swap", k, j) exchanges
-    b_k and b_j, ("pair", k, j) replaces them by b_k + b_j and b_k - b_j,
-    and ("clear", k, ((i, f), ...)) adds f * b_k to each b_i.  The
-    elimination runs on integer rows c * S, but each diagonal entry p / c
-    and each factor f = -x_i / p is a ratio in which the scale c cancels:
-    both are the `Fraction`s of the same elimination over Q, whatever the
-    scale.  The invertible P is replayed from the moves on first read of
-    `transform`, so callers that only count signs never build it.
+
+@dataclass(frozen=True, eq=False, repr=False)
+class CongruenceResult:
+    """A rational congruence P^T S P = diag(D), recorded in `int`.
+
+    The elimination runs on integer rows A = c * S, c > 0 a rational
+    scale, and the record holds only integers: the lcm `_scale` of the
+    input's denominators (the first c), for each pivot step the direction
+    k, the pivot p and the content g that divided the update (0 for a step
+    with nothing left to clear, which leaves c alone), and the moves, each
+    clear with its pivot and the numerators -x_i.  `sign_counts()` and
+    `leading_counts` read the pivots' signs (`_pivot_counts`), so counting
+    signs builds no rational.
+    The rationals are built on first read, each a `cached_property`:
+    `diagonal` replays c from `_scale` and each step's |p| and g, giving
+    D_k = p / c; `moves` turns each recorded clear into its factors
+    f = -x_i / p; `transform` replays P from the moves.  In each ratio the
+    scale cancels, so these are the `Fraction`s of the same elimination
+    over Q.  `moves` records the basis changes in order: ("swap", k, j)
+    exchanges b_k and b_j, ("pair", k, j) replaces them by b_k + b_j and
+    b_k - b_j, and ("clear", k, ((i, f), ...)) adds f * b_k to each b_i.
     `leading_counts` are the sign counts of the leading block named by
-    `leading`; without one, the whole matrix's.
+    `leading`; without one, the whole matrix's.  Two results are equal
+    when their diagonals and leading counts are.
     """
 
-    diagonal: tuple[Fraction, ...]
     leading_counts: tuple[int, int, int]
-    moves: tuple[tuple, ...] = field(repr=False, compare=False)
+    _n: int
+    _scale: int
+    _pivots: tuple[tuple[int, int, int], ...]  # (k, p, g) per pivot step
+    _record: tuple[tuple, ...]  # the moves, a clear as ("clear", k, p, ((i, -x_i), ...))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CongruenceResult):
+            return NotImplemented
+        return self.leading_counts == other.leading_counts and self.diagonal == other.diagonal
+
+    def __hash__(self) -> int:
+        return hash((self.diagonal, self.leading_counts))
+
+    def __repr__(self) -> str:
+        return (f"CongruenceResult(diagonal={self.diagonal!r}, "
+                f"leading_counts={self.leading_counts!r})")
 
     def sign_counts(self) -> tuple[int, int, int]:
-        return sign_counts(self.diagonal)
+        return _pivot_counts(self._pivots, self._n)
+
+    @cached_property
+    def diagonal(self) -> tuple[Fraction, ...]:
+        diagonal = [Fraction(0)] * self._n
+        c = Fraction(self._scale)
+        for k, p, g in self._pivots:
+            diagonal[k] = p / c
+            if g:
+                c = Fraction(c.numerator * abs(p), c.denominator * g)
+        return tuple(diagonal)
+
+    @cached_property
+    def moves(self) -> tuple[tuple, ...]:
+        return tuple(("clear", move[1], tuple((i, Fraction(x, move[2])) for i, x in move[3]))
+                     if move[0] == "clear" else move for move in self._record)
 
     @cached_property
     def transform(self) -> Matrix:
-        cols = identity(len(self.diagonal))  # cols[j] is column j of P
+        cols = identity(self._n)  # cols[j] is column j of P
         for kind, k, arg in self.moves:
             if kind == "swap":
                 cols[k], cols[arg] = cols[arg], cols[k]
@@ -399,23 +449,27 @@ def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceR
     the lcm of all its denominators, and `require_gram` checks that copy.
     The block not yet eliminated is kept as integers A = c * S, where S is
     the rational block and c > 0 a rational scale.  A nonzero pivot p with
-    row x (A's entries beside it) records the diagonal entry p / c and the
-    factors -x_i / p, which are S_kk and -S_ik / S_kk, and replaces the rest
-    of the block by (p * A - x x^T) / (sign(p) * g), g the content of
-    p * A - x x^T, so that c becomes c * |p| / g; a unit pivot takes the
-    same update.  Dividing by the content, not by the previous pivot as
-    Bareiss does, leaves A the primitive integer multiple of S after each
-    division, so no entry carries the scalings of earlier steps the way a
-    whole minor does.
+    row x (A's entries beside it) records the step (k, p, g) and the clear
+    move (p, -x_i), from which `CongruenceResult` builds the diagonal entry
+    p / c = S_kk and the factors -x_i / p = -S_ik / S_kk on first read.  It
+    replaces the rest of the block by (p * A - x x^T) / (sign(p) * g), g
+    the content of p * A - x x^T, so that c becomes c * |p| / g; a unit
+    pivot takes the same update.  The update is computed, scanned for its
+    content and divided on the upper triangle (j >= i) alone, which holds
+    every entry once, and then mirrored to the lower one.  Dividing by the
+    content, not by the previous pivot as Bareiss does, leaves A the
+    primitive integer multiple of S after each division, so no entry
+    carries the scalings of earlier steps the way a whole minor does: on
+    the n = 32 classify input a Bareiss variant is some 25 times slower.
     Zero pivots never force square roots: if a zero a_kk pairs with a later
     j, b_k and b_j swap when a_jj is nonzero, and otherwise
     (b_k, b_j) -> (b_k+b_j, b_k-b_j) manufactures pivots +-2*a_kj; a
     direction orthogonal to all later ones stays null.  Both moves act on
-    the integers and keep c.  Diagonal entries are left unnormalized; only
-    their signs carry the signature.
+    the full integer rows and keep c.  Diagonal entries are left
+    unnormalized; only their signs carry the signature.
 
     With `leading` = m, the first m directions look for zero-pivot partners
-    among themselves only, so the first m diagonal entries then diagonalize
+    among themselves only, so the first m pivot steps then diagonalize
     the leading m x m block and give `leading_counts`.  A leading direction
     left null there stays in the block, with zeros against every later
     leading direction, so each later pivot only scales its row, and it is
@@ -432,13 +486,11 @@ def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceR
 
     # a is the block not yet eliminated, c * S; its position t holds direction order[t]
     order = list(range(n))
-    c = Fraction(scale)
-    diagonal = [Fraction(0)] * n
+    pivots: list[tuple[int, int, int]] = []
     moves: list[tuple] = []
 
     def eliminate(t: int, partners: range) -> bool:
         """Pivot on block position t and drop it; False, with no change, if it stays null."""
-        nonlocal c
         row = a[t]
         if not row[t]:
             u = next((u for u in partners if row[u]), None)
@@ -465,36 +517,37 @@ def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceR
         p = x.pop(t)
         for r in a:
             del r[t]
-        diagonal[k] = p / c
-        nonzero = [(i, xi) for i, xi in enumerate(x) if xi]
-        if not nonzero:
+        clears = tuple((order[i], -xi) for i, xi in enumerate(x) if xi)
+        if not clears:
+            pivots.append((k, p, 0))
             return True
-        moves.append(("clear", k, tuple((order[i], Fraction(-xi, p)) for i, xi in nonzero)))
-        a[:] = [[p * y - xi * xj for y, xj in zip(r, x)] if xi else [p * y for y in r]
-                for r, xi in zip(a, x)]
+        moves.append(("clear", k, p, clears))
+        upper = [[p * y - xi * xj for y, xj in zip(r[i:], x[i:])] if xi else [p * y for y in r[i:]]
+                 for i, (r, xi) in enumerate(zip(a, x))]
         g = 0
-        for i, r in enumerate(a):  # the upper triangle holds every entry once
-            g = gcd(g, *r[i:])
+        for r in upper:
+            g = gcd(g, *r)
             if g == 1:
                 break
         g = g or 1
         d = g if p > 0 else -g
-        if d != 1:
-            a[:] = [[y // d for y in r] for r in a]
-        c = Fraction(c.numerator * abs(p), c.denominator * g)
+        a.clear()
+        for i, r in enumerate(upper):
+            a.append([above[i] for above in a] + (r if d == 1 else [y // d for y in r]))
+        pivots.append((k, p, g))
         return True
 
     deferred = 0  # leading directions left null so far, at block positions 0..deferred-1
     for k in range(m):
         if not eliminate(deferred, range(deferred + 1, deferred + m - k)):
             deferred += 1
-    leading_counts = sign_counts(diagonal[:m])
+    leading_counts = _pivot_counts(pivots, m)
     while a:
         if not eliminate(0, range(1, len(a))):
             del order[0], a[0]
             for r in a:
                 del r[0]
-    return CongruenceResult(tuple(diagonal), leading_counts, tuple(moves))
+    return CongruenceResult(leading_counts, n, scale, tuple(pivots), tuple(moves))
 
 
 def _forward(m: Matrix) -> tuple[list[list[int]], list[int]]:

@@ -54,8 +54,9 @@ Deliberately separate from the package's fast paths:
 - congruence and classification: the row-and-column symmetric
   elimination, which builds P on every multiplier and which the
   Schur-update `linalg.congruence_diagonalize` replaced; that Schur update
-  on `Fraction` entries (`fraction_congruence`), which the same elimination
-  on content-reduced integer rows replaced; the classification
+  on `Fraction` entries (`fraction_congruence`), which builds P as it goes
+  and which the same elimination on content-reduced integer rows, recorded
+  in `int`, replaced; the classification
   from two such eliminations (whole matrix, then the negated center block);
 - the group action: `act_on_metric` as two `Fraction` products, which one
   pairing and then one `int` product M^T (L A) M over an integer inverse
@@ -1152,13 +1153,25 @@ def row_column_congruence(s):
     return p, tuple(a[i][i] for i in range(n))
 
 
+@dataclass(frozen=True)
+class FractionCongruence:
+    """The four reads of a `linalg.CongruenceResult`, all held as built."""
+
+    diagonal: tuple
+    leading_counts: tuple
+    moves: tuple
+    transform: Matrix
+
+
 def fraction_congruence(s, leading=None):
     """`linalg.congruence_diagonalize` as a Schur elimination on `Fraction` entries.
 
     The routine that the elimination on content-reduced integer rows
     replaced: each nonzero pivot a_kk updates the not yet eliminated block
     by a_ij -= a_ik * a_kj / a_kk over the nonzero entries of row k, with
-    the same zero-pivot moves, `leading` handling and recorded moves.
+    the same zero-pivot moves, `leading` handling and recorded moves.  It
+    applies each move to the columns of P as it makes it, where the library
+    keeps an `int` record and builds the diagonal, the moves and P on read.
     """
     n = len(s)
     if any(len(row) != n for row in s):
@@ -1171,6 +1184,7 @@ def fraction_congruence(s, leading=None):
 
     a = linalg.mat(s)
     moves = []
+    cols = linalg.identity(n)  # cols[j] is column j of P
 
     def eliminate(k, partners, rest):
         row = a[k]
@@ -1182,6 +1196,7 @@ def fraction_congruence(s, leading=None):
                 a[k], a[j] = a[j], a[k]
                 for r in a:
                     r[k], r[j] = r[j], r[k]
+                cols[k], cols[j] = cols[j], cols[k]
                 moves.append(("swap", k, j))
             else:
                 akj = row[j]
@@ -1193,6 +1208,8 @@ def fraction_congruence(s, leading=None):
                         a[i][j] = rj[i] = x - y
                 row[k], rj[j] = 2 * akj, -2 * akj
                 row[j] = rj[k] = Fraction(0)
+                ck, cj = cols[k], cols[j]
+                cols[k], cols[j] = [x + y for x, y in zip(ck, cj)], [x - y for x, y in zip(ck, cj)]
                 moves.append(("pair", k, j))
             row = a[k]
         pivot = row[k]
@@ -1202,6 +1219,7 @@ def fraction_congruence(s, leading=None):
             ai = a[i]
             for j, akj in nonzero[t:]:
                 a[j][i] = ai[j] = ai[j] + f * akj
+            cols[i] = [x + f * y for x, y in zip(cols[i], cols[k])]
         if factors:
             moves.append(("clear", k, factors))
         return True
@@ -1215,8 +1233,8 @@ def fraction_congruence(s, leading=None):
     for t, k in enumerate(tail):
         rest = tail[t + 1:]
         eliminate(k, rest, rest)
-    return linalg.CongruenceResult(tuple(a[k][k] for k in range(n)), leading_counts,
-                                   tuple(moves))
+    return FractionCongruence(tuple(a[k][k] for k in range(n)), leading_counts, tuple(moves),
+                              linalg.transpose(cols))
 
 
 def oracle_sign_counts(s):

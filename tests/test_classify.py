@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
 
@@ -9,7 +10,7 @@ import oracles
 from heisflag import linalg, sampling
 from heisflag.enumeration import survey_flags
 from heisflag.forms import LineSignature, PreconditionError, QuadraticSpace, Signature, \
-    flag_invariants
+    Subspace, flag_invariants, signature
 from heisflag.heisenberg import (
     CLASS_ROWS,
     HeisenbergAlgebra,
@@ -287,6 +288,33 @@ def test_parabolic_orbit_invariance(n):
         moved = _moved(n, gram, rng)
         assert (_raised(classify_metric, alg, moved)
                 == _raised(oracles.two_call_classify, alg, moved))
+
+
+def test_classify_builds_no_rationals_from_the_congruence():
+    # classify and signature read only the signs of the congruence's pivots:
+    # with its diagonal, moves and transform made to raise, they answer as before
+    def refuse(self):
+        raise AssertionError("a rational of the congruence was built")
+
+    rng = random.Random(35)
+    cases = []
+    for n in range(4, 17):
+        big = n // 2 + 1
+        center = Subspace(n, tuple(map(tuple, linalg.identity(n)[:n - 2])))
+        for p, q in [(big, n - big), (n - big, big)]:
+            for row in admissible_classes(p, q).classes:
+                gram = _moved(n, representative(row.id, p, q), rng)
+                cases.append((HeisenbergAlgebra(n), gram, QuadraticSpace.from_matrix(gram), center))
+
+    def answers():
+        return [(classify_metric(alg, gram), signature(space), signature(space, center))
+                for alg, gram, space, center in cases]
+
+    want = answers()
+    with patch.object(linalg.CongruenceResult, "diagonal", property(refuse)), \
+            patch.object(linalg.CongruenceResult, "moves", property(refuse)), \
+            patch.object(linalg.CongruenceResult, "transform", property(refuse)):
+        assert answers() == want
 
 
 def test_class_coverage_over_small_gram_congruences():

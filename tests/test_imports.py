@@ -362,6 +362,8 @@ LIBRARY_USERS = ("src", "demos", "bench")
 KEPT_FOR_USERS = {
     "forms.py: subspaces_equivalent": "Witt's test for one subspace, the flag test's first half",
     "heisenberg.py: representative_flag": "the flag a taxonomy row names, as the README lists",
+    "heisenberg.py: is_scaled_automorphism": "the group's membership test, as the README lists; "
+                                             "from_matrix shares its one read and det D",
     "matrixio.py: format_matrix": "the writing half of the matrix file format",
     "heisenberg.py: ScaledAutomorphism.preserves_bracket": "states what from_matrix promises",
     "curvature.py: is_flat": "criterion 7's exact predicate on `riemann`'s table",
@@ -729,7 +731,7 @@ def test_checker_flags_a_second_row_length_reader():
     line = source[:source.index(anchor)].count("\n") + 1
     scan = "    if len(g) != n or n < 3 or any(len(row) != n for row in g):\n"
     assert row_length_reads("heisenberg.py", source.replace(anchor, scan)) == [
-        f"line {line}: is_scaled_automorphism"]
+        f"line {line}: _block_det_d"]
     parsed = ("def _parse_flag_spec(vectors):\n    return {len(v) for v in vectors}\n\n\n"
               "def widths(rows, a):\n    return set(map(len, rows)), [i for i in range(len(a))]\n")
     # the exception is one function; `len(a)` of no loop target is no row reader

@@ -267,11 +267,11 @@ def test_congruence_agrees_with_row_column_oracle(s):
         congruence_diagonalize(s, leading=n + 1)
 
 
-def moved_gram(p, q, class_id, rng):
-    """The row's representative moved twice by `parabolic_sample`."""
+def moved_gram(p, q, class_id, rng, moves=2):
+    """The row's representative moved `moves` times by `parabolic_sample`."""
     n = p + q
     g = representative(class_id, p, q)
-    for _ in range(2):
+    for _ in range(moves):
         g = act_on_metric([list(r) for r in parabolic_sample(n, rng).matrix], g)
     return g
 
@@ -313,6 +313,9 @@ PINNED_CONGRUENCES = {
     "(16,8) class 1 seed 3": "dc245f07d0534adc",
     "(8,16) class 10 seed 4": "b4016455ed22dc68",
     "(16,8) class 21 seed 5": "74fcbd386a8fecb1",
+    # the n = 64 classify input, 650-bit entries, at its center block and whole
+    "(40,24) class 1 seed 64 moved 1": "f8b3cb2e410057c1",
+    "(40,24) class 1 seed 64 moved 1 whole": "1b22e17e6b4ae83b",
 }
 
 
@@ -325,12 +328,14 @@ def congruence_digest(s, leading):
 
 def test_congruence_outcomes_are_pinned():
     # moved representatives beyond the oracle test's n <= 12, with entries of
-    # hundreds of bits, keep their diagonal and center counts
+    # hundreds of bits, keep their diagonal and center counts (a label's
+    # optional fifth number is its number of moves, else 2; "whole" pins the
+    # whole matrix's diagonal, with no leading block)
     got = {}
     for label in PINNED_CONGRUENCES:
-        p, q, class_id, seed = map(int, re.findall(r"\d+", label))
-        got[label] = congruence_digest(moved_gram(p, q, class_id, random.Random(seed)),
-                                       p + q - 2)
+        p, q, class_id, seed, *moves = map(int, re.findall(r"\d+", label))
+        s = moved_gram(p, q, class_id, random.Random(seed), *moves)
+        got[label] = congruence_digest(s, None if label.endswith("whole") else p + q - 2)
     assert got == PINNED_CONGRUENCES
 
 
