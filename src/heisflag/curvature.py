@@ -98,7 +98,7 @@ from fractions import Fraction
 
 from . import linalg
 from .heisenberg import HeisenbergAlgebra
-from .linalg import Matrix, PreconditionError, Vector
+from .linalg import Matrix, PreconditionError, Vector, ratio
 
 RiemannTable = tuple[tuple[tuple[Vector, ...], ...], ...]
 
@@ -135,23 +135,22 @@ def riemann(alg: HeisenbergAlgebra, gram: Matrix) -> RiemannTable:
     gram, inverse = _checked_inverse(n, gram)
     k, k2, kk = _k_terms(inverse)
     g00, h = gram[0][0], gram[0]
-    zero = (Fraction(0),) * n
+    zero = (0,) * n
+    e0 = (1,) + zero[1:]
     out = [[(zero,) * n] * n for _ in range(n)]
     for j in k:
         for i in range(j):
             # (h(e_i) K^2 e_j - h(e_j) K^2 e_i) / 4, carried by every e_m with h(e_m) != 0;
             # K^2 e_i is zero unless i = a, j = b
-            u = linalg.combine((h[i] / 4, -h[j] / 4 if i in k else 0), (k2[j], k2[a]))
+            u = linalg.combine((ratio(h[i], 4), ratio(-h[j], 4) if i in k else 0), (k2[j], k2[a]))
             hu = h if any(u) else zero
             plane = []
             for m in range(n):
                 v = linalg.vec_scale(hu[m], u) if hu[m] != 0 else zero
                 if m in k:
-                    if i in k and g00 != 0:  # the plane (a, b)
-                        v = linalg.combine((1, 3 * g00 / 4), (v, k[m]))
-                    c0 = (h[i] * kk[j, m] - h[j] * kk.get((i, m), 0)) / 4
-                    if c0 != 0:
-                        v = (v[0] + c0,) + v[1:]
+                    # the plane (a, b) adds 3 g_00 K e_m / 4, and every such m an e_0 term
+                    c0 = ratio(h[i] * kk[j, m] - h[j] * kk.get((i, m), 0), 4)
+                    v = linalg.combine((1, ratio(3 * g00, 4) if i in k else 0, c0), (v, k[m], e0))
                 plane.append(v)
             out[i][j] = tuple(plane)
             out[j][i] = tuple(v if v is zero else tuple(-x for x in v) for v in plane)
@@ -190,22 +189,22 @@ def curvature_report(alg: HeisenbergAlgebra, gram: Matrix,
     g00, h = gram[0][0], gram[0]
     delta = g_inv[a][a] * g_inv[b][b] - g_inv[a][b] ** 2
     # Ric = -g_00 Q / 2 + delta h h^T / 2, Q zero outside the {a, b} block
-    ric = [[delta * x * y / 2 for y in h] for x in h]
+    ric = [[ratio(delta * x * y, 2) for y in h] for x in h]
     for (i, m), q in kk.items():
-        ric[i][m] -= g00 * q / 2
+        ric[i][m] -= ratio(g00 * q, 2)
     soliton = None
     if check_soliton:
-        c = -3 * g00 * delta / 2
+        c = ratio(-3 * g00 * delta, 2)
         # D = g_00 K^2 / 2 + delta e_0 h^T / 2 - c Id
-        d = [[delta * x / 2 for x in h]] + [[Fraction(0)] * n for _ in range(n - 1)]
+        d = [[ratio(delta * x, 2) for x in h]] + [[Fraction(0)] * n for _ in range(n - 1)]
         for r in range(n):
             d[r][r] -= c
             for m in k:
-                d[r][m] += g00 * k2[m][r] / 2
+                d[r][m] += ratio(g00 * k2[m][r], 2)
         soliton = (c, tuple(tuple(row) for row in d))
     return CurvatureReport(
         ricci=tuple(tuple(row) for row in ric),
-        scalar_curv=-g00 * delta / 2,
+        scalar_curv=ratio(-g00 * delta, 2),
         # the module docstring's flatness theorem: h zero on the center, or g_00 = 0 and B = 0
         is_flat=not any(h[:a]) or g00 == 0 and not (g_inv[a][a] or g_inv[a][b] or g_inv[b][b]),
         soliton=soliton,

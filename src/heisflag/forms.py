@@ -73,16 +73,18 @@ class LineSignature(enum.Enum):
 
 @dataclass(frozen=True)
 class QuadraticSpace:
-    """Ambient dimension plus a symmetric (possibly degenerate) Gram matrix."""
+    """Ambient dimension plus a symmetric (possibly degenerate) Gram matrix; `from_matrix`
+    stores it canonically, as `linalg`'s products return entries."""
 
-    gram: tuple[tuple[Fraction, ...], ...]
+    gram: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self):
         linalg.require_gram(linalg.scaled_to_int(self.gram)[0])
 
     @classmethod
     def from_matrix(cls, gram: Sequence[Sequence]) -> "QuadraticSpace":
-        return cls(tuple(map(tuple, linalg.mat(gram))))
+        return cls(tuple(tuple(x.numerator if x.denominator == 1 else x for x in row)
+                         for row in linalg.mat(gram)))
 
     @classmethod
     def standard(cls, p: int, q: int) -> "QuadraticSpace":
@@ -99,19 +101,13 @@ class QuadraticSpace:
     def pairing(self, xs: Sequence[Vector], ys: Sequence[Vector]) -> Matrix:
         """The matrix of <x, y> for x in xs (rows) and y in ys (columns).
 
-        One `linalg.bilinear` over the Gram matrix with its integral entries
-        cached as `int`: zero Gram entries and zero coordinates are skipped,
-        and every entry of the result is a `Fraction`.
+        One `linalg.bilinear` over the Gram matrix: zero Gram entries and zero
+        coordinates are skipped, and the entries are canonical, so a norm or
+        a pairing of integer vectors is an `int`.
         """
-        return linalg.bilinear(xs, self._int_gram, ys)
+        return linalg.bilinear(xs, self.gram, ys)
 
-    @cached_property
-    def _int_gram(self) -> tuple[tuple, ...]:
-        # the Gram matrix never changes: its integral entries become int once
-        return tuple(tuple(x.numerator if x.denominator == 1 else x for x in row)
-                     for row in self.gram)
-
-    def inner(self, x: Vector, y: Vector) -> Fraction:
+    def inner(self, x: Vector, y: Vector) -> int | Fraction:
         return self.pairing([x], [y])[0][0]
 
     @cached_property
@@ -278,12 +274,13 @@ class MatsukiData:
 class ScaledSystem:
     """Pairwise orthogonal vectors whose norms realize a signature pattern.
 
-    Norms are arbitrary rationals of the correct signs, positive first, then
+    Norms are arbitrary rationals of the correct signs (`int`s where a pairing
+    gives them, see `QuadraticSpace.pairing`), positive first, then
     negative, then zero; the zero-norm vectors span the radical of the span.
     """
 
     vectors: tuple[Vector, ...]
-    norms: tuple[Fraction, ...]
+    norms: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if len(self.vectors) != len(self.norms):
@@ -422,7 +419,7 @@ def matsuki_data(f: Flag, p: int, q: int) -> MatsukiData:
     v = f.small.basis[0]
     d_plus = int(not any(v[p:]))
     d_minus = int(not any(v[:p]))
-    d_pm = int(f.big.contains(v[:p] + (Fraction(0),) * q))
+    d_pm = int(f.big.contains(v[:p] + (0,) * q))
     return MatsukiData(c_plus, c_minus, n - 2 - c_plus - c_minus,
                        d_plus, d_minus, 1 - d_plus - d_minus, d_pm)
 
@@ -546,7 +543,7 @@ def extend_nullsystem(space: QuadraticSpace, nulls: Sequence[Vector]) -> ScaledS
             raise PreconditionError("null vectors must be independent")
         if any(x for row in space.pairing(nulls, nulls) for x in row):
             raise PreconditionError("null vectors must be pairwise orthogonal and null")
-    return extend_basis(space, ScaledSystem(tuple(nulls), (Fraction(0),) * len(nulls)))
+    return extend_basis(space, ScaledSystem(tuple(nulls), (0,) * len(nulls)))
 
 
 def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
@@ -616,7 +613,7 @@ def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
                  + [space.inner(m, m) for _, m in pairs]
                  + [m for m in fill.norms if m < 0])
     return ScaledSystem(tuple(alphas + betas + gammas),
-                        tuple(pos_norms + neg_norms + [Fraction(0)] * len(gammas)))
+                        tuple(pos_norms + neg_norms + [0] * len(gammas)))
 
 
 def _orient_frame(vectors: Sequence[Vector], pair_slots: list[tuple[int, int]]) -> list[Vector]:

@@ -344,16 +344,16 @@ class ScaledAutomorphism:
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "ScaledAutomorphism":
-        m = linalg.mat(m)  # int entries would divide to floats below
+        m = linalg.mat(m)  # read once, as `Fraction`s
         det_d = _block_det_d(m, len(m))
         if not det_d:
             raise PreconditionError("matrix is not invertible block upper triangular (1, n-3, 2)")
-        return cls(tuple(tuple(row) for row in m), det_d / m[0][0])
+        return cls(tuple(tuple(row) for row in m), linalg.ratio(det_d, m[0][0]))
 
     @cached_property
     def automorphism(self) -> tuple[tuple[Fraction, ...], ...]:
         """matrix / scale, divided out when first read; the group action reads the matrix."""
-        return tuple(tuple(x / self.scale for x in row) for row in self.matrix)
+        return tuple(tuple(linalg.ratio(x, self.scale) for x in row) for row in self.matrix)
 
     def __repr__(self) -> str:
         return (f"ScaledAutomorphism(matrix={self.matrix!r}, scale={self.scale!r}, "

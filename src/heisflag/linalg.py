@@ -1,9 +1,16 @@
 """Dense exact linear algebra over the rationals.
 
 Matrices are lists of row lists and vectors are tuples.  Input entries may
-be `int` or `fractions.Fraction`, and results are `Fraction`, except the
-`int` matrix and denominator of `integer_inverse`.  All routines are pure
-and exact: no floating point, no tolerances.
+be `int` or `fractions.Fraction`.  The products (`combine`, `mat_mul`,
+`mat_vec`, `vec_add`, `vec_sub`, `vec_scale`, `bilinear`) and the spans
+(`primitive_vector`, `kernel`, `row_space`, `lll_reduce`) return canonical
+entries: an `int` where the value is an integer, a `Fraction` (denominator
+> 1) where it is not.  The readers and constructors (`mat`, `vec`,
+`zeros`, `identity`, `diag`), `invert`, `solve` and `CongruenceResult`'s
+rationals return `Fraction`s, and `integer_inverse` an `int` matrix and
+denominator.  Every true division is `ratio`, the exact `Fraction(a, b)`,
+so no quotient of two `int`s becomes a float.  All routines are pure and
+exact: no floating point, no tolerances.
 This module is the one exact input boundary.  An entry is an `int` or a
 `Fraction`; `bool` is an `int` (True is 1) and is read as one.  Any other
 entry (a float, a str, None) raises `EntryTypeError`, a `ShapeError` that
@@ -19,14 +26,9 @@ raises a `ShapeError` that names it.  A vector argument's length is read
 once as well, and one that is not a sequence is named as that argument.
 `require_ints` names an integer parameter that is not an `int`, and
 `require_gram` is the one square-and-symmetric check.
-Most entries met in practice are integers stored as `Fraction` (kernels,
-row spaces and LLL bases are primitive integer vectors), so every product
-is one loop, `_accumulate`, that multiplies and adds each integral entry
-as its `int` numerator, keeps non-integral entries `Fraction` and skips
-zeros.  `combine`, the `mat_mul`, `mat_vec` and vector sums built on it,
-and the bilinear form x^T M y behind `QuadraticSpace.pairing` make each
-output entry a `Fraction` once, at the end, whatever the input types;
-`primitive_vector` rescales in `int` as well.
+Every product is one loop, `_accumulate`: `int` entries take part as they
+are, integral `Fraction`s as their numerators, zeros are skipped and an
+integral sum comes back an `int`, so `int`s flow on to the next product.
 One fraction-free elimination serves `rank`, `kernel`, `row_space`,
 `solve`, `invert` and `extend_to_independent`: `_forward` takes each row
 scaled to integers by `_int_rows` and replaces a row by
@@ -34,12 +36,12 @@ scaled to integers by `_int_rows` and replaces a row by
 way.  It keeps only rows and pivot columns: nothing here needs a
 determinant.  Dividing by the content, not by the previous pivot as
 Bareiss does, keeps each row no larger than the rational row over a common
-denominator.  Entries become `Fraction` only at the API boundary: `solve`
-divides the last entry of each reduced row of [A | b] by its pivot,
-`kernel` and `row_space` rescale rows to primitive ones, and `invert`
-divides each reduced row of [M | I] by its pivot, where `integer_inverse`
-keeps it in `int` as M / d, with d the lcm of the pivots, for callers that
-go on multiplying in `int` (the group action and the Cayley samplers).
+denominator.  `kernel` and `row_space` return the content-free `int` rows;
+`solve` divides the last entry of each reduced row of [A | b] by its pivot,
+and `invert` divides each reduced row of [M | I] by its pivot, where
+`integer_inverse` keeps it in `int` as M / d, with d the lcm of the pivots,
+for callers that go on multiplying in `int` (the group action and the
+Cayley samplers).
 Signatures of symmetric matrices are obtained by congruence (never from
 eigenvalues): `congruence_diagonalize` is one symmetric elimination on
 content-reduced integer rows, each update computed on the upper triangle
@@ -61,8 +63,8 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import index
 
-Vector = tuple[Fraction, ...]
-Matrix = list[list[Fraction]]
+Vector = tuple[int | Fraction, ...]  # canonical from the products and spans; `Fraction` from `vec`
+Matrix = list[list[int | Fraction]]
 
 LLL_DELTA = Fraction(3, 4)  # Lovasz condition constant of `lll_reduce`
 _SEQUENCES = frozenset((list, tuple))  # the row and vector types read without an isinstance test
@@ -106,6 +108,12 @@ def _entry_error(m) -> ShapeError:
     i, j, x = next((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row)
                    if not isinstance(x, (int, Fraction)))
     return EntryTypeError(f"entry ({i}, {j}) is {_a(x)}, not an int or a Fraction")
+
+
+def ratio(a, b) -> Fraction:
+    """a / b for `int` or `Fraction` a and b, as the exact `Fraction(a, b)`: the package's
+    one true division, so that no quotient of two `int`s becomes a float."""
+    return Fraction(a.numerator * b.denominator, a.denominator * b.numerator)
 
 
 def require_ints(**params) -> None:
@@ -212,7 +220,7 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     k = _vector_length(v, "v")
     if c != k:
         raise ShapeError(f"cannot apply {r}x{c} to vector of length {k}")
-    return combine(v, transpose(m)) if c else (Fraction(0),) * r
+    return combine(v, transpose(m)) if c else (0,) * r
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -228,57 +236,55 @@ def vec_scale(c, v: Vector) -> Vector:
 
 
 def _accumulate(coeffs: Sequence, vectors: Sequence[Sequence], length: int) -> list:
-    """sum_k c_k v_k as `length` entries, skipping zero coefficients and zero entries.
+    """sum_k c_k v_k as `length` canonical entries, skipping zero coefficients and entries.
 
-    Integral entries, coefficients as well as vector entries, take part as
-    `int` (a `Fraction` with denominator 1 as its numerator); the others
-    stay `Fraction`, so the sum is exact either way.  The entries come back
-    unwrapped, `int` or `Fraction`, so a caller can feed them to another sum.
-    Both callers hand in vectors that `shape` has read, each of `length`
-    entries.  An entry that it multiplies and that has no denominator raises
-    `EntryTypeError`, at position (0, k) for coefficient k and (k + 1, j) for
-    entry j of vector k.
+    An `int` entry, coefficient or vector entry, takes part as it is, with
+    no property read, and an integral `Fraction` as its `int` numerator; the
+    others stay `Fraction`, so the sum is exact either way.  A sum that is
+    an integer comes back as an `int`, so a caller can feed the entries to
+    another sum.  Both callers hand in vectors that `shape` has read, each
+    of `length` entries.  An entry that it multiplies and that is neither
+    an `int` nor has a denominator raises `EntryTypeError`, at position
+    (0, k) for coefficient k and (k + 1, j) for entry j of vector k.
     """
     acc = [0] * length
     try:
         for c, v in zip(coeffs, vectors):
             if c:
-                if c.denominator == 1:
+                if type(c) is not int and c.denominator == 1:
                     c = c.numerator
-                acc = [a + c * (x.numerator if x.denominator == 1 else x) if x else a
+                acc = [(a + c * x if type(x) is int else
+                        a + c * (x.numerator if x.denominator == 1 else x)) if x else a
                        for a, x in zip(acc, v)]
     except (AttributeError, TypeError):
         raise _entry_error([coeffs, *vectors]) from None
-    return acc
+    return [a if type(a) is int or a.denominator != 1 else a.numerator for a in acc]
 
 
 def combine(coeffs: Sequence, vectors: Sequence[Sequence]) -> Vector:
-    """The combination sum_k c_k v_k, by `_accumulate`: every entry a `Fraction`."""
+    """The combination sum_k c_k v_k, by `_accumulate`: canonical entries."""
     k = _vector_length(coeffs, "coeffs")
     rows, cols = shape(vectors)
     if k != rows:
         raise ShapeError(f"{k} coefficients for {rows} vectors")
     if not rows:
         return ()
-    return tuple(a if type(a) is Fraction else Fraction(a)
-                 for a in _accumulate(coeffs, vectors, cols))
+    return tuple(_accumulate(coeffs, vectors, cols))
 
 
 def bilinear(xs: Sequence[Sequence], m: Matrix, ys: Sequence[Sequence]) -> Matrix:
     """The matrix of x^T M y for x in xs (rows) and y in ys (columns).
 
     Row x is x^T M Y, Y with the ys as columns: `_accumulate` of M's rows
-    gives x^T M, left unwrapped for a second `_accumulate` of Y's rows, and
-    each entry becomes a `Fraction` once, at the end.  The row length is
-    len(ys) even when M is 0 x 0.
+    gives x^T M, and a second `_accumulate` of Y's rows takes its canonical
+    entries as coefficients.  The row length is len(ys) even when M is 0 x 0.
     """
     r, c = shape(m)
     (nx, cx), (ny, cy) = shape(xs), shape(ys)
     if nx and cx != r or ny and cy != c:
         raise ShapeError(f"vector length does not match the {r}x{c} matrix")
     y_rows = list(zip(*ys))
-    return [[a if type(a) is Fraction else Fraction(a)
-             for a in _accumulate(_accumulate(x, m, c), y_rows, len(ys))] for x in xs]
+    return [_accumulate(_accumulate(x, m, c), y_rows, len(ys)) for x in xs]
 
 
 def is_zero_vector(v: Vector) -> bool:
@@ -294,17 +300,9 @@ def _content_free(ints: list[int]) -> list[int]:
 
 
 def primitive_vector(v: Vector) -> Vector:
-    """Rational rescaling of v to coprime integer entries, leading entry positive.
-
-    The rescaling is computed in `int`: each entry scaled by the common
-    denominator is an integer, read off its numerator and denominator.  The
-    entries become `Fraction` once, at the end; the zero vector is returned
-    as it is.
-    """
-    ints = _content_free(_int_rows([v])[0][0])
-    if not any(ints):
-        return v
-    return tuple(Fraction(x) for x in ints)
+    """Rational rescaling of v to coprime `int` entries, leading entry positive, computed
+    in `int` off the entries scaled by their common denominator; zeros stay `int` zeros."""
+    return tuple(_content_free(_int_rows([v])[0][0]))
 
 
 def _int_rows(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
@@ -413,7 +411,7 @@ class CongruenceResult:
         diagonal = [Fraction(0)] * self._n
         c = Fraction(self._scale)
         for k, p, g in self._pivots:
-            diagonal[k] = p / c
+            diagonal[k] = ratio(p, c)
             if g:
                 c = Fraction(c.numerator * abs(p), c.denominator * g)
         return tuple(diagonal)
@@ -627,7 +625,7 @@ def kernel(m: Matrix) -> list[Vector]:
     """Basis of the exact null space {v : M v = 0}.
 
     Empty iff M has full column rank.  Basis vectors are normalized to
-    coprime integer entries with positive leading entry, read off the
+    coprime `int` entries with positive leading entry, read off the
     integer rows of `_reduce`: free column f gives v_f = 1 and
     v_c = -a_rf / a_rc at each pivot (r, c), all scaled by the lcm of those
     pivots a_rc.
@@ -645,7 +643,7 @@ def kernel(m: Matrix) -> list[Vector]:
         v[f] = scale
         for x, p, c in hits:
             v[c] = -x * (scale // p)
-        basis.append(tuple(Fraction(x) for x in _content_free(v)))
+        basis.append(tuple(_content_free(v)))
     return basis
 
 
@@ -701,9 +699,9 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
 
 
 def row_space(vectors: Sequence[Vector]) -> list[Vector]:
-    """Canonical basis of the span: the rows of `_reduce` rescaled to coprime integers."""
+    """Canonical basis of the span: the rows of `_reduce` rescaled to coprime `int`s."""
     a, pivots = _reduce(vectors)
-    return [tuple(Fraction(x) for x in _content_free(a[r])) for r in range(len(pivots))]
+    return [tuple(_content_free(a[r])) for r in range(len(pivots))]
 
 
 def lll_reduce(vectors: Sequence[Vector]) -> list[Vector]:
@@ -720,7 +718,7 @@ def lll_reduce(vectors: Sequence[Vector]) -> list[Vector]:
     size-reduced against b_{k-1} down to b_0 by round(mu_kj) (half to even)
     when |mu_kj| > 1/2, then tested for the Lovasz condition.
 
-    Each reduced vector is then rescaled to a primitive one, which can undo
+    Each reduced vector is then rescaled to a primitive `int` one, which can undo
     the size reduction, so the result is not always LLL-reduced: on
     (2,0,-2,0,1,3,-1), (0,2,0,0,-1,-3,1) it returns (1,1,-1,0,0,0,0),
     (0,2,0,0,-1,-3,1), whose mu is 2/3.  Used to keep entries small before
@@ -771,7 +769,7 @@ def lll_reduce(vectors: Sequence[Vector]) -> list[Vector]:
                 lam[i][k - 1] = (new_dk * old + t * lam[i][k]) // d[k + 1]
             d[k] = new_dk
             k = max(k - 1, 1)
-    return [primitive_vector(tuple(row)) for row in b]
+    return [tuple(_content_free(row)) for row in b]
 
 
 def extend_to_independent(base: Sequence[Vector], pool: Sequence[Vector],

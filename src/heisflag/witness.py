@@ -11,9 +11,10 @@ either frame is scaled by a positive factor, because its norm, and so its
 square root, absorbs that factor.  A frame is orthogonal with known norms,
 C2^T I_pq C2 = diag(m2), so C2^{-1} = diag(m2)^{-1} C2^T I_pq and nothing
 is eliminated after the frames are built.  Everything is exact until one
-rounding per entry: each square root is an integer square root at 256
+rounding per entry: the frame's norms may be `int`s, so `linalg.ratio`
+divides them exactly, each square root is an integer square root at 256
 fraction bits, each entry of g is summed exactly from those, and only the
-finished entry is rounded to binary64.
+finished entry is rounded to binary64, the module's one float division.
 
 Residuals are always checked: a witness outside tolerance raises instead of
 being returned silently.
@@ -87,19 +88,20 @@ def _assemble(p: int, frame1, frame2) -> np.ndarray:
     `.norms`.  In the standard (p, q) space C2^T I_pq C2 = diag(m2), so
     C2^{-1} = diag(m2)^{-1} C2^T I_pq: row k is (I_pq c2_k)^T / m2_k, read
     off the frame with no elimination.  Column j of g is then one
-    combination of the columns c1_k.  The ratios are exact and positive; each square root is
-    truncated to SQRT_BITS fraction bits by an integer square root, each
-    entry is summed exactly and rounded to binary64 once, so cancellation
-    between large frame entries cannot contaminate the returned matrix.
+    combination of the columns c1_k.  The ratios are exact and positive; each
+    square root is truncated to SQRT_BITS fraction bits by an integer square
+    root, each entry is summed exactly and rounded to binary64 once (the
+    last line divides an `int` or a `Fraction`, correctly rounded either
+    way), so cancellation between large frame entries cannot contaminate it.
     """
     import numpy as np
 
     rows = []  # row k of diag(sqrt(m2 / m1)) C2^{-1}, times 2^SQRT_BITS
     for c2, m1, m2 in zip(frame2.vectors, frame1.norms, frame2.norms):
-        r = m2 / m1
+        r = linalg.ratio(m2, m1)
         if r <= 0:
             raise WitnessFailureError("adapted frames disagree on norm signs")
-        s = isqrt((r.numerator << 2 * SQRT_BITS) // r.denominator) / m2
+        s = linalg.ratio(isqrt((r.numerator << 2 * SQRT_BITS) // r.denominator), m2)
         rows.append([s * x if j < p else -s * x for j, x in enumerate(c2)])
     g_cols = [linalg.combine(coeffs, frame1.vectors) for coeffs in zip(*rows)]
     return np.array([[float(x / (1 << SQRT_BITS)) for x in row] for row in zip(*g_cols)])

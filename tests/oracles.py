@@ -897,7 +897,7 @@ def mpmath_assemble(frame1, frame2):
         def hp(x):
             return mpf(x.numerator) / mpf(x.denominator)
 
-        scale = [mp.sqrt(hp(m2 / m1)) for m1, m2 in zip(norms1, norms2)]
+        scale = [mp.sqrt(hp(Fraction(m2, m1))) for m1, m2 in zip(norms1, norms2)]
         g = np.empty((n, n), dtype=float)
         for i in range(n):
             for j in range(n):
@@ -921,7 +921,7 @@ def invert_assemble(frame1, frame2):
     c2_inv = linalg.invert([[cols2[j][i] for j in range(n)] for i in range(n)])
     scale = []
     for m1, m2 in zip(norms1, norms2):
-        r = m2 / m1
+        r = Fraction(m2, m1)
         if r <= 0:
             raise WitnessFailureError("adapted frames disagree on norm signs")
         scale.append(isqrt((r.numerator << 2 * SQRT_BITS) // r.denominator))
@@ -1071,7 +1071,7 @@ def recomputing_lll_reduce(vectors, delta=Fraction(3, 4)):
         for i in range(n):
             w = list(b[i])
             for j in range(i):
-                mu[i][j] = dot(b[i], star[j]) / norms[j]
+                mu[i][j] = Fraction(dot(b[i], star[j]), norms[j])
                 w = [x - mu[i][j] * y for x, y in zip(w, star[j])]
             star.append(w)
             norms.append(dot(w, w))
@@ -1567,7 +1567,7 @@ def rescale_frame(vectors, norms, pair_slots):
 
     def factor(old, new):
         idx = next(i for i, x in enumerate(old) if x != 0)
-        return old[idx] / new[idx]
+        return Fraction(old[idx], new[idx])
 
     for ia, ib in pair_slots:
         joint = vecs[ia] + vecs[ib]

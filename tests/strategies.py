@@ -6,6 +6,9 @@ where intersection counts are nonzero.  These strategies build them on
 purpose in the standard space of signature (p, q).  The seeded helpers
 `random_symmetric` and `random_nondegenerate_symmetric` draw rational
 symmetric matrices for the congruence and curvature tests.
+`canonical_entries` is the check that the tests apply to the results of
+`linalg`'s products and spans: each entry an `int` where it is integral and
+a `Fraction` where it is not.
 """
 
 import random
@@ -18,6 +21,14 @@ from heisflag import linalg, sampling
 from heisflag.forms import Flag, QuadraticSpace, Subspace
 
 COEFFS = st.sampled_from([0, 0, 1, -1, 2])
+
+
+def canonical_entries(x) -> bool:
+    """True iff every leaf of nested lists and tuples is an `int` (not a `bool`) or a
+    `Fraction` whose denominator is not 1."""
+    if isinstance(x, (list, tuple)):
+        return all(canonical_entries(y) for y in x)
+    return type(x) is int or type(x) is F and x.denominator != 1
 
 
 def unit(n, i):

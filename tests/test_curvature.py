@@ -12,7 +12,7 @@ from heisflag.curvature import curvature_report, is_flat, riemann
 from heisflag.forms import PreconditionError
 from heisflag.heisenberg import HeisenbergAlgebra, admissible_classes, parabolic_sample, \
     act_on_metric, representative
-from strategies import random_nondegenerate_symmetric
+from strategies import canonical_entries, random_nondegenerate_symmetric
 
 FLAT_IDS = (13, 17, 20, 21)
 
@@ -315,8 +315,9 @@ def test_report_matches_koszul_oracle(n, kind, data):
     tensor = riemann(alg, gram)
     assert report.is_flat == is_flat(tensor)
     c, d = report.soliton
-    entries = ([x for plane in tensor for row in plane for v in row for x in v]
-               + [x for row in report.ricci + d for x in row] + [report.scalar_curv, c])
+    # R is built from `linalg` products, canonical; the report stays `Fraction`
+    assert canonical_entries(tensor)
+    entries = [x for row in report.ricci + d for x in row] + [report.scalar_curv, c]
     assert all(type(x) is F for x in entries)
     assert_closed_forms(alg, gram, report)
 

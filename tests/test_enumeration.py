@@ -1,8 +1,10 @@
 """Structured flag survey: completeness, consistency, duality counts."""
 
 import dataclasses
+import hashlib
 import itertools
 from collections import Counter
+from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
@@ -388,3 +390,28 @@ def test_invariants_complete_in_both_directions():
             for j in range(i + 1, len(groups)):
                 with pytest.raises(InequivalentFlagsError):
                     isometry_witness(p, q, groups[i][1][0], groups[j][1][0])
+
+
+# every (p, q) with 4 <= n <= 8, and three larger signatures
+PINNED_SURVEY_SIGNATURES = ([(p, n - p) for n in range(4, 9) for p in range(n + 1)]
+                            + [(6, 6), (8, 4), (10, 6)])
+PINNED_SURVEY_DIGEST = "bd2a803cb2b2626d2e2aa0773dcf080e4d8748752dac1edbba16849c4c74b0db"
+
+
+def survey_digest(signatures) -> str:
+    """sha256 over each survey's subspace count, its invariants in order, each with its
+    sample flags in order (basis entries written as `Fraction`s), and its sorted
+    matsuki tuples: the survey's values, whatever type an exact entry has."""
+    h = hashlib.sha256()
+    for p, q in signatures:
+        survey = survey_flags(p, q)
+        invariants = [(inv, [[[list(map(Fraction, v)) for v in part.basis]
+                              for part in (f.small, f.big)] for f in flags])
+                      for inv, flags in survey.invariants.items()]
+        h.update(repr((p, q, survey.subspace_count, invariants, sorted(survey.matsuki))).encode())
+    return h.hexdigest()
+
+
+def test_surveys_are_pinned():
+    # the surveys keep their values, sample flags and their order included
+    assert survey_digest(PINNED_SURVEY_SIGNATURES) == PINNED_SURVEY_DIGEST

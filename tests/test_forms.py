@@ -285,17 +285,19 @@ def test_contains_subspace_agrees_with_per_vector_oracle(data, cut):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=degenerate_gram_and_vectors())
-def test_exact_kernels_return_fractions_on_fraction_input(data):
+def test_exact_kernels_return_canonical_entries_on_fraction_input(data):
+    # the products are canonical; `invert`, a rational solver, still returns `Fraction`s
     space, vectors = data
     entries = [x for row in space.pairing(vectors, vectors) for x in row]
     entries += [x for row in restrict(space, Subspace.spanned_by(vectors, space.dim)) for x in row]
     entries += linalg.combine([(1, 0, F(1, 2))[i % 3] for i in range(len(vectors))], vectors)
     entries += linalg.combine([0] * len(vectors), vectors)
+    assert strategies.canonical_entries(entries)
     try:
-        entries += [x for row in linalg.invert(linalg.mat(space.gram)) for x in row]
+        inverse = linalg.invert(linalg.mat(space.gram))
     except linalg.SingularMatrixError:
-        pass
-    assert all(type(x) is F for x in entries)
+        inverse = []
+    assert all(type(x) is F for row in inverse for x in row)
 
 
 # entry kinds for the int arithmetic of combine, primitive_vector and pairing:
@@ -334,28 +336,25 @@ def hard_grams(draw, n):
     return tuple(tuple(row) for row in gram)
 
 
-def typed(values):
-    return [(x, type(x)) for x in values]
-
-
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_int_arithmetic_agrees_with_the_fraction_oracles(data):
-    # equal values; combine gives Fraction entries, primitive_vector and
-    # pairing the oracles' per-entry types; empty and zero inputs included
+    # equal values, and canonical entries; empty and zero inputs included
     n = data.draw(st.integers(0, 6))
     vectors = data.draw(st.lists(hard_vectors(n), max_size=5))
     coeff = data.draw(st.sampled_from([*ENTRY_KINDS, MIXED_ENTRIES]))
     coeffs = [data.draw(coeff) for _ in vectors]
     combined = linalg.combine(coeffs, vectors)
     assert combined == oracles.fraction_combine(coeffs, vectors)
-    assert all(type(x) is F for x in combined)
+    assert strategies.canonical_entries(combined)
     for v in vectors:
-        assert typed(linalg.primitive_vector(v)) == typed(oracles.fraction_primitive_vector(v))
+        primitive = linalg.primitive_vector(v)
+        assert primitive == oracles.fraction_primitive_vector(v)
+        assert all(type(x) is int for x in primitive)
     space = QuadraticSpace(data.draw(hard_grams(n)))
     got = space.pairing(vectors, vectors[::-1])
-    want = oracles.fraction_pairing(space, vectors, vectors[::-1])
-    assert [typed(row) for row in got] == [typed(row) for row in want]
+    assert got == oracles.fraction_pairing(space, vectors, vectors[::-1])
+    assert strategies.canonical_entries(got)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

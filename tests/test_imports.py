@@ -62,6 +62,11 @@ whose `Fraction(token)` reads a token that its regex has already matched.
 target.  The one exception is `cli._parse_flag_spec`, whose vectors are
 parsed user text that must fail with `MatrixFormatError`.
 
+Every true division in `src/heisflag` is exact: no module has a `/` or `/=`
+outside `linalg.ratio`, the exact `Fraction(a, b)`, so no quotient of two
+`int`s becomes a float.  The one exception is the last line of
+`witness._assemble`, which rounds each finished entry to binary64.
+
 `curvature_report` reads flatness off the theorem in the `curvature`
 docstring: its body names none of `riemann`, `_riemann` and `is_flat`, so it
 builds and scans no Riemann table.
@@ -544,6 +549,44 @@ def test_checker_flags_frame_code_in_the_witness():
 
 def test_witness_keeps_only_float_assembly():
     assert frame_code((SRC / "witness.py").read_text()) == []
+
+
+def true_divisions(name: str, source: str) -> list[str]:
+    """`line n: expression` for each `/` or `/=` in module `name`, outside `linalg.ratio`
+    and the last statement of `witness._assemble`, in line order."""
+    tree = ast.parse(source)
+    allowed = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and (name, stmt.name) == ("linalg.py", "ratio"):
+            allowed.update(map(id, ast.walk(stmt)))
+        elif isinstance(stmt, ast.FunctionDef) and (name, stmt.name) == ("witness.py", "_assemble"):
+            allowed.update(map(id, ast.walk(stmt.body[-1])))
+    found = [node for node in ast.walk(tree) if isinstance(node, (ast.BinOp, ast.AugAssign))
+             and isinstance(node.op, ast.Div) and id(node) not in allowed]
+    return [f"line {node.lineno}: {ast.unparse(node)}"
+            for node in sorted(found, key=lambda node: (node.lineno, node.col_offset))]
+
+
+def test_checker_flags_a_true_division():
+    source = (SRC / "witness.py").read_text()
+    anchor = "        r = linalg.ratio(m2, m1)\n"
+    assert source.count(anchor) == 1
+    line = source[:source.index(anchor)].count("\n") + 1
+    assert true_divisions("witness.py", source.replace(anchor, "        r = m2 / m1\n")) == [
+        f"line {line}: m2 / m1"]
+    # the rounding is the exception only in the last statement of `_assemble`
+    early = anchor + "        t = r / (1 << SQRT_BITS)\n"
+    assert true_divisions("witness.py", source.replace(anchor, early)) == [
+        f"line {line + 1}: r / (1 << SQRT_BITS)"]
+    ratio = "def ratio(a, b):\n    return a / b\n\n\ndef half(x):\n    x /= 2\n    return x\n"
+    assert true_divisions("linalg.py", ratio) == ["line 6: x /= 2"]
+    assert true_divisions("forms.py", ratio) == ["line 2: a / b", "line 6: x /= 2"]
+    assert true_divisions("curvature.py", "def f(a, b):\n    return a // b + ratio(a, b)\n") == []
+
+
+def test_every_division_is_exact():
+    found = {p.name: true_divisions(p.name, p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 TENSOR_NAMES = ("riemann", "_riemann", "is_flat")

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from heisflag import linalg
+from heisflag.forms import QuadraticSpace, restrict
 from heisflag.heisenberg import (
     act_on_metric,
     admissible_classes,
@@ -36,7 +37,8 @@ from heisflag.linalg import (
     zeros,
 )
 from heisflag.sampling import random_flag
-from strategies import random_symmetric
+import strategies
+from strategies import canonical_entries, random_symmetric
 
 
 def random_invertible(rng, n):
@@ -176,7 +178,8 @@ def test_solve_consistent_and_inconsistent():
 
 
 def fraction_entries(x) -> bool:
-    """True iff every leaf of nested lists and tuples is a `Fraction`."""
+    """True iff every leaf of nested lists and tuples is a `Fraction`: the results of
+    the routines that still return `Fraction`s (`invert`, `solve`, the congruence's)."""
     if isinstance(x, (list, tuple)):
         return all(fraction_entries(y) for y in x)
     return type(x) is F
@@ -191,7 +194,7 @@ def test_int_input_stays_exact():
     assert res.diagonal == (F(3), F(8, 3), F(0)) and res.sign_counts() == (2, 0, 1)
     assert fraction_entries(res.transform)
     assert kernel([[1, 2], [2, 4]]) == [(F(2), F(-1))]
-    assert fraction_entries(kernel([[1, 2], [2, 4]]))
+    assert canonical_entries(kernel([[1, 2], [2, 4]]))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +383,8 @@ def test_int_input_gives_the_fraction_results(data):
     b = data.draw(st.lists(st.integers(-9, 9), min_size=rows, max_size=rows))
     got = (kernel(m), linalg.row_space(m), linalg.solve(m, tuple(b)))
     assert got == (kernel(fm), linalg.row_space(fm), linalg.solve(fm, vec(b)))
-    assert rank(m) == rank(fm) and fraction_entries([x for x in got if x is not None])
+    assert rank(m) == rank(fm) and canonical_entries(got[:2])
+    assert got[2] is None or fraction_entries(got[2])
     if square:
         try:
             inverse = invert(m)
@@ -572,8 +576,10 @@ def test_integer_elimination_agrees_with_the_fraction_oracle(m, data):
     got = elimination_results(m, b, split, target)
     with replaced_elimination():
         assert got == elimination_results(m, b, split, target)
-    # extend_to_independent (got[4]) returns input vectors; the rest are computed
-    assert fraction_entries([x for x in got[1:4] + got[5:] if isinstance(x, (F, list, tuple))])
+    # extend_to_independent (got[4]) returns input vectors; kernel and row_space
+    # are spans, and solve and invert still return `Fraction`s
+    assert canonical_entries(got[1:3])
+    assert fraction_entries([x for x in got[3:4] + got[5:] if isinstance(x, (F, list, tuple))])
     # each integer row is a nonzero rational multiple of the rational row
     a, pivots = linalg._forward(m)
     want, want_pivots = oracles.fraction_forward(m)
@@ -697,11 +703,11 @@ def test_combine_agrees_with_the_written_out_sum(data):
     n = data.draw(st.integers(1, 5))
     vectors = data.draw(degenerate_vectors(n, data.draw(st.integers(1, 4))))
     coeffs = [data.draw(ENTRIES) for _ in vectors]
-    assert linalg.combine(coeffs, vectors) == tuple(
-        sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(n))
+    combined = linalg.combine(coeffs, vectors)
+    assert combined == tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(n))
     ints = [tuple(int(x) for x in v) for v in vectors]
     int_coeffs = [int(c) for c in coeffs]
-    assert all(type(x) is F for x in linalg.combine(int_coeffs, ints))
+    assert canonical_entries(combined) and canonical_entries(linalg.combine(int_coeffs, ints))
     with pytest.raises(ShapeError):
         linalg.combine(coeffs + [1], vectors)
 
@@ -732,8 +738,52 @@ def test_products_agree_with_the_dense_oracles(data, kinds):
     v = tuple(data.draw(product_operand(1, k, kinds[0]))[0])
     image, want = linalg.mat_vec(m, v), oracles.dense_mat_vec(m, v)
     assert image == want and len(image) == r
-    assert fraction_entries(product) and fraction_entries(image)
+    assert canonical_entries(product) and canonical_entries(image)
     with pytest.raises(ShapeError, match=f"cannot multiply {r}x{k} by {k + 1}x"):
         mat_mul(a, b + [[0] * c])
     with pytest.raises(ShapeError, match=f"to vector of length {k + 1}"):
         linalg.mat_vec(m, v + (0,))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(drawn=strategies.degenerate_spaces_and_subspaces(), data=st.data())
+def test_switched_routines_are_canonical_and_agree_with_oracles(drawn, data):
+    # every product and span returns canonical entries, equal by value to its
+    # Fraction or dense oracle, on `int`, integral `Fraction` and rational input
+    space, subspaces = drawn
+    n = space.dim
+    vectors = [strategies.unit(n, i) for i in range(n)] + [v for w in subspaces for v in w.basis]
+    vectors += data.draw(st.lists(st.tuples(*[ENTRIES] * n), min_size=1, max_size=3))
+    coeffs = [data.draw(ENTRIES) for _ in vectors]
+    c = data.draw(ENTRIES)
+    u, v = data.draw(st.sampled_from(vectors)), data.draw(st.sampled_from(vectors))
+    fraction_space = QuadraticSpace(tuple(map(tuple, mat(space.gram))))
+    gram = [list(row) for row in space.gram]
+    with replaced_elimination():
+        spans = [(kernel(gram), linalg.row_space(vectors))]
+        spans += [(kernel(restrict(space, w)), linalg.row_space(w.basis)) for w in subspaces]
+    results = {
+        "combine": (linalg.combine(coeffs, vectors), oracles.fraction_combine(coeffs, vectors)),
+        "vec_add": (linalg.vec_add(u, v), oracles.fraction_combine((1, 1), (u, v))),
+        "vec_sub": (linalg.vec_sub(u, v), oracles.fraction_combine((1, -1), (u, v))),
+        "vec_scale": (linalg.vec_scale(c, u), oracles.fraction_combine((c,), (u,))),
+        "mat_mul": (mat_mul(vectors, gram), oracles.dense_mat_mul(vectors, gram)),
+        "mat_vec": (linalg.mat_vec(gram, u), oracles.dense_mat_vec(gram, u)),
+        "pairing": ([s.pairing(vectors, vectors[::-1]) for s in (space, fraction_space)],
+                    [oracles.fraction_pairing(s, vectors, vectors[::-1])
+                     for s in (space, fraction_space)]),
+        "inner": (space.inner(u, v), oracles.dense_inner(space, u, v)),
+        "restrict": ([restrict(s, w) for s in (space, fraction_space) for w in subspaces],
+                     [oracles.dense_restrict(s, w) for s in (space, fraction_space)
+                      for w in subspaces]),
+        "primitive_vector": ([linalg.primitive_vector(x) for x in vectors],
+                             [oracles.fraction_primitive_vector(x) for x in vectors]),
+        "kernel, row_space": ([(kernel(gram), linalg.row_space(vectors))]
+                              + [(kernel(restrict(space, w)), linalg.row_space(w.basis))
+                                 for w in subspaces], spans),
+        "lll_reduce": ([linalg.lll_reduce(w.basis) for w in subspaces],
+                       [oracles.recomputing_lll_reduce(w.basis) for w in subspaces]),
+    }
+    for name, (got, want) in results.items():
+        assert got == want, name
+        assert canonical_entries(got), name

@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ import pytest
 import heisflag
 import oracles
 from heisflag import heisenberg, sampling
+from heisflag.forms import Flag, Subspace
 from heisflag.heisenberg import admissible_classes
 
 SAMPLERS = ("cayley_opq", "plane_cayley_opq", "mild_opq", "random_opq", "random_flag",
@@ -61,6 +63,21 @@ for p, q in [(1, 1)]:
     assert out.stdout.splitlines() == ["flag shape (1, 0) needs 0 <= k1 < k2 <= n = 2"]
 
 
+def as_fractions(out):
+    """A Gram matrix or a flag with every exact entry written as a `Fraction`.
+
+    `random_gram` and `apply_to_flag` return the canonical entries of
+    `linalg`'s products and spans, `int` where integral; their pins were
+    taken when every entry was a `Fraction`, so they are digested by value.
+    A flag is rebuilt through the public `Subspace` and `Flag` constructors.
+    """
+    if isinstance(out, Flag):
+        n = out.big.ambient_dim
+        return Flag(*(Subspace(n, tuple(tuple(map(Fraction, v)) for v in part.basis))
+                      for part in (out.small, out.big)))
+    return [[Fraction(x) for x in row] for row in out]
+
+
 def seeded_outputs():
     """(label, output, rng): seeded draws of every sampler and the group action.
 
@@ -68,6 +85,7 @@ def seeded_outputs():
     `random_gram`, a `parabolic_sample`, an admissible row's representative
     moved twice by `act_on_metric`, a `random_opq`, and a `random_flag`
     moved by `apply_to_flag` of a `random_opq`, each from its own generator.
+    The `random_gram` and `apply_to_flag` outputs pass through `as_fractions`.
     """
     for n in (4, 5, 8, 12, 16):
         q = max(1, n // 3)
@@ -75,7 +93,7 @@ def seeded_outputs():
         rows = admissible_classes(p, q).classes
         for seed in range(3):
             rng = random.Random(seed)
-            yield f"({p},{q}) random_gram {seed}", sampling.random_gram(p, q, rng), rng
+            yield f"({p},{q}) random_gram {seed}", as_fractions(sampling.random_gram(p, q, rng)), rng
             rng = random.Random(seed)
             yield f"n={n} parabolic_sample {seed}", heisenberg.parabolic_sample(n, rng), rng
             rng = random.Random(seed)
@@ -90,7 +108,7 @@ def seeded_outputs():
             rng = random.Random(seed)
             f = sampling.random_flag(p, q, rng)
             yield (f"({p},{q}) apply_to_flag {seed}",
-                   sampling.apply_to_flag(sampling.random_opq(p, q, rng), f), rng)
+                   as_fractions(sampling.apply_to_flag(sampling.random_opq(p, q, rng), f)), rng)
 
 
 PINNED_OUTPUTS = {
