@@ -11,9 +11,9 @@ scaled system stands for its span: `extend_basis`, the one basis extension,
 takes no subspace and ranks only the system's null block.  The module that
 decides its layout also owns its pair slots: `adapted_frame` builds the
 flag-adapted frame that isometry witnesses assemble.  One kernel of
-<xs, ws> mapped through ws, `_annihilated`, serves `radical` (which
-`QuadraticSpace` caches for the whole space), the perps that the extension
-peels and the frame's cap of rad(big).
+<xs, ws> mapped through ws, `_annihilated`, serves `radical`, the perps
+that the extension peels and the frame's cap of rad(big); `QuadraticSpace`
+caches the radical of the whole space as one kernel of its Gram matrix.
 
 The form is evaluated in one place, `QuadraticSpace.pairing`, and every
 change from subspace coordinates to ambient ones is one `linalg.combine`.
@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from . import linalg
@@ -88,11 +88,15 @@ class QuadraticSpace:
 
     @classmethod
     def standard(cls, p: int, q: int) -> "QuadraticSpace":
-        """The standard space of signature (p, q): Gram = diag(+1 x p, -1 x q)."""
+        """The standard space of signature (p, q): Gram = diag(+1 x p, -1 x q).
+
+        p and q are checked before the cache, which builds each space once
+        per class and (p, q); it is `typed`, so a bool keeps its own entry.
+        """
         linalg.require_ints(p=p, q=q)
         if p < 0 or q < 0 or p + q == 0:
             raise PreconditionError("standard space needs p, q >= 0 with p + q >= 1")
-        return cls.from_matrix(linalg.diag([1] * p + [-1] * q))
+        return _standard_space(cls, p, q)
 
     @property
     def dim(self) -> int:
@@ -112,14 +116,19 @@ class QuadraticSpace:
 
     @cached_property
     def _radical(self) -> "Subspace":
-        # the Gram matrix never changes, so one kernel answers every call
-        return radical(self)
+        # the Gram matrix never changes, so one kernel of it answers every call
+        return Subspace._independent(self.dim, tuple(linalg.kernel(self.gram)))
 
     def is_nondegenerate(self) -> bool:
         return self._radical.dim == 0
 
     def ambient_radical(self) -> "Subspace":
         return self._radical
+
+
+@lru_cache(typed=True)
+def _standard_space(cls: type[QuadraticSpace], p: int, q: int) -> QuadraticSpace:
+    return cls.from_matrix(linalg.diag([1] * p + [-1] * q))
 
 
 @dataclass(frozen=True)
@@ -482,7 +491,8 @@ def scaled_system(space: QuadraticSpace, w: Subspace) -> ScaledSystem:
     res = linalg.congruence_diagonalize(restrict(space, w))
     cols = []
     for coeffs in linalg.transpose(res.transform):
-        v = linalg.primitive_vector(linalg.combine(coeffs, w.basis))
+        # a column's scale drops out of the primitive vector, so it is made primitive first
+        v = linalg.primitive_vector(linalg.combine(linalg.primitive_vector(coeffs), w.basis))
         cols.append((v, space.inner(v, v)))
     ordered = sorted(
         cols,
@@ -586,7 +596,7 @@ def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
     # exists exactly when the elimination keeps all of that part
     head = xs + ys + z_split
     u_basis = linalg.extend_to_independent(
-        list(rad_v.basis), head + [vec(row) for row in linalg.identity(n)], n)[rad_v.dim:]
+        list(rad_v.basis), head + [tuple(row) for row in linalg.identity(n)], n)[rad_v.dim:]
     if u_basis[:len(head)] != head:
         raise PreconditionError(
             "null vectors outside the ambient radical must be independent modulo it")
@@ -661,7 +671,8 @@ def adapted_frame(space: QuadraticSpace, f: Flag) -> ScaledSystem:
                              sys_small.norms)
 
     # extend to a system of the big part, working in big coordinates
-    space_big = QuadraticSpace.from_matrix(restrict(space, big))
+    # `restrict` returns canonical entries, which the space stores as they are
+    space_big = QuadraticSpace(tuple(map(tuple, restrict(space, big))))
     sys_small_b = ScaledSystem(tuple(big.coordinates_of(v) for v in sys_small.vectors),
                                sys_small.norms)
     sys_big_b = extend_basis(space_big, sys_small_b)

@@ -269,9 +269,9 @@ def _center_cells(row: MetricClass, p: int, q: int) -> tuple[LineSignature, ...]
 def representative(class_id: int, p: int, q: int) -> Matrix:
     """A canonical signature-(p, q) Gram matrix classifying to the given row.
 
-    Entries are 0 and +-1: the cells put +-1 on the diagonal and a pair's 1
-    off it, the free trailing slots get +1 then -1, and each radical cell
-    pairs with the next trailing slot.
+    Entries are the `int`s 0 and +-1: the cells put +-1 on the diagonal and
+    a pair's 1 off it, the free trailing slots get +1 then -1, and each
+    radical cell pairs with the next trailing slot.
     """
     row = _admissible_row(class_id, p, q)
     pp, qq = max(p, q), min(p, q)
@@ -282,18 +282,18 @@ def representative(class_id: int, p: int, q: int) -> Matrix:
     i = 0
     for cell in _center_cells(row, pp, qq):
         if cell is LineSignature.LIGHTLIKE:
-            g[i][i + 1] = g[i + 1][i] = Fraction(1)
+            g[i][i + 1] = g[i + 1][i] = 1
             i += 1
         elif cell is LineSignature.RADICAL:
             radical_dirs.append(i)
         else:
-            g[i][i] = Fraction(1) if cell is LineSignature.SPACELIKE else Fraction(-1)
+            g[i][i] = 1 if cell is LineSignature.SPACELIKE else -1
         i += 1
-    fill = [Fraction(1)] * (pp - s - u) + [Fraction(-1)] * (qq - t - u)
+    fill = [1] * (pp - s - u) + [-1] * (qq - t - u)
     for j, val in enumerate(fill, n - 2):
         g[j][j] = val
     for j, k in enumerate(radical_dirs, n - 2 + len(fill)):
-        g[k][j] = g[j][k] = Fraction(1)
+        g[k][j] = g[j][k] = 1
     if p < q:
         g = [[-x for x in row_] for row_ in g]
     return g

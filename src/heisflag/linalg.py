@@ -2,23 +2,23 @@
 
 Matrices are lists of row lists and vectors are tuples.  Input entries may
 be `int` or `fractions.Fraction`.  The products (`combine`, `mat_mul`,
-`mat_vec`, `vec_add`, `vec_sub`, `vec_scale`, `bilinear`) and the spans
-(`primitive_vector`, `kernel`, `row_space`, `lll_reduce`) return canonical
-entries: an `int` where the value is an integer, a `Fraction` (denominator
-> 1) where it is not.  The readers and constructors (`mat`, `vec`,
-`zeros`, `identity`, `diag`), `invert`, `solve` and `CongruenceResult`'s
-rationals return `Fraction`s, and `integer_inverse` an `int` matrix and
-denominator.  Every true division is `ratio`, the exact `Fraction(a, b)`,
-so no quotient of two `int`s becomes a float.  All routines are pure and
-exact: no floating point, no tolerances.
+`mat_vec`, `vec_add`, `vec_sub`, `vec_scale`, `bilinear`), the spans
+(`primitive_vector`, `kernel`, `row_space`, `lll_reduce`), the constructors
+`zeros`, `identity` and `diag`, and `solve` return canonical entries: an
+`int` where the value is an integer, a `Fraction` (denominator > 1) where
+it is not.  The readers `mat` and `vec`, `invert` and `CongruenceResult`'s
+rationals (`diagonal`, `moves`, `transform`) return `Fraction`s, and
+`integer_inverse` an `int` matrix and denominator.  Every true division is
+`ratio`, the exact `Fraction(a, b)`, so no quotient of two `int`s becomes a
+float.  All routines are pure and exact: no floating point, no tolerances.
 This module is the one exact input boundary.  An entry is an `int` or a
 `Fraction`; `bool` is an `int` (True is 1) and is read as one.  Any other
 entry (a float, a str, None) raises `EntryTypeError`, a `ShapeError` that
 names its position and type, from `_int_rows` (the one reader that scales
 rows to integers, behind every elimination, `scaled_to_int`,
 `primitive_vector` and `lll_reduce`), from `_accumulate` (the one product
-loop, which reads only the entries it multiplies: it skips zeros, and the
-vector of a zero coefficient) or from `vec` and `mat` (which never parse
+loop, which reads the type of every entry, a zero one and the vector of a
+zero coefficient included) or from `vec` and `mat` (which never parse
 strings or floats).  `shape` is the one reader of row lengths: every
 check of a matrix's dimensions, and of rows of one length, goes through
 it, so a row that is not a sequence (a number, None, a set or a dict)
@@ -26,9 +26,11 @@ raises a `ShapeError` that names it.  A vector argument's length is read
 once as well, and one that is not a sequence is named as that argument.
 `require_ints` names an integer parameter that is not an `int`, and
 `require_gram` is the one square-and-symmetric check.
-Every product is one loop, `_accumulate`: `int` entries take part as they
-are, integral `Fraction`s as their numerators, zeros are skipped and an
-integral sum comes back an `int`, so `int`s flow on to the next product.
+Every product is one loop, `_accumulate`: it reads entry types a whole
+vector at a time (`_INTS.issuperset(map(type, v))`) and sums in `int`, a
+`Fraction` input as numerators over a common denominator that divides each
+finished entry once; zero coefficients are skipped and an integral sum
+comes back an `int`, so `int`s flow on to the next product.
 One fraction-free elimination serves `rank`, `kernel`, `row_space`,
 `solve`, `invert` and `extend_to_independent`: `_forward` takes each row
 scaled to integers by `_int_rows` and replaces a row by
@@ -60,14 +62,17 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 from operator import index
 
-Vector = tuple[int | Fraction, ...]  # canonical from the products and spans; `Fraction` from `vec`
+Vector = tuple[int | Fraction, ...]  # canonical from the products, spans and `solve`; `Fraction` from `vec`
 Matrix = list[list[int | Fraction]]
 
 LLL_DELTA = Fraction(3, 4)  # Lovasz condition constant of `lll_reduce`
 _SEQUENCES = frozenset((list, tuple))  # the row and vector types read without an isinstance test
+_INTS = frozenset((int,))  # `_INTS.issuperset(map(type, v))`: every entry of v an `int`, read at C speed
+_EXACT = frozenset((int, Fraction))  # the entry types that need no denominator read to be checked
 
 
 class ShapeError(ValueError):
@@ -154,18 +159,19 @@ def zeros(r: int, c: int) -> Matrix:
     require_ints(rows=r, columns=c)
     if r < 0 or c < 0:
         raise ShapeError(f"no matrix has {r} rows and {c} columns")
-    return [[Fraction(0)] * c for _ in range(r)]
+    return [[0] * c for _ in range(r)]
 
 
 def identity(n: int) -> Matrix:
     m = zeros(n, n)
     for i in range(n):
-        m[i][i] = Fraction(1)
+        m[i][i] = 1
     return m
 
 
 def diag(values: Sequence | Iterator) -> Matrix:
-    vals = vec(values)
+    """The diagonal matrix of the values, read by `vec`, with canonical entries."""
+    vals = [x.numerator if x.denominator == 1 else x for x in vec(values)]
     m = zeros(len(vals), len(vals))
     for i, v in enumerate(vals):
         m[i][i] = v
@@ -236,29 +242,49 @@ def vec_scale(c, v: Vector) -> Vector:
 
 
 def _accumulate(coeffs: Sequence, vectors: Sequence[Sequence], length: int) -> list:
-    """sum_k c_k v_k as `length` canonical entries, skipping zero coefficients and entries.
+    """sum_k c_k v_k as `length` canonical entries, summed in `int`, skipping zero coefficients.
 
-    An `int` entry, coefficient or vector entry, takes part as it is, with
-    no property read, and an integral `Fraction` as its `int` numerator; the
-    others stay `Fraction`, so the sum is exact either way.  A sum that is
-    an integer comes back as an `int`, so a caller can feed the entries to
-    another sum.  Both callers hand in vectors that `shape` has read, each
-    of `length` entries.  An entry that it multiplies and that is neither
+    The type of every entry is read at C speed by
+    `_INTS.issuperset(map(type, ...))`.  When every coefficient and every
+    vector entry is an `int`, the sum is a plain `a + c * x` per nonzero
+    coefficient.  Otherwise each term is read as (n_k / d_k) V_k, V_k the
+    vector's numerators over the lcm of its denominators, and summed in
+    `int` over D, the lcm of the d_k; no `Fraction` is built until each
+    finished entry is divided by D once.  The vector of a zero coefficient
+    is read and not multiplied: its types, and its denominators unless
+    every entry is an `int` or a `Fraction`.
+    Either way an integral entry comes back as an `int`, so a caller can
+    feed the entries to another sum.  Both callers hand in vectors that
+    `shape` has read, each of `length` entries.  An entry that is neither
     an `int` nor has a denominator raises `EntryTypeError`, at position
     (0, k) for coefficient k and (k + 1, j) for entry j of vector k.
     """
     acc = [0] * length
     try:
+        ints = _INTS.issuperset(map(type, coeffs))
+        if ints and _INTS.issuperset(map(type, chain.from_iterable(vectors))):
+            for c, v in zip(coeffs, vectors):
+                if c:
+                    acc = [a + c * x for a, x in zip(acc, v)]
+            return acc
+        terms = []
         for c, v in zip(coeffs, vectors):
-            if c:
-                if type(c) is not int and c.denominator == 1:
-                    c = c.numerator
-                acc = [(a + c * x if type(x) is int else
-                        a + c * (x.numerator if x.denominator == 1 else x)) if x else a
-                       for a, x in zip(acc, v)]
+            n, d = (c, 1) if ints else (c.numerator, c.denominator)
+            if _INTS.issuperset(map(type, v)):
+                if n:
+                    terms.append((n, d, v))
+            elif n:
+                s = lcm(*(x.denominator for x in v))
+                terms.append((n, d * s, [x.numerator * (s // x.denominator) for x in v]))
+            elif not _EXACT.issuperset(map(type, v)):
+                lcm(*(x.denominator for x in v))  # an entry with no denominator raises
     except (AttributeError, TypeError):
         raise _entry_error([coeffs, *vectors]) from None
-    return [a if type(a) is int or a.denominator != 1 else a.numerator for a in acc]
+    den = lcm(*(d for _, d, _ in terms))
+    for n, d, v in terms:
+        w = n * (den // d)
+        acc = [a + w * x for a, x in zip(acc, v)]
+    return acc if den == 1 else [a // den if not a % den else Fraction(a, den) for a in acc]
 
 
 def combine(coeffs: Sequence, vectors: Sequence[Sequence]) -> Vector:
@@ -318,7 +344,7 @@ def _int_rows(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     rows, scales = [], []
     try:
         for row in m:
-            if all(type(x) is int for x in row):
+            if _INTS.issuperset(map(type, row)):
                 rows.append(list(row))
                 scales.append(1)
                 continue
@@ -423,7 +449,9 @@ class CongruenceResult:
 
     @cached_property
     def transform(self) -> Matrix:
-        cols = identity(self._n)  # cols[j] is column j of P
+        zero, one = Fraction(0), Fraction(1)
+        # cols[j] is column j of P
+        cols = [[one if r == j else zero for r in range(self._n)] for j in range(self._n)]
         for kind, k, arg in self.moves:
             if kind == "swap":
                 cols[k], cols[arg] = cols[arg], cols[k]
@@ -685,6 +713,7 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     Read off the `_reduce` rows of [A | b]: the system is inconsistent iff
     a pivot lands in the last column, and otherwise x_c is the last entry of
     the row with pivot column c over that pivot, and every free x_c is 0.
+    The entries are canonical: an exact quotient is an `int`.
     """
     rows, cols = shape(a)
     if _vector_length(b, "b") != rows:
@@ -692,9 +721,10 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     reduced, pivots = _reduce([[*row, bv] for row, bv in zip(a, b)])
     if pivots and pivots[-1] == cols:
         return None
-    x = [Fraction(0)] * cols
+    x = [0] * cols
     for row, c in zip(reduced, pivots):
-        x[c] = Fraction(row[cols], row[c])
+        q, r = divmod(row[cols], row[c])
+        x[c] = Fraction(row[cols], row[c]) if r else q
     return tuple(x)
 
 

@@ -11,10 +11,13 @@ either frame is scaled by a positive factor, because its norm, and so its
 square root, absorbs that factor.  A frame is orthogonal with known norms,
 C2^T I_pq C2 = diag(m2), so C2^{-1} = diag(m2)^{-1} C2^T I_pq and nothing
 is eliminated after the frames are built.  Everything is exact until one
-rounding per entry: the frame's norms may be `int`s, so `linalg.ratio`
-divides them exactly, each square root is an integer square root at 256
-fraction bits, each entry of g is summed exactly from those, and only the
-finished entry is rounded to binary64, the module's one float division.
+rounding per entry, and in `int`: each frame is scaled to `int` rows once,
+`linalg.ratio` divides the norms exactly, each square root is an integer
+square root at 256 fraction bits and is folded with 1 / m2 into one
+integer over a common denominator, each entry of g is an `int` sum of
+those, and only the finished entry is rounded to binary64 by an
+`int / int` division, the module's one float division.  The module names
+no `Fraction`.
 
 Residuals are always checked: a witness outside tolerance raises instead of
 being returned silently.
@@ -30,7 +33,7 @@ annotations`.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, lcm
 
 from . import linalg
 from .forms import (
@@ -82,29 +85,38 @@ def subspace_distance(vectors1, vectors2) -> float:
 
 
 def _assemble(p: int, frame1, frame2) -> np.ndarray:
-    """g = C1 . diag(sqrt(m2_k / m1_k)) . C2^{-1} from two adapted frames.
+    """g = C1 . diag(sqrt(m2_k / m1_k)) . C2^{-1} from two adapted frames, in `int`.
 
     The columns of C1 and C2 are the frames' `.vectors`, m1 and m2 their
     `.norms`.  In the standard (p, q) space C2^T I_pq C2 = diag(m2), so
     C2^{-1} = diag(m2)^{-1} C2^T I_pq: row k is (I_pq c2_k)^T / m2_k, read
-    off the frame with no elimination.  Column j of g is then one
-    combination of the columns c1_k.  The ratios are exact and positive; each
-    square root is truncated to SQRT_BITS fraction bits by an integer square
-    root, each entry is summed exactly and rounded to binary64 once (the
-    last line divides an `int` or a `Fraction`, correctly rounded either
-    way), so cancellation between large frame entries cannot contaminate it.
+    off the frame with no elimination.  Each frame is scaled to `int` rows
+    once, L1 C1 and L2 C2 (`linalg.scaled_to_int`).  The ratios are exact and
+    positive; each square root is truncated to SQRT_BITS fraction bits by an
+    integer square root t_k, and t_k / m2_k is folded into one integer w_k
+    over the common denominator d = lcm(|numerator of m2_k|).  Column j of
+    g is then one `int` combination of the columns of L1 C1, over
+    D = d L1 L2 2^SQRT_BITS, and each finished entry is rounded to binary64
+    once, by the `int / int` division of the last statement, which is
+    correctly rounded as a `Fraction`'s is, so cancellation between large
+    frame entries cannot contaminate it.
     """
     import numpy as np
 
-    rows = []  # row k of diag(sqrt(m2 / m1)) C2^{-1}, times 2^SQRT_BITS
-    for c2, m1, m2 in zip(frame2.vectors, frame1.norms, frame2.norms):
+    c1, l1 = linalg.scaled_to_int(frame1.vectors)
+    c2, l2 = linalg.scaled_to_int(frame2.vectors)
+    d = lcm(*(m2.numerator for m2 in frame2.norms))
+    rows = []  # row k of diag(sqrt(m2 / m1)) C2^{-1}, times d L2 2^SQRT_BITS
+    for c2_k, m1, m2 in zip(c2, frame1.norms, frame2.norms):
         r = linalg.ratio(m2, m1)
         if r <= 0:
             raise WitnessFailureError("adapted frames disagree on norm signs")
-        s = linalg.ratio(isqrt((r.numerator << 2 * SQRT_BITS) // r.denominator), m2)
-        rows.append([s * x if j < p else -s * x for j, x in enumerate(c2)])
-    g_cols = [linalg.combine(coeffs, frame1.vectors) for coeffs in zip(*rows)]
-    return np.array([[float(x / (1 << SQRT_BITS)) for x in row] for row in zip(*g_cols)])
+        w = (isqrt((r.numerator << 2 * SQRT_BITS) // r.denominator)
+             * m2.denominator * (d // m2.numerator))
+        rows.append([w * x if j < p else -w * x for j, x in enumerate(c2_k)])
+    g_cols = [linalg.combine(coeffs, c1) for coeffs in zip(*rows)]
+    den = d * l1 * l2 << SQRT_BITS
+    return np.array([[x / den for x in row] for row in zip(*g_cols)])
 
 
 def isometry_witness(p: int, q: int, f1: Flag, f2: Flag) -> np.ndarray:

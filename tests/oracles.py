@@ -36,9 +36,11 @@ Deliberately separate from the package's fast paths:
   entries, made a canonical row space, which `forms.radical` replaced by
   the kernel of W's Gram matrix mapped through W's basis;
 - witness assembly: the 256-bit mpmath assembly of g from two adapted frames
-  that the integer square-root assembly in `heisflag.witness` replaced, and
+  that the integer square-root assembly in `heisflag.witness` replaced;
   that assembly with C2^{-1} from a Gauss-Jordan inverse, which reading it
-  off the frame's norms replaced;
+  off the frame's norms replaced; and that reading in `Fraction`s
+  (`fraction_assemble`), which one `int` sum per entry over a common
+  denominator replaced;
 - products: the dense `mat_mul` and `mat_vec` loops, which sum every
   product, zeros included, and which one `linalg.combine` per row or
   vector replaced;
@@ -907,6 +909,22 @@ def mpmath_assemble(frame1, frame2):
                         acc += hp(c1[i][k] * c2_inv[k][j]) * scale[k]
                 g[i, j] = float(acc)
     return g
+
+
+def fraction_assemble(p, frame1, frame2):
+    """g = C1 . diag(sqrt(m2_k / m1_k)) . C2^{-1} with C2^{-1} = diag(m2)^{-1} C2^T I_pq,
+    each row of it a `Fraction` multiple of c2_k, summed by `linalg.combine` over the
+    frame's own entries; each entry, an `int` or a `Fraction`, is divided by
+    2^SQRT_BITS and rounded to binary64 once."""
+    rows = []  # row k of diag(sqrt(m2 / m1)) C2^{-1}, times 2^SQRT_BITS
+    for c2, m1, m2 in zip(frame2.vectors, frame1.norms, frame2.norms):
+        r = linalg.ratio(m2, m1)
+        if r <= 0:
+            raise WitnessFailureError("adapted frames disagree on norm signs")
+        s = linalg.ratio(isqrt((r.numerator << 2 * SQRT_BITS) // r.denominator), m2)
+        rows.append([s * x if j < p else -s * x for j, x in enumerate(c2)])
+    g_cols = [linalg.combine(coeffs, frame1.vectors) for coeffs in zip(*rows)]
+    return np.array([[float(x / (1 << SQRT_BITS)) for x in row] for row in zip(*g_cols)])
 
 
 def invert_assemble(frame1, frame2):

@@ -7,8 +7,9 @@ purpose in the standard space of signature (p, q).  The seeded helpers
 `random_symmetric` and `random_nondegenerate_symmetric` draw rational
 symmetric matrices for the congruence and curvature tests.
 `canonical_entries` is the check that the tests apply to the results of
-`linalg`'s products and spans: each entry an `int` where it is integral and
-a `Fraction` where it is not.
+`linalg`'s products, spans, constructors and `solve`, and of
+`representative`: each entry an `int` where it is integral and a `Fraction`
+where it is not.
 """
 
 import random

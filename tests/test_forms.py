@@ -357,6 +357,29 @@ def test_int_arithmetic_agrees_with_the_fraction_oracles(data):
     assert strategies.canonical_entries(got)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=strategies.degenerate_spaces_and_subspaces())
+def test_cached_radical_is_one_kernel_of_the_gram(data):
+    # the space's own radical, one kernel of its Gram matrix, is the radical
+    # of the whole space that `forms.radical` maps through the unit vectors
+    space, _ = data
+    fresh = QuadraticSpace.from_matrix(space.gram)
+    assert fresh._radical == radical(fresh) and space.ambient_radical() == radical(space)
+    assert strategies.canonical_entries(fresh._radical.basis)
+
+
+def test_standard_space_is_built_once_and_keeps_refusing_floats():
+    assert QuadraticSpace.standard(3, 2) is QuadraticSpace.standard(3, 2)
+    assert QuadraticSpace.standard(3, 2) == QuadraticSpace.from_matrix(
+        linalg.diag([1, 1, 1, -1, -1]))
+    assert QuadraticSpace.standard(2, 2).is_nondegenerate()
+    for p in (2.0, F(2), "2"):
+        with pytest.raises(PreconditionError, match="p must be an int"):
+            QuadraticSpace.standard(p, 2)
+    with pytest.raises(PreconditionError, match="q must be an int, not a list"):
+        QuadraticSpace.standard(2, [])
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=strategies.degenerate_flags(codim_two=True) | strategies.degenerate_flags())
 def test_bases_independent_by_construction_pass_the_rank_check(data):
@@ -372,8 +395,10 @@ def test_bases_independent_by_construction_pass_the_rank_check(data):
         return cls(ambient_dim, basis)
 
     with mock.patch.object(Subspace, "_independent", classmethod(validating)):
-        # a fresh space, so that its radical is built under the patch too
-        assert forms.adapted_frame(QuadraticSpace.standard(p, q), f) == frame
+        # a fresh space, not the cached standard one, so that its radical is
+        # built under the patch too
+        fresh = QuadraticSpace.from_matrix(QuadraticSpace.standard(p, q).gram)
+        assert forms.adapted_frame(fresh, f) == frame
         assert Subspace.spanned_by([*f.big.basis, *f.small.basis], p + q) == spanned
     assert calls
 

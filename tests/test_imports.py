@@ -66,6 +66,8 @@ Every true division in `src/heisflag` is exact: no module has a `/` or `/=`
 outside `linalg.ratio`, the exact `Fraction(a, b)`, so no quotient of two
 `int`s becomes a float.  The one exception is the last line of
 `witness._assemble`, which rounds each finished entry to binary64.
+`witness.py` assembles in `int` plus `linalg.ratio`: it imports no
+`fractions` and names no `Fraction`.
 
 `curvature_report` reads flatness off the theorem in the `curvature`
 docstring: its body names none of `riemann`, `_riemann` and `is_flat`, so it
@@ -587,6 +589,46 @@ def test_checker_flags_a_true_division():
 def test_every_division_is_exact():
     found = {p.name: true_divisions(p.name, p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def fraction_uses(source: str) -> list[str]:
+    """`line n: what` for each import of `fractions` and each `Fraction` a module names."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, "imports fractions") for alias in node.names
+                      if alias.name.split(".")[0] == "fractions"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fractions":
+            found.append((node.lineno, "imports fractions"))
+        elif isinstance(node, ast.alias) and node.name == "Fraction":
+            found.append((node.lineno, "names Fraction"))
+        elif isinstance(node, (ast.Name, ast.Attribute)) and "Fraction" in (
+                getattr(node, "id", None), getattr(node, "attr", None)):
+            found.append((node.lineno, "names Fraction"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_checker_flags_a_fraction_in_the_witness():
+    source = (SRC / "witness.py").read_text()
+    anchor = "        r = linalg.ratio(m2, m1)\n"
+    assert source.count(anchor) == 1 and source.count("from math import") == 1
+    line = source[:source.index(anchor)].count("\n") + 1
+    rebuilt = source.replace(anchor, "        r = Fraction(m2) / m1\n")
+    top = source[:source.index("from math import")].count("\n") + 1
+    imported = rebuilt.replace("from math import", "from fractions import Fraction\nfrom math import")
+    assert fraction_uses(imported) == [f"line {top}: imports fractions",
+                                       f"line {top}: names Fraction", f"line {line + 1}: names Fraction"]
+    assert fraction_uses("import fractions\n\nx = fractions.Fraction(1, 2)\n") == [
+        "line 1: imports fractions", "line 3: names Fraction"]
+    assert fraction_uses("from . import linalg\n\nx = linalg.Fraction(1, 2)\n") == [
+        "line 3: names Fraction"]
+    assert fraction_uses("from .linalg import Fraction as F\n") == ["line 1: names Fraction"]
+    assert fraction_uses("r = linalg.ratio(a, b)\nfraction = r.numerator\n") == []
+
+
+def test_witness_assembles_without_fractions():
+    # the assembly is `int` arithmetic plus `linalg.ratio`
+    assert fraction_uses((SRC / "witness.py").read_text()) == []
 
 
 TENSOR_NAMES = ("riemann", "_riemann", "is_flat")

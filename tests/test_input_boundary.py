@@ -14,12 +14,11 @@ malformed:
   (which is unhashable, so it must be named before a cache hashes it), a
   bool, a negative int or a class id out of range.
 The call must raise `PreconditionError`, `ShapeError` or
-`SingularMatrixError` (or a subclass), or return a correct value:
+`SingularMatrixError` (or a subclass), or return a correct value.  A product
+reads the type of every entry, a zero one and the vector of a zero
+coefficient included, so it has no exception of its own:
 - `bool` is read as the `int` it is, so a call with a bool must equal the
   call with that int;
-- a product reads only the entries it multiplies (it skips zeros, and the
-  vector of a zero coefficient), so a product that returns must equal the
-  product with the malformed entry replaced by 0;
 - `is_scaled_automorphism` answers False for a negative size n, which no
   matrix has.
 Any other return fails, and so does any other exception: `AttributeError`,
@@ -64,64 +63,63 @@ def witness(*args):
     return heisflag.isometry_witness(*args).tolist()
 
 
-# name: (callable, base arguments, the kind of each argument, whether it is a product)
+# name: (callable, base arguments, the kind of each argument)
 # kinds: M a matrix, G a matrix of fixed row count, N a matrix malformed in its
 # entries only, R a matrix malformed in its rows only, V a vector, W a vector of fixed length, E an entry, I an
 # integer parameter, O one that may be None, C a class id, L a list of integer
 # parameters, - left as it is
 TARGETS = {
-    "linalg.mat": (linalg.mat, (GRAM,), "M", False),
-    "linalg.shape": (linalg.shape, (GRAM,), "R", False),
-    "linalg.vec": (linalg.vec, (VEC,), "V", False),
-    "linalg.diag": (linalg.diag, (VEC,), "V", False),
-    "linalg.zeros": (linalg.zeros, (2, 3), "II", False),
-    "linalg.identity": (linalg.identity, (3,), "I", False),
-    "linalg.mat_mul": (linalg.mat_mul, (GRAM, GRAM), "MG", True),
-    "linalg.mat_vec": (linalg.mat_vec, (GRAM, VEC), "MW", True),
-    "linalg.combine": (linalg.combine, (VEC, GRAM), "WG", True),
-    "linalg.bilinear": (linalg.bilinear, ([VEC], GRAM, [VEC, VEC[::-1]]), "MGM", True),
-    "linalg.vec_add": (linalg.vec_add, (VEC, VEC[::-1]), "WW", True),
-    "linalg.vec_sub": (linalg.vec_sub, (VEC, VEC[::-1]), "WW", True),
-    "linalg.vec_scale": (linalg.vec_scale, (3, VEC), "EV", True),
-    "linalg.primitive_vector": (linalg.primitive_vector, (VEC,), "V", False),
-    "linalg.scaled_to_int": (linalg.scaled_to_int, (GRAM,), "M", False),
-    "linalg.congruence_diagonalize": (linalg.congruence_diagonalize, (GRAM, 2), "GO", False),
-    "linalg.rank": (linalg.rank, (GRAM,), "M", False),
-    "linalg.kernel": (linalg.kernel, (GRAM,), "M", False),
-    "linalg.row_space": (linalg.row_space, (GRAM,), "M", False),
-    "linalg.invert": (linalg.invert, (GRAM,), "G", False),
-    "linalg.integer_inverse": (linalg.integer_inverse, (GRAM,), "G", False),
-    "linalg.solve": (linalg.solve, (GRAM, VEC), "GW", False),
-    "linalg.lll_reduce": (linalg.lll_reduce, (GRAM,), "M", False),
+    "linalg.mat": (linalg.mat, (GRAM,), "M"),
+    "linalg.shape": (linalg.shape, (GRAM,), "R"),
+    "linalg.vec": (linalg.vec, (VEC,), "V"),
+    "linalg.diag": (linalg.diag, (VEC,), "V"),
+    "linalg.zeros": (linalg.zeros, (2, 3), "II"),
+    "linalg.identity": (linalg.identity, (3,), "I"),
+    "linalg.mat_mul": (linalg.mat_mul, (GRAM, GRAM), "MG"),
+    "linalg.mat_vec": (linalg.mat_vec, (GRAM, VEC), "MW"),
+    "linalg.combine": (linalg.combine, (VEC, GRAM), "WG"),
+    "linalg.bilinear": (linalg.bilinear, ([VEC], GRAM, [VEC, VEC[::-1]]), "MGM"),
+    "linalg.vec_add": (linalg.vec_add, (VEC, VEC[::-1]), "WW"),
+    "linalg.vec_sub": (linalg.vec_sub, (VEC, VEC[::-1]), "WW"),
+    "linalg.vec_scale": (linalg.vec_scale, (3, VEC), "EV"),
+    "linalg.primitive_vector": (linalg.primitive_vector, (VEC,), "V"),
+    "linalg.scaled_to_int": (linalg.scaled_to_int, (GRAM,), "M"),
+    "linalg.congruence_diagonalize": (linalg.congruence_diagonalize, (GRAM, 2), "GO"),
+    "linalg.rank": (linalg.rank, (GRAM,), "M"),
+    "linalg.kernel": (linalg.kernel, (GRAM,), "M"),
+    "linalg.row_space": (linalg.row_space, (GRAM,), "M"),
+    "linalg.invert": (linalg.invert, (GRAM,), "G"),
+    "linalg.integer_inverse": (linalg.integer_inverse, (GRAM,), "G"),
+    "linalg.solve": (linalg.solve, (GRAM, VEC), "GW"),
+    "linalg.lll_reduce": (linalg.lll_reduce, (GRAM,), "M"),
     "linalg.extend_to_independent": (
-        linalg.extend_to_independent, (GRAM[:1], GRAM[1:], 4), "MMI", False),
-    "QuadraticSpace": (heisflag.QuadraticSpace, (tuple(map(tuple, GRAM)),), "G", False),
-    "QuadraticSpace.from_matrix": (heisflag.QuadraticSpace.from_matrix, (GRAM,), "G", False),
-    "QuadraticSpace.standard": (heisflag.QuadraticSpace.standard, (2, 2), "II", False),
-    "Subspace": (heisflag.Subspace, (4, (VEC, (0, 1, 0, 0))), "IM", False),
-    "Subspace.spanned_by": (heisflag.Subspace.spanned_by, ([VEC, VEC], 4), "MI", False),
-    "Subspace.coordinate": (heisflag.Subspace.coordinate, (4, [0, 2]), "IL", False),
-    "Subspace.full": (heisflag.Subspace.full, (4,), "I", False),
-    "Signature": (heisflag.Signature, (1, 2, 0), "III", False),
-    "possible_codim2_signatures": (heisflag.possible_codim2_signatures, (3, 2), "II", False),
-    "possible_line_signatures": (heisflag.possible_line_signatures, (1, 1, 0), "III", False),
-    "matsuki_data": (heisflag.matsuki_data, (FLAG, 2, 2), "-II", False),
-    "lightlike_split": (heisflag.lightlike_split, (SPACE, FLAG.big, (1, 0, 1, 0)), "--W", False),
-    "extend_nullsystem": (heisflag.extend_nullsystem, (SPACE, NULLS), "-M", False),
-    "HeisenbergAlgebra": (heisflag.HeisenbergAlgebra, (4,), "I", False),
-    "admissible_classes": (heisflag.admissible_classes, (3, 3), "II", False),
-    "survey_flags": (heisflag.survey_flags, (3, 3), "II", False),
-    "parabolic_sample": (heisflag.parabolic_sample, (4, 1), "I-", False),
-    "representative": (heisflag.representative, (7, 2, 2), "CII", False),
-    "representative_flag": (heisflag.representative_flag, (7, 2, 2), "CII", False),
-    "classify_metric": (heisflag.classify_metric, (ALG, GRAM), "-G", False),
-    "curvature_report": (heisflag.curvature_report, (ALG, GRAM), "-G", False),
-    "riemann": (heisflag.riemann, (ALG, GRAM), "-G", False),
-    "act_on_metric": (heisflag.act_on_metric, (BLOCK, GRAM), "GG", False),
-    "is_scaled_automorphism": (heisflag.is_scaled_automorphism, (BLOCK, 4), "NI", False),
-    "ScaledAutomorphism.from_matrix": (heisflag.ScaledAutomorphism.from_matrix, (BLOCK,), "G",
-                                       False),
-    "isometry_witness": (witness, (2, 2, FLAG, FLAG), "II--", False),
+        linalg.extend_to_independent, (GRAM[:1], GRAM[1:], 4), "MMI"),
+    "QuadraticSpace": (heisflag.QuadraticSpace, (tuple(map(tuple, GRAM)),), "G"),
+    "QuadraticSpace.from_matrix": (heisflag.QuadraticSpace.from_matrix, (GRAM,), "G"),
+    "QuadraticSpace.standard": (heisflag.QuadraticSpace.standard, (2, 2), "II"),
+    "Subspace": (heisflag.Subspace, (4, (VEC, (0, 1, 0, 0))), "IM"),
+    "Subspace.spanned_by": (heisflag.Subspace.spanned_by, ([VEC, VEC], 4), "MI"),
+    "Subspace.coordinate": (heisflag.Subspace.coordinate, (4, [0, 2]), "IL"),
+    "Subspace.full": (heisflag.Subspace.full, (4,), "I"),
+    "Signature": (heisflag.Signature, (1, 2, 0), "III"),
+    "possible_codim2_signatures": (heisflag.possible_codim2_signatures, (3, 2), "II"),
+    "possible_line_signatures": (heisflag.possible_line_signatures, (1, 1, 0), "III"),
+    "matsuki_data": (heisflag.matsuki_data, (FLAG, 2, 2), "-II"),
+    "lightlike_split": (heisflag.lightlike_split, (SPACE, FLAG.big, (1, 0, 1, 0)), "--W"),
+    "extend_nullsystem": (heisflag.extend_nullsystem, (SPACE, NULLS), "-M"),
+    "HeisenbergAlgebra": (heisflag.HeisenbergAlgebra, (4,), "I"),
+    "admissible_classes": (heisflag.admissible_classes, (3, 3), "II"),
+    "survey_flags": (heisflag.survey_flags, (3, 3), "II"),
+    "parabolic_sample": (heisflag.parabolic_sample, (4, 1), "I-"),
+    "representative": (heisflag.representative, (7, 2, 2), "CII"),
+    "representative_flag": (heisflag.representative_flag, (7, 2, 2), "CII"),
+    "classify_metric": (heisflag.classify_metric, (ALG, GRAM), "-G"),
+    "curvature_report": (heisflag.curvature_report, (ALG, GRAM), "-G"),
+    "riemann": (heisflag.riemann, (ALG, GRAM), "-G"),
+    "act_on_metric": (heisflag.act_on_metric, (BLOCK, GRAM), "GG"),
+    "is_scaled_automorphism": (heisflag.is_scaled_automorphism, (BLOCK, 4), "NI"),
+    "ScaledAutomorphism.from_matrix": (heisflag.ScaledAutomorphism.from_matrix, (BLOCK,), "G"),
+    "isometry_witness": (witness, (2, 2, FLAG, FLAG), "II--"),
 }
 
 BAD_ENTRIES = st.one_of(st.floats(), st.text(max_size=2), st.none(), st.booleans(),
@@ -142,7 +140,7 @@ def unordered(k):
 @st.composite
 def cases(draw):
     name = draw(st.sampled_from(sorted(TARGETS)))
-    _, base, kinds, _ = TARGETS[name]
+    _, base, kinds = TARGETS[name]
     i = draw(st.sampled_from([i for i, kind in enumerate(kinds) if kind != "-"]))
     kind, arg = kinds[i], base[i]
     if kind in "IOCE":
@@ -196,7 +194,7 @@ def malformed(arg, how, where, value):
 
 def call(case, value):
     name, i, how, where, _ = case
-    func, base, _, _ = TARGETS[name]
+    func, base, _ = TARGETS[name]
     args = list(base)
     args[i] = malformed(base[i], how, where, value)
     return func(*args)
@@ -256,6 +254,9 @@ FLOAT_GRAM = [[0.1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 @example(case=given_case("linalg.rank", 0, [{1, 2}, [1, 2]]))
 @example(case=given_case("linalg.kernel", 0, [{5: 1, 7: 2}]))
 @example(case=given_case("linalg.mat_vec", 1, {1, 2, 3, 4}))
+@example(case=given_case("linalg.mat_mul", 1, [[None, 0, 2, 0], *GRAM[1:]]))
+@example(case=given_case("linalg.vec_scale", 0, None))
+@example(case=given_case("linalg.combine", 1, [*GRAM[:2], [None, 0, 1, 0], GRAM[3]]))
 def test_malformed_input_raises_a_named_error(case):
     value = case[4]
     try:
@@ -266,8 +267,6 @@ def test_malformed_input_raises_a_named_error(case):
     assert name == "isometry_witness" or not holds_float(result), result
     if isinstance(value, bool):
         assert result == call(case, int(value))
-    elif how in ("entry", "value") and TARGETS[name][3]:  # a product's entry or coefficient
-        assert result == call(case, 0)
     elif name == "is_scaled_automorphism" and type(value) is int:
         assert value < 0 and result is False
     else:
@@ -371,6 +370,13 @@ def test_errors_name_the_entry_and_the_parameter():
         linalg.kernel([{5: 1, 7: 2}])
     with pytest.raises(ShapeError, match="v must be a vector, a sequence of entries, not a set"):
         linalg.mat_vec([[1, 2]], {1, 2})
+    # a product reads every entry, a falsy one and one under a zero coefficient too
+    with pytest.raises(linalg.EntryTypeError, match=r"entry \(1, 0\) is a NoneType"):
+        linalg.mat_mul([[1]], [[None]])
+    with pytest.raises(linalg.EntryTypeError, match=r"entry \(0, 0\) is a NoneType"):
+        linalg.vec_scale(None, (1, 2))
+    with pytest.raises(linalg.EntryTypeError, match=r"entry \(2, 1\) is a float"):
+        linalg.combine((1, 0), ((1, 2), (3, 0.0)))
     with pytest.raises(PreconditionError, match="p must be an int, not a list"):
         heisflag.admissible_classes([], 3)
     with pytest.raises(PreconditionError, match="p must be an int, not a list"):

@@ -1,6 +1,7 @@
 """Isometry witnesses: residuals, flag mapping, inequivalence rejection."""
 
 import hashlib
+import importlib.util
 import os
 import random
 import subprocess
@@ -290,6 +291,39 @@ def test_assembly_agrees_with_invert_oracle(data, mild, seed):
     f2 = sampling.apply_to_flag(opq(p, q, random.Random(seed)), f1)
     frames = (forms.adapted_frame(space, f1), forms.adapted_frame(space, f2))
     assert witness._assemble(p, *frames).tobytes() == oracles.invert_assemble(*frames).tobytes()
+
+
+def bench_flag_pair_ops(seeds):
+    """The flag-pairs operations of the benchmark's workload for these seeds, from
+    `bench/workloads.py` loaded as the module `bench_workloads`."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [op for seed in seeds for op in workloads.generate_flag_pairs(seed)]
+
+
+def test_int_assembly_agrees_with_the_fraction_oracle_on_the_bench_pairs():
+    # every equivalent pair of flag-pairs seeds 101-103 reaches the assembly,
+    # and the `int` sums over a common denominator give the bytes of the
+    # `Fraction` assembly they replaced
+    assemble = witness._assemble
+    compared = []
+
+    def both(p, frame1, frame2):
+        g = assemble(p, frame1, frame2)
+        compared.append(g.tobytes() == oracles.fraction_assemble(p, frame1, frame2).tobytes())
+        return g
+
+    ops = bench_flag_pair_ops([101, 102, 103])
+    with patch.object(witness, "_assemble", both):
+        for op in ops:
+            try:
+                op.call()
+            except (InequivalentFlagsError, WitnessFailureError):
+                pass
+    assert len(compared) == sum("inequivalent" not in op.label for op in ops)
+    assert all(compared)
 
 
 def test_witness_runs_without_mpmath():
