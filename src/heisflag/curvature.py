@@ -86,15 +86,32 @@ row i of Q is zero (i is neither a nor b): h_i s + c_i h = 0, so s is a
 multiple of h and Q = u h^T for some u.  Column i of Q gives h_i u = 0,
 so Q = 0.
 
-`curvature_report` evaluates these forms, and reads flatness off the
-theorem without building R; tests check the report against the general
-Koszul engine in `tests/oracles.py`, and the theorem against `riemann`.
+Both `riemann` and `curvature_report` read G once, as A = L G with `int`
+entries (L the lcm of G's denominators), and take from one fraction-free
+elimination of [A | e_a e_b] the two columns of A^{-1} that K needs: Ia
+and Ib over P, the lcm of the pivots, so that G^{-1} e_a = L Ia / P.  A
+is singular exactly when the left block has fewer than n pivots, and no
+full inverse is formed.  `curvature_report` evaluates the forms above in
+`int` over the one denominator 2 P^2.  With h now A e_0 (L times the h
+above), a00 = A_00, Delta = Ia_a Ib_b - Ia_b^2 (so delta = L^2 Delta / P^2)
+and the integer K with K e_a = Ib, K e_b = -Ia (so the true K is L K / P):
+
+    2 P^2 Ric_ij = Delta h_i h_j - [i, j in {a, b}] a00 P q_ij,
+                   q = [[Ib_b, -Ia_b], [-Ib_a, Ia_a]],
+    2 P^2 scal = -a00 L Delta,   c = 3 scal,
+    2 P^2 (D + c Id) = L Delta e_0 h^T + a00 L K^2,
+
+and each numerator becomes one `Fraction` at the end.  It reads flatness
+off the theorem without building R.  Tests check the report against the
+general Koszul engine and the `Fraction` evaluation it replaced, both in
+`tests/oracles.py`, and the theorem against `riemann`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .heisenberg import HeisenbergAlgebra
@@ -103,26 +120,26 @@ from .linalg import Matrix, PreconditionError, Vector, ratio
 RiemannTable = tuple[tuple[tuple[Vector, ...], ...], ...]
 
 
-def _checked_inverse(n: int, gram: Matrix) -> tuple[Matrix, Matrix]:
-    """G as `Fraction`s and G^{-1}, for a symmetric n x n G; PreconditionError names any fault."""
-    gram = linalg.mat(gram)
-    if len(gram) != n:
+def _read_gram(n: int, gram: Matrix) -> tuple[list[list[int]], int, tuple, tuple, int]:
+    """(A, L, Ia, Ib, P) for a symmetric, nondegenerate n x n G; PreconditionError names any fault.
+
+    G is read once, as A = L G in `int` (`linalg.scaled_to_int`), and
+    `require_gram` checks A.  One elimination of [A | e_a e_b] gives columns
+    a and b of A^{-1}, which are its rows a and b, as the `int` vectors Ia
+    and Ib over P > 0, the lcm of the pivots; so G^{-1} e_a = L Ia / P.
+    """
+    rows, scale = linalg.scaled_to_int(gram)
+    if len(rows) != n:
         raise PreconditionError(f"Gram matrix must be {n}x{n}")
-    linalg.require_gram(gram)
+    linalg.require_gram(rows)
     try:
-        return gram, linalg.invert(gram)
+        columns = linalg._inverse_rows(rows, (n - 2, n - 1))
     except linalg.SingularMatrixError:
         raise PreconditionError("curvature requires a nondegenerate Gram matrix, "
                                 "this one is singular")
-
-
-def _k_terms(g_inv: Matrix) -> tuple[dict, dict, dict]:
-    """The nonzero K e_m, K^2 e_m and <K e_i, K e_m> = omega(e_i, K e_m): i, m in {a, b}."""
-    a, b = len(g_inv) - 2, len(g_inv) - 1
-    k = {a: tuple(g_inv[b]), b: tuple(-x for x in g_inv[a])}
-    k2 = {m: linalg.combine((v[a], v[b]), (k[a], k[b])) for m, v in k.items()}
-    kk = {(i, m): k[m][b] if i == a else -k[m][a] for i in k for m in k}
-    return k, k2, kk
+    piv = lcm(*(p for _, p in columns))
+    ia, ib = zip(*((x * (piv // p), y * (piv // p)) for (x, y), p in columns))
+    return rows, scale, ia, ib, piv
 
 
 def riemann(alg: HeisenbergAlgebra, gram: Matrix) -> RiemannTable:
@@ -131,10 +148,14 @@ def riemann(alg: HeisenbergAlgebra, gram: Matrix) -> RiemannTable:
     The closed form of R(e_i, e_j) e_m, summing only nonzero terms.
     """
     n = alg.n
-    a = n - 2
-    gram, inverse = _checked_inverse(n, gram)
-    k, k2, kk = _k_terms(inverse)
-    g00, h = gram[0][0], gram[0]
+    a, b = n - 2, n - 1
+    rows, scale, ia, ib, piv = _read_gram(n, gram)
+    g00, h = ratio(rows[0][0], scale), [ratio(x, scale) for x in rows[0]]
+    # K e_a = G^{-1} e_b = L Ib / P and K e_b = -G^{-1} e_a; K^2 e_m;
+    # <K e_i, K e_m> = omega(e_i, K e_m)
+    k = {a: tuple(ratio(scale * x, piv) for x in ib), b: tuple(ratio(-scale * x, piv) for x in ia)}
+    k2 = {m: linalg.combine((v[a], v[b]), (k[a], k[b])) for m, v in k.items()}
+    kk = {(i, m): k[m][b] if i == a else -k[m][a] for i in k for m in k}
     zero = (0,) * n
     e0 = (1,) + zero[1:]
     out = [[(zero,) * n] * n for _ in range(n)]
@@ -181,31 +202,52 @@ class CurvatureReport:
 
 def curvature_report(alg: HeisenbergAlgebra, gram: Matrix,
                      check_soliton: bool = True) -> CurvatureReport:
-    """Full exact curvature summary for one Gram matrix, from the closed forms."""
+    """Full exact curvature summary for one Gram matrix, from the closed forms.
+
+    Evaluated in `int` over 2 P^2, with A, L, Ia, Ib and P from `_read_gram`:
+    every entry is an `int` numerator N, and one `Fraction(N, 2 P^2)` per
+    distinct N is the only rational built.
+    """
     n = alg.n
     a, b = n - 2, n - 1
-    gram, g_inv = _checked_inverse(n, gram)
-    k, k2, kk = _k_terms(g_inv)
-    g00, h = gram[0][0], gram[0]
-    delta = g_inv[a][a] * g_inv[b][b] - g_inv[a][b] ** 2
-    # Ric = -g_00 Q / 2 + delta h h^T / 2, Q zero outside the {a, b} block
-    ric = [[ratio(delta * x * y, 2) for y in h] for x in h]
-    for (i, m), q in kk.items():
-        ric[i][m] -= ratio(g00 * q, 2)
+    rows, scale, ia, ib, piv = _read_gram(n, gram)
+    h, a00 = rows[0], rows[0][0]
+    delta = ia[a] * ib[b] - ia[b] * ia[b]
+    two_p2 = 2 * piv * piv
+    shared = {0: Fraction(0)}  # one `Fraction` per distinct numerator: a mirror, and every zero
+
+    def over_2p2(x: int) -> Fraction:
+        f = shared.get(x)
+        if f is None:
+            f = shared[x] = Fraction(x, two_p2)
+        return f
+
+    # Ric = Delta h h^T - a00 P q, q = [[Ib_b, -Ia_b], [-Ib_a, Ia_a]] on {a, b}
+    dh = [delta * x for x in h]
+    ric = [[x * y for y in h] for x in dh]
+    ap = a00 * piv
+    ric[a][a] -= ap * ib[b]
+    ric[a][b] += ap * ia[b]
+    ric[b][a] += ap * ib[a]
+    ric[b][b] -= ap * ia[a]
+    scal = -a00 * scale * delta
     soliton = None
     if check_soliton:
-        c = ratio(-3 * g00 * delta, 2)
-        # D = g_00 K^2 / 2 + delta e_0 h^T / 2 - c Id
-        d = [[ratio(delta * x, 2) for x in h]] + [[Fraction(0)] * n for _ in range(n - 1)]
+        # D: row 0 is L Delta h, column m adds a00 L K^2 e_m (K e_a = Ib, K e_b = -Ia),
+        # and the diagonal loses c = 3 scal
+        d = [[scale * x for x in dh]] + [[0] * n for _ in range(n - 1)]
+        s = a00 * scale
+        if s:
+            for r, (x, y) in enumerate(zip(ia, ib)):
+                d[r][a] += s * (ib[a] * y - ib[b] * x)
+                d[r][b] += s * (ia[b] * x - ia[a] * y)
         for r in range(n):
-            d[r][r] -= c
-            for m in k:
-                d[r][m] += ratio(g00 * k2[m][r], 2)
-        soliton = (c, tuple(tuple(row) for row in d))
+            d[r][r] -= 3 * scal
+        soliton = (over_2p2(3 * scal), tuple(tuple(map(over_2p2, row)) for row in d))
     return CurvatureReport(
-        ricci=tuple(tuple(row) for row in ric),
-        scalar_curv=ratio(-g00 * delta, 2),
+        ricci=tuple(tuple(map(over_2p2, row)) for row in ric),
+        scalar_curv=over_2p2(scal),
         # the module docstring's flatness theorem: h zero on the center, or g_00 = 0 and B = 0
-        is_flat=not any(h[:a]) or g00 == 0 and not (g_inv[a][a] or g_inv[a][b] or g_inv[b][b]),
+        is_flat=not any(h[:a]) or a00 == 0 and not (ia[a] or ia[b] or ib[b]),
         soliton=soliton,
     )

@@ -6,7 +6,7 @@ be `int` or `fractions.Fraction`.  The products (`combine`, `mat_mul`,
 (`primitive_vector`, `kernel`, `row_space`, `lll_reduce`), the constructors
 `zeros`, `identity` and `diag`, and `solve` return canonical entries: an
 `int` where the value is an integer, a `Fraction` (denominator > 1) where
-it is not.  The readers `mat` and `vec`, `invert` and `CongruenceResult`'s
+it is not.  The readers `mat` and `vec` and `CongruenceResult`'s
 rationals (`diagonal`, `moves`, `transform`) return `Fraction`s, and
 `integer_inverse` an `int` matrix and denominator.  Every true division is
 `ratio`, the exact `Fraction(a, b)`, so no quotient of two `int`s becomes a
@@ -32,18 +32,22 @@ vector at a time (`_INTS.issuperset(map(type, v))`) and sums in `int`, a
 finished entry once; zero coefficients are skipped and an integral sum
 comes back an `int`, so `int`s flow on to the next product.
 One fraction-free elimination serves `rank`, `kernel`, `row_space`,
-`solve`, `invert` and `extend_to_independent`: `_forward` takes each row
-scaled to integers by `_int_rows` and replaces a row by
+`solve`, `integer_inverse` and `extend_to_independent`: `_forward` takes
+each row scaled to integers by `_int_rows` and replaces a row by
 (p * row - x * pivot row) / content, and `_reduce` clears upwards the same
 way.  It keeps only rows and pivot columns: nothing here needs a
 determinant.  Dividing by the content, not by the previous pivot as
 Bareiss does, keeps each row no larger than the rational row over a common
 denominator.  `kernel` and `row_space` return the content-free `int` rows;
-`solve` divides the last entry of each reduced row of [A | b] by its pivot,
-and `invert` divides each reduced row of [M | I] by its pivot, where
-`integer_inverse` keeps it in `int` as M / d, with d the lcm of the pivots,
-for callers that go on multiplying in `int` (the group action and the
-Cayley samplers).
+`solve` divides the last entry of each reduced row of [A | b] by its pivot.
+The inverse is read off the reduced rows of [M | e_u ...] by
+`_inverse_rows`, which appends only the unit columns its caller asks for
+and calls M singular when the left half has fewer than n pivots:
+`integer_inverse` appends all n and keeps the inverse in `int` as M / d,
+with d the lcm of the pivots, for callers that go on multiplying in `int`
+(the group action and the Cayley samplers), and the curvature report
+appends e_a and e_b alone, for the two columns of G^{-1} it reads.  No
+routine here returns a `Fraction` inverse.
 Signatures of symmetric matrices are obtained by congruence (never from
 eigenvalues): `congruence_diagonalize` is one symmetric elimination on
 content-reduced integer rows, each update computed on the upper triangle
@@ -675,20 +679,24 @@ def kernel(m: Matrix) -> list[Vector]:
     return basis
 
 
-def _inverse_rows(m: Matrix) -> list[tuple[list[int], int]]:
-    """Row r of the inverse as an `int` row and its divisor: (right half, pivot a_r)
-    of row r of the `_reduce` rows of [M | I].
+def _inverse_rows(m: Matrix, units: Sequence[int] | None = None) -> list[tuple[list[int], int]]:
+    """Row r of the inverse, at the columns `units` (all of them when None), as an
+    `int` row and its divisor: (right half, pivot a_r) of row r of the `_reduce`
+    rows of [M | e_u for u in units].
 
     When M is invertible the left half reduces to a diagonal of pivots, so
-    row r of the inverse is the right half of row r over a_r.  A singular M
-    leaves a pivot in the right half.
+    entry (r, u) of the inverse is the right half's entry for u over a_r.
+    M is singular exactly when the left half has fewer than n pivots; the
+    right half need not hold a pivot then, since the e_u may lie in M's
+    range.
     """
     n, c = shape(m)
     if n != c:
         raise ShapeError("inverse requires a square matrix")
-    a, pivots = _reduce([[*row, *(1 if j == i else 0 for j in range(n))]
+    units = range(n) if units is None else units
+    a, pivots = _reduce([[*row, *(1 if j == i else 0 for j in units)]
                          for i, row in enumerate(m)])
-    if pivots and pivots[-1] >= n:
+    if sum(1 for col in pivots if col < n) < n:
         raise SingularMatrixError("matrix is singular")
     return [(row[n:], row[r]) for r, row in enumerate(a)]
 
@@ -699,12 +707,6 @@ def integer_inverse(m: Matrix) -> tuple[list[list[int]], int]:
     rows = _inverse_rows(m)
     d = lcm(*(p for _, p in rows))
     return [[x * (d // p) for x in row] for row, p in rows], d
-
-
-def invert(m: Matrix) -> Matrix:
-    """The inverse as `Fraction`s: each row of `_inverse_rows` over its own pivot."""
-    zero = Fraction(0)
-    return [[Fraction(x, p) if x else zero for x in row] for row, p in _inverse_rows(m)]
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:

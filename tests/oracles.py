@@ -8,6 +8,9 @@ Deliberately separate from the package's fast paths:
   single-bracket closed forms in `heisflag.curvature` replaced.  It owns
   the connection type, `ConnectionTable`, with its metric-compatibility and
   torsion checks: the library builds no connection;
+- the closed forms in `Fraction`s (`fraction_curvature_report`), read off
+  the full inverse G^{-1}, which the report's `int` evaluation over one
+  common denominator, off two columns of A^{-1}, replaced;
 - samplers: the dense-product forms of the exact O(p, q) samplers and the
   flag sampler, which pin the draw order of `heisflag.sampling`; they and
   the strategies draw from `fraction_pool`, the library's `int` pool as
@@ -50,9 +53,11 @@ Deliberately separate from the package's fast paths:
   versions that multiply integral entries as `int` replaced;
 - exact kernels: the dense double-loop inner product and the two-product
   `restrict` that `QuadraticSpace.pairing` replaced, the Gauss-Jordan
-  inverse, the one-rank-per-candidate basis extension, the per-vector
-  subspace containment and the LLL reduction that recomputes Gram-Schmidt
-  after every step;
+  inverse, the library's old `Fraction` inverse `invert` (the dense
+  inverse oracle, each row of `linalg._inverse_rows` over its pivot,
+  which no library routine needs), the one-rank-per-candidate basis
+  extension, the per-vector subspace containment and the LLL reduction
+  that recomputes Gram-Schmidt after every step;
 - congruence and classification: the row-and-column symmetric
   elimination, which builds P on every multiplier and which the
   Schur-update `linalg.congruence_diagonalize` replaced; that Schur update
@@ -268,7 +273,7 @@ class ConnectionTable:
 def koszul_levi_civita(alg, gram):
     """Levi-Civita connection from the Koszul formula over every bracket triple."""
     n = alg.n
-    g_inv = linalg.invert(gram)
+    g_inv = invert(gram)
 
     def pairing(x, y):
         if not any(x):  # most brackets of basis vectors vanish
@@ -321,7 +326,7 @@ def dense_ricci(riem, gram):
     for j in range(n):
         for k in range(n):
             ric[j][k] = sum(riem[i][j][k][i] for i in range(n))
-    g_inv = linalg.invert(gram)
+    g_inv = invert(gram)
     scalar = sum(g_inv[k][j] * ric[j][k] for j in range(n) for k in range(n))
     return ric, scalar
 
@@ -359,7 +364,7 @@ def kernel_derivation_space(alg):
 def solve_soliton_check(alg, gram, ric):
     """Ric_op = c * Id + D with D in the kernel basis of Der(g), by a linear solve."""
     n = alg.n
-    ric_op = linalg.mat_mul(linalg.invert(gram), ric)
+    ric_op = linalg.mat_mul(invert(gram), ric)
     der_basis = kernel_derivation_space(alg)
     target = tuple(x for row in ric_op for x in row)
     id_vec = tuple(x for row in linalg.identity(n) for x in row)
@@ -382,6 +387,53 @@ def koszul_curvature_report(alg, gram):
     report = CurvatureReport(ricci=tuple(tuple(row) for row in ric), scalar_curv=scalar,
                              is_flat=is_flat(riem), soliton=soliton)
     return report, riem
+
+
+def _checked_inverse(n, gram):
+    """G as `Fraction`s and G^{-1}, for a symmetric n x n G; PreconditionError names any fault."""
+    gram = linalg.mat(gram)
+    if len(gram) != n:
+        raise linalg.PreconditionError(f"Gram matrix must be {n}x{n}")
+    linalg.require_gram(gram)
+    try:
+        return gram, invert(gram)
+    except linalg.SingularMatrixError:
+        raise linalg.PreconditionError("curvature requires a nondegenerate Gram matrix, "
+                                       "this one is singular")
+
+
+def fraction_curvature_report(alg, gram, check_soliton=True):
+    """`curvature_report` from the closed forms in `Fraction`s over the full inverse G^{-1},
+    which one `int` evaluation over 2 P^2 off two columns of A^{-1} replaced."""
+    n = alg.n
+    a, b = n - 2, n - 1
+    gram, g_inv = _checked_inverse(n, gram)
+    # K e_a = G^{-1} e_b, K e_b = -G^{-1} e_a; K^2 e_m; <K e_i, K e_m> = omega(e_i, K e_m)
+    k = {a: tuple(g_inv[b]), b: tuple(-x for x in g_inv[a])}
+    k2 = {m: linalg.combine((v[a], v[b]), (k[a], k[b])) for m, v in k.items()}
+    kk = {(i, m): k[m][b] if i == a else -k[m][a] for i in k for m in k}
+    g00, h = gram[0][0], gram[0]
+    delta = g_inv[a][a] * g_inv[b][b] - g_inv[a][b] ** 2
+    # Ric = -g_00 Q / 2 + delta h h^T / 2, Q zero outside the {a, b} block
+    ric = [[linalg.ratio(delta * x * y, 2) for y in h] for x in h]
+    for (i, m), q in kk.items():
+        ric[i][m] -= linalg.ratio(g00 * q, 2)
+    soliton = None
+    if check_soliton:
+        c = linalg.ratio(-3 * g00 * delta, 2)
+        # D = g_00 K^2 / 2 + delta e_0 h^T / 2 - c Id
+        d = [[linalg.ratio(delta * x, 2) for x in h]] + [[Fraction(0)] * n for _ in range(n - 1)]
+        for r in range(n):
+            d[r][r] -= c
+            for m in k:
+                d[r][m] += linalg.ratio(g00 * k2[m][r], 2)
+        soliton = (c, tuple(tuple(row) for row in d))
+    return CurvatureReport(
+        ricci=tuple(tuple(row) for row in ric),
+        scalar_curv=linalg.ratio(-g00 * delta, 2),
+        is_flat=not any(h[:a]) or g00 == 0 and not (g_inv[a][a] or g_inv[a][b] or g_inv[b][b]),
+        soliton=soliton,
+    )
 
 
 def signed_permutation_opq(p, q, rng):
@@ -407,7 +459,7 @@ def _cayley_product(p, q, k):
     i_minus_s = [[x - y for x, y in zip(r, t)] for r, t in zip(ident, s)]
     if linalg.rank(i_plus_s) < len(i_plus_s):
         return None
-    return linalg.mat_mul(i_minus_s, linalg.invert(i_plus_s))
+    return linalg.mat_mul(i_minus_s, invert(i_plus_s))
 
 
 def cayley_opq(p, q, rng):
@@ -894,7 +946,7 @@ def mpmath_assemble(frame1, frame2):
     cols1, norms1, cols2, norms2 = frame1.vectors, frame1.norms, frame2.vectors, frame2.norms
     n = len(cols1)
     c1 = [[cols1[j][i] for j in range(n)] for i in range(n)]
-    c2_inv = linalg.invert([[cols2[j][i] for j in range(n)] for i in range(n)])
+    c2_inv = invert([[cols2[j][i] for j in range(n)] for i in range(n)])
     with mp.workprec(256):
         def hp(x):
             return mpf(x.numerator) / mpf(x.denominator)
@@ -936,7 +988,7 @@ def invert_assemble(frame1, frame2):
     """
     cols1, norms1, cols2, norms2 = frame1.vectors, frame1.norms, frame2.vectors, frame2.norms
     n = len(cols1)
-    c2_inv = linalg.invert([[cols2[j][i] for j in range(n)] for i in range(n)])
+    c2_inv = invert([[cols2[j][i] for j in range(n)] for i in range(n)])
     scale = []
     for m1, m2 in zip(norms1, norms2):
         r = Fraction(m2, m1)
@@ -1030,6 +1082,14 @@ def fraction_pairing(space, xs, ys):
         gys.append([sum(row[j] * yj for j, yj in support if row[j]) for row in space.gram])
     return [[sum((xi * gyi for xi, gyi in zip(x, gy) if xi and gyi), zero) for gy in gys]
             for x in xs]
+
+
+def invert(m):
+    """The inverse as `Fraction`s, each row of `linalg._inverse_rows` over its own pivot:
+    the library's old dense inverse, which reading only the columns a caller needs
+    (the curvature report's two) or the `int` M / d of `integer_inverse` replaced."""
+    zero = Fraction(0)
+    return [[Fraction(x, p) if x else zero for x in row] for row, p in linalg._inverse_rows(m)]
 
 
 def gauss_jordan_invert(m):
@@ -1265,7 +1325,7 @@ def oracle_sign_counts(s):
 
 def mat_mul_act_on_metric(g, gram):
     """g . A = g^{-T} A g^{-1} as two `Fraction` matrix products."""
-    g_inv = linalg.invert(g)
+    g_inv = invert(g)
     return linalg.mat_mul(linalg.transpose(g_inv), linalg.mat_mul(gram, g_inv))
 
 

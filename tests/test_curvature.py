@@ -1,5 +1,7 @@
 """Curvature engine: Koszul identities, oracle comparison, flatness, solitons."""
 
+import dataclasses
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -10,6 +12,7 @@ import oracles
 from heisflag import linalg
 from heisflag.curvature import curvature_report, is_flat, riemann
 from heisflag.forms import PreconditionError
+from heisflag.linalg import ShapeError
 from heisflag.heisenberg import HeisenbergAlgebra, admissible_classes, parabolic_sample, \
     act_on_metric, representative
 from strategies import canonical_entries, random_nondegenerate_symmetric
@@ -322,13 +325,112 @@ def test_report_matches_koszul_oracle(n, kind, data):
     assert_closed_forms(alg, gram, report)
 
 
+BAD_KINDS = ("singular", "non-symmetric", "wrong size", "not square")
+
+
+@st.composite
+def report_inputs(draw, n, kind):
+    """A Gram matrix of `kind`: one of `GRAM_KINDS`, "bool" (`bool` entries, often
+    singular), or one of `BAD_KINDS`.  A "singular" Gram is S diag(0, d) S^T with e_a
+    and e_b in its range, as drawn or read by `linalg.mat`."""
+    if kind in GRAM_KINDS:
+        return draw(grams_of_kind(n, kind))
+    if kind == "bool":
+        gram = [[False] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = draw(st.booleans())
+        return gram
+    if kind == "singular":
+        a = n - 2
+        s = [[draw(st.integers(-2, 2)) if j < a else int(i == j) for j in range(n)]
+             for i in range(n)]
+        assume(linalg.rank(s) == n)
+        d = [0] + [draw(st.sampled_from([1, -1, F(1, 2)])) for _ in range(n - 1)]
+        gram = [[sum(d[t] * s[i][t] * s[j][t] for t in range(n)) for j in range(n)]
+                for i in range(n)]
+        return gram if draw(st.booleans()) else linalg.mat(gram)
+    gram = [list(row) for row in draw(grams_of_kind(n, draw(st.sampled_from(GRAM_KINDS))))]
+    if kind == "non-symmetric":
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
+        gram[i][j] += 1
+    elif kind == "wrong size":
+        gram = draw(st.sampled_from([[row[:-1] for row in gram[:-1]],
+                                     [row + [0] for row in gram] + [[0] * n + [1]]]))
+    else:
+        gram = [row + [0] for row in gram]
+    return gram
+
+
+def typed(x):
+    """x with each leaf as (type, value) and each sequence as (type, items), so that
+    == compares entry types as well as values."""
+    if dataclasses.is_dataclass(x):
+        x = tuple(getattr(x, f.name) for f in dataclasses.fields(x))
+    if isinstance(x, (list, tuple)):
+        return type(x), tuple(typed(y) for y in x)
+    return type(x), x
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the named error it raises."""
+    try:
+        return f(*args)
+    except (PreconditionError, ShapeError) as error:
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS + ("bool",) + BAD_KINDS)
+@pytest.mark.parametrize("n", range(4, 11))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None, phases=NO_SHRINK)
+@given(data=st.data())
+def test_report_agrees_with_the_fraction_oracle(n, kind, data):
+    # the `int` evaluation over 2 P^2 equals the `Fraction` one over the full inverse:
+    # each field by value and by entry type, each refusal by type and message
+    gram = data.draw(report_inputs(n, kind))
+    alg = HeisenbergAlgebra(n)
+    check = data.draw(st.booleans())
+    got = outcome(curvature_report, alg, gram, check)
+    want = outcome(oracles.fraction_curvature_report, alg, gram, check)
+    assert typed(got) == typed(want), kind
+    if kind in BAD_KINDS:
+        assert type(want) is tuple and issubclass(want[0], (PreconditionError, ShapeError))
+        # `riemann` reads G through the same reader, so it refuses the same way
+        assert outcome(riemann, alg, gram) == want
+
+
+# sha256 over `repr` of every field of the 632 reports below, as the `Fraction`
+# evaluation over the full inverse gave them
+REPORT_DIGEST = "89c25b7c8a12c835f476f7b0f68890d7d6a0a4aa52f0333ca9c405fe8d45b5d4"
+
+
+def test_reports_are_pinned():
+    # every admissible row at 4 <= n <= 8, both orders, raw and moved once by a
+    # `parabolic_sample` seeded with n
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(4, 9):
+        rng = random.Random(n)
+        alg = HeisenbergAlgebra(n)
+        for p in range(1, n):
+            for row in admissible_classes(p, n - p).classes:
+                raw = representative(row.id, p, n - p)
+                moved = act_on_metric([list(r) for r in parabolic_sample(n, rng).matrix], raw)
+                for gram in (raw, moved):
+                    report = curvature_report(alg, gram)
+                    count += 1
+                    for field in dataclasses.fields(report):
+                        digest.update(repr(getattr(report, field.name)).encode())
+    assert (count, digest.hexdigest()) == (632, REPORT_DIGEST)
+
+
 @pytest.mark.parametrize("n", range(4, 9))
 @settings(max_examples=2, deadline=None, derandomize=True, database=None, phases=NO_SHRINK)
 @given(data=st.data())
 def test_second_branch_kind_is_flat(n, data):
     gram = data.draw(grams_of_kind(n, "g00 and B zero"))
     a, b = n - 2, n - 1
-    g_inv = linalg.invert(gram)
+    g_inv = oracles.invert(gram)
     assert gram[0][0] == g_inv[a][a] == g_inv[a][b] == g_inv[b][b] == 0
     assert any(gram[0][:n - 2]) == (n >= 6)
     assert curvature_report(HeisenbergAlgebra(n), gram).is_flat

@@ -286,7 +286,7 @@ def test_contains_subspace_agrees_with_per_vector_oracle(data, cut):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=degenerate_gram_and_vectors())
 def test_exact_kernels_return_canonical_entries_on_fraction_input(data):
-    # the products are canonical; `invert`, a rational solver, still returns `Fraction`s
+    # the products are canonical; `integer_inverse` is an `int` matrix over an `int`
     space, vectors = data
     entries = [x for row in space.pairing(vectors, vectors) for x in row]
     entries += [x for row in restrict(space, Subspace.spanned_by(vectors, space.dim)) for x in row]
@@ -294,10 +294,10 @@ def test_exact_kernels_return_canonical_entries_on_fraction_input(data):
     entries += linalg.combine([0] * len(vectors), vectors)
     assert strategies.canonical_entries(entries)
     try:
-        inverse = linalg.invert(linalg.mat(space.gram))
+        inverse, d = linalg.integer_inverse(space.gram)
     except linalg.SingularMatrixError:
-        inverse = []
-    assert all(type(x) is F for row in inverse for x in row)
+        inverse, d = [], 1
+    assert type(d) is int and all(type(x) is int for row in inverse for x in row)
 
 
 # entry kinds for the int arithmetic of combine, primitive_vector and pairing:

@@ -37,8 +37,8 @@ given as a string (for `getattr(oracles, name)`), or named inside an oracle
 that is.
 
 `linalg` owns the copy that each elimination works on: no call in
-`src/heisflag` to `rank`, `kernel`, `row_space`, `solve`, `invert`,
-`integer_inverse` or `congruence_diagonalize` copies rows with `list(...)`
+`src/heisflag` to `rank`, `kernel`, `row_space`, `solve`, `integer_inverse`,
+`_inverse_rows` or `congruence_diagonalize` copies rows with `list(...)`
 in its arguments.  A transpose built in place, as a comprehension over the
 rows, is a new matrix and stays allowed.
 
@@ -71,7 +71,9 @@ outside `linalg.ratio`, the exact `Fraction(a, b)`, so no quotient of two
 
 `curvature_report` reads flatness off the theorem in the `curvature`
 docstring: its body names none of `riemann`, `_riemann` and `is_flat`, so it
-builds and scans no Riemann table.
+builds and scans no Riemann table.  `curvature.py` reads G once and in
+`int`: it calls neither `mat` nor `invert`, as a name or an attribute, so
+it builds no `Fraction` copy of G and no full inverse.
 
 The command line has one exit-code map: in `cli.py` only `main` has an
 `except` clause or refers to `sys.stderr`, apart from the clause of
@@ -464,7 +466,7 @@ def test_only_main_maps_errors_to_exit_codes():
     assert misplaced_error_handling((SRC / "cli.py").read_text()) == []
 
 
-ELIMINATIONS = ("rank", "kernel", "row_space", "solve", "invert", "integer_inverse",
+ELIMINATIONS = ("rank", "kernel", "row_space", "solve", "integer_inverse", "_inverse_rows",
                 "congruence_diagonalize")
 
 
@@ -491,11 +493,11 @@ def test_checker_flags_a_row_copy_handed_to_an_elimination():
               "x = linalg.solve([[b[i] for b in basis] for i in range(n)], v)\n"
               "k = linalg.kernel(space.gram)\n"
               "c = linalg.combine(list(coeffs), vectors)\n"
-              "d = linalg.invert(list(m))\n"
+              "d = linalg.integer_inverse(list(m))\n"
               "r = linalg.congruence_diagonalize([list(row) for row in gram], leading=m)\n"
               "r = linalg.congruence_diagonalize(restrict(space, w))\n")
-    assert row_copying_calls(source) == ["line 1: rank", "line 2: row_space", "line 6: invert",
-                                         "line 7: congruence_diagonalize"]
+    assert row_copying_calls(source) == ["line 1: rank", "line 2: row_space",
+                                         "line 6: integer_inverse", "line 7: congruence_diagonalize"]
 
 
 def test_no_row_copies_handed_to_eliminations():
@@ -650,7 +652,7 @@ def tensor_names_in_report(source: str) -> list[str]:
 
 def test_checker_flags_a_riemann_table_in_the_report():
     source = (SRC / "curvature.py").read_text()
-    anchor = "    k, k2, kk = _k_terms(g_inv)\n"
+    anchor = "    delta = ia[a] * ib[b] - ia[b] * ia[b]\n"
     assert source.count(anchor) == 1
     mutated = source.replace(anchor, anchor + "    flat = is_flat(riemann(alg, gram))\n")
     line = source[:source.index(anchor)].count("\n") + 2
@@ -663,6 +665,39 @@ def test_checker_flags_a_riemann_table_in_the_report():
 
 def test_curvature_report_builds_no_riemann_table():
     assert tensor_names_in_report((SRC / "curvature.py").read_text()) == []
+
+
+FRACTION_READS = ("mat", "invert")
+
+
+def fraction_reads(source: str) -> list[str]:
+    """`line n: calls name` for each call of `mat` or `invert`, as a name or an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in FRACTION_READS:
+                found.append((node.lineno, name))
+    return [f"line {line}: calls {name}" for line, name in sorted(found)]
+
+
+def test_checker_flags_a_fraction_read_in_curvature():
+    source = (SRC / "curvature.py").read_text()
+    anchor = "    rows, scale = linalg.scaled_to_int(gram)\n"
+    assert source.count(anchor) == 1
+    line = source[:source.index(anchor)].count("\n") + 1
+    reread = "    g = linalg.mat(gram)\n    g_inv = linalg.invert(g)\n"
+    assert fraction_reads(source.replace(anchor, reread + anchor)) == [
+        f"line {line}: calls mat", f"line {line + 1}: calls invert"]
+    assert fraction_reads("from .linalg import invert, mat\n\ng = invert(mat(rows))\n") == [
+        "line 3: calls invert", "line 3: calls mat"]
+    unread = "a = linalg.mat_mul(m, linalg.scaled_to_int(g)[0])\nf = linalg.mat\n"
+    assert fraction_reads(unread) == []
+
+
+def test_curvature_reads_the_gram_once_in_int():
+    assert fraction_reads((SRC / "curvature.py").read_text()) == []
 
 
 def builds_transpose(node: ast.AST) -> bool:

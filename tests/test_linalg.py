@@ -27,7 +27,6 @@ from heisflag.linalg import (
     diag,
     identity,
     integer_inverse,
-    invert,
     kernel,
     mat,
     mat_mul,
@@ -39,6 +38,8 @@ from heisflag.linalg import (
 from heisflag.sampling import random_flag
 import strategies
 from strategies import canonical_entries, random_symmetric
+
+invert = oracles.invert  # the dense inverse oracle: the library returns no `Fraction` inverse
 
 
 def random_invertible(rng, n):
@@ -177,9 +178,61 @@ def test_solve_consistent_and_inconsistent():
     assert linalg.solve(a, vec([1, 3])) is None
 
 
+def seeded_invertible(rng, n, den):
+    """A random invertible n x n matrix: `int` entries for den = 1, else `Fraction`s with
+    denominators up to den."""
+    while True:
+        m = [[rng.randint(-5, 5) if den == 1 else F(rng.randint(-5, 5), rng.randint(1, den))
+              for _ in range(n)] for _ in range(n)]
+        if rank(m) == n:
+            return m
+
+
+def two_columns(m, units):
+    """The columns `units` of M^{-1} as `Fraction` rows, off `linalg._inverse_rows`."""
+    return [[F(x, p) for x in row] for row, p in linalg._inverse_rows(m, units)]
+
+
+def test_two_column_inverse_agrees_with_the_oracle_inverse():
+    # the curvature report appends e_a and e_b alone; any two units read their two columns
+    rng = random.Random(38)
+    for k in range(300):
+        n = rng.randint(2, 8)
+        m = seeded_invertible(rng, n, 1 if k % 2 else 4)
+        want = oracles.gauss_jordan_invert(mat(m))  # `Fraction`s, so its divisions are exact
+        for units in ((n - 2, n - 1), tuple(sorted(rng.sample(range(n), 2))), (n - 1, 0)):
+            assert two_columns(m, units) == [[row[u] for u in units] for row in want]
+
+
+def test_two_column_inverse_refuses_a_singular_matrix_with_the_units_in_its_range():
+    # M = S diag(0, 1, ..., 1) S^T, S invertible with e_a and e_b as its last two
+    # columns: M is singular and symmetric, and e_a, e_b lie in its range, so
+    # [M | e_a e_b] reduces with no pivot in the right half and `solve` finds
+    # both consistent; only the count of the left half's pivots sees it
+    rng = random.Random(39)
+    for k in range(100):
+        n = rng.randint(3, 8)
+        a, b = n - 2, n - 1
+        while True:
+            s = [[rng.randint(-3, 3) if j < a else int(i == j) for j in range(n)] for i in range(n)]
+            if rank(s) == n:
+                break
+        scale = 1 if k % 2 else F(rng.randint(1, 5), rng.randint(2, 5))
+        m = [[scale * sum(s[i][t] * s[j][t] for t in range(1, n)) for j in range(n)]
+             for i in range(n)]
+        assert rank(m) == n - 1
+        for u in (a, b):
+            unit = tuple(int(i == u) for i in range(n))
+            assert linalg.solve(m, unit) is not None
+        with pytest.raises(SingularMatrixError):
+            linalg._inverse_rows(m, (a, b))
+        with pytest.raises(SingularMatrixError):
+            integer_inverse(m)
+
+
 def fraction_entries(x) -> bool:
     """True iff every leaf of nested lists and tuples is a `Fraction`: the results of
-    the routines that still return `Fraction`s (`invert`, the congruence's)."""
+    the routines that return `Fraction`s (the congruence's, and the `invert` oracle)."""
     if isinstance(x, (list, tuple)):
         return all(fraction_entries(y) for y in x)
     return type(x) is F
@@ -577,7 +630,7 @@ def test_integer_elimination_agrees_with_the_fraction_oracle(m, data):
     with replaced_elimination():
         assert got == elimination_results(m, b, split, target)
     # extend_to_independent (got[4]) returns input vectors; kernel, row_space
-    # and solve are canonical, and invert still returns `Fraction`s
+    # and solve are canonical, and the invert oracle returns `Fraction`s
     assert canonical_entries(got[1:3]) and (got[3] is None or canonical_entries(got[3]))
     assert fraction_entries([x for x in got[5:] if isinstance(x, (F, list, tuple))])
     # each integer row is a nonzero rational multiple of the rational row
