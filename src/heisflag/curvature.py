@@ -101,10 +101,10 @@ and the integer K with K e_a = Ib, K e_b = -Ia (so the true K is L K / P):
     2 P^2 scal = -a00 L Delta,   c = 3 scal,
     2 P^2 (D + c Id) = L Delta e_0 h^T + a00 L K^2,
 
-and each numerator becomes one `Fraction` at the end.  It reads flatness
-off the theorem without building R.  Tests check the report against the
-general Koszul engine and the `Fraction` evaluation it replaced, both in
-`tests/oracles.py`, and the theorem against `riemann`.
+and each numerator is divided by 2 P^2 once, by `ratio`, at the end.  It
+reads flatness off the theorem without building R.  Tests check the report
+against the general Koszul engine and the `Fraction` evaluation it
+replaced, both in `tests/oracles.py`, and the theorem against `riemann`.
 """
 
 from __future__ import annotations
@@ -185,12 +185,13 @@ def is_flat(riem: RiemannTable) -> bool:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Exact curvature data of one metric, with flatness and soliton verdicts."""
+    """Exact curvature data of one metric, with flatness and soliton verdicts; every
+    number is canonical, an `int` where integral and a `Fraction` otherwise."""
 
-    ricci: tuple[tuple[Fraction, ...], ...]
-    scalar_curv: Fraction
+    ricci: tuple[tuple[int | Fraction, ...], ...]
+    scalar_curv: int | Fraction
     is_flat: bool
-    soliton: tuple[Fraction, tuple[tuple[Fraction, ...], ...]] | None
+    soliton: tuple[int | Fraction, tuple[tuple[int | Fraction, ...], ...]] | None
 
     @property
     def is_einstein(self) -> bool:
@@ -205,8 +206,8 @@ def curvature_report(alg: HeisenbergAlgebra, gram: Matrix,
     """Full exact curvature summary for one Gram matrix, from the closed forms.
 
     Evaluated in `int` over 2 P^2, with A, L, Ia, Ib and P from `_read_gram`:
-    every entry is an `int` numerator N, and one `Fraction(N, 2 P^2)` per
-    distinct N is the only rational built.
+    every entry is an `int` numerator N, and `ratio(N, 2 P^2)`, once per
+    distinct N, is the only division.
     """
     n = alg.n
     a, b = n - 2, n - 1
@@ -214,12 +215,12 @@ def curvature_report(alg: HeisenbergAlgebra, gram: Matrix,
     h, a00 = rows[0], rows[0][0]
     delta = ia[a] * ib[b] - ia[b] * ia[b]
     two_p2 = 2 * piv * piv
-    shared = {0: Fraction(0)}  # one `Fraction` per distinct numerator: a mirror, and every zero
+    shared: dict[int, int | Fraction] = {}  # one quotient per distinct numerator
 
-    def over_2p2(x: int) -> Fraction:
+    def over_2p2(x: int) -> int | Fraction:
         f = shared.get(x)
         if f is None:
-            f = shared[x] = Fraction(x, two_p2)
+            f = shared[x] = ratio(x, two_p2)
         return f
 
     # Ric = Delta h h^T - a00 P q, q = [[Ib_b, -Ia_b], [-Ib_a, Ia_a]] on {a, b}

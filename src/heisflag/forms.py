@@ -74,7 +74,7 @@ class LineSignature(enum.Enum):
 @dataclass(frozen=True)
 class QuadraticSpace:
     """Ambient dimension plus a symmetric (possibly degenerate) Gram matrix; `from_matrix`
-    stores it canonically, as `linalg`'s products return entries."""
+    stores it as `linalg.mat` reads it, canonical."""
 
     gram: tuple[tuple[int | Fraction, ...], ...]
 
@@ -83,8 +83,7 @@ class QuadraticSpace:
 
     @classmethod
     def from_matrix(cls, gram: Sequence[Sequence]) -> "QuadraticSpace":
-        return cls(tuple(tuple(x.numerator if x.denominator == 1 else x for x in row)
-                         for row in linalg.mat(gram)))
+        return cls(tuple(map(tuple, linalg.mat(gram))))
 
     @classmethod
     def standard(cls, p: int, q: int) -> "QuadraticSpace":
@@ -525,7 +524,8 @@ def lightlike_split(space: QuadraticSpace, v_sub: Subspace, v: Vector) -> tuple[
     h = linalg.primitive_vector(linalg.combine((2 * c, -d), (w, v)))
     if space.inner(v, h) < 0:
         h = linalg.vec_scale(-1, h)
-    plus = linalg.combine((Fraction(1, 2), Fraction(1, 2)), (v, h))
+    half = linalg.ratio(1, 2)
+    plus = linalg.combine((half, half), (v, h))
     return plus, linalg.vec_sub(v, plus)
 
 

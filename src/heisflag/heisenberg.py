@@ -58,22 +58,6 @@ class HeisenbergAlgebra:
             raise UnsupportedSignatureError(
                 f"n = {self.n} is out of scope: the algebra h3 + R^(n-3) needs n >= 4")
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        """[e_i, e_j] as a coefficient vector."""
-        out = [Fraction(0)] * self.n
-        if (i, j) == (self.n - 2, self.n - 1):
-            out[0] = Fraction(1)
-        elif (i, j) == (self.n - 1, self.n - 2):
-            out[0] = Fraction(-1)
-        return tuple(out)
-
-    def bracket(self, x: Vector, y: Vector) -> Vector:
-        """[x, y] for coefficient vectors, bilinear in both slots."""
-        coef = x[self.n - 2] * y[self.n - 1] - x[self.n - 1] * y[self.n - 2]
-        out = [Fraction(0)] * self.n
-        out[0] = coef
-        return tuple(out)
-
 
 # ---------------------------------------------------------------------------
 # the 21-row taxonomy
@@ -336,22 +320,23 @@ class ScaledAutomorphism:
 
     The (0, 0) entry a and the trailing 2x2 block D of any such matrix
     satisfy a * c = det D for the scale c = det(D) / a, and matrix / c
-    preserves the bracket.
+    preserves the bracket.  The matrix, the scale and the automorphism are
+    canonical, each quotient built by `linalg.ratio`.
     """
 
-    matrix: tuple[tuple[Fraction, ...], ...]
-    scale: Fraction
+    matrix: tuple[tuple[int | Fraction, ...], ...]
+    scale: int | Fraction
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "ScaledAutomorphism":
-        m = linalg.mat(m)  # read once, as `Fraction`s
+        m = linalg.mat(m)  # read once, canonical
         det_d = _block_det_d(m, len(m))
         if not det_d:
             raise PreconditionError("matrix is not invertible block upper triangular (1, n-3, 2)")
         return cls(tuple(tuple(row) for row in m), linalg.ratio(det_d, m[0][0]))
 
     @cached_property
-    def automorphism(self) -> tuple[tuple[Fraction, ...], ...]:
+    def automorphism(self) -> tuple[tuple[int | Fraction, ...], ...]:
         """matrix / scale, divided out when first read; the group action reads the matrix."""
         return tuple(tuple(linalg.ratio(x, self.scale) for x in row) for row in self.matrix)
 
@@ -360,17 +345,23 @@ class ScaledAutomorphism:
                 f"automorphism={self.automorphism!r})")
 
     def preserves_bracket(self, alg: HeisenbergAlgebra) -> bool:
-        """Check phi([e_i, e_j]) = [phi e_i, phi e_j] on all basis pairs."""
+        """phi([x, y]) = [phi x, phi y] for phi = `automorphism`, read off phi in closed form.
+
+        With a, b = n-2, n-1, [x, y] = (x_a y_b - x_b y_a) e_0, so
+        [phi e_i, phi e_j] is the (i, j) minor of phi's rows a and b times
+        e_0, and phi [e_i, e_j] is phi e_0 for (i, j) = (a, b) and 0 for every
+        other pair i < j.  So phi preserves the bracket iff column 0 of phi is
+        that minor at (a, b) times e_0 and the minor vanishes at every other
+        pair of columns.
+        """
         n = alg.n
+        a, b = n - 2, n - 1
         phi = self.automorphism
-        cols = [tuple(phi[i][j] for i in range(n)) for j in range(n)]
-        for i in range(n):
-            for j in range(n):
-                lhs = linalg.mat_vec(phi, alg.bracket_basis(i, j))
-                rhs = alg.bracket(cols[i], cols[j])
-                if lhs != rhs:
-                    return False
-        return True
+        ra, rb = phi[a], phi[b]
+        if [row[0] for row in phi] != [ra[a] * rb[b] - ra[b] * rb[a]] + [0] * (n - 1):
+            return False
+        return all(ra[i] * rb[j] == ra[j] * rb[i]
+                   for j in range(n) for i in range(j) if (i, j) != (a, b))
 
 
 def is_scaled_automorphism(g: Matrix, n: int) -> bool:
@@ -410,8 +401,8 @@ def parabolic_sample(n: int, seed: int | random.Random) -> ScaledAutomorphism:
     HeisenbergAlgebra(n)  # n must name an algebra: an int >= 4
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
 
-    def draw() -> Fraction:
-        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    def draw() -> int | Fraction:
+        return linalg.ratio(rng.randint(-3, 3), rng.randint(1, 3))
 
     while True:
         m = linalg.zeros(n, n)
@@ -436,7 +427,7 @@ def act_on_metric(g: Matrix, gram: Matrix) -> Matrix:
     Computed in `int`: with g^{-1} = M / d from `linalg.integer_inverse` and
     L A from `linalg.scaled_to_int` (L the lcm of A's denominators),
     g . A = M^T (L A) M / (d^2 L).  The product is symmetric, so only its
-    upper triangle is summed, and each entry becomes a `Fraction` once,
+    upper triangle is summed, and `linalg.ratio` divides each entry once,
     shared with its mirror.
     """
     n = len(g)
@@ -456,9 +447,9 @@ def act_on_metric(g: Matrix, gram: Matrix) -> Matrix:
 
     am = [combination(row, m, 0) for row in a]  # row i of L A M
     den = d * d * scale
-    out: Matrix = [[Fraction(0)] * n for _ in range(n)]
+    out: Matrix = [[0] * n for _ in range(n)]
     for i, col in enumerate(zip(*m)):  # row i of M^T (L A M), from column i on
         for j, s in enumerate(combination(col, am, i), i):
             if s:
-                out[i][j] = out[j][i] = Fraction(s, den)
+                out[i][j] = out[j][i] = linalg.ratio(s, den)
     return out

@@ -1,16 +1,14 @@
 """Dense exact linear algebra over the rationals.
 
 Matrices are lists of row lists and vectors are tuples.  Input entries may
-be `int` or `fractions.Fraction`.  The products (`combine`, `mat_mul`,
-`mat_vec`, `vec_add`, `vec_sub`, `vec_scale`, `bilinear`), the spans
-(`primitive_vector`, `kernel`, `row_space`, `lll_reduce`), the constructors
-`zeros`, `identity` and `diag`, and `solve` return canonical entries: an
-`int` where the value is an integer, a `Fraction` (denominator > 1) where
-it is not.  The readers `mat` and `vec` and `CongruenceResult`'s
-rationals (`diagonal`, `moves`, `transform`) return `Fraction`s, and
-`integer_inverse` an `int` matrix and denominator.  Every true division is
-`ratio`, the exact `Fraction(a, b)`, so no quotient of two `int`s becomes a
-float.  All routines are pure and exact: no floating point, no tolerances.
+be `int` or `fractions.Fraction`.  One rule holds for every exact result,
+here and in the package: it is canonical, an `int` where the value is an
+integer and a `Fraction` (denominator > 1) where it is not.  Its home is
+`ratio(a, b)`, the one true division and the one maker of a `Fraction`, so
+no quotient of two `int`s becomes a float and no integer is boxed; the
+readers `mat` and `vec` write an integral `Fraction` as its `int`.
+(`integer_inverse` returns an `int` matrix and its denominator.)
+All routines are pure and exact: no floating point, no tolerances.
 This module is the one exact input boundary.  An entry is an `int` or a
 `Fraction`; `bool` is an `int` (True is 1) and is read as one.  Any other
 entry (a float, a str, None) raises `EntryTypeError`, a `ShapeError` that
@@ -28,9 +26,9 @@ once as well, and one that is not a sequence is named as that argument.
 `require_gram` is the one square-and-symmetric check.
 Every product is one loop, `_accumulate`: it reads entry types a whole
 vector at a time (`_INTS.issuperset(map(type, v))`) and sums in `int`, a
-`Fraction` input as numerators over a common denominator that divides each
-finished entry once; zero coefficients are skipped and an integral sum
-comes back an `int`, so `int`s flow on to the next product.
+`Fraction` input as numerators over a common denominator, by which `ratio`
+divides each finished entry once; zero coefficients are skipped, so
+`int`s flow on to the next product.
 One fraction-free elimination serves `rank`, `kernel`, `row_space`,
 `solve`, `integer_inverse` and `extend_to_independent`: `_forward` takes
 each row scaled to integers by `_int_rows` and replaces a row by
@@ -68,12 +66,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
-from operator import index
 
-Vector = tuple[int | Fraction, ...]  # canonical from the products, spans and `solve`; `Fraction` from `vec`
+Vector = tuple[int | Fraction, ...]  # canonical: `int` where integral
 Matrix = list[list[int | Fraction]]
 
-LLL_DELTA = Fraction(3, 4)  # Lovasz condition constant of `lll_reduce`
+LLL_DELTA = (3, 4)  # Lovasz condition constant 3/4 of `lll_reduce`, as (numerator, denominator)
 _SEQUENCES = frozenset((list, tuple))  # the row and vector types read without an isinstance test
 _INTS = frozenset((int,))  # `_INTS.issuperset(map(type, v))`: every entry of v an `int`, read at C speed
 _EXACT = frozenset((int, Fraction))  # the entry types that need no denominator read to be checked
@@ -119,10 +116,12 @@ def _entry_error(m) -> ShapeError:
     return EntryTypeError(f"entry ({i}, {j}) is {_a(x)}, not an int or a Fraction")
 
 
-def ratio(a, b) -> Fraction:
-    """a / b for `int` or `Fraction` a and b, as the exact `Fraction(a, b)`: the package's
-    one true division, so that no quotient of two `int`s becomes a float."""
-    return Fraction(a.numerator * b.denominator, a.denominator * b.numerator)
+def ratio(a, b) -> int | Fraction:
+    """a / b for `int` or `Fraction` a and b, canonical: an `int` when b divides a, else
+    the exact `Fraction`.  The package's one true division and its one maker of rationals,
+    so that no quotient of two `int`s becomes a float and no integer is boxed."""
+    n, d = a.numerator * b.denominator, a.denominator * b.numerator
+    return Fraction(n, d) if n % d else n // d
 
 
 def require_ints(**params) -> None:
@@ -145,17 +144,18 @@ def require_gram(m: Sequence[Sequence]) -> None:
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
-    """The rows as lists of `Fraction`s; an entry must be an `int` or a `Fraction`."""
+    """The rows as lists of canonical entries, a row of `int`s as it is and any other entry
+    read as `ratio(x, 1)`; an entry must be an `int` or a `Fraction`."""
     shape(rows)
     try:
-        return [[x if isinstance(x, Fraction) else Fraction(index(x)) for x in row]
+        return [list(row) if _INTS.issuperset(map(type, row)) else [ratio(x, 1) for x in row]
                 for row in rows]
-    except TypeError:
+    except (AttributeError, TypeError):
         raise _entry_error(rows) from None
 
 
 def vec(entries: Sequence | Iterator) -> Vector:
-    """The entries, a sequence or an iterator read once, as a tuple of `Fraction`s."""
+    """The entries, a sequence or an iterator read once, as a tuple of canonical entries."""
     return tuple(mat([tuple(entries) if isinstance(entries, Iterator) else entries])[0])
 
 
@@ -174,8 +174,8 @@ def identity(n: int) -> Matrix:
 
 
 def diag(values: Sequence | Iterator) -> Matrix:
-    """The diagonal matrix of the values, read by `vec`, with canonical entries."""
-    vals = [x.numerator if x.denominator == 1 else x for x in vec(values)]
+    """The diagonal matrix of the values, read by `vec`."""
+    vals = vec(values)
     m = zeros(len(vals), len(vals))
     for i, v in enumerate(vals):
         m[i][i] = v
@@ -253,8 +253,8 @@ def _accumulate(coeffs: Sequence, vectors: Sequence[Sequence], length: int) -> l
     vector entry is an `int`, the sum is a plain `a + c * x` per nonzero
     coefficient.  Otherwise each term is read as (n_k / d_k) V_k, V_k the
     vector's numerators over the lcm of its denominators, and summed in
-    `int` over D, the lcm of the d_k; no `Fraction` is built until each
-    finished entry is divided by D once.  The vector of a zero coefficient
+    `int` over D, the lcm of the d_k; no `Fraction` is built until `ratio`
+    divides each finished entry by D once.  The vector of a zero coefficient
     is read and not multiplied: its types, and its denominators unless
     every entry is an `int` or a `Fraction`.
     Either way an integral entry comes back as an `int`, so a caller can
@@ -288,7 +288,7 @@ def _accumulate(coeffs: Sequence, vectors: Sequence[Sequence], length: int) -> l
     for n, d, v in terms:
         w = n * (den // d)
         acc = [a + w * x for a, x in zip(acc, v)]
-    return acc if den == 1 else [a // den if not a % den else Fraction(a, den) for a in acc]
+    return acc if den == 1 else [ratio(a, den) for a in acc]
 
 
 def combine(coeffs: Sequence, vectors: Sequence[Sequence]) -> Vector:
@@ -406,10 +406,11 @@ class CongruenceResult:
     `diagonal` replays c from `_scale` and each step's |p| and g, giving
     D_k = p / c; `moves` turns each recorded clear into its factors
     f = -x_i / p; `transform` replays P from the moves.  In each ratio the
-    scale cancels, so these are the `Fraction`s of the same elimination
-    over Q.  `moves` records the basis changes in order: ("swap", k, j)
-    exchanges b_k and b_j, ("pair", k, j) replaces them by b_k + b_j and
-    b_k - b_j, and ("clear", k, ((i, f), ...)) adds f * b_k to each b_i.
+    scale cancels, so these are the rationals of the same elimination over
+    Q, each canonical: built by `ratio`, and P's sums read back through it.
+    `moves` records the basis changes in order: ("swap", k, j) exchanges b_k
+    and b_j, ("pair", k, j) replaces them by b_k + b_j and b_k - b_j, and
+    ("clear", k, ((i, f), ...)) adds f * b_k to each b_i.
     `leading_counts` are the sign counts of the leading block named by
     `leading`; without one, the whole matrix's.  Two results are equal
     when their diagonals and leading counts are.
@@ -437,25 +438,24 @@ class CongruenceResult:
         return _pivot_counts(self._pivots, self._n)
 
     @cached_property
-    def diagonal(self) -> tuple[Fraction, ...]:
-        diagonal = [Fraction(0)] * self._n
-        c = Fraction(self._scale)
+    def diagonal(self) -> Vector:
+        diagonal = [0] * self._n
+        c = self._scale
         for k, p, g in self._pivots:
             diagonal[k] = ratio(p, c)
             if g:
-                c = Fraction(c.numerator * abs(p), c.denominator * g)
+                c = ratio(c * abs(p), g)
         return tuple(diagonal)
 
     @cached_property
     def moves(self) -> tuple[tuple, ...]:
-        return tuple(("clear", move[1], tuple((i, Fraction(x, move[2])) for i, x in move[3]))
+        return tuple(("clear", move[1], tuple((i, ratio(x, move[2])) for i, x in move[3]))
                      if move[0] == "clear" else move for move in self._record)
 
     @cached_property
     def transform(self) -> Matrix:
-        zero, one = Fraction(0), Fraction(1)
         # cols[j] is column j of P
-        cols = [[one if r == j else zero for r in range(self._n)] for j in range(self._n)]
+        cols = [[int(r == j) for r in range(self._n)] for j in range(self._n)]
         for kind, k, arg in self.moves:
             if kind == "swap":
                 cols[k], cols[arg] = cols[arg], cols[k]
@@ -469,7 +469,8 @@ class CongruenceResult:
                     ci = cols[i]
                     for r, y in support:
                         ci[r] += f * y
-        return transpose(cols)
+        # a sum of `Fraction`s can be integral: each entry is read back through `ratio`
+        return transpose([[ratio(y, 1) for y in col] for col in cols])
 
 
 def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceResult:
@@ -725,8 +726,7 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
         return None
     x = [0] * cols
     for row, c in zip(reduced, pivots):
-        q, r = divmod(row[cols], row[c])
-        x[c] = Fraction(row[cols], row[c]) if r else q
+        x[c] = ratio(row[cols], row[c])
     return tuple(x)
 
 
@@ -760,7 +760,7 @@ def lll_reduce(vectors: Sequence[Vector]) -> list[Vector]:
     """
     b = [_content_free(row) for row in _int_rows(vectors)[0]]
     n = len(b)
-    num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
+    num, den = LLL_DELTA
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -778,7 +778,7 @@ def lll_reduce(vectors: Sequence[Vector]) -> list[Vector]:
     while k < n:
         for j in range(k - 1, -1, -1):
             if 2 * abs(lam[k][j]) > d[j + 1]:
-                q = round(Fraction(lam[k][j], d[j + 1]))
+                q = round(ratio(lam[k][j], d[j + 1]))
                 # b_k -= q b_j leaves every d_i alone and shifts row k of lambda
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 for i in range(j):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
@@ -37,7 +36,7 @@ def _cayley(p: int, q: int, draw_k: Callable[[], Matrix]) -> Matrix:
             inverse, d = linalg.integer_inverse(i_plus_s)  # (I + S)^{-1} = M / d
         except linalg.SingularMatrixError:
             continue
-        return [[Fraction(2 * x - (d if i == j else 0), d) for j, x in enumerate(row)]
+        return [[linalg.ratio(2 * x - (d if i == j else 0), d) for j, x in enumerate(row)]
                 for i, row in enumerate(inverse)]
 
 
@@ -50,7 +49,7 @@ def cayley_opq(p: int, q: int, rng: random.Random) -> Matrix:
         k = linalg.zeros(n, n)
         for i in range(n):
             for j in range(i + 1, n):
-                x = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                x = linalg.ratio(rng.randint(-2, 2), rng.randint(1, 3))
                 k[i][j] = x
                 k[j][i] = -x
         return k
@@ -100,7 +99,7 @@ def plane_cayley_opq(p: int, q: int, rng: random.Random) -> Matrix:
         while j == i:
             j = rng.randrange(n)
         k = linalg.zeros(n, n)
-        x = Fraction(rng.randint(1, 2), rng.randint(1, 3))
+        x = linalg.ratio(rng.randint(1, 2), rng.randint(1, 3))
         k[i][j] = x
         k[j][i] = -x
         return k
@@ -151,8 +150,8 @@ def random_flag(p: int, q: int, rng: random.Random) -> Flag:
     degenerate types occur often.
 
     The big part's basis is drawn from the cached `integer_pool` and ranked
-    as `int` rows; only the chosen vectors become `Fraction`s.  Both parts
-    are independent by construction (independent picks, and a small part
+    as `int` rows, which are the basis as drawn.  Both parts are
+    independent by construction (independent picks, and a small part
     spanned by one nonzero combination of them), so neither is ranked
     again; `Flag` still checks that the small part lies in the big one.
     """
@@ -166,7 +165,7 @@ def random_flag(p: int, q: int, rng: random.Random) -> Flag:
             cand = rng.choice(pool)
             if linalg.rank(picks + [cand]) == len(picks) + 1:
                 picks.append(cand)
-        big = Subspace._independent(n, tuple(linalg.vec(v) for v in picks))
+        big = Subspace._independent(n, tuple(picks))
         coeffs_pool = [-1, 0, 1]
         for _ in range(20):
             coeffs = [rng.choice(coeffs_pool) for _ in range(n - 2)]

@@ -96,8 +96,15 @@ Deliberately separate from the package's fast paths:
   flag of the (max, min) space.
 - symmetry: `_is_symmetric`, the entry-by-entry test of the upper triangle
   that the congruence oracles and `two_call_classify` read, where the
-  library has one check, `linalg.require_gram`.
-Used to pin expected values before trusting the main engine.
+  library has one check, `linalg.require_gram`;
+- the bracket: `bracket_basis` and `bracket` on coefficient vectors, which
+  the Koszul engine and the derivation checks read, and
+  `loop_preserves_bracket`, the check on every basis pair that
+  `ScaledAutomorphism.preserves_bracket`'s closed form replaced.
+Used to pin expected values before trusting the main engine.  The library
+returns canonical entries, `int` where integral, so every division here is
+exact, `Fraction(a, b)` or `linalg.ratio`; mpmath's rounding in
+`mpmath_assemble` is the one true division.
 """
 
 from dataclasses import dataclass
@@ -185,7 +192,7 @@ def cofactor_inverse(g):
         for j in range(n):
             minor = [[g[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
             cof = leibniz_det(minor) if minor else Fraction(1)
-            inv[j][i] = (Fraction(-1) ** (i + j)) * cof / d
+            inv[j][i] = Fraction((-1) ** (i + j) * cof, d)
     return inv
 
 
@@ -205,7 +212,7 @@ def christoffel(n, g):
                         koszul -= c[j][k][m] * g[m][i]
                         koszul += c[k][i][m] * g[m][j]
                     acc += ginv[l][k] * koszul
-                gamma[i][j][l] = acc / 2
+                gamma[i][j][l] = Fraction(acc, 2)
     return gamma
 
 
@@ -243,6 +250,34 @@ def _unit(n, i):
     return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
 
 
+def bracket_basis(alg, i, j):
+    """[e_i, e_j] as a coefficient vector."""
+    out = [Fraction(0)] * alg.n
+    if (i, j) == (alg.n - 2, alg.n - 1):
+        out[0] = Fraction(1)
+    elif (i, j) == (alg.n - 1, alg.n - 2):
+        out[0] = Fraction(-1)
+    return tuple(out)
+
+
+def bracket(alg, x, y):
+    """[x, y] for coefficient vectors, bilinear in both slots."""
+    out = [Fraction(0)] * alg.n
+    out[0] = x[alg.n - 2] * y[alg.n - 1] - x[alg.n - 1] * y[alg.n - 2]
+    return tuple(out)
+
+
+def loop_preserves_bracket(sa, alg):
+    """phi([e_i, e_j]) = [phi e_i, phi e_j] for phi = `sa.automorphism`, checked on
+    every basis pair: the loop that `ScaledAutomorphism.preserves_bracket`'s closed
+    form replaced."""
+    n = alg.n
+    phi = sa.automorphism
+    cols = [tuple(phi[i][j] for i in range(n)) for j in range(n)]
+    return all(linalg.mat_vec(phi, bracket_basis(alg, i, j)) == bracket(alg, cols[i], cols[j])
+               for i in range(n) for j in range(n))
+
+
 @dataclass(frozen=True)
 class ConnectionTable:
     """Connection coefficients: entry [i][j] is nabla_{e_i} e_j in basis coordinates."""
@@ -265,7 +300,7 @@ class ConnectionTable:
         for i in range(n):
             for j in range(i + 1, n):
                 diff = linalg.vec_sub(self.gamma[i][j], self.gamma[j][i])
-                if diff != alg.bracket_basis(i, j):
+                if diff != bracket_basis(alg, i, j):
                     return False
         return True
 
@@ -286,14 +321,14 @@ def koszul_levi_civita(alg, gram):
         e_i = _unit(n, i)
         for j in range(n):
             e_j = _unit(n, j)
-            br_ij = alg.bracket_basis(i, j)
+            br_ij = bracket_basis(alg, i, j)
             rhs = []
             for k in range(n):
                 e_k = _unit(n, k)
                 val = (pairing(br_ij, e_k)
-                       - pairing(alg.bracket_basis(j, k), e_i)
-                       + pairing(alg.bracket_basis(k, i), e_j))
-                rhs.append(val / 2)
+                       - pairing(bracket_basis(alg, j, k), e_i)
+                       + pairing(bracket_basis(alg, k, i), e_j))
+                rhs.append(Fraction(val, 2))
             row.append(linalg.mat_vec(g_inv, tuple(rhs)))
         table.append(tuple(row))
     return ConnectionTable(tuple(table))
@@ -307,7 +342,7 @@ def dense_riemann(conn, alg):
         plane = []
         for j in range(n):
             row = []
-            br = alg.bracket_basis(i, j)
+            br = bracket_basis(alg, i, j)
             for k in range(n):
                 val = linalg.vec_sub(linalg.combine(conn.gamma[j][k], conn.gamma[i]),
                                      linalg.combine(conn.gamma[i][k], conn.gamma[j]))
@@ -345,9 +380,9 @@ def kernel_derivation_space(alg):
         rows = []
         for i in range(n):
             for j in range(i + 1, n):
-                lhs = linalg.mat_vec(d, alg.bracket_basis(i, j))
-                rhs = linalg.vec_add(alg.bracket(cols[i], units[j]),
-                                     alg.bracket(units[i], cols[j]))
+                lhs = linalg.mat_vec(d, bracket_basis(alg, i, j))
+                rhs = linalg.vec_add(bracket(alg, cols[i], units[j]),
+                                     bracket(alg, units[i], cols[j]))
                 rows.extend(linalg.vec_sub(lhs, rhs))
         return rows
 
@@ -504,7 +539,7 @@ def mild_opq(p, q, rng):
 def fraction_pool(n):
     """`sampling.integer_pool(n)` as `Fraction` vectors, in the same order: the pool
     that the `Fraction` samplers draw from, so that they make the library's draws."""
-    return [linalg.vec(v) for v in integer_pool(n)]
+    return [tuple(map(Fraction, v)) for v in integer_pool(n)]
 
 
 def random_gram(p, q, rng):
@@ -976,7 +1011,7 @@ def fraction_assemble(p, frame1, frame2):
         s = linalg.ratio(isqrt((r.numerator << 2 * SQRT_BITS) // r.denominator), m2)
         rows.append([s * x if j < p else -s * x for j, x in enumerate(c2)])
     g_cols = [linalg.combine(coeffs, frame1.vectors) for coeffs in zip(*rows)]
-    return np.array([[float(x / (1 << SQRT_BITS)) for x in row] for row in zip(*g_cols)])
+    return np.array([[float(Fraction(x, 1 << SQRT_BITS)) for x in row] for row in zip(*g_cols)])
 
 
 def invert_assemble(frame1, frame2):
@@ -1085,11 +1120,10 @@ def fraction_pairing(space, xs, ys):
 
 
 def invert(m):
-    """The inverse as `Fraction`s, each row of `linalg._inverse_rows` over its own pivot:
+    """The inverse, canonical, each row of `linalg._inverse_rows` over its own pivot:
     the library's old dense inverse, which reading only the columns a caller needs
     (the curvature report's two) or the `int` M / d of `integer_inverse` replaced."""
-    zero = Fraction(0)
-    return [[Fraction(x, p) if x else zero for x in row] for row, p in linalg._inverse_rows(m)]
+    return [[linalg.ratio(x, p) for x in row] for row, p in linalg._inverse_rows(m)]
 
 
 def gauss_jordan_invert(m):
@@ -1103,7 +1137,7 @@ def gauss_jordan_invert(m):
         if pr is None:
             raise linalg.SingularMatrixError("matrix is singular")
         a[c], a[pr] = a[pr], a[c]
-        inv = 1 / a[c][c]
+        inv = Fraction(1, a[c][c])
         a[c] = [x * inv for x in a[c]]
         for i in range(n):
             if i != c and a[i][c] != 0:
@@ -1227,7 +1261,7 @@ def row_column_congruence(s):
         pivot = a[k][k]
         for i in range(k + 1, n):
             if a[k][i] != 0:
-                add_col(i, k, -a[k][i] / pivot)
+                add_col(i, k, Fraction(-a[k][i], pivot))
     return p, tuple(a[i][i] for i in range(n))
 
 
@@ -1260,7 +1294,7 @@ def fraction_congruence(s, leading=None):
     if not 0 <= m <= n:
         raise linalg.ShapeError(f"leading block size {m} outside 0..{n}")
 
-    a = linalg.mat(s)
+    a = [list(map(Fraction, row)) for row in linalg.mat(s)]
     moves = []
     cols = linalg.identity(n)  # cols[j] is column j of P
 
@@ -1292,7 +1326,7 @@ def fraction_congruence(s, leading=None):
             row = a[k]
         pivot = row[k]
         nonzero = [(i, row[i]) for i in rest if row[i]]
-        factors = tuple((i, -aki / pivot) for i, aki in nonzero)
+        factors = tuple((i, Fraction(-aki, pivot)) for i, aki in nonzero)
         for t, (i, f) in enumerate(factors):
             ai = a[i]
             for j, akj in nonzero[t:]:
@@ -1357,7 +1391,8 @@ def parabolic_sample(n, rng):
             for j in (n - 2, n - 1):
                 m[i][j] = draw()
         if det_is_scaled_automorphism(m, n):
-            c = (m[n - 2][n - 2] * m[n - 1][n - 1] - m[n - 2][n - 1] * m[n - 1][n - 2]) / m[0][0]
+            c = Fraction(m[n - 2][n - 2] * m[n - 1][n - 1] - m[n - 2][n - 1] * m[n - 1][n - 2],
+                         m[0][0])
             return ScaledAutomorphism(tuple(tuple(row) for row in m), c)
 
 
@@ -1501,7 +1536,7 @@ def gauss_jordan_echelon(m):
     """Reduced row echelon form and pivot columns by Gauss-Jordan elimination.
 
     Each pivot row is normalized and clears its column above and below at once.
-    Entries become `Fraction` first, so `int` input stays exact.
+    Each pivot is inverted as `Fraction(1, p)`, so `int` input stays exact.
     """
     a = linalg.mat(m)
     rows, cols = linalg.shape(a)
@@ -1512,7 +1547,7 @@ def gauss_jordan_echelon(m):
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
+        inv = Fraction(1, a[r][c])
         a[r] = [x * inv for x in a[r]]
         for i in range(rows):
             if i != r and a[i][c] != 0:
@@ -1546,7 +1581,7 @@ def fraction_forward(m):
         pivot = prow[c]
         for i in range(r + 1, rows):
             if a[i][c] != 0:
-                f = a[i][c] / pivot
+                f = Fraction(a[i][c], pivot)
                 a[i][c:] = [x - f * y for x, y in zip(a[i][c:], prow[c:])]
         pivots.append(c)
     return a, pivots
@@ -1557,7 +1592,7 @@ def fraction_echelon(m):
     form as `linalg` computed it before its rows became integers."""
     a, pivots = fraction_forward(m)
     for r, c in reversed(list(enumerate(pivots))):
-        inv = 1 / a[r][c]
+        inv = Fraction(1, a[r][c])
         prow = a[r] = [x * inv for x in a[r]]
         for i in range(r):
             f = a[i][c]
@@ -1606,7 +1641,7 @@ def forward_det(m):
             a[c], a[pr] = a[pr], a[c]
             result = -result
         result *= a[c][c]
-        inv = 1 / a[c][c]
+        inv = Fraction(1, a[c][c])
         for i in range(c + 1, n):
             if a[i][c] != 0:
                 f = a[i][c] * inv
@@ -1653,8 +1688,8 @@ def rescale_frame(vectors, norms, pair_slots):
         rho = factor(joint, prim)
         n = len(vecs[ia])
         vecs[ia], vecs[ib] = prim[:n], prim[n:]
-        ms[ia] = ms[ia] / rho ** 2
-        ms[ib] = ms[ib] / rho ** 2
+        ms[ia] = Fraction(ms[ia], rho ** 2)
+        ms[ib] = Fraction(ms[ib], rho ** 2)
         paired.update((ia, ib))
     for i, v in enumerate(vecs):
         if i in paired:
@@ -1662,7 +1697,7 @@ def rescale_frame(vectors, norms, pair_slots):
         prim = linalg.primitive_vector(v)
         rho = factor(v, prim)
         vecs[i] = prim
-        ms[i] = ms[i] / rho ** 2
+        ms[i] = Fraction(ms[i], rho ** 2)
     return ScaledSystem(tuple(vecs), tuple(ms))
 
 

@@ -6,10 +6,13 @@ where intersection counts are nonzero.  These strategies build them on
 purpose in the standard space of signature (p, q).  The seeded helpers
 `random_symmetric` and `random_nondegenerate_symmetric` draw rational
 symmetric matrices for the congruence and curvature tests.
-`canonical_entries` is the check that the tests apply to the results of
-`linalg`'s products, spans, constructors and `solve`, and of
-`representative`: each entry an `int` where it is integral and a `Fraction`
-where it is not.
+`canonical_entries` is the one entry-type check of the tests: every exact
+result of the library (the readers `mat` and `vec`, the products, spans,
+constructors and `solve`, the congruence's rationals, the samplers, the
+group action and the curvature builders) holds an `int` where a value is
+integral and a `Fraction` where it is not.  `as_fractions` writes each exact
+entry as a `Fraction`, for the digested pins that were taken when the
+library returned `Fraction`s: they are kept by value.
 """
 
 import random
@@ -30,6 +33,20 @@ def canonical_entries(x) -> bool:
     if isinstance(x, (list, tuple)):
         return all(canonical_entries(y) for y in x)
     return type(x) is int or type(x) is F and x.denominator != 1
+
+
+def as_fractions(x):
+    """x with every `int` leaf of nested lists and tuples written as a `Fraction`; a `bool`,
+    None or any other leaf stays as it is."""
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(as_fractions, x))
+    return F(x) if type(x) is int else x
+
+
+def fraction_vector(entries) -> tuple:
+    """The entries, a sequence or an iterator, as a tuple of `Fraction`s: rational test
+    input, an integral entry included, where `linalg.vec` would make it canonical."""
+    return tuple(map(F, entries))
 
 
 def unit(n, i):

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 import strategies
@@ -151,8 +152,8 @@ def test_parabolic_sample_examples():
 
 def test_scaled_automorphism_from_integer_matrix_is_exact():
     sa = ScaledAutomorphism.from_matrix([[3, 1, 2, 5], [0, 1, 4, 7], [0, 0, 2, 1], [0, 0, 1, 1]])
-    assert sa.scale == F(1, 3) and type(sa.scale) is F
-    assert all(type(x) is F for rows in (sa.matrix, sa.automorphism) for row in rows for x in row)
+    assert sa.scale == F(1, 3)
+    assert strategies.canonical_entries((sa.scale, sa.matrix, sa.automorphism))
     assert sa.automorphism[0] == (9, 3, 6, 15)
     assert sa.preserves_bracket(HeisenbergAlgebra(4))
 
@@ -219,6 +220,31 @@ def test_parabolic_sample_properties():
         det_d = (sa.matrix[n - 2][n - 2] * sa.matrix[n - 1][n - 1]
                  - sa.matrix[n - 2][n - 1] * sa.matrix[n - 1][n - 2])
         assert a * sa.scale == det_d
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(4, 8), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["sample", "wrong scale", "perturbed", "random"]))
+def test_closed_form_bracket_check_agrees_with_the_loop(n, seed, kind):
+    # the closed form reads phi's column 0 and its rows (n-2, n-1); the loop oracle
+    # checks phi [e_i, e_j] = [phi e_i, phi e_j] on every basis pair
+    rng = random.Random(seed)
+    alg = HeisenbergAlgebra(n)
+    sa = parabolic_sample(n, rng)
+    if kind == "wrong scale":
+        sa = ScaledAutomorphism(sa.matrix, sa.scale * rng.choice([2, -1, F(1, 3), F(-3, 2)]))
+    elif kind == "perturbed":
+        m = [list(row) for row in sa.matrix]
+        m[rng.randrange(n)][rng.randrange(n)] += rng.choice([1, -1, F(1, 2)])
+        sa = ScaledAutomorphism(tuple(map(tuple, linalg.mat(m))), sa.scale)
+    elif kind == "random":
+        m = [[linalg.ratio(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
+             for _ in range(n)]
+        sa = ScaledAutomorphism(tuple(map(tuple, m)), rng.choice([1, -1, F(1, 2)]))
+    got = sa.preserves_bracket(alg)
+    assert got == oracles.loop_preserves_bracket(sa, alg)
+    if kind in ("sample", "wrong scale"):
+        assert got == (kind == "sample")
 
 
 def test_is_scaled_automorphism_negatives():

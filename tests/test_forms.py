@@ -89,7 +89,8 @@ def degenerate_spaces_and_flags(draw):
     gram = [[sum(s * r[i] * r[j] for s, r in zip(signs, factor)) for j in range(n)]
             for i in range(n)]
     space = QuadraticSpace.from_matrix(gram)
-    vectors = [linalg.vec(draw(entries) for _ in range(n)) for _ in range(draw(st.integers(2, n)))]
+    vectors = [strategies.fraction_vector(draw(entries) for _ in range(n))
+               for _ in range(draw(st.integers(2, n)))]
     big = Subspace.spanned_by(vectors, n)
     if big.dim < 2:
         big = Subspace.full(n)
@@ -250,13 +251,13 @@ def degenerate_gram_and_vectors(draw):
     for _ in range(draw(st.integers(0, n + 2))):
         pick = draw(st.sampled_from(["zero", "copy", "sum", "new", "new"]))
         if pick == "zero":
-            vectors.append(linalg.vec([0] * n))
+            vectors.append(strategies.fraction_vector([0] * n))
         elif pick == "copy" and vectors:
             vectors.append(draw(st.sampled_from(vectors)))
         elif pick == "sum" and len(vectors) >= 2:
             vectors.append(linalg.vec_add(vectors[-1], vectors[-2]))
         else:
-            vectors.append(linalg.vec(draw(ENTRIES) for _ in range(n)))
+            vectors.append(strategies.fraction_vector(draw(ENTRIES) for _ in range(n)))
     return QuadraticSpace.from_matrix(gram), vectors
 
 
@@ -458,7 +459,8 @@ def test_null_block_rank_agrees_with_the_full_rank_check(data, extra, pick):
         system = forms.ScaledSystem((*system.vectors[:i + 1], null, *system.vectors[i + 1:]),
                                     (*system.norms[:i + 1], F(0), *system.norms[i + 1:]))
     elif extra == "zero" or (extra in ("repeat", "scale") and nulls):
-        null = nulls[pick % len(nulls)] if extra != "zero" else linalg.vec([0] * space.dim)
+        null = (nulls[pick % len(nulls)] if extra != "zero"
+                else strategies.fraction_vector([0] * space.dim))
         null = linalg.vec_scale(-2, null) if extra == "scale" else null
         system = forms.ScaledSystem((*system.vectors, null), (*system.norms, F(0)))
     vectors = system.vectors
@@ -492,7 +494,7 @@ def test_extension_names_nulls_that_meet_the_ambient_radical():
     # z1 and z2 are independent null vectors outside rad(V) = <e2>, but
     # z2 - z1 = e2 lies in it, so no complement of rad(V) holds both
     space = QuadraticSpace.from_matrix(linalg.diag([1, -1, 0]))
-    z1, z2 = linalg.vec([1, 1, 0]), linalg.vec([1, 1, 1])
+    z1, z2 = strategies.fraction_vector([1, 1, 0]), strategies.fraction_vector([1, 1, 1])
     system = forms.ScaledSystem((z1, z2), (F(0), F(0)))
     system.check(space)
     with pytest.raises(PreconditionError,
@@ -545,7 +547,7 @@ def test_subspaces_equivalent_agrees_with_intersect_oracle(data):
 def test_contains_agrees_with_in_span_oracle(data):
     space, vectors = data
     w = Subspace.spanned_by(vectors[: len(vectors) // 2], space.dim)
-    for v in vectors + [linalg.vec([0] * space.dim)]:
+    for v in vectors + [strategies.fraction_vector([0] * space.dim)]:
         assert w.contains(v) == oracles.in_span(v, w.basis)
     with pytest.raises(linalg.ShapeError):
-        w.contains(linalg.vec([0] * (space.dim + 1)))
+        w.contains(strategies.fraction_vector([0] * (space.dim + 1)))

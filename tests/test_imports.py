@@ -50,11 +50,14 @@ rows, is a new matrix and stays allowed.
 `linalg` is the one exact input boundary: outside `linalg.py`, no module of
 `src/heisflag` calls `is_symmetric`, compares a matrix with its transpose
 (an operand or a comprehension source built by `transpose(...)` or
-`zip(*m)`, or `m[i][j]` against `m[j][i]`), catches `ShapeError` to
-re-raise it under another name (`cli.main` maps it to an exit code), or
-calls `Fraction` on one argument that is not a number literal, which would
-parse strings and floats.  The one exception is `matrixio.parse_rational`,
-whose `Fraction(token)` reads a token that its regex has already matched.
+`zip(*m)`, or `m[i][j]` against `m[j][i]`), or catches `ShapeError` to
+re-raise it under another name (`cli.main` maps it to an exit code).
+
+`linalg.ratio` is the one maker of rationals, so every exact result is
+canonical: no module of `src/heisflag` calls `Fraction`, as a name or an
+attribute and at module level too, outside `ratio` and
+`matrixio.parse_rational` (whose `Fraction(token)` reads a token that its
+regex has already matched), or imports it under another name.
 
 `linalg.shape` is the one reader of row lengths: in no module of
 `src/heisflag`, `linalg.py` included, does any other function call
@@ -62,10 +65,12 @@ whose `Fraction(token)` reads a token that its regex has already matched.
 target.  The one exception is `cli._parse_flag_spec`, whose vectors are
 parsed user text that must fail with `MatrixFormatError`.
 
-Every true division in `src/heisflag` is exact: no module has a `/` or `/=`
-outside `linalg.ratio`, the exact `Fraction(a, b)`, so no quotient of two
-`int`s becomes a float.  The one exception is the last line of
-`witness._assemble`, which rounds each finished entry to binary64.
+Every true division in `src/heisflag` and `tests/oracles.py` is exact: no
+module has a `/` or `/=` outside `linalg.ratio`, so no quotient of two
+`int`s becomes a float; the oracles divide with `Fraction(a, b)` or
+`ratio`.  The exceptions are the last line of `witness._assemble`, which
+rounds each finished entry to binary64, and the oracles' `hp`, the mpmath
+rounding of their 256-bit witness assembly.
 `witness.py` assembles in `int` plus `linalg.ratio`: it imports no
 `fractions` and names no `Fraction`.
 
@@ -377,6 +382,8 @@ KEPT_FOR_USERS = {
     "heisenberg.py: ScaledAutomorphism.preserves_bracket": "states what from_matrix promises",
     "curvature.py: is_flat": "criterion 7's exact predicate on `riemann`'s table",
     "curvature.py: riemann": "criterion 7's exact Riemann tensor, which the report never builds",
+    "linalg.py: mat_vec": "Mv, the public product beside mat_mul; the bracket check reads "
+                          "phi's rows in closed form",
 }
 
 
@@ -555,13 +562,18 @@ def test_witness_keeps_only_float_assembly():
     assert frame_code((SRC / "witness.py").read_text()) == []
 
 
+# (module, function) whose divisions may be true ones: the exact division itself, and the
+# mpmath rounding of each rational in the oracles' 256-bit witness assembly
+DIVIDING_FUNCTIONS = {("linalg.py", "ratio"), ("oracles.py", "hp")}
+
+
 def true_divisions(name: str, source: str) -> list[str]:
-    """`line n: expression` for each `/` or `/=` in module `name`, outside `linalg.ratio`
-    and the last statement of `witness._assemble`, in line order."""
+    """`line n: expression` for each `/` or `/=` in module `name`, outside the functions
+    of `DIVIDING_FUNCTIONS` and the last statement of `witness._assemble`, in line order."""
     tree = ast.parse(source)
     allowed = set()
-    for stmt in tree.body:
-        if isinstance(stmt, ast.FunctionDef) and (name, stmt.name) == ("linalg.py", "ratio"):
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, ast.FunctionDef) and (name, stmt.name) in DIVIDING_FUNCTIONS:
             allowed.update(map(id, ast.walk(stmt)))
         elif isinstance(stmt, ast.FunctionDef) and (name, stmt.name) == ("witness.py", "_assemble"):
             allowed.update(map(id, ast.walk(stmt.body[-1])))
@@ -586,10 +598,23 @@ def test_checker_flags_a_true_division():
     assert true_divisions("linalg.py", ratio) == ["line 6: x /= 2"]
     assert true_divisions("forms.py", ratio) == ["line 2: a / b", "line 6: x /= 2"]
     assert true_divisions("curvature.py", "def f(a, b):\n    return a // b + ratio(a, b)\n") == []
+    # in the oracles only mpmath's rounding divides
+    oracle = ("def mpmath_assemble(x):\n    def hp(x):\n"
+              "        return mpf(x.numerator) / mpf(x.denominator)\n"
+              "    return hp(x) / 2, Fraction(1, x)\n")
+    assert true_divisions("oracles.py", oracle) == ["line 4: hp(x) / 2"]
+    source = (TESTS / "oracles.py").read_text()
+    anchor = "        inv = Fraction(1, a[c][c])\n        a[c] = [x * inv for x in a[c]]\n"
+    assert source.count(anchor) == 1
+    line = source[:source.index(anchor)].count("\n") + 1
+    float_inverse = anchor.replace("Fraction(1, a[c][c])", "1 / a[c][c]")
+    assert true_divisions("oracles.py", source.replace(anchor, float_inverse)) == [
+        f"line {line}: 1 / a[c][c]"]
 
 
 def test_every_division_is_exact():
-    found = {p.name: true_divisions(p.name, p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    found = {p.name: true_divisions(p.name, p.read_text())
+             for p in [*sorted(SRC.glob("*.py")), TESTS / "oracles.py"]}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
@@ -722,35 +747,15 @@ def mirrored(left: ast.expr, right: ast.expr) -> bool:
             and ast.dump(left.value.slice) == ast.dump(right.slice))
 
 
-def is_number_literal(node: ast.expr) -> bool:
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        node = node.operand
-    return isinstance(node, ast.Constant) and type(node.value) is int
-
-
-# (module, function) of each `Fraction(x)` that reads a checked token
-PARSED_FRACTIONS = {("matrixio.py", "parse_rational")}
-
-
 def boundary_copies(name: str, source: str) -> list[str]:
     """`line n: what` for each entry or Gram decision that a module makes outside `linalg`."""
     found = []
-    tree = ast.parse(source)
-    owners = {}
-    for stmt in ast.walk(tree):
-        if isinstance(stmt, ast.FunctionDef):
-            for node in ast.walk(stmt):
-                owners.setdefault(id(node), stmt.name)
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             func = node.func
             called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             if called == "is_symmetric":
                 found.append((node.lineno, "calls is_symmetric"))
-            elif (called == "Fraction" and len(node.args) == 1 and not node.keywords
-                  and not is_number_literal(node.args[0])
-                  and (name, owners.get(id(node))) not in PARSED_FRACTIONS):
-                found.append((node.lineno, "calls Fraction on one non-literal"))
         elif isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
             if any(builds_transpose(x) for x in operands) or any(
@@ -789,19 +794,67 @@ def test_checker_flags_a_second_gram_or_entry_check():
     assert boundary_copies("forms.py", mirrored_source) == [
         "line 2: calls is_symmetric", "line 2: compares a matrix with its transpose",
         "line 3: compares a matrix with its transpose"]
-    entries = ("def parse_rational(token):\n    return Fraction(token)\n\n\n"
-               "def frac(x):\n"
-               "    return Fraction(x), Fraction(-1), Fraction(1, x), Fraction(x or 0)\n")
-    assert boundary_copies("matrixio.py", entries) == [
-        "line 6: calls Fraction on one non-literal", "line 6: calls Fraction on one non-literal"]
-    assert boundary_copies("forms.py", entries) == [
-        "line 2: calls Fraction on one non-literal",
-        "line 6: calls Fraction on one non-literal", "line 6: calls Fraction on one non-literal"]
 
 
 def test_linalg_is_the_one_input_boundary():
     found = {p.name: boundary_copies(p.name, p.read_text())
              for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# (module, function) of each `Fraction(...)` call: the one maker of rationals, and the
+# parser of a rational literal that its regex has matched
+FRACTION_MAKERS = {("linalg.py", "ratio"), ("matrixio.py", "parse_rational")}
+
+
+def fraction_calls(name: str, source: str) -> list[str]:
+    """`line n: what` for each call of `Fraction`, as a name or an attribute, in module
+    `name` outside the functions of `FRACTION_MAKERS`, and each import of it under
+    another name, in line order."""
+    tree = ast.parse(source)
+    allowed = set()
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, ast.FunctionDef) and (name, stmt.name) in FRACTION_MAKERS:
+            allowed.update(map(id, ast.walk(stmt)))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in allowed:
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called == "Fraction":
+                found.append((node.lineno, "calls Fraction"))
+        elif (isinstance(node, ast.alias) and node.name == "Fraction"
+              and node.asname not in (None, "Fraction")):
+            found.append((node.lineno, f"imports Fraction as {node.asname}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_checker_flags_a_fraction_built_outside_ratio():
+    source = (SRC / "heisenberg.py").read_text()
+    anchor = "                out[i][j] = out[j][i] = linalg.ratio(s, den)\n"
+    assert source.count(anchor) == 1
+    line = source[:source.index(anchor)].count("\n") + 1
+    boxed = anchor.replace("linalg.ratio(s, den)", "Fraction(s, den)")
+    assert fraction_calls("heisenberg.py", source.replace(anchor, boxed)) == [
+        f"line {line}: calls Fraction"]
+    entries = ("def parse_rational(token):\n    return Fraction(token)\n\n\n"
+               "def frac(x):\n"
+               "    return fractions.Fraction(x), Fraction(-1), Fraction(1, x)\n")
+    assert fraction_calls("matrixio.py", entries) == ["line 6: calls Fraction"] * 3
+    assert fraction_calls("forms.py", entries) == ["line 2: calls Fraction"] + [
+        "line 6: calls Fraction"] * 3
+    # a module-level constant is a call outside `ratio` as well
+    made = "def ratio(a, b):\n    return Fraction(a, b)\n\n\nHALF = Fraction(1, 2)\n"
+    assert fraction_calls("linalg.py", made) == ["line 5: calls Fraction"]
+    aliased = "from fractions import Fraction as F\n\nx = F(1, 2)\n"
+    assert fraction_calls("sampling.py", aliased) == ["line 1: imports Fraction as F"]
+    typed = ("from fractions import Fraction\n\n\n"
+             "def f(x: Fraction) -> Fraction:\n    return ratio(x, 2)\n")
+    assert fraction_calls("curvature.py", typed) == []
+
+
+def test_only_ratio_and_the_parser_make_fractions():
+    found = {p.name: fraction_calls(p.name, p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from heisflag import linalg
-from heisflag.forms import QuadraticSpace, restrict
+from heisflag import linalg, sampling
+from heisflag.curvature import curvature_report, riemann
+from heisflag.forms import QuadraticSpace, Subspace, lightlike_split, restrict
 from heisflag.heisenberg import (
+    HeisenbergAlgebra,
     act_on_metric,
     admissible_classes,
     parabolic_sample,
@@ -32,12 +34,11 @@ from heisflag.linalg import (
     mat_mul,
     rank,
     transpose,
-    vec,
     zeros,
 )
 from heisflag.sampling import random_flag
 import strategies
-from strategies import canonical_entries, random_symmetric
+from strategies import as_fractions, canonical_entries, fraction_vector, random_symmetric
 
 invert = oracles.invert  # the dense inverse oracle: the library returns no `Fraction` inverse
 
@@ -123,22 +124,22 @@ def test_invert_random_round_trip():
 
 
 def test_intersect_examples():
-    e = [vec([1 if i == j else 0 for j in range(3)]) for i in range(3)]
+    e = [fraction_vector([1 if i == j else 0 for j in range(3)]) for i in range(3)]
     assert oracles.intersect([e[0], e[1]], [e[1], e[2]]) == [e[1]]
     assert oracles.intersect([e[0]], [e[1]]) == []
-    v = vec([1, 1, 0])
+    v = fraction_vector([1, 1, 0])
     got = oracles.intersect([v, e[2]], [v])
     assert len(got) == 1 and oracles.in_span(v, got)
 
 
 def test_intersect_dimension_mismatch():
     with pytest.raises(ShapeError):
-        oracles.intersect([vec([1, 0])], [vec([1, 0, 0])])
+        oracles.intersect([fraction_vector([1, 0])], [fraction_vector([1, 0, 0])])
 
 
 def test_intersect_basis_independent():
     rng = random.Random(9)
-    e = [vec([1 if i == j else 0 for j in range(4)]) for i in range(4)]
+    e = [fraction_vector([1 if i == j else 0 for j in range(4)]) for i in range(4)]
     span_a = [e[0], e[1], e[2]]
     span_b = [e[1], e[2], e[3]]
     expected = linalg.row_space(oracles.intersect(span_a, span_b))
@@ -156,7 +157,7 @@ def test_lll_reduce_names_dependent_input():
                     [(1, 0, 0), (0, 1, 0), (1, 1, 0)], [(1, 2), (3, 4), (5, 6)],
                     [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]):
         with pytest.raises(ShapeError, match="linearly independent"):
-            linalg.lll_reduce([vec(v) for v in vectors])
+            linalg.lll_reduce([fraction_vector(v) for v in vectors])
 
 
 def test_ragged_input_is_rejected():
@@ -174,8 +175,8 @@ def test_ragged_input_is_rejected():
 
 def test_solve_consistent_and_inconsistent():
     a = mat([[1, 2], [2, 4]])
-    assert linalg.solve(a, vec([1, 2])) is not None
-    assert linalg.solve(a, vec([1, 3])) is None
+    assert linalg.solve(a, fraction_vector([1, 2])) is not None
+    assert linalg.solve(a, fraction_vector([1, 3])) is None
 
 
 def seeded_invertible(rng, n, den):
@@ -199,7 +200,7 @@ def test_two_column_inverse_agrees_with_the_oracle_inverse():
     for k in range(300):
         n = rng.randint(2, 8)
         m = seeded_invertible(rng, n, 1 if k % 2 else 4)
-        want = oracles.gauss_jordan_invert(mat(m))  # `Fraction`s, so its divisions are exact
+        want = oracles.gauss_jordan_invert(m)
         for units in ((n - 2, n - 1), tuple(sorted(rng.sample(range(n), 2))), (n - 1, 0)):
             assert two_columns(m, units) == [[row[u] for u in units] for row in want]
 
@@ -230,14 +231,6 @@ def test_two_column_inverse_refuses_a_singular_matrix_with_the_units_in_its_rang
             integer_inverse(m)
 
 
-def fraction_entries(x) -> bool:
-    """True iff every leaf of nested lists and tuples is a `Fraction`: the results of
-    the routines that return `Fraction`s (the congruence's, and the `invert` oracle)."""
-    if isinstance(x, (list, tuple)):
-        return all(fraction_entries(y) for y in x)
-    return type(x) is F
-
-
 def test_int_input_stays_exact():
     singular = [[3, 1, 4], [1, 3, 4], [4, 4, 8]]
     assert rank(singular) == 2
@@ -245,7 +238,8 @@ def test_int_input_stays_exact():
         invert(singular)
     res = congruence_diagonalize(singular)
     assert res.diagonal == (F(3), F(8, 3), F(0)) and res.sign_counts() == (2, 0, 1)
-    assert fraction_entries(res.transform)
+    factors = [f for kind, _, arg in res.moves if kind == "clear" for _, f in arg]
+    assert canonical_entries((res.diagonal, factors, res.transform))
     assert kernel([[1, 2], [2, 4]]) == [(F(2), F(-1))]
     assert canonical_entries(kernel([[1, 2], [2, 4]]))
 
@@ -263,14 +257,14 @@ def degenerate_vectors(draw, n, count):
     for _ in range(count):
         kind = draw(st.sampled_from(["zero", "copy", "mix", "new", "new"]))
         if kind == "zero":
-            out.append(vec([0] * n))
+            out.append(fraction_vector([0] * n))
         elif kind == "copy" and out:
             out.append(draw(st.sampled_from(out)))
         elif kind == "mix" and len(out) >= 2:
             a, b = draw(st.sampled_from(out)), draw(st.sampled_from(out))
             out.append(linalg.combine([draw(ENTRIES), draw(ENTRIES)], [a, b]))
         else:
-            out.append(vec(draw(ENTRIES) for _ in range(n)))
+            out.append(fraction_vector(draw(ENTRIES) for _ in range(n)))
     return out
 
 
@@ -286,7 +280,7 @@ def degenerate_symmetric(draw, max_n=8):
     k = draw(st.integers(min(n, 1), n))
     kind = draw(st.sampled_from(["entries", "null-diagonal", "rank-two"]))
     if kind == "rank-two":
-        u, v = (vec(draw(ENTRIES) for _ in range(k)) for _ in range(2))
+        u, v = (fraction_vector(draw(ENTRIES) for _ in range(k)) for _ in range(2))
         c = draw(ENTRIES)
         base = [[u[i] * v[j] + v[i] * u[j] + c * u[i] * u[j] for j in range(k)]
                 for i in range(k)]
@@ -421,10 +415,6 @@ def singular_int_rows(draw, n, count):
     return out
 
 
-def as_fractions(m):
-    return [[F(x) for x in row] for row in m]
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_int_input_gives_the_fraction_results(data):
@@ -435,7 +425,7 @@ def test_int_input_gives_the_fraction_results(data):
     fm = as_fractions(m)
     b = data.draw(st.lists(st.integers(-9, 9), min_size=rows, max_size=rows))
     got = (kernel(m), linalg.row_space(m), linalg.solve(m, tuple(b)))
-    assert got == (kernel(fm), linalg.row_space(fm), linalg.solve(fm, vec(b)))
+    assert got == (kernel(fm), linalg.row_space(fm), linalg.solve(fm, fraction_vector(b)))
     assert rank(m) == rank(fm) and canonical_entries(got[:2])
     assert got[2] is None or canonical_entries(got[2])
     if square:
@@ -445,7 +435,7 @@ def test_int_input_gives_the_fraction_results(data):
             with pytest.raises(SingularMatrixError):
                 invert(fm)
         else:
-            assert inverse == invert(fm) and fraction_entries(inverse)
+            assert inverse == invert(fm) and canonical_entries(inverse)
         # a symmetric B^T diag(d) B is singular whenever B is
         d = [data.draw(st.integers(-1, 1)) for _ in range(cols)]
         s = [[sum(d[k] * m[k][i] * m[k][j] for k in range(cols)) for j in range(cols)]
@@ -454,7 +444,7 @@ def test_int_input_gives_the_fraction_results(data):
         res, want = congruence_diagonalize(s, leading), congruence_diagonalize(as_fractions(s), leading)
         assert (res.diagonal, res.leading_counts) == (want.diagonal, want.leading_counts)
         assert res.transform == want.transform
-        assert fraction_entries((res.diagonal, res.transform))
+        assert canonical_entries((res.diagonal, res.transform))
 
 
 def reduced_echelon(m):
@@ -472,7 +462,7 @@ def test_forward_elimination_agrees_with_gauss_jordan_oracle(m, data):
     assert rank(m) == oracles.gauss_jordan_rank(m)
     cols = len(m[0]) if m else 0
     b = data.draw(st.one_of(
-        st.lists(ENTRIES, min_size=len(m), max_size=len(m)).map(vec),
+        st.lists(ENTRIES, min_size=len(m), max_size=len(m)).map(fraction_vector),
         st.lists(ENTRIES, min_size=cols, max_size=cols).map(
             lambda x: tuple(sum((a * y for a, y in zip(row, x)), F(0)) for row in m))))
     rows = [tuple(row) for row in m]
@@ -629,10 +619,10 @@ def test_integer_elimination_agrees_with_the_fraction_oracle(m, data):
     got = elimination_results(m, b, split, target)
     with replaced_elimination():
         assert got == elimination_results(m, b, split, target)
-    # extend_to_independent (got[4]) returns input vectors; kernel, row_space
-    # and solve are canonical, and the invert oracle returns `Fraction`s
+    # extend_to_independent (got[4]) returns input vectors; kernel, row_space,
+    # solve and the invert oracle are canonical
     assert canonical_entries(got[1:3]) and (got[3] is None or canonical_entries(got[3]))
-    assert fraction_entries([x for x in got[5:] if isinstance(x, (F, list, tuple))])
+    assert canonical_entries([x for x in got[5:] if isinstance(x, (F, list, tuple))])
     # each integer row is a nonzero rational multiple of the rational row
     a, pivots = linalg._forward(m)
     want, want_pivots = oracles.fraction_forward(m)
@@ -694,7 +684,8 @@ def independent_subsequence(vectors):
 def test_lll_reduce_agrees_with_recomputing_oracle(data):
     n = data.draw(st.integers(1, 6))
     wide = st.one_of(ENTRIES, st.integers(-40, 40))
-    drawn = [vec(data.draw(wide) for _ in range(n)) for _ in range(data.draw(st.integers(0, n)))]
+    drawn = [fraction_vector(data.draw(wide) for _ in range(n))
+             for _ in range(data.draw(st.integers(0, n)))]
     independent = independent_subsequence(drawn)
     assert linalg.lll_reduce(independent) == oracles.recomputing_lll_reduce(independent)
 
@@ -708,9 +699,9 @@ def test_lll_reduce_ties_and_boundaries():
         ([(1, 1, 1, 1), (1, 1, -1, 0)], [(1, 1, 1, 1), (1, 1, -1, 0)]),
     ]
     for vectors, want in cases:
-        vectors = [vec(v) for v in vectors]
-        assert linalg.lll_reduce(vectors) == [vec(v) for v in want]
-        assert oracles.recomputing_lll_reduce(vectors) == [vec(v) for v in want]
+        vectors = [fraction_vector(v) for v in vectors]
+        assert linalg.lll_reduce(vectors) == [fraction_vector(v) for v in want]
+        assert oracles.recomputing_lll_reduce(vectors) == [fraction_vector(v) for v in want]
 
 
 @st.composite
@@ -728,7 +719,7 @@ def near_parallel_bases(draw):
             v[draw(st.integers(0, n - 1))] += draw(st.sampled_from([1, -1]))
         else:
             v = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(n)]
-        out.append(vec(v))
+        out.append(fraction_vector(v))
     return out
 
 
@@ -810,7 +801,7 @@ def test_switched_routines_are_canonical_and_agree_with_oracles(drawn, data):
     coeffs = [data.draw(ENTRIES) for _ in vectors]
     c = data.draw(ENTRIES)
     u, v = data.draw(st.sampled_from(vectors)), data.draw(st.sampled_from(vectors))
-    fraction_space = QuadraticSpace(tuple(map(tuple, mat(space.gram))))
+    fraction_space = QuadraticSpace(as_fractions(space.gram))
     gram = [list(row) for row in space.gram]
     with replaced_elimination():
         spans = [(kernel(gram), linalg.row_space(vectors))]
@@ -840,3 +831,40 @@ def test_switched_routines_are_canonical_and_agree_with_oracles(drawn, data):
     for name, (got, want) in results.items():
         assert got == want, name
         assert canonical_entries(got), name
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(4, 7), seed=st.integers(0, 2 ** 32 - 1))
+def test_every_builder_returns_canonical_entries(n, seed):
+    # each exact result holds an `int` where a value is integral, whatever its input's
+    # types: here a Gram matrix of `Fraction`s, the integral ones included
+    rng = random.Random(seed)
+    q = rng.randint(1, n - 1)
+    p = n - q
+    alg = HeisenbergAlgebra(n)
+    sa = parabolic_sample(n, rng)
+    row = rng.choice(admissible_classes(p, q).classes)
+    gram = act_on_metric([list(r) for r in sa.matrix], representative(row.id, p, q))
+    boxed = as_fractions(gram)
+    res = congruence_diagonalize(boxed)
+    flag = random_flag(p, q, rng)
+    report = curvature_report(alg, boxed)
+    null = tuple(int(i in (0, p)) for i in range(n))  # e_0 + e_p has norm 1 - 1
+    built = {
+        "mat, vec, diag": (mat(boxed), linalg.vec(boxed[0]), diag(boxed[0])),
+        "combine": linalg.combine((F(1, 2), F(1, 2)), (boxed[0], boxed[1])),
+        "solve": linalg.solve(boxed, boxed[0]),
+        "congruence": (res.diagonal, res.transform,
+                       [f for kind, _, arg in res.moves if kind == "clear" for _, f in arg]),
+        "scaled automorphism": (sa.matrix, sa.scale, sa.automorphism),
+        "act_on_metric": gram,
+        "samplers": [getattr(sampling, name)(p, q, rng) for name in
+                     ("cayley_opq", "plane_cayley_opq", "random_opq", "mild_opq", "random_gram")],
+        "random_flag": (flag.small.basis, flag.big.basis),
+        "riemann": riemann(alg, boxed),
+        "curvature_report": (report.ricci, report.scalar_curv, report.soliton),
+        "lll_reduce": linalg.lll_reduce(flag.big.basis),
+        "lightlike_split": lightlike_split(QuadraticSpace.standard(p, q), Subspace.full(n), null),
+    }
+    assert [name for name, x in built.items() if not canonical_entries(x)] == []
+

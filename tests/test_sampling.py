@@ -18,9 +18,10 @@ import pytest
 
 import heisflag
 import oracles
+import strategies
 from heisflag import heisenberg, sampling
 from heisflag.forms import Flag, Subspace
-from heisflag.heisenberg import admissible_classes
+from heisflag.heisenberg import ScaledAutomorphism, admissible_classes
 
 SAMPLERS = ("cayley_opq", "plane_cayley_opq", "mild_opq", "random_opq", "random_flag",
             "random_gram")
@@ -64,18 +65,23 @@ for p, q in [(1, 1)]:
 
 
 def as_fractions(out):
-    """A Gram matrix or a flag with every exact entry written as a `Fraction`.
+    """A seeded output with every exact entry written as a `Fraction`.
 
-    `random_gram` and `apply_to_flag` return the canonical entries of
-    `linalg`'s products and spans, `int` where integral; their pins were
-    taken when every entry was a `Fraction`, so they are digested by value.
-    A flag is rebuilt through the public `Subspace` and `Flag` constructors.
+    The samplers and the group action return canonical entries, `int` where
+    integral; the pins were taken when every entry was a `Fraction`, so
+    they are digested by value.  A flag is rebuilt through the public
+    `Subspace` and `Flag` constructors, and a `ScaledAutomorphism` keeps the
+    three parts of its repr, the automorphism cached as it is when read.
     """
     if isinstance(out, Flag):
         n = out.big.ambient_dim
-        return Flag(*(Subspace(n, tuple(tuple(map(Fraction, v)) for v in part.basis))
+        return Flag(*(Subspace(n, strategies.as_fractions(part.basis))
                       for part in (out.small, out.big)))
-    return [[Fraction(x) for x in row] for row in out]
+    if isinstance(out, ScaledAutomorphism):
+        sa = ScaledAutomorphism(strategies.as_fractions(out.matrix), Fraction(out.scale))
+        sa.__dict__["automorphism"] = strategies.as_fractions(out.automorphism)
+        return sa
+    return strategies.as_fractions(out)
 
 
 def seeded_outputs():
@@ -85,7 +91,7 @@ def seeded_outputs():
     `random_gram`, a `parabolic_sample`, an admissible row's representative
     moved twice by `act_on_metric`, a `random_opq`, and a `random_flag`
     moved by `apply_to_flag` of a `random_opq`, each from its own generator.
-    The `random_gram` and `apply_to_flag` outputs pass through `as_fractions`.
+    Every output passes through `as_fractions`.
     """
     for n in (4, 5, 8, 12, 16):
         q = max(1, n // 3)
@@ -95,16 +101,17 @@ def seeded_outputs():
             rng = random.Random(seed)
             yield f"({p},{q}) random_gram {seed}", as_fractions(sampling.random_gram(p, q, rng)), rng
             rng = random.Random(seed)
-            yield f"n={n} parabolic_sample {seed}", heisenberg.parabolic_sample(n, rng), rng
+            sample = heisenberg.parabolic_sample(n, rng)
+            yield f"n={n} parabolic_sample {seed}", as_fractions(sample), rng
             rng = random.Random(seed)
             row = rows[seed * 5 % len(rows)]
             gram = heisenberg.representative(row.id, p, q)
             for _ in range(2):
                 g = [list(r) for r in heisenberg.parabolic_sample(n, rng).matrix]
                 gram = heisenberg.act_on_metric(g, gram)
-            yield f"({p},{q}) class {row.id} moved twice {seed}", gram, rng
+            yield f"({p},{q}) class {row.id} moved twice {seed}", as_fractions(gram), rng
             rng = random.Random(seed)
-            yield f"({p},{q}) random_opq {seed}", sampling.random_opq(p, q, rng), rng
+            yield f"({p},{q}) random_opq {seed}", as_fractions(sampling.random_opq(p, q, rng)), rng
             rng = random.Random(seed)
             f = sampling.random_flag(p, q, rng)
             yield (f"({p},{q}) apply_to_flag {seed}",
