@@ -123,15 +123,14 @@ RiemannTable = tuple[tuple[tuple[Vector, ...], ...], ...]
 def _read_gram(n: int, gram: Matrix) -> tuple[list[list[int]], int, tuple, tuple, int]:
     """(A, L, Ia, Ib, P) for a symmetric, nondegenerate n x n G; PreconditionError names any fault.
 
-    G is read once, as A = L G in `int` (`linalg.scaled_to_int`), and
-    `require_gram` checks A.  One elimination of [A | e_a e_b] gives columns
+    G is read once, as A = L G in `int`, by `linalg.read_gram`, which checks
+    it.  One elimination of [A | e_a e_b] gives columns
     a and b of A^{-1}, which are its rows a and b, as the `int` vectors Ia
     and Ib over P > 0, the lcm of the pivots; so G^{-1} e_a = L Ia / P.
     """
-    rows, scale = linalg.scaled_to_int(gram)
+    rows, scale = linalg.read_gram(gram)
     if len(rows) != n:
         raise PreconditionError(f"Gram matrix must be {n}x{n}")
-    linalg.require_gram(rows)
     try:
         columns = linalg._inverse_rows(rows, (n - 2, n - 1))
     except linalg.SingularMatrixError:

@@ -13,7 +13,8 @@ decides its layout also owns its pair slots: `adapted_frame` builds the
 flag-adapted frame that isometry witnesses assemble.  One kernel of
 <xs, ws> mapped through ws, `_annihilated`, serves `radical`, the perps
 that the extension peels and the frame's cap of rad(big); `QuadraticSpace`
-caches the radical of the whole space as one kernel of its Gram matrix.
+caches the radical of the whole space as one kernel of its Gram matrix,
+which `radical` returns when it is given no subspace.
 
 The form is evaluated in one place, `QuadraticSpace.pairing`, and every
 change from subspace coordinates to ambient ones is one `linalg.combine`.
@@ -79,7 +80,7 @@ class QuadraticSpace:
     gram: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self):
-        linalg.require_gram(linalg.scaled_to_int(self.gram)[0])
+        linalg.read_gram(self.gram)
 
     @classmethod
     def from_matrix(cls, gram: Sequence[Sequence]) -> "QuadraticSpace":
@@ -162,7 +163,7 @@ class Subspace:
     @classmethod
     def spanned_by(cls, vectors: Sequence[Sequence], ambient_dim: int) -> "Subspace":
         """Span of arbitrary vectors; dependent ones are dropped."""
-        return cls._independent(ambient_dim, tuple(linalg.row_space([vec(v) for v in vectors])))
+        return cls._independent(ambient_dim, tuple(linalg.row_space(vectors)))
 
     @classmethod
     def coordinate(cls, ambient_dim: int, indices: Sequence[int]) -> "Subspace":
@@ -352,9 +353,10 @@ def radical(space: QuadraticSpace, w: Subspace | None = None) -> Subspace:
 
     The kernel of W's Gram matrix mapped through W's basis, which is
     independent, so `_annihilated` of that basis against itself is a basis.
+    With no W it is the whole space's, which `QuadraticSpace` caches.
     """
     if w is None:
-        w = Subspace.full(space.dim)
+        return space.ambient_radical()
     return Subspace._independent(space.dim, tuple(_annihilated(space, w.basis, w.basis)))
 
 
@@ -545,7 +547,7 @@ def extend_nullsystem(space: QuadraticSpace, nulls: Sequence[Vector]) -> ScaledS
     <x_i, x_i> = -<y_i, y_i> > 0 for the split pairs: `extend_basis` of the
     all-null system of span(nulls).
     """
-    nulls = [vec(v) for v in nulls]
+    nulls = [tuple(v) for v in linalg.mat(nulls)]
     if not space.is_nondegenerate():
         raise PreconditionError("ambient form must be nondegenerate")
     if nulls:

@@ -195,7 +195,7 @@ def classify_metric(alg: HeisenbergAlgebra, gram: Matrix) -> Classification:
     negation just exchanges positive and negative counts.
     """
     n = alg.n
-    if len(gram) != n:
+    if linalg.shape(gram)[0] != n:
         raise PreconditionError(f"Gram matrix must be {n}x{n}")
     res = linalg.congruence_diagonalize(gram, leading=n - 2)
     sig = Signature(*res.sign_counts())
@@ -425,31 +425,22 @@ def act_on_metric(g: Matrix, gram: Matrix) -> Matrix:
     """The pullback action on Gram matrices: g . A = g^{-T} A g^{-1}, exactly.
 
     Computed in `int`: with g^{-1} = M / d from `linalg.integer_inverse` and
-    L A from `linalg.scaled_to_int` (L the lcm of A's denominators),
-    g . A = M^T (L A) M / (d^2 L).  The product is symmetric, so only its
-    upper triangle is summed, and `linalg.ratio` divides each entry once,
-    shared with its mirror.
+    L A from `linalg.read_gram` (L the lcm of A's denominators),
+    g . A = M^T (L A) M / (d^2 L), each product summed by `linalg._int_sum`.
+    The product is symmetric, so only its lower triangle is summed (row i
+    up to column i), and `linalg.ratio` divides each entry once, shared
+    with its mirror.
     """
-    n = len(g)
-    if len(gram) != n:
-        raise linalg.ShapeError("matrix sizes do not match")
     m, d = linalg.integer_inverse(g)
-    a, scale = linalg.scaled_to_int(gram)
-    linalg.require_gram(a)
-
-    def combination(coeffs, rows, start: int) -> list[int]:
-        """sum_k c_k rows_k from column `start` on, skipping zero coefficients."""
-        acc = [0] * (n - start)
-        for x, row in zip(coeffs, rows):
-            if x:
-                acc = [s + x * y for s, y in zip(acc, row[start:])]
-        return acc
-
-    am = [combination(row, m, 0) for row in a]  # row i of L A M
+    a, scale = linalg.read_gram(gram)
+    n = len(m)
+    if len(a) != n:
+        raise linalg.ShapeError("matrix sizes do not match")
+    am = [linalg._int_sum(row, m, n) for row in a]  # row i of L A M
     den = d * d * scale
     out: Matrix = [[0] * n for _ in range(n)]
-    for i, col in enumerate(zip(*m)):  # row i of M^T (L A M), from column i on
-        for j, s in enumerate(combination(col, am, i), i):
+    for i, col in enumerate(zip(*m)):  # row i of M^T (L A M), up to column i
+        for j, s in enumerate(linalg._int_sum(col, am, i + 1)):
             if s:
                 out[i][j] = out[j][i] = linalg.ratio(s, den)
     return out

@@ -9,29 +9,36 @@ no quotient of two `int`s becomes a float and no integer is boxed; the
 readers `mat` and `vec` write an integral `Fraction` as its `int`.
 (`integer_inverse` returns an `int` matrix and its denominator.)
 All routines are pure and exact: no floating point, no tolerances.
-This module is the one exact input boundary.  An entry is an `int` or a
-`Fraction`; `bool` is an `int` (True is 1) and is read as one.  Any other
-entry (a float, a str, None) raises `EntryTypeError`, a `ShapeError` that
-names its position and type, from `_int_rows` (the one reader that scales
-rows to integers, behind every elimination, `scaled_to_int`,
-`primitive_vector` and `lll_reduce`), from `_accumulate` (the one product
-loop, which reads the type of every entry, a zero one and the vector of a
-zero coefficient included) or from `vec` and `mat` (which never parse
-strings or floats).  `shape` is the one reader of row lengths: every
-check of a matrix's dimensions, and of rows of one length, goes through
-it, so a row that is not a sequence (a number, None, a set or a dict)
+This module is the one exact input boundary, and a public routine reads
+each operand once: `shape` once for its row lengths, then its entries once.
+An entry is an `int` or a `Fraction`; `bool` is an `int` (True is 1) and is
+read as one.  Any other entry (a float, a str, None) raises
+`EntryTypeError`, a `ShapeError` that names its position and type, from
+`_int_rows` (the one reader that scales rows to integers, behind every
+elimination, `scaled_to_int`, `read_gram`, `bilinear`, `primitive_vector`
+and `lll_reduce`), from `combine` (the one product loop of vectors, which
+reads the type of every entry, a zero one and the vector of a zero
+coefficient included) or from `vec` and `mat` (which never parse strings or
+floats).  `shape` is the one reader of row lengths: every check of a
+matrix's dimensions, and of rows of one length, goes through it, so a
+matrix or a row that is not a sequence (a number, None, a set or a dict)
 raises a `ShapeError` that names it.  A vector argument's length is read
 once as well, and one that is not a sequence is named as that argument.
 `require_ints` names an integer parameter that is not an `int`, and
-`require_gram` is the one square-and-symmetric check.
-Every product is one loop, `_accumulate`: it reads entry types a whole
-vector at a time (`_INTS.issuperset(map(type, v))`) and sums in `int`, a
-`Fraction` input as numerators over a common denominator, by which `ratio`
-divides each finished entry once; zero coefficients are skipped, so
-`int`s flow on to the next product.
+`read_gram` is the one Gram reader: it returns L * M as `int` rows and L
+after the one square-and-symmetric check.
+The private workers take what a public routine has read: `_forward`,
+`_reduce` and the sums of `bilinear` run on `int` rows, and `_int_rows`
+reads entries after `shape` has read the rows.
+`combine` reads entry types a whole vector at a time
+(`_INTS.issuperset(map(type, v))`) and sums in `int`, a `Fraction` input as
+numerators over a common denominator, by which `ratio` divides each
+finished entry once; zero coefficients are skipped, so `int`s flow on to
+the next product.  `bilinear` reads xs, M and ys once each as `int` rows
+and divides each entry by its scale once.
 One fraction-free elimination serves `rank`, `kernel`, `row_space`,
 `solve`, `integer_inverse` and `extend_to_independent`: `_forward` takes
-each row scaled to integers by `_int_rows` and replaces a row by
+the rows scaled to integers by `_int_rows` and replaces a row by
 (p * row - x * pivot row) / content, and `_reduce` clears upwards the same
 way.  It keeps only rows and pivot columns: nothing here needs a
 determinant.  Dividing by the content, not by the previous pivot as
@@ -131,15 +138,16 @@ def require_ints(**params) -> None:
             raise PreconditionError(f"{name} must be an int, not a {type(value).__name__}")
 
 
-def require_gram(m: Sequence[Sequence]) -> None:
-    """Raise GramError unless m is square and symmetric: the one Gram check, on the
-    copy the caller holds (`int` or `Fraction` rows); the fault is named after it fails."""
+def read_gram(m: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(L * M as `int` rows, L) as `scaled_to_int` reads them, after the one Gram check:
+    GramError unless M is square and symmetric, its fault named after the check fails."""
     n, c = shape(m)
-    if n == c and all(tuple(row) == col for row, col in zip(m, zip(*m))):
-        return
+    a, scale = _scaled(m)
+    if n == c and all(tuple(row) == col for row, col in zip(a, zip(*a))):
+        return a, scale
     fault = (f"{n} rows of length {c}" if n != c else next(
         f"entries ({i}, {j}) and ({j}, {i}) differ"
-        for i in range(n) for j in range(i) if m[i][j] != m[j][i]))
+        for i in range(n) for j in range(i) if a[i][j] != a[j][i]))
     raise GramError(f"Gram matrix must be symmetric and square: {fault}")
 
 
@@ -185,14 +193,13 @@ def diag(values: Sequence | Iterator) -> Matrix:
 def shape(m: Sequence[Sequence]) -> tuple[int, int]:
     """(rows, columns): the one reader of row lengths, 0 columns for no rows.
 
-    It takes `len` of m, and the type and `len` of every row: a matrix or a
-    row that is not a sequence (a set or dict is none) raises the `ShapeError`
+    It reads the type and `len` of m and of every row: a matrix or a row
+    that is not a sequence (a set or dict is none) raises the `ShapeError`
     of `_entry_error`, which names it; rows of unequal length raise one too.
     """
-    try:
-        rows = len(m)
-    except TypeError:
-        raise _entry_error(m) from None
+    if type(m) not in _SEQUENCES and not isinstance(m, Sequence):
+        raise _entry_error(m)
+    rows = len(m)
     if not _SEQUENCES.issuperset(map(type, m)) and not all(isinstance(row, Sequence) for row in m):
         raise _entry_error(m)
     lengths = set(map(len, m))
@@ -245,8 +252,9 @@ def vec_scale(c, v: Vector) -> Vector:
     return combine((c,), (v,))
 
 
-def _accumulate(coeffs: Sequence, vectors: Sequence[Sequence], length: int) -> list:
-    """sum_k c_k v_k as `length` canonical entries, summed in `int`, skipping zero coefficients.
+def combine(coeffs: Sequence, vectors: Sequence[Sequence]) -> Vector:
+    """The combination sum_k c_k v_k as canonical entries, summed in `int`, skipping
+    zero coefficients.
 
     The type of every entry is read at C speed by
     `_INTS.issuperset(map(type, ...))`.  When every coefficient and every
@@ -258,19 +266,18 @@ def _accumulate(coeffs: Sequence, vectors: Sequence[Sequence], length: int) -> l
     is read and not multiplied: its types, and its denominators unless
     every entry is an `int` or a `Fraction`.
     Either way an integral entry comes back as an `int`, so a caller can
-    feed the entries to another sum.  Both callers hand in vectors that
-    `shape` has read, each of `length` entries.  An entry that is neither
-    an `int` nor has a denominator raises `EntryTypeError`, at position
-    (0, k) for coefficient k and (k + 1, j) for entry j of vector k.
+    feed the entries to another sum.  An entry that is neither an `int` nor
+    has a denominator raises `EntryTypeError`, at position (0, k) for
+    coefficient k and (k + 1, j) for entry j of vector k.
     """
-    acc = [0] * length
+    k = _vector_length(coeffs, "coeffs")
+    rows, length = shape(vectors)
+    if k != rows:
+        raise ShapeError(f"{k} coefficients for {rows} vectors")
     try:
         ints = _INTS.issuperset(map(type, coeffs))
         if ints and _INTS.issuperset(map(type, chain.from_iterable(vectors))):
-            for c, v in zip(coeffs, vectors):
-                if c:
-                    acc = [a + c * x for a, x in zip(acc, v)]
-            return acc
+            return tuple(_int_sum(coeffs, vectors, length))
         terms = []
         for c, v in zip(coeffs, vectors):
             n, d = (c, 1) if ints else (c.numerator, c.denominator)
@@ -285,36 +292,45 @@ def _accumulate(coeffs: Sequence, vectors: Sequence[Sequence], length: int) -> l
     except (AttributeError, TypeError):
         raise _entry_error([coeffs, *vectors]) from None
     den = lcm(*(d for _, d, _ in terms))
-    for n, d, v in terms:
-        w = n * (den // d)
-        acc = [a + w * x for a, x in zip(acc, v)]
-    return acc if den == 1 else [ratio(a, den) for a in acc]
+    acc = _int_sum([n * (den // d) for n, d, _ in terms], [v for _, _, v in terms], length)
+    return tuple(acc) if den == 1 else tuple(ratio(a, den) for a in acc)
 
 
-def combine(coeffs: Sequence, vectors: Sequence[Sequence]) -> Vector:
-    """The combination sum_k c_k v_k, by `_accumulate`: canonical entries."""
-    k = _vector_length(coeffs, "coeffs")
-    rows, cols = shape(vectors)
-    if k != rows:
-        raise ShapeError(f"{k} coefficients for {rows} vectors")
-    if not rows:
-        return ()
-    return tuple(_accumulate(coeffs, vectors, cols))
+def _int_sum(coeffs: Iterable[int], rows: Iterable[Sequence[int]], length: int) -> list[int]:
+    """sum_k c_k row_k as `length` `int`s (the first `length` entries of longer rows),
+    skipping zero coefficients: the one summing loop, for `combine`, `bilinear` and
+    `heisenberg.act_on_metric`, on `int`s they have read."""
+    acc = [0] * length
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [a + c * x for a, x in zip(acc, row)]
+    return acc
 
 
 def bilinear(xs: Sequence[Sequence], m: Matrix, ys: Sequence[Sequence]) -> Matrix:
     """The matrix of x^T M y for x in xs (rows) and y in ys (columns).
 
-    Row x is x^T M Y, Y with the ys as columns: `_accumulate` of M's rows
-    gives x^T M, and a second `_accumulate` of Y's rows takes its canonical
-    entries as coefficients.  The row length is len(ys) even when M is 0 x 0.
+    Each operand is read once, to `int` rows: M as L * M (`_scaled`), and
+    each x and each y times the lcm of its own denominators, d_x and d_y
+    (`_int_rows`).  Row x is then summed in `int` as (x^T (L M)) Y, Y with
+    the ys as columns, skipping zero coordinates of x and zero entries of
+    x^T (L M), and `ratio` divides entry (x, y) by L d_x d_y once.  The row
+    length is len(ys) even when M is 0 x 0.
     """
     r, c = shape(m)
     (nx, cx), (ny, cy) = shape(xs), shape(ys)
     if nx and cx != r or ny and cy != c:
         raise ShapeError(f"vector length does not match the {r}x{c} matrix")
-    y_rows = list(zip(*ys))
-    return [_accumulate(_accumulate(x, m, c), y_rows, len(ys)) for x in xs]
+    a, scale = _scaled(m)
+    (x_rows, x_scales), (y_rows, y_scales) = _int_rows(xs), _int_rows(ys)
+    y_cols = list(zip(*y_rows))
+    y_ints = max(y_scales, default=1) == 1
+    out = []
+    for x, dx in zip(x_rows, x_scales):
+        acc = _int_sum(_int_sum(x, a, c), y_cols, ny)
+        d = dx * scale
+        out.append(acc if d == 1 and y_ints else [ratio(u, d * dy) for u, dy in zip(acc, y_scales)])
+    return out
 
 
 def is_zero_vector(v: Vector) -> bool:
@@ -332,19 +348,19 @@ def _content_free(ints: list[int]) -> list[int]:
 def primitive_vector(v: Vector) -> Vector:
     """Rational rescaling of v to coprime `int` entries, leading entry positive, computed
     in `int` off the entries scaled by their common denominator; zeros stay `int` zeros."""
+    shape([v])
     return tuple(_content_free(_int_rows([v])[0][0]))
 
 
 def _int_rows(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     """(rows, scales): row i of m times scales[i], the lcm of its denominators, in `int`s.
 
-    The one entry reader, after `shape` has read the rows.  A row of `int`s
-    is taken as it is; any other row is read off its entries' numerators
-    and denominators in one pass inside a `try`.  An entry with no
-    denominator fails that pass, and only then is its position searched
-    for `EntryTypeError`.
+    The one entry reader, after `shape` has read the rows; the rows are new
+    lists, which an elimination may change.  A row of `int`s is copied as it
+    is; any other row is read off its entries' numerators and denominators
+    in one pass inside a `try`.  An entry with no denominator fails that
+    pass, and only then is its position searched for `EntryTypeError`.
     """
-    shape(m)
     rows, scales = [], []
     try:
         for row in m:
@@ -362,8 +378,14 @@ def _int_rows(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
 
 
 def scaled_to_int(m: Matrix) -> tuple[list[list[int]], int]:
-    """(L * M as `int` rows, L), L the lcm of all of M's denominators: the rows
-    of `_int_rows`, each brought to the common scale."""
+    """(L * M as `int` rows, L), L the lcm of all of M's denominators."""
+    shape(m)
+    return _scaled(m)
+
+
+def _scaled(m: Matrix) -> tuple[list[list[int]], int]:
+    """`scaled_to_int` after `shape` has read m: the rows of `_int_rows`, each
+    brought to the common scale."""
     rows, scales = _int_rows(m)
     scale = lcm(*scales)
     if scale == 1:
@@ -477,7 +499,7 @@ def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceR
     """Diagonalize a symmetric matrix by a rational congruence.
 
     One symmetric elimination on integer rows.  The input is scaled once by
-    the lcm of all its denominators, and `require_gram` checks that copy.
+    the lcm of all its denominators, by `read_gram`, which checks that copy.
     The block not yet eliminated is kept as integers A = c * S, where S is
     the rational block and c > 0 a rational scale.  A nonzero pivot p with
     row x (A's entries beside it) records the step (k, p, g) and the clear
@@ -507,8 +529,7 @@ def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceR
     finished afterwards against the trailing ones.  The full diagonal gives
     the whole matrix's signature either way.
     """
-    a, scale = scaled_to_int(s)
-    require_gram(a)
+    a, scale = read_gram(s)
     n = len(a)
     m = n if leading is None else leading
     require_ints(leading=m)
@@ -581,10 +602,11 @@ def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceR
     return CongruenceResult(leading_counts, n, scale, tuple(pivots), tuple(moves))
 
 
-def _forward(m: Matrix) -> tuple[list[list[int]], list[int]]:
+def _forward(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """One fraction-free forward elimination: integer echelon rows and pivot columns.
 
-    The rows are those of `_int_rows`, each scaled to integers.  The pivot is
+    It takes the `int` rows that its caller read with `_int_rows`, each row
+    scaled to integers, and works on them in place.  The pivot is
     the first nonzero entry at or below the current row.  A row below it
     with entry x != 0 in the pivot column becomes
     (p * row - x * pivot row) / g: p and x are first divided by their gcd,
@@ -593,7 +615,6 @@ def _forward(m: Matrix) -> tuple[list[list[int]], list[int]]:
     same elimination over Q would hold, no larger than that row over a
     common denominator, and pivot rows are never normalized.
     """
-    a = _int_rows(m)[0]
     cols = len(a[0]) if a else 0
     rows = len(a)
     pivots: list[int] = []
@@ -624,15 +645,16 @@ def _forward(m: Matrix) -> tuple[list[list[int]], list[int]]:
     return a, pivots
 
 
-def _reduce(m: Matrix) -> tuple[list[list[int]], list[int]]:
-    """Reduced echelon rows in integers and pivot columns: `_forward`, then back substitution.
+def _reduce(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced echelon rows in integers and pivot columns: `_forward` of the read `int`
+    rows a, then back substitution.
 
     Each pivot, last to first, clears its column in the rows above it by
     the update of `_forward`, applied to whole rows.  No row is normalized:
     row r is an integer multiple of row r of the reduced echelon form, with
     its pivot a_r,c_r in place of 1.
     """
-    a, pivots = _forward(m)
+    a, pivots = _forward(a)
     for r in range(len(pivots) - 1, 0, -1):
         c = pivots[r]
         prow = a[r]
@@ -651,7 +673,8 @@ def _reduce(m: Matrix) -> tuple[list[list[int]], list[int]]:
 
 def rank(m: Matrix) -> int:
     """Number of pivots of one forward elimination."""
-    return len(_forward(m)[1])
+    shape(m)
+    return len(_forward(_int_rows(m)[0])[1])
 
 
 def kernel(m: Matrix) -> list[Vector]:
@@ -664,7 +687,7 @@ def kernel(m: Matrix) -> list[Vector]:
     pivots a_rc.
     """
     cols = shape(m)[1]
-    a, pivots = _reduce(m)
+    a, pivots = _reduce(_int_rows(m)[0])
     pivot_cols = set(pivots)
     basis = []
     for f in range(cols):
@@ -695,8 +718,8 @@ def _inverse_rows(m: Matrix, units: Sequence[int] | None = None) -> list[tuple[l
     if n != c:
         raise ShapeError("inverse requires a square matrix")
     units = range(n) if units is None else units
-    a, pivots = _reduce([[*row, *(1 if j == i else 0 for j in units)]
-                         for i, row in enumerate(m)])
+    a, pivots = _reduce(_int_rows([[*row, *(1 if j == i else 0 for j in units)]
+                                   for i, row in enumerate(m)])[0])
     if sum(1 for col in pivots if col < n) < n:
         raise SingularMatrixError("matrix is singular")
     return [(row[n:], row[r]) for r, row in enumerate(a)]
@@ -721,7 +744,7 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     rows, cols = shape(a)
     if _vector_length(b, "b") != rows:
         raise ShapeError("right-hand side length does not match row count")
-    reduced, pivots = _reduce([[*row, bv] for row, bv in zip(a, b)])
+    reduced, pivots = _reduce(_int_rows([[*row, bv] for row, bv in zip(a, b)])[0])
     if pivots and pivots[-1] == cols:
         return None
     x = [0] * cols
@@ -732,7 +755,8 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
 
 def row_space(vectors: Sequence[Vector]) -> list[Vector]:
     """Canonical basis of the span: the rows of `_reduce` rescaled to coprime `int`s."""
-    a, pivots = _reduce(vectors)
+    shape(vectors)
+    a, pivots = _reduce(_int_rows(vectors)[0])
     return [tuple(_content_free(a[r])) for r in range(len(pivots))]
 
 
@@ -758,6 +782,7 @@ def lll_reduce(vectors: Sequence[Vector]) -> list[Vector]:
     other for the callers.  Raises ShapeError when the vectors are linearly
     dependent.
     """
+    shape(vectors)
     b = [_content_free(row) for row in _int_rows(vectors)[0]]
     n = len(b)
     num, den = LLL_DELTA
@@ -813,8 +838,8 @@ def extend_to_independent(base: Sequence[Vector], pool: Sequence[Vector],
     Vectors of unequal length raise `ShapeError`.
     """
     require_ints(target_rank=target_rank)
-    vectors = [*base, *pool]
-    pivots = _forward(transpose(vectors))[1]
+    shape(base), shape(pool)
+    pivots = _forward(_int_rows(transpose([*base, *pool]))[0])[1]
     from_pool = [c - len(base) for c in pivots if c >= len(base)]
     base_rank = len(pivots) - len(from_pool)
     if base_rank > target_rank:

@@ -96,7 +96,7 @@ Deliberately separate from the package's fast paths:
   flag of the (max, min) space.
 - symmetry: `_is_symmetric`, the entry-by-entry test of the upper triangle
   that the congruence oracles and `two_call_classify` read, where the
-  library has one check, `linalg.require_gram`;
+  library has one Gram reader, `linalg.read_gram`;
 - the bracket: `bracket_basis` and `bracket` on coefficient vectors, which
   the Koszul engine and the derivation checks read, and
   `loop_preserves_bracket`, the check on every basis pair that
@@ -104,7 +104,11 @@ Deliberately separate from the package's fast paths:
 Used to pin expected values before trusting the main engine.  The library
 returns canonical entries, `int` where integral, so every division here is
 exact, `Fraction(a, b)` or `linalg.ratio`; mpmath's rounding in
-`mpmath_assemble` is the one true division.
+`mpmath_assemble` is the one true division.  The `Fraction` oracles read
+their input with `fraction_rows`, so they compute on `Fraction`s even on
+`int` input, and `gauss_jordan_echelon`, `fraction_forward`,
+`fraction_echelon`, `forward_det`, `_checked_inverse` and `dense_restrict`
+return only `Fraction` entries.
 """
 
 from dataclasses import dataclass
@@ -425,13 +429,14 @@ def koszul_curvature_report(alg, gram):
 
 
 def _checked_inverse(n, gram):
-    """G as `Fraction`s and G^{-1}, for a symmetric n x n G; PreconditionError names any fault."""
-    gram = linalg.mat(gram)
+    """G and G^{-1} as `Fraction`s, for a symmetric n x n G; PreconditionError names any
+    fault, in the order of `curvature_report`'s checks."""
+    linalg.read_gram(gram)
+    gram = fraction_rows(gram)
     if len(gram) != n:
         raise linalg.PreconditionError(f"Gram matrix must be {n}x{n}")
-    linalg.require_gram(gram)
     try:
-        return gram, invert(gram)
+        return gram, fraction_rows(invert(gram))
     except linalg.SingularMatrixError:
         raise linalg.PreconditionError("curvature requires a nondegenerate Gram matrix, "
                                        "this one is singular")
@@ -1066,14 +1071,26 @@ def dense_inner(space, x, y):
 
 
 def dense_restrict(space, w):
-    """B G B^T for the basis rows B of W, as two dense matrix products."""
+    """B G B^T for the basis rows B of W, as two dense `Fraction` matrix products."""
     if w.ambient_dim != space.dim:
         raise linalg.ShapeError("subspace ambient dimension mismatch")
     if w.dim == 0:
         return []
-    rows = [list(v) for v in w.basis]
-    paired = linalg.mat_mul(rows, linalg.mat(space.gram))
-    return linalg.mat_mul(paired, linalg.transpose(rows))
+    rows = fraction_rows(w.basis)
+    return _fraction_product(_fraction_product(rows, fraction_rows(space.gram)),
+                             linalg.transpose(rows))
+
+
+def _fraction_product(a, b):
+    """AB for `Fraction` matrices, every entry a `Fraction` sum over every product."""
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a]
+
+
+def fraction_rows(m):
+    """M read by `linalg.mat`, which names a malformed row or entry, with every entry
+    boxed as a `Fraction`: the input of the `Fraction` oracles."""
+    return [list(map(Fraction, row)) for row in linalg.mat(m)]
 
 
 def fraction_combine(coeffs, vectors):
@@ -1294,7 +1311,7 @@ def fraction_congruence(s, leading=None):
     if not 0 <= m <= n:
         raise linalg.ShapeError(f"leading block size {m} outside 0..{n}")
 
-    a = [list(map(Fraction, row)) for row in linalg.mat(s)]
+    a = fraction_rows(s)
     moves = []
     cols = linalg.identity(n)  # cols[j] is column j of P
 
@@ -1538,7 +1555,7 @@ def gauss_jordan_echelon(m):
     Each pivot row is normalized and clears its column above and below at once.
     Each pivot is inverted as `Fraction(1, p)`, so `int` input stays exact.
     """
-    a = linalg.mat(m)
+    a = fraction_rows(m)
     rows, cols = linalg.shape(a)
     pivots = []
     r = 0
@@ -1566,7 +1583,7 @@ def fraction_forward(m):
     Each row below a pivot subtracts (entry / pivot) times the pivot row,
     with the same pivot choice; returns the rows and the pivot columns.
     """
-    a = linalg.mat(m)
+    a = fraction_rows(m)
     rows, cols = linalg.shape(a)
     pivots = []
     for c in range(cols):
@@ -1631,7 +1648,7 @@ def forward_det(m):
     n = len(m)
     if any(len(row) != n for row in m):
         raise linalg.ShapeError("determinant requires a square matrix")
-    a = linalg.mat(m)
+    a = fraction_rows(m)
     result = Fraction(1)
     for c in range(n):
         pr = next((i for i in range(c, n) if a[i][c] != 0), None)

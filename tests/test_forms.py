@@ -362,9 +362,11 @@ def test_int_arithmetic_agrees_with_the_fraction_oracles(data):
 @given(data=strategies.degenerate_spaces_and_subspaces())
 def test_cached_radical_is_one_kernel_of_the_gram(data):
     # the space's own radical, one kernel of its Gram matrix, is the radical
-    # of the whole space that `forms.radical` maps through the unit vectors
+    # of the whole space that `forms.radical` maps through the unit vectors,
+    # and the one `radical` returns when it is given no subspace
     space, _ = data
     fresh = QuadraticSpace.from_matrix(space.gram)
+    assert fresh._radical == radical(fresh, Subspace.full(fresh.dim))
     assert fresh._radical == radical(fresh) and space.ambient_radical() == radical(space)
     assert strategies.canonical_entries(fresh._radical.basis)
 

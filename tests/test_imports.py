@@ -709,7 +709,7 @@ def fraction_reads(source: str) -> list[str]:
 
 def test_checker_flags_a_fraction_read_in_curvature():
     source = (SRC / "curvature.py").read_text()
-    anchor = "    rows, scale = linalg.scaled_to_int(gram)\n"
+    anchor = "    rows, scale = linalg.read_gram(gram)\n"
     assert source.count(anchor) == 1
     line = source[:source.index(anchor)].count("\n") + 1
     reread = "    g = linalg.mat(gram)\n    g_inv = linalg.invert(g)\n"
@@ -781,12 +781,12 @@ def test_checker_flags_a_second_gram_or_entry_check():
                "        raise PreconditionError(\"Gram matrix must be symmetric\") from None\n")
     assert boundary_copies("heisenberg.py", source.replace(anchor, wrapped)) == [
         f"line {line + 2}: catches ShapeError"]
-    anchor = "    linalg.require_gram(a)\n"
+    anchor = "    a, scale = linalg.read_gram(gram)\n"
     assert source.count(anchor) == 1
-    line = source[:source.index(anchor)].count("\n") + 1
+    line = source[:source.index(anchor)].count("\n") + 2
     compared = ("    if any(row != list(col) for row, col in zip(a, zip(*a))):\n"
                 "        raise PreconditionError(\"Gram matrix must be square and symmetric\")\n")
-    assert boundary_copies("heisenberg.py", source.replace(anchor, compared)) == [
+    assert boundary_copies("heisenberg.py", source.replace(anchor, anchor + compared)) == [
         f"line {line}: compares a matrix with its transpose"]
     mirrored_source = ("def f(m, n):\n"
                        "    ok = linalg.is_symmetric(m) and m == linalg.transpose(m)\n"

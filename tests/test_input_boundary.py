@@ -8,8 +8,9 @@ malformed:
   complex number or bytes (a square matrix gets it at (i, j) and (j, i));
 - one row made ragged, or made a number or None, which is no sequence, or
   a set or dict of the row's length, which has no order; a fixed-size
-  argument given one row or entry too many; a whole vector argument made
-  a number or None, or a set or dict of its length;
+  argument given one row or entry too many; a whole vector or matrix
+  argument made a number or None, or a set or dict of its length, which
+  the call must read, and refuse, before it takes its `len` or iterates it;
 - one integer parameter made a float, a str, None, a `Fraction`, a list
   (which is unhashable, so it must be named before a cache hashes it), a
   bool, a negative int or a class id out of range.
@@ -30,7 +31,7 @@ answers.
 `shape` reads row lengths and no entry, so it gets the row malformations
 alone.  Left out: the helpers `transpose`, `is_zero_vector` and
 `sign_counts`, which move or compare entries and make no number of
-them; the checks `require_ints` and `require_gram` themselves; the
+them; the check `require_ints` itself; the
 callables that take built objects (spaces, subspaces, flags and scaled
 systems) rather than matrices, vectors or signatures; and the float side
 of the witness (`witness_residuals`, `subspace_distance`).
@@ -84,6 +85,7 @@ TARGETS = {
     "linalg.vec_scale": (linalg.vec_scale, (3, VEC), "EV"),
     "linalg.primitive_vector": (linalg.primitive_vector, (VEC,), "V"),
     "linalg.scaled_to_int": (linalg.scaled_to_int, (GRAM,), "M"),
+    "linalg.read_gram": (linalg.read_gram, (GRAM,), "G"),
     "linalg.congruence_diagonalize": (linalg.congruence_diagonalize, (GRAM, 2), "GO"),
     "linalg.rank": (linalg.rank, (GRAM,), "M"),
     "linalg.kernel": (linalg.kernel, (GRAM,), "M"),
@@ -153,9 +155,11 @@ def cases(draw):
             return name, i, how, None, draw(NOT_ROWS | unordered(len(arg)))
         where = draw(st.integers(0, len(arg) - 1))
         return name, i, how, where, draw(BAD_INTS if kind == "L" else BAD_ENTRIES)
-    how = draw(st.sampled_from((["entry"] if kind != "R" else [])
+    how = draw(st.sampled_from((["entry", "matrix"] if kind != "R" else [])
                                + (["ragged", "row"] if kind != "N" else [])
                                + (["longer"] if kind == "G" else [])))
+    if how == "matrix":
+        return name, i, how, None, draw(NOT_ROWS | unordered(len(arg)))
     r = draw(st.integers(0, len(arg) - 1))
     c = draw(st.integers(0, len(arg[r]) - 1))
     values = {"entry": BAD_ENTRIES, "row": NOT_ROWS | unordered(len(arg[r]))}
@@ -164,7 +168,7 @@ def cases(draw):
 
 def malformed(arg, how, where, value):
     """arg with the malformation applied, in arg's own container types."""
-    if how in ("value", "vector"):
+    if how in ("value", "vector", "matrix"):
         return value
     if how == "given":
         return where
@@ -255,6 +259,13 @@ FLOAT_GRAM = [[0.1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 @example(case=given_case("linalg.mat_mul", 1, [[None, 0, 2, 0], *GRAM[1:]]))
 @example(case=given_case("linalg.vec_scale", 0, None))
 @example(case=given_case("linalg.combine", 1, [*GRAM[:2], [None, 0, 1, 0], GRAM[3]]))
+@example(case=given_case("classify_metric", 1, None))
+@example(case=given_case("act_on_metric", 0, None))
+@example(case=given_case("act_on_metric", 1, None))
+@example(case=given_case("linalg.extend_to_independent", 0, None))
+@example(case=given_case("linalg.extend_to_independent", 1, None))
+@example(case=given_case("Subspace.spanned_by", 0, None))
+@example(case=given_case("extend_nullsystem", 1, None))
 def test_malformed_input_raises_a_named_error(case):
     value = case[4]
     try:
@@ -298,6 +309,7 @@ EMPTY_ANSWERS = [
     (lambda b: heisflag.Subspace(0, b).dim, ((),), 0),
     (lambda b: heisflag.Subspace.spanned_by(b, 3).dim, ([],), 0),
     (lambda n: heisflag.extend_nullsystem(SPACE, n).signature, ([],), heisflag.Signature(2, 2, 0)),
+    (linalg.read_gram, ([],), ([], 1)),
 ]
 EMPTY_REFUSED = [
     (linalg.extend_to_independent, ([], [], 1)),
@@ -336,6 +348,22 @@ def test_typed_cache_keeps_floats_out_of_the_table():
     assert type(heisflag.admissible_classes(3, 3).p) is int
     with pytest.raises(PreconditionError, match="q must be an int, not a float"):
         heisflag.survey_flags(3, 3.0)
+
+
+@pytest.mark.parametrize("call_none", [
+    lambda: heisflag.classify_metric(ALG, None),
+    lambda: heisflag.act_on_metric(None, GRAM),
+    lambda: heisflag.act_on_metric(BLOCK, None),
+    lambda: linalg.extend_to_independent(None, GRAM, 4),
+    lambda: linalg.extend_to_independent(GRAM[:1], None, 4),
+    lambda: heisflag.Subspace.spanned_by(None, 4),
+    lambda: heisflag.extend_nullsystem(SPACE, None),
+], ids=["classify_metric", "act_on_metric-g", "act_on_metric-gram", "extend_to_independent-base",
+        "extend_to_independent-pool", "spanned_by", "extend_nullsystem"])
+def test_a_whole_matrix_that_is_no_sequence_is_named(call_none):
+    # each call reads its matrix argument before it takes its `len`, unpacks or iterates it
+    with pytest.raises(ShapeError, match="a matrix is a sequence of rows, not a NoneType"):
+        call_none()
 
 
 def test_errors_name_the_entry_and_the_parameter():

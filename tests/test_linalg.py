@@ -447,10 +447,17 @@ def test_int_input_gives_the_fraction_results(data):
         assert canonical_entries((res.diagonal, res.transform))
 
 
+def int_rows(m):
+    """M read as a public routine of `linalg` reads it for an elimination: `shape`,
+    then `_int_rows`, each row scaled to integers."""
+    linalg.shape(m)
+    return linalg._int_rows(m)[0]
+
+
 def reduced_echelon(m):
     """The reduced row echelon form as `Fraction`s, and pivot columns: each
     `linalg._reduce` row over its pivot, the rows past the rank zero."""
-    a, pivots = linalg._reduce(m)
+    a, pivots = linalg._reduce(int_rows(m))
     ech = [[F(x, row[c]) for x in row] for row, c in zip(a, pivots)]
     return ech + [[F(0)] * len(row) for row in a[len(pivots):]], pivots
 
@@ -478,7 +485,7 @@ def test_invert_agrees_with_the_replaced_eliminations(m):
     det = oracles.forward_det(m)
     assert det == oracles.leibniz_det(m) and type(det) is F
     rows = tuple(tuple(row) for row in m)
-    assert (rank(rows), linalg._reduce(rows)) == (rank(m), linalg._reduce(m))
+    assert (rank(rows), linalg._reduce(int_rows(rows))) == (rank(m), linalg._reduce(int_rows(m)))
     try:
         got = invert(m)
     except SingularMatrixError:
@@ -495,6 +502,79 @@ def test_invert_agrees_with_the_replaced_eliminations(m):
 def test_forward_det_is_exact_on_int_input():
     got = oracles.forward_det([[1, 2], [3, 4]])
     assert got == -2 and type(got) is F
+
+
+def all_fractions(x) -> bool:
+    """True iff every leaf of nested lists and tuples is a `Fraction`."""
+    if isinstance(x, (list, tuple)):
+        return all(all_fractions(y) for y in x)
+    return type(x) is F
+
+
+def test_fraction_oracles_return_fractions_on_int_input():
+    # each `Fraction` oracle boxes its input, so it computes, and answers, in `Fraction`s
+    m = [[2, 1, 0, 4], [4, 2, 1, 0], [0, 1, 3, 1], [6, 3, 1, 4]]
+    gram = [[1, 0, 2, 0], [0, -1, 0, 0], [2, 0, 1, 0], [0, 0, 0, 1]]
+    space = QuadraticSpace.from_matrix(gram)
+    w = Subspace(4, ((1, 0, 1, 0), (0, 2, 0, 1)))
+    answers = {
+        "gauss_jordan_echelon": oracles.gauss_jordan_echelon(m)[0],
+        "fraction_forward": oracles.fraction_forward(m)[0],
+        "fraction_echelon": oracles.fraction_echelon(m)[0],
+        "forward_det": [oracles.forward_det(m)],
+        "_checked_inverse": oracles._checked_inverse(4, gram),
+        "dense_restrict": oracles.dense_restrict(space, w),
+    }
+    for name, answer in answers.items():
+        assert answer and all_fractions(answer), name
+    assert oracles.dense_restrict(space, w) == restrict(space, w)
+
+
+class CountedRow(list):
+    """A matrix row that counts the passes over its entries."""
+
+    passes = 0
+
+    def __iter__(self):
+        CountedRow.passes += 1
+        return super().__iter__()
+
+
+def entry_passes(call, m):
+    """The passes over the entries of m that call(m') makes, m' m with counted rows."""
+    counted = [CountedRow(row) for row in m]
+    CountedRow.passes = 0
+    call(counted)
+    return CountedRow.passes
+
+
+def test_each_public_routine_reads_each_operand_once():
+    m = [[1, F(1, 2), 0], [2, 1, F(-1, 3)], [0, 3, 1]]
+    s = [[2, F(1, 2), 0], [F(1, 2), 0, 3], [0, 3, F(-1, 4)]]
+    xs = [(1, F(1, 3), 0), (0, 2, -1)]
+    one_matrix = {
+        "rank": (linalg.rank, (m,)),
+        "kernel": (kernel, (m,)),
+        "row_space": (linalg.row_space, (m,)),
+        "solve": (linalg.solve, (m, (1, F(1, 2), 0))),
+        "integer_inverse": (integer_inverse, (m,)),
+        "lll_reduce": (linalg.lll_reduce, (m,)),
+        "primitive_vector": (linalg.primitive_vector, (xs[0],)),
+        "scaled_to_int": (linalg.scaled_to_int, (m,)),
+        "read_gram": (linalg.read_gram, (s,)),
+        "congruence_diagonalize": (congruence_diagonalize, (s, 2)),
+        "combine": (linalg.combine, ((1, F(2, 3), 0), m)),
+        "bilinear": (linalg.bilinear, (xs, s, xs[::-1])),
+    }
+    for name, (func, args) in one_matrix.items():
+        with patch.object(linalg, "shape", wraps=linalg.shape) as shape:
+            func(*args)
+        assert shape.call_count == (3 if name == "bilinear" else 1), name
+    # `bilinear` reads M's entries as often as `scaled_to_int` does, whatever len(xs) is
+    once = entry_passes(linalg.scaled_to_int, s)
+    for k in range(1, 5):
+        rows = [(k, F(1, k), i) for i in range(k)]
+        assert entry_passes(lambda g: linalg.bilinear(rows, g, xs), s) == once, k
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -624,7 +704,7 @@ def test_integer_elimination_agrees_with_the_fraction_oracle(m, data):
     assert canonical_entries(got[1:3]) and (got[3] is None or canonical_entries(got[3]))
     assert canonical_entries([x for x in got[5:] if isinstance(x, (F, list, tuple))])
     # each integer row is a nonzero rational multiple of the rational row
-    a, pivots = linalg._forward(m)
+    a, pivots = linalg._forward(int_rows(m))
     want, want_pivots = oracles.fraction_forward(m)
     assert pivots == want_pivots
     for row, want_row in zip(a, want):
