@@ -16,8 +16,12 @@ that the extension peels and the frame's cap of rad(big); `QuadraticSpace`
 caches the radical of the whole space as one kernel of its Gram matrix,
 which `radical` returns when it is given no subspace.
 
-The form is evaluated in one place, `QuadraticSpace.pairing`, and every
-change from subspace coordinates to ambient ones is one `linalg.combine`.
+The form is evaluated in one place, `QuadraticSpace.pairing`, on the Gram
+rows that the space read once when it was made (a diagonal Gram matrix
+multiplies elementwise), and every change from subspace coordinates to
+ambient ones is one `linalg.combine`.  `extend_basis` searches a complement
+of the ambient radical only when there is a radical: in a nondegenerate
+space the complement is the whole space.
 Every intersection dimension is read off one rank: dim(small cap rad big)
 is dim(small) - rank <small, big>, and the seven counts come from ranks of
 the big basis cut to one coordinate block.  Everything here is exact.
@@ -75,12 +79,21 @@ class LineSignature(enum.Enum):
 @dataclass(frozen=True)
 class QuadraticSpace:
     """Ambient dimension plus a symmetric (possibly degenerate) Gram matrix; `from_matrix`
-    stores it as `linalg.mat` reads it, canonical."""
+    stores it as `linalg.mat` reads it, canonical.
+
+    The Gram matrix never changes, so it is read once, by `linalg.read_gram`,
+    and its `int` rows L * M and scale L are kept for every pairing, with
+    their diagonal when M is diagonal.
+    """
 
     gram: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self):
-        linalg.read_gram(self.gram)
+        rows, scale = linalg.read_gram(self.gram)
+        diagonal = [row[i] for i, row in enumerate(rows)]
+        if any(x for i, row in enumerate(rows) for x in row[:i]):  # symmetric: below decides
+            diagonal = None
+        object.__setattr__(self, "_read", (rows, scale, (len(rows),) * 2, diagonal))
 
     @classmethod
     def from_matrix(cls, gram: Sequence[Sequence]) -> "QuadraticSpace":
@@ -105,11 +118,13 @@ class QuadraticSpace:
     def pairing(self, xs: Sequence[Vector], ys: Sequence[Vector]) -> Matrix:
         """The matrix of <x, y> for x in xs (rows) and y in ys (columns).
 
-        One `linalg.bilinear` over the Gram matrix: zero Gram entries and zero
-        coordinates are skipped, and the entries are canonical, so a norm or
-        a pairing of integer vectors is an `int`.
+        The sums of `linalg.bilinear` over the Gram rows read at construction:
+        xs and ys are read, the Gram matrix is not read again, and a diagonal
+        Gram matrix multiplies each x elementwise.  The entries are
+        canonical, so a norm or a pairing of integer vectors is an `int`.
         """
-        return linalg.bilinear(xs, self.gram, ys)
+        rows, scale, dims, diagonal = self._read
+        return linalg._bilinear_sums(xs, rows, scale, ys, dims, diagonal)
 
     def inner(self, x: Vector, y: Vector) -> int | Fraction:
         return self.pairing([x], [y])[0][0]
@@ -484,16 +499,18 @@ def scaled_system(space: QuadraticSpace, w: Subspace) -> ScaledSystem:
     """Orthogonal basis of W with norms ordered positive, negative, zero.
 
     W's basis is diagonalized as given, by one congruence of its Gram
-    matrix; callers that want small entries hand in a reduced basis.  The
-    zero-norm vectors automatically span the radical of W.  Within each
+    matrix; callers that want small entries hand in a reduced basis.  Each
+    vector is the combination of W's basis by one content-free `int`
+    column of the transform (`CongruenceResult.columns`, whose scale drops
+    out), made primitive.  The zero-norm vectors automatically span the
+    radical of W.  Within each
     sign group, vectors are ordered by the position of their first nonzero
     coordinate, which makes the output deterministic.
     """
     res = linalg.congruence_diagonalize(restrict(space, w))
     cols = []
-    for coeffs in linalg.transpose(res.transform):
-        # a column's scale drops out of the primitive vector, so it is made primitive first
-        v = linalg.primitive_vector(linalg.combine(linalg.primitive_vector(coeffs), w.basis))
+    for coeffs, _, _ in res.columns:
+        v = linalg.primitive_vector(linalg.combine(coeffs, w.basis))
         cols.append((v, space.inner(v, v)))
     ordered = sorted(
         cols,
@@ -576,6 +593,25 @@ def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
     sum a_i x_i + sum b_i y_i + sum c_i z_i = 0 with x_j leaves
     a_j <x_j, x_j> = 0, so a_j = 0 since that norm is nonzero, and likewise
     every b_j = 0.  So the system is independent exactly when its z's are.
+
+    A degenerate space searches a complement U of its radical that holds the
+    x's, y's and non-radical z's: one elimination grows them by unit
+    vectors.  A nondegenerate space skips the search, and its output is the
+    one the search gives.  Its radical is zero, so no z lies in it, no
+    gamma is made, and independence modulo the radical is the independence
+    just shown: neither check of the search can fail.  U is the whole
+    space, and the unit basis stands for it.  U's basis is read only where
+    the arena starts: `_perp_within(U, xs + ys)` returns
+    `lll_reduce(row_space(...))`, and `row_space` is the canonical
+    content-free reduced echelon basis of the span, so from there on
+    everything depends on spans alone.  With no x or y the arena is U as
+    given.  With no z either, the search's U is the units.  With one z it
+    is z and the units but e_l, l the last index with z_l != 0, and
+    `lightlike_split` takes from it the first vector that pairs with z.
+    z pairs with itself to 0, and for g = G z, if g_j = 0 for all j < l
+    then <z, z> = z_l g_l != 0, so the first e_j with g_j != 0 is not e_l;
+    both bases give the same unit and so the same split.  Two or more z's
+    peel the arena by `_perp_within` first.
     """
     n = space.dim
     w_system.check(space)
@@ -588,21 +624,27 @@ def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
     s, t, u = len(xs), len(ys), len(zs)
 
     rad_v = space.ambient_radical()
-    in_rad = [rad_v.contains(z) for z in zs]
-    k = sum(in_rad)
-    if in_rad != [False] * (u - k) + [True] * k:
-        raise PreconditionError("ambient-radical null vectors must come last")
-    z_split, z_rad = zs[: u - k], zs[u - k:]
+    if rad_v.dim:
+        in_rad = [rad_v.contains(z) for z in zs]
+        k = sum(in_rad)
+        if in_rad != [False] * (u - k) + [True] * k:
+            raise PreconditionError("ambient-radical null vectors must come last")
+        z_split, z_rad = zs[: u - k], zs[u - k:]
 
-    # complement U of the ambient radical containing the non-radical part; it
-    # exists exactly when the elimination keeps all of that part
-    head = xs + ys + z_split
-    u_basis = linalg.extend_to_independent(
-        list(rad_v.basis), head + [tuple(row) for row in linalg.identity(n)], n)[rad_v.dim:]
-    if u_basis[:len(head)] != head:
-        raise PreconditionError(
-            "null vectors outside the ambient radical must be independent modulo it")
-    u_sub = Subspace._independent(n, tuple(u_basis))
+        # complement U of the ambient radical containing the non-radical part; it
+        # exists exactly when the elimination keeps all of that part
+        head = xs + ys + z_split
+        u_basis = linalg.extend_to_independent(
+            list(rad_v.basis), head + [tuple(row) for row in linalg.identity(n)], n)[rad_v.dim:]
+        if u_basis[:len(head)] != head:
+            raise PreconditionError(
+                "null vectors outside the ambient radical must be independent modulo it")
+        u_sub = Subspace._independent(n, tuple(u_basis))
+        gammas = linalg.extend_to_independent(z_rad, list(rad_v.basis), rad_v.dim)
+    else:
+        # no radical: U is the whole space, and an independent system is
+        # independent modulo the radical
+        z_split, gammas, u_sub = zs, [], Subspace.full(n)
 
     # split each null into a +1/-1 pair, peeling its plane off the arena
     arena = _perp_within(space, u_sub, xs + ys)
@@ -613,8 +655,6 @@ def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
     fill = scaled_system(space, arena)
     if fill.signature.nul:
         raise PreconditionError("complement of the radical is unexpectedly degenerate")
-
-    gammas = linalg.extend_to_independent(z_rad, list(rad_v.basis), rad_v.dim)
 
     alphas = xs + [p for p, _ in pairs] + fill.positives()
     betas = ys + [m for _, m in pairs] + fill.negatives()

@@ -28,14 +28,17 @@ once as well, and one that is not a sequence is named as that argument.
 `read_gram` is the one Gram reader: it returns L * M as `int` rows and L
 after the one square-and-symmetric check.
 The private workers take what a public routine has read: `_forward`,
-`_reduce` and the sums of `bilinear` run on `int` rows, and `_int_rows`
-reads entries after `shape` has read the rows.
+`_reduce` and `_bilinear_sums` run on `int` rows, and `_int_rows` reads
+entries after `shape` has read the rows.
 `combine` reads entry types a whole vector at a time
 (`_INTS.issuperset(map(type, v))`) and sums in `int`, a `Fraction` input as
 numerators over a common denominator, by which `ratio` divides each
 finished entry once; zero coefficients are skipped, so `int`s flow on to
-the next product.  `bilinear` reads xs, M and ys once each as `int` rows
-and divides each entry by its scale once.
+the next product.  `bilinear` reads M once as `int` rows and hands them to
+`_bilinear_sums`, which reads xs and ys once each, sums in `int` and
+divides each entry by its scale once.  `forms.QuadraticSpace` reads its
+Gram matrix once, through `read_gram`, and every pairing hands the kept
+rows (and their diagonal, when the matrix is diagonal) to the same worker.
 One fraction-free elimination serves `rank`, `kernel`, `row_space`,
 `solve`, `integer_inverse` and `extend_to_independent`: `_forward` takes
 the rows scaled to integers by `_int_rows` and replaces a row by
@@ -59,10 +62,12 @@ content-reduced integer rows, each update computed on the upper triangle
 and mirrored.  It records only `int`s: each pivot step's direction, pivot
 and content divisor, and each clear move's pivot and numerators.  A
 signature is read off the pivots' signs, so `classify_metric` and
-`forms.signature` build no rational; the diagonal and the moves, those of
-the same elimination over Q, and the transform P are built when a caller
-first reads them.  It divides by the content, not by the previous pivot as
-Bareiss does, for the reason `_forward` does.
+`forms.signature` build no rational.  The diagonal, that of the same
+elimination over Q, and the columns of the transform P are built when a
+caller first reads them: the record is replayed into content-free `int`
+columns, one rational scale each, which `forms.scaled_system` reads as
+they are and `transform` divides once.  It divides by the content, not by
+the previous pivot as Bareiss does, for the reason `_forward` does.
 """
 
 from __future__ import annotations
@@ -73,6 +78,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 
 Vector = tuple[int | Fraction, ...]  # canonical: `int` where integral
 Matrix = list[list[int | Fraction]]
@@ -298,8 +304,8 @@ def combine(coeffs: Sequence, vectors: Sequence[Sequence]) -> Vector:
 
 def _int_sum(coeffs: Iterable[int], rows: Iterable[Sequence[int]], length: int) -> list[int]:
     """sum_k c_k row_k as `length` `int`s (the first `length` entries of longer rows),
-    skipping zero coefficients: the one summing loop, for `combine`, `bilinear` and
-    `heisenberg.act_on_metric`, on `int`s they have read."""
+    skipping zero coefficients: the one loop that sums rows, for `combine`, the rows
+    x^T (L M) of `_bilinear_sums` and `heisenberg.act_on_metric`, on `int`s they have read."""
     acc = [0] * length
     for c, row in zip(coeffs, rows):
         if c:
@@ -310,24 +316,37 @@ def _int_sum(coeffs: Iterable[int], rows: Iterable[Sequence[int]], length: int) 
 def bilinear(xs: Sequence[Sequence], m: Matrix, ys: Sequence[Sequence]) -> Matrix:
     """The matrix of x^T M y for x in xs (rows) and y in ys (columns).
 
-    Each operand is read once, to `int` rows: M as L * M (`_scaled`), and
-    each x and each y times the lcm of its own denominators, d_x and d_y
-    (`_int_rows`).  Row x is then summed in `int` as (x^T (L M)) Y, Y with
-    the ys as columns, skipping zero coordinates of x and zero entries of
-    x^T (L M), and `ratio` divides entry (x, y) by L d_x d_y once.  The row
-    length is len(ys) even when M is 0 x 0.
+    M is read once, after `shape`, as L * M in `int` rows (`_scaled`), and
+    `_bilinear_sums` reads xs and ys and sums.  The row length is len(ys) even
+    when M is 0 x 0.
     """
-    r, c = shape(m)
+    dims = shape(m)
+    return _bilinear_sums(xs, *_scaled(m), ys, dims)
+
+
+def _bilinear_sums(xs: Sequence[Sequence], a: list[list[int]], scale: int,
+                   ys: Sequence[Sequence], dims: tuple[int, int],
+                   diagonal: Sequence[int] | None = None) -> Matrix:
+    """x^T M y for x in xs and y in ys, on a read r x c matrix M = a / scale, a
+    the `int` rows of L * M and `diagonal` their diagonal when M is diagonal.
+
+    The sums of `bilinear` and `QuadraticSpace.pairing`, which read M once
+    and hand its rows in.  It reads xs and ys, `shape` and then each x and
+    each y times the lcm of its own denominators, d_x and d_y (`_int_rows`).
+    Row x^T (L M) is the elementwise product with `diagonal`, or else the
+    rows of a summed by x's nonzero coordinates (`_int_sum`); entry (x, y)
+    is its `int` dot product with y, which `ratio` divides by L d_x d_y once.
+    """
+    r, c = dims
     (nx, cx), (ny, cy) = shape(xs), shape(ys)
     if nx and cx != r or ny and cy != c:
         raise ShapeError(f"vector length does not match the {r}x{c} matrix")
-    a, scale = _scaled(m)
     (x_rows, x_scales), (y_rows, y_scales) = _int_rows(xs), _int_rows(ys)
-    y_cols = list(zip(*y_rows))
     y_ints = max(y_scales, default=1) == 1
     out = []
     for x, dx in zip(x_rows, x_scales):
-        acc = _int_sum(_int_sum(x, a, c), y_cols, ny)
+        xm = list(map(mul, diagonal, x)) if diagonal is not None else _int_sum(x, a, c)
+        acc = [sum(map(mul, xm, y)) for y in y_rows]
         d = dx * scale
         out.append(acc if d == 1 and y_ints else [ratio(u, d * dy) for u, dy in zip(acc, y_scales)])
     return out
@@ -424,15 +443,18 @@ class CongruenceResult:
     clear with its pivot and the numerators -x_i.  `sign_counts()` and
     `leading_counts` read the pivots' signs (`_pivot_counts`), so counting
     signs builds no rational.
-    The rationals are built on first read, each a `cached_property`:
+    The rest is built on first read, each a `cached_property`:
     `diagonal` replays c from `_scale` and each step's |p| and g, giving
-    D_k = p / c; `moves` turns each recorded clear into its factors
-    f = -x_i / p; `transform` replays P from the moves.  In each ratio the
-    scale cancels, so these are the rationals of the same elimination over
-    Q, each canonical: built by `ratio`, and P's sums read back through it.
-    `moves` records the basis changes in order: ("swap", k, j) exchanges b_k
-    and b_j, ("pair", k, j) replaces them by b_k + b_j and b_k - b_j, and
-    ("clear", k, ((i, f), ...)) adds f * b_k to each b_i.
+    D_k = p / c.  `columns` replays P from the record in `int`: the moves
+    are the basis changes in order, ("swap", k, j) exchanging b_k and b_j,
+    ("pair", k, j) replacing them by b_k + b_j and b_k - b_j, and a clear
+    adding -x_i / p times b_k to each b_i.  Column j of P is kept as
+    (C, a, b), the column (a / b) C with C a content-free `int` column
+    whose leading entry is positive and a / b in lowest terms, b > 0; each
+    move sums two columns over one common denominator (`_column_sum`).
+    `transform` is P itself, each column divided once by `ratio`.  In each
+    ratio the scale cancels, so these are the rationals of the same
+    elimination over Q, each canonical.
     `leading_counts` are the sign counts of the leading block named by
     `leading`; without one, the whole matrix's.  Two results are equal
     when their diagonals and leading counts are.
@@ -442,7 +464,7 @@ class CongruenceResult:
     _n: int
     _scale: int
     _pivots: tuple[tuple[int, int, int], ...]  # (k, p, g) per pivot step
-    _record: tuple[tuple, ...]  # the moves, a clear as ("clear", k, p, ((i, -x_i), ...))
+    _record: tuple[tuple, ...]  # the moves in order, a clear as ("clear", k, p, ((i, -x_i), ...))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CongruenceResult):
@@ -470,29 +492,39 @@ class CongruenceResult:
         return tuple(diagonal)
 
     @cached_property
-    def moves(self) -> tuple[tuple, ...]:
-        return tuple(("clear", move[1], tuple((i, ratio(x, move[2])) for i, x in move[3]))
-                     if move[0] == "clear" else move for move in self._record)
-
-    @cached_property
-    def transform(self) -> Matrix:
-        # cols[j] is column j of P
-        cols = [[int(r == j) for r in range(self._n)] for j in range(self._n)]
-        for kind, k, arg in self.moves:
+    def columns(self) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+        cols = [([int(r == j) for r in range(self._n)], 1, 1) for j in range(self._n)]
+        for kind, k, arg, *clears in self._record:
             if kind == "swap":
                 cols[k], cols[arg] = cols[arg], cols[k]
             elif kind == "pair":
                 ck, cj = cols[k], cols[arg]
-                cols[k] = [x + y for x, y in zip(ck, cj)]
-                cols[arg] = [x - y for x, y in zip(ck, cj)]
-            else:
-                support = [(r, y) for r, y in enumerate(cols[k]) if y]
-                for i, f in arg:
-                    ci = cols[i]
-                    for r, y in support:
-                        ci[r] += f * y
-        # a sum of `Fraction`s can be integral: each entry is read back through `ratio`
-        return transpose([[ratio(y, 1) for y in col] for col in cols])
+                cols[k], cols[arg] = _column_sum(ck, cj, 1, 1), _column_sum(ck, cj, -1, 1)
+            else:  # arg is the pivot p, and b_i gains -x_i / p times b_k
+                for i, x in clears[0]:
+                    cols[i] = _column_sum(cols[i], cols[k], x, arg)
+        return tuple((tuple(c), a, b) for c, a, b in cols)
+
+    @cached_property
+    def transform(self) -> Matrix:
+        return transpose([[ratio(a * x, b) for x in c] for c, a, b in self.columns])
+
+
+def _column_sum(u: tuple, v: tuple, num: int, den: int) -> tuple[list[int], int, int]:
+    """u + (num / den) v for columns (C, a, b) = (a / b) C of `CongruenceResult.columns`,
+    summed in `int` over one common denominator and written the same way: C content-free
+    with its leading entry positive, a / b in lowest terms with b > 0."""
+    (cu, au, bu), (cv, av, bv) = u, v
+    n, d = num * av, den * bv
+    if d < 0:
+        n, d = -n, -d
+    common = lcm(bu, d)
+    s, t = au * (common // bu), n * (common // d)
+    w = [s * x + t * y for x, y in zip(cu, cv)]
+    c = _content_free(w)
+    g = next(x // y for x, y in zip(w, c) if y)
+    h = gcd(g, common)
+    return c, g // h, common // h
 
 
 def congruence_diagonalize(s: Matrix, leading: int | None = None) -> CongruenceResult:

@@ -63,8 +63,11 @@ Deliberately separate from the package's fast paths:
   Schur-update `linalg.congruence_diagonalize` replaced; that Schur update
   on `Fraction` entries (`fraction_congruence`), which builds P as it goes
   and which the same elimination on content-reduced integer rows, recorded
-  in `int`, replaced; the classification
-  from two such eliminations (whole matrix, then the negated center block);
+  in `int`, replaced; the `Fraction` replay of P from the record's moves
+  (`fraction_moves`, `fraction_transform`), which the replay into
+  content-free `int` columns with one scale each replaced; the
+  classification from two such eliminations (whole matrix, then the
+  negated center block);
 - the group action: `act_on_metric` as two `Fraction` products, which one
   pairing and then one `int` product M^T (L A) M over an integer inverse
   replaced; and the block test of `is_scaled_automorphism` with a full
@@ -74,8 +77,10 @@ Deliberately separate from the package's fast paths:
   and a row space) and the one-solve `in_span`, with the flag invariants,
   seven counts, subspace equivalence and witness frame cap computed from
   them, which `heisflag.forms` and `heisflag.witness` now read off one rank
-  or one kernel; and `extend_nullsystem` with its own null-splitting loop,
-  which is now one `forms.extend_basis` call;
+  or one kernel; `extend_nullsystem` with its own null-splitting loop,
+  which is now one `forms.extend_basis` call; and `extend_basis` with its
+  complement search of the ambient radical on every space
+  (`extend_basis_with_complement`), which a nondegenerate space skips;
 - `random_gram` as two dense products h^T I h over a `Fraction` pool, which
   one pairing of columns from a cached `int` pool replaced;
 - elimination: the Gauss-Jordan echelon form and the rank read off it,
@@ -1366,6 +1371,35 @@ def fraction_congruence(s, leading=None):
                               linalg.transpose(cols))
 
 
+def fraction_moves(res):
+    """The basis changes of a `linalg.CongruenceResult` in order, each clear with its
+    `Fraction` factors: ("swap", k, j), ("pair", k, j) for b_k + b_j and b_k - b_j, and
+    ("clear", k, ((i, f), ...)) adding f * b_k to each b_i, f = -x_i / p."""
+    return tuple(("clear", move[1], tuple((i, Fraction(x, move[2])) for i, x in move[3]))
+                 if move[0] == "clear" else move for move in res._record)
+
+
+def fraction_transform(res):
+    """P of a `linalg.CongruenceResult`, replayed from `fraction_moves` on `Fraction`
+    columns, each entry read back canonical: the replay that the `int` columns replaced."""
+    n = len(res.diagonal)
+    cols = [[Fraction(int(r == j)) for r in range(n)] for j in range(n)]  # cols[j] is column j of P
+    for kind, k, arg in fraction_moves(res):
+        if kind == "swap":
+            cols[k], cols[arg] = cols[arg], cols[k]
+        elif kind == "pair":
+            ck, cj = cols[k], cols[arg]
+            cols[k] = [x + y for x, y in zip(ck, cj)]
+            cols[arg] = [x - y for x, y in zip(ck, cj)]
+        else:
+            support = [(r, y) for r, y in enumerate(cols[k]) if y]
+            for i, f in arg:
+                ci = cols[i]
+                for r, y in support:
+                    ci[r] += f * y
+    return linalg.transpose([[linalg.ratio(y, 1) for y in col] for col in cols])
+
+
 def oracle_sign_counts(s):
     """(positive, negative, zero) counts of the oracle congruence's diagonal."""
     d = row_column_congruence(s)[1]
@@ -1547,6 +1581,51 @@ def split_loop_extend_nullsystem(space, nulls):
     pos_norms = [space.inner(p, p) for p, _ in pairs] + [m for m in fill.norms if m > 0]
     neg_norms = [space.inner(m, m) for _, m in pairs] + [m for m in fill.norms if m < 0]
     return ScaledSystem(tuple(xs + ys), tuple(pos_norms + neg_norms))
+
+
+def extend_basis_with_complement(space, w_system):
+    """`forms.extend_basis` with its complement search on every space.
+
+    The null vectors are tested against the ambient radical one rank each,
+    and the complement U of the radical is grown from the system by one
+    elimination, even when the radical is zero and U is the whole space,
+    where the library takes U's unit basis.
+    """
+    n = space.dim
+    w_system.check(space)
+    xs, ys, zs = w_system.positives(), w_system.negatives(), w_system.nulls()
+    if zs and linalg.rank(zs) != len(zs):
+        raise PreconditionError("system vectors must be linearly independent")
+    u = len(zs)
+    rad_v = space.ambient_radical()
+    in_rad = [rad_v.contains(z) for z in zs]
+    k = sum(in_rad)
+    if in_rad != [False] * (u - k) + [True] * k:
+        raise PreconditionError("ambient-radical null vectors must come last")
+    z_split, z_rad = zs[: u - k], zs[u - k:]
+    head = xs + ys + z_split
+    u_basis = linalg.extend_to_independent(
+        list(rad_v.basis), head + [tuple(row) for row in linalg.identity(n)], n)[rad_v.dim:]
+    if u_basis[:len(head)] != head:
+        raise PreconditionError(
+            "null vectors outside the ambient radical must be independent modulo it")
+    arena = _perp_within(space, Subspace._independent(n, tuple(u_basis)), xs + ys)
+    pairs = []
+    for i, z in enumerate(z_split):
+        pairs.append(lightlike_split(space, _perp_within(space, arena, z_split[i + 1:]), z))
+        arena = _perp_within(space, arena, pairs[-1])
+    fill = scaled_system(space, arena)
+    if fill.signature.nul:
+        raise PreconditionError("complement of the radical is unexpectedly degenerate")
+    gammas = linalg.extend_to_independent(z_rad, list(rad_v.basis), rad_v.dim)
+    alphas = xs + [a for a, _ in pairs] + fill.positives()
+    betas = ys + [b for _, b in pairs] + fill.negatives()
+    pos_norms = ([m for m in w_system.norms if m > 0] + [space.inner(a, a) for a, _ in pairs]
+                 + [m for m in fill.norms if m > 0])
+    neg_norms = ([m for m in w_system.norms if m < 0] + [space.inner(b, b) for _, b in pairs]
+                 + [m for m in fill.norms if m < 0])
+    return ScaledSystem(tuple(alphas + betas + gammas),
+                        tuple(pos_norms + neg_norms + [0] * len(gammas)))
 
 
 def gauss_jordan_echelon(m):

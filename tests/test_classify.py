@@ -319,7 +319,7 @@ def test_parabolic_orbit_invariance(n):
 
 def test_classify_builds_no_rationals_from_the_congruence():
     # classify and signature read only the signs of the congruence's pivots:
-    # with its diagonal, moves and transform made to raise, they answer as before
+    # with its diagonal, columns and transform made to raise, they answer as before
     def refuse(self):
         raise AssertionError("a rational of the congruence was built")
 
@@ -339,7 +339,7 @@ def test_classify_builds_no_rationals_from_the_congruence():
 
     want = answers()
     with patch.object(linalg.CongruenceResult, "diagonal", property(refuse)), \
-            patch.object(linalg.CongruenceResult, "moves", property(refuse)), \
+            patch.object(linalg.CongruenceResult, "columns", property(refuse)), \
             patch.object(linalg.CongruenceResult, "transform", property(refuse)):
         assert answers() == want
 

@@ -234,9 +234,11 @@ def degenerate_gram_and_vectors(draw):
     """A Gram matrix with zero rows, zero entries or low rank, and vectors that
     are zero, repeated or dependent."""
     n = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(["diagonal", "low_rank", "entries"]))
+    kind = draw(st.sampled_from(["diagonal", "fraction diagonal", "low_rank", "entries"]))
     if kind == "diagonal":
         gram = linalg.diag([draw(st.sampled_from([1, -1, 0])) for _ in range(n)])
+    elif kind == "fraction diagonal":
+        gram = [[F(draw(ENTRIES)) if i == j else F(0) for j in range(n)] for i in range(n)]
     elif kind == "low_rank":
         factor = [[draw(ENTRIES) for _ in range(n)] for _ in range(draw(st.integers(0, 2)))]
         signs = [draw(st.sampled_from([1, -1])) for _ in factor]
@@ -271,6 +273,19 @@ def test_pairing_restrict_inner_agree_with_dense_oracles(data):
         assert space.inner(x, x) == oracles.dense_inner(space, x, x)
     w = Subspace.spanned_by(vectors, space.dim)
     assert restrict(space, w) == oracles.dense_restrict(space, w)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=degenerate_gram_and_vectors())
+def test_pairing_and_inner_agree_with_bilinear(data):
+    # the space's one read of its Gram matrix, diagonal or not, gives the sums
+    # of `bilinear`, which reads the Gram matrix on every call, entry types included
+    space, vectors = data
+    xs, ys = vectors[: len(vectors) // 2 + 1], vectors[len(vectors) // 2:]
+    want = linalg.bilinear(xs, space.gram, ys)
+    assert repr(space.pairing(xs, ys)) == repr(want)
+    for x, y in zip(xs, ys[::-1]):
+        assert repr(space.inner(x, y)) == repr(linalg.bilinear([x], space.gram, [y])[0][0])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -436,6 +451,63 @@ def test_frame_extensions_pass_the_rank_check(data):
     with mock.patch.object(forms, "extend_basis", checking):
         assert forms.adapted_frame(QuadraticSpace.standard(p, q), f) == frame
     assert len(ranks) == 2 and all(r == k for r, k in ranks)
+
+
+def extension_outcome(extend, space, w_system):
+    """repr of extend(space, w_system), or the message of the PreconditionError it raises."""
+    try:
+        return repr(extend(space, w_system))
+    except PreconditionError as ex:
+        return str(ex)
+
+
+def compared_extensions(call):
+    """(nondegenerate, agrees) for each `forms.extend_basis` call that call() makes, agrees
+    when its outcome equals the complement search oracle's; call() may raise."""
+    extend = forms.extend_basis
+    seen = []
+
+    def both(space, w_system):
+        got, want = (extension_outcome(e, space, w_system)
+                     for e in (extend, oracles.extend_basis_with_complement))
+        seen.append((space.is_nondegenerate(), got == want))
+        return extend(space, w_system)
+
+    with mock.patch.object(forms, "extend_basis", both):
+        try:
+            call()
+        except PreconditionError:
+            pass
+    return seen
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=strategies.degenerate_flags(codim_two=True) | strategies.degenerate_flags())
+def test_frame_extensions_agree_with_the_complement_search_oracle(data):
+    # a nondegenerate space skips the complement search; the frame's last
+    # extension is always in one, and both keep their bytes
+    p, q, f = data
+    seen = compared_extensions(lambda: forms.adapted_frame(QuadraticSpace.standard(p, q), f))
+    assert len(seen) == 2 and seen[-1][0] and all(agrees for _, agrees in seen)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=strategies.null_systems())
+def test_null_system_extensions_agree_with_the_complement_search_oracle(data):
+    # standard, moved and pulled-back spaces, each nondegenerate
+    space, nulls = data
+    seen = compared_extensions(lambda: forms.extend_nullsystem(space, nulls))
+    assert all(nondegenerate and agrees for nondegenerate, agrees in seen)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=strategies.degenerate_spaces_and_subspaces(), pick=st.integers(0, 4))
+def test_scaled_system_extensions_agree_with_the_complement_search_oracle(data, pick):
+    # diagonal and pulled-back Gram matrices, with and without a radical
+    space, parts = data
+    system = forms.scaled_system(space, parts[pick % len(parts)])
+    assert (extension_outcome(forms.extend_basis, space, system)
+            == extension_outcome(oracles.extend_basis_with_complement, space, system))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -92,6 +92,10 @@ processes check the same at run time: a fresh `import heisflag` leaves
 numpy out of `sys.modules`, and with numpy made unimportable the exact
 library and `heisflag table` still work while `isometry_witness` raises an
 `ImportError` that names numpy.
+
+Each checker is first tested on small synthetic sources, clean and with a
+mutation added, never on a literal line of the library, so that a rewrite
+of the library leaves the self-tests as they are.
 """
 
 import ast
@@ -384,6 +388,8 @@ KEPT_FOR_USERS = {
     "curvature.py: riemann": "criterion 7's exact Riemann tensor, which the report never builds",
     "linalg.py: mat_vec": "Mv, the public product beside mat_mul; the bracket check reads "
                           "phi's rows in closed form",
+    "linalg.py: bilinear": "x^T M y for any matrix; a space's pairing runs its sums on the "
+                           "Gram rows it read once",
 }
 
 
@@ -538,19 +544,20 @@ def frame_code(source: str) -> list[str]:
 
 
 def test_checker_flags_frame_code_in_the_witness():
-    source = (SRC / "witness.py").read_text()
-    anchor = "    g = _assemble(p, adapted_frame(space, f1), adapted_frame(space, f2))\n"
-    assert source.count(anchor) == 1 and source.count("    adapted_frame,\n") == 1
-    line = source[:source.index(anchor)].count("\n") + 1
+    # a witness-like module that only assembles, then the same with frame code added
+    source = ("from .forms import (\n    QuadraticSpace,\n    adapted_frame,\n)\n\n\n"
+              "def isometry_witness(p, q, f1, f2):\n"
+              "    space = QuadraticSpace.standard(p, q)\n"
+              "    return _assemble(p, adapted_frame(space, f1), adapted_frame(space, f2))\n")
+    assert frame_code(source) == []
     built = ("    big = Subspace(3, tuple(linalg.lll_reduce(linalg.row_space(f1.big.basis))))\n"
              "    cap = linalg.kernel(forms.restrict(space, big))\n")
+    anchor = "    return _assemble("
     assert frame_code(source.replace(anchor, built + anchor)) == [
-        f"line {line}: calls lll_reduce", f"line {line}: calls row_space",
-        f"line {line}: names Subspace",
-        f"line {line + 1}: calls kernel", f"line {line + 1}: names restrict"]
+        "line 9: calls lll_reduce", "line 9: calls row_space", "line 9: names Subspace",
+        "line 10: calls kernel", "line 10: names restrict"]
     imported = source.replace("    adapted_frame,\n", "    adapted_frame,\n    extend_basis,\n")
-    line = source[:source.index("    adapted_frame,\n")].count("\n") + 2
-    assert frame_code(imported) == [f"line {line}: names extend_basis"]
+    assert frame_code(imported) == ["line 4: names extend_basis"]
     helper = ("def _orient_frame(vectors, slots):\n"
               "    return ScaledSystem(extend_to_independent([], vectors, 0), ())\n")
     assert frame_code(helper) == ["line 1: defines _orient_frame",
@@ -583,17 +590,27 @@ def true_divisions(name: str, source: str) -> list[str]:
             for node in sorted(found, key=lambda node: (node.lineno, node.col_offset))]
 
 
+# a witness-like assembly: the exact ratio of two norms, then one rounding per entry
+# in the last statement
+ASSEMBLY = ("from math import isqrt\n\nfrom . import linalg\n\n\n"
+            "def _assemble(p, frame1, frame2):\n"
+            "    rows = []\n"
+            "    for m1, m2 in zip(frame1.norms, frame2.norms):\n"
+            "        r = linalg.ratio(m2, m1)\n"
+            "        rows.append(isqrt((r.numerator << 2 * SQRT_BITS) // r.denominator))\n"
+            "    den = 1 << SQRT_BITS\n"
+            "    return [x / den for x in rows]\n")
+RATIO_LINE = "        r = linalg.ratio(m2, m1)\n"
+
+
 def test_checker_flags_a_true_division():
-    source = (SRC / "witness.py").read_text()
-    anchor = "        r = linalg.ratio(m2, m1)\n"
-    assert source.count(anchor) == 1
-    line = source[:source.index(anchor)].count("\n") + 1
-    assert true_divisions("witness.py", source.replace(anchor, "        r = m2 / m1\n")) == [
-        f"line {line}: m2 / m1"]
+    assert true_divisions("witness.py", ASSEMBLY) == []
+    assert true_divisions("witness.py", ASSEMBLY.replace(RATIO_LINE, "        r = m2 / m1\n")) == [
+        "line 9: m2 / m1"]
     # the rounding is the exception only in the last statement of `_assemble`
-    early = anchor + "        t = r / (1 << SQRT_BITS)\n"
-    assert true_divisions("witness.py", source.replace(anchor, early)) == [
-        f"line {line + 1}: r / (1 << SQRT_BITS)"]
+    early = RATIO_LINE + "        t = r / (1 << SQRT_BITS)\n"
+    assert true_divisions("witness.py", ASSEMBLY.replace(RATIO_LINE, early)) == [
+        "line 10: r / (1 << SQRT_BITS)"]
     ratio = "def ratio(a, b):\n    return a / b\n\n\ndef half(x):\n    x /= 2\n    return x\n"
     assert true_divisions("linalg.py", ratio) == ["line 6: x /= 2"]
     assert true_divisions("forms.py", ratio) == ["line 2: a / b", "line 6: x /= 2"]
@@ -603,13 +620,15 @@ def test_checker_flags_a_true_division():
               "        return mpf(x.numerator) / mpf(x.denominator)\n"
               "    return hp(x) / 2, Fraction(1, x)\n")
     assert true_divisions("oracles.py", oracle) == ["line 4: hp(x) / 2"]
-    source = (TESTS / "oracles.py").read_text()
-    anchor = "        inv = Fraction(1, a[c][c])\n        a[c] = [x * inv for x in a[c]]\n"
-    assert source.count(anchor) == 1
-    line = source[:source.index(anchor)].count("\n") + 1
-    float_inverse = anchor.replace("Fraction(1, a[c][c])", "1 / a[c][c]")
-    assert true_divisions("oracles.py", source.replace(anchor, float_inverse)) == [
-        f"line {line}: 1 / a[c][c]"]
+    elimination = ("from fractions import Fraction\n\n\n"
+                   "def gauss_jordan(a):\n"
+                   "    for c in range(len(a)):\n"
+                   "        inv = Fraction(1, a[c][c])\n"
+                   "        a[c] = [x * inv for x in a[c]]\n"
+                   "    return a\n")
+    assert true_divisions("oracles.py", elimination) == []
+    float_inverse = elimination.replace("Fraction(1, a[c][c])", "1 / a[c][c]")
+    assert true_divisions("oracles.py", float_inverse) == ["line 6: 1 / a[c][c]"]
 
 
 def test_every_division_is_exact():
@@ -636,15 +655,11 @@ def fraction_uses(source: str) -> list[str]:
 
 
 def test_checker_flags_a_fraction_in_the_witness():
-    source = (SRC / "witness.py").read_text()
-    anchor = "        r = linalg.ratio(m2, m1)\n"
-    assert source.count(anchor) == 1 and source.count("from math import") == 1
-    line = source[:source.index(anchor)].count("\n") + 1
-    rebuilt = source.replace(anchor, "        r = Fraction(m2) / m1\n")
-    top = source[:source.index("from math import")].count("\n") + 1
+    assert fraction_uses(ASSEMBLY) == []
+    rebuilt = ASSEMBLY.replace(RATIO_LINE, "        r = Fraction(m2) / m1\n")
     imported = rebuilt.replace("from math import", "from fractions import Fraction\nfrom math import")
-    assert fraction_uses(imported) == [f"line {top}: imports fractions",
-                                       f"line {top}: names Fraction", f"line {line + 1}: names Fraction"]
+    assert fraction_uses(imported) == ["line 1: imports fractions", "line 1: names Fraction",
+                                       "line 10: names Fraction"]
     assert fraction_uses("import fractions\n\nx = fractions.Fraction(1, 2)\n") == [
         "line 1: imports fractions", "line 3: names Fraction"]
     assert fraction_uses("from . import linalg\n\nx = linalg.Fraction(1, 2)\n") == [
@@ -676,12 +691,14 @@ def tensor_names_in_report(source: str) -> list[str]:
 
 
 def test_checker_flags_a_riemann_table_in_the_report():
-    source = (SRC / "curvature.py").read_text()
+    report = ("def curvature_report(alg, gram):\n"
+              "    rows, scale, ia, ib, piv = _read_gram(alg.n, gram)\n"
+              "    delta = ia[a] * ib[b] - ia[b] * ia[b]\n"
+              "    return CurvatureReport(delta == 0)\n")
+    assert tensor_names_in_report(report) == []
     anchor = "    delta = ia[a] * ib[b] - ia[b] * ia[b]\n"
-    assert source.count(anchor) == 1
-    mutated = source.replace(anchor, anchor + "    flat = is_flat(riemann(alg, gram))\n")
-    line = source[:source.index(anchor)].count("\n") + 2
-    assert tensor_names_in_report(mutated) == [f"line {line}: is_flat", f"line {line}: riemann"]
+    mutated = report.replace(anchor, anchor + "    flat = is_flat(riemann(alg, gram))\n")
+    assert tensor_names_in_report(mutated) == ["line 4: is_flat", "line 4: riemann"]
     attribute = "def curvature_report(alg, gram):\n    return curvature._riemann(gram)\n"
     assert tensor_names_in_report(attribute) == ["line 2: _riemann"]
     assert tensor_names_in_report("def report():\n    pass\n") == [
@@ -708,13 +725,12 @@ def fraction_reads(source: str) -> list[str]:
 
 
 def test_checker_flags_a_fraction_read_in_curvature():
-    source = (SRC / "curvature.py").read_text()
+    reader = "def _read_gram(n, gram):\n    rows, scale = linalg.read_gram(gram)\n    return rows\n"
+    assert fraction_reads(reader) == []
     anchor = "    rows, scale = linalg.read_gram(gram)\n"
-    assert source.count(anchor) == 1
-    line = source[:source.index(anchor)].count("\n") + 1
     reread = "    g = linalg.mat(gram)\n    g_inv = linalg.invert(g)\n"
-    assert fraction_reads(source.replace(anchor, reread + anchor)) == [
-        f"line {line}: calls mat", f"line {line + 1}: calls invert"]
+    assert fraction_reads(reader.replace(anchor, reread + anchor)) == [
+        "line 2: calls mat", "line 3: calls invert"]
     assert fraction_reads("from .linalg import invert, mat\n\ng = invert(mat(rows))\n") == [
         "line 3: calls invert", "line 3: calls mat"]
     unread = "a = linalg.mat_mul(m, linalg.scaled_to_int(g)[0])\nf = linalg.mat\n"
@@ -773,21 +789,25 @@ def boundary_copies(name: str, source: str) -> list[str]:
 
 
 def test_checker_flags_a_second_gram_or_entry_check():
-    source = (SRC / "heisenberg.py").read_text()
+    # a module that leaves every Gram check to `linalg`, then with a check of its own
+    source = ("def classify_metric(alg, gram):\n"
+              "    n = alg.n\n"
+              "    res = linalg.congruence_diagonalize(gram, leading=n - 2)\n"
+              "    return res.leading_counts\n\n\n"
+              "def act_on_metric(g, gram):\n"
+              "    a, scale = linalg.read_gram(gram)\n"
+              "    return a\n")
+    assert boundary_copies("heisenberg.py", source) == []
     anchor = "    res = linalg.congruence_diagonalize(gram, leading=n - 2)\n"
-    assert source.count(anchor) == 1
-    line = source[:source.index(anchor)].count("\n") + 1
     wrapped = ("    try:\n    " + anchor + "    except linalg.ShapeError:\n"
                "        raise PreconditionError(\"Gram matrix must be symmetric\") from None\n")
     assert boundary_copies("heisenberg.py", source.replace(anchor, wrapped)) == [
-        f"line {line + 2}: catches ShapeError"]
+        "line 5: catches ShapeError"]
     anchor = "    a, scale = linalg.read_gram(gram)\n"
-    assert source.count(anchor) == 1
-    line = source[:source.index(anchor)].count("\n") + 2
     compared = ("    if any(row != list(col) for row, col in zip(a, zip(*a))):\n"
                 "        raise PreconditionError(\"Gram matrix must be square and symmetric\")\n")
     assert boundary_copies("heisenberg.py", source.replace(anchor, anchor + compared)) == [
-        f"line {line}: compares a matrix with its transpose"]
+        "line 9: compares a matrix with its transpose"]
     mirrored_source = ("def f(m, n):\n"
                        "    ok = linalg.is_symmetric(m) and m == linalg.transpose(m)\n"
                        "    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i))\n")
@@ -830,13 +850,14 @@ def fraction_calls(name: str, source: str) -> list[str]:
 
 
 def test_checker_flags_a_fraction_built_outside_ratio():
-    source = (SRC / "heisenberg.py").read_text()
-    anchor = "                out[i][j] = out[j][i] = linalg.ratio(s, den)\n"
-    assert source.count(anchor) == 1
-    line = source[:source.index(anchor)].count("\n") + 1
-    boxed = anchor.replace("linalg.ratio(s, den)", "Fraction(s, den)")
-    assert fraction_calls("heisenberg.py", source.replace(anchor, boxed)) == [
-        f"line {line}: calls Fraction"]
+    source = ("def act_on_metric(g, gram):\n"
+              "    out = [[0] * n for _ in range(n)]\n"
+              "    for i, j, s in sums:\n"
+              "        out[i][j] = out[j][i] = linalg.ratio(s, den)\n"
+              "    return out\n")
+    assert fraction_calls("heisenberg.py", source) == []
+    boxed = source.replace("linalg.ratio(s, den)", "Fraction(s, den)")
+    assert fraction_calls("heisenberg.py", boxed) == ["line 4: calls Fraction"]
     entries = ("def parse_rational(token):\n    return Fraction(token)\n\n\n"
                "def frac(x):\n"
                "    return fractions.Fraction(x), Fraction(-1), Fraction(1, x)\n")
@@ -890,21 +911,20 @@ def row_length_reads(name: str, source: str) -> list[str]:
 
 
 def test_checker_flags_a_second_row_length_reader():
-    source = (SRC / "linalg.py").read_text()
+    source = ("def shape(m):\n    lengths = set(map(len, m))\n    return len(m), lengths.pop()\n\n\n"
+              "def require_ints(**params) -> None:\n    pass\n")
+    assert row_length_reads("linalg.py", source) == []
     anchor = "def require_ints(**params) -> None:\n"
-    assert source.count(anchor) == 1
-    line = source[:source.index(anchor)].count("\n") + 1
     row_lengths = ("def row_lengths(rows):\n    try:\n        return [len(row) for row in rows]\n"
                    "    except TypeError:\n        raise _entry_error(rows) from None\n\n\n")
     assert row_length_reads("linalg.py", source.replace(anchor, row_lengths + anchor)) == [
-        f"line {line + 2}: row_lengths"]
-    source = (SRC / "heisenberg.py").read_text()
-    anchor = "    if n < 3 or linalg.shape(g) != (n, n):\n"
-    assert source.count(anchor) == 1
-    line = source[:source.index(anchor)].count("\n") + 1
+        "line 8: row_lengths"]
+    source = ("def _block_det_d(g, n):\n    if n < 3 or linalg.shape(g) != (n, n):\n"
+              "        raise ShapeError(n)\n    return g\n")
+    assert row_length_reads("heisenberg.py", source) == []
     scan = "    if len(g) != n or n < 3 or any(len(row) != n for row in g):\n"
-    assert row_length_reads("heisenberg.py", source.replace(anchor, scan)) == [
-        f"line {line}: _block_det_d"]
+    mutated = source.replace("    if n < 3 or linalg.shape(g) != (n, n):\n", scan)
+    assert row_length_reads("heisenberg.py", mutated) == ["line 2: _block_det_d"]
     parsed = ("def _parse_flag_spec(vectors):\n    return {len(v) for v in vectors}\n\n\n"
               "def widths(rows, a):\n    return set(map(len, rows)), [i for i in range(len(a))]\n")
     # the exception is one function; `len(a)` of no loop target is no row reader

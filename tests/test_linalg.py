@@ -5,7 +5,7 @@ import random
 import re
 from contextlib import contextmanager
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 from unittest.mock import patch
 
 import pytest
@@ -238,8 +238,7 @@ def test_int_input_stays_exact():
         invert(singular)
     res = congruence_diagonalize(singular)
     assert res.diagonal == (F(3), F(8, 3), F(0)) and res.sign_counts() == (2, 0, 1)
-    factors = [f for kind, _, arg in res.moves if kind == "clear" for _, f in arg]
-    assert canonical_entries((res.diagonal, factors, res.transform))
+    assert canonical_entries((res.diagonal, res.transform))
     assert kernel([[1, 2], [2, 4]]) == [(F(2), F(-1))]
     assert canonical_entries(kernel([[1, 2], [2, 4]]))
 
@@ -352,8 +351,35 @@ def test_congruence_agrees_with_fraction_oracle(s):
         got, want = congruence_diagonalize(s, m), oracles.fraction_congruence(s, m)
         assert got.diagonal == want.diagonal
         assert got.leading_counts == want.leading_counts
-        assert got.moves == want.moves
+        assert oracles.fraction_moves(got) == want.moves
         assert got.transform == want.transform
+
+
+def test_int_columns_agree_with_the_fraction_replay():
+    # seeded symmetric matrices whose zero diagonal entries and zero rows
+    # force swap and pair moves; the `int` column replay gives the P of the
+    # `Fraction` replay, with and without a leading block, each column (a / b) C
+    # with C content-free, its leading entry positive, and a / b in lowest terms
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        s = random_symmetric(n, rng, (-3, 3), (1, 4))
+        for i in range(n):
+            if rng.random() < 0.5:
+                s[i][i] = F(0)
+            if rng.random() < 0.1:
+                for j in range(n):
+                    s[i][j] = s[j][i] = F(0)
+        for m in (None, rng.randint(0, n)):
+            res = congruence_diagonalize(s, m)
+            kinds.update(move[0] for move in res._record)
+            assert res.transform == oracles.fraction_transform(res)
+            for c, a, b in res.columns:
+                assert all(type(x) is int for x in (*c, a, b))
+                assert gcd(*c) == 1 and next(x for x in c if x) > 0
+                assert b > 0 and gcd(a, b) == 1
+    assert kinds == {"swap", "pair", "clear"}
 
 
 PINNED_CONGRUENCES = {
@@ -575,6 +601,17 @@ def test_each_public_routine_reads_each_operand_once():
     for k in range(1, 5):
         rows = [(k, F(1, k), i) for i in range(k)]
         assert entry_passes(lambda g: linalg.bilinear(rows, g, xs), s) == once, k
+    # a space reads its Gram matrix once, when it is made: a pairing reads xs and
+    # ys alone, a diagonal Gram matrix too
+    for gram in (s, diag([2, F(-1, 3), 0])):
+        counted = tuple(CountedRow(row) for row in gram)
+        space = QuadraticSpace(counted)
+        CountedRow.passes = 0
+        with patch.object(linalg, "shape", wraps=linalg.shape) as shape:
+            got = space.pairing(xs, xs[::-1])
+        assert shape.call_count == 2 and got == linalg.bilinear(xs, gram, xs[::-1])
+        assert space.inner(xs[0], xs[1]) == linalg.bilinear(xs[:1], gram, xs[1:])[0][0]
+        assert CountedRow.passes == 0
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -934,8 +971,7 @@ def test_every_builder_returns_canonical_entries(n, seed):
         "mat, vec, diag": (mat(boxed), linalg.vec(boxed[0]), diag(boxed[0])),
         "combine": linalg.combine((F(1, 2), F(1, 2)), (boxed[0], boxed[1])),
         "solve": linalg.solve(boxed, boxed[0]),
-        "congruence": (res.diagonal, res.transform,
-                       [f for kind, _, arg in res.moves if kind == "clear" for _, f in arg]),
+        "congruence": (res.diagonal, res.transform),
         "scaled automorphism": (sa.matrix, sa.scale, sa.automorphism),
         "act_on_metric": gram,
         "samplers": [getattr(sampling, name)(p, q, rng) for name in

@@ -326,6 +326,27 @@ def test_int_assembly_agrees_with_the_fraction_oracle_on_the_bench_pairs():
     assert all(compared)
 
 
+# sha256 over repr((vectors, norms)) of `adapted_frame` for both flags of every
+# flag-pairs operation of seeds 101-103, in order, as the frame path built them
+# before its pairings kept their Gram rows, nondegenerate extensions skipped the
+# complement search and the congruence gave `int` columns
+PINNED_BENCH_FRAMES = "35b519da662d005eae8a4d83ab830845dd34544138779d662b72260c0272bbcc"
+
+
+def test_bench_pair_frames_are_pinned():
+    # the witness pins stop at a refusal; these reach every frame, inequivalent pairs included
+    with patch.object(witness, "isometry_witness", lambda p, q, f1, f2: (p, q, f1, f2)):
+        calls = [op.call() for op in bench_flag_pair_ops([101, 102, 103])]
+    digest = hashlib.sha256()
+    for p, q, *flags in calls:
+        space = QuadraticSpace.standard(p, q)
+        for f in flags:
+            frame = forms.adapted_frame(space, f)
+            digest.update(repr((frame.vectors, frame.norms)).encode())
+    assert len(calls) == 201
+    assert digest.hexdigest() == PINNED_BENCH_FRAMES
+
+
 def test_witness_runs_without_mpmath():
     script = """
 import sys
