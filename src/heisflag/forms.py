@@ -75,6 +75,21 @@ class LineSignature(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
+    @classmethod
+    def of(cls, norm, radical: bool) -> "LineSignature":
+        """The type of the line spanned by v inside V: the one rule that gives it.
+
+        The sign of `norm` = <v, v> decides a line that is not null; a null
+        line is RADICAL when `radical` holds, that is when v pairs to zero
+        with all of V, and LIGHTLIKE otherwise.  `radical` is read only for
+        a null line.
+        """
+        if norm > 0:
+            return cls.SPACELIKE
+        if norm < 0:
+            return cls.TIMELIKE
+        return cls.RADICAL if radical else cls.LIGHTLIKE
+
 
 @dataclass(frozen=True)
 class QuadraticSpace:
@@ -376,7 +391,12 @@ def radical(space: QuadraticSpace, w: Subspace | None = None) -> Subspace:
 
 
 def refined_line_signature(space: QuadraticSpace, v_sub: Subspace, line: Subspace) -> LineSignature:
-    """Classify a line inside V as spacelike, timelike, lightlike or radical."""
+    """Classify a line inside V as spacelike, timelike, lightlike or radical.
+
+    One `pairing` row of the line's vector v against v and V's basis gives
+    the norm <v, v> and every pairing <v, b>, and `LineSignature.of` reads
+    the type off them.
+    """
     if line.dim != 1:
         raise PreconditionError("refined signature is defined for lines only")
     if v_sub.dim < 2:
@@ -384,14 +404,8 @@ def refined_line_signature(space: QuadraticSpace, v_sub: Subspace, line: Subspac
     if not v_sub.contains_subspace(line):
         raise PreconditionError("line does not lie in the surrounding subspace")
     v = line.basis[0]
-    norm = space.inner(v, v)
-    if norm > 0:
-        return LineSignature.SPACELIKE
-    if norm < 0:
-        return LineSignature.TIMELIKE
-    if not any(space.pairing([v], v_sub.basis)[0]):
-        return LineSignature.RADICAL
-    return LineSignature.LIGHTLIKE
+    norm, *pairings = space.pairing([v], [v, *v_sub.basis])[0]
+    return LineSignature.of(norm, not any(pairings))
 
 
 # ---------------------------------------------------------------------------
@@ -502,21 +516,16 @@ def scaled_system(space: QuadraticSpace, w: Subspace) -> ScaledSystem:
     matrix; callers that want small entries hand in a reduced basis.  Each
     vector is the combination of W's basis by one content-free `int`
     column of the transform (`CongruenceResult.columns`, whose scale drops
-    out), made primitive.  The zero-norm vectors automatically span the
-    radical of W.  Within each
-    sign group, vectors are ordered by the position of their first nonzero
-    coordinate, which makes the output deterministic.
+    out), made primitive.  The norms are the diagonal of one `pairing` of
+    these vectors.  The zero-norm vectors automatically span the radical of
+    W.  Within each sign group, vectors are ordered by the position of their
+    first nonzero coordinate, which makes the output deterministic.
     """
     res = linalg.congruence_diagonalize(restrict(space, w))
-    cols = []
-    for coeffs, _, _ in res.columns:
-        v = linalg.primitive_vector(linalg.combine(coeffs, w.basis))
-        cols.append((v, space.inner(v, v)))
-    ordered = sorted(
-        cols,
-        key=lambda vm: (0 if vm[1] > 0 else (1 if vm[1] < 0 else 2),
-                        _first_nonzero_index(vm[0])),
-    )
+    vs = [linalg.primitive_vector(linalg.combine(c, w.basis)) for c, _, _ in res.columns]
+    norms = [row[i] for i, row in enumerate(space.pairing(vs, vs))]
+    ordered = sorted(zip(vs, norms), key=lambda vm: (
+        0 if vm[1] > 0 else (1 if vm[1] < 0 else 2), _first_nonzero_index(vm[0])))
     return ScaledSystem(tuple(v for v, _ in ordered), tuple(m for _, m in ordered))
 
 
@@ -524,24 +533,30 @@ def lightlike_split(space: QuadraticSpace, v_sub: Subspace, v: Vector) -> tuple[
     """Split a null vector v (outside rad V) as v = v_plus + v_minus.
 
     The two parts lie in V, are orthogonal, and have opposite nonzero norms
-    of equal magnitude.  With w in V pairing nontrivially against v, the
-    vector h := 2<v,w> w - <w,w> v is null with <v, h> != 0, so (v +- h)/2
-    is the wanted pair up to orientation; h is kept as a primitive integer
-    vector so entries stay small.  No square roots are needed.
+    of equal magnitude.  One `pairing` row of v against v and V's basis
+    gives <v, v> and every <v, b>; w is the first basis vector with
+    c := <v, w> != 0, and d := <w, w>.  The vector u := 2c w - d v is null,
+    since <u, u> = 4c^2 d - 4c^2 d + d^2 <v, v> = 0, and <v, u> = 2c^2 > 0,
+    so (v +- h)/2 is the wanted pair for h a positive multiple of u; its
+    norms are +-<v, h>/2.  h is kept as a primitive integer vector so
+    entries stay small: `primitive_vector(u)` is u / g, g the content of u
+    with the sign of u's leading entry, so <v, u / g> = 2c^2 / g has that
+    sign, and h is u / g negated when the leading entry of u is negative.
+    No square roots are needed, and no pairing orients h.
     """
     if not v_sub.contains(v):
         raise PreconditionError("vector does not lie in the subspace")
     if linalg.is_zero_vector(v):
         raise PreconditionError("cannot split the zero vector")
-    if space.inner(v, v) != 0:
+    norm, *pairings = space.pairing([v], [v, *v_sub.basis])[0]
+    if norm != 0:
         raise PreconditionError("vector is not null")
-    w = next((b for b in v_sub.basis if space.inner(v, b) != 0), None)
+    c, w = next(((c, b) for c, b in zip(pairings, v_sub.basis) if c), (0, None))
     if w is None:
         raise PreconditionError("vector lies in the radical of the subspace")
-    c = space.inner(v, w)
-    d = space.inner(w, w)
-    h = linalg.primitive_vector(linalg.combine((2 * c, -d), (w, v)))
-    if space.inner(v, h) < 0:
+    u = linalg.combine((2 * c, -space.inner(w, w)), (w, v))
+    h = linalg.primitive_vector(u)
+    if next(x for x in u if x) < 0:
         h = linalg.vec_scale(-1, h)
     half = linalg.ratio(1, 2)
     plus = linalg.combine((half, half), (v, h))
@@ -562,17 +577,14 @@ def extend_nullsystem(space: QuadraticSpace, nulls: Sequence[Vector]) -> ScaledS
     The ambient form must be nondegenerate.  The result lists positives
     x_1..x_p then negatives y_1..y_q, with nulls[i] = x_i + y_i exactly and
     <x_i, x_i> = -<y_i, y_i> > 0 for the split pairs: `extend_basis` of the
-    all-null system of span(nulls).
+    all-null system of span(nulls), whose checks refuse the nulls: its
+    `ScaledSystem.check` names a null that is not null or a pair that is not
+    orthogonal, and its rank of the null block names dependent nulls.
     """
-    nulls = [tuple(v) for v in linalg.mat(nulls)]
+    nulls = tuple(map(tuple, linalg.mat(nulls)))
     if not space.is_nondegenerate():
         raise PreconditionError("ambient form must be nondegenerate")
-    if nulls:
-        if linalg.rank(nulls) != len(nulls):
-            raise PreconditionError("null vectors must be independent")
-        if any(x for row in space.pairing(nulls, nulls) for x in row):
-            raise PreconditionError("null vectors must be pairwise orthogonal and null")
-    return extend_basis(space, ScaledSystem(tuple(nulls), (0,) * len(nulls)))
+    return extend_basis(space, ScaledSystem(nulls, (0,) * len(nulls)))
 
 
 def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
@@ -594,12 +606,14 @@ def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
     a_j <x_j, x_j> = 0, so a_j = 0 since that norm is nonzero, and likewise
     every b_j = 0.  So the system is independent exactly when its z's are.
 
-    A degenerate space searches a complement U of its radical that holds the
-    x's, y's and non-radical z's: one elimination grows them by unit
-    vectors.  A nondegenerate space skips the search, and its output is the
-    one the search gives.  Its radical is zero, so no z lies in it, no
-    gamma is made, and independence modulo the radical is the independence
-    just shown: neither check of the search can fail.  U is the whole
+    A degenerate space reads which z's lie in its radical, ker G, off one
+    `pairing` of the z's with the unit vectors: z is radical when G z = 0.
+    It then searches a complement U of its radical that holds the x's, y's
+    and non-radical z's: one elimination grows them by unit vectors.  A
+    nondegenerate space skips the search, and its output is the one the
+    search gives.  Its radical is zero, so no z lies in it, no gamma is
+    made, and independence modulo the radical is the independence just
+    shown: neither check of the search can fail.  U is the whole
     space, and the unit basis stands for it.  U's basis is read only where
     the arena starts: `_perp_within(U, xs + ys)` returns
     `lll_reduce(row_space(...))`, and `row_space` is the canonical
@@ -612,6 +626,10 @@ def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
     then <z, z> = z_l g_l != 0, so the first e_j with g_j != 0 is not e_l;
     both bases give the same unit and so the same split.  Two or more z's
     peel the arena by `_perp_within` first.
+
+    A split pair (z + h)/2, (z - h)/2 of `lightlike_split` has the norms
+    +-<z, h>/2 exactly, so each plus vector is paired once and the minus
+    norm is its negation.
     """
     n = space.dim
     w_system.check(space)
@@ -621,21 +639,21 @@ def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
     zs = w_system.nulls()
     if zs and linalg.rank(zs) != len(zs):
         raise PreconditionError("system vectors must be linearly independent")
-    s, t, u = len(xs), len(ys), len(zs)
 
     rad_v = space.ambient_radical()
     if rad_v.dim:
-        in_rad = [rad_v.contains(z) for z in zs]
-        k = sum(in_rad)
-        if in_rad != [False] * (u - k) + [True] * k:
+        # z lies in rad V = ker G exactly when G z, its pairings with the units, is 0
+        units = [tuple(row) for row in linalg.identity(n)]
+        in_rad = [not any(row) for row in space.pairing(zs, units)]
+        if in_rad != sorted(in_rad):
             raise PreconditionError("ambient-radical null vectors must come last")
-        z_split, z_rad = zs[: u - k], zs[u - k:]
+        k = len(zs) - sum(in_rad)
+        z_split, z_rad = zs[:k], zs[k:]
 
         # complement U of the ambient radical containing the non-radical part; it
         # exists exactly when the elimination keeps all of that part
         head = xs + ys + z_split
-        u_basis = linalg.extend_to_independent(
-            list(rad_v.basis), head + [tuple(row) for row in linalg.identity(n)], n)[rad_v.dim:]
+        u_basis = linalg.extend_to_independent(list(rad_v.basis), head + units, n)[rad_v.dim:]
         if u_basis[:len(head)] != head:
             raise PreconditionError(
                 "null vectors outside the ambient radical must be independent modulo it")
@@ -658,11 +676,9 @@ def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
 
     alphas = xs + [p for p, _ in pairs] + fill.positives()
     betas = ys + [m for _, m in pairs] + fill.negatives()
-    pos_norms = ([m for m in w_system.norms if m > 0]
-                 + [space.inner(p, p) for p, _ in pairs]
-                 + [m for m in fill.norms if m > 0])
-    neg_norms = ([m for m in w_system.norms if m < 0]
-                 + [space.inner(m, m) for _, m in pairs]
+    halves = [space.inner(p, p) for p, _ in pairs]  # <z, h>/2; the minus norm is its negation
+    pos_norms = [m for m in w_system.norms if m > 0] + halves + [m for m in fill.norms if m > 0]
+    neg_norms = ([m for m in w_system.norms if m < 0] + [-m for m in halves]
                  + [m for m in fill.norms if m < 0])
     return ScaledSystem(tuple(alphas + betas + gammas),
                         tuple(pos_norms + neg_norms + [0] * len(gammas)))

@@ -192,7 +192,9 @@ def classify_metric(alg: HeisenbergAlgebra, gram: Matrix) -> Classification:
     correspondence); the result records the swap and reports in the p >= q
     convention.  One congruence gives both signatures: the center is the
     leading coordinate block, so its signature is the leading block's, and
-    negation just exchanges positive and negative counts.
+    negation just exchanges positive and negative counts.  The refined type
+    of e_0 is `LineSignature.of` its norm (negated when swapped) and its
+    pairings with the center, the leading n - 2 entries of row 0.
     """
     n = alg.n
     if linalg.shape(gram)[0] != n:
@@ -209,17 +211,10 @@ def classify_metric(alg: HeisenbergAlgebra, gram: Matrix) -> Classification:
     pos, neg, nul = res.leading_counts
     center_sig = Signature(neg, pos, nul) if swapped else Signature(pos, neg, nul)
 
-    # the derived line e_0 reads off the first row directly; this equals
-    # refined_line_signature() of e_0 inside the center
-    norm = -gram[0][0] if swapped else gram[0][0]
-    if norm > 0:
-        refined = LineSignature.SPACELIKE
-    elif norm < 0:
-        refined = LineSignature.TIMELIKE
-    elif all(gram[0][j] == 0 for j in range(n - 2)):
-        refined = LineSignature.RADICAL
-    else:
-        refined = LineSignature.LIGHTLIKE
+    # row 0 of the Gram matrix holds e_0's norm and its pairings with the center,
+    # which `refined_line_signature` of e_0 inside the center reads too
+    e0 = gram[0][:n - 2]
+    refined = LineSignature.of(-e0[0] if swapped else e0[0], not any(e0))
     row = _admissible_cached(p, q)[1].get((center_sig, refined))
     if row is None:
         raise AssertionError(

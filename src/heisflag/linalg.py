@@ -14,15 +14,15 @@ each operand once: `shape` once for its row lengths, then its entries once.
 An entry is an `int` or a `Fraction`; `bool` is an `int` (True is 1) and is
 read as one.  Any other entry (a float, a str, None) raises
 `EntryTypeError`, a `ShapeError` that names its position and type, from
-`_int_rows` (the one reader that scales rows to integers, behind every
-elimination, `scaled_to_int`, `read_gram`, `bilinear`, `primitive_vector`
-and `lll_reduce`), from `combine` (the one product loop of vectors, which
-reads the type of every entry, a zero one and the vector of a zero
-coefficient included) or from `vec` and `mat` (which never parse strings or
-floats).  `shape` is the one reader of row lengths: every check of a
-matrix's dimensions, and of rows of one length, goes through it, so a
-matrix or a row that is not a sequence (a number, None, a set or a dict)
-raises a `ShapeError` that names it.  A vector argument's length is read
+`_int_rows`, the one entry reader: it scales each row to integers, and every
+elimination, `mat`, `vec`, `combine`, `scaled_to_int`, `read_gram`,
+`bilinear`, `primitive_vector` and `lll_reduce` read entries through it
+alone, so none of them parses a string or a float.  `combine` reads
+[coeffs, *vectors] as one matrix, so every entry is read, a zero one and
+the vector of a zero coefficient included.  `shape` is the one reader of
+row lengths: every check of a matrix's dimensions, and of rows of one
+length, goes through it, so a matrix or a row that is not a sequence (a
+number, None, a set or a dict) raises a `ShapeError` that names it.  A vector argument's length is read
 once as well, and one that is not a sequence is named as that argument.
 `require_ints` names an integer parameter that is not an `int`, and
 `read_gram` is the one Gram reader: it returns L * M as `int` rows and L
@@ -30,15 +30,16 @@ after the one square-and-symmetric check.
 The private workers take what a public routine has read: `_forward`,
 `_reduce` and `_bilinear_sums` run on `int` rows, and `_int_rows` reads
 entries after `shape` has read the rows.
-`combine` reads entry types a whole vector at a time
-(`_INTS.issuperset(map(type, v))`) and sums in `int`, a `Fraction` input as
-numerators over a common denominator, by which `ratio` divides each
-finished entry once; zero coefficients are skipped, so `int`s flow on to
-the next product.  `bilinear` reads M once as `int` rows and hands them to
-`_bilinear_sums`, which reads xs and ys once each, sums in `int` and
-divides each entry by its scale once.  `forms.QuadraticSpace` reads its
-Gram matrix once, through `read_gram`, and every pairing hands the kept
-rows (and their diagonal, when the matrix is diagonal) to the same worker.
+`combine` sums in `int`: all-`int` input as it is, after a type test at C
+speed (`_INTS.issuperset(map(type, v))`), and any other input as the rows
+that `_int_rows` reads, over the lcm of the scales of its nonzero
+coefficients, by which `ratio` divides each finished entry once; zero
+coefficients are skipped, so `int`s flow on to the next product.
+`bilinear` reads M once as `int` rows and hands them to `_bilinear_sums`,
+which reads xs and ys once each, sums in `int` and divides each entry by
+its scale once.  `forms.QuadraticSpace` reads its Gram matrix once,
+through `read_gram`, and every pairing hands the kept rows (and their
+diagonal, when the matrix is diagonal) to the same worker.
 One fraction-free elimination serves `rank`, `kernel`, `row_space`,
 `solve`, `integer_inverse` and `extend_to_independent`: `_forward` takes
 the rows scaled to integers by `_int_rows` and replaces a row by
@@ -86,7 +87,6 @@ Matrix = list[list[int | Fraction]]
 LLL_DELTA = (3, 4)  # Lovasz condition constant 3/4 of `lll_reduce`, as (numerator, denominator)
 _SEQUENCES = frozenset((list, tuple))  # the row and vector types read without an isinstance test
 _INTS = frozenset((int,))  # `_INTS.issuperset(map(type, v))`: every entry of v an `int`, read at C speed
-_EXACT = frozenset((int, Fraction))  # the entry types that need no denominator read to be checked
 
 
 class ShapeError(ValueError):
@@ -158,14 +158,10 @@ def read_gram(m: Sequence[Sequence]) -> tuple[list[list[int]], int]:
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
-    """The rows as lists of canonical entries, a row of `int`s as it is and any other entry
-    read as `ratio(x, 1)`; an entry must be an `int` or a `Fraction`."""
+    """The rows as lists of canonical entries, read by `_int_rows`: a row of scale 1 is
+    its `int`s, and a row of `int`s x over scale s is written as the entries ratio(x, s)."""
     shape(rows)
-    try:
-        return [list(row) if _INTS.issuperset(map(type, row)) else [ratio(x, 1) for x in row]
-                for row in rows]
-    except (AttributeError, TypeError):
-        raise _entry_error(rows) from None
+    return [row if s == 1 else [ratio(x, s) for x in row] for row, s in zip(*_int_rows(rows))]
 
 
 def vec(entries: Sequence | Iterator) -> Vector:
@@ -262,15 +258,14 @@ def combine(coeffs: Sequence, vectors: Sequence[Sequence]) -> Vector:
     """The combination sum_k c_k v_k as canonical entries, summed in `int`, skipping
     zero coefficients.
 
-    The type of every entry is read at C speed by
-    `_INTS.issuperset(map(type, ...))`.  When every coefficient and every
-    vector entry is an `int`, the sum is a plain `a + c * x` per nonzero
-    coefficient.  Otherwise each term is read as (n_k / d_k) V_k, V_k the
-    vector's numerators over the lcm of its denominators, and summed in
-    `int` over D, the lcm of the d_k; no `Fraction` is built until `ratio`
-    divides each finished entry by D once.  The vector of a zero coefficient
-    is read and not multiplied: its types, and its denominators unless
-    every entry is an `int` or a `Fraction`.
+    When every coefficient and every vector entry is an `int`, a test of
+    the entry types at C speed (`_INTS.issuperset(map(type, ...))`) sends
+    the sum straight to `_int_sum`.  Otherwise `_int_rows` reads the
+    coefficients and the vectors as one matrix [coeffs, *vectors]: c_k =
+    C_k / s and v_k = V_k / s_k in `int`s, every entry read, the vector of
+    a zero coefficient included.  The sum is then one `_int_sum` of the V_k
+    times C_k (D / s_k), D the lcm of the s_k of the nonzero coefficients,
+    and `ratio` divides each finished entry by s D once.
     Either way an integral entry comes back as an `int`, so a caller can
     feed the entries to another sum.  An entry that is neither an `int` nor
     has a denominator raises `EntryTypeError`, at position (0, k) for
@@ -280,25 +275,12 @@ def combine(coeffs: Sequence, vectors: Sequence[Sequence]) -> Vector:
     rows, length = shape(vectors)
     if k != rows:
         raise ShapeError(f"{k} coefficients for {rows} vectors")
-    try:
-        ints = _INTS.issuperset(map(type, coeffs))
-        if ints and _INTS.issuperset(map(type, chain.from_iterable(vectors))):
-            return tuple(_int_sum(coeffs, vectors, length))
-        terms = []
-        for c, v in zip(coeffs, vectors):
-            n, d = (c, 1) if ints else (c.numerator, c.denominator)
-            if _INTS.issuperset(map(type, v)):
-                if n:
-                    terms.append((n, d, v))
-            elif n:
-                s = lcm(*(x.denominator for x in v))
-                terms.append((n, d * s, [x.numerator * (s // x.denominator) for x in v]))
-            elif not _EXACT.issuperset(map(type, v)):
-                lcm(*(x.denominator for x in v))  # an entry with no denominator raises
-    except (AttributeError, TypeError):
-        raise _entry_error([coeffs, *vectors]) from None
-    den = lcm(*(d for _, d, _ in terms))
-    acc = _int_sum([n * (den // d) for n, d, _ in terms], [v for _, _, v in terms], length)
+    if _INTS.issuperset(map(type, chain(coeffs, *vectors))):
+        return tuple(_int_sum(coeffs, vectors, length))
+    (cs, *vs), (scale, *scales) = _int_rows([coeffs, *vectors])
+    den = lcm(*(s for c, s in zip(cs, scales) if c))
+    acc = _int_sum([c * (den // s) for c, s in zip(cs, scales)], vs, length)
+    den *= scale
     return tuple(acc) if den == 1 else tuple(ratio(a, den) for a in acc)
 
 

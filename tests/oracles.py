@@ -47,6 +47,9 @@ Deliberately separate from the package's fast paths:
 - products: the dense `mat_mul` and `mat_vec` loops, which sum every
   product, zeros included, and which one `linalg.combine` per row or
   vector replaced;
+- entry readers: `combine` and `mat` with their own hand-written readers,
+  each inside a `try` that names a malformed entry (`hand_read_combine`,
+  `hand_read_mat`), which reading through `linalg._int_rows` replaced;
 - integral entries: `combine`, `primitive_vector` and
   `QuadraticSpace.pairing` with every product and sum taken in the
   entries' own types (`Fraction` where the input has one), which the
@@ -78,9 +81,14 @@ Deliberately separate from the package's fast paths:
   seven counts, subspace equivalence and witness frame cap computed from
   them, which `heisflag.forms` and `heisflag.witness` now read off one rank
   or one kernel; `extend_nullsystem` with its own null-splitting loop,
-  which is now one `forms.extend_basis` call; and `extend_basis` with its
-  complement search of the ambient radical on every space
-  (`extend_basis_with_complement`), which a nondegenerate space skips;
+  which is now one `forms.extend_basis` call, and the rank-first checks it
+  made before it left them to `extend_basis` (`rank_first_nullsystem_refusal`);
+  `extend_basis` with its complement search of the ambient radical on every
+  space, a rank per null for its radical test and a pairing per norm
+  (`extend_basis_with_complement`), which a nondegenerate space skips and
+  one pairing with the units replaced; and `lightlike_split` with an
+  `inner` per pairing and one more to orient h (`inner_lightlike_split`),
+  which one pairing row and the leading sign of 2c w - d v replaced;
 - `random_gram` as two dense products h^T I h over a `Fraction` pool, which
   one pairing of columns from a cached `int` pool replaced;
 - elimination: the Gauss-Jordan echelon form and the rank read off it,
@@ -119,7 +127,7 @@ return only `Fraction` entries.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -139,7 +147,6 @@ from heisflag.forms import (
     Subspace,
     _first_nonzero_index,
     _perp_within,
-    lightlike_split,
     restrict,
     scaled_system,
     signature,
@@ -1141,6 +1148,52 @@ def fraction_pairing(space, xs, ys):
             for x in xs]
 
 
+_EXACT = frozenset((Fraction, int))  # the entry types whose denominators need no read
+
+
+def hand_read_combine(coeffs, vectors):
+    """`linalg.combine` with its own entry reader, as it was before `_int_rows` read
+    for it: coefficient numerators and denominators read one at a time, each vector
+    read off its own denominators, the vector of a zero coefficient read for its
+    types alone (and its denominators unless every entry is an `int` or a
+    `Fraction`), all inside one `try` that names a malformed entry."""
+    k = linalg._vector_length(coeffs, "coeffs")
+    rows, length = linalg.shape(vectors)
+    if k != rows:
+        raise linalg.ShapeError(f"{k} coefficients for {rows} vectors")
+    try:
+        ints = linalg._INTS.issuperset(map(type, coeffs))
+        if ints and linalg._INTS.issuperset(map(type, chain.from_iterable(vectors))):
+            return tuple(linalg._int_sum(coeffs, vectors, length))
+        terms = []
+        for c, v in zip(coeffs, vectors):
+            n, d = (c, 1) if ints else (c.numerator, c.denominator)
+            if linalg._INTS.issuperset(map(type, v)):
+                if n:
+                    terms.append((n, d, v))
+            elif n:
+                s = lcm(*(x.denominator for x in v))
+                terms.append((n, d * s, [x.numerator * (s // x.denominator) for x in v]))
+            elif not _EXACT.issuperset(map(type, v)):
+                lcm(*(x.denominator for x in v))  # an entry with no denominator raises
+    except (AttributeError, TypeError):
+        raise linalg._entry_error([coeffs, *vectors]) from None
+    den = lcm(*(d for _, d, _ in terms))
+    acc = linalg._int_sum([n * (den // d) for n, d, _ in terms], [v for _, _, v in terms], length)
+    return tuple(acc) if den == 1 else tuple(linalg.ratio(a, den) for a in acc)
+
+
+def hand_read_mat(rows):
+    """`linalg.mat` with its own entry reader: a row of `int`s copied, any other entry
+    read as `ratio(x, 1)`, inside one `try` that names a malformed entry."""
+    linalg.shape(rows)
+    try:
+        return [list(row) if linalg._INTS.issuperset(map(type, row))
+                else [linalg.ratio(x, 1) for x in row] for row in rows]
+    except (AttributeError, TypeError):
+        raise linalg._entry_error(rows) from None
+
+
 def invert(m):
     """The inverse, canonical, each row of `linalg._inverse_rows` over its own pivot:
     the library's old dense inverse, which reading only the columns a caller needs
@@ -1557,20 +1610,28 @@ def intersect_frame_cap(space, big, nulls):
 
 
 def split_loop_extend_nullsystem(space, nulls):
-    """Extend orthogonal null vectors by splitting each inside the full space, one by one."""
+    """Extend orthogonal null vectors by splitting each inside the full space, one by one.
+
+    The nulls are refused with `extend_basis`'s messages, in its order: each
+    row of their Gram matrix for a nonzero norm and then a pairing, then a
+    rank of the nulls.
+    """
     nulls = [linalg.vec(v) for v in nulls]
     if not space.is_nondegenerate():
         raise PreconditionError("ambient form must be nondegenerate")
-    if nulls:
-        if linalg.rank([list(v) for v in nulls]) != len(nulls):
-            raise PreconditionError("null vectors must be independent")
-        if any(x for row in space.pairing(nulls, nulls) for x in row):
-            raise PreconditionError("null vectors must be pairwise orthogonal and null")
+    for i, row in enumerate(space.pairing(nulls, nulls)):
+        if row[i]:
+            raise PreconditionError(f"vector {i} has wrong norm")
+        j = next((j for j in range(i + 1, len(row)) if row[j]), None)
+        if j is not None:
+            raise PreconditionError(f"vectors {i}, {j} are not orthogonal")
+    if nulls and linalg.rank([list(v) for v in nulls]) != len(nulls):
+        raise PreconditionError("system vectors must be linearly independent")
     current = Subspace.full(space.dim)
     pairs = []
     for i, w in enumerate(nulls):
         arena = _perp_within(space, current, nulls[i + 1:])
-        plus, minus = lightlike_split(space, arena, w)
+        plus, minus = inner_lightlike_split(space, arena, w)
         pairs.append((plus, minus))
         current = _perp_within(space, current, [plus, minus])
     fill = scaled_system(space, current) if current.dim else ScaledSystem((), ())
@@ -1583,13 +1644,50 @@ def split_loop_extend_nullsystem(space, nulls):
     return ScaledSystem(tuple(xs + ys), tuple(pos_norms + neg_norms))
 
 
+def rank_first_nullsystem_refusal(space, nulls):
+    """The message with which `extend_nullsystem` refused nulls before it handed its
+    checks to `extend_basis`, or None: a rank of the nulls first, then their pairings."""
+    nulls = [linalg.vec(v) for v in nulls]
+    if not space.is_nondegenerate():
+        return "ambient form must be nondegenerate"
+    if nulls and linalg.rank(nulls) != len(nulls):
+        return "null vectors must be independent"
+    if nulls and any(x for row in space.pairing(nulls, nulls) for x in row):
+        return "null vectors must be pairwise orthogonal and null"
+    return None
+
+
+def inner_lightlike_split(space, v_sub, v):
+    """`forms.lightlike_split` with one `inner` per pairing: <v, v>, <v, b> for the
+    basis vectors b up to the first that pairs with v, <w, w>, and <v, h> to orient h."""
+    if not v_sub.contains(v):
+        raise PreconditionError("vector does not lie in the subspace")
+    if linalg.is_zero_vector(v):
+        raise PreconditionError("cannot split the zero vector")
+    if space.inner(v, v) != 0:
+        raise PreconditionError("vector is not null")
+    w = next((b for b in v_sub.basis if space.inner(v, b) != 0), None)
+    if w is None:
+        raise PreconditionError("vector lies in the radical of the subspace")
+    c = space.inner(v, w)
+    d = space.inner(w, w)
+    h = linalg.primitive_vector(linalg.combine((2 * c, -d), (w, v)))
+    if space.inner(v, h) < 0:
+        h = linalg.vec_scale(-1, h)
+    half = linalg.ratio(1, 2)
+    plus = linalg.combine((half, half), (v, h))
+    return plus, linalg.vec_sub(v, plus)
+
+
 def extend_basis_with_complement(space, w_system):
     """`forms.extend_basis` with its complement search on every space.
 
-    The null vectors are tested against the ambient radical one rank each,
+    The null vectors are tested against the ambient radical one rank each
+    (`Subspace.contains`), where the library reads G z = 0 off one pairing,
     and the complement U of the radical is grown from the system by one
     elimination, even when the radical is zero and U is the whole space,
-    where the library takes U's unit basis.
+    where the library takes U's unit basis.  Each null is split by
+    `inner_lightlike_split`, and both norms of each split pair are paired.
     """
     n = space.dim
     w_system.check(space)
@@ -1612,7 +1710,7 @@ def extend_basis_with_complement(space, w_system):
     arena = _perp_within(space, Subspace._independent(n, tuple(u_basis)), xs + ys)
     pairs = []
     for i, z in enumerate(z_split):
-        pairs.append(lightlike_split(space, _perp_within(space, arena, z_split[i + 1:]), z))
+        pairs.append(inner_lightlike_split(space, _perp_within(space, arena, z_split[i + 1:]), z))
         arena = _perp_within(space, arena, pairs[-1])
     fill = scaled_system(space, arena)
     if fill.signature.nul:

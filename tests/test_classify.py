@@ -12,7 +12,7 @@ import strategies
 from heisflag import linalg, sampling
 from heisflag.enumeration import survey_flags
 from heisflag.forms import LineSignature, PreconditionError, QuadraticSpace, Signature, \
-    Subspace, flag_invariants, signature
+    Subspace, flag_invariants, refined_line_signature, signature
 from heisflag.heisenberg import (
     CLASS_ROWS,
     HeisenbergAlgebra,
@@ -138,6 +138,28 @@ def test_round_trip_all_signatures():
                 got = classify_metric(alg, representative(row.id, p, q))
                 assert got.class_id == row.id
                 assert got.swapped == (p < q)
+
+
+def test_the_refined_type_has_one_home():
+    # classify_metric reads e_0's type off row 0 of the Gram matrix and
+    # refined_line_signature off one pairing row, both through LineSignature.of;
+    # on each row's representative and one move of it, in both orders, both name
+    # the row's own type, read in the (negated if swapped) Gram space
+    rng = random.Random(42)
+    for n in range(4, 9):
+        alg = HeisenbergAlgebra(n)
+        center, e0 = Subspace.coordinate(n, range(n - 2)), Subspace.coordinate(n, [0])
+        for q in range(1, n):
+            p = n - q
+            for row in admissible_classes(p, q).classes:
+                rep = representative(row.id, p, q)
+                moved = act_on_metric([list(r) for r in parabolic_sample(n, rng).matrix], rep)
+                for gram in (rep, moved):
+                    got = classify_metric(alg, gram)
+                    sign = -1 if got.swapped else 1
+                    space = QuadraticSpace.from_matrix([[sign * x for x in r] for r in gram])
+                    assert (got.refined == row.refined
+                            == refined_line_signature(space, center, e0)), (p, q, row.id)
 
 
 def test_parabolic_sample_examples():

@@ -1,5 +1,6 @@
 """Quadratic space invariants: signatures, radicals, flags, seven-count data."""
 
+import itertools
 import random
 from fractions import Fraction as F
 from unittest import mock
@@ -560,7 +561,8 @@ def test_public_extensions_check_independence():
         system.check(space)
         with pytest.raises(PreconditionError, match="linearly independent"):
             forms.extend_basis(space, system)
-    with pytest.raises(PreconditionError, match="must be independent"):
+    # extend_nullsystem hands its nulls to extend_basis, whose null-block rank names them
+    with pytest.raises(PreconditionError, match="system vectors must be linearly independent"):
         forms.extend_nullsystem(space, [null, linalg.vec_scale(-3, null)])
 
 
@@ -575,6 +577,110 @@ def test_extension_names_nulls_that_meet_the_ambient_radical():
                        match="null vectors outside the ambient radical must be independent "
                              "modulo it"):
         forms.extend_basis(space, system)
+
+
+def split_outcome(split, space, v_sub, v):
+    """repr of split(space, v_sub, v), or the type and message of the named error it raises."""
+    try:
+        return repr(split(space, v_sub, v))
+    except (PreconditionError, linalg.ShapeError) as ex:
+        return type(ex).__name__, str(ex)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=strategies.degenerate_spaces_and_subspaces())
+def test_lightlike_split_agrees_with_the_inner_oracle_on_degenerate_spaces(data):
+    # one pairing row, and h oriented by the leading sign of 2c w - d v, against a
+    # pairing per inner product: W's basis and system, the sum of each pair of
+    # system vectors with opposite norms (a null vector outside rad W), the units
+    # and zero
+    space, parts = data
+    n = space.dim
+    for w in parts:
+        system = forms.scaled_system(space, w)
+        pairs = zip(system.vectors, system.norms)
+        sums = [linalg.vec_add(x, y) for (x, a), (y, b) in itertools.combinations(pairs, 2)
+                if a == -b != 0]
+        units = [strategies.unit(n, i) for i in range(n)]
+        for v in (*w.basis, *system.vectors, *sums, *units, (0,) * n):
+            assert (split_outcome(forms.lightlike_split, space, w, v)
+                    == split_outcome(oracles.inner_lightlike_split, space, w, v))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=strategies.null_systems())
+def test_lightlike_split_agrees_with_the_inner_oracle_on_null_systems(data):
+    # each null split in the whole space and in the perp of the other nulls, as the
+    # split loop does; the strategy's faults make some of them refusals
+    space, nulls = data
+    full = Subspace.full(space.dim)
+    for i, v in enumerate(nulls):
+        others = nulls[:i] + nulls[i + 1:]
+        for v_sub in (full, forms._perp_within(space, full, others)):
+            assert (split_outcome(forms.lightlike_split, space, v_sub, v)
+                    == split_outcome(oracles.inner_lightlike_split, space, v_sub, v))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=strategies.degenerate_spaces_and_subspaces(), pick=st.integers(0, 4),
+       order=st.sampled_from(["as made", "reversed", "radical first", "radical last"]))
+def test_radical_nulls_read_off_one_pairing_agree_with_the_contains_oracle(data, pick, order):
+    # extend_basis reads z in rad V as G z = 0 off one pairing with the units; the
+    # oracle ranks each z against the radical.  The null block is reversed, or a
+    # radical basis vector joins it first or last, so that both meet misordered and
+    # dependent null blocks and must refuse them by the same name
+    space, parts = data
+    system = forms.scaled_system(space, parts[pick % len(parts)])
+    rad = space.ambient_radical()
+    nulls = system.nulls()
+    if order == "reversed":
+        nulls = nulls[::-1]
+    elif rad.dim and order != "as made":
+        r = rad.basis[pick % rad.dim]
+        nulls = [r, *nulls] if order == "radical first" else [*nulls, r]
+    system = forms.ScaledSystem((*system.positives(), *system.negatives(), *nulls),
+                                (*system.norms, *[0] * (len(nulls) - len(system.nulls()))))
+    assert (extension_outcome(forms.extend_basis, space, system)
+            == extension_outcome(oracles.extend_basis_with_complement, space, system))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=strategies.null_systems())
+def test_null_systems_reach_the_radical_test_as_the_contains_oracle_does(data):
+    # the all-null system of the nulls, in the strategy's degenerate spaces too
+    space, nulls = data
+    system = forms.ScaledSystem(tuple(nulls), (0,) * len(nulls))
+    assert (extension_outcome(forms.extend_basis, space, system)
+            == extension_outcome(oracles.extend_basis_with_complement, space, system))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=strategies.null_systems(), extra=st.sampled_from(
+    ["none", "zero", "scaled", "pairs", "non-null", "both"]), pick=st.integers(0, 7))
+def test_extend_nullsystem_refuses_what_it_refused_before(data, extra, pick):
+    # extend_nullsystem hands its checks to extend_basis: `check` and the null-block
+    # rank refuse exactly the inputs that its own rank and pairing check refused
+    space, nulls = data
+    n = space.dim
+    units = [strategies.unit(n, i) for i in range(n)]
+    if extra == "zero":
+        nulls = nulls + [(0,) * n]
+    elif extra == "scaled" and nulls:
+        nulls = nulls + [linalg.vec_scale(pick - 3 or 2, nulls[pick % len(nulls)])]
+    elif extra == "pairs":
+        nulls = nulls + [units[pick % n]]
+    elif extra == "non-null":
+        nulls = [units[pick % n]] + nulls
+    elif extra == "both" and nulls:
+        # dependent and not orthogonal: the old checks named the rank first
+        nulls = nulls + [nulls[0], units[pick % n]]
+    before = oracles.rank_first_nullsystem_refusal(space, nulls)
+    try:
+        forms.extend_nullsystem(space, nulls)
+        refused = False
+    except PreconditionError:
+        refused = True
+    assert refused == (before is not None)
 
 
 def test_pairing_rejects_wrong_lengths_and_takes_empty_lists():

@@ -4,6 +4,7 @@ import hashlib
 import random
 import re
 from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction as F
 from math import gcd, lcm
 from unittest.mock import patch
@@ -596,6 +597,11 @@ def test_each_public_routine_reads_each_operand_once():
         with patch.object(linalg, "shape", wraps=linalg.shape) as shape:
             func(*args)
         assert shape.call_count == (3 if name == "bilinear" else 1), name
+    # `mat`, and `combine` on `Fraction` input, read the entries through `_int_rows` once
+    for name, (func, args) in {"mat": (mat, (m,)), "combine": one_matrix["combine"]}.items():
+        with patch.object(linalg, "_int_rows", wraps=linalg._int_rows) as reader:
+            func(*args)
+        assert reader.call_count == 1, name
     # `bilinear` reads M's entries as often as `scaled_to_int` does, whatever len(xs) is
     once = entry_passes(linalg.scaled_to_int, s)
     for k in range(1, 5):
@@ -871,6 +877,45 @@ def test_combine_agrees_with_the_written_out_sum(data):
     assert canonical_entries(combined) and canonical_entries(linalg.combine(int_coeffs, ints))
     with pytest.raises(ShapeError):
         linalg.combine(coeffs + [1], vectors)
+
+
+READ_ENTRIES = st.sampled_from([0, 0, 1, -2, F(0), F(3), F(-4), F(1, 2), F(-2, 3), True, False])
+MALFORMED_ENTRIES = st.sampled_from([0.5, 0.0, "1", None, 1j, [], Decimal("0.5")])
+
+
+@st.composite
+def read_rows(draw, count, n):
+    """count rows of n entries: all `int` rows (the fast path) or ones that mix `int`,
+    integral and proper `Fraction` and `bool`, and in one draw of three a malformed entry."""
+    rows = [[draw(READ_ENTRIES) for _ in range(n)] for _ in range(count)]
+    rows = [[int(x) for x in row] if draw(st.booleans()) else row for row in rows]
+    if count and n and draw(st.integers(0, 2)) == 0:
+        rows[draw(st.integers(0, count - 1))][draw(st.integers(0, n - 1))] = draw(MALFORMED_ENTRIES)
+    return [draw(st.sampled_from([list, tuple]))(row) for row in rows]
+
+
+def read_outcome(call, *args):
+    """The repr of the result, which shows each entry's type, or the error's type and
+    message."""
+    try:
+        return repr(call(*args))
+    except ShapeError as ex:
+        return type(ex).__name__, str(ex)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_combine_and_mat_read_entries_as_their_own_readers_did(data):
+    # `_int_rows` is the one entry reader: values, entry types, and the error's
+    # type and position equal those of the hand-written readers it replaced, on
+    # zero coefficients, zero-length vectors and malformed entries too
+    n, k = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    coeffs = data.draw(read_rows(1, k))[0]
+    vectors = data.draw(read_rows(k, n))
+    assert (read_outcome(linalg.combine, coeffs, vectors)
+            == read_outcome(oracles.hand_read_combine, coeffs, vectors))
+    for rows in (vectors, [coeffs]):
+        assert read_outcome(mat, rows) == read_outcome(oracles.hand_read_mat, rows)
 
 
 @st.composite
