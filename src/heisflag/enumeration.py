@@ -39,7 +39,10 @@ a_i + e a_j, <v, v> = sign_i + e^2 sign_j, d+ = [j < p], d- = [i >= p], and
   minor, because a kept plane lies on the coordinates it is keyed on.
 The loop computes a kept plane's support mask and its nonzero key entries
 once and hands both to `_canonical` and `_plane_lines`, so no plane or line
-fact needs an elimination.  The exact kernel basis of [a; b] is the big
+fact needs an elimination.  `_plane_lines` builds the plane's four flag
+invariants once, each line type's `LineSignature.flag_invariants` of V's
+signature, and picks one per line by `LineSignature.of`, which reads the
+radical test only for a null line.  The exact kernel basis of [a; b] is the big
 part of every sample flag of the plane, built when its first line becomes
 one; planes that give no sample flag build none.  A sample flag's
 containment is checked in `int` as a.v = b.v = 0, which is what lying in
@@ -87,7 +90,7 @@ from math import gcd
 from types import MappingProxyType
 
 from . import linalg
-from .forms import Flag, FlagInvariants, PreconditionError, Signature, Subspace
+from .forms import Flag, FlagInvariants, LineSignature, PreconditionError, Signature, Subspace
 from .sampling import integer_pool
 
 IntRow = tuple[int, ...]
@@ -226,10 +229,8 @@ def _plane_lines(a: IntRow, b: IntRow, mask: int, entries: list[tuple[int, int, 
                                sum(sign[i] * x * b[i] for i, x in a_nz),
                                sum(sign[i] * x * x for i, x in b_nz))
     sig_big = Signature(p - s - u, q - t - u, u)
-    spacelike = FlagInvariants(sig_big, Signature(1, 0, 0), 0)
-    timelike = FlagInvariants(sig_big, Signature(0, 1, 0), 0)
-    null = (FlagInvariants(sig_big, Signature(0, 0, 1), 0),
-            FlagInvariants(sig_big, Signature(0, 0, 1), 1))
+    by_type = {kind: kind.flag_invariants(sig_big) for kind in LineSignature}
+    line_type = LineSignature.of
     c_plus = p - (2 if any(l < p for _, _, l in entries) else int(mask & ((1 << p) - 1) > 0))
     c_minus = q - (2 if any(k >= p for _, k, _ in entries) else int(mask >> p > 0))
     c_zero = p + q - 2 - c_plus - c_minus
@@ -239,13 +240,9 @@ def _plane_lines(a: IntRow, b: IntRow, mask: int, entries: list[tuple[int, int, 
         if a[i] + e * a[j] or b[i] + e * b[j]:
             continue
         norm = sign[i] + e * e * sign[j]
-        if norm > 0:
-            inv = spacelike
-        elif norm < 0:
-            inv = timelike
-        else:
-            # radical iff I_pq v = e_i - e e_j lies in span(a, b)
-            inv = null[all(i in (k, l) or j in (k, l) for _, k, l in entries)]
+        # a null line is radical iff I_pq v = e_i - e e_j lies in span(a, b)
+        inv = by_type[line_type(norm, not norm and all(
+            i in (k, l) or j in (k, l) for _, k, l in entries))]
         d_plus = int(j < p)
         d_minus = int(i >= p)
         d_pm = 0 if i < p <= j and mask >> i & 1 else 1
@@ -254,7 +251,7 @@ def _plane_lines(a: IntRow, b: IntRow, mask: int, entries: list[tuple[int, int, 
     return lines
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a bool never meets the survey of its int
 def _survey_cached(p: int, q: int) -> FlagSurvey:
     n = p + q
     # a kept plane, and so each of its pool vectors, lies on the first

@@ -15,6 +15,10 @@ flag-adapted frame that isometry witnesses assemble.  One kernel of
 that the extension peels and the frame's cap of rad(big); `QuadraticSpace`
 caches the radical of the whole space as one kernel of its Gram matrix,
 which `radical` returns when it is given no subspace.
+`LineSignature` is the one home of a line type's facts: the center
+directions it fills, the flag invariants it gives and its type under the
+negated form come from one table, which `possible_line_signatures` and the
+taxonomy and survey in `heisflag.heisenberg` and `heisflag.enumeration` read.
 
 The form is evaluated in one place, `QuadraticSpace.pairing`, on the Gram
 rows that the space read once when it was made (a diagonal Gram matrix
@@ -65,6 +69,8 @@ class LineSignature(enum.Enum):
 
     A null line is RADICAL when it lies in the radical of the surrounding
     subspace and LIGHTLIKE when it is null but meets the radical trivially.
+    Every other fact about a type, its `cells`, its `flag_invariants` and
+    its `negated` type, is read off one table, `_LINE_FACTS`.
     """
 
     SPACELIKE = "spacelike"
@@ -75,8 +81,8 @@ class LineSignature(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
-    @classmethod
-    def of(cls, norm, radical: bool) -> "LineSignature":
+    @staticmethod
+    def of(norm, radical: bool) -> "LineSignature":
         """The type of the line spanned by v inside V: the one rule that gives it.
 
         The sign of `norm` = <v, v> decides a line that is not null; a null
@@ -85,10 +91,39 @@ class LineSignature(enum.Enum):
         a null line.
         """
         if norm > 0:
-            return cls.SPACELIKE
+            return _SPACELIKE
         if norm < 0:
-            return cls.TIMELIKE
-        return cls.RADICAL if radical else cls.LIGHTLIKE
+            return _TIMELIKE
+        return _RADICAL if radical else _LIGHTLIKE
+
+    @property
+    def cells(self) -> tuple[int, int, int]:
+        """The (positive, negative, null) directions that a line of this type fills
+        in a subspace: its own direction, or a hyperbolic pair for a lightlike line."""
+        return _LINE_FACTS[self][0]
+
+    def flag_invariants(self, sig_big: Signature) -> "FlagInvariants":
+        """The orbit invariants of a flag whose line has this type in a big part of
+        signature `sig_big`: a null line has signature (0, 0, 1), and only a
+        radical one meets rad(big)."""
+        return FlagInvariants(sig_big, *_LINE_FACTS[self][1:3])
+
+    def negated(self) -> "LineSignature":
+        """The type of the same line under the negated form: SPACELIKE and TIMELIKE swap."""
+        return _LINE_FACTS[self][3]
+
+
+# the members bound once, since `LineSignature.of` runs for every line of a survey
+_SPACELIKE, _TIMELIKE, _LIGHTLIKE, _RADICAL = LineSignature
+
+# The one table of line-type facts: cells, the line's signature, dim(line cap
+# rad(big)), and the type under the negated form.
+_LINE_FACTS = {
+    _SPACELIKE: ((1, 0, 0), Signature(1, 0, 0), 0, _TIMELIKE),
+    _TIMELIKE: ((0, 1, 0), Signature(0, 1, 0), 0, _SPACELIKE),
+    _LIGHTLIKE: ((1, 1, 0), Signature(0, 0, 1), 0, _LIGHTLIKE),
+    _RADICAL: ((0, 0, 1), Signature(0, 0, 1), 1, _RADICAL),
+}
 
 
 @dataclass(frozen=True)
@@ -485,20 +520,13 @@ def possible_codim2_signatures(p: int, q: int) -> set[Signature]:
 
 
 def possible_line_signatures(s: int, t: int, u: int) -> set[LineSignature]:
-    """All refined line signatures occurring inside a subspace of signature (s, t, u)."""
+    """All refined line signatures occurring inside a subspace of signature (s, t, u):
+    the types whose `cells` fit in it."""
     linalg.require_ints(s=s, t=t, u=u)
     if s < 0 or t < 0 or u < 0 or s + t + u < 1:
         raise PreconditionError("need a valid signature with positive dimension")
-    out = set()
-    if s >= 1:
-        out.add(LineSignature.SPACELIKE)
-    if t >= 1:
-        out.add(LineSignature.TIMELIKE)
-    if s >= 1 and t >= 1:
-        out.add(LineSignature.LIGHTLIKE)
-    if u >= 1:
-        out.add(LineSignature.RADICAL)
-    return out
+    return {kind for kind in LineSignature
+            if all(c <= have for c, have in zip(kind.cells, (s, t, u)))}
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +576,19 @@ def lightlike_split(space: QuadraticSpace, v_sub: Subspace, v: Vector) -> tuple[
         raise PreconditionError("vector does not lie in the subspace")
     if linalg.is_zero_vector(v):
         raise PreconditionError("cannot split the zero vector")
+    plus, minus, _ = _split_null(space, v_sub, v)
+    return plus, minus
+
+
+def _split_null(space: QuadraticSpace, v_sub: Subspace,
+                v: Vector) -> tuple[Vector, Vector, int | Fraction]:
+    """`lightlike_split` of a nonzero v in V, and the plus norm <v, h>/2.
+
+    It checks that v is null and outside rad V, but not that v lies in V:
+    `extend_basis` splits each null in an arena that holds it by
+    construction.  h = u * (h_i / u_i) for the leading index i of u, so the
+    plus norm <v, h>/2 = c^2 h_i / u_i, with no pairing.
+    """
     norm, *pairings = space.pairing([v], [v, *v_sub.basis])[0]
     if norm != 0:
         raise PreconditionError("vector is not null")
@@ -556,11 +597,12 @@ def lightlike_split(space: QuadraticSpace, v_sub: Subspace, v: Vector) -> tuple[
         raise PreconditionError("vector lies in the radical of the subspace")
     u = linalg.combine((2 * c, -space.inner(w, w)), (w, v))
     h = linalg.primitive_vector(u)
-    if next(x for x in u if x) < 0:
+    i = _first_nonzero_index(u)
+    if u[i] < 0:
         h = linalg.vec_scale(-1, h)
     half = linalg.ratio(1, 2)
     plus = linalg.combine((half, half), (v, h))
-    return plus, linalg.vec_sub(v, plus)
+    return plus, linalg.vec_sub(v, plus), linalg.ratio(c * c * h[i], u[i])
 
 
 def _perp_within(space: QuadraticSpace, ambient_sub: Subspace, vectors: Sequence[Vector]) -> Subspace:
@@ -621,15 +663,15 @@ def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
     everything depends on spans alone.  With no x or y the arena is U as
     given.  With no z either, the search's U is the units.  With one z it
     is z and the units but e_l, l the last index with z_l != 0, and
-    `lightlike_split` takes from it the first vector that pairs with z.
+    `_split_null` takes from it the first vector that pairs with z.
     z pairs with itself to 0, and for g = G z, if g_j = 0 for all j < l
     then <z, z> = z_l g_l != 0, so the first e_j with g_j != 0 is not e_l;
     both bases give the same unit and so the same split.  Two or more z's
     peel the arena by `_perp_within` first.
 
-    A split pair (z + h)/2, (z - h)/2 of `lightlike_split` has the norms
-    +-<z, h>/2 exactly, so each plus vector is paired once and the minus
-    norm is its negation.
+    A split pair (z + h)/2, (z - h)/2 of `_split_null` has the norms
+    +-<z, h>/2 exactly: the split returns the plus norm, and the minus norm
+    is its negation, so no pair is paired again.
     """
     n = space.dim
     w_system.check(space)
@@ -664,19 +706,21 @@ def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
         # independent modulo the radical
         z_split, gammas, u_sub = zs, [], Subspace.full(n)
 
-    # split each null into a +1/-1 pair, peeling its plane off the arena
+    # split each null into a +1/-1 pair, peeling its plane off the arena; z lies in
+    # U, is orthogonal to the xs, ys and the other zs, and each earlier pair was
+    # split inside the perp of z, so the arena holds z and no rank checks it
     arena = _perp_within(space, u_sub, xs + ys)
     pairs = []
     for i, z in enumerate(z_split):
-        pairs.append(lightlike_split(space, _perp_within(space, arena, z_split[i + 1:]), z))
-        arena = _perp_within(space, arena, pairs[-1])
+        pairs.append(_split_null(space, _perp_within(space, arena, z_split[i + 1:]), z))
+        arena = _perp_within(space, arena, pairs[-1][:2])
     fill = scaled_system(space, arena)
     if fill.signature.nul:
         raise PreconditionError("complement of the radical is unexpectedly degenerate")
 
-    alphas = xs + [p for p, _ in pairs] + fill.positives()
-    betas = ys + [m for _, m in pairs] + fill.negatives()
-    halves = [space.inner(p, p) for p, _ in pairs]  # <z, h>/2; the minus norm is its negation
+    alphas = xs + [p for p, _, _ in pairs] + fill.positives()
+    betas = ys + [m for _, m, _ in pairs] + fill.negatives()
+    halves = [half for _, _, half in pairs]  # <z, h>/2; the minus norm is its negation
     pos_norms = [m for m in w_system.norms if m > 0] + halves + [m for m in fill.norms if m > 0]
     neg_norms = ([m for m in w_system.norms if m < 0] + [-m for m in halves]
                  + [m for m in fill.norms if m < 0])

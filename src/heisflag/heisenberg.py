@@ -8,14 +8,18 @@ and a Lie algebra automorphism, by the signature of its restriction to the
 center together with the refined line signature of the derived ideal inside
 the center.  The admissible pairs form a fixed 21-row taxonomy; which rows
 occur for a given (p, q) is derived from the possible-signature sets, never
-hardcoded.
+hardcoded.  What a line type contributes is read off `LineSignature`: the
+rows of a center pattern are the types whose null cell fits its radical,
+and a row's flag invariants are its type's `flag_invariants` (of the
+negated type when p < q).
 
 The scaling-and-automorphism group acts through the invertible block upper
 triangular matrices of block sizes (1, n-3, 2); `parabolic_sample` draws
 exact rational elements and splits them into scale times automorphism.
 
 Each row has one cell layout of the center, `_center_cells`: +1, -1 and
-radical cells and hyperbolic pairs in basis order, e_0 in the first.
+radical cells and hyperbolic pairs in basis order, e_0 in the first, which
+fills its type's `cells`.
 `representative` writes it as a Gram matrix and `representative_flag` as a
 flag of the standard space.  These and `MetricClass.center_signature` and
 `flag_invariants` answer for the (p, q) given (p < q negates the form);
@@ -62,10 +66,6 @@ class HeisenbergAlgebra:
 # ---------------------------------------------------------------------------
 # the 21-row taxonomy
 
-_REFINED_ORDER = [LineSignature.SPACELIKE, LineSignature.TIMELIKE,
-                  LineSignature.LIGHTLIKE, LineSignature.RADICAL]
-
-
 @dataclass(frozen=True)
 class MetricClass:
     """One row of the taxonomy: a center-signature pattern plus a refined line type."""
@@ -82,14 +82,10 @@ class MetricClass:
         return Signature(p + dp, q + dq, u)
 
     def flag_invariants(self, p: int, q: int) -> FlagInvariants:
-        """The orbit invariants of the flag (derived line, center) this row names in (p, q)."""
-        # a null line, lightlike or radical, has signature (0, 0, 1); p < q swaps pos and neg
-        signs = (Signature(1, 0, 0), Signature(0, 1, 0))
-        spacelike, timelike = signs if p >= q else signs[::-1]
-        line = {LineSignature.SPACELIKE: spacelike,
-                LineSignature.TIMELIKE: timelike}.get(self.refined, Signature(0, 0, 1))
-        return FlagInvariants(self.center_signature(p, q), line,
-                              int(self.refined is LineSignature.RADICAL))
+        """The orbit invariants of the flag (derived line, center) this row names in (p, q);
+        p < q negates the form, and with it the line's type."""
+        refined = self.refined if p >= q else self.refined.negated()
+        return refined.flag_invariants(self.center_signature(p, q))
 
     def pattern_str(self) -> str:
         dp, dq, u = self.pattern
@@ -102,10 +98,10 @@ def _build_rows() -> tuple[MetricClass, ...]:
     rows = []
     next_id = 1
     for pattern in CODIM2_PATTERNS:
-        refined_choices = _REFINED_ORDER if pattern[2] >= 1 else _REFINED_ORDER[:3]
-        for refined in refined_choices:
-            rows.append(MetricClass(next_id, pattern, refined))
-            next_id += 1
+        for refined in LineSignature:
+            if refined.cells[2] <= pattern[2]:
+                rows.append(MetricClass(next_id, pattern, refined))
+                next_id += 1
     return tuple(rows)
 
 
@@ -235,12 +231,10 @@ def _center_cells(row: MetricClass, p: int, q: int) -> tuple[LineSignature, ...]
     """The center's cells in basis order, for p >= q.
 
     A cell is a +1 (SPACELIKE), -1 (TIMELIKE) or radical (RADICAL) direction or
-    a hyperbolic pair (LIGHTLIKE); e_0 lies in the first, of the refined type.
+    a hyperbolic pair (LIGHTLIKE); e_0 lies in the first, of the refined type,
+    and the others fill what that type's `cells` leave of the center.
     """
-    s, t, u = row.center_signature(p, q).as_tuple()
-    s -= row.refined in (LineSignature.SPACELIKE, LineSignature.LIGHTLIKE)
-    t -= row.refined in (LineSignature.TIMELIKE, LineSignature.LIGHTLIKE)
-    u -= row.refined is LineSignature.RADICAL
+    s, t, u = (x - c for x, c in zip(row.center_signature(p, q).as_tuple(), row.refined.cells))
     return ((row.refined,) + (LineSignature.SPACELIKE,) * s
             + (LineSignature.TIMELIKE,) * t + (LineSignature.RADICAL,) * u)
 

@@ -62,14 +62,12 @@ class WitnessFailureError(RuntimeError):
 
 
 def describe_inequivalence(inv1: FlagInvariants, inv2: FlagInvariants) -> str | None:
-    """Name the first differing invariant, or None if all agree."""
-    if inv1.sig_big != inv2.sig_big:
-        return f"sig_big {inv1.sig_big} != {inv2.sig_big}"
-    if inv1.sig_small != inv2.sig_small:
-        return f"sig_small {inv1.sig_small} != {inv2.sig_small}"
-    if inv1.dim_small_cap_rad != inv2.dim_small_cap_rad:
-        return (f"dim(small cap rad big) {inv1.dim_small_cap_rad} "
-                f"!= {inv2.dim_small_cap_rad}")
+    """Name the first differing invariant, as `label value1 != value2`, or None if all agree."""
+    for label, field in (("sig_big", "sig_big"), ("sig_small", "sig_small"),
+                         ("dim(small cap rad big)", "dim_small_cap_rad")):
+        first, second = getattr(inv1, field), getattr(inv2, field)
+        if first != second:
+            return f"{label} {first} != {second}"
     return None
 
 

@@ -312,6 +312,15 @@ def test_cached_survey_cannot_be_changed_by_a_caller():
     assert built.matsuki == survey.matsuki
 
 
+def test_survey_cache_keeps_a_bool_apart_from_its_int():
+    # a bool passes the int check; the typed cache gives it a survey of its own,
+    # so neither order hands one caller the survey the other asked for
+    for first, second in [(True, 1), (1, True)]:
+        enumeration._survey_cached.cache_clear()
+        assert survey_flags(first, 3).p is first
+        assert survey_flags(second, 3).p is second
+
+
 def test_survey_complete_at_n7():
     # every signature with 7 <= n <= 10 and p, q >= 1: each orbit is
     # observed, and there are as many seven-count tuples as orbits

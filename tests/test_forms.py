@@ -190,6 +190,39 @@ def test_possible_line_signatures():
     assert possible_line_signatures(0, 0, 1) == {LineSignature.RADICAL}
 
 
+def test_the_line_type_table_agrees_with_the_general_code():
+    # V of signature (s, t, u) sits in the standard (s + u, t + u) space on the
+    # first s + and t - axes, each null direction e+ + e- on the next pair, so
+    # V's Gram in that basis is diag(+1^s, -1^t, 0^u).  A type is possible in V
+    # exactly when a pool line of V (a pool vector in V's basis) has it, and
+    # each such flag's invariants, also under the negated form, are the type's
+    for s, t, u in itertools.product(range(7), repeat=3):
+        if not 1 <= s + t + u <= 6:
+            continue
+        possible = possible_line_signatures(s, t, u)
+        if s + t + u == 1:  # V is its one line, of V's own sign or radical
+            assert possible == {LineSignature.of(s - t, True)}, (s, t, u)
+            continue
+        p, q = s + u, t + u
+        axes = linalg.identity(p + q)
+        basis = ([axes[i] for i in range(s)] + [axes[p + i] for i in range(t)]
+                 + [linalg.vec_add(axes[s + k], axes[p + t + k]) for k in range(u)])
+        v_sub = Subspace(p + q, tuple(map(tuple, basis)))
+        space = QuadraticSpace.standard(p, q)
+        negated = QuadraticSpace.from_matrix(linalg.diag([-1] * p + [1] * q))
+        found = set()
+        for c in sampling.integer_pool(s + t + u):
+            line = Subspace(p + q, (linalg.combine(c, basis),))
+            kind = refined_line_signature(space, v_sub, line)
+            found.add(kind)
+            flag = Flag(line, v_sub)
+            assert flag_invariants(space, flag) == kind.flag_invariants(Signature(s, t, u))
+            assert refined_line_signature(negated, v_sub, line) is kind.negated()
+            assert (flag_invariants(negated, flag)
+                    == kind.negated().flag_invariants(Signature(t, s, u))), (s, t, u, c)
+        assert found == possible, (s, t, u)
+
+
 def test_basis_independence():
     rng = random.Random(17)
     for _ in range(60):

@@ -65,6 +65,12 @@ regex has already matched), or imports it under another name.
 target.  The one exception is `cli._parse_flag_spec`, whose vectors are
 parsed user text that must fail with `MatrixFormatError`.
 
+`LineSignature` is the one home of a line type's facts: outside the
+`_LINE_FACTS` table of `forms.py`, no module of `src/heisflag` calls
+`Signature` with a line's literal signature, (1, 0, 0), (0, 1, 0) or
+(0, 0, 1), or builds a tuple, list, set or dict keys holding two or more
+`LineSignature` members, such as an order of the types or a membership test.
+
 Every true division in `src/heisflag` and `tests/oracles.py` is exact: no
 module has a `/` or `/=` outside `linalg.ratio`, so no quotient of two
 `int`s becomes a float; the oracles divide with `Fraction(a, b)` or
@@ -934,6 +940,102 @@ def test_checker_flags_a_second_row_length_reader():
 
 def test_only_shape_reads_every_row_length():
     found = {p.name: row_length_reads(p.name, p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# (module, assigned name) of the one table of line-type facts
+LINE_TYPE_TABLE = ("forms.py", "_LINE_FACTS")
+LINE_SIGNATURES = {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+LINE_TYPES = {"SPACELIKE", "TIMELIKE", "LIGHTLIKE", "RADICAL"}
+
+
+def line_type_tables(name: str, source: str) -> list[str]:
+    """`line n: what` for each `Signature(...)` call whose arguments are the literal
+    signature of a line, and each tuple, list, set or dict whose elements or keys hold
+    two or more `LineSignature` members, outside the assignment of `LINE_TYPE_TABLE`.
+
+    A member is `LineSignature.NAME`, through any module, or a name that a
+    top-level unpacking of `LineSignature` binds; the unpacking itself is no table.
+    """
+    tree = ast.parse(source)
+    bound, allowed = set(), set()
+    for stmt in tree.body:
+        if not isinstance(stmt, ast.Assign):
+            continue
+        targets = [getattr(t, "id", None) for t in stmt.targets]
+        if (name, targets[0]) == LINE_TYPE_TABLE:
+            allowed.update(map(id, ast.walk(stmt)))
+        if getattr(stmt.value, "id", None) == "LineSignature":
+            bound.update(n.id for t in stmt.targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+    def member(node: ast.AST) -> bool:
+        if isinstance(node, ast.Attribute):
+            return node.attr in LINE_TYPES and (
+                getattr(node.value, "id", None) == "LineSignature"
+                or getattr(node.value, "attr", None) == "LineSignature")
+        return isinstance(node, ast.Name) and node.id in bound
+
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            args = tuple(getattr(arg, "value", None) for arg in node.args)
+            if called == "Signature" and args in LINE_SIGNATURES:
+                found.append(f"line {node.lineno}: Signature{args}")
+            continue
+        if isinstance(node, (ast.Tuple, ast.List)) and isinstance(node.ctx, ast.Load):
+            elements = node.elts
+        elif isinstance(node, ast.Set):
+            elements = node.elts
+        elif isinstance(node, ast.Dict):
+            elements = node.keys
+        else:
+            continue
+        if sum(map(member, elements)) >= 2:
+            found.append(f"line {node.lineno}: {type(node).__name__.lower()} of line types")
+    return found
+
+
+def test_checker_flags_a_line_type_table_outside_forms():
+    source = ("def _center_cells(row, p, q):\n"
+              "    s, t, u = (x - c for x, c in zip(row.sig(p, q), row.refined.cells))\n"
+              "    return (row.refined,) + (LineSignature.SPACELIKE,) * s\n\n\n"
+              "def pick(cell, sig):\n"
+              "    big = Signature(sig.pos - 1, sig.neg, sig.nul)\n"
+              "    return Signature(1, 1, 0), big if cell is LineSignature.RADICAL else None\n")
+    assert line_type_tables("heisenberg.py", source) == []
+    ordered = ("ORDER = [LineSignature.SPACELIKE, LineSignature.TIMELIKE,\n"
+               "         LineSignature.LIGHTLIKE, LineSignature.RADICAL]\n")
+    assert line_type_tables("heisenberg.py", ordered + source) == ["line 1: list of line types"]
+    tested = source.replace(
+        "row.refined.cells))\n",
+        "row.refined.cells))\n"
+        "    s -= row.refined in (LineSignature.SPACELIKE, forms.LineSignature.LIGHTLIKE)\n")
+    assert line_type_tables("heisenberg.py", tested) == ["line 3: tuple of line types"]
+    keyed = source.replace(
+        "    big = Signature(sig.pos - 1, sig.neg, sig.nul)\n",
+        "    big = {LineSignature.SPACELIKE: Signature(1, 0, 0),\n"
+        "           LineSignature.TIMELIKE: forms.Signature(0, 1, 0)}.get(cell)\n")
+    assert line_type_tables("heisenberg.py", keyed) == [
+        "line 7: dict of line types", "line 7: Signature(1, 0, 0)", "line 8: Signature(0, 1, 0)"]
+    null = "def null(big):\n    return {FlagInvariants(big, Signature(0, 0, 1), cap) for cap in (0, 1)}\n"
+    assert line_type_tables("enumeration.py", null) == ["line 2: Signature(0, 0, 1)"]
+    # the table is allowed in forms alone; the unpacking that binds its names is no
+    # table, but the names it binds are members elsewhere in the module
+    table = ("_A, _B = LineSignature\n"
+             "_LINE_FACTS = {_A: Signature(1, 0, 0), _B: Signature(0, 1, 0)}\n")
+    assert line_type_tables("forms.py", table) == []
+    assert line_type_tables("forms.py", table + "PAIR = {_A, _B}\n") == [
+        "line 3: set of line types"]
+    assert line_type_tables("witness.py", table) == [
+        "line 2: dict of line types", "line 2: Signature(1, 0, 0)", "line 2: Signature(0, 1, 0)"]
+
+
+def test_line_type_facts_live_in_the_forms_table():
+    found = {p.name: line_type_tables(p.name, p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 

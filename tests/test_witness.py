@@ -88,6 +88,21 @@ def test_inequivalent_flags_rejected_with_named_invariant():
         isometry_witness(2, 2, f3, f4)
 
 
+def test_describe_inequivalence_names_the_first_differing_invariant():
+    # the labels are the ones `bench/workloads.py` parses, each message byte for byte
+    big, other = forms.Signature(2, 1, 1), forms.Signature(1, 2, 1)
+    line, null = forms.Signature(1, 0, 0), forms.Signature(0, 0, 1)
+    inv = forms.FlagInvariants(big, null, 0)
+    cases = [
+        (inv, None),
+        (forms.FlagInvariants(other, line, 1), "sig_big (2, 1, 1) != (1, 2, 1)"),
+        (forms.FlagInvariants(big, line, 1), "sig_small (0, 0, 1) != (1, 0, 0)"),
+        (forms.FlagInvariants(big, null, 1), "dim(small cap rad big) 0 != 1"),
+    ]
+    for inv2, message in cases:
+        assert witness.describe_inequivalence(inv, inv2) == message
+
+
 def test_random_equivalent_pairs():
     # independent draws with matching invariants: the enumeration-oracle regime
     rng = random.Random(19)
