@@ -9,6 +9,14 @@ per plane span(a, b), which its primitive Plucker coordinates identify
 without any elimination.  The lines of V are the pool vectors that lie in
 V, so the line family depends on V alone, not on a basis of V.
 
+The key of a plane (`_plucker_key`) is sparse: the nonzero primitive
+Plucker coordinates (p_ij, i, j), first one positive, taken over the index
+pairs inside the plane's support only.  A minor on a pair with a column off
+the support is zero, so these are all the nonzero coordinates, in the
+order of all pairs, and a support of at most four coordinates needs at
+most six minors.  The key serves as the plane's dedupe key and as the
+entries that every later test reads.
+
 The flag data is read off the pair and the line.  Write x+ and x- for the
 first p and the last q entries of x, and U+, U- for the coordinate
 subspaces.
@@ -19,45 +27,51 @@ subspaces.
   then the sign of a diagonal entry.
 - dim(V cap U+) = p - rank[a+; b+] and dim(V cap U-) = q - rank[a-; b-].
   The plane's Plucker key on two + indices holds the 2x2 minors of [a+; b+]
-  times one nonzero factor, so rank[a+; b+] is 2 iff a nonzero key entry
-  p_kl has l < p, else 1 iff the plane's support meets the + block; the -
-  block likewise, with k >= p.
-Each pool vector is v = e_i + e e_j with e in {0, +-1} (`_positioned_pool`,
-built once per survey), so a line is read off i, j and e alone: a.v =
-a_i + e a_j, <v, v> = sign_i + e^2 sign_j, d+ = [j < p], d- = [i >= p], and
+  times one nonzero factor, so rank[a+; b+] is 2 iff a key entry p_kl has
+  l < p, else 1 iff the plane's support meets the + block; the - block
+  likewise, with k >= p.
+Each pool vector is v = e_i + e e_j with e in {0, +-1}
+(`sampling.positioned_pool`), so a line is read off i, j and e alone:
+a.v = a_i + e a_j, <v, v> = sign_i + e^2 sign_j, d+ = [j < p],
+d- = [i >= p], and
 - A line v of V lies in (V cap U+) + (V cap U-) exactly when v+ is
   orthogonal to a+ and to b+.  v+ is v itself when j < p (and a.v = b.v =
   0), 0 when i >= p, and e_i when i < p <= j, so d_pm is 0 exactly when
   i < p <= j and the plane's support holds i.
 - A null line v has i < p <= j and lies in the radical of V exactly when
   I_pq v = e_i - e e_j lies in span(a, b), the Euclidean complement of V:
-  exactly when every nonzero key entry p_kl meets {i, j}.  For a
-  combination u of a and b that vanishes off {i, j} is nonzero, as a and b
-  are independent, and u.v = 0, so u is a multiple of e_i - e e_j; such a
-  u exists iff [a; b] without columns i and j has rank at most 1, that is,
-  iff every 2x2 minor off {i, j} vanishes.  The key holds every nonzero
-  minor, because a kept plane lies on the coordinates it is keyed on.
-The loop computes a kept plane's support mask and its nonzero key entries
-once and hands both to `_canonical` and `_plane_lines`, so no plane or line
-fact needs an elimination.  `_plane_lines` builds the plane's four flag
-invariants once, each line type's `LineSignature.flag_invariants` of V's
-signature, and picks one per line by `LineSignature.of`, which reads the
-radical test only for a null line.  The exact kernel basis of [a; b] is the big
-part of every sample flag of the plane, built when its first line becomes
-one; planes that give no sample flag build none.  A sample flag's
-containment is checked in `int` as a.v = b.v = 0, which is what lying in
-ker[a; b] means (`Flag._in_kernel`), in place of a rank on `Fraction` rows.
+  exactly when every key entry p_kl meets {i, j}.  For a combination u of
+  a and b that vanishes off {i, j} is nonzero, as a and b are independent,
+  and u.v = 0, so u is a multiple of e_i - e e_j; such a u exists iff
+  [a; b] without columns i and j has rank at most 1, that is, iff every
+  2x2 minor off {i, j} vanishes.  The key holds every nonzero minor.
+The loop computes a kept plane's support mask and key once and hands both
+to `_canonical` and `_plane_lines`, so no plane or line fact needs an
+elimination.  `_plane_lines` builds the plane's four flag invariants once,
+each line type's `LineSignature.flag_invariants` of V's signature, and
+picks one per line by `LineSignature.of`, which reads the radical test
+only for a null line.  The exact kernel basis of [a; b] is the big part of
+every sample flag of the plane, built when its first line becomes one;
+planes that give no sample flag build none.  `_plane_kernel` builds it by
+the elimination that `linalg.kernel` runs, written for two `int` rows, so
+its vectors are `linalg.kernel([a, b])`'s, entry for entry; a free column
+off the support gives a unit vector.  A sample flag takes its pool line,
+an `int` tuple, as it is, and its containment is checked in `int` as
+a.v = b.v = 0, which is what lying in ker[a; b] means (`Flag._in_kernel`),
+in place of a rank on `Fraction` rows.
 
 The signed block permutations B_p x B_q (permutations and sign flips of the
 first p coordinates, and of the last q) fix I_pq, U+ and U-, so they fix
 every flag invariant and every seven-count tuple.  So the survey visits only
 a few planes of each class (`_canonical`): those whose support is an initial
 segment of each block and whose key is the least among their images under
-sign flips of the support coordinates.  Flipping the sign of coordinate i
-multiplies the Plucker coordinate p_ij by d_i d_j, so each image is a
-sign-flipped copy of the key, made positive at its first nonzero entry
-again; no flipped pair is keyed.  It observes the same sets as a visit to
-every plane would:
+sign flips of the support coordinates.  Flipping the signs of the
+coordinates of a submask F of the support multiplies p_ij by -1 exactly
+when F holds one of i and j, so each image is a sign-flipped copy of the
+key, made positive at its first entry again; no flipped pair is keyed.
+Flipping every coordinate fixes the plane, so the walk takes the nonzero
+submasks of the support less its lowest coordinate.  It observes the same
+sets as a visit to every plane would:
 - Every class keeps a plane.  A pool plane lies on at most four
   coordinates, which a block permutation moves to the front of each block;
   of that plane's sign-flip images, the one with the least key is kept.
@@ -71,10 +85,36 @@ A kept plane lies on at most four coordinates, an initial segment of each
 block, and so does each of its pool vectors.  So the survey pairs only the
 pool vectors on the first min(p, 4) + and the first min(q, 4) -
 coordinates (at most 64 vectors, 2016 pairs, at any n), in pool order, and
-drops a pair whose joint support is no initial segment before it forms the
-key.  Those pairs come in the order of all pairs of the pool, so the first
-pair of each kept plane, and with it every sample flag, is the one a walk
-over all pairs would meet first.
+drops a pair whose joint support is no initial segment of each block before
+it forms the key: a lookup in the at most 15 such supports
+(`_admissible_masks`), which also hands over the index pairs inside the
+support.  Those pairs come in the order of all pairs of the pool, so the
+first pair of each kept plane, and with it every sample flag, is the one a
+walk over all pairs would meet first.
+
+The line scan of a plane is independent of n (`_scanned`): it visits, in
+pool order, only the pool lines on the plane's support and on the first
+K = SAMPLES_PER_ORBIT + 1 spare coordinates of each block, those off the
+support.  So a survey builds the pool vectors on the first 4 + K
+coordinates of each block alone.  The scan observes what a scan of the
+whole pool would, sample flags and their order included:
+- A transposition of two spare coordinates of one block fixes a, b (zero
+  on both), I_pq, U+ and U-.  So it maps the pool lines of V onto each
+  other, up to sign, with the same invariants and seven counts.
+- Let a line v of V use a spare coordinate y past the first K of its
+  block, and let x be its other coordinate (x = y for a unit vector).
+  Swapping y with each of the first K spare coordinates u of the block,
+  u != x, gives at least K - 1 = SAMPLES_PER_ORBIT distinct lines of V
+  with v's invariants and seven counts, and each comes before v in pool
+  order, which is lexicographic in the positions i <= j: replacing y by a
+  smaller u makes the sorted pair of positions smaller.
+- So, by induction along pool order, the first SAMPLES_PER_ORBIT lines of
+  each invariant on a plane, and the first line of each (invariants, seven
+  counts) pair, are all scanned.  The samples of an invariant are its first
+  SAMPLES_PER_ORBIT lines over the planes in order, which are among the
+  first SAMPLES_PER_ORBIT of their plane, and the invariants meet their
+  sample lists in the same order, so every sample list, the order of the
+  invariants and the matsuki set stay the same.
 
 The survey yields the observed set of orbit invariants, the observed set of
 seven-count coordinate data, and a few sample flags per orbit.
@@ -86,63 +126,121 @@ import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 
 from . import linalg
 from .forms import Flag, FlagInvariants, LineSignature, PreconditionError, Signature, Subspace
-from .sampling import integer_pool
+from .sampling import positioned_pool
 
 IntRow = tuple[int, ...]
+Key = tuple[tuple[int, int, int], ...]
+PoolLine = tuple[IntRow, int, int, int]
 
 SAMPLES_PER_ORBIT = 3
+# the spare coordinates of each block, off a plane's support, whose pool
+# lines the survey scans: K = SAMPLES_PER_ORBIT + 1, as the module docstring proves
+SPARE_COORDINATES = SAMPLES_PER_ORBIT + 1
 
 
-def _initial(mask: int, p: int) -> bool:
-    """Whether the support `mask` is an initial segment of the + block and of the - block.
+def _admissible_masks(p: int, q: int) -> dict[int, list[tuple[int, int]]]:
+    """Each support that a kept plane can have, as a mask, with the index pairs
+    inside it: the first k + and the first l - coordinates, k + l <= 4."""
+    masks = {}
+    for k in range(min(p, 4) + 1):
+        for l in range(min(q, 4 - k) + 1):
+            support = [*range(k), *range(p, p + l)]
+            masks[sum(1 << i for i in support)] = list(itertools.combinations(support, 2))
+    return masks
 
-    A block's part of the mask must be 2^k - 1 for some k, that is, add no
-    carry past its own bits when one is added.
-    """
-    plus, minus = mask & ((1 << p) - 1), mask >> p
-    return not plus & (plus + 1) and not minus & (minus + 1)
 
-
-def _plucker_key(a: IntRow, b: IntRow, index_pairs: list[tuple[int, int]]) -> IntRow:
-    """Primitive Plucker coordinates of span(a, b), first nonzero positive.
+def _plucker_key(a: IntRow, b: IntRow, index_pairs: Sequence[tuple[int, int]]) -> Key:
+    """The nonzero primitive Plucker coordinates (p_ij, i, j) of span(a, b) on
+    `index_pairs`, which must hold every pair inside its support, first one positive.
 
     a and b must be independent; distinct pool vectors always are.
     """
-    plucker = [a[i] * b[j] - a[j] * b[i] for i, j in index_pairs]
-    g = gcd(*plucker)
-    if next(x for x in plucker if x) < 0:
+    minors = [(x, i, j) for i, j in index_pairs if (x := a[i] * b[j] - a[j] * b[i])]
+    g = gcd(*(x for x, _, _ in minors))
+    if minors[0][0] < 0:
         g = -g
-    return tuple(x // g for x in plucker)
+    return tuple(minors) if g == 1 else tuple((x // g, i, j) for x, i, j in minors)
 
 
-def _canonical(mask: int, entries: list[tuple[int, int, int]], n: int) -> bool:
-    """Whether the plane with support `mask` and nonzero key entries `entries`,
-    each (p_ij, i, j), is the plane the survey keeps of its class.
+def _canonical(mask: int, key: Key) -> bool:
+    """Whether the plane with support `mask` and key `key` is the plane the
+    survey keeps of its class.
 
     The caller has already found its support an initial segment of each
     block.  Its key must be the least among its images under sign flips of
-    the support coordinates.  Flipping coordinate i multiplies p_ij by
-    d_i d_j, so each image is read off the entries (then made positive at
-    its first nonzero entry again), which lie on the support.  Flipping all
-    of them fixes the plane, so the first stays.
+    the support coordinates.  Flipping the coordinates of a submask of the
+    support negates p_ij exactly when the submask holds one of i and j, so
+    each image is read off the key (then made positive at its first entry
+    again).  Flipping all of them fixes the plane, so the lowest stays.
     """
-    flips = [i for i in range(n) if mask >> i & 1][1:]
-    values = [x for x, _, _ in entries]
-    for signs in itertools.product((1, -1), repeat=len(flips)):
-        d = [1] * n
-        for i, s in zip(flips, signs):
-            d[i] = s
-        flipped = [x * d[i] * d[j] for x, i, j in entries]
+    values = [x for x, _, _ in key]
+    rest = mask & (mask - 1)
+    flips = rest
+    while flips:
+        flipped = [-x if (flips >> i ^ flips >> j) & 1 else x for x, i, j in key]
         if flipped[0] < 0:
             flipped = [-x for x in flipped]
         if flipped < values:
             return False
+        flips = (flips - 1) & rest
     return True
+
+
+def _cleared(row: list[int] | IntRow, prow: list[int] | IntRow, c: int) -> list[int]:
+    """`row` with column c cleared by the pivot row `prow`, as `linalg`'s elimination
+    clears it: (p row - x prow) / g, with p and x divided by their gcd first and g
+    the content of the result."""
+    p, x = prow[c], row[c]
+    g = gcd(p, x)
+    up, x = p // g, x // g
+    new = [up * y - x * z for y, z in zip(row, prow)]
+    g = gcd(*new)
+    return [y // g for y in new] if g > 1 else new
+
+
+def _plane_kernel(a: IntRow, b: IntRow) -> tuple[IntRow, ...]:
+    """`linalg.kernel([a, b])` for independent `int` rows a and b, entry for entry.
+
+    It runs the same elimination on the two rows: the first nonzero column c
+    pivots (in a unless a_c = 0), the other row is cleared at c and pivots at
+    its first nonzero column d, which is then cleared in the first row.  Each
+    free column f gives v_f = s, v_c = -a_f s / a_c and v_d = -b_f s / b_d, s
+    the lcm of the pivots whose rows meet f, divided by its content with the
+    leading entry positive: e_f when f lies off the support.
+    """
+    n = len(a)
+    c = next(k for k in range(n) if a[k] or b[k])
+    if not a[c]:
+        a, b = b, a
+    if b[c]:
+        b = _cleared(b, a, c)
+    d = next(k for k in range(c + 1, n) if b[k])
+    if a[d]:
+        a = _cleared(a, b, d)
+    pa, pb = a[c], b[d]
+    basis = []
+    for f in range(n):
+        if f == c or f == d:
+            continue
+        x, y = a[f], b[f]
+        v = [0] * n
+        if x or y:
+            s = lcm(pa if x else 1, pb if y else 1)
+            vc, vd = -x * (s // pa), -y * (s // pb)
+            g = gcd(s, vc, vd)
+            # the leading entry: v_c (c < d, f), else v_d or v_f, whichever comes first
+            if (vc or (vd if d < f else 0) or s) < 0:
+                g = -g
+            v[c], v[d], v[f] = vc // g, vd // g, s // g
+        else:
+            v[f] = 1
+        basis.append(tuple(v))
+    return tuple(basis)
 
 
 @dataclass(frozen=True)
@@ -200,27 +298,26 @@ def _plane_signature(aa: int, ab: int, bb: int) -> tuple[int, int, int]:
     return 0, 0, 2
 
 
-def _positioned_pool(n: int) -> list[tuple[IntRow, int, int, int]]:
-    """Each vector v of `integer_pool(n)`, in pool order, as (v, i, j, e) with
-    v = e_i + e e_j: i its first nonzero position, whose entry is +1, and j
-    its second, with entry e = +-1, or j = i and e = 0 for a unit vector."""
-    out = []
-    for v in integer_pool(n):
-        i = v.index(1)
-        j = next((k for k in range(n - 1, i, -1) if v[k]), i)
-        out.append((v, i, j, v[j] if j > i else 0))
-    return out
+def _scanned(mask: int, p: int, q: int, pool: Sequence[PoolLine]) -> list[PoolLine]:
+    """The lines of `pool` that `_plane_lines` visits for a plane with support `mask`,
+    in pool order: those on the support and the first K = SPARE_COORDINATES spare
+    coordinates of each block, that is on the first min(p, k + K) + and the first
+    min(q, l + K) - coordinates, for a support of k + and l - coordinates."""
+    k, l = (mask & ((1 << p) - 1)).bit_length(), (mask >> p).bit_length()
+    reach = (1 << min(p, k + SPARE_COORDINATES)) - 1 | (1 << min(q, l + SPARE_COORDINATES)) - 1 << p
+    return [line for line in pool if not (1 << line[1] | 1 << line[2]) & ~reach]
 
 
-def _plane_lines(a: IntRow, b: IntRow, mask: int, entries: list[tuple[int, int, int]],
-                 p: int, q: int, pool: Sequence[tuple[IntRow, int, int, int]]):
-    """(v, invariants, seven counts) for each pool line v of V = ker[a; b], in pool order.
+def _plane_lines(a: IntRow, b: IntRow, mask: int, key: Key, p: int, q: int,
+                 pool: Sequence[PoolLine]):
+    """(v, invariants, seven counts) for each line v of `pool` that lies in
+    V = ker[a; b], in pool order.
 
-    `mask` is the plane's support and `entries` its nonzero key entries
-    (p_kl, k, l); `pool` is `_positioned_pool`, so each line v = e_i + e e_j
-    is read off i, j, e, the mask and the entries, as the module docstring
-    derives: a null line (i < p <= j) lies in the radical iff every entry
-    meets {i, j}, and its d_pm is 0 iff bit i of the mask is set.
+    `mask` is the plane's support and `key` its `_plucker_key`; `pool` holds
+    `sampling.positioned_pool` entries, so each line v = e_i + e e_j is read
+    off i, j, e, the mask and the key, as the module docstring derives: a
+    null line (i < p <= j) lies in the radical iff every key entry meets
+    {i, j}, and its d_pm is 0 iff bit i of the mask is set.
     """
     sign = [1] * p + [-1] * q
     a_nz = [(i, x) for i, x in enumerate(a) if x]
@@ -231,8 +328,8 @@ def _plane_lines(a: IntRow, b: IntRow, mask: int, entries: list[tuple[int, int, 
     sig_big = Signature(p - s - u, q - t - u, u)
     by_type = {kind: kind.flag_invariants(sig_big) for kind in LineSignature}
     line_type = LineSignature.of
-    c_plus = p - (2 if any(l < p for _, _, l in entries) else int(mask & ((1 << p) - 1) > 0))
-    c_minus = q - (2 if any(k >= p for _, k, _ in entries) else int(mask >> p > 0))
+    c_plus = p - (2 if any(l < p for _, _, l in key) else int(mask & ((1 << p) - 1) > 0))
+    c_minus = q - (2 if any(k >= p for _, k, _ in key) else int(mask >> p > 0))
     c_zero = p + q - 2 - c_plus - c_minus
 
     lines = []
@@ -242,7 +339,7 @@ def _plane_lines(a: IntRow, b: IntRow, mask: int, entries: list[tuple[int, int, 
         norm = sign[i] + e * e * sign[j]
         # a null line is radical iff I_pq v = e_i - e e_j lies in span(a, b)
         inv = by_type[line_type(norm, not norm and all(
-            i in (k, l) or j in (k, l) for _, k, l in entries))]
+            i in (k, l) or j in (k, l) for _, k, l in key))]
         d_plus = int(j < p)
         d_minus = int(i >= p)
         d_pm = 0 if i < p <= j and mask >> i & 1 else 1
@@ -251,43 +348,57 @@ def _plane_lines(a: IntRow, b: IntRow, mask: int, entries: list[tuple[int, int, 
     return lines
 
 
+def _kept_planes(p: int, q: int, pool: Sequence[PoolLine]):
+    """(a, b, support mask, key) for each plane the survey keeps, in the order of the
+    first pair of pool vectors that spans it.
+
+    `pool` holds the `sampling.positioned_pool` entries on at least the first
+    min(p, 4) + and the first min(q, 4) - coordinates, and the pairs are
+    taken from the vectors on those.  A pair whose support is no initial
+    segment of each block is dropped before it is keyed.
+    """
+    masks = _admissible_masks(p, q)
+    reach = (1 << min(p, 4)) - 1 | (1 << min(q, 4)) - 1 << p
+    sub_pool = [(v, m) for v, i, j, _ in pool if not (m := 1 << i | 1 << j) & ~reach]
+    seen: set[Key] = set()
+    for (a, ma), (b, mb) in itertools.combinations(sub_pool, 2):
+        mask = ma | mb
+        index_pairs = masks.get(mask)
+        if index_pairs is None:
+            continue
+        key = _plucker_key(a, b, index_pairs)
+        if key not in seen:
+            seen.add(key)
+            if _canonical(mask, key):
+                yield a, b, mask, key
+
+
 @lru_cache(maxsize=None, typed=True)  # typed: a bool never meets the survey of its int
 def _survey_cached(p: int, q: int) -> FlagSurvey:
     n = p + q
-    # a kept plane, and so each of its pool vectors, lies on the first
-    # min(p, 4) + and the first min(q, 4) - coordinates; the Plucker key of
-    # such a plane needs only the index pairs among those
-    coords = [*range(min(p, 4)), *range(p, p + min(q, 4))]
-    reach = sum(1 << i for i in coords)
-    index_pairs = list(itertools.combinations(coords, 2))
-    pool = _positioned_pool(n)
-    sub_pool = [(v, m) for v, i, j, _ in pool if not (m := 1 << i | 1 << j) & ~reach]
+    # the pool vectors on the first 4 + K coordinates of each block: the
+    # pairs come from those on the first 4, each plane's lines from all of them
+    width = 4 + SPARE_COORDINATES
+    pool = positioned_pool(n, [*range(min(p, width)), *range(p, p + min(q, width))])
+    scans: dict[int, list[PoolLine]] = {}  # the `_scanned` lines of each support met
     invariants: dict[FlagInvariants, list[Flag]] = {}
     matsuki: set[tuple[int, ...]] = set()
-    seen: set[IntRow] = set()
     kept = 0
 
-    for (a, ma), (b, mb) in itertools.combinations(sub_pool, 2):
-        mask = ma | mb
-        if not _initial(mask, p):
-            continue
-        key = _plucker_key(a, b, index_pairs)
-        if key in seen:
-            continue
-        seen.add(key)
-        entries = [(x, i, j) for (i, j), x in zip(index_pairs, key) if x]
-        if not _canonical(mask, entries, n):
-            continue
+    for a, b, mask, key in _kept_planes(p, q, pool):
         kept += 1
-        big = None  # the exact kernel basis of [a; b], built at the plane's first sample flag
+        scan = scans.get(mask)
+        if scan is None:
+            scan = scans[mask] = _scanned(mask, p, q, pool)
+        big = None  # the kernel of [a; b], built at the plane's first sample flag
         lists = {}  # the sample list of each of the plane's (at most four) invariants, by id
-        for v, inv, counts in _plane_lines(a, b, mask, entries, p, q, pool):
+        for v, inv, counts in _plane_lines(a, b, mask, key, p, q, scan):
             samples = lists.get(id(inv))
             if samples is None:
                 samples = lists[id(inv)] = invariants.setdefault(inv, [])
             if len(samples) < SAMPLES_PER_ORBIT:
                 if big is None:
-                    big = Subspace._independent(n, tuple(linalg.kernel([a, b])))
+                    big = Subspace._independent(n, _plane_kernel(a, b))
                 samples.append(Flag._in_kernel(v, (a, b), big))
             matsuki.add(counts)
     return FlagSurvey(p, q, kept, invariants, matsuki)

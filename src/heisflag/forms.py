@@ -41,7 +41,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from . import linalg
-from .linalg import Matrix, PreconditionError, Vector, vec
+from .linalg import Matrix, PreconditionError, Vector
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,10 @@ class LineSignature(enum.Enum):
     TIMELIKE = "timelike"
     LIGHTLIKE = "lightlike"
     RADICAL = "radical"
+
+    # members are singletons compared by identity, so the C-level identity hash
+    # agrees with equality; Enum's own hash is a Python call on the name
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return self.value
@@ -292,16 +296,17 @@ class Flag:
             raise PreconditionError("flag needs dim(small) < dim(big) <= ambient")
 
     @classmethod
-    def _in_kernel(cls, line: Sequence[int], rows: Sequence[Sequence[int]],
+    def _in_kernel(cls, line: tuple[int, ...], rows: Sequence[Sequence[int]],
                    big: Subspace) -> "Flag":
-        """The flag (span(line), big) for big = ker(rows), with `int` line and rows.
+        """The flag (span(line), big) for big = ker(rows), with `int` rows and the line
+        a tuple of `int`s, which is already a canonical vector and is taken as it is.
 
         The line lies in ker(rows) exactly when every row . line is 0, so
         containment is checked in `int` in place of the rank test; the caller
         guarantees that `big` is that kernel.
         """
         f = object.__new__(cls)
-        object.__setattr__(f, "small", Subspace._independent(big.ambient_dim, (vec(line),)))
+        object.__setattr__(f, "small", Subspace._independent(big.ambient_dim, (line,)))
         object.__setattr__(f, "big", big)
         f._check_dims()
         if any(sum(x * y for x, y in zip(row, line)) for row in rows):

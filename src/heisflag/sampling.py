@@ -11,7 +11,7 @@ configurations, which carry the interesting orbit types, actually occur.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from functools import lru_cache
 
 from . import linalg
@@ -128,21 +128,26 @@ def apply_to_flag(g: Matrix, f: Flag) -> Flag:
     return Flag(Subspace(n, tuple(small)), Subspace(n, tuple(big)))
 
 
+def positioned_pool(n: int, coords: Sequence[int]) -> list[tuple[tuple[int, ...], int, int, int]]:
+    """The vectors of `integer_pool(n)` on the ascending coordinates `coords`, in pool
+    order, each as (v, i, j, e) with v = e_i + e e_j: i its first nonzero position,
+    whose entry is +1, and j its second, with entry e = +-1, or j = i and e = 0
+    for a unit vector."""
+    out = []
+    for k, i in enumerate(coords):
+        for j, e in [(i, 0), *((j, e) for j in coords[k + 1:] for e in (1, -1))]:
+            v = [0] * n
+            v[j] = e
+            v[i] = 1
+            out.append((tuple(v), i, j, e))
+    return out
+
+
 @lru_cache(maxsize=None)
 def integer_pool(n: int) -> tuple[tuple[int, ...], ...]:
-    """All {-1, 0, 1} vectors with at most two nonzero entries, first nonzero +1, as `int`s."""
-    out = []
-    for i in range(n):
-        v = [0] * n
-        v[i] = 1
-        out.append(tuple(v))
-        for j in range(i + 1, n):
-            for sign in (1, -1):
-                w = [0] * n
-                w[i] = 1
-                w[j] = sign
-                out.append(tuple(w))
-    return tuple(out)
+    """All {-1, 0, 1} vectors with at most two nonzero entries, first nonzero +1, as `int`s:
+    e_i, then e_i + e_j and e_i - e_j for each j > i, for i = 0, 1, ..."""
+    return tuple(v for v, _, _, _ in positioned_pool(n, range(n)))
 
 
 def random_flag(p: int, q: int, rng: random.Random) -> Flag:
@@ -179,10 +184,12 @@ def random_gram(p: int, q: int, rng: random.Random) -> Matrix:
 
     The columns are drawn from the cached `integer_pool`, h is invertible
     iff they have full `linalg.rank`, and the pairing takes them as `int`s.
+    A draw that repeats a column is singular, so it is refused before any
+    rank; the draws stay the same.
     """
     n = p + q
     pool = integer_pool(n)
     while True:
         cols = [rng.choice(pool) for _ in range(n)]
-        if linalg.rank(cols) == n:
+        if len(set(cols)) == n and linalg.rank(cols) == n:
             return QuadraticSpace.standard(p, q).pairing(cols, cols)

@@ -35,6 +35,11 @@ Deliberately separate from the package's fast paths:
   test and a kernel per plane, which reading each line off its two nonzero
   positions and the plane's support and Plücker key, and a kernel only at
   a plane's first sample flag, replaced;
+  `full_pool_plane_lines` is that reading over every line of the pool,
+  which the scan of the lines on the plane's support and K spare
+  coordinates of each block replaced; `product_canonical` is the survey's
+  canonical test with one loop over `itertools.product` sign vectors,
+  which the walk over submasks of the support replaced;
 - radical: the columns of one congruence's transform with zero diagonal
   entries, made a canonical row space, which `forms.radical` replaced by
   the kernel of W's Gram matrix mapped through W's basis;
@@ -924,6 +929,66 @@ def sum_plane_lines(a, b, key, p, q, pool, index_pairs):
         lines.append((v, inv, (c_plus, c_minus, c_zero, d_plus, d_minus,
                                1 - d_plus - d_minus, d_pm)))
     return basis, lines
+
+
+def _positioned_pool(n):
+    """Each vector v of `integer_pool(n)`, in pool order, as (v, i, j, e) with
+    v = e_i + e e_j, read off v: i its first nonzero position, j its last (j = i
+    and e = 0 for a unit vector)."""
+    out = []
+    for v in integer_pool(n):
+        i = v.index(1)
+        j = next((k for k in range(n - 1, i, -1) if v[k]), i)
+        out.append((v, i, j, v[j] if j > i else 0))
+    return out
+
+
+def full_pool_plane_lines(a, b, mask, key, p, q):
+    """(v, invariants, seven counts) for each line v of the whole pool that lies in
+    V = ker[a; b], in pool order, with the plane's support `mask` and nonzero key
+    entries `key`, each (p_kl, k, l)."""
+    sign = [1] * p + [-1] * q
+    a_nz = [(i, x) for i, x in enumerate(a) if x]
+    b_nz = [(i, x) for i, x in enumerate(b) if x]
+    s, t, u = _plane_signature(sum(sign[i] * x * x for i, x in a_nz),
+                               sum(sign[i] * x * b[i] for i, x in a_nz),
+                               sum(sign[i] * x * x for i, x in b_nz))
+    sig_big = Signature(p - s - u, q - t - u, u)
+    by_type = {kind: kind.flag_invariants(sig_big) for kind in LineSignature}
+    c_plus = p - (2 if any(l < p for _, _, l in key) else int(mask & ((1 << p) - 1) > 0))
+    c_minus = q - (2 if any(k >= p for _, k, _ in key) else int(mask >> p > 0))
+    c_zero = p + q - 2 - c_plus - c_minus
+
+    lines = []
+    for v, i, j, e in _positioned_pool(p + q):
+        if a[i] + e * a[j] or b[i] + e * b[j]:
+            continue
+        norm = sign[i] + e * e * sign[j]
+        inv = by_type[LineSignature.of(norm, not norm and all(
+            i in (k, l) or j in (k, l) for _, k, l in key))]
+        d_plus = int(j < p)
+        d_minus = int(i >= p)
+        d_pm = 0 if i < p <= j and mask >> i & 1 else 1
+        lines.append((v, inv, (c_plus, c_minus, c_zero, d_plus, d_minus,
+                               1 - d_plus - d_minus, d_pm)))
+    return lines
+
+
+def product_canonical(mask, key, n):
+    """Whether the key is the least of its images under the sign flips of the
+    support coordinates of `mask` but the first, walked as `product` sign vectors."""
+    flips = [i for i in range(n) if mask >> i & 1][1:]
+    values = [x for x, _, _ in key]
+    for signs in product((1, -1), repeat=len(flips)):
+        d = [1] * n
+        for i, s in zip(flips, signs):
+            d[i] = s
+        flipped = [x * d[i] * d[j] for x, i, j in key]
+        if flipped[0] < 0:
+            flipped = [-x for x in flipped]
+        if flipped < values:
+            return False
+    return True
 
 
 def every_pair_survey(p, q):

@@ -26,7 +26,7 @@ from heisflag.forms import (
     possible_line_signatures,
 )
 from heisflag.heisenberg import admissible_classes
-from heisflag.sampling import integer_pool
+from heisflag.sampling import integer_pool, positioned_pool
 
 
 def expected_invariants(p, q):
@@ -146,24 +146,24 @@ def _act(g, x):
     return tuple(out)
 
 
-def _plane_facts(a, b, key, index_pairs):
-    """The support mask of span(a, b) and its nonzero key entries (p_ij, i, j),
-    as the survey hands them to `_canonical` and `_plane_lines`."""
-    mask = sum(1 << i for i, (x, y) in enumerate(zip(a, b)) if x or y)
-    return mask, [(x, i, j) for (i, j), x in zip(index_pairs, key) if x]
+def _support(a, b):
+    """The support mask of span(a, b), as the survey hands it to `_canonical` and
+    `_plane_lines` with the plane's key."""
+    return sum(1 << i for i, (x, y) in enumerate(zip(a, b)) if x or y)
 
 
 def test_every_plane_class_keeps_a_plane():
     for p, q in [(2, 2), (3, 1), (3, 2), (2, 3)]:
         n = p + q
         index_pairs = list(itertools.combinations(range(n), 2))
+        masks = enumeration._admissible_masks(p, q)
         group = list(_signed_block_permutations(p, q))
         planes, kept = {}, set()
         for a, b in itertools.combinations(oracles.small_int_pool(n), 2):
             key = enumeration._plucker_key(a, b, index_pairs)
             planes.setdefault(key, (a, b))
-            mask, entries = _plane_facts(a, b, key, index_pairs)
-            if enumeration._initial(mask, p) and enumeration._canonical(mask, entries, n):
+            mask = _support(a, b)
+            if mask in masks and enumeration._canonical(mask, key):
                 kept.add(key)
         assert len(kept) == survey_flags(p, q).subspace_count
 
@@ -194,7 +194,7 @@ def test_every_plane_of_a_class_reads_the_same_pairs():
         n = p + q
         space = QuadraticSpace.standard(p, q)
         pool = oracles.small_int_pool(n)
-        positioned = enumeration._positioned_pool(n)
+        positioned = positioned_pool(n, range(n))
         index_pairs = list(itertools.combinations(range(n), 2))
         planes, pairs = {}, {}
         for a, b in itertools.combinations(pool, 2):
@@ -202,8 +202,7 @@ def test_every_plane_of_a_class_reads_the_same_pairs():
             if key in planes:
                 continue
             planes[key] = (a, b)
-            lines = enumeration._plane_lines(a, b, *_plane_facts(a, b, key, index_pairs),
-                                             p, q, positioned)
+            lines = enumeration._plane_lines(a, b, _support(a, b), key, p, q, positioned)
             big = Subspace(n, tuple(linalg.kernel([a, b])))
             for v, inv, counts in lines:
                 flag = Flag(Subspace(n, (linalg.vec(v),)), big)
@@ -238,25 +237,100 @@ def test_plane_lines_agree_with_the_sum_oracle():
     for p, q, vectors in cases:
         n = p + q
         pool = integer_pool(n)
-        positioned = enumeration._positioned_pool(n)
-        assert [v for v, _, _, _ in positioned] == list(pool)
+        positioned = positioned_pool(n, range(n))
+        assert positioned == oracles._positioned_pool(n)
         index_pairs = list(itertools.combinations(range(n), 2))
         seen = set()
         for a, b in itertools.combinations(vectors, 2):
             if linalg.rank([a, b]) < 2:
                 continue
-            key = enumeration._plucker_key(a, b, index_pairs)
-            if key in seen:
+            full_key = oracles._primitive_plucker(a, b, index_pairs)
+            if full_key in seen:
                 continue
-            seen.add(key)
-            _, expected = oracles.sum_plane_lines(a, b, key, p, q, pool, index_pairs)
-            lines = enumeration._plane_lines(a, b, *_plane_facts(a, b, key, index_pairs),
-                                             p, q, positioned)
+            seen.add(full_key)
+            # the key is the full key's nonzero entries, with their index pairs
+            key = enumeration._plucker_key(a, b, index_pairs)
+            assert key == tuple((x, i, j) for (i, j), x in zip(index_pairs, full_key) if x)
+            _, expected = oracles.sum_plane_lines(a, b, full_key, p, q, pool, index_pairs)
+            lines = enumeration._plane_lines(a, b, _support(a, b), key, p, q, positioned)
             assert len(lines) == len(expected), (p, q, a, b)
             for (v, inv, counts), (w, inv_w, counts_w) in zip(lines, expected):
                 assert v == w, (p, q, a, b)
                 assert inv == inv_w, (p, q, a, b, v)
                 assert counts == counts_w, (p, q, a, b, v)
+
+
+def _first_samples(lines):
+    """The first SAMPLES_PER_ORBIT lines of each invariant, in order: what the
+    survey can take from a plane as sample flags."""
+    firsts = {}
+    for v, inv, _ in lines:
+        samples = firsts.setdefault(inv, [])
+        if len(samples) < enumeration.SAMPLES_PER_ORBIT:
+            samples.append(v)
+    return list(firsts.items())
+
+
+def test_restricted_scan_agrees_with_the_full_pool_scan():
+    # each kept plane's lines on its support and the first K spare coordinates
+    # of each block against the old scan of the whole pool: field by field the
+    # same lines where both look, the same first samples of each invariant in
+    # the same order, and the same (invariants, seven counts) pairs; at these
+    # signatures the restriction drops lines of both blocks
+    for p, q in [(12, 12), (20, 12), (16, 16)]:
+        n = p + q
+        pool = positioned_pool(n, range(n))
+        dropped = set()
+        for a, b, mask, key in enumeration._kept_planes(p, q, pool):
+            scan = enumeration._scanned(mask, p, q, pool)
+            lines = enumeration._plane_lines(a, b, mask, key, p, q, scan)
+            full = oracles.full_pool_plane_lines(a, b, mask, key, p, q)
+            scanned = {v for v, _, _, _ in scan}
+            kept = [line for line in full if line[0] in scanned]
+            assert len(lines) == len(kept), (p, q, a, b)
+            for (v, inv, counts), (w, inv_w, counts_w) in zip(lines, kept):
+                assert v == w, (p, q, a, b)
+                assert inv == inv_w, (p, q, a, b, v)
+                assert counts == counts_w, (p, q, a, b, v)
+            assert _first_samples(lines) == _first_samples(full), (p, q, a, b)
+            assert ({(inv, counts) for _, inv, counts in lines}
+                    == {(inv, counts) for _, inv, counts in full}), (p, q, a, b)
+            # the blocks that each dropped line lies in
+            dropped |= {frozenset("+" if k < p else "-" for k, x in enumerate(v) if x)
+                        for v, _, _ in full if v not in scanned}
+        assert {frozenset("+"), frozenset("-")} <= dropped, (p, q)
+
+
+def test_plane_kernel_agrees_with_linalg_kernel():
+    # the two-row elimination against the shared one, entry for entry: on every
+    # kept plane at 4 <= n <= 8 and at (12, 12), and on every independent pair,
+    # in both orders, of {-1, 0, 1} vectors at n = 4
+    for p, q in [(p, n - p) for n in range(4, 9) for p in range(n + 1)] + [(12, 12)]:
+        n = p + q
+        for a, b, _, _ in enumeration._kept_planes(p, q, positioned_pool(n, range(n))):
+            assert enumeration._plane_kernel(a, b) == tuple(linalg.kernel([a, b])), (p, q, a, b)
+    vectors = [v for v in itertools.product((-1, 0, 1), repeat=4) if any(v)]
+    for a, b in itertools.permutations(vectors, 2):
+        if linalg.rank([a, b]) == 2:
+            assert enumeration._plane_kernel(a, b) == tuple(linalg.kernel([a, b])), (a, b)
+
+
+def test_submask_canonical_agrees_with_the_product_loop():
+    # the walk over submasks of the support against the loop over sign vectors,
+    # on every plane of the pool whose support is an initial segment of each block
+    for p, q in [(p, n - p) for n in range(4, 9) for p in range(n + 1)]:
+        n = p + q
+        masks = enumeration._admissible_masks(p, q)
+        seen = set()
+        for a, b in itertools.combinations(integer_pool(n), 2):
+            mask = _support(a, b)
+            if mask not in masks:
+                continue
+            key = enumeration._plucker_key(a, b, masks[mask])
+            if key not in seen:
+                seen.add(key)
+                assert (enumeration._canonical(mask, key)
+                        == oracles.product_canonical(mask, key, n)), (p, q, a, b)
 
 
 def test_survey_runs_no_rank():
@@ -401,10 +475,11 @@ def test_invariants_complete_in_both_directions():
                     isometry_witness(p, q, groups[i][1][0], groups[j][1][0])
 
 
-# every (p, q) with 4 <= n <= 8, and three larger signatures
+# every (p, q) with 4 <= n <= 8, and five larger signatures; at (12, 12) and
+# (20, 12) the survey's line scan skips pool lines of both blocks
 PINNED_SURVEY_SIGNATURES = ([(p, n - p) for n in range(4, 9) for p in range(n + 1)]
-                            + [(6, 6), (8, 4), (10, 6)])
-PINNED_SURVEY_DIGEST = "bd2a803cb2b2626d2e2aa0773dcf080e4d8748752dac1edbba16849c4c74b0db"
+                            + [(6, 6), (8, 4), (10, 6), (12, 12), (20, 12)])
+PINNED_SURVEY_DIGEST = "19c632208c60c52e86201cf6cce65d6558f373cb4397f0494c09a88ecc93bbdb"
 
 
 def survey_digest(signatures) -> str:
