@@ -47,18 +47,27 @@ d- = [i >= p], and
   2x2 minor off {i, j} vanishes.  The key holds every nonzero minor.
 The loop computes a kept plane's support mask and key once and hands both
 to `_canonical` and `_plane_lines`, so no plane or line fact needs an
-elimination.  `_plane_lines` builds the plane's four flag invariants once,
-each line type's `LineSignature.flag_invariants` of V's signature, and
-picks one per line by `LineSignature.of`, which reads the radical test
-only for a null line.  The exact kernel basis of [a; b] is the big part of
-every sample flag of the plane, built when its first line becomes one;
-planes that give no sample flag build none.  `_plane_kernel` builds it by
-the elimination that `linalg.kernel` runs, written for two `int` rows, so
-its vectors are `linalg.kernel([a, b])`'s, entry for entry; a free column
-off the support gives a unit vector.  A sample flag takes its pool line,
-an `int` tuple, as it is, and its containment is checked in `int` as
-a.v = b.v = 0, which is what lying in ker[a; b] means (`Flag._in_kernel`),
-in place of a rank on `Fraction` rows.
+elimination.  A plane's four flag invariants, each line type's
+`LineSignature.flag_invariants` of V's signature, depend on the plane's
+signature (s, t, u) alone, which takes at most six values, so a survey
+builds them once per signature, in a table local to the call, and
+`_plane_lines` picks one per line by `LineSignature.of`, which reads the
+radical test only for a null line.  The planes of a signature share these
+objects, so the survey finds each sample list by the identity of its
+invariant, in one dict for the call, and hashes no invariant per plane.  A
+line's seven counts are the plane's c+, c-, c0 and the line's (d+, d-,
+d_pm), which takes at most four values, so a plane builds each of its
+distinct tuples once and hands them to the matsuki set once.  The exact
+kernel basis of [a; b] is the big part of every sample flag of the plane,
+built when its first line becomes one; planes that give no sample flag
+build none.  `_plane_kernel` builds it by the elimination that
+`linalg.kernel` runs, written for two `int` rows, so its vectors are
+`linalg.kernel([a, b])`'s, entry for entry; a free column off the support
+gives a unit vector.  A sample flag takes its pool line, an `int` tuple, as
+it is (`Flag._of_pool_line`), and its containment check is the scan's own
+test: a row r vanishes on v = e_i + e e_j exactly when r_i + e r_j = 0, so
+a_i + e a_j = b_i + e b_j = 0 is what lying in ker[a; b] means, read at
+the line's two positions in place of a rank or a sum over all n entries.
 
 The signed block permutations B_p x B_q (permutations and sign flips of the
 first p coordinates, and of the last q) fix I_pq, U+ and U-, so they fix
@@ -280,6 +289,12 @@ def survey_flags(p: int, q: int) -> FlagSurvey:
     return _survey_cached(p, q)
 
 
+# (d+, d-, d0, d_pm) of a line v = e_i + e e_j of V, by where it lies: in the
+# + block (j < p), in the - block (i >= p), or across the blocks with i off
+# and on the plane's support; d0 = 1 - d+ - d-
+_LINE_COUNTS = ((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 1, 0))
+
+
 def _plane_signature(aa: int, ab: int, bb: int) -> tuple[int, int, int]:
     """Signature (s, t, u) of the 2x2 Gram matrix [[aa, ab], [ab, bb]].
 
@@ -309,43 +324,54 @@ def _scanned(mask: int, p: int, q: int, pool: Sequence[PoolLine]) -> list[PoolLi
 
 
 def _plane_lines(a: IntRow, b: IntRow, mask: int, key: Key, p: int, q: int,
-                 pool: Sequence[PoolLine]):
-    """(v, invariants, seven counts) for each line v of `pool` that lies in
-    V = ker[a; b], in pool order.
+                 pool: Sequence[PoolLine], tables: dict[tuple[int, int, int], dict]):
+    """The lines of `pool` that lie in V = ker[a; b], each as (its pool entry,
+    invariants, seven counts), in pool order, and the plane's distinct seven-count
+    tuples.
 
     `mask` is the plane's support and `key` its `_plucker_key`; `pool` holds
-    `sampling.positioned_pool` entries, so each line v = e_i + e e_j is read
-    off i, j, e, the mask and the key, as the module docstring derives: a
-    null line (i < p <= j) lies in the radical iff every key entry meets
-    {i, j}, and its d_pm is 0 iff bit i of the mask is set.
+    `sampling.positioned_pool` entries (v, i, j, e), so each line v = e_i +
+    e e_j is read off i, j, e, the mask and the key, as the module docstring
+    derives: a null line (i < p <= j) lies in the radical iff every key entry
+    meets {i, j}, and its d_pm is 0 iff bit i of the mask is set.  `tables`
+    maps a plane signature (s, t, u) to V's four flag invariants by line
+    type; a missing entry is added, so the planes of one survey that share a
+    signature share their invariant objects.
     """
     sign = [1] * p + [-1] * q
     a_nz = [(i, x) for i, x in enumerate(a) if x]
     b_nz = [(i, x) for i, x in enumerate(b) if x]
-    s, t, u = _plane_signature(sum(sign[i] * x * x for i, x in a_nz),
-                               sum(sign[i] * x * b[i] for i, x in a_nz),
-                               sum(sign[i] * x * x for i, x in b_nz))
-    sig_big = Signature(p - s - u, q - t - u, u)
-    by_type = {kind: kind.flag_invariants(sig_big) for kind in LineSignature}
+    plane = _plane_signature(sum(sign[i] * x * x for i, x in a_nz),
+                             sum(sign[i] * x * b[i] for i, x in a_nz),
+                             sum(sign[i] * x * x for i, x in b_nz))
+    by_type = tables.get(plane)
+    if by_type is None:
+        s, t, u = plane
+        sig_big = Signature(p - s - u, q - t - u, u)
+        by_type = tables[plane] = {kind: kind.flag_invariants(sig_big) for kind in LineSignature}
     line_type = LineSignature.of
     c_plus = p - (2 if any(l < p for _, _, l in key) else int(mask & ((1 << p) - 1) > 0))
     c_minus = q - (2 if any(k >= p for _, k, _ in key) else int(mask >> p > 0))
     c_zero = p + q - 2 - c_plus - c_minus
+    # the seven-count tuple of each (d+, d-, d_pm) that a line of the plane has,
+    # built at its first line; slot k holds the _LINE_COUNTS[k] tuple
+    counts_of: list[tuple[int, ...] | None] = [None] * len(_LINE_COUNTS)
 
     lines = []
-    for v, i, j, e in pool:
+    for line in pool:
+        _, i, j, e = line
         if a[i] + e * a[j] or b[i] + e * b[j]:
             continue
         norm = sign[i] + e * e * sign[j]
         # a null line is radical iff I_pq v = e_i - e e_j lies in span(a, b)
         inv = by_type[line_type(norm, not norm and all(
             i in (k, l) or j in (k, l) for _, k, l in key))]
-        d_plus = int(j < p)
-        d_minus = int(i >= p)
-        d_pm = 0 if i < p <= j and mask >> i & 1 else 1
-        lines.append((v, inv, (c_plus, c_minus, c_zero, d_plus, d_minus,
-                               1 - d_plus - d_minus, d_pm)))
-    return lines
+        slot = 0 if j < p else 1 if i >= p else 2 | mask >> i & 1
+        counts = counts_of[slot]
+        if counts is None:
+            counts = counts_of[slot] = (c_plus, c_minus, c_zero, *_LINE_COUNTS[slot])
+        lines.append((line, inv, counts))
+    return lines, [counts for counts in counts_of if counts is not None]
 
 
 def _kept_planes(p: int, q: int, pool: Sequence[PoolLine]):
@@ -381,7 +407,9 @@ def _survey_cached(p: int, q: int) -> FlagSurvey:
     width = 4 + SPARE_COORDINATES
     pool = positioned_pool(n, [*range(min(p, width)), *range(p, p + min(q, width))])
     scans: dict[int, list[PoolLine]] = {}  # the `_scanned` lines of each support met
+    tables: dict[tuple[int, int, int], dict] = {}  # `_plane_lines`' invariants by plane signature
     invariants: dict[FlagInvariants, list[Flag]] = {}
+    lists: dict[int, list[Flag]] = {}  # each sample list, by the id of its table's invariant
     matsuki: set[tuple[int, ...]] = set()
     kept = 0
 
@@ -390,15 +418,15 @@ def _survey_cached(p: int, q: int) -> FlagSurvey:
         scan = scans.get(mask)
         if scan is None:
             scan = scans[mask] = _scanned(mask, p, q, pool)
+        lines, counts = _plane_lines(a, b, mask, key, p, q, scan, tables)
+        matsuki.update(counts)
         big = None  # the kernel of [a; b], built at the plane's first sample flag
-        lists = {}  # the sample list of each of the plane's (at most four) invariants, by id
-        for v, inv, counts in _plane_lines(a, b, mask, key, p, q, scan):
+        for line, inv, _ in lines:
             samples = lists.get(id(inv))
             if samples is None:
                 samples = lists[id(inv)] = invariants.setdefault(inv, [])
             if len(samples) < SAMPLES_PER_ORBIT:
                 if big is None:
                     big = Subspace._independent(n, _plane_kernel(a, b))
-                samples.append(Flag._in_kernel(v, (a, b), big))
-            matsuki.add(counts)
+                samples.append(Flag._of_pool_line(*line, (a, b), big))
     return FlagSurvey(p, q, kept, invariants, matsuki)

@@ -296,20 +296,28 @@ class Flag:
             raise PreconditionError("flag needs dim(small) < dim(big) <= ambient")
 
     @classmethod
-    def _in_kernel(cls, line: tuple[int, ...], rows: Sequence[Sequence[int]],
-                   big: Subspace) -> "Flag":
-        """The flag (span(line), big) for big = ker(rows), with `int` rows and the line
-        a tuple of `int`s, which is already a canonical vector and is taken as it is.
+    def _of_pool_line(cls, line: tuple[int, ...], i: int, j: int, e: int,
+                      rows: Sequence[Sequence[int]], big: Subspace) -> "Flag":
+        """The flag (span(line), big) for a pool line = e_i + e e_j, as
+        `sampling.positioned_pool` gives it with its (i, j, e), and big = ker(rows),
+        with `int` rows; the line is already a canonical vector and is taken as it is.
 
-        The line lies in ker(rows) exactly when every row . line is 0, so
-        containment is checked in `int` in place of the rank test; the caller
-        guarantees that `big` is that kernel.
+        A row r vanishes on the line exactly when r_i + e r_j = 0, so containment
+        is checked at the line's two positions, the test the survey scans its
+        lines with, in place of the rank test; the length and the dimensions are
+        checked as `Flag` checks them.  The caller guarantees that (i, j, e)
+        describe the line and that `big` is that kernel.
         """
+        if len(line) != big.ambient_dim:
+            raise linalg.ShapeError("basis vector has wrong length")
+        small = object.__new__(Subspace)
+        object.__setattr__(small, "ambient_dim", big.ambient_dim)
+        object.__setattr__(small, "basis", (line,))
         f = object.__new__(cls)
-        object.__setattr__(f, "small", Subspace._independent(big.ambient_dim, (line,)))
+        object.__setattr__(f, "small", small)
         object.__setattr__(f, "big", big)
         f._check_dims()
-        if any(sum(x * y for x, y in zip(row, line)) for row in rows):
+        if any(row[i] + e * row[j] for row in rows):
             raise PreconditionError("small subspace is not contained in the big one")
         return f
 

@@ -1,20 +1,24 @@
-"""Print the calls per operation of named library functions over the flag-pairs ops.
+"""Print the calls per operation of named library functions over a bench workload's ops.
 
 The operations are those of `bench/workloads.py` (imported read-only, as
-`tests/flag_pairs_digest.py` imports it), for seeds 101-103 unless others are
-given; all of them are generated first, and only their calls are counted.
-Each NAME is a dotted path below `heisflag`: a module function
+`tests/flag_pairs_digest.py` imports it): the flag-pairs ops unless
+`--workload survey` is given, for seeds 101-103 unless others are given;
+all of them are generated first, and only their calls are counted.  Each
+op runs its `before` hook first, so every survey call is cold, as in the
+benchmark.  Each NAME is a dotted path below `heisflag`: a module function
 (`linalg.rank`) or a method of a class (`forms.QuadraticSpace.inner`).  A
 module function is wrapped wherever a package module binds it, so a call
 counts whether it goes through the module attribute or an imported name.
 
 Usage: python tests/call_counts.py NAME [NAME ...] [--seeds SEED ...]
+                                   [--workload {flag-pairs,survey}]
 
 A seed is an int or a range A-B, both ends included.  The script prints the
 number of operations, then one line per NAME: its calls and its calls per
 operation.
 """
 
+import argparse
 import functools
 import importlib
 import inspect
@@ -23,6 +27,7 @@ import sys
 from flag_pairs_digest import load_workloads
 
 DEFAULT_SEEDS = [101, 102, 103]
+WORKLOADS = ("flag-pairs", "survey")
 
 
 def parse_seeds(args: list[str]) -> list[int]:
@@ -49,6 +54,9 @@ def install_counter(name: str, counts: dict[str, int]) -> None:
         counts[name] += 1
         return func(*args, **kwargs)
 
+    if hasattr(func, "cache_clear"):
+        # a cached function stays clearable, so an op's `before` hook still empties it
+        counted.cache_clear = func.cache_clear
     if inspect.isclass(owner):
         setattr(owner, attr, type(original)(counted) if func is not original else counted)
         return
@@ -60,26 +68,27 @@ def install_counter(name: str, counts: dict[str, int]) -> None:
 
 
 def main(argv: list[str]) -> int:
-    names, seeds = argv, DEFAULT_SEEDS
-    if "--seeds" in argv:
-        at = argv.index("--seeds")
-        names, seeds = argv[:at], parse_seeds(argv[at + 1:])
-    if not names:
-        print("usage: python tests/call_counts.py NAME [NAME ...] [--seeds SEED ...]",
-              file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(prog="python tests/call_counts.py")
+    parser.add_argument("names", nargs="+", metavar="NAME")
+    parser.add_argument("--seeds", nargs="+", default=[], metavar="SEED")
+    parser.add_argument("--workload", choices=WORKLOADS, default="flag-pairs")
+    args = parser.parse_args(argv)
+    seeds = parse_seeds(args.seeds) or DEFAULT_SEEDS
     workloads = load_workloads()
-    ops = [op for seed in seeds for op in workloads.generate_flag_pairs(seed)]
+    generate = workloads.GENERATORS[args.workload]
+    ops = [op for seed in seeds for op in generate(seed)]
     counts: dict[str, int] = {}
-    for name in names:
+    for name in args.names:
         install_counter(name, counts)
     for op in ops:
+        if op.before is not None:
+            op.before()
         try:
             op.call()
         except Exception:
             pass  # a refused op counts its calls too
     print(f"{len(ops)} ops, seeds {' '.join(map(str, seeds))}")
-    for name in names:
+    for name in args.names:
         print(f"{name} {counts[name]} calls, {counts[name] / len(ops):.2f} per op")
     return 0
 

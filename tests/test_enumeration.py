@@ -152,6 +152,15 @@ def _support(a, b):
     return sum(1 << i for i, (x, y) in enumerate(zip(a, b)) if x or y)
 
 
+def _lines(a, b, mask, key, p, q, pool, tables):
+    """`enumeration._plane_lines` as (v, invariants, seven counts) per line, after
+    checking that the plane's distinct seven-count tuples it returns are those of
+    its lines, each once."""
+    lines, counts = enumeration._plane_lines(a, b, mask, key, p, q, pool, tables)
+    assert sorted(counts) == sorted({c for _, _, c in lines}), (p, q, a, b)
+    return [(v, inv, c) for (v, _, _, _), inv, c in lines]
+
+
 def test_every_plane_class_keeps_a_plane():
     for p, q in [(2, 2), (3, 1), (3, 2), (2, 3)]:
         n = p + q
@@ -196,13 +205,13 @@ def test_every_plane_of_a_class_reads_the_same_pairs():
         pool = oracles.small_int_pool(n)
         positioned = positioned_pool(n, range(n))
         index_pairs = list(itertools.combinations(range(n), 2))
-        planes, pairs = {}, {}
+        planes, pairs, tables = {}, {}, {}
         for a, b in itertools.combinations(pool, 2):
             key = enumeration._plucker_key(a, b, index_pairs)
             if key in planes:
                 continue
             planes[key] = (a, b)
-            lines = enumeration._plane_lines(a, b, _support(a, b), key, p, q, positioned)
+            lines = _lines(a, b, _support(a, b), key, p, q, positioned, tables)
             big = Subspace(n, tuple(linalg.kernel([a, b])))
             for v, inv, counts in lines:
                 flag = Flag(Subspace(n, (linalg.vec(v),)), big)
@@ -240,7 +249,7 @@ def test_plane_lines_agree_with_the_sum_oracle():
         positioned = positioned_pool(n, range(n))
         assert positioned == oracles._positioned_pool(n)
         index_pairs = list(itertools.combinations(range(n), 2))
-        seen = set()
+        seen, tables = set(), {}
         for a, b in itertools.combinations(vectors, 2):
             if linalg.rank([a, b]) < 2:
                 continue
@@ -252,7 +261,7 @@ def test_plane_lines_agree_with_the_sum_oracle():
             key = enumeration._plucker_key(a, b, index_pairs)
             assert key == tuple((x, i, j) for (i, j), x in zip(index_pairs, full_key) if x)
             _, expected = oracles.sum_plane_lines(a, b, full_key, p, q, pool, index_pairs)
-            lines = enumeration._plane_lines(a, b, _support(a, b), key, p, q, positioned)
+            lines = _lines(a, b, _support(a, b), key, p, q, positioned, tables)
             assert len(lines) == len(expected), (p, q, a, b)
             for (v, inv, counts), (w, inv_w, counts_w) in zip(lines, expected):
                 assert v == w, (p, q, a, b)
@@ -280,10 +289,10 @@ def test_restricted_scan_agrees_with_the_full_pool_scan():
     for p, q in [(12, 12), (20, 12), (16, 16)]:
         n = p + q
         pool = positioned_pool(n, range(n))
-        dropped = set()
+        dropped, tables = set(), {}
         for a, b, mask, key in enumeration._kept_planes(p, q, pool):
             scan = enumeration._scanned(mask, p, q, pool)
-            lines = enumeration._plane_lines(a, b, mask, key, p, q, scan)
+            lines = _lines(a, b, mask, key, p, q, scan, tables)
             full = oracles.full_pool_plane_lines(a, b, mask, key, p, q)
             scanned = {v for v, _, _, _ in scan}
             kept = [line for line in full if line[0] in scanned]
@@ -348,16 +357,55 @@ def test_survey_runs_no_rank():
 
 
 def test_sample_flag_containment_is_checked_in_int():
-    # the survey's sample path checks a line against [a; b] in int: a pool
-    # line off the plane's kernel is refused with Flag's containment message
+    # the survey's sample path checks a pool line e_i + e e_j against [a; b] at
+    # its two positions: a line off the plane's kernel is refused with Flag's
+    # containment message, and a line of the wrong length with a ShapeError
     a, b = (1, 1, 0, 0), (0, 0, 1, 1)
     big = Subspace._independent(4, tuple(linalg.kernel([a, b])))
-    flag = Flag._in_kernel((1, -1, 0, 0), (a, b), big)
+    flag = Flag._of_pool_line((1, -1, 0, 0), 0, 1, -1, (a, b), big)
     assert flag == Flag(Subspace(4, (linalg.vec((1, -1, 0, 0)),)), big)
-    for line in [(1, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, -1)]:
+    for line, i, j, e in [((1, 1, 0, 0), 0, 1, 1), ((1, 0, 0, 0), 0, 0, 0),
+                          ((0, 0, 1, 0), 2, 2, 0), ((1, 0, 0, -1), 0, 3, -1)]:
         with pytest.raises(PreconditionError,
                            match="^small subspace is not contained in the big one$"):
-            Flag._in_kernel(line, (a, b), big)
+            Flag._of_pool_line(line, i, j, e, (a, b), big)
+    with pytest.raises(linalg.ShapeError, match="^basis vector has wrong length$"):
+        Flag._of_pool_line((1, -1, 0, 0, 0), 0, 1, -1, (a, b), big)
+
+
+def test_sample_flags_agree_with_the_checked_constructors():
+    # each sample flag of a cold survey, built from its pool line without a
+    # re-read, equals the flag that the public constructors build and check:
+    # lengths, independence by rank and containment by rank
+    signatures = [(p, n - p) for n in range(4, 9) for p in range(n + 1)] + [(12, 12), (20, 12)]
+    for p, q in signatures:
+        n = p + q
+        enumeration._survey_cached.cache_clear()
+        for flags in survey_flags(p, q).invariants.values():
+            for flag in flags:
+                (v,) = flag.small.basis
+                checked = Flag(Subspace(n, (linalg.vec(v),)), Subspace(n, flag.big.basis))
+                assert flag == checked, (p, q, v)
+
+
+def test_survey_checks_lengths_once_per_big_part():
+    # a cold survey checks the lengths of each sample flag's big part once, when
+    # it builds the kernel, and never re-reads a sample line
+    calls = 0
+    check_lengths = Subspace._check_lengths
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return check_lengths(self)
+
+    for p, q in [(3, 3), (12, 12)]:
+        calls = 0
+        enumeration._survey_cached.cache_clear()
+        with patch.object(Subspace, "_check_lengths", counted):
+            survey = survey_flags(p, q)
+        bigs = {flag.big for flags in survey.invariants.values() for flag in flags}
+        assert 0 < calls <= len(bigs), (p, q, calls, len(bigs))
 
 
 def test_cached_survey_cannot_be_changed_by_a_caller():
