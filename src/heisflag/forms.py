@@ -8,13 +8,17 @@ group, the seven intersection counts dual to them, and the constructive
 orthogonal-system machinery (scaled systems, light-like splitting, null
 system extension, basis extension) that powers isometry construction.  A
 scaled system stands for its span: `extend_basis`, the one basis extension,
-takes no subspace and ranks only the system's null block.  The module that
-decides its layout also owns its pair slots: `adapted_frame` builds the
-flag-adapted frame that isometry witnesses assemble.  One kernel of
-<xs, ws> mapped through ws, `_annihilated`, serves `radical`, the perps
-that the extension peels and the frame's cap of rad(big); `QuadraticSpace`
-caches the radical of the whole space as one kernel of its Gram matrix,
-which `radical` returns when it is given no subspace.
+extends it to a scaled basis of a subspace W that holds it, the whole space
+unless `within` names one, and ranks only the system's null block.  The
+module that decides its layout also owns its pair slots: `adapted_frame`
+builds the flag-adapted frame that isometry witnesses assemble.  One kernel
+of <xs, ws> mapped through ws, `_annihilated`, serves `radical`, the perps
+that the extension peels and the frame's cap of rad(big); a perp inside the
+cached unit basis of `Subspace.full` takes its kernel vectors as they are,
+and `radical` ranks W's Gram matrix first, so a W without a radical builds
+no kernel.  `QuadraticSpace` caches the radical of the whole space as one
+kernel of its Gram matrix, which `radical` returns when it is given no
+subspace.
 `LineSignature` is the one home of a line type's facts: the center
 directions it fills, the flag invariants it gives and its type under the
 negated form come from one table, which `possible_line_signatures` and the
@@ -23,9 +27,12 @@ taxonomy and survey in `heisflag.heisenberg` and `heisflag.enumeration` read.
 The form is evaluated in one place, `QuadraticSpace.pairing`, on the Gram
 rows that the space read once when it was made (a diagonal Gram matrix
 multiplies elementwise), and every change from subspace coordinates to
-ambient ones is one `linalg.combine`.  `extend_basis` searches a complement
-of the ambient radical only when there is a radical: in a nondegenerate
-space the complement is the whole space.
+ambient ones is one `linalg.combine`.  The witness frame never leaves
+ambient coordinates: its first extension runs inside the big part, so it
+makes no second space and solves for no coordinates.  `extend_basis`
+searches a complement of rad W in W only when W has a radical: for a
+nondegenerate W the complement is W itself, and the search would give the
+same output (the proof is in its docstring).
 Every intersection dimension is read off one rank: dim(small cap rad big)
 is dim(small) - rank <small, big>, and the seven counts come from ranks of
 the big basis cut to one coordinate block.  Everything here is exact.
@@ -250,8 +257,11 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
+        """The whole space on the unit basis.  The dimension is checked before the
+        cache, which builds each one once per class and dimension (`typed`, as
+        `QuadraticSpace.standard`'s is), so callers may compare it by identity."""
         linalg.require_ints(ambient_dim=ambient_dim)
-        return cls.coordinate(ambient_dim, range(ambient_dim))
+        return _full_subspace(cls, ambient_dim)
 
     @property
     def dim(self) -> int:
@@ -268,13 +278,11 @@ class Subspace:
             raise linalg.ShapeError("subspaces live in different ambient spaces")
         return linalg.rank([*self.basis, *other.basis]) == self.dim
 
-    def coordinates_of(self, v: Vector) -> Vector:
-        """Coefficients of v in this basis; raises if v lies outside."""
-        cols = [[bv[i] for bv in self.basis] for i in range(self.ambient_dim)]
-        coeffs = linalg.solve(cols, v)
-        if coeffs is None:
-            raise PreconditionError("vector does not lie in the subspace")
-        return coeffs
+
+
+@lru_cache(typed=True)
+def _full_subspace(cls: type[Subspace], ambient_dim: int) -> Subspace:
+    return cls.coordinate(ambient_dim, range(ambient_dim))
 
 
 @dataclass(frozen=True)
@@ -431,10 +439,13 @@ def radical(space: QuadraticSpace, w: Subspace | None = None) -> Subspace:
 
     The kernel of W's Gram matrix mapped through W's basis, which is
     independent, so `_annihilated` of that basis against itself is a basis.
+    The Gram matrix is ranked first, and a W of full rank builds no kernel.
     With no W it is the whole space's, which `QuadraticSpace` caches.
     """
     if w is None:
         return space.ambient_radical()
+    if linalg.rank(space.pairing(w.basis, w.basis)) == w.dim:
+        return Subspace._independent(space.dim, ())
     return Subspace._independent(space.dim, tuple(_annihilated(space, w.basis, w.basis)))
 
 
@@ -557,14 +568,25 @@ def scaled_system(space: QuadraticSpace, w: Subspace) -> ScaledSystem:
     matrix; callers that want small entries hand in a reduced basis.  Each
     vector is the combination of W's basis by one content-free `int`
     column of the transform (`CongruenceResult.columns`, whose scale drops
-    out), made primitive.  The norms are the diagonal of one `pairing` of
-    these vectors.  The zero-norm vectors automatically span the radical of
-    W.  Within each sign group, vectors are ordered by the position of their
-    first nonzero coordinate, which makes the output deterministic.
+    out), made primitive.  The norms come off the congruence's diagonal
+    with no pairing: the column (a / b) C has the diagonal entry d, so
+    <C W, C W> = d (b / a)^2, and the primitive vector is C W times
+    prim_i / v_i at its first nonzero entry i, which scales the norm by
+    that ratio squared.  The zero-norm vectors automatically span the
+    radical of W.  Within each sign group, vectors are ordered by the
+    position of their first nonzero coordinate, which makes the output
+    deterministic.
     """
     res = linalg.congruence_diagonalize(restrict(space, w))
-    vs = [linalg.primitive_vector(linalg.combine(c, w.basis)) for c, _, _ in res.columns]
-    norms = [row[i] for i, row in enumerate(space.pairing(vs, vs))]
+    vs, norms = [], []
+    for (c, a, b), d in zip(res.columns, res.diagonal):
+        v = linalg.combine(c, w.basis)
+        prim = linalg.primitive_vector(v)
+        i = _first_nonzero_index(prim)
+        x = v[i]
+        vs.append(prim)
+        norms.append(linalg.ratio(d.numerator * (b * prim[i] * x.denominator) ** 2,
+                                  d.denominator * (a * x.numerator) ** 2))
     ordered = sorted(zip(vs, norms), key=lambda vm: (
         0 if vm[1] > 0 else (1 if vm[1] < 0 else 2), _first_nonzero_index(vm[0])))
     return ScaledSystem(tuple(v for v, _ in ordered), tuple(m for _, m in ordered))
@@ -622,7 +644,11 @@ def _perp_within(space: QuadraticSpace, ambient_sub: Subspace, vectors: Sequence
     """{u in ambient_sub : <u, v> = 0 for all given v}, in ambient coordinates."""
     if not vectors:
         return ambient_sub
-    ambient = _annihilated(space, vectors, ambient_sub.basis)
+    if ambient_sub is Subspace.full(space.dim):
+        # over the unit basis each kernel vector is its own sum
+        ambient = linalg.kernel(space.pairing(vectors, ambient_sub.basis))
+    else:
+        ambient = _annihilated(space, vectors, ambient_sub.basis)
     return Subspace._independent(space.dim, tuple(linalg.lll_reduce(linalg.row_space(ambient))))
 
 
@@ -642,14 +668,18 @@ def extend_nullsystem(space: QuadraticSpace, nulls: Sequence[Vector]) -> ScaledS
     return extend_basis(space, ScaledSystem(nulls, (0,) * len(nulls)))
 
 
-def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
-    """Extend a scaled system of independent vectors, spanning W, to the whole space.
+def extend_basis(space: QuadraticSpace, w_system: ScaledSystem,
+                 within: Subspace | None = None) -> ScaledSystem:
+    """Extend a scaled system of independent vectors in W to a scaled basis of W.
 
-    Its null vectors must be ordered so the ones lying in the ambient
-    radical come last, and the others must be independent modulo that
-    radical: no combination of them may lie in it.  Writing the input as
-    x_1..x_s, y_1..y_t, z_1..z_u (k of the z's ambient-radical), the output
-    alpha_1..alpha_p, beta_1..beta_q, gamma_1..gamma_r satisfies
+    W is the subspace `within`, or the whole space when it is None.  The
+    system must lie in W, which is not checked: `adapted_frame`, the one
+    caller that names a W, hands in a system of its small part inside its
+    big part.  Its null vectors must be ordered so the ones lying in rad W
+    come last, and the others must be independent modulo rad W: no
+    combination of them may lie in it.  Writing the input as x_1..x_s,
+    y_1..y_t, z_1..z_u (k of the z's in rad W), the output alpha_1..alpha_p,
+    beta_1..beta_q, gamma_1..gamma_r satisfies
 
         x_i = alpha_i,  y_i = beta_i,
         z_i = alpha_{s+i} + beta_{t+i}   (i <= u - k),
@@ -661,26 +691,29 @@ def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
     a_j <x_j, x_j> = 0, so a_j = 0 since that norm is nonzero, and likewise
     every b_j = 0.  So the system is independent exactly when its z's are.
 
-    A degenerate space reads which z's lie in its radical, ker G, off one
-    `pairing` of the z's with the unit vectors: z is radical when G z = 0.
-    It then searches a complement U of its radical that holds the x's, y's
-    and non-radical z's: one elimination grows them by unit vectors.  A
-    nondegenerate space skips the search, and its output is the one the
-    search gives.  Its radical is zero, so no z lies in it, no gamma is
-    made, and independence modulo the radical is the independence just
-    shown: neither check of the search can fail.  U is the whole
-    space, and the unit basis stands for it.  U's basis is read only where
-    the arena starts: `_perp_within(U, xs + ys)` returns
-    `lll_reduce(row_space(...))`, and `row_space` is the canonical
+    rad W is `radical(space, within)`: the space's cached radical when W
+    is the whole space, else a rank of W's Gram matrix and a kernel only
+    when that rank falls short.  A degenerate W reads which z's lie in its
+    radical off one `pairing` of the z's with W's basis: z in W is radical
+    when it pairs to 0 with every basis vector (G z = 0 when W is the
+    whole space, whose basis is the units).  It then searches a complement
+    U of rad W in W that holds the x's, y's and non-radical z's: one
+    elimination grows them by W's basis.  A nondegenerate W skips the
+    search, and its output is the one the search gives.  Its radical is
+    zero, so no z lies in it, no gamma is made, and independence modulo
+    the radical is the independence just shown: neither check of the
+    search can fail.  U is W, and W's basis b_1..b_m stands for it.  U's
+    basis is read only where the arena starts: `_perp_within(U, xs + ys)`
+    returns `lll_reduce(row_space(...))`, and `row_space` is the canonical
     content-free reduced echelon basis of the span, so from there on
     everything depends on spans alone.  With no x or y the arena is U as
-    given.  With no z either, the search's U is the units.  With one z it
-    is z and the units but e_l, l the last index with z_l != 0, and
-    `_split_null` takes from it the first vector that pairs with z.
-    z pairs with itself to 0, and for g = G z, if g_j = 0 for all j < l
-    then <z, z> = z_l g_l != 0, so the first e_j with g_j != 0 is not e_l;
-    both bases give the same unit and so the same split.  Two or more z's
-    peel the arena by `_perp_within` first.
+    given.  With no z either, the search's U is W's basis.  With one
+    z = sum c_j b_j it is z and W's basis but b_l, l the last index with
+    c_l != 0, and `_split_null` takes from it the first vector that pairs
+    with z.  z pairs with itself to 0, and for g_j = <z, b_j>, if b_l were
+    the first b_j with g_j != 0, then <z, z> = c_l g_l != 0, which a null z
+    is not; both bases give the same b_j and so the same split.  Two or
+    more z's peel the arena by `_perp_within` first.
 
     A split pair (z + h)/2, (z - h)/2 of `_split_null` has the norms
     +-<z, h>/2 exactly: the split returns the plus norm, and the minus norm
@@ -695,29 +728,31 @@ def extend_basis(space: QuadraticSpace, w_system: ScaledSystem) -> ScaledSystem:
     if zs and linalg.rank(zs) != len(zs):
         raise PreconditionError("system vectors must be linearly independent")
 
-    rad_v = space.ambient_radical()
-    if rad_v.dim:
-        # z lies in rad V = ker G exactly when G z, its pairings with the units, is 0
-        units = [tuple(row) for row in linalg.identity(n)]
-        in_rad = [not any(row) for row in space.pairing(zs, units)]
+    w = Subspace.full(n) if within is None else within
+    rad_w = radical(space, within)
+    where = "ambient" if within is None else "W"
+    if rad_w.dim:
+        # z lies in rad W exactly when it pairs to 0 with W's basis
+        in_rad = [not any(row) for row in space.pairing(zs, w.basis)]
         if in_rad != sorted(in_rad):
-            raise PreconditionError("ambient-radical null vectors must come last")
+            raise PreconditionError(f"{where}-radical null vectors must come last")
         k = len(zs) - sum(in_rad)
         z_split, z_rad = zs[:k], zs[k:]
 
-        # complement U of the ambient radical containing the non-radical part; it
+        # complement U of rad W in W containing the non-radical part; it
         # exists exactly when the elimination keeps all of that part
         head = xs + ys + z_split
-        u_basis = linalg.extend_to_independent(list(rad_v.basis), head + units, n)[rad_v.dim:]
+        u_basis = linalg.extend_to_independent(list(rad_w.basis), head + list(w.basis),
+                                               w.dim)[rad_w.dim:]
         if u_basis[:len(head)] != head:
             raise PreconditionError(
-                "null vectors outside the ambient radical must be independent modulo it")
+                f"null vectors outside the {where} radical must be independent modulo it")
         u_sub = Subspace._independent(n, tuple(u_basis))
-        gammas = linalg.extend_to_independent(z_rad, list(rad_v.basis), rad_v.dim)
+        gammas = linalg.extend_to_independent(z_rad, list(rad_w.basis), rad_w.dim)
     else:
-        # no radical: U is the whole space, and an independent system is
-        # independent modulo the radical
-        z_split, gammas, u_sub = zs, [], Subspace.full(n)
+        # no radical: U is W, and an independent system is independent
+        # modulo the radical
+        z_split, gammas, u_sub = zs, [], w
 
     # split each null into a +1/-1 pair, peeling its plane off the arena; z lies in
     # U, is orthogonal to the xs, ys and the other zs, and each earlier pair was
@@ -760,17 +795,22 @@ def _orient_frame(vectors: Sequence[Vector], pair_slots: list[tuple[int, int]]) 
 def adapted_frame(space: QuadraticSpace, f: Flag) -> ScaledSystem:
     """Scaled basis of the whole space adapted to the flag.
 
-    The ambient form must be nondegenerate (PreconditionError otherwise).
-    The system is laid out as `extend_basis` lays out its output: the
-    positive-norm vectors, then the negative-norm ones.  Both flag parts
-    are spanned by fixed coefficient patterns in it, which the flag
-    invariants alone determine.  Each null vector that an extension splits
-    is the sum x + y of a pair with <x, x> = -<y, y>, and each such pair is
-    oriented as one.
+    The flag must live in the space (ShapeError otherwise) and the ambient
+    form must be nondegenerate (PreconditionError otherwise); both are
+    checked before any frame work.  The system is laid out as
+    `extend_basis` lays out its output: the positive-norm vectors, then the
+    negative-norm ones.  Both flag parts are spanned by fixed coefficient
+    patterns in it, which the flag invariants alone determine.  Each null
+    vector that an extension splits is the sum x + y of a pair with
+    <x, x> = -<y, y>, and each such pair is oriented as one.
     """
+    if f.big.ambient_dim != space.dim:
+        raise linalg.ShapeError("flag ambient dimension mismatch")
+    if not space.is_nondegenerate():
+        raise PreconditionError("ambient form must be nondegenerate")
     # a lattice-reduced big basis keeps the exact construction well
     # conditioned; the small part is diagonalized from its row space
-    big = Subspace._independent(f.big.ambient_dim,
+    big = Subspace._independent(space.dim,
                                 tuple(linalg.lll_reduce(linalg.row_space(f.big.basis))))
 
     # system of the small part, its null block reordered so that the
@@ -785,19 +825,12 @@ def adapted_frame(space: QuadraticSpace, f: Flag) -> ScaledSystem:
     sys_small = ScaledSystem(tuple(sys_small.positives() + sys_small.negatives() + nulls),
                              sys_small.norms)
 
-    # extend to a system of the big part, working in big coordinates
-    # `restrict` returns canonical entries, which the space stores as they are
-    space_big = QuadraticSpace(tuple(map(tuple, restrict(space, big))))
-    sys_small_b = ScaledSystem(tuple(big.coordinates_of(v) for v in sys_small.vectors),
-                               sys_small.norms)
-    sys_big_b = extend_basis(space_big, sys_small_b)
-    sys_big = ScaledSystem(tuple(linalg.combine(c, big.basis) for c in sys_big_b.vectors),
-                           sys_big_b.norms)
+    # extend inside big, in ambient coordinates: the small nulls outside
+    # rad(big) split in big, and the rad(big) ones stay null
+    sys_big = extend_basis(space, sys_small, within=big)
 
-    # extend to the whole (nondegenerate) space: every null of big splits
+    # extend to the whole space, nondegenerate, so every null of big splits
     full = extend_basis(space, sys_big)
-    if full.signature.nul:
-        raise PreconditionError("ambient form must be nondegenerate")
 
     # hyperbolic-pair slots carry the sum patterns of both flag parts
     s_sm, t_sm, u_sm = sys_small.signature.as_tuple()

@@ -314,16 +314,19 @@ def _bilinear_sums(xs: Sequence[Sequence], a: list[list[int]], scale: int,
 
     The sums of `bilinear` and `QuadraticSpace.pairing`, which read M once
     and hand its rows in.  It reads xs and ys, `shape` and then each x and
-    each y times the lcm of its own denominators, d_x and d_y (`_int_rows`).
+    each y times the lcm of its own denominators, d_x and d_y (`_int_rows`);
+    when ys is xs, as in every Gram matrix of a basis, they are read once.
     Row x^T (L M) is the elementwise product with `diagonal`, or else the
     rows of a summed by x's nonzero coordinates (`_int_sum`); entry (x, y)
     is its `int` dot product with y, which `ratio` divides by L d_x d_y once.
     """
     r, c = dims
-    (nx, cx), (ny, cy) = shape(xs), shape(ys)
+    nx, cx = shape(xs)
+    ny, cy = (nx, cx) if ys is xs else shape(ys)
     if nx and cx != r or ny and cy != c:
         raise ShapeError(f"vector length does not match the {r}x{c} matrix")
-    (x_rows, x_scales), (y_rows, y_scales) = _int_rows(xs), _int_rows(ys)
+    x_rows, x_scales = _int_rows(xs)
+    y_rows, y_scales = (x_rows, x_scales) if ys is xs else _int_rows(ys)
     y_ints = max(y_scales, default=1) == 1
     out = []
     for x, dx in zip(x_rows, x_scales):

@@ -8,8 +8,9 @@ byte and every refusal keeps the digest.
 
 Usage: python tests/flag_pairs_digest.py [SEED ...]
 
-With no seeds it digests seeds 1-30 and 101-110; it prints the digest and
-the number of outcomes.  The checkout's `src` is put first on the path.
+With no seeds it digests seeds 1-30 and 101-110; it prints the digest, the
+number of outcomes and the number of refused outcomes, those that raised
+`WitnessFailureError`.  The checkout's `src` is put first on the path.
 """
 
 import hashlib
@@ -29,25 +30,27 @@ def load_workloads():
     return workloads
 
 
-def digest(seeds: list[int]) -> tuple[str, int]:
+def digest(seeds: list[int]) -> tuple[str, int, int]:
+    """(sha256 hex digest, outcome count, refused count) over the seeds' operations."""
     workloads = load_workloads()
     h = hashlib.sha256()
-    count = 0
+    count = refused = 0
     for seed in seeds:
         for op in workloads.generate_flag_pairs(seed):
             try:
                 out = op.call().tobytes()
             except Exception as error:
                 out = f"{type(error).__name__}: {error}".encode()
+                refused += type(error).__name__ == "WitnessFailureError"
             h.update(out)
             count += 1
-    return h.hexdigest(), count
+    return h.hexdigest(), count, refused
 
 
 def main(argv: list[str]) -> int:
     seeds = [int(s) for s in argv] or DEFAULT_SEEDS
-    value, count = digest(seeds)
-    print(f"{value} {count}")
+    value, count, refused = digest(seeds)
+    print(f"{value} {count} {refused}")
     return 0
 
 

@@ -88,12 +88,16 @@ Deliberately separate from the package's fast paths:
   or one kernel; `extend_nullsystem` with its own null-splitting loop,
   which is now one `forms.extend_basis` call, and the rank-first checks it
   made before it left them to `extend_basis` (`rank_first_nullsystem_refusal`);
-  `extend_basis` with its complement search of the ambient radical on every
-  space, a rank per null for its radical test and a pairing per norm
-  (`extend_basis_with_complement`), which a nondegenerate space skips and
-  one pairing with the units replaced; and `lightlike_split` with an
-  `inner` per pairing and one more to orient h (`inner_lightlike_split`),
-  which one pairing row and the leading sign of 2c w - d v replaced;
+  `extend_basis` with its complement search of rad W on every W, a rank
+  per null for its radical test and a pairing per norm
+  (`extend_basis_with_complement`), which a nondegenerate W skips and one
+  pairing with W's basis replaced; `lightlike_split` with an `inner` per
+  pairing and one more to orient h (`inner_lightlike_split`), which one
+  pairing row and the leading sign of 2c w - d v replaced; and the witness
+  frame whose first extension ran in big-part coordinates, with a second
+  `QuadraticSpace`, a solve per small vector and a combination back
+  (`big_coordinate_frame`), which one extension inside the big part in
+  ambient coordinates replaced;
 - `random_gram` as two dense products h^T I h over a `Fraction` pool, which
   one pairing of columns from a cached `int` pool replaced;
 - elimination: the Gauss-Jordan echelon form and the rank read off it,
@@ -149,9 +153,14 @@ from heisflag.forms import (
     PreconditionError,
     ScaledSystem,
     Signature,
+    QuadraticSpace,
     Subspace,
+    _annihilated,
     _first_nonzero_index,
+    _orient_frame,
     _perp_within,
+    extend_basis,
+    radical,
     restrict,
     scaled_system,
     signature,
@@ -1744,34 +1753,38 @@ def inner_lightlike_split(space, v_sub, v):
     return plus, linalg.vec_sub(v, plus)
 
 
-def extend_basis_with_complement(space, w_system):
-    """`forms.extend_basis` with its complement search on every space.
+def extend_basis_with_complement(space, w_system, within=None):
+    """`forms.extend_basis` with its complement search on every space and every W.
 
-    The null vectors are tested against the ambient radical one rank each
-    (`Subspace.contains`), where the library reads G z = 0 off one pairing,
-    and the complement U of the radical is grown from the system by one
-    elimination, even when the radical is zero and U is the whole space,
-    where the library takes U's unit basis.  Each null is split by
-    `inner_lightlike_split`, and both norms of each split pair are paired.
+    W is `within`, or the whole space when it is None, and rad W is
+    `forms.radical(space, within)`.  The null vectors are tested against
+    rad W one rank each (`Subspace.contains`), where the library reads
+    their pairings with W's basis off one pairing, and the complement U of
+    rad W in W is grown from the system and W's basis by one elimination,
+    even when the radical is zero and U is W, where the library takes W's
+    basis.  Each null is split by `inner_lightlike_split`, and both norms
+    of each split pair are paired.
     """
     n = space.dim
     w_system.check(space)
     xs, ys, zs = w_system.positives(), w_system.negatives(), w_system.nulls()
     if zs and linalg.rank(zs) != len(zs):
         raise PreconditionError("system vectors must be linearly independent")
+    w = Subspace.full(n) if within is None else within
+    where = "ambient" if within is None else "W"
     u = len(zs)
-    rad_v = space.ambient_radical()
-    in_rad = [rad_v.contains(z) for z in zs]
+    rad_w = radical(space, within)
+    in_rad = [rad_w.contains(z) for z in zs]
     k = sum(in_rad)
     if in_rad != [False] * (u - k) + [True] * k:
-        raise PreconditionError("ambient-radical null vectors must come last")
+        raise PreconditionError(f"{where}-radical null vectors must come last")
     z_split, z_rad = zs[: u - k], zs[u - k:]
     head = xs + ys + z_split
     u_basis = linalg.extend_to_independent(
-        list(rad_v.basis), head + [tuple(row) for row in linalg.identity(n)], n)[rad_v.dim:]
+        list(rad_w.basis), head + list(w.basis), w.dim)[rad_w.dim:]
     if u_basis[:len(head)] != head:
         raise PreconditionError(
-            "null vectors outside the ambient radical must be independent modulo it")
+            f"null vectors outside the {where} radical must be independent modulo it")
     arena = _perp_within(space, Subspace._independent(n, tuple(u_basis)), xs + ys)
     pairs = []
     for i, z in enumerate(z_split):
@@ -1780,7 +1793,7 @@ def extend_basis_with_complement(space, w_system):
     fill = scaled_system(space, arena)
     if fill.signature.nul:
         raise PreconditionError("complement of the radical is unexpectedly degenerate")
-    gammas = linalg.extend_to_independent(z_rad, list(rad_v.basis), rad_v.dim)
+    gammas = linalg.extend_to_independent(z_rad, list(rad_w.basis), rad_w.dim)
     alphas = xs + [a for a, _ in pairs] + fill.positives()
     betas = ys + [b for _, b in pairs] + fill.negatives()
     pos_norms = ([m for m in w_system.norms if m > 0] + [space.inner(a, a) for a, _ in pairs]
@@ -1789,6 +1802,45 @@ def extend_basis_with_complement(space, w_system):
                  + [m for m in fill.norms if m < 0])
     return ScaledSystem(tuple(alphas + betas + gammas),
                         tuple(pos_norms + neg_norms + [0] * len(gammas)))
+
+
+def big_coordinate_frame(space, f):
+    """(frame, pair slots) of `forms.adapted_frame` as it was built when its first
+    extension ran in big-part coordinates.
+
+    The big part's Gram matrix makes a second `QuadraticSpace`, each vector
+    of the small system is solved for its coordinates in the big basis,
+    `extend_basis` extends the system in those coordinates, and each
+    vector of the result is combined back through the big basis.  The
+    second extension, in the whole space, and the orientation are the
+    library's.  The slots are those handed to `_orient_frame`.
+    """
+    big = Subspace._independent(space.dim, tuple(linalg.lll_reduce(linalg.row_space(f.big.basis))))
+    small = Subspace._independent(space.dim, tuple(linalg.row_space(f.small.basis)))
+    sys_small = scaled_system(space, small)
+    nulls = sys_small.nulls()
+    cap = linalg.row_space(_annihilated(space, big.basis, nulls)) if nulls else []
+    if cap:
+        reordered = linalg.extend_to_independent(cap, nulls, len(nulls))
+        nulls = reordered[len(cap):] + reordered[: len(cap)]
+    sys_small = ScaledSystem(tuple(sys_small.positives() + sys_small.negatives() + nulls),
+                             sys_small.norms)
+
+    space_big = QuadraticSpace(tuple(map(tuple, restrict(space, big))))
+    cols = linalg.transpose(big.basis)
+    sys_small_b = ScaledSystem(tuple(linalg.solve(cols, v) for v in sys_small.vectors),
+                               sys_small.norms)
+    sys_big_b = extend_basis(space_big, sys_small_b)
+    sys_big = ScaledSystem(tuple(linalg.combine(c, big.basis) for c in sys_big_b.vectors),
+                           sys_big_b.norms)
+
+    full = extend_basis(space, sys_big)
+    s_sm, t_sm, u_sm = sys_small.signature.as_tuple()
+    s_bg, t_bg, u_bg = sys_big.signature.as_tuple()
+    p_full = full.signature.pos
+    pair_slots = ([(s_sm + i, p_full + t_sm + i) for i in range(u_sm - len(cap))]
+                  + [(s_bg + i, p_full + t_bg + i) for i in range(u_bg)])
+    return ScaledSystem(tuple(_orient_frame(full.vectors, pair_slots)), full.norms), pair_slots
 
 
 def gauss_jordan_echelon(m):

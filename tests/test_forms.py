@@ -472,40 +472,48 @@ def test_public_subspace_constructors_check_independence():
 def test_frame_extensions_pass_the_rank_check(data):
     # adapted_frame's two basis extensions rank only their null blocks; made
     # to rank whole systems, the frame builder raises nothing and builds the
-    # same frame
+    # same frame.  A flag of another ambient dimension and a degenerate space
+    # are refused by name before any extension
     p, q, f = data
     frame = forms.adapted_frame(QuadraticSpace.standard(p, q), f)
     extend = forms.extend_basis
     ranks = []
 
-    def checking(space, w_system):
+    def checking(space, w_system, within=None):
         ranks.append((linalg.rank(w_system.vectors), len(w_system.vectors)))
-        return extend(space, w_system)
+        return extend(space, w_system, within)
 
     with mock.patch.object(forms, "extend_basis", checking):
         assert forms.adapted_frame(QuadraticSpace.standard(p, q), f) == frame
-    assert len(ranks) == 2 and all(r == k for r, k in ranks)
+        assert len(ranks) == 2 and all(r == k for r, k in ranks)
+        with pytest.raises(linalg.ShapeError, match="flag ambient dimension mismatch"):
+            forms.adapted_frame(QuadraticSpace.standard(p + 1, q), f)
+        degenerate = QuadraticSpace.from_matrix(linalg.diag([*([1] * p + [-1] * q)[:-1], 0]))
+        with pytest.raises(PreconditionError, match="ambient form must be nondegenerate"):
+            forms.adapted_frame(degenerate, f)
+    assert len(ranks) == 2
 
 
-def extension_outcome(extend, space, w_system):
-    """repr of extend(space, w_system), or the message of the PreconditionError it raises."""
+def extension_outcome(extend, space, w_system, within=None):
+    """repr of extend(space, w_system, within), or the message of the PreconditionError
+    it raises."""
     try:
-        return repr(extend(space, w_system))
+        return repr(extend(space, w_system, within))
     except PreconditionError as ex:
         return str(ex)
 
 
 def compared_extensions(call):
-    """(nondegenerate, agrees) for each `forms.extend_basis` call that call() makes, agrees
-    when its outcome equals the complement search oracle's; call() may raise."""
+    """(W nondegenerate, agrees) for each `forms.extend_basis` call that call() makes,
+    agrees when its outcome equals the complement search oracle's; call() may raise."""
     extend = forms.extend_basis
     seen = []
 
-    def both(space, w_system):
-        got, want = (extension_outcome(e, space, w_system)
+    def both(space, w_system, within=None):
+        got, want = (extension_outcome(e, space, w_system, within)
                      for e in (extend, oracles.extend_basis_with_complement))
-        seen.append((space.is_nondegenerate(), got == want))
-        return extend(space, w_system)
+        seen.append((radical(space, within).dim == 0, got == want))
+        return extend(space, w_system, within)
 
     with mock.patch.object(forms, "extend_basis", both):
         try:
@@ -518,11 +526,43 @@ def compared_extensions(call):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=strategies.degenerate_flags(codim_two=True) | strategies.degenerate_flags())
 def test_frame_extensions_agree_with_the_complement_search_oracle(data):
-    # a nondegenerate space skips the complement search; the frame's last
-    # extension is always in one, and both keep their bytes
+    # a nondegenerate W skips the complement search; the frame's first
+    # extension is inside the big part, degenerate or not, its last in the
+    # whole space, which is nondegenerate, and both keep their bytes
     p, q, f = data
     seen = compared_extensions(lambda: forms.adapted_frame(QuadraticSpace.standard(p, q), f))
     assert len(seen) == 2 and seen[-1][0] and all(agrees for _, agrees in seen)
+
+
+def frame_layout(frame, pair_slots, f):
+    """The facts about a frame that `witness._assemble` relies on: its norm signs in
+    order, its pair slots, and the canonical row space of each flag part's
+    coefficients in the frame's columns."""
+    cols = linalg.transpose(frame.vectors)
+    patterns = [linalg.row_space([linalg.solve(cols, v) for v in part.basis])
+                for part in (f.small, f.big)]
+    return [m > 0 for m in frame.norms], pair_slots, patterns
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=strategies.degenerate_flags(codim_two=True) | strategies.degenerate_flags())
+def test_ambient_frames_lay_flags_out_as_big_coordinate_frames(data):
+    # the frame's first extension runs inside the big part in ambient
+    # coordinates; the frame it replaced, extended in big coordinates, has
+    # the same norm signs, pair slots and flag patterns, though not its bytes
+    p, q, f = data
+    space = QuadraticSpace.standard(p, q)
+    orient = forms._orient_frame
+    slots = []
+
+    def spy(vectors, pair_slots):
+        slots.append(pair_slots)
+        return orient(vectors, pair_slots)
+
+    with mock.patch.object(forms, "_orient_frame", spy):
+        frame = forms.adapted_frame(space, f)
+    old, old_slots = oracles.big_coordinate_frame(space, f)
+    assert frame_layout(frame, slots[0], f) == frame_layout(old, old_slots, f)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -542,6 +582,27 @@ def test_scaled_system_extensions_agree_with_the_complement_search_oracle(data, 
     system = forms.scaled_system(space, parts[pick % len(parts)])
     assert (extension_outcome(forms.extend_basis, space, system)
             == extension_outcome(oracles.extend_basis_with_complement, space, system))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=strategies.degenerate_spaces_and_subspaces(), pick=st.integers(0, 4))
+def test_extensions_within_a_subspace_agree_with_the_complement_search_oracle(data, pick):
+    # W is spanned by two of the parts and the system is the first's, so W and
+    # the space are each degenerate or not; an extension the oracle accepts is
+    # a scaled basis of W
+    space, parts = data
+    u, v = parts[pick % len(parts)], parts[(pick + 1) % len(parts)]
+    w = Subspace.spanned_by([*u.basis, *v.basis], space.dim)
+    system = forms.scaled_system(space, u)
+    got = extension_outcome(forms.extend_basis, space, system, w)
+    assert got == extension_outcome(oracles.extend_basis_with_complement, space, system, w)
+    try:
+        basis = forms.extend_basis(space, system, within=w)
+    except PreconditionError:
+        return
+    basis.check(space)
+    assert len(basis.vectors) == w.dim
+    assert linalg.row_space(basis.vectors) == linalg.row_space(w.basis)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -396,6 +396,8 @@ KEPT_FOR_USERS = {
                           "phi's rows in closed form",
     "linalg.py: bilinear": "x^T M y for any matrix; a space's pairing runs its sums on the "
                            "Gram rows it read once",
+    "linalg.py: solve": "one exact solution of A x = b, as the README lists; the witness "
+                        "frame extends inside the big part and solves for no coordinates",
 }
 
 
